@@ -28,20 +28,23 @@ Event-loop front end
 --------------------
 The server is a single :mod:`selectors` event loop over non-blocking
 sockets: per-connection input/output buffers, frame reassembly and
-session crypto run on the loop thread, while store execution is handed
-to a small thread pool (one request in flight per connection, so sealed
-replies stream back in FIFO order under the channel's sequence
-numbers).  Clients may pipeline — many sealed requests on the wire
-before the first reply lands.
+session crypto run on the loop thread.  The in-process engines admit
+one caller at a time, so the loop also *executes* their requests, each
+run to completion and its reply sealed in the same turn — no hand-off.
+Engines that take concurrent callers (process workers,
+``store.data_plane``) keep a small thread pool, one request in flight
+per connection.  Either way replies leave in FIFO order under the
+channel's sequence numbers, and clients may pipeline — many sealed
+requests on the wire before the first reply lands.
 
 Admission control is real load shedding, not a silent close:
-connections beyond ``max_connections`` (and requests beyond
-``max_inflight_requests``) are answered with a **sealed STATUS_BUSY**
-reply the resilient client treats as retryable-with-backoff.  Shed
-connections are promoted in arrival order as admitted ones leave.
-Store execution takes the reader side of a reader-writer gate
-(``store_lock``): requests share, the :class:`SnapshotDaemon`'s
-checkpoint cut is exclusive.
+connections beyond ``max_connections`` are answered with a **sealed
+STATUS_BUSY** reply the resilient client treats as
+retryable-with-backoff.  Shed connections are promoted in arrival order
+as admitted ones leave.  Store execution goes through a reader-writer
+gate (``store_lock``): process-engine requests share it; in-process
+ones and the :class:`SnapshotDaemon`'s checkpoint cut take it
+exclusively, so during a cut the loop thread waits with the requests.
 
 Failure counters (tampered sessions dropped, idempotent replays,
 rejected connections...) are kept in :class:`~repro.core.stats.StoreStats`
@@ -138,32 +141,30 @@ def _send_frame(
 def _recv_frame(
     sock: socket.socket,
     point: Optional[str] = None,
-    body_timeout: Optional[float] = None,
     link=None,
+    buf: Optional[bytearray] = None,
 ) -> Optional[bytes]:
     """Receive one length-prefixed frame.
 
     Returns ``None`` on a clean EOF *before any byte of the frame*; a
     peer dying mid-frame raises :class:`ProtocolError` — a truncated
-    record is a failure, not a graceful close.  ``body_timeout``
-    (seconds) bounds the wait for the body once the header has arrived,
-    so a peer that stalls mid-request cannot wedge a handler forever.
+    record is a failure, not a graceful close.  With ``buf`` (a
+    session's receive buffer) each ``recv`` takes whatever has arrived
+    and the surplus waits there for the next call; without one, nothing
+    past the frame is read.
     """
-    header = _recv_exact(sock, 4)
-    if header is None:
+    exact = buf is None
+    if exact:
+        buf = bytearray()
+    if not _fill(sock, buf, 4, exact):
         return None
-    (length,) = _LEN.unpack(header)
+    (length,) = _LEN.unpack_from(buf, 0)
     if length > 64 * 1024 * 1024:
         raise ProtocolError("frame too large")
-    if body_timeout is not None:
-        sock.settimeout(body_timeout)
-    body = _recv_exact(sock, length)
-    if body is None and length > 0:
-        raise ProtocolError(
-            "truncated frame: peer closed after the length header"
-        )
-    if body is None:
-        body = b""
+    end = 4 + length
+    _fill(sock, buf, end, exact)
+    body = bytes(buf[4:end])
+    del buf[:end]
     if point is not None:
         hit = faults.check(point, body, link=link)
         if hit is not None:
@@ -177,25 +178,24 @@ def _recv_frame(
     return body
 
 
-def _recv_exact(sock: socket.socket, count: int) -> Optional[bytes]:
-    """Read exactly ``count`` bytes, or ``None`` on EOF at a boundary.
+def _fill(sock: socket.socket, buf: bytearray, need: int, exact: bool) -> bool:
+    """Receive until ``buf`` holds ``need`` bytes; False on EOF before any.
 
-    EOF after some bytes were already consumed means the peer died
-    mid-record; that is a :class:`ProtocolError`, never mistaken for a
-    graceful close.
+    EOF with bytes already buffered means the peer died mid-record: a
+    :class:`ProtocolError`, never mistaken for a graceful close.
+    ``exact`` forbids reading past ``need``.
     """
-    data = b""
-    while len(data) < count:
-        chunk = sock.recv(count - len(data))
+    while len(buf) < need:
+        chunk = sock.recv(need - len(buf) if exact else 65536)
         if not chunk:
-            if data:
+            if buf:
                 raise ProtocolError(
-                    f"truncated frame: peer closed with {len(data)} of "
-                    f"{count} bytes received"
+                    f"truncated frame: peer closed with {len(buf)} of "
+                    f"{need} bytes received"
                 )
-            return None
-        data += chunk
-    return data
+            return False
+        buf += chunk
+    return True
 
 
 class _IdempotencyCache:
@@ -313,7 +313,7 @@ class _Conn:
 
     __slots__ = (
         "sock", "order", "inbuf", "outbuf", "channel", "client_id",
-        "dh", "shed", "pending", "inflight", "last_progress", "closing",
+        "dh", "shed", "pending", "inflight", "last_progress", "mask",
     )
 
     def __init__(self, sock: socket.socket, order: int):
@@ -328,7 +328,7 @@ class _Conn:
         self.pending: Deque[bytes] = deque()  # opened payloads, FIFO
         self.inflight = False       # one executor task at a time
         self.last_progress = time.monotonic()
-        self.closing = False        # close once outbuf drains
+        self.mask = 0               # events registered with the selector
 
     @property
     def busy(self) -> bool:
@@ -342,22 +342,22 @@ class TCPShieldServer:
     """Event-loop TCP server fronting one ShieldStore.
 
     One :mod:`selectors` loop owns every socket: non-blocking accepts,
-    per-connection buffers, frame reassembly and channel crypto.  Store
-    execution runs on a small thread pool, one request in flight per
-    connection (FIFO seal order), many connections in parallel when the
-    store's engine allows it (process workers have per-handle locks; the
-    in-process engines serialize on the exclusive gate instead).
+    per-connection buffers, frame reassembly and channel crypto.  The
+    in-process engines admit one caller at a time, so the loop executes
+    their requests itself.  Process workers (``store.data_plane``) have
+    per-handle locks, so their requests go to a pool of
+    ``executor_threads`` built on first use: one in flight per
+    connection (FIFO seal order), many connections in parallel.
 
     ``max_connections`` is backpressure, not a silent refusal: excess
     connections still get the attested handshake, but every request is
     answered with a **sealed STATUS_BUSY** until an admitted connection
-    leaves and the oldest shed one is promoted.  ``max_inflight_requests``
-    (``None`` = unbounded) sheds the same way when the executor queue is
-    full.  ``request_deadline_s`` bounds how long one request may take on
-    the wire; ``idle_timeout_s`` (``None`` = unbounded) bounds the wait
-    *between* requests.  :meth:`close` drains: it stops accepting, lets
-    in-flight requests finish within ``drain_timeout_s``, then severs
-    stragglers and joins the loop thread.
+    leaves and the oldest shed one is promoted.  ``request_deadline_s``
+    bounds how long one request may stall on the wire (waiting for the
+    store never counts); ``idle_timeout_s`` (``None`` = unbounded)
+    bounds the wait *between* requests.  :meth:`close` drains: it stops
+    accepting, lets in-flight requests finish within
+    ``drain_timeout_s``, then severs stragglers and joins the loop.
     """
 
     def __init__(
@@ -370,7 +370,6 @@ class TCPShieldServer:
         request_deadline_s: Optional[float] = 30.0,
         idle_timeout_s: Optional[float] = None,
         drain_timeout_s: float = 10.0,
-        max_inflight_requests: Optional[int] = None,
         executor_threads: int = 8,
     ):
         self.store = store
@@ -379,15 +378,15 @@ class TCPShieldServer:
         self.request_deadline_s = request_deadline_s
         self.idle_timeout_s = idle_timeout_s
         self.drain_timeout_s = drain_timeout_s
-        self.max_inflight_requests = max_inflight_requests
+        self.executor_threads = executor_threads
         # Reader-writer gate against snapshot checkpoints: requests take
         # the shared side, the SnapshotDaemon's `with server.store_lock:`
         # is the exclusive side — a checkpoint is a consistent cut,
         # never a half-applied batch.
         self.store_lock = _RWGate()
         # Process-worker engines are safe for concurrent parent-side
-        # callers (per-handle locks); the in-process engines are not, so
-        # their requests take the exclusive side instead of the shared.
+        # callers (per-handle locks): executor threads, shared gate.  The
+        # in-process engines are not: the loop thread, exclusive gate.
         self._parallel_requests = getattr(store, "data_plane", None) is not None
         # Transport-level failure counters, merged with the store's own
         # counters by stats_snapshot(); guarded by _stats_mutex because
@@ -401,7 +400,7 @@ class TCPShieldServer:
         self.address = self._sock.getsockname()
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._sock, selectors.EVENT_READ, "accept")
-        # Self-pipe: executor completions nudge the loop out of select().
+        # Self-pipe: close() and completions nudge the loop out of select().
         self._wake_recv, self._wake_send = socket.socketpair()
         self._wake_recv.setblocking(False)
         self._wake_send.setblocking(False)
@@ -410,10 +409,7 @@ class TCPShieldServer:
         self._accepted = 0
         self._completions: Deque[Tuple[int, object]] = deque()
         self._completions_mutex = threading.Lock()
-        self._executor = ThreadPoolExecutor(
-            max_workers=max(1, executor_threads),
-            thread_name_prefix="shieldstore-exec",
-        )
+        self._executor: Optional[ThreadPoolExecutor] = None
         self._stop = threading.Event()
         # Set by the CLI when a SnapshotDaemon checkpoints this server;
         # lets stats_snapshot() surface its failure counter.
@@ -474,7 +470,8 @@ class TCPShieldServer:
         self._wakeup()
         if self._loop_thread.is_alive():
             self._loop_thread.join(timeout=self.drain_timeout_s)
-        self._executor.shutdown(wait=drain, cancel_futures=not drain)
+        if self._executor is not None:
+            self._executor.shutdown(wait=drain, cancel_futures=not drain)
         # The loop closed everything on its way out; sweep whatever is
         # left if it never started or got wedged.
         for conn in list(self._conns.values()):
@@ -503,10 +500,16 @@ class TCPShieldServer:
 
     # -- the event loop -----------------------------------------------------
     def _loop(self) -> None:
+        sweep_at = 0.0
         try:
             while not self._stop.is_set():
-                timeout = self._next_deadline()
-                events = self._selector.select(timeout)
+                events = self._selector.select(
+                    max(0.0, sweep_at - time.monotonic())
+                )
+                # Deadlines are judged as of this poll: bytes arriving
+                # while the turn is busy in the store are the loop's
+                # backlog, not the peer's stall.
+                polled = time.monotonic()
                 for key, mask in events:
                     if key.data == "accept":
                         self._accept()
@@ -521,28 +524,21 @@ class TCPShieldServer:
                             and conn.sock.fileno() != -1
                         ):
                             self._writable(conn)
-                self._apply_completions()
-                self._sweep_deadlines()
+                if self._executor is not None:
+                    self._apply_completions()
+                if polled >= sweep_at:
+                    sweep_at = self._sweep_deadlines(polled)
         finally:
             for conn in list(self._conns.values()):
                 self._drop(conn)
             self._close_quietly(self._sock)
 
-    def _next_deadline(self) -> float:
-        """Select timeout: the nearest per-connection deadline, capped."""
-        timeout = 0.25
-        now = time.monotonic()
-        for conn in self._conns.values():
-            limit = (
-                self.request_deadline_s if conn.busy else self.idle_timeout_s
-            )
-            if limit is None:
-                continue
-            timeout = min(timeout, max(0.0, conn.last_progress + limit - now))
-        return timeout
+    def _sweep_deadlines(self, now: float) -> float:
+        """Drop expired connections; returns when to sweep next.
 
-    def _sweep_deadlines(self) -> None:
-        now = time.monotonic()
+        O(connections): run at the nearest deadline, not once per event.
+        """
+        sweep_at = now + 0.25  # the longest the loop sleeps
         for conn in list(self._conns.values()):
             if conn.inflight:
                 # The store is still working; that is not a wire stall.
@@ -551,11 +547,16 @@ class TCPShieldServer:
             limit = (
                 self.request_deadline_s if conn.busy else self.idle_timeout_s
             )
-            if limit is not None and now - conn.last_progress > limit:
+            if limit is None:
+                continue
+            if now - conn.last_progress > limit:
                 # Mid-frame stall past the deadline or idle expiry: drop
                 # the connection; the client reconnects and retries.
                 self._bump("deadline_drops")
                 self._drop(conn)
+            else:
+                sweep_at = min(sweep_at, conn.last_progress + limit)
+        return sweep_at
 
     def _drain_wakeups(self) -> None:
         try:
@@ -595,9 +596,6 @@ class TCPShieldServer:
                 self._enqueue_frame(conn, self._handshake_frame(conn))
             except (OSError, StoreError):
                 self._drop(conn)
-                continue
-            if id(conn) in self._conns:
-                self._register_events(conn)
 
     def _admitted_count(self) -> int:
         return sum(1 for c in self._conns.values() if not c.shed)
@@ -646,16 +644,20 @@ class TCPShieldServer:
 
     # -- socket readiness ----------------------------------------------------
     def _register_events(self, conn: _Conn) -> None:
+        """Keep write interest in step with the output buffer."""
         mask = selectors.EVENT_READ
         if conn.outbuf:
             mask |= selectors.EVENT_WRITE
+        if mask == conn.mask:
+            return  # the common reply flushes at once: nothing changed
         try:
-            self._selector.modify(conn.sock, mask, conn)
-        except KeyError:
-            try:
+            if conn.mask:
+                self._selector.modify(conn.sock, mask, conn)
+            else:
                 self._selector.register(conn.sock, mask, conn)
-            except (KeyError, ValueError, OSError):
-                pass
+        except (KeyError, ValueError, OSError):
+            return
+        conn.mask = mask
 
     def _readable(self, conn: _Conn) -> None:
         try:
@@ -663,12 +665,9 @@ class TCPShieldServer:
         except (BlockingIOError, InterruptedError):
             return
         except OSError:
-            self._drop(conn)
-            return
+            chunk = b""
         if not chunk:
-            if 0 < len(conn.inbuf):
-                # Peer died mid-record; nothing to salvage either way.
-                pass
+            # Reset or EOF; mid-record or not, nothing to salvage.
             self._drop(conn)
             return
         conn.inbuf += chunk
@@ -676,21 +675,19 @@ class TCPShieldServer:
         self._parse_frames(conn)
 
     def _writable(self, conn: _Conn) -> None:
+        """Flush what the socket takes, then re-arm for the rest."""
         if conn.outbuf:
             try:
                 sent = conn.sock.send(conn.outbuf)
             except (BlockingIOError, InterruptedError):
-                return
+                sent = 0
             except OSError:
                 self._drop(conn)
                 return
-            del conn.outbuf[:sent]
-            conn.last_progress = time.monotonic()
-        if not conn.outbuf:
-            if conn.closing:
-                self._drop(conn)
-            else:
-                self._register_events(conn)
+            if sent:
+                del conn.outbuf[:sent]
+                conn.last_progress = time.monotonic()
+        self._register_events(conn)
 
     def _parse_frames(self, conn: _Conn) -> None:
         while len(conn.inbuf) >= 4:
@@ -736,21 +733,12 @@ class TCPShieldServer:
             self._bump("tamper_drops")
             self._drop(conn)
             return False
-        if conn.shed or self._over_inflight_limit():
+        if conn.shed:
             self._shed_reply(conn)
             return True
         conn.pending.append(raw)
         self._pump(conn)
-        return True
-
-    def _over_inflight_limit(self) -> bool:
-        if self.max_inflight_requests is None:
-            return False
-        inflight = sum(
-            len(c.pending) + (1 if c.inflight else 0)
-            for c in self._conns.values()
-        )
-        return inflight >= self.max_inflight_requests
+        return id(conn) in self._conns
 
     def _shed_reply(self, conn: _Conn) -> None:
         """Answer with a sealed STATUS_BUSY instead of executing."""
@@ -761,16 +749,23 @@ class TCPShieldServer:
 
     # -- request execution ---------------------------------------------------
     def _pump(self, conn: _Conn) -> None:
-        """Submit the next pending request (one in flight per conn)."""
+        """Run the next pending request (one at a time per connection)."""
         if conn.inflight or not conn.pending:
             return
         raw = conn.pending.popleft()
+        if not self._parallel_requests:
+            # In-process engine: requests serialize on the exclusive
+            # gate whoever runs them, so run this one to completion here.
+            self._reply(conn, self._dispatch, conn.client_id, raw)
+            return
+        if self._executor is None:
+            self._executor = ThreadPoolExecutor(
+                max(1, self.executor_threads), thread_name_prefix="shieldstore-exec"
+            )
         conn.inflight = True
         conn_id = id(conn)
         future = self._executor.submit(self._dispatch, conn.client_id, raw)
-        future.add_done_callback(
-            lambda fut: self._complete(conn_id, fut)
-        )
+        future.add_done_callback(lambda fut: self._complete(conn_id, fut))
 
     def _complete(self, conn_id: int, future) -> None:
         """Executor thread: queue the result for the loop to seal."""
@@ -789,18 +784,20 @@ class TCPShieldServer:
                 continue  # connection died while the store worked
             conn.inflight = False
             conn.last_progress = time.monotonic()
-            try:
-                out = future.result()
-            except ProtocolError:
-                self._bump("tamper_drops")
-                self._drop(conn)
-                continue
-            except Exception:
-                self._drop(conn)
-                continue
-            self._seal_and_send(conn, out)
+            self._reply(conn, future.result)
             if id(conn) in self._conns:
                 self._pump(conn)
+
+    def _reply(self, conn: _Conn, outcome, *args) -> None:
+        """Seal and send what ``outcome(*args)`` returns; drop if it raises."""
+        try:
+            out = outcome(*args)
+        except Exception as exc:
+            if isinstance(exc, ProtocolError):
+                self._bump("tamper_drops")  # authenticated, yet malformed
+            self._drop(conn)
+            return
+        self._seal_and_send(conn, out)
 
     def _seal_and_send(self, conn: _Conn, out: bytes) -> None:
         if conn.channel is None:
@@ -824,8 +821,6 @@ class TCPShieldServer:
         # Opportunistic flush: most replies fit the socket buffer, so
         # skipping the selector round trip saves a syscall per request.
         self._writable(conn)
-        if id(conn) in self._conns:
-            self._register_events(conn)
 
     def _drop(self, conn: _Conn) -> None:
         self._conns.pop(id(conn), None)
@@ -836,7 +831,7 @@ class TCPShieldServer:
         self._close_quietly(conn.sock)
         self._promote_shed()
 
-    # -- request dispatch (executor threads) ---------------------------------
+    # -- request dispatch (loop thread, or executor threads) -----------------
     def _dispatch(self, client_id: bytes, raw: bytes) -> bytes:
         """Decode one opened payload and produce the encoded reply.
 
@@ -1118,6 +1113,7 @@ class TCPShieldClient:
         self._rng = random.Random(retry_seed)
         self._sock: Optional[socket.socket] = None
         self._channel: Optional[SecureChannel] = None
+        self._inbuf = bytearray()  # this session's received-not-yet-framed
         self._sessions = 0
         self._retry_loop(lambda: None, "connect")
 
@@ -1138,12 +1134,14 @@ class TCPShieldClient:
         except BaseException:
             self._teardown()
             raise
+        self._sock.settimeout(self.request_deadline_s)
         self._sessions += 1
         if self._sessions > 1:
             self.stats.net_reconnects += 1
 
     def _teardown(self) -> None:
         self._channel = None
+        self._inbuf.clear()
         if self._sock is not None:
             try:
                 self._sock.close()
@@ -1158,7 +1156,7 @@ class TCPShieldClient:
         from repro.sim.attestation import Quote
 
         assert self._sock is not None
-        frame = _recv_frame(self._sock, point="tcp.client.recv", link=self._link)
+        frame = self._recv()
         if frame is None or len(frame) < 32 + 32 + 32 + 256:
             raise ProtocolError("handshake frame truncated")
         measurement = frame[:32]
@@ -1179,6 +1177,9 @@ class TCPShieldClient:
         server_pub = int.from_bytes(pub_bytes, "big")
         suite = derive_session_suite(client_dh.shared_secret(server_pub))
         return SecureChannel(suite, "client")
+
+    def _recv(self) -> Optional[bytes]:
+        return _recv_frame(self._sock, "tcp.client.recv", self._link, self._inbuf)
 
     # -- retry machinery -----------------------------------------------------
     def _backoff(self, attempt: int) -> None:
@@ -1244,14 +1245,13 @@ class TCPShieldClient:
 
     def _roundtrip(self, op: str, payload: bytes) -> bytes:
         assert self._sock is not None and self._channel is not None
-        self._sock.settimeout(self.request_deadline_s)
         _send_frame(
             self._sock,
             self._channel.seal(payload),
             point="tcp.client.send",
             link=self._link,
         )
-        reply = _recv_frame(self._sock, point="tcp.client.recv", link=self._link)
+        reply = self._recv()
         if reply is None:
             raise ProtocolError("server closed the connection")
         response = decode_response(self._channel.open(reply))

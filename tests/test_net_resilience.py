@@ -9,16 +9,18 @@ and the run must complete with **zero client-visible errors** and
 
 import os
 import socket
+import struct
 import threading
+import time
 
 import pytest
 
 from repro.analysis import sanitizer
 from repro.core import PartitionedShieldStore, PartitionSnapshotter, shield_opt
 from repro.core.procpool import process_mode_supported
-from repro.errors import ProtocolError, StoreError
+from repro.errors import KeyNotFoundError, ProtocolError, StoreError
 from repro.net import SnapshotDaemon, TCPShieldClient, TCPShieldServer
-from repro.net.tcp import _IdempotencyCache, _recv_exact, _recv_frame, _send_frame
+from repro.net.tcp import _IdempotencyCache, _recv_frame, _send_frame
 from repro.sim import (
     AttestationService,
     FaultPlan,
@@ -89,13 +91,37 @@ class TestTruncatedFrames:
             with pytest.raises(ProtocolError, match="truncated frame"):
                 _recv_frame(b)
 
-    def test_recv_exact_reports_progress(self):
+    def test_truncation_reports_progress(self):
         a, b = socket.socketpair()
         with b:
-            a.sendall(b"abc")
+            a.sendall(b"\x08\x00\x00\x00abc")
             a.close()
-            with pytest.raises(ProtocolError, match="3 of 8"):
-                _recv_exact(b, 8)
+            with pytest.raises(ProtocolError, match="7 of 12"):
+                _recv_frame(b)
+
+    def test_session_buffer_keeps_the_read_ahead(self):
+        # With a session buffer one recv may take several frames; the
+        # surplus must wait in the buffer, and EOF semantics must match
+        # the unbuffered form: mid-frame raises, at a boundary is None.
+        a, b = socket.socketpair()
+        buf = bytearray()
+        with b:
+            _send_frame(a, b"one")
+            _send_frame(a, b"")
+            a.sendall(b"\x40\x00\x00\x00partial")
+            a.close()
+            assert _recv_frame(b, buf=buf) == b"one"
+            assert buf, "the read-ahead stays in the session buffer"
+            assert _recv_frame(b, buf=buf) == b""
+            with pytest.raises(ProtocolError, match="truncated frame"):
+                _recv_frame(b, buf=buf)
+        a, b = socket.socketpair()
+        with b:
+            _send_frame(a, b"last")
+            a.close()
+            buf = bytearray()
+            assert _recv_frame(b, buf=buf) == b"last"
+            assert _recv_frame(b, buf=buf) is None
 
     def test_oversized_frame_rejected(self):
         a, b = socket.socketpair()
@@ -288,6 +314,148 @@ class TestServerLimits:
         finally:
             client.close()
             server.close()
+
+
+    def test_slow_inline_request_is_not_a_wire_stall_for_others(
+        self, service, monkeypatch
+    ):
+        # The loop runs in-process requests itself, so while A's slow
+        # request holds it, B's bytes sit unread.  That wait is the
+        # store's, not B's: B — half a frame on the wire before the
+        # stall, the rest during it, far past request_deadline_s — must
+        # be answered on the same session, never deadline-dropped.
+        from repro.core import ShieldStore
+        from repro.net.message import Request, encode_envelope, encode_request
+
+        store = ShieldStore(shield_opt(num_buckets=64, num_mac_hashes=32))
+        server = TCPShieldServer(store, service, request_deadline_s=0.2)
+        server.start()
+        a = resilient_client(server, service)
+        b = resilient_client(server, service, entropy=bytes(range(32, 64)))
+        try:
+            a.set(b"k", b"v")
+            real_get = store.get
+            entered = threading.Event()
+
+            def slow_get(key):
+                if key == b"slow":
+                    entered.set()
+                    time.sleep(0.8)
+                    key = b"k"
+                return real_get(key)
+
+            monkeypatch.setattr(store, "get", slow_get)
+            frame = b._channel.seal(
+                encode_envelope(None, encode_request(Request("get", b"k")))
+            )
+            wire = struct.pack("<I", len(frame)) + frame
+            b._sock.sendall(wire[:10])
+            slow = threading.Thread(target=lambda: a.get(b"slow"))
+            slow.start()
+            assert entered.wait(5)
+            b._sock.sendall(wire[10:])
+            reply = b._channel.open(b._recv())
+            slow.join(timeout=10)
+            assert not slow.is_alive()
+            assert reply.endswith(b"v")
+            assert b.get(b"k") == b"v"
+            for client in (a, b):
+                assert client.stats.net_reconnects == 0
+            assert server.stats_snapshot().deadline_drops == 0
+        finally:
+            a.close()
+            b.close()
+            server.close()
+
+    def test_checkpoint_while_clients_hammer_an_inline_server(
+        self, service, tmp_path
+    ):
+        # The loop thread takes the same exclusive gate the checkpoint
+        # does: requests wait out the cut, none fails, no connection is
+        # dropped, and the snapshot is a consistent prefix — restoring
+        # it yields exactly what the writers had acked by some point.
+        from repro.core import ShieldStore, Snapshotter, default_platform_secret
+        from repro.sim import SealingService
+
+        def fresh_store():
+            return ShieldStore(shield_opt(num_buckets=64, num_mac_hashes=32))
+
+        store = fresh_store()
+        server = TCPShieldServer(store, service)
+        server.start()
+        counters = MonotonicCounterService(str(tmp_path / "counters.json"))
+        snapshotter = Snapshotter(
+            SealingService(default_platform_secret(store.keyring.master)),
+            counters,
+        )
+        daemon = SnapshotDaemon(
+            lambda: snapshotter.snapshot_bytes(store.enclave.context(), store),
+            tmp_path,
+            3600.0,
+            lock=server.store_lock,
+        )
+        clients = [
+            resilient_client(server, service, entropy=bytes([c]) * 32)
+            for c in (1, 2)
+        ]
+        stop = threading.Event()
+        failures = []
+        written = [0, 0]
+
+        def hammer(index):
+            client = clients[index]
+            try:
+                while not stop.is_set():
+                    n = written[index]
+                    client.set(b"c%d-%04d" % (index, n), b"v%d" % n)
+                    written[index] = n + 1
+                    assert client.get(b"c%d-%04d" % (index, n)) == b"v%d" % n
+            except Exception as exc:  # surfaced below, with the others
+                failures.append(exc)
+
+        threads = [
+            threading.Thread(target=hammer, args=(i,)) for i in range(2)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            paths = []
+            for _ in range(3):
+                while min(written) < 20 * (len(paths) + 1) and not failures:
+                    stop.wait(0.01)
+                paths.append(daemon.run_once())
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=20)
+            assert not any(thread.is_alive() for thread in threads)
+            assert failures == []
+            for client in clients:
+                assert client.stats.net_retries == 0
+                assert client.stats.net_reconnects == 0
+            stats = server.stats_snapshot()
+            assert stats.deadline_drops == 0 and stats.tamper_drops == 0
+        finally:
+            stop.set()
+            for client in clients:
+                client.close()
+            server.close()
+        # The last checkpoint restores to a prefix of each writer's run.
+        with open(paths[-1], "rb") as fh:
+            blob = fh.read()
+        restored = fresh_store()
+        snapshotter.restore(restored.enclave.context(), blob, restored)
+        total = 0
+        for index in range(2):
+            n = 0
+            while n < written[index]:
+                try:
+                    assert restored.get(b"c%d-%04d" % (index, n)) == b"v%d" % n
+                except KeyNotFoundError:
+                    break
+                n += 1
+            assert n >= 60, "checkpoint taken after 60 acked writes each"
+            total += n
+        assert len(restored) == total
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,21 @@
 """Real TCP deployment: attestation handshake, secure session, attacks."""
 
 import struct
+import threading
 
 import pytest
 
-from repro.core import ShieldStore, shield_opt
-from repro.errors import AttestationError, KeyNotFoundError
+from repro.core import PartitionedShieldStore, ShieldStore, shield_opt
+from repro.core.procpool import process_mode_supported
+from repro.errors import AttestationError, KeyNotFoundError, StoreError
 from repro.net import TCPShieldClient, TCPShieldServer
+from repro.net import tcp as tcpmod
+from repro.net.message import (
+    Request,
+    decode_response,
+    encode_envelope,
+    encode_request,
+)
 from repro.sim import AttestationService
 
 
@@ -24,10 +33,17 @@ def server(service):
     srv.close()
 
 
-def connect(server, service, entropy=bytes(range(32))):
+def connect(server, service, entropy=bytes(range(32)), **kw):
     return TCPShieldClient(
-        server.address, service, server.store.enclave.measurement, entropy
+        server.address, service, server.store.enclave.measurement, entropy,
+        **kw,
     )
+
+
+def send_sealed(client, payload):
+    """Put one sealed record on the client's socket without reading."""
+    frame = client._channel.seal(payload)
+    client._sock.sendall(struct.pack("<I", len(frame)) + frame)
 
 
 class TestEndToEnd:
@@ -118,3 +134,136 @@ class TestWireTamper:
                 assert client.get(b"k") == b"v"
         finally:
             client.close()
+
+
+class TestRunToCompletion:
+    """Who executes a request: the loop (in-process) or the executor."""
+
+    def test_back_to_back_requests_answered_in_order(self, server, service):
+        # N sealed requests land in one socket buffer before any reply
+        # is read; the loop answers them in FIFO order, and the replies
+        # carry consecutive channel sequence numbers (open() rejects
+        # anything else).
+        client = connect(server, service)
+        try:
+            count = 32
+            for i in range(count):
+                client.set(b"k%02d" % i, b"v%02d" % i)
+            base = client._channel._recv_seq
+            wire = b""
+            for i in range(count):
+                frame = client._channel.seal(encode_envelope(
+                    None, encode_request(Request("get", b"k%02d" % i))
+                ))
+                wire += struct.pack("<I", len(frame)) + frame
+            client._sock.sendall(wire)
+            for i in range(count):
+                sealed = client._recv()
+                assert struct.unpack("<Q", sealed[:8]) == (base + i,)
+                reply = decode_response(client._channel.open(sealed))
+                assert reply.value == b"v%02d" % i
+            assert client.get(b"k00") == b"v00"  # session still in step
+        finally:
+            client.close()
+
+    def test_bad_payload_and_store_exception_drop_the_connection(
+        self, server, service, monkeypatch
+    ):
+        # The inline path maps failures exactly as the executor path
+        # does: an authenticated but malformed payload is tampering
+        # (counted, session dropped); a store exception drops the
+        # session uncounted.  Either way the loop keeps serving.
+        client = connect(server, service, max_retries=1, backoff_base_s=0.01)
+        try:
+            client.set(b"k", b"v")
+            send_sealed(client, b"\xff not an envelope")
+            assert client.get(b"k") == b"v"  # reconnects after the drop
+            assert client.stats.net_reconnects == 1
+            assert server.stats_snapshot().tamper_drops == 1
+
+            real_get = server.store.get
+
+            def exploding_get(key):
+                if key == b"boom":
+                    raise RuntimeError("store bug")
+                return real_get(key)
+
+            monkeypatch.setattr(server.store, "get", exploding_get)
+            with pytest.raises(StoreError, match="failed after"):
+                client.get(b"boom")
+            assert client.get(b"k") == b"v"
+            assert server.stats_snapshot().tamper_drops == 1
+            assert server._loop_thread.is_alive()
+        finally:
+            client.close()
+
+    def test_in_process_engine_never_touches_an_executor(
+        self, server, service, monkeypatch
+    ):
+        submits = _spy_on_submits(monkeypatch)
+        client = connect(server, service)
+        try:
+            client.set(b"k", b"v")
+            assert client.get(b"k") == b"v"
+        finally:
+            client.close()
+        assert submits == []
+        assert server._executor is None
+
+    @pytest.mark.skipif(
+        not process_mode_supported(), reason="no multiprocess engine here"
+    )
+    def test_process_engine_keeps_the_concurrent_executor(
+        self, service, monkeypatch
+    ):
+        submits = _spy_on_submits(monkeypatch)
+        store = PartitionedShieldStore(
+            shield_opt(num_buckets=64, num_mac_hashes=32),
+            num_partitions=2,
+            mode="processes",
+        )
+        srv = TCPShieldServer(store, service)
+        # Hold every request inside the store until two are in flight
+        # at once: only concurrent executor threads can get there.
+        both_inside = threading.Barrier(2, timeout=10)
+        real_get = store.get
+
+        def rendezvous_get(key):
+            both_inside.wait()
+            return real_get(key)
+
+        srv.start()
+        a = connect(srv, service, bytes(range(32)))
+        b = connect(srv, service, bytes(range(32, 64)))
+        try:
+            a.set(b"k", b"v")
+            monkeypatch.setattr(store, "get", rendezvous_get)
+            results = []
+            threads = [
+                threading.Thread(target=lambda c=c: results.append(c.get(b"k")))
+                for c in (a, b)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=20)
+            assert results == [b"v", b"v"]
+            assert len(submits) >= 3
+        finally:
+            a.close()
+            b.close()
+            srv.close()
+            store.close()
+
+
+def _spy_on_submits(monkeypatch):
+    """Record every ``submit`` on an executor ``net.tcp`` creates."""
+    submits = []
+
+    class SpyExecutor(tcpmod.ThreadPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            submits.append(fn)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(tcpmod, "ThreadPoolExecutor", SpyExecutor)
+    return submits

@@ -1,4 +1,4 @@
-"""Wall-clock benchmark for the batched write pipeline + parallel router.
+"""Wall-clock benchmark for the batched write pipeline + partition router.
 
 Unlike the ``bench_fig*`` suites (which report *simulated* cycles), this
 script measures real interpreter wall-clock for the three ways of
@@ -9,8 +9,6 @@ update, zipfian 0.99 — the paper's RD95_Z):
 * ``batched``           — operations grouped into ``multi_get`` /
   ``multi_set`` batches so every touched MAC set is verified once and
   its hash recomputed once per batch;
-* ``batched+parallel``  — the same batches fanned out to the partition
-  router's worker threads;
 * ``batched+maccache``  — the same batches with the enclave-resident
   verified-MAC cache sized to hold the working set, so point reads
   verify in O(1) against the in-enclave copy instead of regathering
@@ -45,9 +43,7 @@ from repro.workloads import SMALL, OperationStream, workload
 _THREADS = 4
 
 
-def _build_store(
-    parallel: bool, pairs: int, mac_cache_bytes: int = 0
-) -> PartitionedShieldStore:
+def _build_store(pairs: int, mac_cache_bytes: int = 0) -> PartitionedShieldStore:
     # A small mac-hash count keeps in-enclave state tiny but makes each
     # MAC set span many buckets (the Fig. 15 trade-off), so a single op
     # pays a wide set verification — the regime where once-per-batch
@@ -61,7 +57,6 @@ def _build_store(
             mac_cache_bytes=mac_cache_bytes,
         ),
         machine=machine,
-        parallel=parallel,
     )
 
 
@@ -107,9 +102,8 @@ def _mac_cache_budget(pairs: int) -> int:
 
 
 def _measure(mode: str, pairs: int, ops: int, batch_size: int, seed: int) -> dict:
-    parallel = mode == "batched+parallel"
     mac_cache_bytes = _mac_cache_budget(pairs) if "maccache" in mode else 0
-    store = _build_store(parallel, pairs, mac_cache_bytes)
+    store = _build_store(pairs, mac_cache_bytes)
     stream, op_list = _ops_list(pairs, ops, seed)
     _load(store, stream)
     if mode == "sequential":
@@ -141,7 +135,7 @@ def _measure(mode: str, pairs: int, ops: int, batch_size: int, seed: int) -> dic
     return result
 
 
-_MODES = ("sequential", "batched", "batched+parallel", "batched+maccache")
+_MODES = ("sequential", "batched", "batched+maccache")
 
 
 def run(pairs: int, ops: int, batch_size: int, seed: int) -> dict:
@@ -169,9 +163,6 @@ def run(pairs: int, ops: int, batch_size: int, seed: int) -> dict:
         },
         "modes": modes,
         "speedup_batched": round(base / modes["batched"]["wall_s"], 2),
-        "speedup_batched_parallel": round(
-            base / modes["batched+parallel"]["wall_s"], 2
-        ),
         # Cache-on vs cache-off at identical batching: the §4.3
         # verification cost the enclave-resident MAC cache removes.
         "speedup_maccache": round(
@@ -202,7 +193,6 @@ def main(argv=None) -> int:
     )
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"\nspeedup batched           : {report['speedup_batched']:.2f}x")
-    print(f"speedup batched+parallel  : {report['speedup_batched_parallel']:.2f}x")
     print(f"speedup mac cache on/off  : {report['speedup_maccache']:.2f}x")
     print(f"wrote {out}")
     return 0

@@ -82,7 +82,6 @@ def _build_single(pairs: int, mac_cache_bytes: int = 0) -> PartitionedShieldStor
             mac_cache_bytes=mac_cache_bytes,
         ),
         machine=machine,
-        parallel=False,
     )
 
 

@@ -35,6 +35,9 @@ TRUSTED_MODULES: Tuple[str, ...] = (
     "core/cache.py",
     "core/maccache.py",
     "core/wal.py",
+    # PartitionHost: the store + sealed WAL + sealing lifecycle runs
+    # inside the enclave; only sealed sections and log frames leave it.
+    "core/host.py",
     "sim/enclave.py",
     "sim/sealing.py",
 )
@@ -52,6 +55,9 @@ BOUNDARY_MODULES: Tuple[str, ...] = (
 )
 
 # Modules whose lock discipline the lock-order pass analyzes.
+# ``core/host.py`` is absent on purpose: a PartitionHost takes no lock —
+# a worker drives it from one thread, and a served in-process engine is
+# only entered under the TCP server's exclusive ``store_lock``.
 LOCK_MODULES: Tuple[str, ...] = (
     "core/procpool.py",
     "core/partition.py",
@@ -184,7 +190,10 @@ ASCENDING_ITERABLES = ("self.workers",)
 # ProcessPartitionPool request/scatter paths), used for cross-module
 # edges such as the TCP server executing a request under store_lock.
 IMPLIED_WORKER_ACQUIRE = frozenset(
-    {"execute_request", "take_snapshot", "snapshot_all", "restore_all"}
+    {"execute_request", "take_snapshot", "snapshot_all", "restore_all",
+     # PartitionedShieldStore's batch seam into its engine (the pool's
+     # fan_out scatters under every target worker's lock).
+     "fan_out"}
 )
 
 # Shared attributes that may only be mutated while holding a lock of the

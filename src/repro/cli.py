@@ -166,7 +166,7 @@ def _counter_service(args, blob_path: str):
 
 
 def _cmd_snapshot(args) -> int:
-    from repro.core import PartitionSnapshotter
+    from repro.core import PartitionSnapshotter, snapshot_counter
 
     store = _snapshot_store(args.partitions)
     keys = [f"key-{i:05d}".encode() for i in range(args.pairs)]
@@ -182,7 +182,7 @@ def _cmd_snapshot(args) -> int:
     print(f"snapshot: {args.pairs} pairs across {store.num_threads} "
           f"partition(s), mode={store.mode}")
     print(f"wrote {len(blob)} bytes to {args.out} "
-          f"(monotonic counter {_blob_counter(blob)})")
+          f"(monotonic counter {snapshot_counter(blob)})")
     store.close()
     return 0
 
@@ -212,19 +212,13 @@ def _cmd_restore(args) -> int:
     return 0
 
 
-def _blob_counter(blob: bytes) -> int:
-    from repro.core import snapshot_counter
-
-    return snapshot_counter(blob)
-
-
 def _cmd_serve(args) -> int:
     import os
 
-    from repro import AttestationService, ShieldStore, shield_opt
-    from repro.core import PartitionedShieldStore
+    from repro import AttestationService, shield_opt
+    from repro.core import PartitionedShieldStore, PartitionHost
     from repro.net import SnapshotDaemon, TCPShieldServer
-
+    from repro.sim import Machine
     from repro.sim.cycles import MB
 
     config = shield_opt(
@@ -254,6 +248,7 @@ def _cmd_serve(args) -> int:
               "bucket placement line up)", file=sys.stderr)
         return 2
 
+    host = None
     if args.workers > 1:
         # Shared-nothing partition engine: one worker process per
         # partition, each with its own enclave sim (auto mode picks
@@ -280,15 +275,19 @@ def _cmd_serve(args) -> int:
                 b"shieldstore/replication-group:"
                 + args.replication_secret.encode()
             ).digest()
-        store = ShieldStore(config, master_secret=master)
-    inner = store
-    if replicated:
-        from repro.ext import ReplicatedStore
-
-        store = ReplicatedStore(store, node_id=args.node_id or "node-0")
+        # Partition 0, hosted in this process: the host replays any
+        # log chain at build and again under a checkpoint restore.
+        host = PartitionHost(
+            config,
+            master_secret=master,
+            machine=Machine(seed=config.seed),
+            wal_dir=args.wal_dir,
+            wal_sync_ms=args.wal_sync_ms,
+        )
     if args.wal_dir:
         print(f"write-ahead log: {args.wal_dir} "
               f"(group commit {args.wal_sync_ms:g} ms)")
+
     plan = None
     if args.fault_plan:
         from repro.sim import faults as faultsmod
@@ -298,6 +297,48 @@ def _cmd_serve(args) -> int:
         print(f"fault plan: {len(plan.rules)} rule(s), seed {plan.seed} "
               f"({args.fault_plan})")
 
+    take_snapshot = None
+    if args.snapshot_dir:
+        from repro.core import PartitionSnapshotter, Snapshotter
+        from repro.sim import MonotonicCounterService
+
+        counters = MonotonicCounterService(
+            os.path.join(args.snapshot_dir, "counters.json")
+        )
+        latest, blob = (
+            SnapshotDaemon.load_latest(args.snapshot_dir) or (None, None)
+        )
+        if host is None:
+            snapshotter = PartitionSnapshotter.for_store(store, counters)
+            if blob is not None:
+                snapshotter.restore(blob, store)
+
+            def take_snapshot():
+                return snapshotter.snapshot_bytes(store)
+
+        else:
+            # Persistence always targets the hosted ShieldStore: under
+            # replication the versioned records are just opaque values,
+            # so checkpoints and WAL replay round-trip them unchanged.
+            snapshotter = Snapshotter(host.sealing, counters)
+            if blob is not None:
+                snapshotter.recover(blob, host)
+
+            def take_snapshot():
+                return snapshotter.checkpoint(host)
+
+        if latest:
+            restored = host.store if host is not None else store
+            print(f"restored {len(restored)} keys from {latest}")
+    if host is not None:
+        store = host.store  # built and recovered; served from here on
+        if host.replayed:
+            print(f"replayed {host.replayed} operation(s) "
+                  "from the write-ahead log")
+    if replicated:
+        from repro.ext import ReplicatedStore
+
+        store = ReplicatedStore(store, node_id=args.node_id or "node-0")
     service = AttestationService(args.attestation_secret.encode())
     if replicated:
         for name, peer_host, peer_port in peers:
@@ -315,48 +356,7 @@ def _cmd_serve(args) -> int:
     )
 
     daemon = None
-    restored_counter = 0
-    if args.snapshot_dir:
-        from repro.core import (
-            PartitionSnapshotter,
-            Snapshotter,
-            default_platform_secret,
-            snapshot_counter,
-        )
-        from repro.sim import MonotonicCounterService, SealingService
-
-        counters = MonotonicCounterService(
-            os.path.join(args.snapshot_dir, "counters.json")
-        )
-        if isinstance(store, PartitionedShieldStore):
-            snapshotter = PartitionSnapshotter.for_store(store, counters)
-
-            def take_snapshot():
-                return snapshotter.snapshot_bytes(store)
-
-            def load_snapshot(blob):
-                snapshotter.restore(blob, store)
-
-        else:
-            # Persistence always targets the inner ShieldStore: under
-            # replication the versioned records are just opaque values,
-            # so checkpoints and WAL replay round-trip them unchanged.
-            sealing = SealingService(
-                default_platform_secret(inner.keyring.master)
-            )
-            single = Snapshotter(sealing, counters)
-
-            def take_snapshot():
-                blob = single.snapshot_bytes(inner.enclave.context(), inner)
-                if inner.wal is not None:
-                    # Rotate inside the daemon's locked capture: the
-                    # truncation record brackets exactly this blob.
-                    inner.wal.rotate(snapshot_counter(blob))
-                return blob
-
-            def load_snapshot(blob):
-                single.restore(inner.enclave.context(), blob, inner)
-
+    if take_snapshot is not None:
         on_checkpoint = None
         if args.wal_dir:
             from repro.core import WriteAheadLog
@@ -375,44 +375,17 @@ def _cmd_serve(args) -> int:
             on_checkpoint=on_checkpoint,
         )
         server.snapshot_daemon = daemon
-        latest = SnapshotDaemon.latest_snapshot(args.snapshot_dir)
-        if latest:
-            with open(latest, "rb") as fh:
-                blob = fh.read()
-            load_snapshot(blob)
-            restored_counter = snapshot_counter(blob)
-            print(f"restored {len(store)} keys from {latest}")
         daemon.start()
         print(f"snapshots: every {args.snapshot_interval:g}s "
               f"-> {args.snapshot_dir}")
-    if args.wal_dir and not isinstance(store, PartitionedShieldStore):
-        # Partitioned engines recover their logs internally (at build
-        # and again on snapshot restore); the single store attaches its
-        # log here — after any checkpoint restore — replaying the tail
-        # the checkpoint does not cover.
-        from repro.core import WriteAheadLog, apply_request
-
-        inner.wal = WriteAheadLog.recover(
-            args.wal_dir,
-            0,
-            inner.keyring.master,
-            config.suite_name,
-            restored_counter,
-            apply=lambda req: apply_request(inner, req),
-            stats=inner.stats,
-            sync_ms=args.wal_sync_ms,
-        )
-        if inner.wal.replayed:
-            print(f"replayed {inner.wal.replayed} operation(s) "
-                  "from the write-ahead log")
 
     server.start()
     if replicated:
         store.start(anti_entropy_interval_s=args.anti_entropy_interval)
         print(f"replication: node {store.node_id}, {len(peers)} peer(s), "
               f"anti-entropy every {args.anti_entropy_interval:g}s")
-    host, port = server.address
-    print(f"ShieldStore enclave serving on {host}:{port}")
+    bound_host, port = server.address
+    print(f"ShieldStore enclave serving on {bound_host}:{port}")
     print(f"measurement: {store.enclave.measurement.hex()}")
     print("press Ctrl-C to stop")
     try:
@@ -431,8 +404,8 @@ def _cmd_serve(args) -> int:
         server.close()
         if hasattr(store, "close"):
             store.close()
-        if inner is not store and hasattr(inner, "close"):
-            inner.close()
+        if host is not None:
+            host.close()
         if plan is not None:
             report = plan.snapshot()
             print(f"faults injected: {report['total_fires']} "
@@ -513,17 +486,13 @@ def _cmd_stats(args) -> int:
         cache_bytes=int(args.cache_mb * MB),
         mac_cache_bytes=int(args.mac_cache_mb * MB),
     )
-    if args.mode == "processes":
-        store = PartitionedShieldStore(
-            config, num_partitions=args.threads, mode="processes"
-        )
-    else:
-        store = PartitionedShieldStore(
-            config,
-            machine=Machine(num_threads=args.threads),
-            parallel=args.parallel or args.mode == "threads",
-            mode=args.mode,
-        )
+    # An injected machine pins the partitions in-process (auto included).
+    machine = None
+    if args.mode != "processes":
+        machine = Machine(num_threads=args.threads)
+    store = PartitionedShieldStore(
+        config, machine=machine, num_partitions=args.threads, mode=args.mode
+    )
     keys = [f"key-{i:05d}".encode() for i in range(args.pairs)]
     batch = max(1, args.batch)
     for start in range(0, len(keys), batch):
@@ -724,10 +693,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     stats.add_argument("--pairs", type=int, default=2000)
     stats.add_argument("--batch", type=int, default=256)
     stats.add_argument("--threads", type=int, default=4)
-    stats.add_argument("--parallel", action="store_true",
-                       help="fan batches out to real worker threads")
     stats.add_argument("--mode", default="auto",
-                       choices=["auto", "sequential", "threads", "processes"],
+                       choices=["auto", "sequential", "processes"],
                        help="partition execution engine (processes = one "
                             "worker process per partition)")
     stats.add_argument("--cache-mb", type=float, default=0.0,

@@ -10,6 +10,8 @@ Public surface:
   paper variants.
 * :class:`~repro.core.persistence.Snapshotter` /
   :class:`~repro.core.persistence.SnapshotScheduler` — §4.4 persistence.
+* :class:`~repro.core.host.PartitionHost` — one partition's store +
+  sealed WAL lifecycle (build, recover, checkpoint, restore).
 """
 
 from repro.core.allocator import ExtraHeapAllocator, OcallAllocator, make_allocator
@@ -25,13 +27,13 @@ from repro.core.entry import (
     unpack_header,
 )
 from repro.core.hashindex import BucketTable
+from repro.core.host import PartitionHost
 from repro.core.macbucket import MacBucketStore
 from repro.core.maccache import MacSetCache
 from repro.core.mactree import MacTree
 from repro.core.partition import (
     MODE_PROCESSES,
     MODE_SEQUENTIAL,
-    MODE_THREADS,
     PartitionedShieldStore,
 )
 from repro.core.planner import CapacityPlan, plan
@@ -72,11 +74,11 @@ __all__ = [
     "MODE_OPTIMIZED",
     "MODE_PROCESSES",
     "MODE_SEQUENTIAL",
-    "MODE_THREADS",
     "MacBucketStore",
     "MacSetCache",
     "MacTree",
     "OcallAllocator",
+    "PartitionHost",
     "PartitionSnapshotter",
     "PartitionedShieldStore",
     "ProcessPartitionPool",

@@ -20,20 +20,19 @@ restore flushes the cache, so a hit can never compare against stale
 state.  A miss or eviction simply falls back to the full §4.3 gather +
 keyed-hash verification and repopulates.
 
-Like :class:`~repro.core.cache.EnclaveCache`, the cache is backed by a
-real enclave allocation and every hit/store touches addresses inside
-it, so its EPC cost (and paging, when oversized) emerges from the
-simulator rather than being assumed.
+Like :class:`~repro.core.cache.EnclaveCache`, it is an
+:class:`~repro.core.cache.EnclaveLRU`: backed by a real enclave
+allocation, every hit/store touching addresses inside it, so its EPC
+cost (and paging, when oversized) emerges from the simulator rather
+than being assumed.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.core.cache import clamp_touch_offset
+from repro.core.cache import EnclaveLRU
 from repro.core.entry import MAC_SIZE
-from repro.sim.enclave import Enclave, ExecContext
 
 # Accounting overheads (bytes) beyond the raw MAC material: per-bucket
 # list headers and the per-set map/LRU bookkeeping.
@@ -41,29 +40,25 @@ _PER_BUCKET_OVERHEAD = 8
 _PER_SET_OVERHEAD = 48
 
 
-class MacSetCache:
+class MacSetCache(EnclaveLRU):
     """Byte-budgeted LRU of verified per-set MAC lists, in enclave memory.
 
     Values are the same ``{bucket: [mac, ...]}`` dicts the store's
     verification plumbing passes around.  The store deliberately caches
     the *live object* — mutations update it in place before the set
     hash is recomputed, which is what keeps the cached copy coherent
-    through batched (dirty-set) mutation windows.
+    through batched (dirty-set) mutation windows; each entry keeps the
+    cost snapshot of its last :meth:`store`, and re-storing re-accounts.
+
+    Callers of :meth:`store` must only pass lists that were just
+    authenticated (full §4.3 verification) or that descend from an
+    authenticated copy through the store's own mutation write-through.
+    :meth:`clear` is required on snapshot restore / checkpoint install,
+    where untrusted memory was replaced wholesale.
     """
 
-    def __init__(self, enclave: Enclave, capacity_bytes: int):
-        if capacity_bytes <= 0:
-            raise ValueError("MAC cache capacity must be positive")
-        self._memory = enclave.machine.memory
-        self.capacity_bytes = capacity_bytes
-        # Address space the cached MAC lists notionally occupy; accesses
-        # into it drive the EPC model.  Contents live in _sets.
-        self.base = enclave.alloc(capacity_bytes, materialize=False)
-        # set_id -> (by_bucket, offset, cost snapshot at last store())
-        self._sets: "OrderedDict[int, tuple]" = OrderedDict()
-        self.bytes_used = 0
-        self.evictions = 0
-        self._cursor = 0
+    def _cost_bytes(self, _set_id: int, by_bucket: Dict[int, List[bytes]]) -> int:
+        return self._set_cost_bytes(by_bucket)
 
     @staticmethod
     def _set_cost_bytes(by_bucket: Dict[int, List[bytes]]) -> int:
@@ -73,69 +68,3 @@ class MacSetCache:
             + len(by_bucket) * _PER_BUCKET_OVERHEAD
             + _PER_SET_OVERHEAD
         )
-
-    def _touch(self, ctx: ExecContext, offset: int, size: int, write: bool) -> None:
-        offset = clamp_touch_offset(offset, size, self.capacity_bytes)
-        self._memory.touch(ctx, self.base + offset, size, write)
-
-    def lookup(
-        self, ctx: ExecContext, set_id: int
-    ) -> Optional[Dict[int, List[bytes]]]:
-        """Return the verified MAC lists for ``set_id`` or None.
-
-        Charges an EPC read over the cached material (the enclave copy
-        is what the operation will compare against).
-        """
-        hit = self._sets.get(set_id)
-        if hit is None:
-            return None
-        by_bucket, offset, cost = hit
-        self._sets.move_to_end(set_id)
-        self._touch(ctx, offset, cost, write=False)
-        return by_bucket
-
-    def store(
-        self, ctx: ExecContext, set_id: int, by_bucket: Dict[int, List[bytes]]
-    ) -> None:
-        """Insert or refresh a *verified* set, evicting LRU sets to fit.
-
-        Callers must only pass lists that were just authenticated (full
-        §4.3 verification) or that descend from an authenticated copy
-        through the store's own mutation write-through.  Re-storing an
-        already-cached set re-accounts its cost — mutations change the
-        number of MACs in the live dict.
-        """
-        cost = self._set_cost_bytes(by_bucket)
-        old = self._sets.pop(set_id, None)
-        if old is not None:
-            self.bytes_used -= old[2]
-        if cost > self.capacity_bytes:
-            # Too large to ever cache.  The pop above also dropped any
-            # stale smaller copy, so a set that grew past the budget
-            # falls back to full verification instead of stale state.
-            return
-        while self.bytes_used + cost > self.capacity_bytes and self._sets:
-            _evicted, (_lists, _off, ecost) = self._sets.popitem(last=False)
-            self.bytes_used -= ecost
-            self.evictions += 1
-        offset = self._cursor
-        self._cursor = (self._cursor + cost) % self.capacity_bytes
-        self._sets[set_id] = (by_bucket, offset, cost)
-        self.bytes_used += cost
-        self._touch(ctx, offset, cost, write=True)
-
-    def invalidate(self, set_id: int) -> None:
-        """Drop one set (falls back to full verification next touch)."""
-        old = self._sets.pop(set_id, None)
-        if old is not None:
-            self.bytes_used -= old[2]
-
-    def clear(self) -> None:
-        """Flush everything — required on snapshot restore / checkpoint
-        install, where untrusted memory was replaced wholesale."""
-        self._sets.clear()
-        self.bytes_used = 0
-        self._cursor = 0
-
-    def __len__(self) -> int:
-        return len(self._sets)

@@ -10,52 +10,52 @@ independently; run wall-time is the slowest partition's clock.
 SGX cannot grow an enclave's thread pool at runtime (§5.3), so the
 partition count is fixed at construction.
 
-Execution modes
----------------
-``mode`` selects how batched operations are driven:
+Engines
+-------
+:class:`PartitionedShieldStore` is the router; the partitions live in
+one *engine*, picked once at construction (``mode``), and every
+operation is a call on that one object:
 
-* ``"sequential"`` — partition slices run inline on the calling thread
-  (the default for simulation-focused callers that inject a shared
-  :class:`~repro.sim.enclave.Machine`; simulated clocks still merge as
-  ``max`` over partitions, so modeled parallelism is unaffected);
-* ``"threads"`` — slices fan out to a real
-  :class:`~concurrent.futures.ThreadPoolExecutor`.  Wall-clock gains are
-  GIL-bound, so this mostly helps when partition work releases the GIL;
+* ``"sequential"`` — :class:`_InProcessEngine`: one
+  :class:`~repro.core.host.PartitionHost` per simulated thread of the
+  caller's :class:`~repro.sim.enclave.Machine`, partition slices run
+  inline on the calling thread.  Simulated clocks still merge as
+  ``max`` over partitions, so modeled parallelism is unaffected, and
+  two identical runs charge bit-identical cycles;
 * ``"processes"`` — the shared-nothing multiprocess engine
-  (:mod:`repro.core.procpool`): one long-lived worker process per
-  partition, each owning a private enclave sim + store, fed with
-  batched frames over pipes.  This is the mode that makes wall-clock
-  throughput scale with cores;
+  (:class:`~repro.core.procpool.ProcessPartitionPool`): one long-lived
+  worker process per partition, each hosting a private enclave sim +
+  store, fed with batched frames over sealed rings or pipes.  This is
+  the engine that makes wall-clock throughput scale with cores;
 * ``"auto"`` — ``processes`` when the store owns its machine, has more
   than one partition, and the platform supports worker processes;
-  otherwise ``threads``/``sequential`` following the ``parallel`` flag.
-  Callers that pass an explicit ``machine`` keep in-process partitions:
-  worker processes cannot share a simulated machine, and those callers
-  (experiments, cost-model tests) are reading its clocks and counters.
-  For the same reason, combining an injected ``machine`` with an
-  explicit ``mode="processes"`` is rejected with a
-  :class:`~repro.errors.StoreError` rather than silently leaving the
-  machine's clocks idle.
+  otherwise ``sequential``.  Callers that pass an explicit ``machine``
+  keep in-process partitions: worker processes cannot share a simulated
+  machine, and those callers (experiments, cost-model tests) are
+  reading its clocks and counters.  For the same reason, combining an
+  injected ``machine`` with an explicit ``mode="processes"`` is
+  rejected with a :class:`~repro.errors.StoreError` rather than
+  silently leaving the machine's clocks idle.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import StoreConfig
-from repro.core.stats import StoreStats
+from repro.core.host import PartitionHost
+from repro.core.procpool import ProcessPartitionPool, process_mode_supported
+from repro.core.stats import StoreStats, TransportStats
 from repro.core.store import DEFAULT_MEASUREMENT, ShieldStore
+from repro.core.wal import DEFAULT_SYNC_MS
 from repro.crypto.keys import KeyRing
-from repro.errors import KeyNotFoundError, ReproError, StoreError
+from repro.errors import ReproError, StoreError
 from repro.sim.enclave import Enclave, Machine
 
 MODE_AUTO = "auto"
 MODE_SEQUENTIAL = "sequential"
-MODE_THREADS = "threads"
 MODE_PROCESSES = "processes"
-_MODES = (MODE_SEQUENTIAL, MODE_THREADS, MODE_PROCESSES)
+_MODES = (MODE_SEQUENTIAL, MODE_PROCESSES)
 
 
 def _annotate_partition_error(exc: ReproError, index: int) -> ReproError:
@@ -65,6 +65,91 @@ def _annotate_partition_error(exc: ReproError, index: int) -> ReproError:
     except Exception:
         wrapped = StoreError(f"partition {index}: {exc}")
     return wrapped
+
+
+class _InProcessEngine:
+    """Partitions hosted on the caller's machine, driven inline.
+
+    Mirrors the store-facing surface of
+    :class:`~repro.core.procpool.ProcessPartitionPool`, so the router
+    never asks which engine it has.  Nothing here can crash
+    independently of the caller, hence the constant health fields.
+    """
+
+    data_plane = None
+    state = "ok"
+    recoveries = 0
+    ops_lost = 0
+
+    def __init__(self, hosts: List[PartitionHost], machine: Machine):
+        self.hosts = hosts
+        self.machine = machine
+
+    def store_of(self, index: int) -> ShieldStore:
+        return self.hosts[index].store
+
+    partition = store_of  # a ShieldStore *is* its partition's store API
+
+    def stores(self) -> List[ShieldStore]:
+        return [host.store for host in self.hosts]
+
+    def fan_out(self, method: str, slices) -> list:
+        """Run one batch verb over every ``(index, slice)``, in order.
+
+        Each partition charges only its own simulated clock, so merged
+        simulated time is ``max`` over partitions.  Partition failures
+        re-raise as the original exception class with the partition
+        index prepended.
+        """
+        results = []
+        for index, items in slices:
+            try:
+                results.append(getattr(self.hosts[index].store, method)(items))
+            except ReproError as exc:
+                raise _annotate_partition_error(exc, index) from exc
+        return results
+
+    def total_len(self) -> int:
+        return sum(len(host.store) for host in self.hosts)
+
+    def iter_partition_items(self, index: int):
+        return self.hosts[index].store.iter_items()
+
+    def audit_all(self) -> int:
+        return sum(host.store.audit() for host in self.hosts)
+
+    def gather_stats(self) -> List[StoreStats]:
+        return [host.store.stats for host in self.hosts]
+
+    def elapsed_us(self) -> float:
+        return self.machine.elapsed_us()
+
+    def transport_stats(self) -> TransportStats:
+        return TransportStats()
+
+    def stage_timings(self) -> None:
+        return None
+
+    def snapshot_all(self, counter: int) -> Dict[int, bytes]:
+        return {host.index: host.snapshot(counter) for host in self.hosts}
+
+    def restore_all(self, sections, counter: int, verify: bool = True) -> None:
+        """All-or-nothing: every partition's replacement is built (and
+        its log tail authenticated) before any is swapped in."""
+        staged: List[ShieldStore] = []
+        try:
+            for host, section in zip(self.hosts, sections):
+                staged.append(host.stage(counter, section, verify))
+        except BaseException:
+            for store in staged:
+                PartitionHost.release(store)
+            raise
+        for host, store in zip(self.hosts, staged):
+            host.adopt(store)
+
+    def close(self) -> None:
+        for host in self.hosts:
+            host.close()
 
 
 class PartitionedShieldStore:
@@ -82,13 +167,8 @@ class PartitionedShieldStore:
     master_secret:
         32-byte enclave master secret shared by every partition (one
         logical enclave); drawn from the machine RNG when omitted.
-    parallel:
-        Back-compat switch: ``True`` is shorthand for ``mode="threads"``
-        when ``mode`` is left on ``auto``.
-    max_workers:
-        Cap on thread-mode executor workers (clamped to the CPU count).
     mode:
-        ``"auto"``, ``"sequential"``, ``"threads"`` or ``"processes"``.
+        ``"auto"``, ``"sequential"`` or ``"processes"``.
     num_partitions:
         Partition count when no ``machine`` is given (the store then
         builds its own ``Machine`` with that many simulated threads).
@@ -112,8 +192,6 @@ class PartitionedShieldStore:
         config: StoreConfig,
         machine: Optional[Machine] = None,
         master_secret: Optional[bytes] = None,
-        parallel: bool = False,
-        max_workers: Optional[int] = None,
         mode: str = MODE_AUTO,
         num_partitions: Optional[int] = None,
         platform_secret: Optional[bytes] = None,
@@ -122,16 +200,8 @@ class PartitionedShieldStore:
         wal_sync_ms: Optional[float] = None,
     ):
         self.config = config
-        self.parallel = parallel
-        self.wal_dir = wal_dir
         if wal_sync_ms is None:
-            from repro.core.wal import DEFAULT_SYNC_MS
-
             wal_sync_ms = DEFAULT_SYNC_MS
-        self.wal_sync_ms = wal_sync_ms
-        self._max_workers = max_workers
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._pool = None
         machine_owned = machine is None
         if machine_owned:
             machine = Machine(
@@ -145,9 +215,7 @@ class PartitionedShieldStore:
         self._num_partitions = machine.clock.num_threads
         if config.num_buckets < self._num_partitions:
             raise StoreError("need at least one bucket per thread")
-        self.mode = self._resolve_mode(
-            mode, parallel, machine_owned, self._num_partitions
-        )
+        self.mode = self._resolve_mode(mode, machine_owned, self._num_partitions)
         self.enclave = Enclave(self.machine, DEFAULT_MEASUREMENT)
         if master_secret is None:
             master_secret = bytes(
@@ -178,15 +246,12 @@ class PartitionedShieldStore:
             cache_bytes=config.cache_bytes // self._num_partitions,
             mac_cache_bytes=config.mac_cache_bytes // self._num_partitions,
         )
-        self._part_config = part_config
+        # The one place the engine is chosen; everything below calls it.
         if self.mode == MODE_PROCESSES:
             # Shared-nothing: the data plane lives in worker processes,
             # one private enclave sim each.  The parent keeps only the
             # routing key ring and the (attestable) front-end enclave.
-            from repro.core.procpool import ProcessPartitionPool
-
-            self.partitions: List[ShieldStore] = []
-            self._pool = ProcessPartitionPool(
+            self._engine = ProcessPartitionPool(
                 part_config,
                 self._num_partitions,
                 master_secret,
@@ -196,59 +261,31 @@ class PartitionedShieldStore:
                 wal_sync_ms=wal_sync_ms,
             )
         else:
-            self.partitions = [
-                ShieldStore(
-                    part_config,
-                    machine=self.machine,
-                    enclave=self.enclave,
-                    thread_id=t,
-                    master_secret=master_secret,
-                )
-                for t in range(self._num_partitions)
-            ]
-            if wal_dir is not None:
-                self._attach_wals(counter=0)
-
-    def _attach_wals(self, counter: int) -> None:
-        """Recover + attach each in-process partition's sealed WAL.
-
-        Replays any existing log chain starting at snapshot ``counter``
-        into the (just-built or just-restored) partition stores, then
-        attaches the tail logs so subsequent mutations append-before-
-        apply.  Replay runs with the log detached, so re-applied ops do
-        not re-log themselves.
-        """
-        from repro.core.wal import WriteAheadLog, apply_request
-
-        for t, partition in enumerate(self.partitions):
-            if partition.wal is not None:
-                partition.wal.close()
-                partition.wal = None
-            partition.wal = WriteAheadLog.recover(
-                self.wal_dir,
-                t,
-                partition.keyring.master,
-                partition.config.suite_name,
-                counter,
-                apply=lambda req, p=partition: apply_request(p, req),
-                stats=partition.stats,
-                sync_ms=self.wal_sync_ms,
+            self._engine = _InProcessEngine(
+                [
+                    PartitionHost(
+                        part_config,
+                        t,
+                        master_secret,
+                        machine=self.machine,
+                        enclave=self.enclave,
+                        platform_secret=platform_secret,
+                        wal_dir=wal_dir,
+                        wal_sync_ms=wal_sync_ms,
+                    )
+                    for t in range(self._num_partitions)
+                ],
+                self.machine,
             )
 
     @staticmethod
-    def _resolve_mode(
-        mode: str, parallel: bool, machine_owned: bool, n: int
-    ) -> str:
-        from repro.core.procpool import process_mode_supported
-
+    def _resolve_mode(mode: str, machine_owned: bool, n: int) -> str:
         if mode == MODE_AUTO:
-            if n <= 1:
-                return MODE_SEQUENTIAL
-            if machine_owned and not parallel and process_mode_supported():
+            if n > 1 and machine_owned and process_mode_supported():
                 # Store owns its machine and more than one partition:
                 # pick the engine that actually scales with cores.
                 return MODE_PROCESSES
-            return MODE_THREADS if parallel else MODE_SEQUENTIAL
+            return MODE_SEQUENTIAL
         if mode not in _MODES:
             raise StoreError(f"unknown partition mode {mode!r}")
         if mode == MODE_PROCESSES:
@@ -271,37 +308,39 @@ class PartitionedShieldStore:
         return self._num_partitions
 
     @property
+    def _pool(self) -> Optional[ProcessPartitionPool]:
+        """The process engine (``None`` in-process); fault-injection
+        tests reach ``_pool.workers[i].process`` through this name."""
+        return self._engine if self.mode == MODE_PROCESSES else None
+
+    @property
+    def partitions(self) -> List[ShieldStore]:
+        """The in-process partition stores, in partition order (empty in
+        ``processes`` mode: those stores live in the workers)."""
+        return self._engine.stores()
+
+    @property
     def data_plane(self) -> Optional[str]:
         """Worker IPC transport (``shm``/``pipe``); ``None`` in-process."""
-        if self._pool is not None:
-            return self._pool.data_plane
-        return None
+        return self._engine.data_plane
 
-    def transport_stats(self):
-        """Data-plane counters (empty object for in-process modes)."""
-        from repro.core.stats import TransportStats
-
-        if self._pool is not None:
-            return self._pool.transport_stats()
-        return TransportStats()
+    def transport_stats(self) -> TransportStats:
+        """Data-plane counters (empty object for the in-process engine)."""
+        return self._engine.transport_stats()
 
     def stage_timings(self) -> Optional[Dict[str, float]]:
         """Serialize / IPC-wait / worker-compute seconds (pool mode only)."""
-        if self._pool is not None:
-            return self._pool.stage_timings()
-        return None
+        return self._engine.stage_timings()
 
     @property
     def partition_state(self) -> str:
         """Health of the partition engine.
 
-        In-process modes are always ``"ok"``; the multiprocess pool
+        The in-process engine is always ``"ok"``; the multiprocess pool
         additionally reports ``"recovered"`` / ``"degraded"`` after a
         worker crash, ``"broken"`` when unrecoverable, and ``"closed"``.
         """
-        if self._pool is not None:
-            return self._pool.state
-        return "ok"
+        return self._engine.state
 
     def _rekey(self, master_secret: bytes) -> None:
         """Adopt a restored snapshot's master secret for routing.
@@ -323,166 +362,68 @@ class PartitionedShieldStore:
     def partition_of(self, key: bytes) -> ShieldStore:
         """Route a key to its owning in-process partition store.
 
-        Only meaningful for the in-process modes; in ``processes`` mode
-        the partition lives in a worker and cannot be handed out.
+        Only meaningful in-process; in ``processes`` mode the partition
+        lives in a worker and cannot be handed out
+        (:class:`~repro.errors.StoreError`).
         """
-        if self._pool is not None:
-            raise StoreError(
-                "partition stores live in worker processes; "
-                "use partition_index_of() for routing"
-            )
-        return self.partitions[self.partition_index_of(key)]
+        return self._engine.store_of(self.partition_index_of(key))
 
     # -- single-key operations ----------------------------------------------
-    def _proc_single(self, request) -> bytes:
-        """Forward one single-key op to its owner worker."""
-        from repro.net.message import STATUS_MISS, STATUS_OK
-
-        index = self.partition_index_of(request.key)
-        response = self._pool.execute(index, request)
-        if response.status == STATUS_MISS:
-            raise KeyNotFoundError(request.key)
-        if response.status != STATUS_OK:
-            raise StoreError(f"partition {index}: {request.op} failed")
-        return response.value
+    def _owner(self, key: bytes):
+        """The owning partition's store API: the store itself
+        in-process (a direct method call), the worker's proxy otherwise."""
+        return self._engine.partition(self.partition_index_of(key))
 
     def get(self, key: bytes) -> bytes:
-        if self._pool is not None:
-            from repro.net.message import Request
-
-            return self._proc_single(Request("get", bytes(key)))
-        return self.partition_of(key).get(key)
+        return self._owner(key).get(key)
 
     def set(self, key: bytes, value: bytes) -> None:
-        if self._pool is not None:
-            from repro.net.message import Request
-
-            self._proc_single(Request("set", bytes(key), bytes(value)))
-            return
-        self.partition_of(key).set(key, value)
+        self._owner(key).set(key, value)
 
     def delete(self, key: bytes) -> None:
-        if self._pool is not None:
-            from repro.net.message import Request
-
-            self._proc_single(Request("delete", bytes(key)))
-            return
-        self.partition_of(key).delete(key)
+        self._owner(key).delete(key)
 
     def append(self, key: bytes, suffix: bytes) -> bytes:
-        if self._pool is not None:
-            from repro.net.message import Request
-
-            return self._proc_single(Request("append", bytes(key), bytes(suffix)))
-        return self.partition_of(key).append(key, suffix)
+        return self._owner(key).append(key, suffix)
 
     def increment(self, key: bytes, delta: int = 1) -> int:
-        if self._pool is not None:
-            from repro.net.message import Request
-
-            return int(
-                self._proc_single(
-                    Request("increment", bytes(key), str(delta).encode())
-                )
-            )
-        return self.partition_of(key).increment(key, delta)
+        return self._owner(key).increment(key, delta)
 
     def compare_and_swap(self, key: bytes, expected: bytes, new_value: bytes) -> bool:
-        if self._pool is not None:
-            from repro.net.message import Request, encode_cas_value
-
-            return (
-                self._proc_single(
-                    Request("cas", bytes(key), encode_cas_value(expected, new_value))
-                )
-                == b"1"
-            )
-        return self.partition_of(key).compare_and_swap(key, expected, new_value)
+        return self._owner(key).compare_and_swap(key, expected, new_value)
 
     def contains(self, key: bytes) -> bool:
-        if self._pool is not None:
-            try:
-                self.get(key)
-                return True
-            except KeyNotFoundError:
-                return False
-        return self.partition_of(key).contains(key)
+        return self._owner(key).contains(key)
 
     # -- batched operations: group by partition, then fan out ---------------
-    def _group_by_partition(self, keyed_items) -> List[Tuple[int, list]]:
-        """Split ``(key, payload)`` pairs into per-partition slices.
+    def _slices(self, items, key_of=None) -> List[Tuple[int, list]]:
+        """Split batch ``items`` into per-partition slices.
 
-        Order within a slice is preserved (later writes to a repeated
-        key must win), and slices come back in partition order so
-        sequential routing is deterministic.
+        ``key_of`` extracts the routing key (the item itself by
+        default).  Order within a slice is preserved (later writes to a
+        repeated key must win), and slices come back in partition order
+        so routing is deterministic.
         """
         if self._num_partitions == 1:
             # Routing is the identity with one partition: skip the
             # per-key keyed hash (it dominates single-worker batches).
-            return [(0, list(keyed_items))]
+            return [(0, list(items))]
         grouped: Dict[int, list] = {}
-        for key, payload in keyed_items:
-            grouped.setdefault(self.partition_index_of(key), []).append(
-                (key, payload)
-            )
-        return [(index, grouped[index]) for index in sorted(grouped)]
-
-    def _fan_out(self, slices, method, project):
-        """Run ``method`` over every in-process partition slice.
-
-        ``project`` turns a slice's ``(key, payload)`` pairs into the
-        store-level argument.  A batch landing on a single partition
-        always runs inline — submitting one future buys no parallelism
-        and pays executor overhead.  In ``threads`` mode multi-partition
-        batches fan out to a pool whose size is clamped to the CPU
-        count; each worker charges only its own partition's simulated
-        clock, so merged simulated time is ``max`` over partitions in
-        every mode.  Partition failures re-raise as the original
-        exception class with the partition index prepended.
-        """
-        if self.mode != MODE_THREADS or len(slices) <= 1:
-            results = []
-            for index, items in slices:
-                try:
-                    results.append(method(self.partitions[index])(project(items)))
-                except ReproError as exc:
-                    raise _annotate_partition_error(exc, index) from exc
-            return results
-        if self._executor is None:
-            workers = self._max_workers or self._num_partitions
-            workers = max(1, min(workers, os.cpu_count() or 1))
-            self._executor = ThreadPoolExecutor(
-                max_workers=workers,
-                thread_name_prefix="shieldstore-partition",
-            )
-        futures = [
-            (index, self._executor.submit(method(self.partitions[index]), project(items)))
-            for index, items in slices
-        ]
-        results = []
-        first_error: Optional[ReproError] = None
-        for index, future in futures:
-            try:
-                results.append(future.result())
-            except ReproError as exc:
-                if first_error is None:
-                    first_error = _annotate_partition_error(exc, index)
-                    first_error.__cause__ = exc
-        if first_error is not None:
-            raise first_error
-        return results
+        for item in items:
+            key = item if key_of is None else key_of(item)
+            grouped.setdefault(self.partition_index_of(key), []).append(item)
+        return sorted(grouped.items())
 
     def close(self) -> None:
-        """Release worker threads / worker processes (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-        if self._pool is not None:
-            self._pool.close()
-        for partition in self.partitions:
-            if partition.wal is not None:
-                partition.wal.close()
-                partition.wal = None
+        """Release the engine: worker processes, attached logs (idempotent)."""
+        self._engine.close()
+
+    def flush_logs(self) -> None:
+        """Group-commit tail: fsync in-process logs whose window passed
+        (a served store is ticked from the TCP loop's sweep).  Worker
+        processes flush their own, and ``partitions`` is empty there."""
+        for store in self.partitions:
+            store.flush_logs()
 
     def __enter__(self) -> "PartitionedShieldStore":
         return self
@@ -497,29 +438,9 @@ class PartitionedShieldStore:
         (or its own process), so the batch completes in max-partition
         time — the multi-key analogue of Fig. 8's partitioning.
         """
-        slices = self._group_by_partition((bytes(key), None) for key in keys)
-        if self._pool is not None:
-            from repro.net.message import (
-                Request,
-                decode_multi_values,
-                encode_multi_keys,
-            )
-
-            requests = {
-                index: Request("mget", b"", encode_multi_keys([k for k, _ in items]))
-                for index, items in slices
-            }
-            responses = self._pool.execute_many(requests)
-            results: Dict[bytes, Optional[bytes]] = {}
-            for index, items in slices:
-                values = decode_multi_values(responses[index].value)
-                results.update(zip((k for k, _ in items), values))
-            return results
-        results = {}
-        for partial in self._fan_out(
-            slices,
-            lambda partition: partition.multi_get,
-            lambda items: [key for key, _ in items],
+        results: Dict[bytes, Optional[bytes]] = {}
+        for partial in self._engine.fan_out(
+            "multi_get", self._slices(bytes(key) for key in keys)
         ):
             results.update(partial)
         return results
@@ -533,79 +454,35 @@ class PartitionedShieldStore:
         """
         if isinstance(items, dict):
             items = items.items()
-        slices = self._group_by_partition(
-            (bytes(key), bytes(value)) for key, value in items
-        )
-        if self._pool is not None:
-            from repro.net.message import Request, encode_multi_items
-
-            self._pool.execute_many(
-                {
-                    index: Request("mset", b"", encode_multi_items(pairs))
-                    for index, pairs in slices
-                }
-            )
-            return
-        self._fan_out(
-            slices,
-            lambda partition: partition.multi_set,
-            lambda pairs: pairs,
+        self._engine.fan_out(
+            "multi_set",
+            self._slices(
+                ((bytes(key), bytes(value)) for key, value in items),
+                key_of=lambda pair: pair[0],
+            ),
         )
 
     def multi_delete(self, keys) -> Dict[bytes, bool]:
         """Batched removal; returns ``{key: was_present}`` like the
         store-level :meth:`~repro.core.store.ShieldStore.multi_delete`."""
-        slices = self._group_by_partition((bytes(key), None) for key in keys)
-        if self._pool is not None:
-            from repro.net.message import (
-                Request,
-                decode_multi_values,
-                encode_multi_keys,
-            )
-
-            requests = {
-                index: Request(
-                    "mdelete", b"", encode_multi_keys([k for k, _ in items])
-                )
-                for index, items in slices
-            }
-            responses = self._pool.execute_many(requests)
-            results: Dict[bytes, bool] = {}
-            for index, items in slices:
-                flags = decode_multi_values(responses[index].value)
-                results.update(
-                    (key, flag is not None)
-                    for (key, _), flag in zip(items, flags)
-                )
-            return results
-        results = {}
-        for partial in self._fan_out(
-            slices,
-            lambda partition: partition.multi_delete,
-            lambda items: [key for key, _ in items],
+        results: Dict[bytes, bool] = {}
+        for partial in self._engine.fan_out(
+            "multi_delete", self._slices(bytes(key) for key in keys)
         ):
             results.update(partial)
         return results
 
     def __len__(self) -> int:
-        if self._pool is not None:
-            return self._pool.total_len()
-        return sum(len(p) for p in self.partitions)
+        return self._engine.total_len()
 
     def iter_items(self):
         """All (key, value) pairs across partitions (partition order)."""
-        if self._pool is not None:
-            for index in range(self._num_partitions):
-                yield from self._pool.iter_partition_items(index)
-            return
-        for partition in self.partitions:
-            yield from partition.iter_items()
+        for index in range(self._num_partitions):
+            yield from self._engine.iter_partition_items(index)
 
     def audit(self) -> int:
         """Full-table integrity audit over every partition."""
-        if self._pool is not None:
-            return self._pool.audit_all()
-        return sum(p.audit() for p in self.partitions)
+        return self._engine.audit_all()
 
     # -- aggregates -----------------------------------------------------
     def per_partition_stats(self) -> List[StoreStats]:
@@ -615,27 +492,22 @@ class PartitionedShieldStore:
         as dicts and are reconstituted here, so batch-amortization
         counters survive intact.
         """
-        if self._pool is not None:
-            return self._pool.gather_stats()
-        return [p.stats for p in self.partitions]
+        return self._engine.gather_stats()
 
     def stats(self) -> StoreStats:
         """Merged operation stats across partitions.
 
-        Pool-level recovery accounting (workers respawned after a
+        Engine-level recovery accounting (workers respawned after a
         crash, the upper bound of mutations lost) is folded in on top
         of the per-partition counters.
         """
         merged = StoreStats()
         for stats in self.per_partition_stats():
             merged = merged.merge(stats)
-        if self._pool is not None:
-            merged.worker_recoveries += self._pool.recoveries
-            merged.worker_ops_lost += self._pool.ops_lost
+        merged.worker_recoveries += self._engine.recoveries
+        merged.worker_ops_lost += self._engine.ops_lost
         return merged
 
     def elapsed_us(self) -> float:
         """Simulated wall time (slowest partition / worker)."""
-        if self._pool is not None:
-            return max(self.machine.elapsed_us(), self._pool.elapsed_us())
-        return self.machine.elapsed_us()
+        return max(self.machine.elapsed_us(), self._engine.elapsed_us())

@@ -17,8 +17,9 @@ Three halves:
   blob with a per-partition section each, a *shared* monotonic counter,
   and the partition count plus routing geometry sealed into the header
   so a restore into a mismatched store is rejected up front instead of
-  silently corrupting the keyspace.  In ``processes`` mode the sections
-  are produced and consumed *inside* the worker processes
+  silently corrupting the keyspace.  Sections are produced and consumed
+  by each partition's :class:`~repro.core.host.PartitionHost` — in
+  ``processes`` mode *inside* the worker processes
   (:data:`~repro.core.procpool.OP_SNAPSHOT` /
   :data:`~repro.core.procpool.OP_RESTORE`), so no plaintext ever
   crosses the pipe; the cached sections also power the pool's
@@ -278,6 +279,16 @@ class Snapshotter:
         )
         return _fault_blob("persistence.snapshot", blob)
 
+    @staticmethod
+    def _split(blob: bytes):
+        """``(claimed counter, section)`` of a single-store blob."""
+        blob = _fault_blob("persistence.restore", blob)
+        reader = _Reader(blob)
+        if reader.take(len(_MAGIC)) != _MAGIC:
+            raise SnapshotError("snapshot has wrong magic")
+        claimed_counter = reader.u64()
+        return claimed_counter, reader.take(len(blob) - reader.off)
+
     def restore(
         self,
         ctx: ExecContext,
@@ -292,22 +303,45 @@ class Snapshotter:
         """
         if len(store) != 0:
             raise SnapshotError("restore target store must be empty")
-        blob = _fault_blob("persistence.restore", blob)
-        reader = _Reader(blob)
-        if reader.take(len(_MAGIC)) != _MAGIC:
-            raise SnapshotError("snapshot has wrong magic")
-        claimed_counter = reader.u64()
+        claimed_counter, section = self._split(blob)
         read_section(
             ctx,
             store,
             self.sealing,
-            reader.take(len(blob) - reader.off),
+            section,
             claimed_counter,
             verify=verify,
             counters=self.counters,
             counter_name=self.counter_name,
         )
         return store
+
+    # -- hosted stores (store + sealed log; ``repro serve`` single-store) ----
+    def checkpoint(self, host) -> bytes:
+        """Snapshot a :class:`~repro.core.host.PartitionHost`'s store.
+
+        Same blob as :meth:`snapshot_bytes`, but the host seals the
+        section and rotates its log inside the capture.
+        """
+        store = host.store
+        counter = self.counters.increment(
+            store.enclave.context(store.thread_id), self.counter_name
+        )
+        blob = _MAGIC + struct.pack("<Q", counter) + host.snapshot(counter)
+        return _fault_blob("persistence.snapshot", blob)
+
+    def recover(self, blob: bytes, host, verify: bool = True) -> None:
+        """Restore a hosted store: section + verified log-tail replay.
+
+        The rollback defense runs before anything is read or replayed
+        (the section's sealed counter must equal the claimed one, so a
+        forged plaintext counter fails in :meth:`PartitionHost.stage`);
+        a bad blob, a stale counter or a tampered log leaves the host's
+        serving store and its log files untouched.
+        """
+        claimed_counter, section = self._split(blob)
+        self.counters.check_not_rolled_back(self.counter_name, claimed_counter)
+        host.adopt(host.stage(claimed_counter, section, verify))
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +364,11 @@ class PartitionSnapshotter:
     plaintext copies (used for file naming / quick inspection) cannot be
     tampered into a mismatched restore.
 
-    Works with every engine of ``PartitionedShieldStore``: in-process
-    partitions are serialized directly; ``processes``-mode workers build
-    and consume their own sections over ``OP_SNAPSHOT``/``OP_RESTORE``,
-    which also installs the sections as the pool's crash-recovery
-    checkpoint.
+    Works with every engine of ``PartitionedShieldStore`` through the
+    same two calls (``snapshot_all``/``restore_all``): each partition's
+    host builds and consumes its own section — inline, or in its worker
+    over ``OP_SNAPSHOT``/``OP_RESTORE``, which also installs the
+    sections as the pool's crash-recovery checkpoint.
     """
 
     def __init__(
@@ -363,22 +397,10 @@ class PartitionSnapshotter:
         ctx = store.enclave.context()
         counter = self.counters.increment(ctx, self.counter_name)
         sealed = self.sealing.seal(ctx, store.enclave, self._header(store, counter))
-        if store._pool is not None:
-            by_index = store._pool.snapshot_all(counter)
-            sections = [by_index[i] for i in range(store.num_threads)]
-        else:
-            sections = []
-            for t, partition in enumerate(store.partitions):
-                sections.append(
-                    write_section(
-                        store.enclave.context(t), partition, self.sealing, counter
-                    )
-                )
-                if partition.wal is not None:
-                    # Rotate inside the capture: the truncation record
-                    # brackets exactly what this section contains, and
-                    # the fresh segment is keyed to the new counter.
-                    partition.wal.rotate(counter)
+        # Every partition's host seals its own section (and rotates its
+        # log inside the capture) — in a worker process or inline.
+        by_index = store._engine.snapshot_all(counter)
+        sections = [by_index[i] for i in range(store.num_threads)]
         parts: List[bytes] = [
             _PMAGIC,
             struct.pack("<QI", counter, store.num_threads),
@@ -415,8 +437,8 @@ class PartitionSnapshotter:
         The target's geometry (partition count, bucket/hash counts,
         cipher suite) must match the sealed header exactly; mismatches
         raise :class:`SnapshotError` with nothing modified.  Partition
-        contents are replaced wholesale — in ``processes`` mode each
-        worker rebuilds its private store from its own section.
+        contents are replaced wholesale: each host rebuilds its store
+        from its own section and replays its log tail.
         """
         ctx = store.enclave.context()
         blob = _fault_blob("persistence.restore", blob)
@@ -461,39 +483,7 @@ class PartitionSnapshotter:
         sections = [reader.take(reader.u64()) for _ in range(num_partitions)]
         reader.done()
 
-        if store._pool is not None:
-            store._pool.restore_all(sections, counter, verify=verify)
-        else:
-            part_config = store._part_config
-            restored: List[ShieldStore] = []
-            for t, section in enumerate(sections):
-                fresh = ShieldStore(
-                    part_config,
-                    machine=store.machine,
-                    enclave=store.enclave,
-                    thread_id=t,
-                    master_secret=master,
-                )
-                read_section(
-                    store.enclave.context(t),
-                    fresh,
-                    self.sealing,
-                    section,
-                    counter,
-                    verify=verify,
-                )
-                restored.append(fresh)
-            old_partitions = store.partitions
-            store.partitions = restored
-            for old in old_partitions:
-                if old.wal is not None:
-                    old.wal.close()
-                    old.wal = None
-            if getattr(store, "wal_dir", None) is not None:
-                # Snapshot + verified replay of the log tail: frames
-                # sealed after this checkpoint's rotation live in the
-                # segment chain starting at its counter.
-                store._attach_wals(counter)
+        store._engine.restore_all(sections, counter, verify=verify)
         store._rekey(master)
         return store
 

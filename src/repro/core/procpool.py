@@ -106,15 +106,30 @@ from repro.core.shmring import (
 from repro.core.stats import StoreStats, TransportStats
 from repro.crypto.keys import derive_key
 from repro.crypto.suite import make_suite
-from repro.errors import ProtocolError, ReproError, StoreError, WorkerError
+from repro.errors import (
+    KeyNotFoundError,
+    ProtocolError,
+    ReproError,
+    StoreError,
+    WorkerError,
+)
 from repro.net.message import (
     BATCH_OPS,
+    MUTATING_OPS,
+    STATUS_MISS,
+    STATUS_OK,
     Request,
     Response,
     SecureChannel,
+    StoreVerbs,
+    batch_result,
+    decode_multi_items,
+    decode_request,
     decode_response,
     encode_multi_items,
+    encode_multi_keys,
     encode_request,
+    encode_response,
 )
 from repro.sim import faults
 
@@ -129,8 +144,7 @@ OP_PING = 0x07      # -> empty OK (startup / liveness handshake)
 OP_TAMPER = 0x08    # flip one bit of an entry's untrusted bytes (tests)
 OP_SHUTDOWN = 0x09  # -> empty OK, then the worker exits cleanly
 OP_SNAPSHOT = 0x0A  # u64 counter -> sealed snapshot section (§4.4)
-OP_RESTORE = 0x0B   # u64 counter | u8 flags | section? -> u64 WAL ops replayed
-                    # flags: bit0 = verify restored sets, bit1 = section present
+OP_RESTORE = 0x0B   # u64 counter | u8 verify | section -> u64 WAL ops replayed
 OP_TIMING = 0x0C    # -> JSON per-stage timing (worker compute seconds)
 
 REPLY_OK = 0x80
@@ -144,12 +158,6 @@ _POLL_INTERVAL = 0.1
 # Deadline for the respawn + restore round-trips of worker recovery
 # (independent of request_timeout, which may be sub-second).
 _RECOVERY_TIMEOUT = 60.0
-
-# Request ops that mutate a partition (lost if the worker dies before
-# the next snapshot).  Batch ops count their per-key operations.
-_MUTATING_OPS = frozenset(
-    {"set", "delete", "append", "increment", "cas", "mset", "mdelete"}
-)
 
 
 def process_mode_supported() -> bool:
@@ -185,8 +193,10 @@ def _decode_error(frame: bytes, index: int) -> ReproError:
 
 
 def _mutation_count(request: Request) -> int:
-    """How many key mutations a request carries (0 for reads)."""
-    if request.op not in _MUTATING_OPS:
+    """How many key mutations a request carries (0 for reads) — what a
+    worker dying before the next snapshot loses without a WAL.  Batch
+    ops count their per-key operations."""
+    if request.op not in MUTATING_OPS:
         return 0
     if request.op in BATCH_OPS:
         if len(request.value) >= 4:
@@ -281,6 +291,9 @@ class _PipeWorkerEnd:
     def open(self) -> "_PipeWorkerEnd":
         return self
 
+    def poll(self, timeout: float) -> bool:
+        return self.conn.poll(timeout)
+
     def recv_bytes(self) -> bytes:
         return self.conn.recv_bytes()
 
@@ -324,6 +337,9 @@ class _ShmWorkerEnd:
         self.req.doorbell = doorbell
         self.rep.doorbell = doorbell
         return self
+
+    def poll(self, timeout: float) -> bool:
+        return self.req.poll(timeout)
 
     def recv_bytes(self) -> bytes:
         # Blocks on the doorbell; the parent dying surfaces as the
@@ -502,68 +518,29 @@ def _worker_main(
     """Entry point of one partition worker process.
 
     ``end`` is the worker-side data-plane endpoint (pipe connection or
-    shared-memory ring pair).  Builds a private machine + enclave +
-    store, then serves frames until shutdown or EOF.  Clean
+    shared-memory ring pair).  Hosts a private partition
+    (:class:`~repro.core.host.PartitionHost`: machine + enclave + store
+    + sealed log), then serves frames until shutdown or EOF.  Clean
     :class:`ReproError` failures are reported and the loop continues —
     the store flushes its dirty sets before the exception escapes
     ``multi_set``/``multi_delete``, so the partition stays consistent
     and serviceable.
 
-    ``platform_secret`` keys the sealing service used by
-    ``OP_SNAPSHOT``/``OP_RESTORE``; the parent derives it from the
+    ``platform_secret`` keys the host's sealing service
+    (``OP_SNAPSHOT``/``OP_RESTORE``); the parent derives it from the
     master secret by default, so every worker of one deployment (and a
     restarted deployment with the same secret) is the same "platform".
     """
-    from repro.core.persistence import (
-        default_platform_secret,
-        read_section,
-        write_section,
-    )
-    from repro.core.store import ShieldStore
-    from repro.net.message import decode_request
+    from repro.core.host import PartitionHost
     from repro.net.server import execute_request
-    from repro.sim.enclave import Machine
-    from repro.sim.sealing import SealingService
 
-    def fresh_store():
-        # A disjoint RNG stream per worker keeps IVs distinct across
-        # partitions while staying deterministic run to run.
-        machine = Machine(num_threads=1, seed=config.seed + 7919 * (index + 1))
-        return ShieldStore(config, machine=machine, master_secret=master_secret)
-
-    def attach_wal(target, counter: int) -> int:
-        """Replay this partition's sealed log chain into ``target``.
-
-        Recovery runs with no log attached (re-applied ops must not
-        re-log themselves); the tail log is attached afterwards.
-        Returns the number of replayed operations.
-        """
-        if wal_dir is None:
-            return 0
-        from repro.core.wal import WriteAheadLog, apply_request
-
-        wal = WriteAheadLog.recover(
-            wal_dir,
-            index,
-            master_secret,
-            config.suite_name,
-            counter,
-            apply=lambda req: apply_request(target, req),
-            stats=target.stats,
-            sync_ms=wal_sync_ms,
-        )
-        target.wal = wal
-        return wal.replayed
-
-    store = fresh_store()
-    # Startup recovery: a respawned worker replays whatever chain its
-    # dead predecessor left, so even with no cached snapshot section
-    # the partition comes back with every logged mutation.
-    attach_wal(store, 0)
-    sealing = SealingService(
-        platform_secret
-        if platform_secret is not None
-        else default_platform_secret(master_secret)
+    host = PartitionHost(
+        config,
+        index,
+        master_secret,
+        platform_secret=platform_secret,
+        wal_dir=wal_dir,
+        wal_sync_ms=wal_sync_ms,
     )
     channel = _pipe_channel(
         master_secret, index, channel_nonce, "server", config.suite_name
@@ -571,17 +548,26 @@ def _worker_main(
     plane = end.open()
     compute_s = 0.0  # seconds spent executing OP_REQ work (stage timing)
     while True:
+        # Group-commit tail: while the log is dirty, wait for the next
+        # frame only until its window passes, then fsync it.
         try:
+            wait = host.store.flush_logs()
+        except OSError:
+            wait = None  # fsync failed; the next append or close retries
+        try:
+            if wait is not None and not plane.poll(wait):
+                continue
             frame = channel.open(plane.recv_bytes())
         except (EOFError, OSError, ProtocolError):
             # A frame that fails authentication means the parent-side
             # channel is gone or desynced; the stream is unusable.
             break
         opcode, payload = frame[0], frame[1:]
+        store = host.store
         try:
             if opcode == OP_REQ:
                 started = time.perf_counter()
-                reply = bytes([REPLY_OK]) + _encode_resp(
+                reply = bytes([REPLY_OK]) + encode_response(
                     execute_request(store, decode_request(payload))
                 )
                 compute_s += time.perf_counter() - started
@@ -609,36 +595,15 @@ def _worker_main(
                 _tamper(store, bytes(payload))
                 reply = bytes([REPLY_OK])
             elif opcode == OP_SNAPSHOT:
-                counter = _U64.unpack_from(payload, 0)[0]
-                section = write_section(
-                    store.enclave.context(), store, sealing, counter
+                reply = bytes([REPLY_OK]) + host.snapshot(
+                    _U64.unpack_from(payload, 0)[0]
                 )
-                # Rotate inside the capture: the truncation record
-                # brackets exactly what the section contains, so replay
-                # of the next segment resumes from this counter.
-                if store.wal is not None:
-                    store.wal.rotate(counter)
-                reply = bytes([REPLY_OK]) + section
             elif opcode == OP_RESTORE:
-                counter = _U64.unpack_from(payload, 0)[0]
-                flags = payload[8]
-                verify = bool(flags & 0x01)
-                # Build the replacement first: a malformed section or a
-                # tampered log leaves the current store untouched.
-                replacement = fresh_store()
-                if flags & 0x02:
-                    read_section(
-                        replacement.enclave.context(),
-                        replacement,
-                        sealing,
-                        bytes(payload[9:]),
-                        counter,
-                        verify=verify,
-                    )
-                replayed = attach_wal(replacement, counter)
-                if store.wal is not None:
-                    store.wal.close()
-                store = replacement
+                replayed = host.restore(
+                    _U64.unpack_from(payload, 0)[0],
+                    bytes(payload[9:]),
+                    verify=bool(payload[8]),
+                )
                 reply = bytes([REPLY_OK]) + _U64.pack(replayed)
             elif opcode == OP_SHUTDOWN:
                 plane.send_bytes(channel.seal(bytes([REPLY_OK])))
@@ -654,15 +619,8 @@ def _worker_main(
             plane.send_bytes(channel.seal(reply))
         except (BrokenPipeError, OSError):
             break
-    if store.wal is not None:
-        store.wal.close()
+    host.close()
     plane.close()
-
-
-def _encode_resp(response: Response) -> bytes:
-    from repro.net.message import encode_response
-
-    return encode_response(response)
 
 
 # ---------------------------------------------------------------------------
@@ -717,6 +675,40 @@ class _WorkerHandle:
         self.plane.conn = value
 
 
+class _PartitionProxy(StoreVerbs):
+    """One worker-hosted partition's store API (the single-key verbs;
+    batches scatter through :meth:`ProcessPartitionPool.fan_out`)."""
+
+    def __init__(self, pool: "ProcessPartitionPool", index: int):
+        self._pool = pool
+        self._index = index
+
+    def _call(self, op: str, key: bytes, value: bytes = b"") -> bytes:
+        response = self._pool.execute(
+            self._index, Request(op, bytes(key), bytes(value))
+        )
+        if response.status == STATUS_MISS:
+            raise KeyNotFoundError(key)
+        if response.status != STATUS_OK:
+            raise StoreError(f"partition {self._index}: {op} failed")
+        return response.value
+
+    def contains(self, key: bytes) -> bool:
+        try:
+            self.get(key)
+            return True
+        except KeyNotFoundError:
+            return False
+
+
+# Batch store-API method -> (wire op, encoder of one partition's slice).
+_BATCH_VERBS = {
+    "multi_get": ("mget", encode_multi_keys),
+    "multi_set": ("mset", encode_multi_items),
+    "multi_delete": ("mdelete", encode_multi_keys),
+}
+
+
 class ProcessPartitionPool:
     """One worker process per partition, with batched frame IPC.
 
@@ -761,8 +753,6 @@ class ProcessPartitionPool:
             raise StoreError(
                 "data_plane='shm' needs multiprocessing.shared_memory"
             )
-        from repro.core.persistence import default_platform_secret
-
         self.num_workers = num_workers
         self.request_timeout = request_timeout
         self.data_plane = data_plane
@@ -774,11 +764,7 @@ class ProcessPartitionPool:
         self._master_secret = master_secret
         self._wal_dir = wal_dir
         self._wal_sync_ms = wal_sync_ms
-        self._platform_secret = (
-            platform_secret
-            if platform_secret is not None
-            else default_platform_secret(master_secret)
-        )
+        self._platform_secret = platform_secret  # None: the hosts derive it
         # Recovery checkpoint: the sections of the latest snapshot.
         self._snapshot_sections: Dict[int, bytes] = {}
         self._snapshot_counter: Optional[int] = None
@@ -792,6 +778,7 @@ class ProcessPartitionPool:
         # lock (see shieldlint's lock-order pass).
         self._health_lock = threading.Lock()
         self._mp_ctx = multiprocessing.get_context("spawn")
+        self._proxies = [_PartitionProxy(self, i) for i in range(num_workers)]
         self.workers: List[_WorkerHandle] = []
         try:
             for index in range(num_workers):
@@ -948,43 +935,35 @@ class ProcessPartitionPool:
         with self._health_lock:
             section = self._snapshot_sections.get(handle.index)
             counter = self._snapshot_counter
-        if section is None:
-            if walled:
-                # The respawned worker already replayed its full log
-                # chain at startup (attach_wal in _worker_main), so the
-                # partition holds every acknowledged mutation again.
-                with self._health_lock:
-                    self._recovered.add(handle.index)
-                    self._degraded.discard(handle.index)
-                return WorkerError(
-                    f"{why}; worker respawned and replayed its "
-                    f"write-ahead log — {lost} acknowledged mutation(s) "
-                    "recovered"
-                )
-            with self._health_lock:
+        # The respawned worker's host already replayed its full log
+        # chain at startup; a cached section restores the checkpoint
+        # and replays only the tail on top of it.
+        if section is not None:
+            payload = _U64.pack(counter) + b"\x01" + section
+            self._send(handle, OP_RESTORE, payload, recover=False)
+            self._recv(handle, recover=False, timeout=_RECOVERY_TIMEOUT)
+            source = f"restored from snapshot counter {counter}"
+        else:
+            source = "no snapshot exists"
+        with self._health_lock:
+            if walled or section is not None:
+                self._recovered.add(handle.index)
+                self._degraded.discard(handle.index)
+            else:
                 self._degraded.add(handle.index)
-            return WorkerError(
-                f"{why}; worker respawned but no snapshot exists — "
+        if walled:
+            outcome = (
+                f"replayed its write-ahead log, {lost} acknowledged "
+                "mutation(s) recovered"
+            )
+        elif section is not None:
+            outcome = f"up to {lost} mutation(s) since that snapshot were lost"
+        else:
+            outcome = (
                 f"partition {handle.index} restarted empty, losing "
                 f"{lost} mutation(s) (pool degraded)"
             )
-        payload = _U64.pack(counter) + b"\x03" + section
-        self._send(handle, OP_RESTORE, payload, recover=False)
-        self._recv(handle, recover=False, timeout=_RECOVERY_TIMEOUT)
-        with self._health_lock:
-            self._recovered.add(handle.index)
-            self._degraded.discard(handle.index)
-        if walled:
-            return WorkerError(
-                f"{why}; worker respawned, restored from snapshot counter "
-                f"{counter} and replayed the write-ahead log tail — "
-                f"{lost} acknowledged mutation(s) recovered"
-            )
-        return WorkerError(
-            f"{why}; worker respawned and restored from snapshot counter "
-            f"{counter} — up to {lost} mutation(s) since "
-            "that snapshot were lost"
-        )
+        return WorkerError(f"{why}; worker respawned ({source}) — {outcome}")
 
     # -- low-level I/O ------------------------------------------------------
     def _send(
@@ -1219,16 +1198,43 @@ class ProcessPartitionPool:
             )
         )
 
-    def execute_many(self, requests: Dict[int, Request]) -> Dict[int, Response]:
-        """Scatter per-partition requests; decode replies by partition."""
+    # -- the store-facing engine surface --------------------------------------
+    def partition(self, index: int) -> _PartitionProxy:
+        """The store API of one partition, served by its worker."""
+        return self._proxies[index]
+
+    def store_of(self, index: int):
+        raise StoreError(
+            "partition stores live in worker processes; "
+            "use partition_index_of() for routing"
+        )
+
+    def stores(self) -> list:
+        """No partition store is reachable in-process."""
+        return []
+
+    def fan_out(self, method: str, slices) -> list:
+        """Run one batch verb on every ``(index, slice)`` at once.
+
+        Each worker gets its slice as one wire request and crunches it
+        while the others do the same (:meth:`scatter`); results come
+        back in slice order, shaped like the store-level method's.
+        """
+        op, encode = _BATCH_VERBS[method]
+        mutating = op in MUTATING_OPS
         replies = self.scatter(
-            {index: encode_request(req) for index, req in requests.items()},
+            {
+                index: encode_request(Request(op, b"", encode(items)))
+                for index, items in slices
+            },
             mutations={
-                index: _mutation_count(req)
-                for index, req in requests.items()
+                index: len(items) if mutating else 0 for index, items in slices
             },
         )
-        return {index: decode_response(raw) for index, raw in replies.items()}
+        return [
+            batch_result(op, items, decode_response(replies[index]).value)
+            for index, items in slices
+        ]
 
     # -- snapshots -----------------------------------------------------------
     def _install_checkpoint(
@@ -1281,7 +1287,7 @@ class ProcessPartitionPool:
                 f"{len(sections)} snapshot sections for "
                 f"{self.num_workers} workers"
             )
-        flag = b"\x03" if verify else b"\x02"  # bit1: section present
+        flag = b"\x01" if verify else b"\x00"
         checkpoint = dict(enumerate(bytes(s) for s in sections))
         self.scatter(
             {
@@ -1341,8 +1347,6 @@ class ProcessPartitionPool:
 
     def iter_partition_items(self, index: int):
         """All (key, value) pairs of one partition, decrypted worker-side."""
-        from repro.net.message import decode_multi_items
-
         return decode_multi_items(self.request(index, OP_ITER))
 
     def tamper(self, index: int, key: bytes) -> None:

@@ -229,6 +229,13 @@ class ShieldStore:
         if self.wal is not None:
             self.wal.append(Request(op, key, value))
 
+    def flush_logs(self) -> Optional[float]:
+        """Group-commit tail (see :meth:`WriteAheadLog.flush`): seconds
+        until a still-dirty log falls due, ``None`` when clean or absent.
+        Whoever hosts the store calls this when idle — a worker's
+        receive loop, the TCP server's sweep."""
+        return self.wal.flush() if self.wal is not None else None
+
     # -- entry record I/O ---------------------------------------------------
     def _read_header(self, ctx: ExecContext, addr: int) -> EntryHeader:
         header = unpack_header(self._mem().read(ctx, addr, HEADER_SIZE))
@@ -622,7 +629,7 @@ class ShieldStore:
         self._verify_found(ctx, found, by_bucket[bucket])
         self._charge_copy(ctx, len(found.value), write=True)
         if self.cache is not None:
-            self.cache.insert(ctx, key, found.value)
+            self.cache.store(ctx, key, found.value)
         self.stats.hits += 1
         return found.value
 
@@ -643,7 +650,7 @@ class ShieldStore:
             self._insert_entry(ctx, bucket, set_id, by_bucket, key, value)
             self.stats.inserts += 1
         if self.cache is not None:
-            self.cache.insert(ctx, key, value)
+            self.cache.store(ctx, key, value)
 
     def delete(self, key: bytes, ctx: Optional[ExecContext] = None) -> None:
         """Remove ``key``; raises :class:`KeyNotFoundError` when absent."""
@@ -685,7 +692,7 @@ class ShieldStore:
             self._update_entry(ctx, bucket, set_id, by_bucket, found, new_value)
             self.stats.updates += 1
         if self.cache is not None:
-            self.cache.insert(ctx, key, new_value)
+            self.cache.store(ctx, key, new_value)
         return new_value
 
     def increment(
@@ -723,7 +730,7 @@ class ShieldStore:
             )
             self.stats.updates += 1
         if self.cache is not None:
-            self.cache.insert(ctx, key, str(new_int).encode())
+            self.cache.store(ctx, key, str(new_int).encode())
         return new_int
 
     def compare_and_swap(
@@ -758,7 +765,7 @@ class ShieldStore:
         self.stats.sets += 1
         self.stats.updates += 1
         if self.cache is not None:
-            self.cache.insert(ctx, key, new_value)
+            self.cache.store(ctx, key, new_value)
         return True
 
     def contains(self, key: bytes, ctx: Optional[ExecContext] = None) -> bool:
@@ -857,7 +864,7 @@ class ShieldStore:
             self._verify_found(ctx, walk.found, by_bucket[bucket])
             self._charge_copy(ctx, len(walk.found.value), write=True)
             if self.cache is not None:
-                self.cache.insert(ctx, key, walk.found.value)
+                self.cache.store(ctx, key, walk.found.value)
             self.stats.hits += 1
             results[key] = walk.found.value
         return results
@@ -915,7 +922,7 @@ class ShieldStore:
                 dirty_sets.add(set_id)
                 mutations += 1
                 if self.cache is not None:
-                    self.cache.insert(ctx, key, value)
+                    self.cache.store(ctx, key, value)
         finally:
             for set_id in sorted(dirty_sets):
                 self._update_set(ctx, set_id, verified_sets[set_id])

@@ -62,7 +62,10 @@ never acknowledged.  Recovery therefore distinguishes:
 Group commit
 ------------
 ``fsync`` is batched behind a small commit window (``sync_ms``): an
-append only syncs when the window has elapsed since the last sync.
+append only syncs when the window has elapsed since the last sync, and
+the log's host calls :meth:`WriteAheadLog.flush` when idle so a
+burst's tail is synced once its window passes instead of waiting for
+the next append.
 Process crashes (SIGKILL) lose nothing that ``write()`` returned for —
 the page cache survives the process — so the window only bounds loss
 across *power* failure, which is the paper's §4.4 posture too.
@@ -79,7 +82,12 @@ from typing import Callable, Iterable, Optional
 from repro.crypto.keys import derive_key
 from repro.crypto.suite import MAC_SIZE, make_suite
 from repro.errors import SnapshotError
-from repro.net.message import Request, decode_request, encode_request
+from repro.net.message import (
+    MUTATING_OPS,
+    Request,
+    decode_request,
+    encode_request,
+)
 from repro.sim import faults
 
 KIND_OP = 1
@@ -124,37 +132,20 @@ def segment_path(directory: str, partition: int, counter: int) -> str:
 def apply_request(store, request: Request) -> None:
     """Re-apply one logged mutating request to ``store`` during replay.
 
-    Mirrors the mutating arm of ``net.server.execute_request``.  Ops
-    that failed deterministically the first time (delete of an absent
-    key, increment of a non-integer) fail identically here and are
-    tolerated — the frame was appended before the failure surfaced.
+    Runs the mutating arm of ``net.server.execute_request``'s verb
+    table.  Ops that failed deterministically the first time (delete of
+    an absent key, increment of a non-integer) fail identically here
+    and are tolerated — the frame was appended before the failure
+    surfaced.
     """
     from repro.errors import KeyNotFoundError, StoreError
-    from repro.net.message import (
-        decode_cas_value,
-        decode_multi_items,
-        decode_multi_keys,
-    )
+    from repro.net.server import STORE_VERBS
 
-    op = request.op
+    handler = STORE_VERBS.get(request.op) if request.op in MUTATING_OPS else None
+    if handler is None:
+        raise SnapshotError(f"non-mutating op {request.op!r} in WAL frame")
     try:
-        if op == "set":
-            store.set(request.key, request.value)
-        elif op == "delete":
-            store.delete(request.key)
-        elif op == "append":
-            store.append(request.key, request.value)
-        elif op == "increment":
-            store.increment(request.key, int(request.value.decode("ascii")))
-        elif op == "cas":
-            expected, new_value = decode_cas_value(request.value)
-            store.compare_and_swap(request.key, expected, new_value)
-        elif op == "mset":
-            store.multi_set(decode_multi_items(request.value))
-        elif op == "mdelete":
-            store.multi_delete(decode_multi_keys(request.value))
-        else:
-            raise SnapshotError(f"non-mutating op {op!r} in WAL frame")
+        handler(store, request)
     except (KeyNotFoundError, ValueError):
         pass  # deterministic first-run miss: frame preceded the failure
     except StoreError as exc:
@@ -279,6 +270,21 @@ class WriteAheadLog:
         self._last_sync = time.monotonic()
         if self.stats is not None:
             self.stats.wal_fsyncs += 1
+
+    def flush(self) -> Optional[float]:
+        """Group-commit tail: fsync a dirty log once its window has passed.
+
+        ``append`` only syncs when *called*, so the log's host calls
+        this when idle.  Returns the seconds until a still-dirty log
+        falls due (``None`` when clean), which bounds the host's wait.
+        """
+        if not self._dirty:
+            return None
+        remaining = self.sync_ms / 1000.0 - (time.monotonic() - self._last_sync)
+        if remaining > 0:
+            return remaining
+        self.sync()
+        return None
 
     def rotate(self, new_counter: int) -> None:
         """Seal a truncation record and start a fresh segment.

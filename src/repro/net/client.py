@@ -3,23 +3,18 @@
 from __future__ import annotations
 
 from repro.errors import KeyNotFoundError, StoreError
-from repro.net.message import (
-    STATUS_MISS,
-    STATUS_OK,
-    Request,
-    decode_multi_values,
-    encode_multi_items,
-    encode_multi_keys,
-)
+from repro.net.message import STATUS_MISS, STATUS_OK, Request, StoreVerbs
 from repro.net.server import NetworkedServer
 
 
-class SimClient:
+class SimClient(StoreVerbs):
     """Synchronous client over a :class:`NetworkedServer`.
 
     The paper's load generator keeps 256 concurrent connections busy;
     with the server fully cost-accounted, a synchronous drive measures
-    the same server-side saturation throughput.
+    the same server-side saturation throughput.  The store API
+    (``get`` ... ``multi_delete``) comes from
+    :class:`~repro.net.message.StoreVerbs`.
     """
 
     def __init__(self, server: NetworkedServer):
@@ -33,49 +28,9 @@ class SimClient:
             raise StoreError(f"server error for {op} {key!r}")
         return response.value
 
-    def get(self, key: bytes) -> bytes:
-        return self._call("get", key)
-
-    def set(self, key: bytes, value: bytes) -> None:
-        self._call("set", key, value)
-
-    def append(self, key: bytes, suffix: bytes) -> bytes:
-        return self._call("append", key, suffix)
-
-    def delete(self, key: bytes) -> None:
-        self._call("delete", key)
-
-    def increment(self, key: bytes, delta: int = 1) -> int:
-        return int(self._call("increment", key, str(delta).encode()))
-
     def get_versioned(self, key: bytes) -> bytes:
         """Raw versioned record from a replication-capable store (VGET)."""
         return self._call("vget", key)
-
-    def compare_and_swap(self, key: bytes, expected: bytes, new_value: bytes) -> bool:
-        from repro.net.message import encode_cas_value
-
-        return self._call("cas", key, encode_cas_value(expected, new_value)) == b"1"
-
-    # -- pipelined batch requests ---------------------------------------
-    def multi_get(self, keys) -> dict:
-        """One MGET record for many keys; absent keys map to ``None``."""
-        keys = [bytes(key) for key in keys]
-        raw = self._call("mget", b"", encode_multi_keys(keys))
-        return dict(zip(keys, decode_multi_values(raw)))
-
-    def multi_set(self, items) -> None:
-        """One MSET record carrying many ``(key, value)`` pairs."""
-        self._call("mset", b"", encode_multi_items(items))
-
-    def multi_delete(self, keys) -> dict:
-        """One MDELETE record; returns ``{key: was_present}``."""
-        keys = [bytes(key) for key in keys]
-        raw = self._call("mdelete", b"", encode_multi_keys(keys))
-        return {
-            key: flag is not None
-            for key, flag in zip(keys, decode_multi_values(raw))
-        }
 
     def __len__(self) -> int:
         return len(self.server.store)

@@ -49,6 +49,16 @@ OP_CODES = {
 }
 OP_NAMES = {v: k for k, v in OP_CODES.items()}
 BATCH_OPS = frozenset({"mget", "mset", "mdelete"})
+# Ops that change the store — the one copy.  The TCP client stamps them
+# with idempotency tokens so the server can deduplicate retries (reads
+# are naturally idempotent), the process pool counts them toward a
+# worker's loss bound, and WAL replay rejects any frame outside the set.
+MUTATING_OPS = frozenset(
+    {"set", "delete", "append", "increment", "cas", "mset", "mdelete",
+     # Replication pushes are strictly-LWW idempotent already, but the
+     # token costs nothing and keeps retry dedup uniform.
+     "replicate"}
+)
 
 STATUS_OK = 0
 STATUS_MISS = 1
@@ -280,6 +290,70 @@ def decode_multi_values(value: bytes) -> list:
     if offset != len(value):
         raise ProtocolError("batch value field has trailing bytes")
     return values
+
+
+def batch_result(op: str, keys, value: bytes):
+    """What a batch verb hands its caller, from the reply's value field.
+
+    ``{key: value-or-None}`` for ``mget``, ``{key: was_present}`` for
+    ``mdelete``, ``None`` for ``mset``.
+    """
+    if op == "mset":
+        return None
+    values = decode_multi_values(value)
+    if op == "mget":
+        return dict(zip(keys, values))
+    return {key: flag is not None for key, flag in zip(keys, values)}
+
+
+class StoreVerbs:
+    """The store API spoken over the wire: nine methods over one ``_call``.
+
+    The only client-side copy of the wire-verb <-> store-API mapping
+    (``net.server.STORE_VERBS`` is its server-side inverse).  A subclass
+    supplies the transport: ``_call(op, key, value)`` returns the
+    reply's value field and raises
+    :class:`~repro.errors.KeyNotFoundError` on ``STATUS_MISS``.
+    """
+
+    def _call(self, op: str, key: bytes, value: bytes = b"") -> bytes:
+        raise NotImplementedError
+
+    def get(self, key: bytes) -> bytes:
+        return self._call("get", key)
+
+    def set(self, key: bytes, value: bytes) -> None:
+        self._call("set", key, value)
+
+    def append(self, key: bytes, suffix: bytes) -> bytes:
+        return self._call("append", key, suffix)
+
+    def delete(self, key: bytes) -> None:
+        self._call("delete", key)
+
+    def increment(self, key: bytes, delta: int = 1) -> int:
+        return int(self._call("increment", key, str(delta).encode()))
+
+    def compare_and_swap(self, key: bytes, expected: bytes, new_value: bytes) -> bool:
+        return self._call("cas", key, encode_cas_value(expected, new_value)) == b"1"
+
+    def multi_get(self, keys) -> dict:
+        """Pipelined MGET: many keys, one record; misses map to ``None``."""
+        keys = [bytes(key) for key in keys]
+        return batch_result(
+            "mget", keys, self._call("mget", b"", encode_multi_keys(keys))
+        )
+
+    def multi_set(self, items) -> None:
+        """Pipelined MSET: many ``(key, value)`` pairs, one record."""
+        self._call("mset", b"", encode_multi_items(items))
+
+    def multi_delete(self, keys) -> dict:
+        """Pipelined MDELETE; returns ``{key: was_present}``."""
+        keys = [bytes(key) for key in keys]
+        return batch_result(
+            "mdelete", keys, self._call("mdelete", b"", encode_multi_keys(keys))
+        )
 
 
 class SecureChannel:

@@ -29,16 +29,17 @@ from typing import Optional
 
 from repro.errors import KeyNotFoundError, ProtocolError, WorkerError
 from repro.net.message import (
-    BATCH_OPS,
     STATUS_ERROR,
     STATUS_MISS,
     STATUS_OK,
     Request,
     Response,
     SecureChannel,
+    decode_cas_value,
     decode_multi_items,
     decode_multi_keys,
     decode_request,
+    decode_response,
     encode_multi_values,
     encode_request,
     encode_response,
@@ -54,57 +55,101 @@ FRONTEND_HOTCALLS = "hotcalls"  # enclave server, switchless HotCalls
 NET_SERIAL_US = 0.25
 
 
-def execute_batch(store, request: Request) -> Response:
-    """Serve one pipelined MGET/MSET/MDELETE request against ``store``.
+def _get(store, request: Request) -> bytes:
+    return store.get(request.key)
 
-    Stores exposing the batched pipeline (``multi_get`` and friends) get
-    the amortized path; anything else — baselines, plain dict-backed
-    test doubles — falls back to per-key single operations with the same
-    wire semantics.  Shared by the cost-modeled and the real TCP
-    front-ends.
-    """
-    if request.op == "mget":
-        keys = decode_multi_keys(request.value)
-        if hasattr(store, "multi_get"):
-            found = store.multi_get(keys)
-            values = [found[bytes(key)] for key in keys]
-        else:
-            values = []
-            for key in keys:
-                try:
-                    values.append(store.get(key))
-                except KeyNotFoundError:
-                    values.append(None)
-        return Response(STATUS_OK, encode_multi_values(values))
-    if request.op == "mset":
-        items = decode_multi_items(request.value)
-        if hasattr(store, "multi_set"):
-            store.multi_set(items)
-        else:
-            for key, value in items:
-                store.set(key, value)
-        return Response(STATUS_OK)
-    if request.op == "mdelete":
-        keys = decode_multi_keys(request.value)
-        if hasattr(store, "multi_delete"):
-            deleted = store.multi_delete(keys)
-            flags = [b"1" if deleted[bytes(key)] else None for key in keys]
-        else:
-            flags = []
-            for key in keys:
-                try:
-                    store.delete(key)
-                    flags.append(b"1")
-                except KeyNotFoundError:
-                    flags.append(None)
-        return Response(STATUS_OK, encode_multi_values(flags))
-    raise ProtocolError(f"{request.op!r} is not a batch operation")
+
+def _set(store, request: Request) -> bytes:
+    store.set(request.key, request.value)
+    return b""
+
+
+def _append(store, request: Request) -> bytes:
+    return store.append(request.key, request.value)
+
+
+def _delete(store, request: Request) -> bytes:
+    store.delete(request.key)
+    return b""
+
+
+def _increment(store, request: Request) -> bytes:
+    return b"%d" % store.increment(request.key, int(request.value or b"1"))
+
+
+def _cas(store, request: Request) -> bytes:
+    expected, new_value = decode_cas_value(request.value)
+    swapped = store.compare_and_swap(request.key, expected, new_value)
+    return b"1" if swapped else b"0"
+
+
+# Pipelined MGET/MSET/MDELETE: stores exposing the batched pipeline
+# (``multi_get`` and friends) get the amortized path; anything else —
+# baselines, plain dict-backed test doubles — falls back to per-key
+# single operations with the same wire semantics.
+def _mget(store, request: Request) -> bytes:
+    keys = decode_multi_keys(request.value)
+    if hasattr(store, "multi_get"):
+        found = store.multi_get(keys)
+        values = [found[bytes(key)] for key in keys]
+    else:
+        values = []
+        for key in keys:
+            try:
+                values.append(store.get(key))
+            except KeyNotFoundError:
+                values.append(None)
+    return encode_multi_values(values)
+
+
+def _mset(store, request: Request) -> bytes:
+    items = decode_multi_items(request.value)
+    if hasattr(store, "multi_set"):
+        store.multi_set(items)
+    else:
+        for key, value in items:
+            store.set(key, value)
+    return b""
+
+
+def _mdelete(store, request: Request) -> bytes:
+    keys = decode_multi_keys(request.value)
+    if hasattr(store, "multi_delete"):
+        deleted = store.multi_delete(keys)
+        flags = [b"1" if deleted[bytes(key)] else None for key in keys]
+    else:
+        flags = []
+        for key in keys:
+            try:
+                store.delete(key)
+                flags.append(b"1")
+            except KeyNotFoundError:
+                flags.append(None)
+    return encode_multi_values(flags)
+
+
+#: wire op -> ``handler(store, request)`` returning the reply's value
+#: field: the one place a wire verb meets the store API on the serving
+#: side (:class:`~repro.net.message.StoreVerbs` is the client-side
+#: inverse).  WAL replay re-applies logged frames through the mutating
+#: entries of this same table (:func:`repro.core.wal.apply_request`).
+STORE_VERBS = {
+    "get": _get,
+    "set": _set,
+    "append": _append,
+    "delete": _delete,
+    "increment": _increment,
+    "cas": _cas,
+    "mget": _mget,
+    "mset": _mset,
+    "mdelete": _mdelete,
+}
 
 
 def execute_request(store, request: Request) -> Response:
     """Serve one decoded request (single-key or batch) against ``store``.
 
-    The op switch shared by every front-end: the cost-modeled
+    The op table shared by every front-end: the cost-modeled
     :class:`NetworkedServer`, the real TCP server, and the multiprocess
     partition workers (:mod:`repro.core.procpool`).  Missing keys come
     back as ``STATUS_MISS``; integrity/crypto failures propagate to the
@@ -112,27 +157,9 @@ def execute_request(store, request: Request) -> Response:
     policy decision (drop the session, crash the worker, ...).
     """
     try:
-        if request.op in BATCH_OPS:
-            return execute_batch(store, request)
-        if request.op == "get":
-            return Response(STATUS_OK, store.get(request.key))
-        if request.op == "set":
-            store.set(request.key, request.value)
-            return Response(STATUS_OK)
-        if request.op == "append":
-            return Response(STATUS_OK, store.append(request.key, request.value))
-        if request.op == "delete":
-            store.delete(request.key)
-            return Response(STATUS_OK)
-        if request.op == "increment":
-            new = store.increment(request.key, int(request.value or b"1"))
-            return Response(STATUS_OK, str(new).encode())
-        if request.op == "cas":
-            from repro.net.message import decode_cas_value
-
-            expected, new_value = decode_cas_value(request.value)
-            swapped = store.compare_and_swap(request.key, expected, new_value)
-            return Response(STATUS_OK, b"1" if swapped else b"0")
+        handler = STORE_VERBS.get(request.op)
+        if handler is not None:
+            return Response(STATUS_OK, handler(store, request))
         # Replication verbs (repro.ext.replication).  Only replication-
         # capable stores answer them; anything else falls through to
         # STATUS_ERROR, so a stray OP_REPLICATE at a plain server is a
@@ -245,15 +272,9 @@ class NetworkedServer:
             clock.charge(cost.aes_cycles(len(out)) + cost.cmac_cycles(len(out)))
             sealed_out = self.server_channel.seal(out)
             response_raw = self.client_channel.open(sealed_out)
-            response = _reparse(response_raw)
+            response = decode_response(response_raw)
         self.requests_served += 1
         return response
-
-
-def _reparse(raw: bytes) -> Response:
-    from repro.net.message import decode_response
-
-    return decode_response(raw)
 
 
 def make_secure_channels(suite_client, suite_server):

@@ -65,16 +65,18 @@ import threading
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 from repro.core.stats import StoreStats, TransportStats
 from repro.errors import (
     AttestationError,
     KeyNotFoundError,
     ProtocolError,
+    ReproError,
     StoreError,
 )
 from repro.net.message import (
+    MUTATING_OPS,
     STATUS_BUSY,
     STATUS_MISS,
     STATUS_OK,
@@ -82,6 +84,7 @@ from repro.net.message import (
     Request,
     Response,
     SecureChannel,
+    StoreVerbs,
     decode_envelope,
     decode_request,
     decode_response,
@@ -98,15 +101,6 @@ from repro.sim.attestation import (
 from repro.sim.sdk import sgx_read_rand
 
 _LEN = struct.Struct("<I")
-
-# Wire ops that mutate the store: these carry idempotency tokens so the
-# server can deduplicate retries.  Reads are naturally idempotent.
-MUTATING_WIRE_OPS = frozenset(
-    {"set", "delete", "append", "increment", "cas", "mset", "mdelete",
-     # Replication pushes are strictly-LWW idempotent already, but the
-     # token costs nothing and keeps retry dedup uniform.
-     "replicate"}
-)
 
 
 class _TransientServerError(StoreError):
@@ -388,6 +382,14 @@ class TCPShieldServer:
         # callers (per-handle locks): executor threads, shared gate.  The
         # in-process engines are not: the loop thread, exclusive gate.
         self._parallel_requests = getattr(store, "data_plane", None) is not None
+        # Group-commit tail of logs hosted in this process, ticked from
+        # the sweep (worker processes flush their own).  Looked up by
+        # its own name: a wrapper's unrelated ``flush`` (replication
+        # drains peer queues there) must never run on the loop.
+        self._flush_logs = (
+            None if self._parallel_requests
+            else getattr(store, "flush_logs", None)
+        )
         # Transport-level failure counters, merged with the store's own
         # counters by stats_snapshot(); guarded by _stats_mutex because
         # executor threads bump them too.
@@ -539,6 +541,13 @@ class TCPShieldServer:
         O(connections): run at the nearest deadline, not once per event.
         """
         sweep_at = now + 0.25  # the longest the loop sleeps
+        if self._flush_logs is not None:
+            # Exclusive gate: a checkpoint may be rotating the same log.
+            with self.store_lock:
+                try:
+                    self._flush_logs()
+                except (OSError, ReproError):
+                    pass  # fsync failed; the next append or close retries
         for conn in list(self._conns.values()):
             if conn.inflight:
                 # The store is still working; that is not a wire stall.
@@ -1056,7 +1065,7 @@ class SnapshotDaemon:
         return path, blob
 
 
-class TCPShieldClient:
+class TCPShieldClient(StoreVerbs):
     """Client that attests the server before trusting the session.
 
     Resilient by default: connect and per-request deadlines, automatic
@@ -1239,7 +1248,7 @@ class TCPShieldClient:
 
     def _call(self, op: str, key: bytes, value: bytes = b"") -> bytes:
         record = encode_request(Request(op, bytes(key), bytes(value)))
-        token = os.urandom(TOKEN_SIZE) if op in MUTATING_WIRE_OPS else None
+        token = os.urandom(TOKEN_SIZE) if op in MUTATING_OPS else None
         payload = encode_envelope(token, record)
         return self._retry_loop(lambda: self._roundtrip(op, payload), op)
 
@@ -1266,57 +1275,10 @@ class TCPShieldClient:
             raise _TransientServerError(f"server error for {op}")
         return response.value
 
-    # -- operations ----------------------------------------------------------
-    def get(self, key: bytes) -> bytes:
-        return self._call("get", key)
-
-    def set(self, key: bytes, value: bytes) -> None:
-        self._call("set", key, value)
-
-    def append(self, key: bytes, suffix: bytes) -> bytes:
-        return self._call("append", key, suffix)
-
-    def delete(self, key: bytes) -> None:
-        self._call("delete", key)
-
-    def increment(self, key: bytes, delta: int = 1) -> int:
-        return int(self._call("increment", key, str(delta).encode()))
-
-    def compare_and_swap(self, key: bytes, expected: bytes, new_value: bytes) -> bool:
-        from repro.net.message import encode_cas_value
-
-        return self._call("cas", key, encode_cas_value(expected, new_value)) == b"1"
-
+    # -- operations (get ... multi_delete come from StoreVerbs) ---------------
     def server_stats(self) -> dict:
         """The server's merged operation + resilience counters."""
         return json.loads(self._call("stats", b"").decode("ascii"))
 
-    def multi_get(self, keys) -> dict:
-        """Pipelined MGET: many keys, one wire round trip."""
-        from repro.net.message import decode_multi_values, encode_multi_keys
-
-        keys = [bytes(key) for key in keys]
-        raw = self._call("mget", b"", encode_multi_keys(keys))
-        return dict(zip(keys, decode_multi_values(raw)))
-
-    def multi_set(self, items) -> None:
-        """Pipelined MSET: many pairs, one wire round trip."""
-        from repro.net.message import encode_multi_items
-
-        self._call("mset", b"", encode_multi_items(items))
-
-    def multi_delete(self, keys) -> dict:
-        """Pipelined MDELETE; returns ``{key: was_present}``."""
-        from repro.net.message import decode_multi_values, encode_multi_keys
-
-        keys = [bytes(key) for key in keys]
-        raw = self._call("mdelete", b"", encode_multi_keys(keys))
-        return {
-            key: flag is not None
-            for key, flag in zip(keys, decode_multi_values(raw))
-        }
-
     def close(self) -> None:
         self._teardown()
-
-

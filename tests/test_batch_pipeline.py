@@ -1,12 +1,12 @@
 """Batched write pipeline: multi_set/multi_delete semantics, amortization
-counters, mid-batch tamper detection, and parallel-router equivalence."""
+counters, mid-batch tamper detection, and the partition router (engine
+equivalence lives in ``test_engine_equivalence.py``)."""
 
 import pytest
 
 from repro.core import PartitionedShieldStore, ShieldStore, shield_opt
 from repro.errors import IntegrityError, KeyNotFoundError, ReplayError
 from repro.sim import Attacker, Machine
-from repro.workloads import SMALL, OperationStream, workload
 
 
 @pytest.fixture
@@ -182,48 +182,11 @@ class TestTamperDetection:
 
 
 class TestParallelRouter:
-    @staticmethod
-    def _drive(parallel):
-        machine = Machine(num_threads=4)
-        store = PartitionedShieldStore(
-            shield_opt(num_buckets=256, num_mac_hashes=64),
-            machine=machine,
-            parallel=parallel,
-        )
-        stream = OperationStream(workload("RD95_Z"), SMALL, 300, seed=11)
-        store.multi_set([(op.key, op.value) for op in stream.load_operations()])
-        reads = {}
-        for _ in range(6):
-            ops = list(stream.operations(100))
-            writes = [(op.key, op.value) for op in ops
-                      if op.op != "get" and op.value is not None]
-            if writes:
-                store.multi_set(writes)
-            reads.update(store.multi_get([op.key for op in ops if op.op == "get"]))
-        return store, reads
-
-    def test_parallel_matches_sequential_state(self):
-        """Same seed, same batches: the fan-out must leave the same
-        logical key-value state as the inline router."""
-        seq_store, seq_reads = self._drive(parallel=False)
-        par_store, par_reads = self._drive(parallel=True)
-        try:
-            assert par_reads == seq_reads
-            assert len(par_store) == len(seq_store)
-            seq_items = dict(seq_store.iter_items())
-            par_items = dict(par_store.iter_items())
-            assert par_items == seq_items
-            assert par_store.audit() == seq_store.audit()
-        finally:
-            seq_store.close()
-            par_store.close()
-
     def test_parallel_multi_delete(self):
         machine = Machine(num_threads=4)
         store = PartitionedShieldStore(
             shield_opt(num_buckets=256, num_mac_hashes=64),
             machine=machine,
-            parallel=True,
         )
         try:
             keys = [f"key-{i:03d}".encode() for i in range(120)]
@@ -240,7 +203,6 @@ class TestParallelRouter:
         store = PartitionedShieldStore(
             shield_opt(num_buckets=128, num_mac_hashes=32),
             machine=machine,
-            parallel=True,
         )
         store.multi_set([(b"a", b"1"), (b"b", b"2")])
         store.close()

@@ -25,45 +25,53 @@ def cache(enclave):
 class TestCacheSemantics:
     def test_miss_then_hit(self, cache, ctx):
         assert cache.lookup(ctx, b"k") is None
-        cache.insert(ctx, b"k", b"v")
+        cache.store(ctx, b"k", b"v")
         assert cache.lookup(ctx, b"k") == b"v"
 
     def test_update_replaces(self, cache, ctx):
-        cache.insert(ctx, b"k", b"v1")
-        cache.insert(ctx, b"k", b"v2")
+        cache.store(ctx, b"k", b"v1")
+        cache.store(ctx, b"k", b"v2")
         assert cache.lookup(ctx, b"k") == b"v2"
         assert len(cache) == 1
 
     def test_invalidate(self, cache, ctx):
-        cache.insert(ctx, b"k", b"v")
+        cache.store(ctx, b"k", b"v")
         cache.invalidate(b"k")
         assert cache.lookup(ctx, b"k") is None
         cache.invalidate(b"never-there")  # idempotent
 
     def test_byte_budget_evicts_lru(self, cache, ctx):
         for i in range(100):
-            cache.insert(ctx, f"key-{i:03d}".encode(), b"x" * 32)
+            cache.store(ctx, f"key-{i:03d}".encode(), b"x" * 32)
         assert cache.bytes_used <= cache.capacity_bytes
         assert cache.lookup(ctx, b"key-000") is None  # oldest gone
         assert cache.lookup(ctx, b"key-099") == b"x" * 32
 
     def test_lru_refresh_on_hit(self, cache, ctx):
-        cache.insert(ctx, b"a", b"1" * 100)
-        cache.insert(ctx, b"b", b"2" * 100)
+        cache.store(ctx, b"a", b"1" * 100)
+        cache.store(ctx, b"b", b"2" * 100)
         cache.lookup(ctx, b"a")  # refresh a
         for i in range(20):
-            cache.insert(ctx, f"fill-{i}".encode(), b"z" * 100)
+            cache.store(ctx, f"fill-{i}".encode(), b"z" * 100)
         # "a" was refreshed after "b", so "b" must be evicted first.
         order = [cache.lookup(ctx, b"a"), cache.lookup(ctx, b"b")]
         assert order[1] is None
 
     def test_oversized_value_not_cached(self, cache, ctx):
-        cache.insert(ctx, b"big", b"x" * 4096)
+        cache.store(ctx, b"big", b"x" * 4096)
         assert cache.lookup(ctx, b"big") is None
+
+    def test_oversized_update_drops_the_stale_copy(self, cache, ctx):
+        """A value that outgrows the whole cache must not leave its
+        previous (now stale) version behind to be served."""
+        cache.store(ctx, b"k", b"old")
+        cache.store(ctx, b"k", b"x" * 4096)
+        assert cache.lookup(ctx, b"k") is None
+        assert cache.bytes_used == 0
 
     def test_charges_cycles(self, cache, ctx):
         before = ctx.clock.cycles
-        cache.insert(ctx, b"k", b"v" * 64)
+        cache.store(ctx, b"k", b"v" * 64)
         cache.lookup(ctx, b"k")
         assert ctx.clock.cycles > before
 

@@ -1,10 +1,12 @@
 """Process-parallel partition engine (shared-nothing workers + batched IPC).
 
-Covers the three execution modes of
-:class:`~repro.core.partition.PartitionedShieldStore` — the same seeded
-workload must produce byte-identical contents and identical operation
-counters whether partitions run inline, on worker threads, or in worker
-processes — plus the failure semantics of the multiprocess pool:
+Covers the process engine of
+:class:`~repro.core.partition.PartitionedShieldStore` against the
+in-process one — the same seeded workload must produce identical
+operation counters whether partitions run inline or in worker processes
+(contents, recovery and both data planes are compared in
+``test_engine_equivalence.py``) — plus the failure semantics of the
+multiprocess pool:
 integrity violations crossing the process boundary as the original
 exception class, and dead workers surfacing as
 :class:`~repro.errors.WorkerError` instead of hangs.
@@ -18,7 +20,6 @@ import pytest
 from repro.core import (
     MODE_PROCESSES,
     MODE_SEQUENTIAL,
-    MODE_THREADS,
     PartitionedShieldStore,
     process_mode_supported,
     shield_opt,
@@ -53,7 +54,6 @@ def _build(mode: str) -> PartitionedShieldStore:
         _config(),
         machine=Machine(num_threads=PARTITIONS),
         master_secret=SECRET,
-        parallel=mode == MODE_THREADS,
         mode=mode,
     )
 
@@ -75,21 +75,6 @@ def _run_workload(store: PartitionedShieldStore) -> None:
 
 @needs_processes
 class TestModeEquivalence:
-    def test_identical_contents_across_modes(self):
-        """Same seeded workload -> byte-identical items in all 3 modes."""
-        items, audits, lens = {}, {}, {}
-        for mode in (MODE_SEQUENTIAL, MODE_THREADS, MODE_PROCESSES):
-            with _build(mode) as store:
-                assert store.mode == mode
-                _run_workload(store)
-                items[mode] = sorted(store.iter_items())
-                audits[mode] = store.audit()
-                lens[mode] = len(store)
-        assert items[MODE_SEQUENTIAL] == items[MODE_THREADS]
-        assert items[MODE_SEQUENTIAL] == items[MODE_PROCESSES]
-        assert audits[MODE_SEQUENTIAL] == audits[MODE_PROCESSES] == lens[MODE_PROCESSES]
-        assert lens[MODE_SEQUENTIAL] == lens[MODE_THREADS] == lens[MODE_PROCESSES]
-
     def test_identical_stats_across_modes(self):
         """Operation counters agree between in-process and worker modes.
 
@@ -100,15 +85,16 @@ class TestModeEquivalence:
         from repro.core import StoreStats
 
         snapshots = {}
-        for mode in (MODE_THREADS, MODE_PROCESSES):
+        for mode in (MODE_SEQUENTIAL, MODE_PROCESSES):
             with _build(mode) as store:
+                assert store.mode == mode
                 _run_workload(store)
                 snapshot = store.stats().snapshot_dict()
                 for field in StoreStats.WALL_CLOCK_FIELDS:
                     timer = snapshot.pop(field)
                     assert timer >= 0
                 snapshots[mode] = snapshot
-        assert snapshots[MODE_THREADS] == snapshots[MODE_PROCESSES]
+        assert snapshots[MODE_SEQUENTIAL] == snapshots[MODE_PROCESSES]
 
     def test_single_key_ops_route_through_workers(self):
         with _build(MODE_PROCESSES) as store:
@@ -233,9 +219,9 @@ class TestFailureSemantics:
             stats = store.stats()
             assert stats.worker_recoveries == 1
 
-    def test_integrity_error_in_threads_mode(self):
-        """Thread-mode fan-out annotates the original exception class."""
-        store = _build(MODE_THREADS)
+    def test_integrity_error_in_sequential_mode(self):
+        """In-process fan-out annotates the original exception class."""
+        store = _build(MODE_SEQUENTIAL)
         keys = [f"key-{i:03d}".encode() for i in range(40)]
         store.multi_set([(k, b"v") for k in keys])
         victim = keys[3]
@@ -323,13 +309,6 @@ class TestModeResolution:
         store = PartitionedShieldStore(_config(), machine=Machine(num_threads=2))
         assert store.mode == MODE_SEQUENTIAL
         assert store._pool is None
-
-    def test_parallel_flag_selects_threads(self):
-        store = PartitionedShieldStore(
-            _config(), machine=Machine(num_threads=2), parallel=True
-        )
-        assert store.mode == MODE_THREADS
-        store.close()
 
     def test_single_partition_is_sequential(self):
         store = PartitionedShieldStore(_config(), num_partitions=1)

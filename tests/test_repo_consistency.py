@@ -100,3 +100,80 @@ class TestCodeHygiene:
             if not text.startswith(('"""', "'''")):
                 undocumented.append(str(path))
         assert not undocumented, undocumented
+
+
+class TestOneCopyOfEachMechanism:
+    """Grep-able structure the partition-engine collapse relies on."""
+
+    @staticmethod
+    def _client_verbs():
+        """``{method name: wire op}`` from the StoreVerbs mixin's bodies."""
+        import inspect
+
+        from repro.net.message import StoreVerbs
+
+        verbs = {}
+        for name, member in vars(StoreVerbs).items():
+            if name.startswith("_") or not inspect.isfunction(member):
+                continue
+            ops = re.findall(r'self\._call\(\s*"(\w+)"', inspect.getsource(member))
+            assert len(ops) == 1, f"{name} must make exactly one wire call"
+            verbs[name] = ops[0]
+        return verbs
+
+    def test_served_verbs_and_client_methods_are_one_to_one(self):
+        from repro.net.server import STORE_VERBS
+
+        verbs = self._client_verbs()
+        assert len(verbs) == 9
+        # vice versa: no op claimed twice, none unserved, none unclaimed
+        assert sorted(verbs.values()) == sorted(STORE_VERBS)
+
+    def test_clients_define_no_verb_bodies_of_their_own(self):
+        from repro.core.procpool import _PartitionProxy
+        from repro.net.client import SimClient
+        from repro.net.message import StoreVerbs
+        from repro.net.tcp import TCPShieldClient
+
+        for client in (TCPShieldClient, SimClient, _PartitionProxy):
+            assert issubclass(client, StoreVerbs)
+            assert "_call" in vars(client)
+            for name in self._client_verbs():
+                assert name not in vars(client), (client.__name__, name)
+
+    def test_mutating_set_covers_exactly_the_mutating_store_verbs(self):
+        from repro.net.message import MUTATING_OPS
+        from repro.net.server import STORE_VERBS
+
+        reads = {"get", "mget"}
+        assert set(STORE_VERBS) - reads == MUTATING_OPS - {"replicate"}
+        source = (_ROOT / "src" / "repro").rglob("*.py")
+        definitions = [
+            path.name for path in source
+            if re.search(r"^_?MUTATING\w*OPS\s*=", path.read_text(), re.M)
+        ]
+        assert definitions == ["message.py"]
+
+    def test_router_does_not_speak_the_wire_codec(self):
+        text = (_ROOT / "src" / "repro" / "core" / "partition.py").read_text()
+        assert "repro.net" not in text
+        assert "_pool is not None" not in text
+        assert "ThreadPoolExecutor" not in text
+
+    def test_lifecycle_call_sites(self):
+        """build -> recover -> checkpoint -> restore is written once."""
+        def sites(pattern, skip=()):
+            hits = []
+            for path in (_ROOT / "src" / "repro").rglob("*.py"):
+                if path.name in skip:
+                    continue
+                code = "\n".join(
+                    line.split("#")[0] for line in path.read_text().splitlines()
+                )
+                hits += [path.name] * len(re.findall(pattern, code))
+            return sorted(hits)
+
+        assert sites(r"WriteAheadLog\.recover\(") == ["host.py"]
+        assert sites(r"\.rotate\(", skip=("wal.py",)) == ["host.py"]
+        for call in (r"(?<!def )\bwrite_section\(", r"(?<!def )\bread_section\("):
+            assert sites(call) == ["host.py", "persistence.py"], call

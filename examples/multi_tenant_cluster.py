@@ -17,17 +17,32 @@ from repro.ext import ExpiringStore
 from repro.ext.cluster import ShieldCluster
 
 
+class _OwnerView:
+    """The cluster's verbs, timed by one shard's simulated clock."""
+
+    def __init__(self, cluster: ShieldCluster, node):
+        self.machine = node.machine
+        self.get, self.set, self.delete = cluster.get, cluster.set, cluster.delete
+
+
 class ExpiringCluster:
-    """TTL wrapper over every shard of a cluster."""
+    """TTL wrapper over every shard of a cluster.
+
+    Envelopes go through the cluster's own verbs (every stored value is
+    a versioned record the rebalancer understands); only the expiry
+    clock is per shard.
+    """
 
     def __init__(self, cluster: ShieldCluster):
         self.cluster = cluster
         self._wrappers = {}
 
     def _store_for(self, key: bytes) -> ExpiringStore:
-        node = self.cluster._checked_owner(key)
+        node = self.cluster.owner_of(key)
         if node.node_id not in self._wrappers:
-            self._wrappers[node.node_id] = ExpiringStore(node.store)
+            self._wrappers[node.node_id] = ExpiringStore(
+                _OwnerView(self.cluster, node)
+            )
         return self._wrappers[node.node_id]
 
     def set(self, key, value, ttl_us=None):

@@ -15,12 +15,15 @@ ownership, no cross-node coordination on the data path.
 * shards can be added or drained at runtime; only the keys whose ring
   ownership changes migrate, streamed through the client's attested
   sessions (re-encrypted per-shard — shards share no keys);
-* with ``replicas=R > 1`` every key lives on its ring preference list
-  (owner + R-1 successors) as a versioned LWW record
-  (:mod:`repro.ext.replication`), reads and writes take a
-  ``consistency`` level (ONE or QUORUM), and :meth:`kill_node` models a
-  node loss the survivors absorb — the in-process analogue of the TCP
-  replication group.
+* every key lives on its ring preference list (owner + R-1 successors)
+  as a versioned LWW record, and :class:`ShieldCluster` is the
+  :class:`~repro.ext.replication.Coordinator` over those in-process
+  shards: reads and writes take a ``consistency`` level (ONE or
+  QUORUM), and :meth:`kill_node` models a node loss the survivors
+  absorb — the in-process analogue of the TCP replication group.
+  ``replicas=1`` is the same path with a one-node preference list and
+  a quorum of one, at its stated price: every entry carries the 17-byte
+  version header and a delete leaves a tombstone behind.
 """
 
 from __future__ import annotations
@@ -31,15 +34,11 @@ from repro.core.config import StoreConfig
 from repro.core.store import ShieldStore
 from repro.errors import AttestationError, KeyNotFoundError, StoreError
 from repro.ext.replication import (
-    CONSISTENCY_LEVELS,
-    CONSISTENCY_ONE,
-    FLAG_TOMBSTONE,
-    LamportClock,
+    Coordinator,
+    PeerUnavailableError,
     is_tombstone,
-    node_origin,
-    pack_record,
+    newer,
     record_version,
-    unpack_record,
 )
 from repro.ext.ring import HashRing
 from repro.sim.attestation import AttestationService
@@ -49,7 +48,12 @@ _VNODES = 64  # virtual nodes per shard on the hash ring
 
 
 class ShardNode:
-    """One cluster member: a machine, an enclave, a store."""
+    """One cluster member: a machine, an enclave, a store.
+
+    Also the coordinator's in-process endpoint: :meth:`vget` and
+    :meth:`replicate` are what a :class:`~repro.ext.replication.PeerLink`
+    answers over the wire, served straight from the bare ``store``.
+    """
 
     def __init__(self, node_id: str, config: StoreConfig, seed: int):
         self.node_id = node_id
@@ -62,8 +66,25 @@ class ShardNode:
     def measurement(self) -> bytes:
         return self.store.enclave.measurement
 
+    def vget(self, key: bytes) -> bytes:
+        """The raw versioned record; ``KeyNotFoundError`` if never seen."""
+        if not self.alive:
+            raise PeerUnavailableError(f"node {self.node_id} is down")
+        return self.store.get(key)
 
-class ShieldCluster:
+    def replicate(self, key: bytes, record: bytes) -> Tuple[bool, int]:
+        """LWW-checked apply; returns (applied, surviving clock)."""
+        try:
+            held: Optional[bytes] = self.vget(key)
+        except KeyNotFoundError:
+            held = None
+        if held is not None and not newer(record, held):
+            return False, record_version(held)[0]
+        self.store.set(key, record)
+        return True, record_version(record)[0]
+
+
+class ShieldCluster(Coordinator):
     """Client-side view of a sharded ShieldStore deployment."""
 
     def __init__(
@@ -81,19 +102,16 @@ class ShieldCluster:
             raise StoreError("replicas must be at least 1")
         if replicas > num_nodes:
             raise StoreError("cannot place more replicas than nodes")
-        if consistency not in CONSISTENCY_LEVELS:
-            raise StoreError(f"unknown consistency level {consistency!r}")
+        # The coordinator is the version authority for every record.
+        super().__init__("cluster-coordinator", consistency)
         self.config = config
         self.attestation = attestation
         self._seed = seed
+        self._joins = 0  # never decreases: a drained node's seed is not reused
         self.replicas = replicas
-        self.consistency = consistency
         self.nodes: Dict[str, ShardNode] = {}
         self._ring = HashRing(_VNODES)
         self.keys_migrated = 0
-        # Coordinator-side version authority for replicated placement.
-        self._clock = LamportClock()
-        self._origin = node_origin("cluster-coordinator")
         for i in range(num_nodes):
             self.add_node(f"node-{i}")
 
@@ -124,16 +142,12 @@ class ShieldCluster:
         """Attest and join a new shard, migrating its ring ranges in."""
         if node_id in self.nodes:
             raise StoreError(f"duplicate node id {node_id!r}")
-        node = ShardNode(node_id, self.config, self._seed + len(self.nodes))
+        node = ShardNode(node_id, self.config, self._seed + self._joins)
+        self._joins += 1
         self._attest(node)
-        old_ring_nonempty = len(self._ring) > 0
         self.nodes[node_id] = node
         self._ring.add(node_id)
-        if old_ring_nonempty:
-            if self.replicas == 1:
-                self._rebalance_into(node)
-            else:
-                self._replace_all()
+        self._place()
         return node
 
     def remove_node(self, node_id: str) -> int:
@@ -148,21 +162,14 @@ class ShieldCluster:
         items = list(node.store.iter_items())
         self._ring.remove(node_id)
         del self.nodes[node_id]
-        if self.replicas == 1:
-            moved = 0
-            for key, value in items:
-                self.owner_of(key).store.set(key, value)
-                moved += 1
-            self.keys_migrated += moved
-            return moved
-        return self._replace_all(extra=items)
+        return self._place(extra=items)
 
     def kill_node(self, node_id: str) -> ShardNode:
         """Lose a node *without* draining it (crash, not decommission).
 
         The node stays on the ring (preference lists are stable), but
-        reads and writes skip it; with ``replicas > 1`` the surviving
-        replicas keep serving the key range.
+        answers nothing; with ``replicas > 1`` the surviving replicas
+        keep serving the key range.
         """
         node = self.nodes.get(node_id)
         if node is None:
@@ -170,222 +177,70 @@ class ShieldCluster:
         node.alive = False
         return node
 
-    def _rebalance_into(self, new_node: ShardNode) -> int:
-        """Move keys whose ring ownership changed to the new shard."""
-        moved = 0
-        for node in list(self.nodes.values()):
-            if node is new_node:
-                continue
-            relocating = [
-                (key, value)
-                for key, value in node.store.iter_items()
-                if self.owner_of(key) is new_node
-            ]
-            for key, value in relocating:
-                new_node.store.set(key, value)
-                node.store.delete(key)
-                moved += 1
-        self.keys_migrated += moved
-        return moved
-
-    def _replace_all(self, extra=()) -> int:
-        """Re-place every replicated record after a membership change.
-
-        LWW-merges all copies (plus ``extra`` records streamed off a
-        drained node), then makes each key present on exactly its
-        preference list.  Quadratic in data size, which matches the
-        migration story: rebalances stream through the trusted client,
-        they are not a data-path operation.
-        """
-        merged: Dict[bytes, bytes] = {}
-
-        def absorb(key: bytes, record: bytes) -> None:
-            current = merged.get(key)
-            if current is None or record_version(record) > record_version(
-                current
-            ):
-                merged[key] = record
-
+    def _survey(self, extra=()):
+        """LWW winner per key over every live shard (plus ``extra``
+        records streamed off a drained node), and who holds each key."""
+        winners: Dict[bytes, bytes] = {}
+        holders: Dict[bytes, List[ShardNode]] = {}
         for node in self.nodes.values():
             if not node.alive:
                 continue
             for key, record in node.store.iter_items():
-                absorb(key, record)
+                holders.setdefault(key, []).append(node)
+                if newer(record, winners.get(key)):
+                    winners[key] = record
         for key, record in extra:
-            absorb(key, record)
+            if newer(record, winners.get(key)):
+                winners[key] = record
+        return winners, holders
+
+    def _place(self, extra=()) -> int:
+        """Re-place every record after a membership change.
+
+        Makes each key's winning record present on exactly its
+        preference list: LWW-applied where it should live (only real
+        copies count as moved), dropped where it no longer should.
+        Linear in data size, which matches the migration story:
+        rebalances stream through the trusted client, they are not a
+        data-path operation.
+        """
+        winners, holders = self._survey(extra)
         moved = 0
-        for key, record in merged.items():
-            targets = {n.node_id for n in self.preference_nodes(key)}
-            for node in self.nodes.values():
-                if not node.alive:
-                    continue
-                try:
-                    held = node.store.get(key)
-                except KeyNotFoundError:
-                    held = None
-                if node.node_id in targets:
-                    if held is None or record_version(held) < record_version(
-                        record
-                    ):
-                        node.store.set(key, record)
-                        moved += 1
-                elif held is not None:
+        for key, record in winners.items():
+            targets = self.preference_nodes(key)
+            for node in targets:
+                if node.alive:
+                    moved += node.replicate(key, record)[0]
+            for node in holders.get(key, ()):
+                if node not in targets:
                     node.store.delete(key)
         self.keys_migrated += moved
         return moved
 
-    # -- data path ---------------------------------------------------------
-    def _checked(self, node: ShardNode) -> ShardNode:
-        if not node.attested:
-            raise AttestationError(f"node {node.node_id} was never attested")
-        return node
-
-    def _checked_owner(self, key: bytes) -> ShardNode:
-        return self._checked(self.owner_of(bytes(key)))
-
-    def _need(self, consistency: Optional[str]) -> Tuple[str, int]:
-        level = consistency if consistency is not None else self.consistency
-        if level not in CONSISTENCY_LEVELS:
-            raise StoreError(f"unknown consistency level {level!r}")
-        need = 1 if level == CONSISTENCY_ONE else self.replicas // 2 + 1
-        return level, need
-
-    def _write_record(
-        self, key: bytes, record: bytes, consistency: Optional[str]
-    ) -> None:
-        _level, need = self._need(consistency)
-        acks = 0
-        for node in self.preference_nodes(key):
-            if not self._checked(node).alive:
-                continue
-            node.store.set(key, record)
-            acks += 1
-        if acks < need:
-            raise StoreError(
-                f"write reached {acks} replica(s), needed {need}"
-            )
-
-    def _read_record(
-        self, key: bytes, consistency: Optional[str]
-    ) -> Optional[bytes]:
-        """LWW winner across the live replica set (read-repairing)."""
-        _level, need = self._need(consistency)
-        replies: List[Tuple[ShardNode, Optional[bytes]]] = []
-        for node in self.preference_nodes(key):
-            if not self._checked(node).alive:
-                continue
-            try:
-                replies.append((node, node.store.get(key)))
-            except KeyNotFoundError:
-                replies.append((node, None))
-        if len(replies) < need:
-            raise StoreError(
-                f"read reached {len(replies)} replica(s), needed {need}"
-            )
-        winner: Optional[bytes] = None
-        for _node, record in replies:
-            if record is None:
-                continue
-            if winner is None or record_version(record) > record_version(winner):
-                winner = record
-        if winner is not None:
-            for node, record in replies:
-                if record is None or record_version(record) < record_version(
-                    winner
-                ):
-                    node.store.set(key, winner)
-        return winner
-
-    def get(self, key: bytes, consistency: Optional[str] = None) -> bytes:
-        key = bytes(key)
-        if self.replicas == 1:
-            return self._checked_owner(key).store.get(key)
-        winner = self._read_record(key, consistency)
-        if winner is None or is_tombstone(winner):
-            raise KeyNotFoundError("no replica has the key")
-        return unpack_record(winner)[3]
-
-    def set(
-        self, key: bytes, value: bytes, consistency: Optional[str] = None
-    ) -> None:
-        key, value = bytes(key), bytes(value)
-        if self.replicas == 1:
-            self._checked_owner(key).store.set(key, value)
-            return
-        record = pack_record(0, self._clock.tick(), self._origin, value)
-        self._write_record(key, record, consistency)
-
-    def delete(self, key: bytes, consistency: Optional[str] = None) -> None:
-        key = bytes(key)
-        if self.replicas == 1:
-            self._checked_owner(key).store.delete(key)
-            return
-        self.get(key, consistency=consistency)  # delete-of-missing raises
-        record = pack_record(FLAG_TOMBSTONE, self._clock.tick(), self._origin, b"")
-        self._write_record(key, record, consistency)
-
-    def append(
-        self, key: bytes, suffix: bytes, consistency: Optional[str] = None
-    ) -> bytes:
-        key, suffix = bytes(key), bytes(suffix)
-        if self.replicas == 1:
-            return self._checked_owner(key).store.append(key, suffix)
-        try:
-            base = self.get(key, consistency=consistency)
-        except KeyNotFoundError:
-            base = b""
-        new_value = base + suffix
-        record = pack_record(0, self._clock.tick(), self._origin, new_value)
-        self._write_record(key, record, consistency)
-        return new_value
-
-    def increment(
-        self, key: bytes, delta: int = 1, consistency: Optional[str] = None
-    ) -> int:
-        key = bytes(key)
-        if self.replicas == 1:
-            return self._checked_owner(key).store.increment(key, delta)
-        try:
-            base = self.get(key, consistency=consistency)
-            new_int = int(base.decode("ascii")) + delta
-        except KeyNotFoundError:
-            new_int = delta
-        except (UnicodeDecodeError, ValueError):
-            raise StoreError("increment target is not an ASCII integer") from None
-        record = pack_record(
-            0, self._clock.tick(), self._origin, str(new_int).encode()
-        )
-        self._write_record(key, record, consistency)
-        return new_int
-
-    def contains(self, key: bytes, consistency: Optional[str] = None) -> bool:
-        if self.replicas == 1:
-            return self._checked_owner(bytes(key)).store.contains(bytes(key))
-        try:
-            self.get(key, consistency=consistency)
-            return True
-        except KeyNotFoundError:
-            return False
+    # -- data path: the Coordinator hooks over ring placement -------------------
+    def _endpoints(self, key: bytes) -> List[ShardNode]:
+        """The key's replica set, each member attested before use."""
+        targets = self.preference_nodes(key)
+        for node in targets:
+            if not node.attested:
+                raise AttestationError(f"node {node.node_id} was never attested")
+        return targets
 
     def __len__(self) -> int:
-        if self.replicas == 1:
-            return sum(len(node.store) for node in self.nodes.values())
-        winners: Dict[bytes, bytes] = {}
-        for node in self.nodes.values():
-            if not node.alive:
-                continue
-            for key, record in node.store.iter_items():
-                current = winners.get(key)
-                if current is None or record_version(record) > record_version(
-                    current
-                ):
-                    winners[key] = record
-        return sum(1 for record in winners.values() if not is_tombstone(record))
+        """Live (non-tombstone) keys, each counted once."""
+        winners, _holders = self._survey()
+        return sum(not is_tombstone(record) for record in winners.values())
 
     # -- introspection ------------------------------------------------------
     def shard_sizes(self) -> Dict[str, int]:
-        """Keys per shard (balance check)."""
-        return {node_id: len(node.store) for node_id, node in self.nodes.items()}
+        """Live keys per shard (balance check)."""
+        return {
+            node_id: sum(
+                not is_tombstone(record)
+                for _key, record in node.store.iter_items()
+            )
+            for node_id, node in self.nodes.items()
+        }
 
     def total_elapsed_us(self) -> float:
         """Busiest shard's simulated time (cluster wall-clock)."""

@@ -39,18 +39,27 @@ Design
   digests, descend only into divergent sets, and LWW-merge their
   contents (a push-pull exchange: one round converges one set on both
   sides).
-* **Consistency levels.**  :class:`ReplicaClient` offers
-  ``consistency={"one", "quorum"}``: QUORUM writes replicate a
-  client-versioned record to every node and require a majority of
-  acks; QUORUM reads collect versioned replies from a majority, pick
-  the LWW winner, and read-repair stale replicas.  W + R > N, so a
-  QUORUM read always observes an acked QUORUM write across any single
-  node failure.  Per-replica calls reuse the TCP client's
-  retry/deadline/backoff machinery unchanged.
+* **One data path, two consistency levels.**  :class:`VersionedVerbs`
+  writes the store verbs once, as read-modify-write over two hooks:
+  ``_read`` (the key's winning record) and ``_commit`` (make a freshly
+  minted record durable).  :class:`ReplicatedStore` implements them as
+  a local read and a local write-then-enqueue under its mutex;
+  :class:`Coordinator` as quorum collect → LWW → read-repair and
+  replicate-to-all → count acks, over any endpoint that answers
+  ``replicate``/``vget`` (:class:`ReplicaClient` over attested
+  :class:`PeerLink` s, :class:`~repro.ext.cluster.ShieldCluster` over
+  in-process shards), at ``consistency={"one", "quorum"}``: one ack or
+  a majority per write, the first reachable reply or a majority per
+  read.  W + R > N, so a QUORUM read always observes an acked QUORUM
+  write across any single node failure.  :func:`newer` is the only LWW
+  comparison and :func:`need` the only quorum arithmetic; per-replica
+  calls reuse the TCP client's retry/deadline/backoff machinery
+  unchanged.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import hmac
 import os
@@ -58,7 +67,8 @@ import queue
 import struct
 import threading
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, ContextManager, Dict, Iterator, List
+from typing import Optional, Sequence, Tuple
 
 from repro.core.stats import StoreStats
 from repro.crypto.keys import derive_key
@@ -78,6 +88,7 @@ RECORD_OVERHEAD = _RECORD.size
 CONSISTENCY_ONE = "one"
 CONSISTENCY_QUORUM = "quorum"
 CONSISTENCY_LEVELS = (CONSISTENCY_ONE, CONSISTENCY_QUORUM)
+Level = Optional[str]  # a per-call consistency level; None = the default
 
 # OP_SYNC sub-operations, carried in the request's key field.
 SYNC_KIND_DIGESTS = b"digests"
@@ -112,6 +123,26 @@ def record_version(raw: bytes) -> Tuple[int, int]:
 
 def is_tombstone(raw: bytes) -> bool:
     return bool(unpack_record(raw)[0] & FLAG_TOMBSTONE)
+
+
+def live_payload(record: Optional[bytes]) -> Optional[bytes]:
+    """What a reader sees: ``None`` for a never-seen or deleted key."""
+    if record is None or is_tombstone(record):
+        return None
+    return record[RECORD_OVERHEAD:]
+
+
+def newer(record: bytes, than: Optional[bytes]) -> bool:
+    """The LWW rule, stated once: a record wins iff its ``(clock,
+    origin)`` is strictly greater; any record beats no record."""
+    return than is None or record_version(record) > record_version(than)
+
+
+def need(level: str, width: int) -> int:
+    """Replies (or acks) ``level`` demands of a ``width``-replica set."""
+    if level not in CONSISTENCY_LEVELS:
+        raise StoreError(f"unknown consistency level {level!r}")
+    return 1 if level == CONSISTENCY_ONE else width // 2 + 1
 
 
 def node_origin(name: str) -> int:
@@ -176,10 +207,6 @@ class HintedHandoff:
         """Return a hint whose delivery failed to the queue head."""
         with self._mutex:
             self._queues.setdefault(peer_id, deque()).appendleft(item)
-
-    def __len__(self) -> int:
-        with self._mutex:
-            return sum(len(q) for q in self._queues.values())
 
 
 class PeerLink:
@@ -293,15 +320,147 @@ class PeerLink:
             self._drop_client()
 
 
-class ReplicatedStore:
+class VersionedVerbs:
+    """The store verbs, written once over versioned records.
+
+    Every verb is a read-modify-write over two hooks: :meth:`_read`
+    returns the key's winning record (tombstones included; ``None`` for
+    a never-seen key) and :meth:`_commit` makes a freshly minted record
+    durable wherever the implementer keeps its copies.  ``consistency``
+    rides through to the hooks untouched: a coordinator turns it into a
+    reply/ack target, a node serving its own copy has no replica set to
+    wait for and does not consult it.
+
+    :meth:`_atomic` brackets each read-modify-write.  A node makes it
+    its mutex, so served append/increment/compare_and_swap are atomic;
+    a client-side coordinator has nothing to hold across replicas, so
+    there the same verbs are read-*then*-write (a concurrent writer can
+    slip in between, and LWW decides).
+    """
+
+    origin: int
+    clock: LamportClock
+
+    # -- the hooks -----------------------------------------------------------
+    def _read(self, key: bytes, consistency: Level) -> Optional[bytes]:
+        raise NotImplementedError
+
+    def _commit(self, key: bytes, record: bytes, old: Optional[bytes],
+                consistency: Level) -> None:
+        """Persist ``record``; ``old`` is the record the verb read, or
+        ``None`` when it found none or (a blind ``set``) did not look."""
+        raise NotImplementedError
+
+    def _atomic(self) -> ContextManager:
+        return contextlib.nullcontext()
+
+    # -- the one read-modify-write -------------------------------------------
+    def _mint(self, flags: int, payload: bytes) -> bytes:
+        return pack_record(flags, self.clock.tick(), self.origin, payload)
+
+    def _update(self, key: bytes, consistency: Level,
+                change: Callable[[Optional[bytes]], bytes],
+                flags: int = 0) -> bytes:
+        """Write ``change(current live value)``; returns what it wrote."""
+        key = bytes(key)
+        with self._atomic():
+            old = self._read(key, consistency)
+            payload = change(live_payload(old))
+            self._commit(key, self._mint(flags, payload), old, consistency)
+        return payload
+
+    @staticmethod
+    def _present(current: Optional[bytes]) -> bytes:
+        if current is None:
+            raise KeyNotFoundError("no such key (versioned store)")
+        return current
+
+    # -- single-key verbs ------------------------------------------------------
+    def get(self, key: bytes, consistency: Level = None) -> bytes:
+        return self._present(live_payload(self._read(bytes(key), consistency)))
+
+    def contains(self, key: bytes, consistency: Level = None) -> bool:
+        return live_payload(self._read(bytes(key), consistency)) is not None
+
+    def set(self, key: bytes, value: bytes, consistency: Level = None) -> None:
+        """Blind write: mints a version without reading the old one."""
+        with self._atomic():
+            record = self._mint(0, bytes(value))
+            self._commit(bytes(key), record, None, consistency)
+
+    def delete(self, key: bytes, consistency: Level = None) -> None:
+        """Write a tombstone; delete-of-missing raises, so it reads first."""
+        def bury(current: Optional[bytes]) -> bytes:
+            self._present(current)
+            return b""
+
+        self._update(key, consistency, bury, FLAG_TOMBSTONE)
+
+    def append(self, key: bytes, suffix: bytes,
+               consistency: Level = None) -> bytes:
+        suffix = bytes(suffix)
+        return self._update(
+            key, consistency, lambda current: (current or b"") + suffix
+        )
+
+    def increment(self, key: bytes, delta: int = 1,
+                  consistency: Level = None) -> int:
+        def add(current: Optional[bytes]) -> bytes:
+            try:
+                base = 0 if current is None else int(current.decode("ascii"))
+            except (UnicodeDecodeError, ValueError):
+                raise StoreError(
+                    "increment target is not an ASCII integer"
+                ) from None
+            return str(base + delta).encode()
+
+        return int(self._update(key, consistency, add))
+
+    def compare_and_swap(self, key: bytes, expected: bytes, new_value: bytes,
+                         consistency: Level = None) -> bool:
+        key = bytes(key)
+        with self._atomic():
+            old = self._read(key, consistency)
+            if self._present(live_payload(old)) != bytes(expected):
+                return False
+            record = self._mint(0, bytes(new_value))
+            self._commit(key, record, old, consistency)
+        return True
+
+    # -- batched verbs ---------------------------------------------------------
+    def multi_get(self, keys, consistency: Level = None) -> dict:
+        return {
+            bytes(key): live_payload(self._read(bytes(key), consistency))
+            for key in keys
+        }
+
+    def multi_set(self, items, consistency: Level = None) -> None:
+        if isinstance(items, dict):
+            items = items.items()
+        for key, value in items:
+            self.set(key, value, consistency)
+
+    def multi_delete(self, keys, consistency: Level = None) -> dict:
+        out = {}
+        for key in keys:
+            try:
+                self.delete(key, consistency)
+                out[bytes(key)] = True
+            except KeyNotFoundError:
+                out[bytes(key)] = False
+        return out
+
+
+class ReplicatedStore(VersionedVerbs):
     """A ShieldStore that replicates its mutations to peer nodes.
 
     Wraps one :class:`~repro.core.store.ShieldStore` built with the
     *group* master secret (so bucket-set geometry agrees across the
-    group) and stores every value as a versioned record.  Exposes the
-    full store API the request dispatcher expects, plus the replication
-    verbs served over the wire: :meth:`apply_remote` (``OP_REPLICATE``)
-    and :meth:`serve_sync` (``OP_SYNC``).
+    group) and stores every value as a versioned record.  The store
+    API the request dispatcher expects is :class:`VersionedVerbs` over
+    this node's own copy; on top come the replication verbs served over
+    the wire: :meth:`apply_remote` (``OP_REPLICATE``) and
+    :meth:`serve_sync` (``OP_SYNC``).
 
     Fan-out runs on a background replicator thread — never while the
     request executor holds the server's store gate — so two nodes
@@ -336,7 +495,6 @@ class ReplicatedStore:
         # Replicator thread state.
         self._queue: "queue.Queue" = queue.Queue()
         self._stop = threading.Event()
-        self._sync_interval_s: Optional[float] = None
         self._thread: Optional[threading.Thread] = None
 
     # -- plumbing the dispatcher expects -------------------------------------
@@ -373,12 +531,29 @@ class ReplicatedStore:
         with self._mutex:
             return self.inner.count - self._tombstones
 
-    # -- local record plumbing ----------------------------------------------
-    def _read_record(self, key: bytes) -> Optional[bytes]:
-        try:
-            return self.inner.get(key)
-        except KeyNotFoundError:
-            return None
+    # -- the VersionedVerbs hooks: this node's own copy ------------------------
+    def _read(self, key: bytes, consistency: Level = None) -> Optional[bytes]:
+        with self._mutex:
+            try:
+                return self.inner.get(key)
+            except KeyNotFoundError:
+                return None
+
+    def _commit(self, key: bytes, record: bytes, old: Optional[bytes],
+                consistency: Level = None) -> None:
+        """Local write, then queue the record for fan-out."""
+        if old is None:  # a blind set, or a verb that found nothing:
+            old = self._read(key)  # the tombstone count needs the truth
+        self._write_record(key, record, old)
+        if self.peers:
+            self._queue.put((key, record))
+
+    @contextlib.contextmanager
+    def _atomic(self) -> Iterator[None]:
+        with self._mutex:
+            yield
+        if self._thread is None and self.peers:
+            self._drain_queue()  # synchronous mode: fan out off the mutex
 
     def _write_record(self, key: bytes, record: bytes,
                       old: Optional[bytes]) -> None:
@@ -398,129 +573,18 @@ class ReplicatedStore:
             self.repl_stats, name, getattr(self.repl_stats, name) + amount
         )
 
-    # -- client-facing mutators (versioned, fanned out) -----------------------
-    def set(self, key: bytes, value: bytes) -> None:
-        key, value = bytes(key), bytes(value)
-        with self._mutex:
-            old = self._read_record(key)
-            record = pack_record(0, self.clock.tick(), self.origin, value)
-            self._write_record(key, record, old)
-        self._enqueue(key, record)
-
-    def delete(self, key: bytes) -> None:
-        key = bytes(key)
-        with self._mutex:
-            old = self._read_record(key)
-            if old is None or is_tombstone(old):
-                raise KeyNotFoundError("no such key (replicated delete)")
-            record = pack_record(
-                FLAG_TOMBSTONE, self.clock.tick(), self.origin, b""
-            )
-            self._write_record(key, record, old)
-        self._enqueue(key, record)
-
-    def get(self, key: bytes) -> bytes:
-        with self._mutex:
-            record = self._read_record(bytes(key))
-        if record is None or is_tombstone(record):
-            raise KeyNotFoundError("no such key (replicated get)")
-        return unpack_record(record)[3]
-
     def get_versioned(self, key: bytes) -> bytes:
         """The raw versioned record — tombstones included (``vget``)."""
-        with self._mutex:
-            record = self._read_record(bytes(key))
+        record = self._read(bytes(key))
         if record is None:
             raise KeyNotFoundError("no such key (vget)")
         return record
 
-    def append(self, key: bytes, suffix: bytes) -> bytes:
-        key, suffix = bytes(key), bytes(suffix)
-        with self._mutex:
-            old = self._read_record(key)
-            base = b"" if old is None or is_tombstone(old) else (
-                unpack_record(old)[3]
-            )
-            new_value = base + suffix
-            record = pack_record(0, self.clock.tick(), self.origin, new_value)
-            self._write_record(key, record, old)
-        self._enqueue(key, record)
-        return new_value
-
-    def increment(self, key: bytes, delta: int = 1) -> int:
-        key = bytes(key)
-        with self._mutex:
-            old = self._read_record(key)
-            if old is None or is_tombstone(old):
-                new_int = delta
-            else:
-                payload = unpack_record(old)[3]
-                try:
-                    new_int = int(payload.decode("ascii")) + delta
-                except (UnicodeDecodeError, ValueError):
-                    raise StoreError(
-                        "increment target is not an ASCII integer"
-                    ) from None
-            record = pack_record(
-                0, self.clock.tick(), self.origin, str(new_int).encode()
-            )
-            self._write_record(key, record, old)
-        self._enqueue(key, record)
-        return new_int
-
-    def compare_and_swap(
-        self, key: bytes, expected: bytes, new_value: bytes
-    ) -> bool:
-        key = bytes(key)
-        with self._mutex:
-            old = self._read_record(key)
-            if old is None or is_tombstone(old):
-                raise KeyNotFoundError("no such key (replicated cas)")
-            if unpack_record(old)[3] != bytes(expected):
-                return False
-            record = pack_record(
-                0, self.clock.tick(), self.origin, bytes(new_value)
-            )
-            self._write_record(key, record, old)
-        self._enqueue(key, record)
-        return True
-
-    def contains(self, key: bytes) -> bool:
-        try:
-            self.get(key)
-            return True
-        except KeyNotFoundError:
-            return False
-
-    # -- batched ops ----------------------------------------------------------
-    def multi_get(self, keys) -> dict:
-        out = {}
-        for key in keys:
-            try:
-                out[bytes(key)] = self.get(key)
-            except KeyNotFoundError:
-                out[bytes(key)] = None
-        return out
-
-    def multi_set(self, items) -> None:
-        if isinstance(items, dict):
-            items = items.items()
-        for key, value in items:
-            self.set(key, value)
-
-    def multi_delete(self, keys) -> dict:
-        out = {}
-        for key in keys:
-            try:
-                self.delete(key)
-                out[bytes(key)] = True
-            except KeyNotFoundError:
-                out[bytes(key)] = False
-        return out
-
     # -- replication receive path (OP_REPLICATE) ------------------------------
-    def apply_remote(self, key: bytes, raw_record: bytes) -> Tuple[bool, int]:
-        """LWW-apply a record pushed by a peer or client coordinator.
+    def apply_remote(self, key: bytes, raw_record: bytes,
+                     counter: str = "replicated_in") -> Tuple[bool, int]:
+        """LWW-apply a record pushed by a peer, a client coordinator or
+        (counted as ``sync_keys_repaired``) an anti-entropy exchange.
 
         Returns ``(applied, node_clock)``; strictly-older (or equal)
         records are no-ops, which makes retried replication idempotent.
@@ -529,23 +593,14 @@ class ReplicatedStore:
         version = record_version(raw_record)  # validates the record too
         with self._mutex:
             node_clock = self.clock.witness(version[0])
-            applied = self._apply_record_locked(key, raw_record, version)
-        if applied:
-            self._bump("replicated_in")
+            old = self._read(key)
+            applied = newer(raw_record, old)
+            if applied:
+                self._write_record(key, raw_record, old)
+                self._bump(counter)
+            elif old is not None and record_version(old) != version:
+                self._bump("replication_conflicts")
         return applied, node_clock
-
-    def _apply_record_locked(
-        self, key: bytes, raw_record: bytes, version: Tuple[int, int]
-    ) -> bool:
-        old = self._read_record(key)
-        if old is not None:
-            old_version = record_version(old)
-            if version <= old_version:
-                if version != old_version:
-                    self._bump("replication_conflicts")
-                return False
-        self._write_record(key, raw_record, old)
-        return True
 
     # -- anti-entropy (OP_SYNC) ------------------------------------------------
     def _set_digest_locked(self, set_id: int) -> bytes:
@@ -590,11 +645,7 @@ class ReplicatedStore:
             if set_id >= self._num_sets:
                 raise ProtocolError(f"sync set id {set_id} out of range")
             for key, record in decode_multi_items(value[4:]):
-                version = record_version(record)
-                with self._mutex:
-                    self.clock.witness(version[0])
-                    if self._apply_record_locked(key, record, version):
-                        self._bump("sync_keys_repaired")
+                self.apply_remote(key, record, "sync_keys_repaired")
             with self._mutex:
                 items = list(self.inner.iter_set_items(set_id))
             return encode_multi_items(items)
@@ -625,11 +676,7 @@ class ReplicatedStore:
             with self._mutex:
                 items = list(self.inner.iter_set_items(set_id))
             for key, record in link.sync_set(set_id, items):
-                version = record_version(record)
-                with self._mutex:
-                    self.clock.witness(version[0])
-                    if self._apply_record_locked(key, record, version):
-                        self._bump("sync_keys_repaired")
+                self.apply_remote(key, record, "sync_keys_repaired")
         return len(diverged)
 
     # -- peer membership -------------------------------------------------------
@@ -651,16 +698,8 @@ class ReplicatedStore:
         return link
 
     # -- write-through fan-out -------------------------------------------------
-    def _enqueue(self, key: bytes, record: bytes) -> None:
-        """Queue a mutation for fan-out (applied locally already)."""
-        if self.peers:
-            self._queue.put((key, record))
-            if self._thread is None:
-                self._drain_queue()  # synchronous mode (no thread started)
-
-    def _deliver(self, key: bytes, record: bytes) -> int:
+    def _deliver(self, key: bytes, record: bytes) -> None:
         """Write-through one record to every peer; hint the dead ones."""
-        acks = 0
         for peer_id, link in self.peers.items():
             if not link.alive and self.handoff.pending(peer_id):
                 # Already backed up: keep ordering, queue behind.
@@ -669,23 +708,26 @@ class ReplicatedStore:
                 continue
             try:
                 link.replicate(key, record)
-                acks += 1
                 self._bump("replicated_out")
             except PeerUnavailableError:
                 self.handoff.push(peer_id, key, record)
                 self._bump("hints_queued")
-        return acks
+
+    def _deliver_next(self, timeout_s: float) -> bool:
+        """Fan out the next queued record; False if none came in time."""
+        try:
+            key, record = self._queue.get(timeout=timeout_s)
+        except queue.Empty:
+            return False
+        try:
+            self._deliver(key, record)
+        finally:
+            self._queue.task_done()
+        return True
 
     def _drain_queue(self) -> None:
-        while True:
-            try:
-                key, record = self._queue.get_nowait()
-            except queue.Empty:
-                return
-            try:
-                self._deliver(key, record)
-            finally:
-                self._queue.task_done()
+        while self._deliver_next(0.0):
+            pass
 
     def _retry_hints(self) -> None:
         """Deliver queued hints to peers that answer again."""
@@ -724,28 +766,19 @@ class ReplicatedStore:
         """Start background fan-out (and periodic anti-entropy)."""
         if self._thread is not None:
             return
-        self._sync_interval_s = anti_entropy_interval_s
         self._stop.clear()
         self._thread = threading.Thread(
             target=self._replicator_loop,
+            args=(anti_entropy_interval_s,),
             name=f"shieldstore-repl-{self.node_id}",
             daemon=True,
         )
         self._thread.start()
 
-    def _replicator_loop(self) -> None:
-        interval = self._sync_interval_s
+    def _replicator_loop(self, interval: Optional[float]) -> None:
         budget = interval if interval is not None else 0.0
         while not self._stop.is_set():
-            try:
-                key, record = self._queue.get(timeout=0.05)
-            except queue.Empty:
-                pass
-            else:
-                try:
-                    self._deliver(key, record)
-                finally:
-                    self._queue.task_done()
+            self._deliver_next(0.05)
             if interval is not None:
                 budget -= 0.05
                 if budget <= 0.0:
@@ -764,28 +797,105 @@ class ReplicatedStore:
         for link in self.peers.values():
             link.close()
 
-    # -- introspection ---------------------------------------------------------
-    def iter_live_items(self) -> Iterable[Tuple[bytes, bytes]]:
-        """Verified (key, payload) pairs, tombstones skipped."""
-        with self._mutex:
-            items = list(self.inner.iter_items())
-        for key, record in items:
-            flags, _clock, _origin, payload = unpack_record(record)
-            if not flags & FLAG_TOMBSTONE:
-                yield key, payload
+
+class Coordinator(VersionedVerbs):
+    """Client-side quorum coordinator: the hooks over a replica set.
+
+    Works over any endpoint that answers ``vget(key)`` (the raw record;
+    ``KeyNotFoundError`` for a never-seen key) and ``replicate(key,
+    record) -> (applied, clock)``, and raises
+    :class:`PeerUnavailableError` when it is down.  Subclasses supply
+    placement — :meth:`_endpoints` names the key's replica set — and
+    the coordinator mints ``(clock, origin)`` versions of its own.  A
+    write goes to the **whole** set and the consistency level is the
+    number of acks required (1, or a majority); a QUORUM read collects
+    the set's versioned replies, returns the LWW winner and
+    read-repairs stale replicas; a ONE read takes the first reachable
+    reply.  ``replicas=1`` is the same path with a one-endpoint set.
+    """
+
+    def __init__(self, name: str, consistency: str):
+        need(consistency, 1)  # validates the default level
+        self.consistency = consistency
+        self.name = name
+        self.origin = node_origin(name)
+        self.clock = LamportClock()
+        self.stats = StoreStats()
+
+    def _endpoints(self, key: bytes) -> Sequence:
+        raise NotImplementedError
+
+    def _plan(self, key: bytes, consistency: Level) -> Tuple[str, Sequence, int]:
+        """The level in force, the key's replica set, and its target."""
+        level = consistency if consistency is not None else self.consistency
+        endpoints = self._endpoints(key)
+        return level, endpoints, need(level, len(endpoints))
+
+    def _missed(self, what: str, got: int, width: int,
+                needed: int) -> StoreError:
+        self.stats.quorum_failures += 1
+        return StoreError(
+            f"{what} reached {got} of {width} replicas (needed {needed})"
+        )
+
+    def _read(self, key: bytes, consistency: Level) -> Optional[bytes]:
+        level, endpoints, needed = self._plan(key, consistency)
+        replies: List[Tuple[Any, Optional[bytes]]] = []
+        for endpoint in endpoints:
+            try:
+                replies.append((endpoint, endpoint.vget(key)))
+            except KeyNotFoundError:
+                replies.append((endpoint, None))  # alive, never saw the key
+            except PeerUnavailableError:
+                continue
+            if level == CONSISTENCY_ONE:
+                break  # the first reachable replica answers
+        if len(replies) < needed:
+            raise self._missed("read", len(replies), len(endpoints), needed)
+        if level == CONSISTENCY_QUORUM:
+            self.stats.quorum_reads += 1
+        winner: Optional[bytes] = None
+        for _endpoint, record in replies:
+            if record is not None and newer(record, winner):
+                winner = record
+        if winner is None:
+            return None
+        self.clock.witness(record_version(winner)[0])
+        # Read-repair: push the winner to stale or empty replicas.
+        for endpoint, record in replies:
+            if newer(winner, record):
+                try:
+                    endpoint.replicate(key, winner)
+                    self.stats.read_repairs += 1
+                except PeerUnavailableError:
+                    continue
+        return winner
+
+    def _commit(self, key: bytes, record: bytes, old: Optional[bytes],
+                consistency: Level) -> None:
+        """Push the record to every replica; count acks against the level."""
+        _level, endpoints, needed = self._plan(key, consistency)
+        acks = 0
+        for endpoint in endpoints:
+            try:
+                _applied, peer_clock = endpoint.replicate(key, record)
+            except PeerUnavailableError:
+                continue
+            self.clock.witness(peer_clock)
+            acks += 1
+        if acks < needed:
+            raise self._missed("write", acks, len(endpoints), needed)
+        self.stats.quorum_writes += 1
 
 
-class ReplicaClient:
+class ReplicaClient(Coordinator):
     """Replica-aware client with ``consistency={"one", "quorum"}``.
 
-    Holds one attested link per replica.  Writes mint a client-side
-    ``(clock, origin)`` version and push the record to **every**
-    replica as ``OP_REPLICATE``; the consistency level is the number of
-    acks required (1, or a majority).  Reads at QUORUM collect
-    versioned replies from a majority, return the LWW winner and
-    read-repair stale replicas; reads at ONE take the first reachable
-    reply.  Every per-replica call runs through the TCP client's
-    existing retry/deadline/backoff machinery.
+    The :class:`Coordinator` over one attested :class:`PeerLink` per
+    replica; every key's replica set is every link (full copies), and
+    records travel as ``OP_REPLICATE``/``OP_VGET`` frames.  Every
+    per-replica call runs through the TCP client's existing
+    retry/deadline/backoff machinery.
     """
 
     def __init__(
@@ -799,15 +909,9 @@ class ReplicaClient:
         request_deadline_s: float = 5.0,
         max_retries: int = 1,
     ):
-        if consistency not in CONSISTENCY_LEVELS:
-            raise StoreError(f"unknown consistency level {consistency!r}")
         if not replicas:
             raise StoreError("a replica client needs at least one replica")
-        self.consistency = consistency
-        self.name = name
-        self.origin = node_origin(name)
-        self.clock = LamportClock()
-        self.stats = StoreStats()
+        super().__init__(name, consistency)
         self.links: List[PeerLink] = [
             PeerLink(
                 name, node_id, address, attestation, expected_measurement,
@@ -818,121 +922,8 @@ class ReplicaClient:
             for node_id, address in replicas
         ]
 
-    # -- helpers ---------------------------------------------------------------
-    def _need(self, consistency: Optional[str]) -> Tuple[str, int]:
-        level = consistency if consistency is not None else self.consistency
-        if level not in CONSISTENCY_LEVELS:
-            raise StoreError(f"unknown consistency level {level!r}")
-        need = 1 if level == CONSISTENCY_ONE else len(self.links) // 2 + 1
-        return level, need
-
-    def _replicate_all(self, key: bytes, record: bytes, need: int) -> int:
-        """Push a record to every replica; returns the ack count."""
-        acks = 0
-        for link in self.links:
-            try:
-                _applied, peer_clock = link.replicate(key, record)
-                self.clock.witness(peer_clock)
-                acks += 1
-            except PeerUnavailableError:
-                continue
-        if acks < need:
-            self.stats.quorum_failures += 1
-            raise StoreError(
-                f"write reached {acks} of {len(self.links)} replicas "
-                f"(needed {need})"
-            )
-        return acks
-
-    # -- writes ----------------------------------------------------------------
-    def set(self, key: bytes, value: bytes,
-            consistency: Optional[str] = None) -> None:
-        _level, need = self._need(consistency)
-        record = pack_record(0, self.clock.tick(), self.origin, bytes(value))
-        self._replicate_all(bytes(key), record, need)
-        self.stats.quorum_writes += 1
-
-    def delete(self, key: bytes, consistency: Optional[str] = None) -> None:
-        level, need = self._need(consistency)
-        # Read at the same level first: delete-of-missing must raise.
-        self.get(key, consistency=level)
-        record = pack_record(
-            FLAG_TOMBSTONE, self.clock.tick(), self.origin, b""
-        )
-        self._replicate_all(bytes(key), record, need)
-        self.stats.quorum_writes += 1
-
-    # -- reads -----------------------------------------------------------------
-    def _collect_versions(
-        self, key: bytes, need: int
-    ) -> List[Tuple[PeerLink, Optional[bytes]]]:
-        """Versioned replies from at least ``need`` live replicas."""
-        replies: List[Tuple[PeerLink, Optional[bytes]]] = []
-        for link in self.links:
-            try:
-                replies.append((link, link.vget(key)))
-            except KeyNotFoundError:
-                replies.append((link, None))  # alive, never saw the key
-            except PeerUnavailableError:
-                continue
-        if len(replies) < need:
-            self.stats.quorum_failures += 1
-            raise StoreError(
-                f"read reached {len(replies)} of {len(self.links)} "
-                f"replicas (needed {need})"
-            )
-        return replies
-
-    def get(self, key: bytes, consistency: Optional[str] = None) -> bytes:
-        level, need = self._need(consistency)
-        key = bytes(key)
-        if level == CONSISTENCY_ONE:
-            return self._get_one(key)
-        replies = self._collect_versions(key, need)
-        self.stats.quorum_reads += 1
-        winner: Optional[bytes] = None
-        for _link, record in replies:
-            if record is None:
-                continue
-            if winner is None or record_version(record) > record_version(winner):
-                winner = record
-        if winner is None:
-            raise KeyNotFoundError("no replica has the key")
-        self.clock.witness(record_version(winner)[0])
-        # Read-repair: push the winner to stale or empty replicas.
-        for link, record in replies:
-            if record is None or record_version(record) < record_version(winner):
-                try:
-                    link.replicate(key, winner)
-                    self.stats.read_repairs += 1
-                except PeerUnavailableError:
-                    continue
-        if is_tombstone(winner):
-            raise KeyNotFoundError("key is deleted (tombstone wins)")
-        return unpack_record(winner)[3]
-
-    def _get_one(self, key: bytes) -> bytes:
-        last_error: Optional[Exception] = None
-        for link in self.links:
-            try:
-                record = link.vget(key)
-            except KeyNotFoundError:
-                raise
-            except PeerUnavailableError as exc:
-                last_error = exc
-                continue
-            if is_tombstone(record):
-                raise KeyNotFoundError("key is deleted (tombstone)")
-            self.clock.witness(record_version(record)[0])
-            return unpack_record(record)[3]
-        raise StoreError("no replica reachable for read") from last_error
-
-    def contains(self, key: bytes, consistency: Optional[str] = None) -> bool:
-        try:
-            self.get(key, consistency=consistency)
-            return True
-        except KeyNotFoundError:
-            return False
+    def _endpoints(self, key: bytes) -> Sequence[PeerLink]:
+        return self.links
 
     def close(self) -> None:
         for link in self.links:
@@ -1067,21 +1058,9 @@ class ReplicationGroup:
         The revived replica holds nothing; peers' hinted handoff and
         the anti-entropy exchange are what refill it.
         """
-        from repro.core.store import ShieldStore
-        from repro.net.tcp import TCPShieldServer
-
-        node = self.nodes[node_id]
-        if node.alive:
+        if self.nodes[node_id].alive:
             raise StoreError(f"node {node_id!r} is still alive")
-        inner = ShieldStore(self.config, master_secret=self.master_secret)
-        node.store = ReplicatedStore(
-            inner, node_id, max_hints_per_peer=self.max_hints_per_peer
-        )
-        node.server = TCPShieldServer(
-            node.store, self.attestation, **self.server_kwargs
-        )
-        node.server.start()
-        node.alive = True
+        node = self._build_node(node_id)
         for peer in self.nodes.values():
             if peer is node:
                 continue
@@ -1118,8 +1097,5 @@ class ReplicationGroup:
         return len(digests) == 1
 
     def close(self) -> None:
-        for node in self.nodes.values():
-            if node.alive:
-                node.store.close()
-                node.server.close(drain=False)
-                node.alive = False
+        for node in self.live_nodes():
+            self.kill(node.node_id)

@@ -26,6 +26,7 @@ import hmac
 from typing import Dict, List, Optional
 
 from repro.errors import RollbackError
+from repro.ext.replication import CONSISTENCY_QUORUM, need
 from repro.sim.enclave import Enclave, ExecContext, Machine
 
 _REPLICA_MEASUREMENT = bytes([0xCE]) * 32
@@ -84,7 +85,7 @@ class RoteCounterService:
         self.replicas: List[CounterReplica] = [
             CounterReplica(i, group_secret, seed) for i in range(num_replicas)
         ]
-        self.quorum = num_replicas // 2 + 1
+        self.quorum = need(CONSISTENCY_QUORUM, num_replicas)
         self._local: Dict[str, int] = {}
 
     # -- MonotonicCounterService API ----------------------------------------

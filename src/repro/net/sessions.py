@@ -23,7 +23,13 @@ from repro.crypto.keys import derive_key
 from repro.crypto.suite import make_suite
 from repro.errors import ProtocolError
 from repro.net.message import SecureChannel
-from repro.sim.attestation import AttestationService, DHKeyPair
+from repro.sim.attestation import (
+    AttestationService,
+    DHKeyPair,
+    handshake_accept,
+    handshake_finish,
+    handshake_offer,
+)
 from repro.sim.enclave import Enclave, ExecContext
 from repro.sim.sdk import sgx_read_rand
 
@@ -74,14 +80,13 @@ class SessionManager:
         """
         if len(self._sessions) >= self.max_sessions:
             self._expire_idle(ctx, force_oldest=True)
-        server_dh = DHKeyPair(sgx_read_rand(ctx, 32))
-        report = hashlib.sha256(server_dh.public.to_bytes(256, "big")).digest()
-        quote = self.attestation.quote(ctx, self.enclave, report)
-        # Client side: verify before keying anything.
-        self.attestation.verify(quote, self.enclave.measurement)
-        client_dh = DHKeyPair(client_entropy)
-        shared_server = server_dh.shared_secret(client_dh.public)
-        shared_client = client_dh.shared_secret(server_dh.public)
+        server_dh, quote = handshake_offer(self.attestation, ctx, self.enclave)
+        # Client side: verify (quote and key binding) before keying anything.
+        client_public, shared_client = handshake_accept(
+            self.attestation, quote, server_dh.public_bytes,
+            self.enclave.measurement, client_entropy,
+        )
+        shared_server = handshake_finish(server_dh, client_public)
         session_id = self._next_id
         self._next_id += 1
         server_channel = self._derive_channel(shared_server, session_id, "server")

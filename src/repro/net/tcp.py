@@ -96,9 +96,12 @@ from repro.sim import faults
 from repro.sim.attestation import (
     AttestationService,
     DHKeyPair,
+    Quote,
     derive_session_suite,
+    handshake_accept,
+    handshake_finish,
+    handshake_offer,
 )
-from repro.sim.sdk import sgx_read_rand
 
 _LEN = struct.Struct("<I")
 
@@ -628,16 +631,13 @@ class TCPShieldServer:
         key, whose hash becomes the client identity keying the
         idempotency cache (stable across re-attested reconnects).
         """
-        import hashlib
-
-        ctx = self.store.enclave.context()
-        conn.dh = DHKeyPair(sgx_read_rand(ctx, 32))
-        pub_bytes = conn.dh.public.to_bytes(256, "big")
-        quote = self.attestation.quote(
-            ctx, self.store.enclave, hashlib.sha256(pub_bytes).digest()
+        enclave = self.store.enclave
+        conn.dh, quote = handshake_offer(
+            self.attestation, enclave.context(), enclave
         )
         return (
-            quote.measurement + quote.signature + quote.report_data + pub_bytes
+            quote.measurement + quote.signature + quote.report_data
+            + conn.dh.public_bytes
         )
 
     def _finish_handshake(self, conn: _Conn, client_pub_raw: bytes) -> None:
@@ -645,8 +645,7 @@ class TCPShieldServer:
 
         if conn.dh is None:
             raise ProtocolError("handshake reply before quote was sent")
-        client_pub = int.from_bytes(client_pub_raw, "big")
-        suite = derive_session_suite(conn.dh.shared_secret(client_pub))
+        suite = derive_session_suite(handshake_finish(conn.dh, client_pub_raw))
         conn.dh = None
         conn.client_id = hashlib.sha256(client_pub_raw).digest()
         conn.channel = SecureChannel(suite, "server")
@@ -1075,7 +1074,8 @@ class TCPShieldClient(StoreVerbs):
     retried on transport faults (timeout, reset, truncated or
     unauthenticated frames) and on transient server errors; attestation
     failures are never retried — a server that fails the measurement
-    check is not a degraded peer, it is the adversary.
+    check, or whose quote does not cover the DH key it offers, is not a
+    degraded peer, it is the adversary.
 
     ``stats`` (a :class:`~repro.core.stats.StoreStats`) counts retries,
     reconnects and timeouts on the client side.
@@ -1159,33 +1159,20 @@ class TCPShieldClient(StoreVerbs):
             self._sock = None
 
     def _handshake(self) -> SecureChannel:
-        import hashlib
-        from hmac import compare_digest
-
-        from repro.sim.attestation import Quote
-
         assert self._sock is not None
         frame = self._recv()
         if frame is None or len(frame) < 32 + 32 + 32 + 256:
             raise ProtocolError("handshake frame truncated")
-        measurement = frame[:32]
-        signature = frame[32:64]
-        report_data = frame[64:96]
-        pub_bytes = frame[96:]
-        quote = Quote(measurement, report_data, signature)
-        self.attestation.verify(quote, self.expected_measurement)
-        if not compare_digest(hashlib.sha256(pub_bytes).digest(), report_data):
-            raise ProtocolError("quote does not bind the server DH key")
-        client_dh = DHKeyPair(self.entropy)
-        _send_frame(
-            self._sock,
-            client_dh.public.to_bytes(256, "big"),
-            point="tcp.client.send",
-            link=self._link,
+        # measurement | signature | report data | server DH public key
+        quote = Quote(frame[:32], frame[64:96], frame[32:64])
+        client_public, shared = handshake_accept(
+            self.attestation, quote, frame[96:],
+            self.expected_measurement, self.entropy,
         )
-        server_pub = int.from_bytes(pub_bytes, "big")
-        suite = derive_session_suite(client_dh.shared_secret(server_pub))
-        return SecureChannel(suite, "client")
+        _send_frame(
+            self._sock, client_public, point="tcp.client.send", link=self._link
+        )
+        return SecureChannel(derive_session_suite(shared), "client")
 
     def _recv(self) -> Optional[bytes]:
         return _recv_frame(self._sock, "tcp.client.recv", self._link, self._inbuf)
@@ -1210,40 +1197,35 @@ class TCPShieldClient(StoreVerbs):
                 # peer is not the enclave we were told to trust.
                 self._teardown()
                 raise
-            except _ServerBusyError as exc:
-                # Load shed, not a fault: the session stays up (the
-                # server keeps shed connections and promotes them when
-                # capacity frees), so back off without tearing down.
+            except (StoreError, OSError, ProtocolError) as exc:
+                # One retry arm; the exception picks the policy: tear
+                # the session down or not (which also picks the
+                # counter) and the tail of the give-up message.
+                if isinstance(exc, _ServerBusyError):
+                    # Load shed, not a fault: the session stays up (the
+                    # server keeps shed connections and promotes them
+                    # when capacity frees), so back off without tearing
+                    # down, and count it apart from fault retries.
+                    teardown, tail = False, "server kept shedding load"
+                elif isinstance(exc, _TransientServerError):
+                    teardown, tail = True, "server kept reporting an error"
+                elif isinstance(exc, StoreError):
+                    raise  # the server's answer (a miss included), not a fault
+                else:  # transport fault: timeout, reset, bad frame
+                    teardown, tail = True, str(exc)
+                    if isinstance(exc, socket.timeout):
+                        self.stats.net_timeouts += 1
+                if teardown:
+                    self._teardown()
                 attempt += 1
                 if attempt > self.max_retries:
                     raise StoreError(
-                        f"{what} failed after {attempt} attempt(s): "
-                        "server kept shedding load"
+                        f"{what} failed after {attempt} attempt(s): {tail}"
                     ) from exc
-                self.transport.busy_retries += 1
-                self._backoff(attempt)
-            except _TransientServerError as exc:
-                self._teardown()
-                attempt += 1
-                if attempt > self.max_retries:
-                    raise StoreError(
-                        f"{what} failed after {attempt} attempt(s): "
-                        "server kept reporting an error"
-                    ) from exc
-                self.stats.net_retries += 1
-                self._backoff(attempt)
-            except (KeyNotFoundError, StoreError):
-                raise
-            except (OSError, ProtocolError) as exc:
-                if isinstance(exc, socket.timeout):
-                    self.stats.net_timeouts += 1
-                self._teardown()
-                attempt += 1
-                if attempt > self.max_retries:
-                    raise StoreError(
-                        f"{what} failed after {attempt} attempt(s): {exc}"
-                    ) from exc
-                self.stats.net_retries += 1
+                if teardown:
+                    self.stats.net_retries += 1
+                else:
+                    self.transport.busy_retries += 1
                 self._backoff(attempt)
 
     def _call(self, op: str, key: bytes, value: bytes = b"") -> bytes:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
+from typing import Tuple
 
 from repro.crypto.keys import derive_key
 from repro.crypto.suite import CipherSuite, make_suite
@@ -90,6 +91,11 @@ class DHKeyPair:
         self.private = int.from_bytes(entropy, "big") % (_DH_PRIME - 2) + 1
         self.public = pow(_DH_GEN, self.private, _DH_PRIME)
 
+    @property
+    def public_bytes(self) -> bytes:
+        """The public value as it travels: 256 bytes, big-endian."""
+        return self.public.to_bytes(256, "big")
+
     def shared_secret(self, peer_public: int) -> bytes:
         """Raw shared secret bytes from the peer's public value."""
         if not 1 < peer_public < _DH_PRIME - 1:
@@ -106,6 +112,46 @@ def derive_session_suite(shared: bytes, suite_name: str = "fast-hashlib") -> Cip
     )
 
 
+# The §3.2 exchange, written once.  Every front end (the in-process
+# handshake below, net.sessions, the TCP server and client) runs these
+# three halves; what differs is only how the bytes travel and which
+# labels the session keys are derived under.
+def handshake_offer(
+    service: AttestationService, ctx: ExecContext, enclave: Enclave
+) -> Tuple[DHKeyPair, Quote]:
+    """Server, first half: a fresh DH key pair and a quote whose report
+    data is the hash of its public key."""
+    server_dh = DHKeyPair(sgx_read_rand(ctx, 32))
+    report_data = hashlib.sha256(server_dh.public_bytes).digest()
+    return server_dh, service.quote(ctx, enclave, report_data)
+
+
+def handshake_accept(
+    service: AttestationService,
+    quote: Quote,
+    server_public: bytes,
+    expected_measurement: bytes,
+    client_entropy: bytes,
+) -> Tuple[bytes, bytes]:
+    """Client: verify the quote *and* that it covers the offered key.
+
+    Returns ``(client public bytes, shared secret)``; nothing is keyed
+    before both checks pass.
+    """
+    service.verify(quote, expected_measurement)
+    binding = hashlib.sha256(server_public).digest()
+    if not hmac.compare_digest(binding, quote.report_data):
+        raise AttestationError("quote does not bind the server DH key")
+    client_dh = DHKeyPair(client_entropy)
+    shared = client_dh.shared_secret(int.from_bytes(server_public, "big"))
+    return client_dh.public_bytes, shared
+
+
+def handshake_finish(server_dh: DHKeyPair, client_public: bytes) -> bytes:
+    """Server, second half: the shared secret from the client's reply."""
+    return server_dh.shared_secret(int.from_bytes(client_public, "big"))
+
+
 def attested_handshake(
     service: AttestationService,
     server_ctx: ExecContext,
@@ -118,19 +164,13 @@ def attested_handshake(
     The two returned suites hold identical keys — returned separately so
     tests can assert both directions independently.
     """
-    server_dh = DHKeyPair(sgx_read_rand(server_ctx, 32))
-    report_data = hashlib.sha256(
-        server_dh.public.to_bytes(256, "big")
-    ).digest()
-    quote = service.quote(server_ctx, server_enclave, report_data)
-
-    # Client side: verify the quote covers the server's DH public key.
-    service.verify(quote, server_enclave.measurement)
-    client_dh = DHKeyPair(client_entropy)
-    expected = hashlib.sha256(server_dh.public.to_bytes(256, "big")).digest()
-    if quote.report_data != expected:
-        raise AttestationError("quote does not bind the server DH key")
-
-    client_suite = derive_session_suite(client_dh.shared_secret(server_dh.public), suite_name)
-    server_suite = derive_session_suite(server_dh.shared_secret(client_dh.public), suite_name)
-    return client_suite, server_suite
+    server_dh, quote = handshake_offer(service, server_ctx, server_enclave)
+    client_public, client_shared = handshake_accept(
+        service, quote, server_dh.public_bytes,
+        server_enclave.measurement, client_entropy,
+    )
+    server_shared = handshake_finish(server_dh, client_public)
+    return (
+        derive_session_suite(client_shared, suite_name),
+        derive_session_suite(server_shared, suite_name),
+    )

@@ -89,8 +89,15 @@ class TestMembership:
 
 class TestIsolation:
     def test_shards_have_distinct_secrets(self, cluster):
-        masters = {node.store.keyring.master for node in cluster.nodes.values()}
-        assert len(masters) == len(cluster.nodes)
+        def masters():
+            return {node.store.keyring.master for node in cluster.nodes.values()}
+
+        assert len(masters()) == len(cluster.nodes)
+        # Drain-then-join must not hand the newcomer a live node's seed
+        # (seeding from len(nodes) gave node-3 node-2's master secret).
+        cluster.remove_node("node-0")
+        cluster.add_node("node-3")
+        assert len(masters()) == len(cluster.nodes) == 3
 
     def test_shard_ciphertexts_differ_for_same_pair(self, cluster):
         """The same (key, value) stored on two shards must produce

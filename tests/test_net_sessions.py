@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ProtocolError
+from repro.errors import AttestationError, ProtocolError
 from repro.net.sessions import SessionManager
 from repro.sim import AttestationService, Enclave, Machine
 
@@ -36,6 +36,20 @@ class TestSessions:
         sealed = chan_a.seal(b"for-a-only")
         with pytest.raises(ProtocolError):
             mgr.open_record(ctx, sid_b, sealed)
+
+    def test_quote_must_bind_the_offered_dh_key(self, manager):
+        """A validly signed quote whose report data is not the hash of
+        the DH key on offer (a swapped key) opens no session."""
+        mgr, enclave = manager
+
+        class UnboundQuotes(AttestationService):
+            def quote(self, ctx, enclave, report_data):
+                return super().quote(ctx, enclave, b"\x00" * 32)
+
+        mgr.attestation = UnboundQuotes(b"ias-secret-sessions")
+        with pytest.raises(AttestationError, match="bind"):
+            mgr.open_session(enclave.context(), bytes(range(32)))
+        assert len(mgr) == 0
 
     def test_response_path(self, manager):
         mgr, enclave = manager

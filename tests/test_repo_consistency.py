@@ -177,3 +177,82 @@ class TestOneCopyOfEachMechanism:
         assert sites(r"\.rotate\(", skip=("wal.py",)) == ["host.py"]
         for call in (r"(?<!def )\bwrite_section\(", r"(?<!def )\bread_section\("):
             assert sites(call) == ["host.py", "persistence.py"], call
+
+
+class TestOneVersionedDataPath:
+    """The replication/cluster collapse: one set of LWW verbs, one
+    quorum path, ``replicas=1`` as quorum-of-one."""
+
+    _EXT = _ROOT / "src" / "repro" / "ext"
+
+    @classmethod
+    def _code(cls):
+        """``{file name: source minus comments}`` for every ext module."""
+        return {
+            path.name: "\n".join(
+                line.split("#")[0] for line in path.read_text().splitlines()
+            )
+            for path in cls._EXT.glob("*.py")
+        }
+
+    def _hits(self, pattern):
+        return sorted(
+            name for name, code in self._code().items()
+            for _ in re.findall(pattern, code)
+        )
+
+    def test_quorum_arithmetic_and_read_repair_exist_once(self):
+        assert self._hits(r"// 2 \+ 1") == ["replication.py"]
+        assert self._hits(r"read_repairs \+= 1") == ["replication.py"]
+
+    def test_lww_comparison_exists_once(self):
+        """Versions are ordered in ``newer`` and nowhere else."""
+        ordered = r"[<>]=?\s*(?:record_version\(|\w*version\b)"
+        assert self._hits(ordered) == ["replication.py"]
+        import inspect
+
+        from repro.ext.replication import newer
+
+        assert re.search(ordered, inspect.getsource(newer))
+
+    def test_replicas_one_is_not_a_special_case(self):
+        assert self._hits(r"replicas\s*==\s*1") == []
+
+    def test_records_are_minted_only_by_the_shared_verbs(self):
+        import ast
+
+        for name, code in self._code().items():
+            calls = [
+                m.start() for m in re.finditer(r"(?<!def )\bpack_record\(", code)
+            ]
+            if name != "replication.py":
+                assert not calls, name
+                continue
+            verbs = next(
+                node for node in ast.parse(code).body
+                if isinstance(node, ast.ClassDef) and node.name == "VersionedVerbs"
+            )
+            lines = [code.count("\n", 0, pos) + 1 for pos in calls]
+            assert lines and all(
+                verbs.lineno <= line <= verbs.end_lineno for line in lines
+            ), lines
+
+    def test_public_faces_define_hooks_not_verbs(self):
+        from repro.ext.cluster import ShieldCluster
+        from repro.ext.replication import (
+            Coordinator,
+            ReplicaClient,
+            ReplicatedStore,
+            VersionedVerbs,
+        )
+
+        verbs = {
+            "get", "set", "delete", "append", "increment", "compare_and_swap",
+            "contains", "multi_get", "multi_set", "multi_delete",
+        }
+        assert verbs <= set(vars(VersionedVerbs))
+        for cls in (ReplicatedStore, Coordinator, ReplicaClient, ShieldCluster):
+            assert issubclass(cls, VersionedVerbs)
+            assert not verbs & set(vars(cls)), cls.__name__
+        for cls in (ReplicatedStore, Coordinator):
+            assert {"_read", "_commit"} <= set(vars(cls)), cls.__name__

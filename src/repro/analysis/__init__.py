@@ -47,15 +47,28 @@ trust map, per-rule examples, and the suppression syntax
 (``# shieldlint: ignore[rule] -- justification``).
 """
 
-from repro.analysis.cryptomap import key_domain_table
-from repro.analysis.engine import (
-    ALL_RULES,
-    RULE_DOCS,
-    AnalysisError,
-    Report,
-    run_analysis,
-)
-from repro.analysis.findings import Finding
+import importlib
+from typing import Any
+
+# Resolved on first use (PEP 562): every serving process runs this file
+# (``crypto/suite.py`` imports the sanitizer), only ``repro lint`` and
+# the tests need the engine and rule modules behind these names.
+_LAZY = {
+    "key_domain_table": "repro.analysis.cryptomap",
+    "ALL_RULES": "repro.analysis.engine",
+    "RULE_DOCS": "repro.analysis.engine",
+    "AnalysisError": "repro.analysis.engine",
+    "Report": "repro.analysis.engine",
+    "run_analysis": "repro.analysis.engine",
+    "Finding": "repro.analysis.findings",
+}
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(_LAZY[name]), name)
+
 
 __all__ = [
     "ALL_RULES",

@@ -69,6 +69,7 @@ class ExtraHeapAllocator:
         self._enclave = enclave
         self.chunk_bytes = chunk_bytes
         self._chunk_base = 0
+        self._chunk_size = chunk_bytes
         self._chunk_used = chunk_bytes  # force a chunk fetch on first alloc
         # Free lists keyed by size class; metadata lives in enclave memory
         # (plain Python state here — the enclave-resident hardening of §7).
@@ -100,7 +101,7 @@ class ExtraHeapAllocator:
         bucket = self._free.get(klass)
         if bucket:
             return bucket.pop()
-        if self._chunk_used + klass > getattr(self, "_chunk_size", self.chunk_bytes):
+        if self._chunk_used + klass > self._chunk_size:
             self._fetch_chunk(ctx, klass)
         addr = self._chunk_base + self._chunk_used
         self._chunk_used += klass

@@ -25,11 +25,9 @@ from dataclasses import dataclass
 
 from repro.errors import StoreError
 
-PTR_SIZE = 8
 HEADER_SIZE = 33
 MAC_SIZE = 16
 IV_SIZE = 16
-NULL_PTR = 0
 
 # Record offset of a byte guaranteed to sit inside ``enc_kv`` for any
 # key of >= 3 bytes.  Tamper probes (tests, demos, the worker OP_TAMPER
@@ -37,8 +35,10 @@ NULL_PTR = 0
 # the layout keeps the probes on ciphertext if the header ever changes.
 TAMPER_PROBE_OFFSET = HEADER_SIZE + 2
 
-_HEADER_FMT = "<QBII16s"
-assert struct.calcsize(_HEADER_FMT) == HEADER_SIZE
+_HEADER = struct.Struct("<QBII16s")
+assert _HEADER.size == HEADER_SIZE
+# What the entry MAC covers after ``enc_kv``: sizes, key hint, IV/counter.
+_MAC_TRAILER = struct.Struct("<IIB16s")
 
 
 @dataclass
@@ -71,8 +71,7 @@ def pack_header(header: EntryHeader) -> bytes:
         raise StoreError("key hint must fit one byte")
     if len(header.iv_ctr) != IV_SIZE:
         raise StoreError(f"IV/counter must be {IV_SIZE} bytes")
-    return struct.pack(
-        _HEADER_FMT,
+    return _HEADER.pack(
         header.next_ptr,
         header.key_hint,
         header.key_size,
@@ -85,20 +84,11 @@ def unpack_header(raw: bytes) -> EntryHeader:
     """Parse 33 header bytes read from untrusted memory."""
     if len(raw) != HEADER_SIZE:
         raise StoreError(f"header must be {HEADER_SIZE} bytes, got {len(raw)}")
-    next_ptr, hint, key_size, val_size, iv_ctr = struct.unpack(_HEADER_FMT, raw)
-    return EntryHeader(next_ptr, hint, key_size, val_size, iv_ctr)
+    return EntryHeader(*_HEADER.unpack(raw))
 
 
 def mac_message(header: EntryHeader, enc_kv: bytes) -> bytes:
     """The exact byte string the entry MAC authenticates (§4.2)."""
-    return (
-        enc_kv
-        + struct.pack("<II", header.key_size, header.val_size)
-        + bytes([header.key_hint])
-        + header.iv_ctr
+    return enc_kv + _MAC_TRAILER.pack(
+        header.key_size, header.val_size, header.key_hint, header.iv_ctr
     )
-
-
-def mac_offset(header: EntryHeader) -> int:
-    """Offset of the MAC field within the entry record."""
-    return HEADER_SIZE + header.kv_size

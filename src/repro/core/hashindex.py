@@ -10,7 +10,7 @@ Each bucket slot is 16 bytes::
 
 Both pointers are availability-only untrusted metadata; before the
 enclave dereferences either, the §7 range check runs (see
-:meth:`BucketTable.check_pointer`).
+:func:`enclave_pointer_error`).
 """
 
 from __future__ import annotations
@@ -19,15 +19,28 @@ import struct
 
 from repro.errors import PointerSafetyError
 from repro.sim.enclave import Enclave, ExecContext
+from repro.sim.memory import ENCLAVE_BASE, ENCLAVE_END
 
 SLOT_SIZE = 16
+_PTR = struct.Struct("<Q")
+
+
+def enclave_pointer_error(ptr: int) -> PointerSafetyError:
+    """What the §7 pointer-safety check raises.
+
+    A malicious host could rewrite a chain pointer to target the
+    enclave's own virtual range, tricking the enclave into clobbering
+    its secrets when it writes entry fields.  The range is contiguous,
+    so the check is one comparison, made inline wherever a pointer is
+    read from untrusted memory (here and in ``ShieldStore._read_header``).
+    """
+    return PointerSafetyError(f"untrusted pointer 0x{ptr:x} targets the enclave range")
 
 
 class BucketTable:
     """Bucket-slot array living in untrusted memory."""
 
     def __init__(self, enclave: Enclave, num_buckets: int):
-        self._enclave = enclave
         self._memory = enclave.machine.memory
         self.num_buckets = num_buckets
         self.base = enclave.alloc_untrusted(num_buckets * SLOT_SIZE)
@@ -38,34 +51,30 @@ class BucketTable:
             raise IndexError(f"bucket {bucket} out of range")
         return self.base + bucket * SLOT_SIZE
 
-    def check_pointer(self, ptr: int, enabled: bool) -> int:
-        """§7 pointer-safety check for untrusted-sourced pointers.
-
-        A malicious host could rewrite a chain pointer to target the
-        enclave's own virtual range, tricking the enclave into clobbering
-        its secrets when it writes entry fields.  The range is contiguous,
-        so the check is one comparison.
-        """
-        if enabled and ptr != 0 and self._memory.in_enclave_range(ptr):
-            raise PointerSafetyError(
-                f"untrusted pointer 0x{ptr:x} targets the enclave range"
-            )
-        return ptr
-
     def read_head(self, ctx: ExecContext, bucket: int, check: bool = True) -> int:
         """Read a bucket's chain head pointer (charged untrusted read)."""
-        raw = self._memory.read(ctx, self.slot_addr(bucket), 8)
-        return self.check_pointer(struct.unpack("<Q", raw)[0], check)
+        if not 0 <= bucket < self.num_buckets:
+            raise IndexError(f"bucket {bucket} out of range")
+        (ptr,) = _PTR.unpack(self._memory.read(ctx, self.base + bucket * SLOT_SIZE, 8))
+        if check and ENCLAVE_BASE <= ptr < ENCLAVE_END:
+            raise enclave_pointer_error(ptr)
+        return ptr
 
     def write_head(self, ctx: ExecContext, bucket: int, ptr: int) -> None:
         """Point a bucket's chain at ``ptr``."""
-        self._memory.write(ctx, self.slot_addr(bucket), struct.pack("<Q", ptr))
+        self._memory.write(ctx, self.slot_addr(bucket), _PTR.pack(ptr))
 
     def read_mac_ptr(self, ctx: ExecContext, bucket: int, check: bool = True) -> int:
         """Read a bucket's MAC-bucket pointer."""
-        raw = self._memory.read(ctx, self.slot_addr(bucket) + 8, 8)
-        return self.check_pointer(struct.unpack("<Q", raw)[0], check)
+        if not 0 <= bucket < self.num_buckets:
+            raise IndexError(f"bucket {bucket} out of range")
+        (ptr,) = _PTR.unpack(
+            self._memory.read(ctx, self.base + bucket * SLOT_SIZE + 8, 8)
+        )
+        if check and ENCLAVE_BASE <= ptr < ENCLAVE_END:
+            raise enclave_pointer_error(ptr)
+        return ptr
 
     def write_mac_ptr(self, ctx: ExecContext, bucket: int, ptr: int) -> None:
         """Point a bucket at its MAC-bucket chain."""
-        self._memory.write(ctx, self.slot_addr(bucket) + 8, struct.pack("<Q", ptr))
+        self._memory.write(ctx, self.slot_addr(bucket) + 8, _PTR.pack(ptr))

@@ -29,6 +29,7 @@ from repro.sim.enclave import Enclave, ExecContext
 
 NODE_HEADER = 16
 MAC_SIZE = 16
+_NODE_HEADER = struct.Struct("<IIQ")
 
 
 class MacBucketStore:
@@ -37,7 +38,6 @@ class MacBucketStore:
     def __init__(self, enclave: Enclave, allocator, capacity: int):
         if capacity <= 0:
             raise StoreError("MAC bucket capacity must be positive")
-        self._enclave = enclave
         self._memory = enclave.machine.memory
         self._allocator = allocator
         self.capacity = capacity
@@ -45,22 +45,21 @@ class MacBucketStore:
 
     # -- node primitives ---------------------------------------------------
     def _read_node(self, ctx: ExecContext, addr: int):
-        header = self._memory.read(ctx, addr, NODE_HEADER)
-        count, _pad, next_ptr = struct.unpack("<IIQ", header)
+        read = self._memory.read
+        count, _pad, next_ptr = _NODE_HEADER.unpack(read(ctx, addr, NODE_HEADER))
         if count > self.capacity:
             # Untrusted metadata may lie; clamp so the enclave never
             # over-reads (availability attack, not integrity).
             count = self.capacity
-        macs: List[bytes] = []
-        if count:
-            body = self._memory.read(ctx, addr + NODE_HEADER, count * MAC_SIZE)
-            macs = [body[i * MAC_SIZE : (i + 1) * MAC_SIZE] for i in range(count)]
-        return macs, next_ptr
+        if not count:
+            return [], next_ptr
+        body = read(ctx, addr + NODE_HEADER, count * MAC_SIZE)
+        return [body[i : i + MAC_SIZE] for i in range(0, len(body), MAC_SIZE)], next_ptr
 
     def _write_node(self, ctx: ExecContext, addr: int, macs: List[bytes], next_ptr: int) -> None:
         if len(macs) > self.capacity:
             raise StoreError("node overflow: caller must split across nodes")
-        raw = struct.pack("<IIQ", len(macs), 0, next_ptr) + b"".join(macs)
+        raw = _NODE_HEADER.pack(len(macs), 0, next_ptr) + b"".join(macs)
         self._memory.write(ctx, addr, raw)
 
     # -- chain-level API -----------------------------------------------------
@@ -100,7 +99,7 @@ class MacBucketStore:
         for i, chunk in enumerate(chunks):
             next_ptr = nodes[i + 1] if i + 1 < len(chunks) else 0
             self._write_node(ctx, nodes[i], chunk, next_ptr)
-        return nodes[0] if chunks[0] or len(chunks) > 1 else nodes[0]
+        return nodes[0]
 
     # -- convenience mutations (read-modify-write) ----------------------------
     def insert_front(self, ctx: ExecContext, head: int, mac: bytes) -> int:

@@ -15,6 +15,7 @@ reproducing Figure 15's cliff.
 
 from __future__ import annotations
 
+from hmac import compare_digest
 from typing import Iterable, List
 
 from repro.crypto.suite import CipherSuite
@@ -31,7 +32,6 @@ class MacTree:
     def __init__(self, enclave: Enclave, num_hashes: int, num_buckets: int):
         if num_hashes <= 0 or num_hashes > num_buckets:
             raise ValueError("need 0 < num_hashes <= num_buckets")
-        self._enclave = enclave
         self._memory = enclave.machine.memory
         self.num_hashes = num_hashes
         self.num_buckets = num_buckets
@@ -74,7 +74,7 @@ class MacTree:
         """Raise :class:`ReplayError` when the set hash does not match."""
         stored = self.read_hash(ctx, set_id)
         computed = self.compute(ctx, suite, macs)
-        if stored != computed:
+        if not compare_digest(stored, computed):
             raise ReplayError(
                 f"bucket-set hash mismatch for set {set_id}: untrusted entries "
                 "were replayed, reordered, or tampered with"

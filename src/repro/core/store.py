@@ -42,7 +42,7 @@ from repro.core.entry import (
     pack_header,
     unpack_header,
 )
-from repro.core.hashindex import BucketTable
+from repro.core.hashindex import BucketTable, enclave_pointer_error
 from repro.core.macbucket import MacBucketStore
 from repro.core.maccache import MacSetCache
 from repro.core.mactree import MacTree
@@ -57,6 +57,7 @@ from repro.net.message import (
     encode_multi_keys,
 )
 from repro.sim.enclave import Enclave, ExecContext, Machine
+from repro.sim.memory import ENCLAVE_BASE, ENCLAVE_END
 
 _MAX_CHAIN = 1_000_000  # cycle guard against corrupted untrusted chains
 
@@ -130,6 +131,7 @@ class ShieldStore:
             else Enclave(self.machine, DEFAULT_MEASUREMENT)
         )
         self.thread_id = thread_id
+        self._memory = self.machine.memory
         self._ctx = self.enclave.context(thread_id)
         if master_secret is None:
             master_secret = bytes(
@@ -199,9 +201,6 @@ class ShieldStore:
         # (the paper's "copying data back and forth from an enclave").
         ctx.charge(self.machine.cost.mem_cycles(nbytes, write, in_epc=True))
 
-    def _mem(self):
-        return self.machine.memory
-
     def _alloc_iv(self, nbytes: int) -> bytes:
         """A fresh IV/counter block covering ``nbytes`` of keystream.
 
@@ -238,16 +237,19 @@ class ShieldStore:
 
     # -- entry record I/O ---------------------------------------------------
     def _read_header(self, ctx: ExecContext, addr: int) -> EntryHeader:
-        header = unpack_header(self._mem().read(ctx, addr, HEADER_SIZE))
-        self.buckets.check_pointer(header.next_ptr, self.config.pointer_check)
+        header = unpack_header(self._memory.read(ctx, addr, HEADER_SIZE))
+        if self.config.pointer_check and ENCLAVE_BASE <= header.next_ptr < ENCLAVE_END:
+            raise enclave_pointer_error(header.next_ptr)
         return header
 
     def _read_enc_kv(self, ctx: ExecContext, addr: int, header: EntryHeader) -> bytes:
-        return self._mem().read(ctx, addr + HEADER_SIZE, header.kv_size)
+        return self._memory.read(
+            ctx, addr + HEADER_SIZE, header.key_size + header.val_size
+        )
 
     def _read_entry_mac(self, ctx: ExecContext, addr: int, header: EntryHeader) -> bytes:
-        return self._mem().read(
-            ctx, addr + HEADER_SIZE + header.kv_size, MAC_SIZE
+        return self._memory.read(
+            ctx, addr + HEADER_SIZE + header.key_size + header.val_size, MAC_SIZE
         )
 
     def _decrypt_kv(
@@ -267,7 +269,7 @@ class ShieldStore:
         enc_kv: bytes,
         mac: bytes,
     ) -> None:
-        self._mem().write(ctx, addr, pack_header(header) + enc_kv + mac)
+        self._memory.write(ctx, addr, pack_header(header) + enc_kv + mac)
 
     def _encrypt_entry(
         self, ctx: ExecContext, key: bytes, value: bytes, iv_ctr: bytes, next_ptr: int
@@ -1001,9 +1003,9 @@ class ShieldStore:
                 b: self._collect_bucket_macs(ctx, b)
                 for b in self.mactree.buckets_of(set_id)
             }
-            if any(by_bucket.values()) or self.mactree.read_hash(
-                ctx, set_id
-            ) != bytes(16):
+            if any(by_bucket.values()) or not compare_digest(
+                self.mactree.read_hash(ctx, set_id), bytes(16)
+            ):
                 self._verify_set(ctx, set_id, by_bucket)
             for bucket, macs in by_bucket.items():
                 addr = self.buckets.read_head(ctx, bucket, self.config.pointer_check)
@@ -1060,7 +1062,7 @@ class ShieldStore:
             new_addr = self.allocator.alloc(ctx, header.total_size)
             self._write_entry(ctx, new_addr, header, enc_kv, mac)
             if found.prev_addr:
-                self._mem().write(
+                self._memory.write(
                     ctx, found.prev_addr, new_addr.to_bytes(8, "little")
                 )
             else:
@@ -1113,7 +1115,7 @@ class ShieldStore:
         """Unlink a verified entry and retire its MAC (shared by
         ``delete`` and ``multi_delete``)."""
         if found.prev_addr:
-            self._mem().write(
+            self._memory.write(
                 ctx, found.prev_addr, found.header.next_ptr.to_bytes(8, "little")
             )
         else:
@@ -1145,7 +1147,7 @@ class ShieldStore:
         Used by the snapshot child process, which reads the untrusted
         region directly (the entries are already encrypted, §4.4).
         """
-        mem = self._mem()
+        mem = self._memory
         for bucket in range(self.config.num_buckets):
             addr_raw = mem.raw_read(self.buckets.slot_addr(bucket), 8)
             addr = int.from_bytes(addr_raw, "little")
@@ -1196,7 +1198,7 @@ class ShieldStore:
         if not 0 <= set_id < self.mactree.num_hashes:
             raise StoreError(f"MAC set id {set_id} out of range")
         ctx = self._context(ctx)
-        mem = self._mem()
+        mem = self._memory
         for bucket in self.mactree.buckets_of(set_id):
             addr = int.from_bytes(mem.raw_read(self.buckets.slot_addr(bucket), 8), "little")
             chain: List[Tuple[EntryHeader, bytes]] = []

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+from typing import Callable
 
 from repro.errors import CryptoError
 
@@ -31,6 +32,7 @@ MAC_SIZE = 16
 _CTR_MASK = (1 << 128) - 1
 CHUNK_SIZE = 32  # SHA-256 digest size: one counter step per chunk
 _CHUNK = CHUNK_SIZE
+_BLOCK = 64  # SHA-256 input block: the width HMAC pads its key to
 
 
 def prf_keystream(key: bytes, iv_ctr: bytes, length: int) -> bytes:
@@ -94,6 +96,36 @@ def prf_transform_many(key: bytes, items) -> list:
 def hmac_tag(key: bytes, message: bytes) -> bytes:
     """HMAC-SHA-256 truncated to the CMAC tag width (16 bytes)."""
     return hmac.new(key, message, hashlib.sha256).digest()[:MAC_SIZE]
+
+
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+
+
+def prekeyed_hmac(key: bytes) -> Callable[[bytes], bytes]:
+    """HMAC-SHA-256 with the key schedule done once (RFC 2104).
+
+    Returns ``message -> 32-byte digest``, byte-identical to
+    ``hmac.new(key, message, sha256).digest()``: the two padded-key
+    blocks are absorbed here, each tag then costs a ``copy()`` and an
+    ``update()`` per pass instead of a fresh key schedule.  The absorbed
+    states are key material — hold the returned function only where the
+    key itself may live.
+    """
+    if len(key) > _BLOCK:
+        key = hashlib.sha256(key).digest()
+    block = key.ljust(_BLOCK, b"\0")
+    inner_keyed = hashlib.sha256(block.translate(_IPAD))
+    outer_keyed = hashlib.sha256(block.translate(_OPAD))
+
+    def digest(message: bytes) -> bytes:
+        inner = inner_keyed.copy()
+        inner.update(message)
+        outer = outer_keyed.copy()
+        outer.update(inner.digest())
+        return outer.digest()
+
+    return digest
 
 
 def verify_hmac_tag(key: bytes, message: bytes, tag: bytes) -> bool:

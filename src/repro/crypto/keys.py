@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 
+from repro.crypto.fast import prekeyed_hmac
 from repro.errors import CryptoError
 
 KEY_SIZE = 16
@@ -35,7 +36,10 @@ class KeyRing:
     (16, 16)
     """
 
-    __slots__ = ("master", "enc_key", "mac_key", "index_key", "hint_key")
+    __slots__ = (
+        "master", "enc_key", "mac_key", "index_key", "hint_key",
+        "_index_hmac", "_hint_hmac",
+    )
 
     def __init__(self, master: bytes):
         if len(master) < 16:
@@ -45,6 +49,8 @@ class KeyRing:
         self.mac_key = derive_key(self.master, "shieldstore/mac")
         self.index_key = derive_key(self.master, "shieldstore/index")
         self.hint_key = derive_key(self.master, "shieldstore/hint")
+        self._index_hmac = prekeyed_hmac(self.index_key)
+        self._hint_hmac = prekeyed_hmac(self.hint_key)
 
     def keyed_bucket_hash(self, key: bytes, num_buckets: int) -> int:
         """Keyed hash of a client key onto a bucket index (paper §4.2).
@@ -54,12 +60,11 @@ class KeyRing:
         """
         if num_buckets <= 0:
             raise CryptoError("num_buckets must be positive")
-        digest = hmac.new(self.index_key, key, hashlib.sha256).digest()
-        return int.from_bytes(digest[:8], "big") % num_buckets
+        return int.from_bytes(self._index_hmac(key)[:8], "big") % num_buckets
 
     def key_hint(self, key: bytes) -> int:
         """1-byte key hint: keyed hash of the plaintext key (paper §5.4)."""
-        return hmac.new(self.hint_key, key, hashlib.sha256).digest()[0]
+        return self._hint_hmac(key)[0]
 
     def redact(self, key: bytes) -> str:
         """Short keyed tag standing in for a client key in diagnostics.

@@ -98,6 +98,10 @@ class FastSuite(CipherSuite):
 
     name = "fast-hashlib"
 
+    def __init__(self, enc_key: bytes, mac_key: bytes):
+        super().__init__(enc_key, mac_key)
+        self._mac = _fast.prekeyed_hmac(self.mac_key)
+
     def encrypt(self, iv_ctr: bytes, plaintext: bytes) -> bytes:
         if _sanitizer.active:
             _sanitizer.record(
@@ -121,7 +125,7 @@ class FastSuite(CipherSuite):
         return _fast.prf_transform_many(self.enc_key, items)
 
     def mac(self, message: bytes) -> bytes:
-        return _fast.hmac_tag(self.mac_key, message)
+        return self._mac(message)[:MAC_SIZE]
 
 
 _SUITES: Dict[str, Callable[[bytes, bytes], CipherSuite]] = {

@@ -95,23 +95,27 @@ class ExecContext:
     # -- crypto cost helpers (the *work* happens in repro.crypto) ---------
     def charge_aes(self, nbytes: int) -> None:
         """Charge one AES-CTR call over ``nbytes``."""
-        cycles = self.machine.cost.aes_cycles(nbytes)
-        self.clock.charge(cycles)
-        self.machine.counters.aes_calls += 1
-        self.machine.counters.aes_bytes += nbytes
-        self.machine.counters.crypto_cycles += cycles
+        machine = self.machine
+        cycles = machine.cost.aes_cycles(nbytes)
+        self.clock.cycles += cycles
+        counters = machine.counters
+        counters.aes_calls += 1
+        counters.aes_bytes += nbytes
+        counters.crypto_cycles += cycles
 
     def charge_cmac(self, nbytes: int) -> None:
         """Charge one CMAC call over ``nbytes``."""
-        cycles = self.machine.cost.cmac_cycles(nbytes)
-        self.clock.charge(cycles)
-        self.machine.counters.cmac_calls += 1
-        self.machine.counters.cmac_bytes += nbytes
-        self.machine.counters.crypto_cycles += cycles
+        machine = self.machine
+        cycles = machine.cost.cmac_cycles(nbytes)
+        self.clock.cycles += cycles
+        counters = machine.counters
+        counters.cmac_calls += 1
+        counters.cmac_bytes += nbytes
+        counters.crypto_cycles += cycles
 
     def charge_keyed_hash(self) -> None:
         """Charge one keyed bucket-index/key-hint hash."""
-        self.clock.charge(self.machine.cost.keyed_hash_cycles)
+        self.clock.cycles += self.machine.cost.keyed_hash_cycles
 
     def charge_rand(self, nbytes: int = 16) -> None:
         """Charge an ``sgx_read_rand`` call."""

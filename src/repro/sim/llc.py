@@ -5,6 +5,11 @@ the backing structure pages or decrypts expensively: a line resident in
 the LLC is served on-chip — no DRAM access, no MEE, no EPC fault (SGX
 data is plaintext inside the cache hierarchy, §2.1).  The model is a
 plain LRU over 64-byte line tags, shared by all threads of a machine.
+
+:class:`~repro.sim.memory.SimMemory` applies the hit arm of
+:meth:`LLCache.access` to ``lines`` in its own frame (one call per
+cacheline was the largest host cost of the simulator); misses, and
+everyone else, go through ``access``.
 """
 
 from __future__ import annotations
@@ -19,13 +24,13 @@ class LLCache:
 
     def __init__(self, cost: CostModel):
         self.capacity_lines = max(16, cost.llc_bytes // CACHELINE)
-        self._lines: "OrderedDict[int, None]" = OrderedDict()
+        self.lines: "OrderedDict[int, None]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
     def access(self, line: int) -> bool:
         """Touch one line tag; returns True on hit."""
-        lines = self._lines
+        lines = self.lines
         if line in lines:
             lines.move_to_end(line)
             self.hits += 1
@@ -38,4 +43,4 @@ class LLCache:
 
     def flush(self) -> None:
         """Drop all cached tags."""
-        self._lines.clear()
+        self.lines.clear()

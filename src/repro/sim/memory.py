@@ -29,6 +29,7 @@ from repro.sim.llc import LLCache
 
 ENCLAVE_BASE = 0x2000_0000_0000
 ENCLAVE_SPAN = 0x1000_0000_0000  # contiguous enclave virtual range (§7 check)
+ENCLAVE_END = ENCLAVE_BASE + ENCLAVE_SPAN
 UNTRUSTED_BASE = 0x7000_0000_0000
 _ALIGN = 16
 
@@ -39,21 +40,21 @@ REGION_UNTRUSTED = "untrusted"
 class Allocation:
     """One live allocation: base address, size, region, optional bytes."""
 
-    __slots__ = ("base", "size", "region", "data")
+    __slots__ = ("base", "size", "end", "region", "data")
 
     def __init__(self, base: int, size: int, region: str, data: Optional[bytearray]):
         self.base = base
         self.size = size
+        self.end = base + size
         self.region = region
         self.data = data
-
-    @property
-    def end(self) -> int:
-        return self.base + self.size
 
     def __repr__(self) -> str:
         kind = "materialized" if self.data is not None else "virtual"
         return f"Allocation(base=0x{self.base:x}, size={self.size}, {self.region}, {kind})"
+
+
+_NO_ALLOCATION = Allocation(0, 0, REGION_UNTRUSTED, None)  # contains no address
 
 
 class SimMemory:
@@ -72,6 +73,10 @@ class SimMemory:
         self.llc = llc if llc is not None else LLCache(cost)
         self._allocs: Dict[int, Allocation] = {}
         self._bases: List[int] = []
+        # The allocation the last read/write resolved to: consecutive
+        # accesses mostly land in the same one (a heap chunk, the bucket
+        # table), so the bisect in find() is the fallback, not the rule.
+        self._last = _NO_ALLOCATION
         self._next = {REGION_ENCLAVE: ENCLAVE_BASE, REGION_UNTRUSTED: UNTRUSTED_BASE}
         self.bytes_allocated = {REGION_ENCLAVE: 0, REGION_UNTRUSTED: 0}
         # The parallel partition router fans batches out to OS threads;
@@ -83,10 +88,7 @@ class SimMemory:
     @staticmethod
     def in_enclave_range(addr: int) -> bool:
         """§7 pointer-safety predicate: does ``addr`` fall in the enclave?"""
-        return ENCLAVE_BASE <= addr < ENCLAVE_BASE + ENCLAVE_SPAN
-
-    def region_of(self, addr: int) -> str:
-        return REGION_ENCLAVE if self.in_enclave_range(addr) else REGION_UNTRUSTED
+        return ENCLAVE_BASE <= addr < ENCLAVE_END
 
     # -- allocation ---------------------------------------------------------
     def alloc(self, size: int, region: str = REGION_UNTRUSTED, materialize: bool = True) -> int:
@@ -114,6 +116,8 @@ class SimMemory:
                 raise EnclaveMemoryError(f"free of unknown base 0x{base:x}")
             idx = bisect.bisect_left(self._bases, base)
             del self._bases[idx]
+            if self._last is alloc:
+                self._last = _NO_ALLOCATION
             self.bytes_allocated[alloc.region] -= alloc.size
 
     def find(self, addr: int) -> Allocation:
@@ -126,59 +130,83 @@ class SimMemory:
         raise EnclaveMemoryError(f"address 0x{addr:x} is not inside any allocation")
 
     # -- charged accesses ---------------------------------------------------
+    # read() and write() resolve, bounds-check, LLC-filter and charge the
+    # common access (one cacheline, on-chip, legal privilege) in their own
+    # frame; _charge() is the general path.  Both charge the same cycles
+    # in the same order: tests/test_exact_ledger.py pins it to the cycle.
     def _charge(self, ctx, addr: int, size: int, write: bool) -> None:
-        region = self.region_of(addr)
-        in_epc = region == REGION_ENCLAVE
+        in_epc = ENCLAVE_BASE <= addr < ENCLAVE_END
         if in_epc and (ctx is None or not ctx.in_enclave):
             raise EnclaveError(
                 f"access to enclave address 0x{addr:x} from outside the enclave"
             )
+        counters = self.counters
         if ctx is not None:
             # LLC filter: lines already on-chip cost a cache hit and never
             # reach DRAM, the MEE, or the EPC pager.
             llc = self.llc
+            lines = llc.lines
+            clock = ctx.clock
+            hits = misses = 0
+            page = -1
             first_line = addr // CACHELINE
-            last_line = (addr + max(size, 1) - 1) // CACHELINE
-            missed_lines = []
-            hit_count = 0
+            last_line = (addr + (size if size > 0 else 1) - 1) // CACHELINE
             for line in range(first_line, last_line + 1):
-                if llc.access(line):
-                    hit_count += 1
-                else:
-                    missed_lines.append(line)
+                if line in lines:
+                    lines.move_to_end(line)
+                    hits += 1
+                    continue
+                llc.access(line)  # the miss arm: evict the LRU tag, insert
+                misses += 1
+                # Only lines that actually go to memory can fault; lines
+                # ascend, so each page is touched once, in address order.
+                if in_epc and line * CACHELINE // PAGE_SIZE != page:
+                    page = line * CACHELINE // PAGE_SIZE
+                    self.epc.touch(clock, page, write)
+            llc.hits += hits
             cost = self.cost
-            cycles = hit_count * cost.cache_hit_cycles
-            if missed_lines:
+            cycles = hits * cost.cache_hit_cycles
+            if misses:
                 base = cost.dram_access_cycles * (
-                    1.0 + (len(missed_lines) - 1) * cost.stream_factor
+                    1.0 + (misses - 1) * cost.stream_factor
                 )
                 if in_epc:
-                    factor = (
-                        cost.mee_write_factor if write else cost.mee_read_factor
-                    )
-                    base *= factor
-                    # Only lines that actually go to memory can fault.
-                    pages = {
-                        (line * CACHELINE) // PAGE_SIZE for line in missed_lines
-                    }
-                    for page in sorted(pages):
-                        self.epc.touch(ctx.clock, page, write)
+                    base *= cost.mee_write_factor if write else cost.mee_read_factor
                 cycles += base
-            ctx.clock.charge(cycles)
-            self.counters.mem_cycles += cycles
+            clock.charge(cycles)
+            counters.mem_cycles += cycles
         if write:
-            self.counters.mem_writes += 1
+            counters.mem_writes += 1
         else:
-            self.counters.mem_reads += 1
+            counters.mem_reads += 1
 
     def read(self, ctx, addr: int, size: int) -> bytes:
         """Charged read of ``size`` bytes at ``addr``."""
-        alloc = self.find(addr)
-        if addr + size > alloc.end:
+        alloc = self._last
+        if not alloc.base <= addr < alloc.end:
+            alloc = self._last = self.find(addr)
+        end = addr + size
+        if end > alloc.end:
             raise EnclaveMemoryError(
                 f"read of {size} bytes at 0x{addr:x} overruns allocation {alloc!r}"
             )
-        self._charge(ctx, addr, size, write=False)
+        line = addr // CACHELINE
+        lines = self.llc.lines
+        if (
+            ctx is not None
+            and (end - 1) // CACHELINE <= line
+            and line in lines
+            and (ctx.in_enclave or not ENCLAVE_BASE <= addr < ENCLAVE_END)
+        ):
+            lines.move_to_end(line)
+            self.llc.hits += 1
+            cycles = self.cost.cache_hit_cycles
+            ctx.clock.cycles += cycles
+            counters = self.counters
+            counters.mem_cycles += cycles
+            counters.mem_reads += 1
+        else:
+            self._charge(ctx, addr, size, False)
         if alloc.data is None:
             return bytes(size)
         off = addr - alloc.base
@@ -186,15 +214,35 @@ class SimMemory:
 
     def write(self, ctx, addr: int, data: bytes) -> None:
         """Charged write of ``data`` at ``addr``."""
-        alloc = self.find(addr)
-        if addr + len(data) > alloc.end:
+        alloc = self._last
+        if not alloc.base <= addr < alloc.end:
+            alloc = self._last = self.find(addr)
+        size = len(data)
+        end = addr + size
+        if end > alloc.end:
             raise EnclaveMemoryError(
-                f"write of {len(data)} bytes at 0x{addr:x} overruns allocation {alloc!r}"
+                f"write of {size} bytes at 0x{addr:x} overruns allocation {alloc!r}"
             )
-        self._charge(ctx, addr, len(data), write=True)
+        line = addr // CACHELINE
+        lines = self.llc.lines
+        if (
+            ctx is not None
+            and (end - 1) // CACHELINE <= line
+            and line in lines
+            and (ctx.in_enclave or not ENCLAVE_BASE <= addr < ENCLAVE_END)
+        ):
+            lines.move_to_end(line)
+            self.llc.hits += 1
+            cycles = self.cost.cache_hit_cycles
+            ctx.clock.cycles += cycles
+            counters = self.counters
+            counters.mem_cycles += cycles
+            counters.mem_writes += 1
+        else:
+            self._charge(ctx, addr, size, True)
         if alloc.data is not None:
             off = addr - alloc.base
-            alloc.data[off : off + len(data)] = data
+            alloc.data[off : off + size] = data
 
     def touch(self, ctx, addr: int, size: int, write: bool) -> None:
         """Charge for an access without moving any bytes (baselines)."""

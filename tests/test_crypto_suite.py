@@ -94,6 +94,30 @@ class TestFastBackend:
         with pytest.raises(CryptoError):
             fast.prf_keystream(_ENC, bytes(4), 16)
 
+    @pytest.mark.parametrize("key_len", [1, 16, 64, 65])
+    def test_prekeyed_hmac_is_byte_identical_to_hmac_new(self, key_len):
+        """The hoisted key schedule must not change one tag: short keys
+        are zero-padded, a key longer than the block is hashed first."""
+        import hashlib
+        import hmac
+
+        key = bytes(range(7, 7 + key_len))
+        digest = fast.prekeyed_hmac(key)
+        for length in range(601):
+            message = bytes((length + i) & 0xFF for i in range(length))
+            assert digest(message) == hmac.new(key, message, hashlib.sha256).digest()
+            assert digest(message)[:16] == fast.hmac_tag(key, message)
+
+    def test_suite_and_keyring_use_the_reference_tags(self):
+        import hashlib
+        import hmac
+
+        assert FastSuite(_ENC, _MAC).mac(b"entry") == fast.hmac_tag(_MAC, b"entry")
+        ring = KeyRing(b"m" * 32)
+        index = hmac.new(ring.index_key, b"k1", hashlib.sha256).digest()
+        assert ring.keyed_bucket_hash(b"k1", 1000) == int.from_bytes(index[:8], "big") % 1000
+        assert ring.key_hint(b"k1") == hmac.new(ring.hint_key, b"k1", hashlib.sha256).digest()[0]
+
 
 class TestKeyRing:
     def test_derivation_is_deterministic(self):

@@ -102,6 +102,25 @@ class TestCodeHygiene:
         assert not undocumented, undocumented
 
 
+    def test_serving_imports_leave_the_linter_out(self):
+        """``crypto/suite.py`` needs only the runtime sanitizer hook; the
+        lint engine and its rule modules must not ride into every server
+        and pool worker with it."""
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "import sys, repro.core, repro.net.tcp\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('repro.analysis'))\n"
+            "assert loaded == ['repro.analysis', 'repro.analysis.sanitizer'], loaded\n"
+            "from repro.analysis import run_analysis, Finding, key_domain_table\n"
+            "assert 'repro.analysis.engine' in sys.modules\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+        subprocess.run([sys.executable, "-c", script], check=True, env=env, timeout=60)
+
+
 class TestOneCopyOfEachMechanism:
     """Grep-able structure the partition-engine collapse relies on."""
 

@@ -21,7 +21,7 @@ entry to another bucket is caught by the bucket-set MAC hashes instead.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from typing import Callable, NamedTuple, Tuple
 
 from repro.errors import StoreError
 
@@ -41,8 +41,7 @@ assert _HEADER.size == HEADER_SIZE
 _MAC_TRAILER = struct.Struct("<IIB16s")
 
 
-@dataclass
-class EntryHeader:
+class EntryHeader(NamedTuple):
     """Parsed plaintext header of one data entry."""
 
     next_ptr: int
@@ -58,6 +57,22 @@ class EntryHeader:
     @property
     def total_size(self) -> int:
         return HEADER_SIZE + self.kv_size + MAC_SIZE
+
+
+def mac_span(index: int) -> slice:
+    """Where MAC ``index`` sits in a bucket's contiguous MAC blob (§5.2).
+
+    A bucket's MACs travel as the bytes they are stored as — node body to
+    set-hash message to MAC cache — so MAC *i* is this one span of the
+    blob, and replacing or removing it is a :func:`mac_splice`.
+    """
+    return slice(index * MAC_SIZE, (index + 1) * MAC_SIZE)
+
+
+def mac_splice(blob: bytes, index: int, mac: bytes = b"") -> bytes:
+    """``blob`` with MAC ``index`` replaced by ``mac`` (removed when empty)."""
+    span = mac_span(index)
+    return blob[: span.start] + mac + blob[span.stop :]
 
 
 def entry_total_size(key_size: int, val_size: int) -> int:
@@ -80,15 +95,21 @@ def pack_header(header: EntryHeader) -> bytes:
     )
 
 
+# The five :class:`EntryHeader` fields as the plain tuple 33 header bytes
+# unpack to (an ``EntryHeader`` is one too): the chain walk unpacks them
+# where it uses them instead of wrapping every header it passes.
+HeaderFields = Tuple[int, int, int, int, bytes]
+unpack_header_fields: Callable[[bytes], HeaderFields] = _HEADER.unpack
+
+
 def unpack_header(raw: bytes) -> EntryHeader:
     """Parse 33 header bytes read from untrusted memory."""
     if len(raw) != HEADER_SIZE:
         raise StoreError(f"header must be {HEADER_SIZE} bytes, got {len(raw)}")
-    return EntryHeader(*_HEADER.unpack(raw))
+    return EntryHeader._make(_HEADER.unpack(raw))
 
 
-def mac_message(header: EntryHeader, enc_kv: bytes) -> bytes:
+def mac_message(header: HeaderFields, enc_kv: bytes) -> bytes:
     """The exact byte string the entry MAC authenticates (§4.2)."""
-    return enc_kv + _MAC_TRAILER.pack(
-        header.key_size, header.val_size, header.key_hint, header.iv_ctr
-    )
+    _next_ptr, key_hint, key_size, val_size, iv_ctr = header
+    return enc_kv + _MAC_TRAILER.pack(key_size, val_size, key_hint, iv_ctr)

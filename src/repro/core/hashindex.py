@@ -32,7 +32,8 @@ def enclave_pointer_error(ptr: int) -> PointerSafetyError:
     enclave's own virtual range, tricking the enclave into clobbering
     its secrets when it writes entry fields.  The range is contiguous,
     so the check is one comparison, made inline wherever a pointer is
-    read from untrusted memory (here and in ``ShieldStore._read_header``).
+    read from untrusted memory (here, in ``ShieldStore._read_header`` /
+    ``_walk`` and in ``MacBucketStore.read``).
     """
     return PointerSafetyError(f"untrusted pointer 0x{ptr:x} targets the enclave range")
 

@@ -17,18 +17,27 @@ Node layout in untrusted memory::
 
 Slot order equals chain order (slot 0 = chain head).  Nodes chain when a
 bucket exceeds ``capacity`` (paper: 30 MACs per node).
+
+Inside the enclave a bucket's MACs stay the contiguous bytes they are
+read as: every method takes or returns one immutable blob (a one-node
+bucket's is the node body itself), MAC *i* at
+:func:`~repro.core.entry.mac_span`.  Node headers are untrusted, so every
+``next_ptr`` passes the §7 range check before it is followed, and no
+traversal takes more hops than there are live nodes.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import List
+from typing import List, Optional, Tuple
 
+from repro.core.entry import MAC_SIZE, mac_splice
+from repro.core.hashindex import enclave_pointer_error
 from repro.errors import StoreError
 from repro.sim.enclave import Enclave, ExecContext
+from repro.sim.memory import ENCLAVE_BASE, ENCLAVE_END
 
 NODE_HEADER = 16
-MAC_SIZE = 16
 _NODE_HEADER = struct.Struct("<IIQ")
 
 
@@ -42,96 +51,111 @@ class MacBucketStore:
         self._allocator = allocator
         self.capacity = capacity
         self.node_size = NODE_HEADER + capacity * MAC_SIZE
+        # Live nodes (in-enclave): no honest chain is longer, so it bounds
+        # every traversal of the untrusted ``next_ptr`` links.
+        self.nodes = 0
 
     # -- node primitives ---------------------------------------------------
-    def _read_node(self, ctx: ExecContext, addr: int):
-        read = self._memory.read
-        count, _pad, next_ptr = _NODE_HEADER.unpack(read(ctx, addr, NODE_HEADER))
-        if count > self.capacity:
-            # Untrusted metadata may lie; clamp so the enclave never
-            # over-reads (availability attack, not integrity).
-            count = self.capacity
-        if not count:
-            return [], next_ptr
-        body = read(ctx, addr + NODE_HEADER, count * MAC_SIZE)
-        return [body[i : i + MAC_SIZE] for i in range(0, len(body), MAC_SIZE)], next_ptr
+    def alloc_node(self, ctx: ExecContext) -> int:
+        """A fresh (zeroed, hence empty) node."""
+        self.nodes += 1
+        return self._allocator.alloc(ctx, self.node_size)
 
-    def _write_node(self, ctx: ExecContext, addr: int, macs: List[bytes], next_ptr: int) -> None:
-        if len(macs) > self.capacity:
-            raise StoreError("node overflow: caller must split across nodes")
-        raw = _NODE_HEADER.pack(len(macs), 0, next_ptr) + b"".join(macs)
-        self._memory.write(ctx, addr, raw)
+    def _free_node(self, ctx: ExecContext, addr: int) -> None:
+        self.nodes -= 1
+        self._allocator.free(ctx, addr, self.node_size)
+
+    def _write_node(self, ctx: ExecContext, addr: int, body: bytes, next_ptr: int) -> None:
+        self._memory.write(
+            ctx, addr, _NODE_HEADER.pack(len(body) // MAC_SIZE, 0, next_ptr) + body
+        )
 
     # -- chain-level API -----------------------------------------------------
-    def read_all(self, ctx: ExecContext, head: int) -> List[bytes]:
-        """All MACs of a bucket, chain order, following overflow nodes."""
-        macs: List[bytes] = []
-        addr = head
-        hops = 0
-        while addr:
-            node_macs, addr = self._read_node(ctx, addr)
-            macs.extend(node_macs)
-            hops += 1
-            if hops > 1_000_000:
-                raise StoreError("MAC bucket chain cycle (corrupted metadata)")
-        return macs
+    def read(
+        self,
+        ctx: ExecContext,
+        head: int,
+        check: bool = True,
+        spans: Optional[List[Tuple[int, int]]] = None,
+        upto: Optional[int] = None,
+    ) -> bytes:
+        """All MACs of a bucket, chain order, following overflow nodes.
 
-    def write_all(self, ctx: ExecContext, head: int, macs: List[bytes]) -> int:
-        """Rewrite a bucket's MAC list; returns the (possibly new) head.
-
-        Allocates/frees overflow nodes as the list grows or shrinks.
+        The one traversal of the untrusted node chain.  ``check`` is the
+        store's §7 ``pointer_check``.  ``spans`` collects each node as
+        ``(address, offset of its first MAC in the blob)``; ``upto``
+        stops after the node that holds MAC ``upto``.
         """
-        chunks = [
-            macs[i : i + self.capacity] for i in range(0, len(macs), self.capacity)
-        ] or [[]]
-        # Collect existing nodes.
-        nodes: List[int] = []
-        addr = head
+        memory_read = self._memory.read
+        blob = b""
+        addr, hops_left = head, self.nodes
         while addr:
-            nodes.append(addr)
-            _macs, addr = self._read_node(ctx, addr)
-        # Grow or shrink the node chain to match.
+            if hops_left <= 0:
+                raise StoreError("MAC bucket chain cycle (corrupted metadata)")
+            hops_left -= 1
+            count, _pad, next_ptr = _NODE_HEADER.unpack(memory_read(ctx, addr, NODE_HEADER))
+            if next_ptr and check and ENCLAVE_BASE <= next_ptr < ENCLAVE_END:
+                raise enclave_pointer_error(next_ptr)
+            if spans is not None:
+                spans.append((addr, len(blob)))
+            if count:
+                if count > self.capacity:
+                    # Untrusted metadata may lie; clamp so the enclave never
+                    # over-reads (availability attack, not integrity).
+                    count = self.capacity
+                body = memory_read(ctx, addr + NODE_HEADER, count * MAC_SIZE)
+                blob = blob + body if blob else body
+            if upto is not None and upto * MAC_SIZE < len(blob):
+                break
+            addr = next_ptr
+        return blob
+
+    def write_all(self, ctx: ExecContext, head: int, blob: bytes, check: bool = True) -> int:
+        """Rewrite a bucket's MACs; returns the (possibly new) head.
+
+        Allocates/frees overflow nodes as the blob grows or shrinks.
+        """
+        step = self.capacity * MAC_SIZE
+        chunks = [blob[i : i + step] for i in range(0, len(blob), step)] or [b""]
+        spans: List[Tuple[int, int]] = []
+        self.read(ctx, head, check, spans)
+        nodes = [addr for addr, _start in spans]
         while len(nodes) < len(chunks):
-            nodes.append(self._allocator.alloc(ctx, self.node_size))
+            nodes.append(self.alloc_node(ctx))
         while len(nodes) > len(chunks):
-            victim = nodes.pop()
-            self._allocator.free(ctx, victim, self.node_size)
+            self._free_node(ctx, nodes.pop())
         for i, chunk in enumerate(chunks):
             next_ptr = nodes[i + 1] if i + 1 < len(chunks) else 0
             self._write_node(ctx, nodes[i], chunk, next_ptr)
         return nodes[0]
 
     # -- convenience mutations (read-modify-write) ----------------------------
-    def insert_front(self, ctx: ExecContext, head: int, mac: bytes) -> int:
+    def insert_front(self, ctx: ExecContext, head: int, mac: bytes, check: bool = True) -> int:
         """Prepend a MAC (new chain head was inserted); returns new head."""
         if head == 0:
-            addr = self._allocator.alloc(ctx, self.node_size)
-            self._write_node(ctx, addr, [bytes(mac)], 0)
+            addr = self.alloc_node(ctx)
+            self._write_node(ctx, addr, bytes(mac), 0)
             return addr
-        macs = self.read_all(ctx, head)
-        macs.insert(0, bytes(mac))
-        return self.write_all(ctx, head, macs)
+        return self.write_all(ctx, head, bytes(mac) + self.read(ctx, head, check), check)
 
-    def replace(self, ctx: ExecContext, head: int, index: int, mac: bytes) -> None:
+    def replace(
+        self, ctx: ExecContext, head: int, index: int, mac: bytes, check: bool = True
+    ) -> None:
         """Overwrite the MAC at chain position ``index`` in place."""
-        addr = head
-        while addr:
-            node_macs, next_ptr = self._read_node(ctx, addr)
-            if index < len(node_macs):
-                offset = NODE_HEADER + index * MAC_SIZE
-                self._memory.write(ctx, addr + offset, bytes(mac))
-                return
-            index -= len(node_macs)
-            addr = next_ptr
-        raise StoreError(f"MAC bucket index {index} out of range")
-
-    def remove(self, ctx: ExecContext, head: int, index: int) -> int:
-        """Delete the MAC at chain position ``index``; returns new head."""
-        macs = self.read_all(ctx, head)
-        if not 0 <= index < len(macs):
+        spans: List[Tuple[int, int]] = []
+        blob = self.read(ctx, head, check, spans, upto=index)
+        if not 0 <= index * MAC_SIZE < len(blob):
             raise StoreError(f"MAC bucket index {index} out of range")
-        del macs[index]
-        if not macs:
-            self._allocator.free(ctx, head, self.node_size)
+        addr, start = spans[-1]  # the last node read holds MAC ``index``
+        self._memory.write(ctx, addr + NODE_HEADER + index * MAC_SIZE - start, bytes(mac))
+
+    def remove(self, ctx: ExecContext, head: int, index: int, check: bool = True) -> int:
+        """Delete the MAC at chain position ``index``; returns new head."""
+        blob = self.read(ctx, head, check)
+        if not 0 <= index < len(blob) // MAC_SIZE:
+            raise StoreError(f"MAC bucket index {index} out of range")
+        blob = mac_splice(blob, index)
+        if not blob:
+            self._free_node(ctx, head)
             return 0
-        return self.write_all(ctx, head, macs)
+        return self.write_all(ctx, head, blob, check)

@@ -29,10 +29,9 @@ than being assumed.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.core.cache import EnclaveLRU
-from repro.core.entry import MAC_SIZE
 
 # Accounting overheads (bytes) beyond the raw MAC material: per-bucket
 # list headers and the per-set map/LRU bookkeeping.
@@ -43,9 +42,10 @@ _PER_SET_OVERHEAD = 48
 class MacSetCache(EnclaveLRU):
     """Byte-budgeted LRU of verified per-set MAC lists, in enclave memory.
 
-    Values are the same ``{bucket: [mac, ...]}`` dicts the store's
-    verification plumbing passes around.  The store deliberately caches
-    the *live object* — mutations update it in place before the set
+    Values are the same ``{bucket: MAC blob}`` dicts (ascending buckets,
+    one ``bytes`` of contiguous MACs each) the store's verification
+    plumbing passes around.  The store deliberately caches the *live
+    dict* — a mutation replaces the bucket's blob in it before the set
     hash is recomputed, which is what keeps the cached copy coherent
     through batched (dirty-set) mutation windows; each entry keeps the
     cost snapshot of its last :meth:`store`, and re-storing re-accounts.
@@ -57,14 +57,13 @@ class MacSetCache(EnclaveLRU):
     where untrusted memory was replaced wholesale.
     """
 
-    def _cost_bytes(self, _set_id: int, by_bucket: Dict[int, List[bytes]]) -> int:
+    def _cost_bytes(self, _set_id: int, by_bucket: Dict[int, bytes]) -> int:
         return self._set_cost_bytes(by_bucket)
 
     @staticmethod
-    def _set_cost_bytes(by_bucket: Dict[int, List[bytes]]) -> int:
-        macs = sum(len(lst) for lst in by_bucket.values())
+    def _set_cost_bytes(by_bucket: Dict[int, bytes]) -> int:
         return (
-            macs * MAC_SIZE
+            sum(map(len, by_bucket.values()))
             + len(by_bucket) * _PER_BUCKET_OVERHEAD
             + _PER_SET_OVERHEAD
         )

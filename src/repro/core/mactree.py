@@ -16,7 +16,7 @@ reproducing Figure 15's cliff.
 from __future__ import annotations
 
 from hmac import compare_digest
-from typing import Iterable, List
+from typing import Iterable
 
 from repro.crypto.suite import CipherSuite
 from repro.errors import ReplayError
@@ -61,30 +61,28 @@ class MacTree:
         self._memory.write(ctx, self.base + set_id * HASH_SIZE, digest)
 
     # -- verification ---------------------------------------------------------
-    @staticmethod
-    def compute(ctx: ExecContext, suite: CipherSuite, macs: List[bytes]) -> bytes:
-        """Keyed hash over the set's entry MACs, in canonical order."""
-        message = b"".join(macs)
-        ctx.charge_cmac(len(message))
-        return suite.mac(message) if macs else _EMPTY
-
+    # ``message`` is the set's entry MACs as one byte string: each member
+    # bucket's MAC blob, concatenated in the order ``buckets_of`` yields.
+    # The keyed hash over it is charged as one CMAC; a set with no entries
+    # keeps the all-zero "nothing yet" marker.
     def verify_set(
-        self, ctx: ExecContext, suite: CipherSuite, set_id: int, macs: List[bytes]
+        self, ctx: ExecContext, suite: CipherSuite, set_id: int, message: bytes
     ) -> None:
         """Raise :class:`ReplayError` when the set hash does not match."""
-        stored = self.read_hash(ctx, set_id)
-        computed = self.compute(ctx, suite, macs)
-        if not compare_digest(stored, computed):
+        stored = self._memory.read(ctx, self.base + set_id * HASH_SIZE, HASH_SIZE)
+        ctx.charge_cmac(len(message))
+        if not compare_digest(stored, suite.mac(message) if message else _EMPTY):
             raise ReplayError(
                 f"bucket-set hash mismatch for set {set_id}: untrusted entries "
                 "were replayed, reordered, or tampered with"
             )
 
     def update_set(
-        self, ctx: ExecContext, suite: CipherSuite, set_id: int, macs: List[bytes]
+        self, ctx: ExecContext, suite: CipherSuite, set_id: int, message: bytes
     ) -> None:
         """Recompute and store the set hash after a mutation."""
-        self.write_hash(ctx, set_id, self.compute(ctx, suite, macs))
+        ctx.charge_cmac(len(message))
+        self.write_hash(ctx, set_id, suite.mac(message) if message else _EMPTY)
 
     # -- sealing support ---------------------------------------------------
     def dump(self) -> bytes:

@@ -228,12 +228,12 @@ def read_section(
         if store.macbuckets is not None:
             mac = record[HEADER_SIZE + header.kv_size :]
             head = store.buckets.read_mac_ptr(ctx, bucket, False)
-            macs = store.macbuckets.read_all(ctx, head) if head else []
-            macs.append(mac)
+            macs = store.macbuckets.read(ctx, head, False)
+            macs += mac
             if head == 0:
-                head = store.allocator.alloc(ctx, store.macbuckets.node_size)
+                head = store.macbuckets.alloc_node(ctx)
                 store.buckets.write_mac_ptr(ctx, bucket, head)
-            store.macbuckets.write_all(ctx, head, macs)
+            store.macbuckets.write_all(ctx, head, macs, False)
     reader.done()
 
     if verify:
@@ -243,14 +243,7 @@ def read_section(
 def _verify_all_sets(ctx: ExecContext, store: ShieldStore) -> None:
     """Check every bucket-set hash against the restored MAC tree."""
     for set_id in range(store.config.num_mac_hashes):
-        by_bucket = {
-            b: store._collect_bucket_macs(ctx, b)
-            for b in store.mactree.buckets_of(set_id)
-        }
-        if any(by_bucket.values()) or store.mactree.read_hash(
-            ctx, set_id
-        ) != bytes(16):
-            store._verify_set(ctx, set_id, by_bucket)
+        store._verify_covering_set(ctx, set_id, audit=True)
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
 from hmac import compare_digest
 from time import perf_counter
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.core.allocator import make_allocator
 from repro.core.cache import EnclaveCache
@@ -38,9 +37,14 @@ from repro.core.entry import (
     HEADER_SIZE,
     MAC_SIZE,
     EntryHeader,
+    HeaderFields,
+    entry_total_size,
     mac_message,
+    mac_span,
+    mac_splice,
     pack_header,
     unpack_header,
+    unpack_header_fields,
 )
 from repro.core.hashindex import BucketTable, enclave_pointer_error
 from repro.core.macbucket import MacBucketStore
@@ -65,34 +69,16 @@ _MAX_CHAIN = 1_000_000  # cycle guard against corrupted untrusted chains
 DEFAULT_MEASUREMENT = bytes(range(32))
 
 
-@dataclass
-class FoundEntry:
+class FoundEntry(NamedTuple):
     """Result of a successful chain search."""
 
     addr: int
     prev_addr: int      # 0 when the entry is the chain head
     index: int          # position within the chain (0 = head)
-    header: EntryHeader
+    header: HeaderFields  # an EntryHeader or its plain tuple: unpack it
     key: bytes
     value: bytes
     enc_kv: bytes
-
-
-@dataclass
-class WalkResult:
-    """Everything one chain traversal learned.
-
-    ``candidates`` are entries that were decrypted but did not match the
-    requested key (hint collisions — or tampered ciphertexts, which is
-    why their MACs are verified before a miss is reported).
-    ``chain_len`` is the full chain length when the walk reached the end
-    (always on a miss), or -1 when it stopped early at a match.
-    """
-
-    found: Optional[FoundEntry]
-    macs: List[bytes]
-    chain_len: int
-    candidates: List[Tuple[int, EntryHeader, bytes]]
 
 
 class ShieldStore:
@@ -188,14 +174,6 @@ class ShieldStore:
     def _context(self, ctx: Optional[ExecContext]) -> ExecContext:
         return ctx if ctx is not None else self._ctx
 
-    def _bucket_of(self, ctx: ExecContext, key: bytes) -> int:
-        ctx.charge_keyed_hash()
-        return self.keyring.keyed_bucket_hash(key, self.config.num_buckets)
-
-    def _hint_of(self, ctx: ExecContext, key: bytes) -> int:
-        ctx.charge_keyed_hash()
-        return self.keyring.key_hint(key)
-
     def _charge_copy(self, ctx: ExecContext, nbytes: int, write: bool) -> None:
         # Copying request/response payloads across the enclave boundary
         # (the paper's "copying data back and forth from an enclave").
@@ -252,15 +230,6 @@ class ShieldStore:
             ctx, addr + HEADER_SIZE + header.key_size + header.val_size, MAC_SIZE
         )
 
-    def _decrypt_kv(
-        self, ctx: ExecContext, header: EntryHeader, enc_kv: bytes
-    ) -> Tuple[bytes, bytes]:
-        ctx.charge_aes(len(enc_kv))
-        self.machine.counters.decryptions += 1
-        self.stats.search_decryptions += 1
-        plain = self.suite.decrypt(header.iv_ctr, enc_kv)
-        return plain[: header.key_size], plain[header.key_size :]
-
     def _write_entry(
         self,
         ctx: ExecContext,
@@ -290,65 +259,86 @@ class ShieldStore:
     # ------------------------------------------------------------------
     # chain search
     # ------------------------------------------------------------------
-    def _walk(
-        self,
-        ctx: ExecContext,
-        bucket: int,
-        key: bytes,
-        hint: int,
-        decrypt_all: bool,
-        collect_macs: bool,
-    ) -> WalkResult:
-        """Walk one bucket chain looking for ``key``.
+    # A walk returns ``(found, chain_len, candidates, macs)``.
+    # ``candidates`` are entries that were decrypted but did not match
+    # the requested key (hint collisions — or tampered ciphertexts, which
+    # is why :meth:`_verify_walk` verifies their MACs before a miss is
+    # reported).  ``chain_len`` is the full chain length on a miss (the
+    # walk reached the end) and -1 on a hit.  ``macs`` is the chain's MAC
+    # blob when the walk had to collect it (no MAC buckets), else ``None``.
+    def _walk(self, ctx: ExecContext, bucket: int, key: bytes, hint: int, use_hints: bool):
+        """Walk one bucket chain looking for ``key`` (MAC-bucket
+        configuration): candidates are decrypted inline, so the walk
+        stops at the match — MAC buckets provide the MACs of the chain
+        tail it skips (§5.2)."""
+        read = self._memory.read
+        stats = self.stats
+        check = self.config.pointer_check
+        key_len = len(key)
+        candidates: List[Tuple[int, HeaderFields, bytes]] = []
+        prev = index = 0
+        addr = self.buckets.read_head(ctx, bucket, check)
+        while addr:
+            if index >= _MAX_CHAIN:
+                raise StoreError("hash chain cycle detected (corrupted table)")
+            fields = unpack_header_fields(read(ctx, addr, HEADER_SIZE))
+            next_ptr, key_hint, key_size, val_size, iv_ctr = fields
+            if next_ptr and check and ENCLAVE_BASE <= next_ptr < ENCLAVE_END:
+                raise enclave_pointer_error(next_ptr)
+            stats.chain_steps += 1
+            if key_size != key_len:
+                pass
+            elif use_hints and key_hint != hint:
+                stats.hint_skips += 1
+            else:
+                enc_kv = read(ctx, addr + HEADER_SIZE, key_size + val_size)
+                ctx.charge_aes(len(enc_kv))
+                self.machine.counters.decryptions += 1
+                stats.search_decryptions += 1
+                plain = self.suite.decrypt(iv_ctr, enc_kv)
+                if plain.startswith(key):
+                    found = FoundEntry(
+                        addr, prev, index, fields, key, plain[key_size:], enc_kv
+                    )
+                    return found, -1, candidates, None
+                candidates.append((index, fields, enc_kv))
+            prev = addr
+            addr = next_ptr
+            index += 1
+        return None, index, candidates, None
 
-        ``macs`` is only populated when ``collect_macs`` (the
-        non-MAC-bucket integrity path, which must pointer-chase every
-        entry anyway).  That path defers candidate decryption and runs
-        it through the suite's batched keystream primitive
-        (:meth:`_decrypt_candidates`); the MAC-bucket path keeps inline
-        per-entry decryption so the §5.2 early exit still skips the
-        chain tail.
-        """
-        use_hints = self.config.key_hint_enabled and not decrypt_all
-        macs: List[bytes] = []
-        candidates: List[Tuple[int, EntryHeader, bytes]] = []
+    def _walk_collecting(
+        self, ctx: ExecContext, bucket: int, key: bytes, hint: int, use_hints: bool
+    ):
+        """Walk one bucket chain looking for ``key`` when the entries hold
+        the only copy of their MACs: every entry is visited and its MAC
+        collected, and candidate decryption is deferred to the suite's
+        batched keystream primitive (:meth:`_decrypt_candidates`)."""
+        macs = b""
+        candidates: List[Tuple[int, HeaderFields, bytes]] = []
         pending: List[Tuple[int, int, int, EntryHeader]] = []
-        found: Optional[FoundEntry] = None
-        prev = 0
+        prev = index = 0
         addr = self.buckets.read_head(ctx, bucket, self.config.pointer_check)
-        index = 0
         while addr:
             if index >= _MAX_CHAIN:
                 raise StoreError("hash chain cycle detected (corrupted table)")
             header = self._read_header(ctx, addr)
             self.stats.chain_steps += 1
-            if collect_macs:
-                macs.append(self._read_entry_mac(ctx, addr, header))
-                if header.key_size == len(key):
-                    if not use_hints or header.key_hint == hint:
-                        pending.append((index, addr, prev, header))
-                    else:
-                        self.stats.hint_skips += 1
-            elif found is None and header.key_size == len(key):
-                if not use_hints or header.key_hint == hint:
-                    enc_kv = self._read_enc_kv(ctx, addr, header)
-                    plain_key, plain_val = self._decrypt_kv(ctx, header, enc_kv)
-                    if plain_key == key:
-                        found = FoundEntry(
-                            addr, prev, index, header, plain_key, plain_val, enc_kv
-                        )
-                        # MAC buckets provide the remaining MACs; the
-                        # chain walk can stop at the match (§5.2).
-                        return WalkResult(found, macs, -1, candidates)
-                    candidates.append((index, header, enc_kv))
-                elif use_hints:
-                    self.stats.hint_skips += 1
+            macs += self._read_entry_mac(ctx, addr, header)
+            if header.key_size != len(key):
+                pass
+            elif use_hints and header.key_hint != hint:
+                self.stats.hint_skips += 1
+            else:
+                pending.append((index, addr, prev, header))
             prev = addr
             addr = header.next_ptr
             index += 1
         if pending:
             found = self._decrypt_candidates(ctx, key, pending, candidates)
-        return WalkResult(found, macs, index, candidates)
+            if found is not None:
+                return found, -1, candidates, macs
+        return None, index, candidates, macs
 
     # Candidates decrypted per batched-keystream call; chunking keeps
     # the early stop at a match from speculating far past it.
@@ -359,7 +349,7 @@ class ShieldStore:
         ctx: ExecContext,
         key: bytes,
         pending: List[Tuple[int, int, int, EntryHeader]],
-        candidates: List[Tuple[int, EntryHeader, bytes]],
+        candidates: List[Tuple[int, HeaderFields, bytes]],
     ) -> Optional[FoundEntry]:
         """Decrypt deferred walk candidates through ``decrypt_many``.
 
@@ -368,7 +358,7 @@ class ShieldStore:
         the plaintext key match.  Ciphertext reads and AES cycles are
         charged per decrypted entry, exactly as the inline path would
         charge them; every decrypted non-match lands in ``candidates``
-        so :meth:`_verify_walk` authenticates it before a miss or hit
+        so :meth:`_verify_walk` verifies it before a miss or hit
         is reported.
         """
         for start in range(0, len(pending), self._DECRYPT_CHUNK):
@@ -403,85 +393,28 @@ class ShieldStore:
                 return found
         return None
 
-    def _search(self, ctx: ExecContext, bucket: int, key: bytes, hint: int) -> WalkResult:
-        """Hint-guided search with the §5.4 two-step fallback.
-
-        The MAC list in the result is populated only in the
-        pointer-chasing (no MAC bucket) configuration.
-        """
-        start = perf_counter()
-        collect = self.macbuckets is None
-        walk = self._walk(
-            ctx, bucket, key, hint, decrypt_all=False, collect_macs=collect
-        )
-        if (
-            walk.found is None
-            and self.config.key_hint_enabled
-            and self.config.two_step_search
-        ):
-            # Hints may have been corrupted (availability attack, §5.4):
-            # re-walk decrypting everything before concluding absence.
-            self.stats.full_searches += 1
-            walk = self._walk(
-                ctx, bucket, key, hint, decrypt_all=True, collect_macs=collect
-            )
-        self.stats.stage_walk_s += perf_counter() - start
-        return walk
-
     # ------------------------------------------------------------------
     # integrity plumbing
     # ------------------------------------------------------------------
-    def _collect_bucket_macs(self, ctx: ExecContext, bucket: int) -> List[bytes]:
-        """All entry MACs of ``bucket`` in chain order."""
-        if self.macbuckets is not None:
-            head = self.buckets.read_mac_ptr(ctx, bucket, self.config.pointer_check)
-            return self.macbuckets.read_all(ctx, head) if head else []
-        macs: List[bytes] = []
+    def _chase_bucket_macs(self, ctx: ExecContext, bucket: int) -> bytes:
+        """``bucket``'s entry MACs in chain order, read off the entries
+        themselves (the configuration without MAC buckets)."""
+        macs = b""
         addr = self.buckets.read_head(ctx, bucket, self.config.pointer_check)
         steps = 0
         while addr:
             if steps >= _MAX_CHAIN:
                 raise StoreError("hash chain cycle detected (corrupted table)")
             header = self._read_header(ctx, addr)
-            macs.append(self._read_entry_mac(ctx, addr, header))
+            macs += self._read_entry_mac(ctx, addr, header)
             addr = header.next_ptr
             steps += 1
         return macs
 
-    def _gather_set_macs(
-        self,
-        ctx: ExecContext,
-        bucket: int,
-        own_macs: Optional[List[bytes]] = None,
-    ) -> Tuple[int, Dict[int, List[bytes]]]:
-        """MACs of every bucket in the covering set, keyed by bucket."""
-        start = perf_counter()
-        set_id = self.mactree.set_of(bucket)
-        by_bucket: Dict[int, List[bytes]] = {}
-        for member in self.mactree.buckets_of(set_id):
-            if member == bucket and own_macs is not None:
-                by_bucket[member] = own_macs
-            else:
-                by_bucket[member] = self._collect_bucket_macs(ctx, member)
-        self.stats.stage_verify_s += perf_counter() - start
-        return set_id, by_bucket
-
-    @staticmethod
-    def _flatten(by_bucket: Dict[int, List[bytes]]) -> List[bytes]:
-        return [mac for b in sorted(by_bucket) for mac in by_bucket[b]]
-
-    def _verify_set(
-        self, ctx: ExecContext, set_id: int, by_bucket: Dict[int, List[bytes]]
-    ) -> None:
-        start = perf_counter()
-        self.stats.integrity_checks += 1
-        self.mactree.verify_set(ctx, self.suite, set_id, self._flatten(by_bucket))
-        self.stats.stage_verify_s += perf_counter() - start
-
     def _update_set(
-        self, ctx: ExecContext, set_id: int, by_bucket: Dict[int, List[bytes]]
+        self, ctx: ExecContext, set_id: int, by_bucket: Dict[int, bytes]
     ) -> None:
-        self.mactree.update_set(ctx, self.suite, set_id, self._flatten(by_bucket))
+        self.mactree.update_set(ctx, self.suite, set_id, b"".join(by_bucket.values()))
         if self.maccache is not None:
             # Write-through: every mutation path funnels here, so the
             # enclave-resident verified copy can never go stale relative
@@ -493,113 +426,178 @@ class ShieldStore:
         self,
         ctx: ExecContext,
         bucket: int,
-        walk: Optional["WalkResult"] = None,
-        own_macs: Optional[List[bytes]] = None,
-    ) -> Tuple[int, Dict[int, List[bytes]]]:
-        """Authenticated MAC lists for ``bucket``'s covering set.
+        own_macs: Optional[bytes] = None,
+        verified_sets: Optional[Dict[int, Dict[int, bytes]]] = None,
+        audit: bool = False,
+    ) -> Tuple[int, Dict[int, bytes]]:
+        """Authenticated MAC blobs for ``bucket``'s covering set: one
+        contiguous blob per member bucket, chain order, members ascending
+        — so the §4.3 set-hash message is the blobs joined as they sit.
 
         Fast path: the enclave-resident :class:`MacSetCache` already
-        holds the verified lists — enclave memory is ground truth, so
+        holds the verified blobs — enclave memory is ground truth, so
         neither the untrusted re-gather nor the keyed set-hash
         recomputation is needed (the caller still authenticates the
-        entries it uses against the returned lists).  On a miss the
+        entries it uses against the returned blobs).  On a miss the
         full §4.3 gather + verification runs and repopulates the cache.
+        ``own_macs`` stands in for ``bucket``'s blob when the caller
+        already collected it.
+
+        A batch passes its ``verified_sets``: the first operation
+        touching a set gathers and verifies it, later ones reuse the
+        authenticated (and batch-locally maintained) blobs.  Dirty sets
+        must NOT be re-verified mid-batch — their stored hashes are
+        stale until the batch flushes — which holds structurally: a set
+        stays in ``verified_sets`` from first touch, and because
+        mutations replace blobs in the shared dict and ``verified_sets``
+        is seeded with the cached dict itself, a mid-batch cache hit on
+        a dirty set returns the maintained blobs, never a stale copy.
+
+        ``audit`` re-derives trust from untrusted memory and the
+        in-enclave hash alone: the cache is neither consulted nor
+        filled, and a never-written set (no MACs under an all-zero hash)
+        has nothing to hash.
         """
-        set_id = self.mactree.set_of(bucket)
-        if self.maccache is not None:
-            cached = self.maccache.lookup(ctx, set_id)
-            if cached is not None:
-                self.stats.mac_cache_hits += 1
-                return set_id, cached
-            self.stats.mac_cache_misses += 1
-        if own_macs is None and walk is not None and self.macbuckets is None:
-            own_macs = walk.macs
-        _sid, by_bucket = self._gather_set_macs(ctx, bucket, own_macs)
-        self._verify_set(ctx, set_id, by_bucket)
-        if self.maccache is not None:
-            self.maccache.store(ctx, set_id, by_bucket)
-            self.stats.mac_cache_evictions = self.maccache.evictions
+        stats = self.stats
+        mactree = self.mactree
+        set_id = mactree.set_of(bucket)
+        maccache = None if audit else self.maccache
+        if maccache is not None:
+            by_bucket = maccache.lookup(ctx, set_id)
+            if by_bucket is not None:
+                stats.mac_cache_hits += 1
+                if verified_sets is not None:
+                    verified_sets.setdefault(set_id, by_bucket)
+                return set_id, by_bucket
+        if verified_sets is not None and set_id in verified_sets:
+            stats.batch_verifications_saved += 1
+            return set_id, verified_sets[set_id]
+        if maccache is not None:
+            stats.mac_cache_misses += 1
+        started = perf_counter()  # stage_verify_s: what a cache hit skips
+        check = self.config.pointer_check
+        macbuckets = self.macbuckets
+        by_bucket = {}
+        for member in mactree.buckets_of(set_id):
+            if member == bucket and own_macs is not None:
+                by_bucket[member] = own_macs
+            elif macbuckets is None:
+                by_bucket[member] = self._chase_bucket_macs(ctx, member)
+            else:
+                head = self.buckets.read_mac_ptr(ctx, member, check)
+                by_bucket[member] = macbuckets.read(ctx, head, check) if head else b""
+        message = b"".join(by_bucket.values())
+        if message or not audit or not compare_digest(
+            mactree.read_hash(ctx, set_id), bytes(16)
+        ):
+            stats.integrity_checks += 1
+            mactree.verify_set(ctx, self.suite, set_id, message)
+        stats.stage_verify_s += perf_counter() - started
+        if maccache is not None:
+            maccache.store(ctx, set_id, by_bucket)
+            stats.mac_cache_evictions = maccache.evictions
+        if verified_sets is not None:
+            stats.batch_sets_verified += 1
+            verified_sets[set_id] = by_bucket
         return set_id, by_bucket
 
-    def _verify_lookup(
-        self, ctx: ExecContext, key: bytes
-    ) -> Tuple[int, int, Dict[int, List[bytes]], "WalkResult"]:
-        """Shared single-op read prologue: search the chain, obtain the
-        authenticated covering-set MAC lists, and authenticate what the
-        walk concluded.  Returns ``(bucket, set_id, by_bucket, walk)``.
-        """
-        bucket = self._bucket_of(ctx, key)
-        hint = self._hint_of(ctx, key) if self.config.key_hint_enabled else 0
-        walk = self._search(ctx, bucket, key, hint)
-        set_id, by_bucket = self._verify_covering_set(ctx, bucket, walk)
-        self._verify_walk(ctx, walk, by_bucket[bucket])
-        return bucket, set_id, by_bucket, walk
-
-    def _verify_found(
+    def _lookup(
         self,
         ctx: ExecContext,
-        found: FoundEntry,
-        bucket_macs: List[bytes],
-    ) -> None:
+        key: bytes,
+        verified_sets: Optional[Dict[int, Dict[int, bytes]]] = None,
+    ) -> Tuple[int, int, Dict[int, bytes], Optional[FoundEntry]]:
+        """Every operation's read prologue: search the chain (hint-guided,
+        with the §5.4 two-step fallback), obtain the authenticated
+        covering-set MAC blobs, and authenticate what the walk concluded
+        — the found entry included.  Returns ``(bucket, set_id,
+        by_bucket, found)``.
+        """
+        config = self.config
+        ctx.charge_keyed_hash()
+        bucket = self.keyring.keyed_bucket_hash(key, config.num_buckets)
+        use_hints = config.key_hint_enabled
+        hint = 0
+        if use_hints:
+            ctx.charge_keyed_hash()
+            hint = self.keyring.key_hint(key)
+        stats = self.stats
+        walk = self._walk if self.macbuckets is not None else self._walk_collecting
+        started = perf_counter()
+        found, chain_len, candidates, macs = walk(ctx, bucket, key, hint, use_hints)
+        if found is None and use_hints and config.two_step_search:
+            # Hints may have been corrupted (availability attack, §5.4):
+            # re-walk decrypting everything before concluding absence.
+            stats.full_searches += 1
+            found, chain_len, candidates, macs = walk(ctx, bucket, key, hint, False)
+        stats.stage_walk_s += perf_counter() - started
+        set_id, by_bucket = self._verify_covering_set(ctx, bucket, macs, verified_sets)
+        started = perf_counter()
+        blob = by_bucket[bucket]
+        if candidates or found is None:
+            self._verify_walk(ctx, blob, chain_len, candidates)
+        if found is not None:
+            self._verify_found(ctx, found, blob)
+        stats.stage_crypto_s += perf_counter() - started
+        return bucket, set_id, by_bucket, found
+
+    def _verify_found(self, ctx: ExecContext, found: FoundEntry, blob: bytes) -> None:
         """Check the found entry's own MAC against the authenticated copy.
 
-        ``bucket_macs`` is ground truth either way it was obtained — a
-        just-verified §4.3 gather, or the enclave-cached copy at the
-        entry's chain position (the O(1) hit path) — so this one
-        constant-time comparison is the entire per-entry authentication.
+        ``blob`` is ground truth either way it was obtained — a
+        just-verified §4.3 gather, or the enclave-cached copy (the O(1)
+        hit path) — so this one constant-time comparison at the entry's
+        chain position is the entire per-entry authentication.
+        :meth:`_lookup` makes it for every hit; the read-modify-write
+        verbs (append, increment, compare-and-swap) make it once more
+        right before they rewrite the entry they computed from, a second
+        entry MAC the simulated ledger has always charged them.
         """
-        start = perf_counter()
         ctx.charge_cmac(len(found.enc_kv) + 25)
         computed = self.suite.mac(mac_message(found.header, found.enc_kv))
-        if found.index >= len(bucket_macs):
+        expected = blob[mac_span(found.index)]
+        if not expected:
             raise IntegrityError(
                 "entry is missing from its MAC bucket (tampered metadata)"
             )
-        if not compare_digest(computed, bucket_macs[found.index]):
+        if not compare_digest(computed, expected):
             raise IntegrityError(
                 f"entry MAC mismatch for key {self.keyring.redact(found.key)}: "
                 "untrusted entry bytes were tampered with"
             )
-        self.stats.stage_crypto_s += perf_counter() - start
 
     def _verify_walk(
         self,
         ctx: ExecContext,
-        walk: "WalkResult",
-        bucket_macs: List[bytes],
+        blob: bytes,
+        chain_len: int,
+        candidates: List[Tuple[int, HeaderFields, bytes]],
     ) -> None:
-        """Authenticate everything a walk concluded (hardening beyond the
-        paper; see DESIGN.md).
+        """Authenticate what a walk concluded beside the entry it found
+        (hardening beyond the paper; see DESIGN.md).
 
         * Decrypted-but-unmatched candidates are verified, so a flipped
           ciphertext cannot masquerade as a different key and turn into a
           silent authenticated miss.
-        * On a miss, the observed chain length must equal the
-          authenticated MAC count — in MAC-bucket mode a truncated chain
-          would otherwise hide entries while the set hash still matched.
+        * On a miss (``chain_len >= 0``: the walk reached the end), the
+          observed chain length must equal the authenticated MAC count —
+          in MAC-bucket mode a truncated chain would otherwise hide
+          entries while the set hash still matched.
         """
-        start = perf_counter()
-        for index, header, enc_kv in walk.candidates:
+        for index, header, enc_kv in candidates:
             ctx.charge_cmac(len(enc_kv) + 25)
             computed = self.suite.mac(mac_message(header, enc_kv))
-            if index >= len(bucket_macs) or not compare_digest(
-                computed, bucket_macs[index]
-            ):
+            if not compare_digest(computed, blob[mac_span(index)]):
                 raise IntegrityError(
                     f"chain entry at position {index} failed verification: "
                     "untrusted entry bytes were tampered with"
                 )
-        if (
-            walk.found is None
-            and walk.chain_len >= 0
-            and walk.chain_len != len(bucket_macs)
-        ):
+        if chain_len >= 0 and chain_len * MAC_SIZE != len(blob):
             raise IntegrityError(
-                f"chain length {walk.chain_len} does not match the "
-                f"authenticated MAC count {len(bucket_macs)}: entries were "
+                f"chain length {chain_len} does not match the "
+                f"authenticated MAC count {len(blob) // MAC_SIZE}: entries were "
                 "hidden or injected"
             )
-        self.stats.stage_crypto_s += perf_counter() - start
 
     # ------------------------------------------------------------------
     # public operations
@@ -611,29 +609,31 @@ class ShieldStore:
         :class:`IntegrityError`/:class:`ReplayError` when untrusted state
         fails verification.
         """
-        ctx = self._context(ctx)
-        ctx.charge(self.machine.cost.op_dispatch_cycles)
-        self.stats.gets += 1
+        if ctx is None:
+            ctx = self._ctx
+        cost = self.machine.cost
+        ctx.charge(cost.op_dispatch_cycles)
+        stats = self.stats
+        stats.gets += 1
         key = bytes(key)
         if self.cache is not None:
             cached = self.cache.lookup(ctx, key)
             if cached is not None:
-                self.stats.cache_hits += 1
-                self.stats.hits += 1
+                stats.cache_hits += 1
+                stats.hits += 1
                 return cached
-            self.stats.cache_misses += 1
-        bucket, _set_id, by_bucket, walk = self._verify_lookup(ctx, key)
-        found = walk.found
+            stats.cache_misses += 1
+        found = self._lookup(ctx, key)[3]
         if found is None:
-            self.stats.misses += 1
+            stats.misses += 1
             # shieldlint: ignore[trust-boundary] -- structured miss signal: the key rides as the exception argument, every boundary catches it (execute_request maps it to STATUS_MISS) and only redacted text may enter transported messages
             raise KeyNotFoundError(key)
-        self._verify_found(ctx, found, by_bucket[bucket])
-        self._charge_copy(ctx, len(found.value), write=True)
+        value = found.value
+        ctx.charge(cost.mem_cycles(len(value), True, True))  # copy-out, as _charge_copy
         if self.cache is not None:
-            self.cache.store(ctx, key, found.value)
-        self.stats.hits += 1
-        return found.value
+            self.cache.store(ctx, key, value)
+        stats.hits += 1
+        return value
 
     def set(self, key: bytes, value: bytes, ctx: Optional[ExecContext] = None) -> None:
         """Insert or update ``key`` -> ``value``."""
@@ -643,8 +643,7 @@ class ShieldStore:
         key, value = bytes(key), bytes(value)
         self._wal_append("set", key, value)
         self._charge_copy(ctx, len(key) + len(value), write=False)
-        bucket, set_id, by_bucket, walk = self._verify_lookup(ctx, key)
-        found = walk.found
+        bucket, set_id, by_bucket, found = self._lookup(ctx, key)
         if found is not None:
             self._update_entry(ctx, bucket, set_id, by_bucket, found, value)
             self.stats.updates += 1
@@ -661,13 +660,11 @@ class ShieldStore:
         self.stats.deletes += 1
         key = bytes(key)
         self._wal_append("delete", key)
-        bucket, set_id, by_bucket, walk = self._verify_lookup(ctx, key)
-        found = walk.found
+        bucket, set_id, by_bucket, found = self._lookup(ctx, key)
         if found is None:
             self.stats.misses += 1
             # shieldlint: ignore[trust-boundary] -- structured miss signal: the key rides as the exception argument, every boundary catches it (execute_request maps it to STATUS_MISS) and only redacted text may enter transported messages
             raise KeyNotFoundError(key)
-        self._verify_found(ctx, found, by_bucket[bucket])
         self._remove_entry(ctx, bucket, set_id, by_bucket, found)
 
     def append(self, key: bytes, suffix: bytes, ctx: Optional[ExecContext] = None) -> bytes:
@@ -682,15 +679,14 @@ class ShieldStore:
         key, suffix = bytes(key), bytes(suffix)
         self._wal_append("append", key, suffix)
         self._charge_copy(ctx, len(key) + len(suffix), write=False)
-        bucket, set_id, by_bucket, walk = self._verify_lookup(ctx, key)
-        found = walk.found
+        bucket, set_id, by_bucket, found = self._lookup(ctx, key)
         if found is None:
             self._insert_entry(ctx, bucket, set_id, by_bucket, key, suffix)
             self.stats.inserts += 1
             new_value = suffix
         else:
-            self._verify_found(ctx, found, by_bucket[bucket])
             new_value = found.value + suffix
+            self._verify_found(ctx, found, by_bucket[bucket])
             self._update_entry(ctx, bucket, set_id, by_bucket, found, new_value)
             self.stats.updates += 1
         if self.cache is not None:
@@ -710,8 +706,7 @@ class ShieldStore:
         self.stats.increments += 1
         key = bytes(key)
         self._wal_append("increment", key, str(delta).encode())
-        bucket, set_id, by_bucket, walk = self._verify_lookup(ctx, key)
-        found = walk.found
+        bucket, set_id, by_bucket, found = self._lookup(ctx, key)
         if found is None:
             new_int = delta
             self._insert_entry(
@@ -719,7 +714,6 @@ class ShieldStore:
             )
             self.stats.inserts += 1
         else:
-            self._verify_found(ctx, found, by_bucket[bucket])
             try:
                 new_int = int(found.value.decode("ascii")) + delta
             except (UnicodeDecodeError, ValueError):
@@ -727,6 +721,7 @@ class ShieldStore:
                     f"value under {self.keyring.redact(key)} is not an "
                     "ASCII integer"
                 ) from None
+            self._verify_found(ctx, found, by_bucket[bucket])
             self._update_entry(
                 ctx, bucket, set_id, by_bucket, found, str(new_int).encode()
             )
@@ -755,15 +750,15 @@ class ShieldStore:
         key, expected, new_value = bytes(key), bytes(expected), bytes(new_value)
         self._wal_append("cas", key, encode_cas_value(expected, new_value))
         self._charge_copy(ctx, len(key) + len(expected) + len(new_value), write=False)
-        bucket, set_id, by_bucket, walk = self._verify_lookup(ctx, key)
-        if walk.found is None:
+        bucket, set_id, by_bucket, found = self._lookup(ctx, key)
+        if found is None:
             self.stats.misses += 1
             # shieldlint: ignore[trust-boundary] -- structured miss signal: the key rides as the exception argument, every boundary catches it (execute_request maps it to STATUS_MISS) and only redacted text may enter transported messages
             raise KeyNotFoundError(key)
-        self._verify_found(ctx, walk.found, by_bucket[bucket])
-        if walk.found.value != expected:
+        if found.value != expected:
             return False
-        self._update_entry(ctx, bucket, set_id, by_bucket, walk.found, new_value)
+        self._verify_found(ctx, found, by_bucket[bucket])
+        self._update_entry(ctx, bucket, set_id, by_bucket, found, new_value)
         self.stats.sets += 1
         self.stats.updates += 1
         if self.cache is not None:
@@ -778,57 +773,6 @@ class ShieldStore:
         except KeyNotFoundError:
             return False
 
-    def _batch_step(
-        self,
-        ctx: ExecContext,
-        key: bytes,
-        verified_sets: Dict[int, Dict[int, List[bytes]]],
-    ) -> Tuple[int, int, Dict[int, List[bytes]], WalkResult]:
-        """One batched operation's search plus amortized set verification.
-
-        The first operation of a batch touching a set gathers and
-        verifies it; later operations reuse the authenticated (and
-        batch-locally maintained) MAC lists from ``verified_sets``.
-        Dirty sets must NOT be re-verified mid-batch — their stored
-        hashes are stale until the batch flushes — which the cache
-        guarantees structurally: a set stays cached from first touch.
-
-        The enclave-resident MAC cache is consulted first: its lists
-        are ground truth across batches, and — because mutations update
-        the shared dict object in place and ``verified_sets`` is seeded
-        with that same object on first touch — a mid-batch hit on a
-        dirty set returns the batch-locally maintained lists, never a
-        stale copy.
-        """
-        bucket = self._bucket_of(ctx, key)
-        hint = self._hint_of(ctx, key) if self.config.key_hint_enabled else 0
-        walk = self._search(ctx, bucket, key, hint)
-        set_id = self.mactree.set_of(bucket)
-        by_bucket = None
-        if self.maccache is not None:
-            by_bucket = self.maccache.lookup(ctx, set_id)
-        if by_bucket is not None:
-            self.stats.mac_cache_hits += 1
-            verified_sets.setdefault(set_id, by_bucket)
-        else:
-            by_bucket = verified_sets.get(set_id)
-            if by_bucket is not None:
-                self.stats.batch_verifications_saved += 1
-            else:
-                if self.maccache is not None:
-                    self.stats.mac_cache_misses += 1
-                _sid, by_bucket = self._gather_set_macs(
-                    ctx, bucket, walk.macs if self.macbuckets is None else None
-                )
-                self._verify_set(ctx, set_id, by_bucket)
-                self.stats.batch_sets_verified += 1
-                if self.maccache is not None:
-                    self.maccache.store(ctx, set_id, by_bucket)
-                    self.stats.mac_cache_evictions = self.maccache.evictions
-                verified_sets[set_id] = by_bucket
-        self._verify_walk(ctx, walk, by_bucket[bucket])
-        return bucket, set_id, by_bucket, walk
-
     def multi_get(
         self, keys, ctx: Optional[ExecContext] = None
     ) -> Dict[bytes, Optional[bytes]]:
@@ -842,7 +786,7 @@ class ShieldStore:
         ctx = self._context(ctx)
         self.stats.batches += 1
         results: Dict[bytes, Optional[bytes]] = {}
-        verified_sets: Dict[int, Dict[int, List[bytes]]] = {}
+        verified_sets: Dict[int, Dict[int, bytes]] = {}
         for key in keys:
             key = bytes(key)
             ctx.charge(self.machine.cost.op_dispatch_cycles // 2)
@@ -856,19 +800,16 @@ class ShieldStore:
                     results[key] = cached
                     continue
                 self.stats.cache_misses += 1
-            bucket, _set_id, by_bucket, walk = self._batch_step(
-                ctx, key, verified_sets
-            )
-            if walk.found is None:
+            found = self._lookup(ctx, key, verified_sets)[3]
+            if found is None:
                 self.stats.misses += 1
                 results[key] = None
                 continue
-            self._verify_found(ctx, walk.found, by_bucket[bucket])
-            self._charge_copy(ctx, len(walk.found.value), write=True)
+            self._charge_copy(ctx, len(found.value), write=True)
             if self.cache is not None:
-                self.cache.store(ctx, key, walk.found.value)
+                self.cache.store(ctx, key, found.value)
             self.stats.hits += 1
-            results[key] = walk.found.value
+            results[key] = found.value
         return results
 
     def multi_set(self, items, ctx: Optional[ExecContext] = None) -> None:
@@ -897,7 +838,7 @@ class ShieldStore:
         if pairs:
             self._wal_append("mset", b"", encode_multi_items(pairs))
         self.stats.batches += 1
-        verified_sets: Dict[int, Dict[int, List[bytes]]] = {}
+        verified_sets: Dict[int, Dict[int, bytes]] = {}
         dirty_sets: set = set()
         mutations = 0
         try:
@@ -906,12 +847,12 @@ class ShieldStore:
                 self.stats.sets += 1
                 self.stats.batch_ops += 1
                 self._charge_copy(ctx, len(key) + len(value), write=False)
-                bucket, set_id, by_bucket, walk = self._batch_step(
+                bucket, set_id, by_bucket, found = self._lookup(
                     ctx, key, verified_sets
                 )
-                if walk.found is not None:
+                if found is not None:
                     self._update_entry(
-                        ctx, bucket, set_id, by_bucket, walk.found, value,
+                        ctx, bucket, set_id, by_bucket, found, value,
                         update_set=False,
                     )
                     self.stats.updates += 1
@@ -949,7 +890,7 @@ class ShieldStore:
             self._wal_append("mdelete", b"", encode_multi_keys(keys))
         self.stats.batches += 1
         results: Dict[bytes, bool] = {}
-        verified_sets: Dict[int, Dict[int, List[bytes]]] = {}
+        verified_sets: Dict[int, Dict[int, bytes]] = {}
         dirty_sets: set = set()
         mutations = 0
         try:
@@ -957,18 +898,17 @@ class ShieldStore:
                 ctx.charge(self.machine.cost.op_dispatch_cycles // 2)
                 self.stats.deletes += 1
                 self.stats.batch_ops += 1
-                bucket, set_id, by_bucket, walk = self._batch_step(
+                bucket, set_id, by_bucket, found = self._lookup(
                     ctx, key, verified_sets
                 )
-                if walk.found is None:
+                if found is None:
                     self.stats.misses += 1
                     # A duplicate of a key already deleted earlier in the
                     # batch keeps its True outcome.
                     results.setdefault(key, False)
                     continue
-                self._verify_found(ctx, walk.found, by_bucket[bucket])
                 self._remove_entry(
-                    ctx, bucket, set_id, by_bucket, walk.found,
+                    ctx, bucket, set_id, by_bucket, found,
                     update_set=False,
                 )
                 dirty_sets.add(set_id)
@@ -999,15 +939,8 @@ class ShieldStore:
         ctx = self._context(ctx)
         checked = 0
         for set_id in range(self.config.num_mac_hashes):
-            by_bucket = {
-                b: self._collect_bucket_macs(ctx, b)
-                for b in self.mactree.buckets_of(set_id)
-            }
-            if any(by_bucket.values()) or not compare_digest(
-                self.mactree.read_hash(ctx, set_id), bytes(16)
-            ):
-                self._verify_set(ctx, set_id, by_bucket)
-            for bucket, macs in by_bucket.items():
+            by_bucket = self._verify_covering_set(ctx, set_id, audit=True)[1]
+            for bucket, blob in by_bucket.items():
                 addr = self.buckets.read_head(ctx, bucket, self.config.pointer_check)
                 index = 0
                 while addr:
@@ -1015,9 +948,7 @@ class ShieldStore:
                     enc_kv = self._read_enc_kv(ctx, addr, header)
                     ctx.charge_cmac(len(enc_kv) + 25)
                     computed = self.suite.mac(mac_message(header, enc_kv))
-                    if index >= len(macs) or not compare_digest(
-                        computed, macs[index]
-                    ):
+                    if not compare_digest(computed, blob[mac_span(index)]):
                         raise IntegrityError(
                             f"audit: entry {index} of bucket {bucket} fails "
                             "verification"
@@ -1025,10 +956,10 @@ class ShieldStore:
                     addr = header.next_ptr
                     index += 1
                     checked += 1
-                if index != len(macs):
+                if index * MAC_SIZE != len(blob):
                     raise IntegrityError(
                         f"audit: bucket {bucket} chain length {index} != "
-                        f"authenticated MAC count {len(macs)}"
+                        f"authenticated MAC count {len(blob) // MAC_SIZE}"
                     )
         return checked
 
@@ -1040,25 +971,25 @@ class ShieldStore:
         ctx: ExecContext,
         bucket: int,
         set_id: int,
-        by_bucket: Dict[int, List[bytes]],
+        by_bucket: Dict[int, bytes],
         found: FoundEntry,
         new_value: bytes,
         update_set: bool = True,
     ) -> None:
-        self._verify_found(ctx, found, by_bucket[bucket])
         # A fresh disjoint span, NOT increment_iv_ctr(old_iv): advancing
         # one block would overlap the old ciphertext's keystream span
         # for any record longer than one block (two-time pad).
-        new_iv = self._alloc_iv(len(found.key) + len(new_value))
+        next_ptr, _hint, key_size, val_size, _iv_ctr = found.header
+        new_iv = self._alloc_iv(key_size + len(new_value))
         header, enc_kv, mac = self._encrypt_entry(
-            ctx, found.key, new_value, new_iv, found.header.next_ptr
+            ctx, found.key, new_value, new_iv, next_ptr
         )
-        if len(new_value) == found.header.val_size:
+        if len(new_value) == val_size:
             # Same size: rewrite the record in place.
             self._write_entry(ctx, found.addr, header, enc_kv, mac)
         else:
             # Size changed: reallocate and splice into the same position.
-            self.allocator.free(ctx, found.addr, found.header.total_size)
+            self.allocator.free(ctx, found.addr, entry_total_size(key_size, val_size))
             new_addr = self.allocator.alloc(ctx, header.total_size)
             self._write_entry(ctx, new_addr, header, enc_kv, mac)
             if found.prev_addr:
@@ -1069,8 +1000,10 @@ class ShieldStore:
                 self.buckets.write_head(ctx, bucket, new_addr)
         if self.macbuckets is not None:
             head = self.buckets.read_mac_ptr(ctx, bucket, self.config.pointer_check)
-            self.macbuckets.replace(ctx, head, found.index, mac)
-        by_bucket[bucket][found.index] = mac
+            self.macbuckets.replace(
+                ctx, head, found.index, mac, self.config.pointer_check
+            )
+        by_bucket[bucket] = mac_splice(by_bucket[bucket], found.index, mac)
         if update_set:
             self._update_set(ctx, set_id, by_bucket)
         self._sync_alloc_stats()
@@ -1080,7 +1013,7 @@ class ShieldStore:
         ctx: ExecContext,
         bucket: int,
         set_id: int,
-        by_bucket: Dict[int, List[bytes]],
+        by_bucket: Dict[int, bytes],
         key: bytes,
         value: bytes,
         update_set: bool = True,
@@ -1094,10 +1027,12 @@ class ShieldStore:
         self.buckets.write_head(ctx, bucket, addr)
         if self.macbuckets is not None:
             head = self.buckets.read_mac_ptr(ctx, bucket, self.config.pointer_check)
-            new_head = self.macbuckets.insert_front(ctx, head, mac)
+            new_head = self.macbuckets.insert_front(
+                ctx, head, mac, self.config.pointer_check
+            )
             if new_head != head:
                 self.buckets.write_mac_ptr(ctx, bucket, new_head)
-        by_bucket[bucket].insert(0, mac)
+        by_bucket[bucket] = mac + by_bucket[bucket]
         if update_set:
             self._update_set(ctx, set_id, by_bucket)
         self.count += 1
@@ -1108,25 +1043,26 @@ class ShieldStore:
         ctx: ExecContext,
         bucket: int,
         set_id: int,
-        by_bucket: Dict[int, List[bytes]],
+        by_bucket: Dict[int, bytes],
         found: FoundEntry,
         update_set: bool = True,
     ) -> None:
         """Unlink a verified entry and retire its MAC (shared by
         ``delete`` and ``multi_delete``)."""
+        next_ptr, _hint, key_size, val_size, _iv_ctr = found.header
         if found.prev_addr:
-            self._memory.write(
-                ctx, found.prev_addr, found.header.next_ptr.to_bytes(8, "little")
-            )
+            self._memory.write(ctx, found.prev_addr, next_ptr.to_bytes(8, "little"))
         else:
-            self.buckets.write_head(ctx, bucket, found.header.next_ptr)
-        self.allocator.free(ctx, found.addr, found.header.total_size)
+            self.buckets.write_head(ctx, bucket, next_ptr)
+        self.allocator.free(ctx, found.addr, entry_total_size(key_size, val_size))
         if self.macbuckets is not None:
             head = self.buckets.read_mac_ptr(ctx, bucket, self.config.pointer_check)
-            new_head = self.macbuckets.remove(ctx, head, found.index)
+            new_head = self.macbuckets.remove(
+                ctx, head, found.index, self.config.pointer_check
+            )
             if new_head != head:
                 self.buckets.write_mac_ptr(ctx, bucket, new_head)
-        del by_bucket[bucket][found.index]
+        by_bucket[bucket] = mac_splice(by_bucket[bucket], found.index)
         if update_set:
             self._update_set(ctx, set_id, by_bucket)
         if self.cache is not None:
@@ -1231,10 +1167,10 @@ class ShieldStore:
         """
         if not entries:
             return
-        own_macs: List[bytes] = []
+        own_macs = b""
         for header, enc_kv in entries:
             ctx.charge_cmac(len(enc_kv) + 25)
-            own_macs.append(self.suite.mac(mac_message(header, enc_kv)))
+            own_macs += self.suite.mac(mac_message(header, enc_kv))
         # On a MAC-cache hit by_bucket is the enclave-resident verified
         # copy, so the comparison below authenticates the recomputed
         # chain MACs in every configuration; without a hit it falls back
@@ -1243,9 +1179,7 @@ class ShieldStore:
             ctx, bucket, own_macs=own_macs if self.macbuckets is None else None
         )
         authenticated = by_bucket[bucket]
-        if len(own_macs) != len(authenticated) or not compare_digest(
-            b"".join(own_macs), b"".join(authenticated)
-        ):
+        if not compare_digest(own_macs, authenticated):
             raise IntegrityError(
                 f"bucket {bucket} chain does not match its authenticated "
                 "MACs: untrusted entries were tampered with or reordered"

@@ -73,10 +73,12 @@ class SimMemory:
         self.llc = llc if llc is not None else LLCache(cost)
         self._allocs: Dict[int, Allocation] = {}
         self._bases: List[int] = []
-        # The allocation the last read/write resolved to: consecutive
-        # accesses mostly land in the same one (a heap chunk, the bucket
-        # table), so the bisect in find() is the fallback, not the rule.
-        self._last = _NO_ALLOCATION
+        # The two allocations the last reads/writes resolved to: a lookup
+        # alternates between the bucket table and a heap chunk, so the
+        # bisect in find() is the fallback, not the rule.  What find()
+        # resolves enters second and is promoted by its next hit, so one
+        # stray access (a set hash) does not displace the hot allocation.
+        self._last = self._prev = _NO_ALLOCATION
         self._next = {REGION_ENCLAVE: ENCLAVE_BASE, REGION_UNTRUSTED: UNTRUSTED_BASE}
         self.bytes_allocated = {REGION_ENCLAVE: 0, REGION_UNTRUSTED: 0}
         # The parallel partition router fans batches out to OS threads;
@@ -116,8 +118,8 @@ class SimMemory:
                 raise EnclaveMemoryError(f"free of unknown base 0x{base:x}")
             idx = bisect.bisect_left(self._bases, base)
             del self._bases[idx]
-            if self._last is alloc:
-                self._last = _NO_ALLOCATION
+            if self._last is alloc or self._prev is alloc:
+                self._last = self._prev = _NO_ALLOCATION
             self.bytes_allocated[alloc.region] -= alloc.size
 
     def find(self, addr: int) -> Allocation:
@@ -184,7 +186,12 @@ class SimMemory:
         """Charged read of ``size`` bytes at ``addr``."""
         alloc = self._last
         if not alloc.base <= addr < alloc.end:
-            alloc = self._last = self.find(addr)
+            alloc = self._prev
+            if alloc.base <= addr < alloc.end:
+                self._prev = self._last
+                self._last = alloc
+            else:
+                alloc = self._prev = self.find(addr)
         end = addr + size
         if end > alloc.end:
             raise EnclaveMemoryError(
@@ -216,7 +223,12 @@ class SimMemory:
         """Charged write of ``data`` at ``addr``."""
         alloc = self._last
         if not alloc.base <= addr < alloc.end:
-            alloc = self._last = self.find(addr)
+            alloc = self._prev
+            if alloc.base <= addr < alloc.end:
+                self._prev = self._last
+                self._last = alloc
+            else:
+                alloc = self._prev = self.find(addr)
         size = len(data)
         end = addr + size
         if end > alloc.end:

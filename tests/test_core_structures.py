@@ -10,6 +10,7 @@ from repro.core.entry import (
     EntryHeader,
     entry_total_size,
     mac_message,
+    mac_span,
     pack_header,
     unpack_header,
 )
@@ -183,21 +184,21 @@ class TestMacBuckets:
         head = 0
         for i in range(3):
             head = macstore.insert_front(ctx, head, self._mac(i))
-        assert macstore.read_all(ctx, head) == [self._mac(2), self._mac(1), self._mac(0)]
+        assert macstore.read(ctx, head) == self._mac(2) + self._mac(1) + self._mac(0)
 
     def test_overflow_chains(self, machine, ctx, macstore):
         head = 0
         for i in range(10):
             head = macstore.insert_front(ctx, head, self._mac(i))
-        macs = macstore.read_all(ctx, head)
-        assert macs == [self._mac(i) for i in reversed(range(10))]
+        macs = macstore.read(ctx, head)
+        assert macs == b"".join(self._mac(i) for i in reversed(range(10)))
 
     def test_replace(self, machine, ctx, macstore):
         head = 0
         for i in range(6):
             head = macstore.insert_front(ctx, head, self._mac(i))
         macstore.replace(ctx, head, 5, self._mac(99))
-        assert macstore.read_all(ctx, head)[5] == self._mac(99)
+        assert macstore.read(ctx, head)[mac_span(5)] == self._mac(99)
         with pytest.raises(StoreError):
             macstore.replace(ctx, head, 6, self._mac(1))
 
@@ -206,7 +207,7 @@ class TestMacBuckets:
         for i in range(6):
             head = macstore.insert_front(ctx, head, self._mac(i))
         head = macstore.remove(ctx, head, 0)
-        assert macstore.read_all(ctx, head) == [self._mac(i) for i in (4, 3, 2, 1, 0)]
+        assert macstore.read(ctx, head) == b"".join(self._mac(i) for i in (4, 3, 2, 1, 0))
 
     def test_remove_last_frees(self, machine, ctx, macstore):
         head = macstore.insert_front(ctx, 0, self._mac(1))
@@ -216,8 +217,8 @@ class TestMacBuckets:
         """A lying count in untrusted metadata cannot cause over-reads."""
         head = macstore.insert_front(ctx, 0, self._mac(1))
         machine.memory.raw_write(head, (2**31).to_bytes(4, "little"))
-        macs = macstore.read_all(ctx, head)
-        assert len(macs) <= macstore.capacity
+        macs = macstore.read(ctx, head)
+        assert len(macs) <= macstore.capacity * 16
 
 
 class TestMacTree:
@@ -230,24 +231,24 @@ class TestMacTree:
     def test_verify_update_cycle(self, enclave, ctx, suite):
         tree = MacTree(enclave, num_hashes=2, num_buckets=4)
         macs = [bytes([7]) * 16, bytes([9]) * 16]
-        tree.update_set(ctx, suite, 0, macs)
-        tree.verify_set(ctx, suite, 0, macs)
+        tree.update_set(ctx, suite, 0, b"".join(macs))
+        tree.verify_set(ctx, suite, 0, b"".join(macs))
         with pytest.raises(ReplayError):
-            tree.verify_set(ctx, suite, 0, list(reversed(macs)))
+            tree.verify_set(ctx, suite, 0, b"".join(reversed(macs)))
         with pytest.raises(ReplayError):
-            tree.verify_set(ctx, suite, 0, macs[:1])
+            tree.verify_set(ctx, suite, 0, macs[0])
 
     def test_empty_set_verifies(self, enclave, ctx, suite):
         tree = MacTree(enclave, num_hashes=2, num_buckets=4)
-        tree.verify_set(ctx, suite, 0, [])
+        tree.verify_set(ctx, suite, 0, b"")
 
     def test_dump_load(self, enclave, ctx, suite):
         tree = MacTree(enclave, num_hashes=2, num_buckets=4)
-        tree.update_set(ctx, suite, 1, [bytes([1]) * 16])
+        tree.update_set(ctx, suite, 1, bytes([1]) * 16)
         blob = tree.dump()
         tree2 = MacTree(enclave, num_hashes=2, num_buckets=4)
         tree2.load(blob)
-        tree2.verify_set(ctx, suite, 1, [bytes([1]) * 16])
+        tree2.verify_set(ctx, suite, 1, bytes([1]) * 16)
         with pytest.raises(ValueError):
             tree2.load(b"wrong-size")
 

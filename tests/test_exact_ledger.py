@@ -17,6 +17,7 @@ moves them has changed what the paper's figures are computed from.
 import hashlib
 import random
 from dataclasses import replace
+from time import perf_counter
 
 import pytest
 
@@ -184,6 +185,60 @@ def _memory_script():
     return {"charged": charged, "refused": refused, "after_reset": state()}
 
 
+OVERFLOW_PAIRS = 28
+
+
+def _overflow_run(config):
+    """§5.2 overflow nodes end to end: two MAC slots per node, four
+    buckets under two set hashes, so every chain spans 3+ nodes and every
+    set two buckets."""
+    machine = Machine(cost=COST)
+    store = ShieldStore(config, machine=machine, master_secret=MASTER)
+    store._iv_salt = IV_SALT
+    current = {_key(i): _value(i) for i in range(OVERFLOW_PAIRS)}
+    chains = {}                              # bucket -> keys, chain head first
+    for key, value in current.items():
+        store.set(key, value)
+        chains.setdefault(store.keyring.keyed_bucket_hash(key, 4), []).insert(0, key)
+    chain = max(chains.values(), key=len)
+    assert len(chain) >= 7                   # four nodes
+    current[chain[1]] = bytes(reversed(current[chain[1]]))   # same size: in place
+    store.set(chain[1], current[chain[1]])
+    current[chain[2]] = b"resized" * 9                        # reallocates
+    store.set(chain[2], current[chain[2]])
+    for doomed in (chain[len(chain) // 2], chain[0], chain[-1]):   # middle, head, tail
+        store.delete(doomed)
+        del current[doomed]
+    with pytest.raises(KeyNotFoundError):
+        store.get(chain[0])
+    batch = {_key(i): _value(i, 7) for i in range(OVERFLOW_PAIRS - 4, OVERFLOW_PAIRS + 6)}
+    store.multi_set(batch)
+    current.update(batch)
+    wanted = [chain[1], chain[0], _key(OVERFLOW_PAIRS + 5), chain[2]]
+    assert store.multi_get(wanted) == {key: current.get(key) for key in wanted}
+    gone = [chain[3], chain[-1], _key(OVERFLOW_PAIRS + 1)]
+    assert store.multi_delete(gone) == {key: key in current for key in gone}
+    for key in gone:
+        current.pop(key, None)
+    assert sorted(store.iter_items()) == sorted(current.items())
+    assert store.audit() == len(current)
+    if store.maccache is not None:
+        assert store.maccache.evictions > 0
+    for key, value in current.items():
+        assert store.get(key) == value
+    return _checkpoint(store, machine)
+
+
+def _overflow_script():
+    geometry = dict(num_buckets=4, num_mac_hashes=2, mac_bucket_capacity=2,
+                    heap_chunk_bytes=64 * 1024)
+    return {
+        "plain": _overflow_run(shield_opt(**geometry)),
+        # One set's MACs fit the budget, both do not.
+        "evicting_cache": _overflow_run(shield_opt(mac_cache_bytes=400, **geometry)),
+    }
+
+
 SCRIPTS = {
     "shield_opt": lambda: _store_script(shield_opt(**GEOMETRY)),
     "mac_cache": lambda: _store_script(shield_opt(mac_cache_bytes=24 * 1024, **GEOMETRY)),
@@ -191,6 +246,7 @@ SCRIPTS = {
         shield_base(num_buckets=256, num_mac_hashes=128)
     ),
     "memory": _memory_script,
+    "overflow_nodes": _overflow_script,
 }
 
 GOLDEN = {
@@ -253,6 +309,38 @@ GOLDEN = {
             'cycles': '528.0',
             'llc': [18, 31],
             'epc': [6, 1, 0, 0, 1, 1, 1, 1, 1],
+        },
+    },
+    'overflow_nodes': {
+        'plain': {
+            'counters': {'mem_reads': 2591, 'mem_writes': 244, 'epc_faults': 1, 'epc_evictions':
+                0, 'ecalls': 0, 'ocalls': 1, 'hotcalls': 0, 'aes_calls': 269, 'aes_bytes':
+                57750, 'cmac_calls': 410, 'cmac_bytes': 91369, 'decryptions': 199, 'mem_cycles':
+                87040.0, 'fault_cycles': 206000.0, 'crypto_cycles': 455716.0, 'crossing_cycles':
+                12000.0},
+            'cycles': '1196154.4000000006',
+            'llc': [4052, 151],
+            'epc': [1, 1],
+            'untrusted_sha256':
+                '79a7faf55e3900b814a14c45c561c5f9c1a40552aedaf107150ba0fcb95f555e',
+            'mactree_sha256':
+                'ac36d552e13bbd7e6ff02a3f0c7a8de45e27e5a05eadff6c6f46d3d28b60acf0',
+            'count': 30,
+        },
+        'evicting_cache': {
+            'counters': {'mem_reads': 1855, 'mem_writes': 304, 'epc_faults': 1, 'epc_evictions':
+                0, 'ecalls': 0, 'ocalls': 1, 'hotcalls': 0, 'aes_calls': 269, 'aes_bytes':
+                57750, 'cmac_calls': 360, 'cmac_bytes': 82169, 'decryptions': 199, 'mem_cycles':
+                94469.79999999999, 'fault_cycles': 206000.0, 'crypto_cycles': 427016.0,
+                'crossing_cycles': 12000.0},
+            'cycles': '1174884.2000000004',
+            'llc': [3716, 157],
+            'epc': [1, 1],
+            'untrusted_sha256':
+                '79a7faf55e3900b814a14c45c561c5f9c1a40552aedaf107150ba0fcb95f555e',
+            'mactree_sha256':
+                'ac36d552e13bbd7e6ff02a3f0c7a8de45e27e5a05eadff6c6f46d3d28b60acf0',
+            'count': 30,
         },
     },
     'shield_base': {
@@ -329,6 +417,68 @@ def test_ledger_is_exact(name):
         for field, value in expected.items():
             assert observed[checkpoint][field] == value, (name, checkpoint, field)
     assert observed.keys() == GOLDEN[name].keys()
+
+
+# Deterministic StoreStats of _stats_script, recorded on the commit before
+# the lookup path was straight-lined (ed16f43); benchmarks/shieldbench/
+# traced.py divides these and the stage timers by the op count.
+STATS_FIELDS = (
+    "gets", "hits", "misses", "chain_steps", "search_decryptions", "hint_skips",
+    "full_searches", "integrity_checks", "mac_cache_hits", "mac_cache_misses",
+)
+STATS_GOLDEN = {
+    "mac_cache": {
+        "gets": 75, "hits": 51, "misses": 25, "chain_steps": 503, "search_decryptions": 252,
+        "hint_skips": 251, "full_searches": 146, "integrity_checks": 101,
+        "mac_cache_hits": 103, "mac_cache_misses": 85,
+    },
+    "shield_base": {
+        "gets": 75, "hits": 51, "misses": 25, "chain_steps": 405, "search_decryptions": 405,
+        "hint_skips": 0, "full_searches": 0, "integrity_checks": 115,
+        "mac_cache_hits": 0, "mac_cache_misses": 0,
+    },
+    "shield_opt": {
+        "gets": 75, "hits": 51, "misses": 25, "chain_steps": 503, "search_decryptions": 252,
+        "hint_skips": 251, "full_searches": 146, "integrity_checks": 115,
+        "mac_cache_hits": 0, "mac_cache_misses": 0,
+    },
+}
+
+
+def _stats_script(config):
+    store = ShieldStore(config, master_secret=MASTER)
+    started = perf_counter()
+    store.multi_set([(_key(i), _value(i)) for i in range(120)])
+    for i in range(0, 150, 3):               # single gets, the last ten miss
+        if i < 120:
+            assert store.get(_key(i)) == _value(i)
+        else:
+            assert not store.contains(_key(i))
+    for i in range(0, 130, 7):               # updates (one resized) and inserts
+        store.set(_key(i), _value(i + 1))
+    for i in (5, 6, 200):
+        assert store.multi_delete([_key(i)]) == {_key(i): i != 200}
+    store.delete(_key(8))
+    found = store.multi_get([_key(i) for i in range(110, 135)])
+    assert sum(value is not None for value in found.values()) == 11
+    assert store.audit() == len(store)
+    return store.stats, perf_counter() - started
+
+
+STATS_CONFIGS = {
+    "shield_opt": shield_opt(num_buckets=64, num_mac_hashes=16),
+    "mac_cache": shield_opt(num_buckets=64, num_mac_hashes=16, mac_cache_bytes=1024),
+    "shield_base": shield_base(num_buckets=64, num_mac_hashes=16),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATS_CONFIGS))
+def test_store_stats_and_stage_timers_are_pinned(name):
+    stats, wall_s = _stats_script(STATS_CONFIGS[name])
+    assert {field: getattr(stats, field) for field in STATS_FIELDS} == STATS_GOLDEN[name]
+    stages = (stats.stage_walk_s, stats.stage_verify_s, stats.stage_crypto_s)
+    assert all(stage > 0 for stage in stages)
+    assert sum(stages) <= wall_s
 
 
 def test_refused_accesses_charge_nothing():

@@ -91,7 +91,7 @@ def ctx(enclave):
 
 def mac_lists(buckets=2, per_bucket=3, tag=0):
     return {
-        b: [bytes([tag, b, i]) + bytes(13) for i in range(per_bucket)]
+        b: b"".join(bytes([tag, b, i]) + bytes(13) for i in range(per_bucket))
         for b in range(buckets)
     }
 
@@ -115,7 +115,7 @@ class TestMacSetCacheSemantics:
         lists = mac_lists(per_bucket=2)
         cache.store(ctx, 1, lists)
         before = cache.bytes_used
-        lists[0].append(bytes(16))  # set grew by one MAC
+        lists[0] += bytes(16)  # set grew by one MAC
         cache.store(ctx, 1, lists)
         assert cache.bytes_used == before + MAC_SIZE
         assert len(cache) == 1

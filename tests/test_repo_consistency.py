@@ -275,3 +275,45 @@ class TestOneVersionedDataPath:
             assert not verbs & set(vars(cls)), cls.__name__
         for cls in (ReplicatedStore, Coordinator):
             assert {"_read", "_commit"} <= set(vars(cls)), cls.__name__
+
+
+class TestOneMacRepresentation:
+    """A bucket's MACs are one contiguous blob from untrusted node to set
+    hash to MAC cache and back; no list form survives beside it."""
+
+    _CORE = _ROOT / "src" / "repro" / "core"
+    _FILES = ("store.py", "macbucket.py", "mactree.py", "maccache.py",
+              "persistence.py", "entry.py")
+
+    @classmethod
+    def _hits(cls, pattern):
+        hits = []
+        for name in cls._FILES:
+            code = "\n".join(
+                line.split("#")[0] for line in (cls._CORE / name).read_text().splitlines()
+            )
+            hits += [name] * len(re.findall(pattern, code))
+        return sorted(hits)
+
+    def test_set_hash_message_is_joined_as_gathered(self):
+        assert self._hits(r"sorted\(by_bucket") == []
+        assert self._hits(r"_flatten") == []
+
+    def test_macs_are_sliced_by_index_in_one_place(self):
+        by_index = r"slice\([^)\n]*MAC_SIZE|\[[^\]\n]*MAC_SIZE[^\]\n]*:"
+        assert self._hits(by_index) == ["entry.py"]
+
+    def test_overflow_links_are_range_checked(self):
+        assert self._hits(r"ENCLAVE_BASE <=").count("macbucket.py") == 1
+
+    def test_store_has_no_suffixed_twin_functions(self):
+        import ast
+
+        tree = ast.parse((self._CORE / "store.py").read_text())
+        names = {
+            node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+        }
+        for name in names:
+            for suffix in ("_fast", "_slow", "_blob"):
+                if name.endswith(suffix):
+                    assert name[: -len(suffix)] not in names, name

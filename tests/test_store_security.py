@@ -236,6 +236,63 @@ class TestAvailabilityAttacks:
         with pytest.raises(Exception):  # crashes unsafely, but not PointerSafetyError
             store.get(b"a")
 
+    @staticmethod
+    def _two_keys_in_one_bucket(store):
+        """Set two colliding keys (one full capacity-2 node); returns
+        ``(bucket, node address, a third key of the same bucket)``."""
+        by_bucket = {}
+        for i in range(64):
+            key = b"key-%d" % i
+            bucket = store.keyring.keyed_bucket_hash(key, store.config.num_buckets)
+            by_bucket.setdefault(bucket, []).append(key)
+        bucket, keys = next(item for item in by_bucket.items() if len(item[1]) >= 3)
+        store.set(keys[0], b"one")
+        store.set(keys[1], b"two")
+        slot = store.buckets.slot_addr(bucket)
+        (node,) = struct.unpack("<Q", store.machine.memory.raw_read(slot + 8, 8))
+        return bucket, node, keys[2]
+
+    def test_overflow_node_pointer_into_enclave_blocked(self):
+        """§7 for MAC-bucket overflow links: a node's ``next_ptr`` aimed at
+        the in-enclave set hashes (sixteen zero bytes parse as an empty
+        node) must not be followed — or the next insert would write a node
+        header and a MAC over them."""
+        store = ShieldStore(
+            shield_opt(num_buckets=8, num_mac_hashes=8, mac_bucket_capacity=2)
+        )
+        bucket, node, third = self._two_keys_in_one_bucket(store)
+        empty_set = (bucket + 1) % 7          # its hash and the next are in range
+        before = store.mactree.dump()
+        assert before[16 * empty_set : 16 * empty_set + 16] == bytes(16)
+        Attacker(store.machine.memory).write(
+            node + 8, struct.pack("<Q", store.mactree.base + 16 * empty_set)
+        )
+        with pytest.raises(PointerSafetyError):
+            store.set(third, b"three")
+        assert store.mactree.dump() == before
+
+    def test_overflow_node_cycle_cannot_amplify(self):
+        """A self-referencing node stops every traversal after at most as
+        many hops as there are live MAC nodes."""
+        store = ShieldStore(
+            shield_opt(num_buckets=8, num_mac_hashes=8, mac_bucket_capacity=2)
+        )
+        _bucket, node, third = self._two_keys_in_one_bucket(store)
+        for i in range(20):
+            store.set(b"other-%d" % i, b"v")
+        Attacker(store.machine.memory).write(node + 8, struct.pack("<Q", node))
+        counters = store.machine.counters
+        for attempt in (
+            lambda: store.get(third),
+            lambda: store.set(third, b"three"),
+            lambda: store.delete(third),
+        ):
+            reads = counters.mem_reads
+            with pytest.raises(StoreError, match="cycle"):
+                attempt()
+            # Two reads per hop, plus the (two-pass) walk of a 2-entry chain.
+            assert counters.mem_reads - reads <= 2 * store.macbuckets.nodes + 24
+
     def test_mac_bucket_pointer_corruption_detected(self, store, attacker):
         if store.macbuckets is None:
             pytest.skip("chained configuration has no MAC buckets")

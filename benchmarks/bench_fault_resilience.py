@@ -24,7 +24,6 @@ the full run or ``--quick`` for the CI-sized variant.
 
 import argparse
 import json
-import os
 import pathlib
 import random
 import sys
@@ -47,6 +46,7 @@ from repro.sim import (
     MonotonicCounterService,
     faults,
 )
+from repro.util import usable_cpus
 
 SECRET = bytes(range(32))
 
@@ -187,7 +187,7 @@ def run(partitions, pairs, ops, seed) -> dict:
         "benchmark": "fault_resilience",
         "config": {"partitions": partitions, "pairs": pairs, "ops": ops,
                    "seed": seed},
-        "cpus": os.cpu_count() or 1,
+        "cpus": usable_cpus(),
         "scenarios": points,
         "notes": notes,
     }

@@ -39,7 +39,6 @@ or ``--quick`` for the CI-sized variant.
 
 import argparse
 import json
-import os
 import pathlib
 import sys
 import time
@@ -55,6 +54,7 @@ from repro.core import (
 from repro.core.procpool import DATA_PLANES, default_data_plane
 from repro.core.shmring import shm_supported
 from repro.sim import Machine
+from repro.util import usable_cpus
 from repro.workloads import SMALL, OperationStream, workload
 
 _BASE_PARTITIONS = 4
@@ -156,7 +156,7 @@ def _measure(store, label: str, pairs: int, ops: int, batch: int, seed: int) -> 
 
 def run(pairs: int, ops: int, batch_size: int, seed: int, worker_counts,
         planes) -> dict:
-    cpus = os.cpu_count() or 1
+    cpus = usable_cpus()
     budget = _mac_cache_budget(pairs)
     baselines = {}
     for cache_on in (False, True):
@@ -215,7 +215,7 @@ def run(pairs: int, ops: int, batch_size: int, seed: int, worker_counts,
             "cpus": cpus,
             "oversubscribed_worker_counts": oversubscribed,
             "message": (
-                f"host has {cpus} cpu(s); worker counts {oversubscribed} "
+                f"this process may run on {cpus} cpu(s); worker counts {oversubscribed} "
                 "measure IPC overhead, not parallel speedup"
             ),
         }

@@ -49,6 +49,7 @@ from repro.core import (
 )
 from repro.errors import WorkerError
 from repro.sim import Machine, MonotonicCounterService
+from repro.util import usable_cpus
 
 SECRET = bytes(range(32))
 
@@ -244,7 +245,7 @@ def _replay_point(pairs: int) -> dict:
 
 
 def run(pair_sizes, partitions: int) -> dict:
-    cpus = os.cpu_count() or 1
+    cpus = usable_cpus()
     procs_ok = process_mode_supported()
     snapshots = []
     modes = [MODE_SEQUENTIAL] + ([MODE_PROCESSES] if procs_ok else [])

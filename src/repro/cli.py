@@ -261,9 +261,13 @@ def _cmd_serve(args) -> int:
             wal_sync_ms=args.wal_sync_ms,
         )
         plane = getattr(store, "data_plane", None)
+        waits = store.transport_stats()
         print(f"partition engine: {args.workers} workers, "
               f"mode={store.mode}"
-              + (f", data-plane={plane}" if plane else ""))
+              + (f", data-plane={plane}" if plane else "")
+              + (f", usable_cpus={waits.usable_cpus}: ring waits "
+                 + ("spin first" if waits.ring_spin_budget else "arm the doorbell at once")
+                 if plane == "shm" else ""))
     else:
         master = None
         if args.replication_secret:
@@ -503,6 +507,9 @@ def _cmd_stats(args) -> int:
     # Cross-process aggregation: in processes mode each worker ships its
     # counter snapshot over the pipe and the parent merges them here.
     stats = store.stats()
+    counters = stats.snapshot_dict()
+    if store.data_plane:  # ...and the plane's (on shm: the rings' wait decision)
+        counters.update(store.transport_stats().snapshot_dict())
     ops = stats.batch_ops or 1
     if args.format == "json":
         _emit_json({
@@ -514,7 +521,7 @@ def _cmd_stats(args) -> int:
                 "state": store.partition_state,
             },
             "simulated_us": round(store.elapsed_us(), 1),
-            "counters": stats.snapshot_dict(),
+            "counters": counters,
             "batch_amortization": {
                 "avg_batch_size": round(
                     stats.batch_ops / max(1, stats.batches), 1
@@ -533,7 +540,7 @@ def _cmd_stats(args) -> int:
           f"state={store.partition_state}")
     print(f"simulated time: {store.elapsed_us():.1f} us")
     print("operation counters:")
-    for name, value in stats.snapshot_dict().items():
+    for name, value in counters.items():
         print(f"  {name:28s} {value}")
     print("batch amortization:")
     print(f"  avg batch size               "

@@ -30,7 +30,7 @@ Two planes carry those records (``data_plane=`` selects one):
   ``Connection``-based doorbells for readiness.  This is the paper's
   switchless/HotCalls idea applied to worker IPC: the hot path moves
   sealed bytes through shared memory with a single ``memoryview`` copy
-  per side and usually no syscall at all.
+  per side and, where the pool has a core to spare, no syscall at all.
 * ``"pipe"`` — the original ``multiprocessing`` pipe (two kernel
   copies and a wakeup per direction); kept as the portable fallback
   and selected automatically where shared memory is unavailable.
@@ -102,6 +102,7 @@ from repro.core.shmring import (
     Doorbell,
     ShmRing,
     shm_supported,
+    spin_budget,
 )
 from repro.core.stats import StoreStats, TransportStats
 from repro.crypto.keys import derive_key
@@ -132,6 +133,7 @@ from repro.net.message import (
     encode_response,
 )
 from repro.sim import faults
+from repro.util import usable_cpus
 
 # -- frame opcodes ------------------------------------------------------------
 OP_REQ = 0x01       # execute one Request (single-key or mget/mset/mdelete)
@@ -145,7 +147,7 @@ OP_TAMPER = 0x08    # flip one bit of an entry's untrusted bytes (tests)
 OP_SHUTDOWN = 0x09  # -> empty OK, then the worker exits cleanly
 OP_SNAPSHOT = 0x0A  # u64 counter -> sealed snapshot section (§4.4)
 OP_RESTORE = 0x0B   # u64 counter | u8 verify | section -> u64 WAL ops replayed
-OP_TIMING = 0x0C    # -> JSON per-stage timing (worker compute seconds)
+OP_TIMING = 0x0C    # -> JSON worker compute / CPU seconds + ring wait counts
 
 REPLY_OK = 0x80
 REPLY_ERR = 0xFF
@@ -300,6 +302,9 @@ class _PipeWorkerEnd:
     def send_bytes(self, raw: bytes) -> None:
         self.conn.send_bytes(raw)
 
+    def wait_counts(self) -> dict:
+        return {}
+
     def close(self) -> None:
         try:
             self.conn.close()
@@ -310,28 +315,30 @@ class _PipeWorkerEnd:
 class _ShmWorkerEnd:
     """Worker-side endpoint of the shm plane (picklable spawn arg).
 
-    Carries the ring names and geometry plus the worker's doorbell
-    ``Connection``; :meth:`open` attaches the rings with the roles
-    mirrored (the worker consumes requests and produces replies).
+    Carries the ring names and geometry, the pool's wait policy
+    (``spin``) and the worker's doorbell ``Connection``; :meth:`open`
+    attaches the rings with the roles mirrored (the worker consumes
+    requests and produces replies).
     """
 
     kind = DATA_PLANE_SHM
 
-    def __init__(self, req_name, rep_name, conn, num_slots, slot_size):
+    def __init__(self, req_name, rep_name, conn, num_slots, slot_size, spin):
         self.req_name = req_name
         self.rep_name = rep_name
         self.conn = conn
         self.num_slots = num_slots
         self.slot_size = slot_size
+        self.spin = spin
         self.req = None
         self.rep = None
 
     def open(self) -> "_ShmWorkerEnd":
         self.req = ShmRing.attach(
-            self.req_name, "consumer", self.num_slots, self.slot_size
+            self.req_name, "consumer", self.num_slots, self.slot_size, self.spin
         )
         self.rep = ShmRing.attach(
-            self.rep_name, "producer", self.num_slots, self.slot_size
+            self.rep_name, "producer", self.num_slots, self.slot_size, self.spin
         )
         doorbell = Doorbell(self.conn)
         self.req.doorbell = doorbell
@@ -349,6 +356,10 @@ class _ShmWorkerEnd:
 
     def send_bytes(self, raw: bytes) -> None:
         self.rep.write(raw)
+
+    def wait_counts(self) -> dict:
+        req, rep = self.req.snapshot(), self.rep.snapshot()
+        return {n: req[n] + rep[n] for n in ("spin_yields", "doorbell_waits")}
 
     def close(self) -> None:
         if self.req is not None:
@@ -425,12 +436,12 @@ class _ShmPlane:
 
     kind = DATA_PLANE_SHM
 
-    def __init__(self, ctx, index: int, num_slots: int, slot_size: int):
+    def __init__(self, ctx, index: int, num_slots: int, slot_size: int, spin: int):
         self.index = index
         self.num_slots = num_slots
         self.slot_size = slot_size
-        self.req = ShmRing.create("producer", num_slots, slot_size)
-        self.rep = ShmRing.create("consumer", num_slots, slot_size)
+        self.req = ShmRing.create("producer", num_slots, slot_size, spin)
+        self.rep = ShmRing.create("consumer", num_slots, slot_size, spin)
         self.conn, self._child_conn = ctx.Pipe(duplex=True)
         self._doorbell = Doorbell(self.conn, fault_point="shmring.doorbell")
         self.req.doorbell = self._doorbell
@@ -443,6 +454,7 @@ class _ShmPlane:
             self._child_conn,
             self.num_slots,
             self.slot_size,
+            self.req.spin,
         )
 
     def finish_spawn(self, process) -> None:
@@ -484,6 +496,7 @@ class _ShmPlane:
         stats.ring_frames = self.req.frames + self.rep.frames
         stats.ring_bytes = self.req.bytes_moved + self.rep.bytes_moved
         stats.ring_full_waits = self.req.full_waits + self.rep.full_waits
+        stats.ring_spin_yields = self.req.spin_yields + self.rep.spin_yields
         stats.ring_doorbell_waits = (
             self.req.doorbell_waits + self.rep.doorbell_waits
         )
@@ -497,12 +510,6 @@ class _ShmPlane:
         self.req.close()
         self.rep.close()
         self._doorbell.close()
-
-
-def _make_plane(plane: str, ctx, index: int, num_slots: int, slot_size: int):
-    if plane == DATA_PLANE_SHM:
-        return _ShmPlane(ctx, index, num_slots, slot_size)
-    return _PipePlane(ctx, index)
 
 
 def _worker_main(
@@ -546,7 +553,7 @@ def _worker_main(
         master_secret, index, channel_nonce, "server", config.suite_name
     )
     plane = end.open()
-    compute_s = 0.0  # seconds spent executing OP_REQ work (stage timing)
+    compute_s = cpu_s = 0.0  # OP_REQ wall clock (incl. time off the core) / CPU
     while True:
         # Group-commit tail: while the log is dirty, wait for the next
         # frame only until its window passes, then fsync it.
@@ -566,14 +573,15 @@ def _worker_main(
         store = host.store
         try:
             if opcode == OP_REQ:
-                started = time.perf_counter()
+                started, cpu_started = time.perf_counter(), time.process_time()
                 reply = bytes([REPLY_OK]) + encode_response(
                     execute_request(store, decode_request(payload))
                 )
                 compute_s += time.perf_counter() - started
+                cpu_s += time.process_time() - cpu_started
             elif opcode == OP_TIMING:
                 reply = bytes([REPLY_OK]) + json.dumps(
-                    {"compute_s": compute_s}
+                    {"compute_s": compute_s, "cpu_s": cpu_s, **plane.wait_counts()}
                 ).encode("ascii")
             elif opcode == OP_STATS:
                 reply = bytes([REPLY_OK]) + json.dumps(
@@ -756,6 +764,10 @@ class ProcessPartitionPool:
         self.num_workers = num_workers
         self.request_timeout = request_timeout
         self.data_plane = data_plane
+        # The shm plane's wait policy, decided once for every ring of
+        # every incarnation: spin only with a core no pool process needs.
+        self.usable_cpus = usable_cpus()
+        self.ring_spin = spin_budget(self.usable_cpus, num_workers + 1)
         self._ring_slots = ring_slots
         self._ring_slot_size = ring_slot_size
         self._broken: Optional[str] = None
@@ -813,13 +825,13 @@ class ProcessPartitionPool:
         if hit is not None and hit.kind == "drop":
             raise OSError(f"injected spawn failure for partition {index}")
         nonce = _fresh_nonce()
-        plane = _make_plane(
-            self.data_plane,
-            self._mp_ctx,
-            index,
-            self._ring_slots,
-            self._ring_slot_size,
-        )
+        if self.data_plane == DATA_PLANE_SHM:
+            plane = _ShmPlane(
+                self._mp_ctx, index, self._ring_slots, self._ring_slot_size,
+                self.ring_spin,
+            )
+        else:
+            plane = _PipePlane(self._mp_ctx, index)
         try:
             process = self._mp_ctx.Process(
                 target=_worker_main,
@@ -1307,12 +1319,27 @@ class ProcessPartitionPool:
             for raw in self.broadcast(OP_STATS)
         ]
 
+    def _worker_timings(self) -> dict:
+        """The workers' ``OP_TIMING`` replies, summed field by field."""
+        totals: dict = {}
+        for raw in self.broadcast(OP_TIMING):
+            for name, value in json.loads(raw.decode("ascii")).items():
+                totals[name] = totals.get(name, 0) + value
+        return totals
+
     def transport_stats(self) -> TransportStats:
-        """Merged data-plane counters across every worker's plane."""
+        """Merged data-plane counters across every worker's plane; on
+        the shm plane also the worker ends' and the wait decision."""
         merged = TransportStats()
         for handle in self.workers:
             with handle.lock:
                 merged = merged.merge(handle.plane.transport_stats())
+        if self.data_plane == DATA_PLANE_SHM:
+            worker = self._worker_timings()
+            merged.worker_ring_spin_yields = worker["spin_yields"]
+            merged.worker_ring_doorbell_waits = worker["doorbell_waits"]
+            merged.usable_cpus = self.usable_cpus
+            merged.ring_spin_budget = self.ring_spin
         return merged
 
     def stage_timings(self) -> Dict[str, float]:
@@ -1321,17 +1348,19 @@ class ProcessPartitionPool:
         ``serialize_s`` and ``ipc_wait_s`` are parent-side (sealing and
         blocked-on-plane time); ``worker_compute_s`` is fetched from
         the workers' own ``OP_REQ`` clocks, so the three stages
-        attribute where a batch round-trip actually went.
+        attribute where a batch round-trip actually went.  That clock
+        is wall time and includes whatever the worker spent off the
+        core; ``worker_cpu_s`` is the CPU the same region got, so the
+        two tell a slow worker from a descheduled one.
         """
         timings = {"serialize_s": 0.0, "ipc_wait_s": 0.0}
         for handle in self.workers:
             with handle.lock:
                 timings["serialize_s"] += handle.serialize_s
                 timings["ipc_wait_s"] += handle.ipc_wait_s
-        compute = 0.0
-        for raw in self.broadcast(OP_TIMING):
-            compute += float(json.loads(raw.decode("ascii"))["compute_s"])
-        timings["worker_compute_s"] = compute
+        worker = self._worker_timings()
+        timings["worker_compute_s"] = worker["compute_s"]
+        timings["worker_cpu_s"] = worker["cpu_s"]
         return timings
 
     def total_len(self) -> int:

@@ -41,11 +41,12 @@ frame, so snapshot sections of any size cross without growing the ring.
 
 Readiness without futexes
 -------------------------
-Each side first spins a few cooperative ``sleep(0)`` yields (on a busy
-single-core host that hands the CPU to the peer, which is exactly what
-must run next), then arms its *waiting flag* in the header and naps on
-the **doorbell** — one duplex ``multiprocessing`` ``Connection`` pair
-per worker, shared by both rings.  A producer publishing into a ring
+Each side first spins its ring's ``spin`` cooperative ``sleep(0)``
+yields (:func:`spin_budget`: decided once by whoever builds the plane,
+zero unless the waiter has a core no pool process needs), then arms its
+*waiting flag* in the header and naps on the **doorbell** — one duplex
+``multiprocessing`` ``Connection`` pair per worker, shared by both
+rings.  A producer publishing into a ring
 whose consumer declared itself waiting sends one doorbell byte; the
 waiter re-checks the ring *after* arming the flag and before napping,
 so the publish-then-check / arm-then-check orders close the lost-wakeup
@@ -57,7 +58,6 @@ the doorbell's EOF doubles as peer-death detection for the worker.
 
 from __future__ import annotations
 
-import os
 import struct
 import time
 from typing import Callable, Optional
@@ -98,23 +98,20 @@ _LEN = struct.Struct("<I")
 # memory-ordering guarantees for the waiting flags, so waits are always
 # bounded: a lost doorbell costs at most this much latency.
 POLL_INTERVAL = 0.02
-def spin_budget(cpus: Optional[int] = None) -> int:
-    """Cooperative yields before arming the doorbell.
 
-    With spare cores the peer runs concurrently, so a short spin
-    usually observes progress without any doorbell syscall at all — the
-    switchless fast path.  On a single-core host the peer can only run
-    while *we* are off the CPU, so spinning merely steals its cycles
-    (each ``sleep(0)`` round-trips the scheduler and pollutes the
-    cache): there the budget is zero and waits arm the doorbell
-    immediately, degrading to exactly the pipe plane's poll/wake cost.
+
+def spin_budget(usable: int, processes: int) -> int:
+    """Cooperative yields before arming the doorbell, for a plane whose
+    ``processes`` (workers + the parent) share ``usable`` CPUs.
+
+    A spin pays only when the waiter holds a core nobody else needs:
+    the peer runs concurrently and a short spin usually sees progress
+    with no doorbell syscall at all — the switchless fast path.  With
+    fewer CPUs than processes each ``sleep(0)`` is a scheduler round
+    trip onto a core a worker is computing on: the budget is zero and
+    waits arm the doorbell at once, at the pipe plane's poll/wake cost.
     """
-    if cpus is None:
-        cpus = os.cpu_count() or 1
-    return 100 if cpus > 1 else 0
-
-
-SPIN_CHECKS = spin_budget()
+    return 100 if usable >= processes else 0
 
 
 def shm_supported() -> bool:
@@ -198,7 +195,9 @@ class ShmRing:
     side *owns* the segment and unlinks it on :meth:`close`.
     """
 
-    def __init__(self, shm, num_slots: int, slot_size: int, role: str, owner: bool):
+    def __init__(
+        self, shm, num_slots: int, slot_size: int, role: str, owner: bool, spin: int
+    ):
         if role not in ("producer", "consumer"):
             raise StoreError(f"unknown ring role {role!r}")
         if num_slots < 2 or slot_size < 16:
@@ -209,6 +208,7 @@ class ShmRing:
         self.slot_size = slot_size
         self.capacity = num_slots * slot_size
         self.role = role
+        self.spin = spin  # yields before arming the doorbell (spin_budget)
         self._owner = owner
         # Cache of the counter this side owns (head for the producer,
         # tail for the consumer) — re-read from the header at attach.
@@ -221,6 +221,7 @@ class ShmRing:
         self.frames = 0          # complete frames moved through this end
         self.bytes_moved = 0     # prefix + payload bytes (pad excluded)
         self.full_waits = 0      # producer found the ring full
+        self.spin_yields = 0     # sleep(0) yields taken before arming
         self.doorbell_waits = 0  # times this end armed its waiting flag
         self.max_occupancy = 0   # high-water mark of in-flight bytes
 
@@ -231,6 +232,7 @@ class ShmRing:
         role: str,
         num_slots: int = DEFAULT_NUM_SLOTS,
         slot_size: int = DEFAULT_SLOT_SIZE,
+        spin: int = 0,
     ) -> "ShmRing":
         if not shm_supported():
             raise StoreError("platform has no multiprocessing.shared_memory")
@@ -238,11 +240,11 @@ class ShmRing:
             create=True, size=HEADER_SIZE + num_slots * slot_size
         )
         shm.buf[:HEADER_SIZE] = bytes(HEADER_SIZE)
-        return cls(shm, num_slots, slot_size, role, owner=True)
+        return cls(shm, num_slots, slot_size, role, owner=True, spin=spin)
 
     @classmethod
     def attach(
-        cls, name: str, role: str, num_slots: int, slot_size: int
+        cls, name: str, role: str, num_slots: int, slot_size: int, spin: int = 0
     ) -> "ShmRing":
         if not shm_supported():
             raise StoreError("platform has no multiprocessing.shared_memory")
@@ -250,7 +252,7 @@ class ShmRing:
         # registry is a set: the attach-side register is idempotent and
         # cleanup stays owned by the creating side's unlink.
         shm = _shared_memory.SharedMemory(name=name)
-        return cls(shm, num_slots, slot_size, role, owner=False)
+        return cls(shm, num_slots, slot_size, role, owner=False, spin=spin)
 
     @property
     def name(self) -> str:
@@ -299,9 +301,10 @@ class ShmRing:
         the doorbell hits EOF).  Naps are bounded by ``POLL_INTERVAL``
         so a lost doorbell can only add latency.
         """
-        for _ in range(SPIN_CHECKS):
+        for _ in range(self.spin):
             if ready():
                 return
+            self.spin_yields += 1
             time.sleep(0)
         if ready():
             return
@@ -525,6 +528,7 @@ class ShmRing:
             "frames": self.frames,
             "bytes_moved": self.bytes_moved,
             "full_waits": self.full_waits,
+            "spin_yields": self.spin_yields,
             "doorbell_waits": self.doorbell_waits,
             "max_occupancy": self.max_occupancy,
             "capacity": self.capacity,

@@ -146,15 +146,22 @@ class TransportStats:
     ring_frames: int = 0            # sealed frames moved through rings
     ring_bytes: int = 0             # prefix + payload bytes moved
     ring_full_waits: int = 0        # producer found a ring full
-    ring_doorbell_waits: int = 0    # waits that armed the doorbell
+    ring_spin_yields: int = 0       # parent-end sleep(0) yields before arming
+    ring_doorbell_waits: int = 0    # parent-end waits that armed the doorbell
+    worker_ring_spin_yields: int = 0     # the same two, at the worker ends
+    worker_ring_doorbell_waits: int = 0
     ring_doorbell_rings: int = 0    # doorbell bytes actually sent
     ring_max_occupancy: int = 0     # gauge: in-flight high-water mark (bytes)
+    ring_spin_budget: int = 0       # gauge: the pool's wait decision (yields)
+    usable_cpus: int = 0            # gauge: CPUs it weighed against workers + 1
     # Event-loop admission (repro.net.tcp):
     busy_sheds: int = 0             # sealed STATUS_BUSY replies shed
     busy_retries: int = 0           # client retries after STATUS_BUSY
 
     # Gauges keep their max under merge instead of summing.
-    _GAUGES: ClassVar[FrozenSet[str]] = frozenset({"ring_max_occupancy"})
+    _GAUGES: ClassVar[FrozenSet[str]] = frozenset(
+        {"ring_max_occupancy", "ring_spin_budget", "usable_cpus"}
+    )
 
     def merge(self, other: "TransportStats") -> "TransportStats":
         """Combine counters across workers/planes; returns a new object."""

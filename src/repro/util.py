@@ -2,10 +2,21 @@
 
 from __future__ import annotations
 
+import os
 import zlib
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (never < 1): the affinity mask —
+    which ``taskset``, a cgroup cpuset or ``docker --cpuset-cpus``
+    narrow below the machine's size — else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def fnv1a(data: bytes) -> int:

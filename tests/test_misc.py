@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro import errors
 from repro.core.stats import StoreStats
-from repro.util import fnv1a, stable_seed
+from repro.util import fnv1a, stable_seed, usable_cpus
 
 
 class TestFnv:
@@ -30,6 +30,30 @@ class TestStableSeed:
     def test_mixed_types(self):
         assert stable_seed(1, "x") == stable_seed(1, "x")
         assert 0 <= stable_seed("anything", 42) < 2**31
+
+
+class TestUsableCpus:
+    """The affinity mask, not the machine's size, is what a pool may use."""
+
+    def test_counts_the_affinity_mask(self, monkeypatch):
+        import os
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert usable_cpus() == 1
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 2, 5, 7}, raising=False
+        )
+        assert usable_cpus() == 4
+
+    def test_falls_back_to_the_machine_size_then_to_one(self, monkeypatch):
+        import os
+
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert usable_cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert usable_cpus() == 1
 
 
 class TestErrorHierarchy:

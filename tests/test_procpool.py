@@ -164,6 +164,21 @@ class TestStatsAggregation:
             assert stats.batch_ops > 0
             assert stats.batch_verifications_saved > 0
 
+    def test_stage_timings_keep_worker_cpu_beside_wall_clock(self):
+        """``worker_compute_s`` is wall clock and includes time a worker
+        spent off the core; ``worker_cpu_s`` is the CPU the same region
+        got — together they tell a slow worker from a descheduled one."""
+        with _build(MODE_PROCESSES) as store:
+            _run_workload(store)
+            timings = store.stage_timings()
+            assert set(timings) == {
+                "serialize_s", "ipc_wait_s", "worker_compute_s", "worker_cpu_s",
+            }
+            assert 0 < timings["worker_cpu_s"]
+            # CPU of a single-threaded region cannot exceed its wall
+            # clock by more than the two clocks' granularity.
+            assert timings["worker_cpu_s"] <= timings["worker_compute_s"] + 0.05
+
     def test_from_dict_ignores_unknown_and_property_keys(self):
         """Snapshot dicts from newer workers may carry keys the parent
         does not know — including names that collide with read-only

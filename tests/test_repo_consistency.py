@@ -121,6 +121,33 @@ class TestCodeHygiene:
         subprocess.run([sys.executable, "-c", script], check=True, env=env, timeout=60)
 
 
+class TestOneReaderOfTheMachineSize:
+    """The shm plane's wait policy is decided from the CPUs the process
+    may run on; nothing may quietly go back to the machine's size or to
+    an import-time constant."""
+
+    @staticmethod
+    def _files():
+        for top in ("src", "benchmarks"):
+            for path in (_ROOT / top).rglob("*.py"):
+                if "shieldbench" not in path.parts:  # the harness pins itself
+                    yield path
+
+    def test_cpu_count_is_read_only_by_usable_cpus(self):
+        readers = [
+            str(path.relative_to(_ROOT))
+            for path in self._files()
+            if "os.cpu_count(" in path.read_text()
+        ]
+        assert readers == ["src/repro/util.py"]
+        assert (_ROOT / "src/repro/util.py").read_text().count("os.cpu_count(") == 1
+
+    def test_no_import_time_spin_constant(self):
+        texts = [path.read_text() for path in self._files()]
+        texts.append((_ROOT / "docs" / "INTERNALS.md").read_text())
+        assert not any("SPIN_CHECKS" in text for text in texts)
+
+
 class TestOneCopyOfEachMechanism:
     """Grep-able structure the partition-engine collapse relies on."""
 

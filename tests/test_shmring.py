@@ -7,6 +7,10 @@ plane through :class:`~repro.core.procpool.ProcessPartitionPool` with
 ``data_plane="shm"``.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
 import threading
 import time
 
@@ -294,15 +298,21 @@ class TestShmPlanePool:
         finally:
             pool.close()
 
-    def test_doorbell_drop_degrades_to_latency_only(self):
+    @pytest.mark.parametrize("budget", [0, 100])
+    def test_doorbell_drop_degrades_to_latency_only(self, monkeypatch, budget):
         # Every parent->worker doorbell byte is dropped; the worker's
         # bounded naps must still observe ring progress, so requests
-        # keep completing — slower, never deadlocked.
+        # keep completing — slower, never deadlocked.  At budget 0 (no
+        # spare core: one CPU for worker + parent) every wait depends
+        # on the doorbell; with two CPUs the same pool spins first.
+        monkeypatch.setattr(procpool, "usable_cpus", lambda: 2 if budget else 1)
         plan = FaultPlan(
             [FaultRule(point="shmring.doorbell", kind="drop")], seed=7
         )
         pool = self._pool()
         try:
+            plane = pool.workers[0].plane
+            assert pool.ring_spin == plane.req.spin == plane.rep.spin == budget
             with injected(plan):
                 for i in range(3):
                     response = pool.execute(
@@ -318,12 +328,82 @@ class TestShmPlanePool:
             assert stats.ring_doorbell_rings == 0, (
                 "dropped doorbells must not be counted as sent"
             )
+            assert stats.ring_spin_budget == budget
+            if not budget:
+                assert stats.ring_spin_yields == 0
+                assert stats.worker_ring_spin_yields == 0
         finally:
             pool.close()
 
     def test_spin_budget_is_zero_on_single_core(self):
-        # The switchless spin only pays when the peer can run
-        # concurrently; a 1-CPU host must go straight to the doorbell.
-        assert shmring.spin_budget(1) == 0
-        assert shmring.spin_budget(8) > 0
-        assert shmring.SPIN_CHECKS == shmring.spin_budget()
+        # The switchless spin only pays when the waiter has a core no
+        # pool process (workers + the parent) needs; a 1-CPU host goes
+        # straight to the doorbell whatever the pool's size.  (2, 2) is
+        # the measured spare-core case: one worker, two CPUs.
+        table = {
+            (1, 2): False, (1, 3): False, (2, 3): False,
+            (3, 3): True, (4, 3): True, (2, 2): True,
+        }
+        for (usable, processes), spins in table.items():
+            budget = shmring.spin_budget(usable, processes)
+            assert (budget > 0) is spins, (usable, processes, budget)
+        assert not hasattr(shmring, "SPIN_CHECKS")
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity"
+    )
+    def test_pool_pinned_after_import_never_spins(self):
+        # The decision is the pool's, taken when it is built — not an
+        # import-time guess: a process that imports repro on all its
+        # CPUs and *then* pins itself to one gets doorbell-only rings
+        # on both ends, and so does a worker respawned later.
+        script = """
+import json, os
+import repro.core.shmring
+from repro.core import PartitionedShieldStore, shield_opt
+from repro.core.procpool import OP_TIMING
+from repro.errors import WorkerError
+
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+store = PartitionedShieldStore(
+    shield_opt(num_buckets=64, num_mac_hashes=16),
+    num_partitions=2, mode="processes", data_plane="shm",
+)
+try:
+    model = {}
+    for batch in range(20):
+        keys = [b"k%03d" % ((batch * 7 + i) % 50) for i in range(16)]
+        if batch % 2 == 0:
+            items = [(k, b"v%d-" % batch + k) for k in keys]
+            store.multi_set(items)
+            model.update(items)
+        else:
+            assert store.multi_get(keys) == {k: model.get(k) for k in keys}
+    stats = store.transport_stats()
+    assert stats.usable_cpus == 1 and stats.ring_spin_budget == 0, stats
+    assert stats.ring_spin_yields == 0 == stats.worker_ring_spin_yields, stats
+    assert stats.ring_doorbell_waits > 0  # a reply is never there yet
+
+    pool = store._pool
+    pool.workers[0].process.kill()
+    pool.workers[0].process.join(timeout=10)
+    try:
+        store.multi_get(sorted(model))
+        raise SystemExit("a killed worker went unnoticed")
+    except WorkerError:
+        pass
+    for _ in range(3):
+        store.multi_set(sorted(model.items()))
+    assert pool.recoveries == 1
+    reborn = json.loads(pool.request(0, OP_TIMING).decode("ascii"))
+    assert reborn["spin_yields"] == 0 and reborn["compute_s"] > 0, reborn
+    stats = store.transport_stats()
+    assert stats.ring_spin_yields == 0 == stats.worker_ring_spin_yields, stats
+finally:
+    store.close()
+"""
+        src = pathlib.Path(__file__).parent.parent / "src"
+        subprocess.run(
+            [sys.executable, "-c", script], check=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )

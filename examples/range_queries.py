@@ -11,7 +11,7 @@ leaderboard without detection.
 
 from repro import Attacker
 from repro.errors import IntegrityError, ReplayError
-from repro.ext import RangeShieldStore
+from repro.ext.rangestore import RangeShieldStore
 
 
 def score_key(score: int, player: str) -> bytes:

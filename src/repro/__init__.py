@@ -24,7 +24,7 @@ Packages:
 * :mod:`repro.net` — networked front-ends (simulated + real TCP);
 * :mod:`repro.workloads` — YCSB-style workload generators;
 * :mod:`repro.experiments` — one module per paper table/figure;
-* :mod:`repro.ext` — extensions the paper lists as future work.
+* :mod:`repro.ext` — replication, sharding and §7's range queries.
 """
 
 from repro.core import (

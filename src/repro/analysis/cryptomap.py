@@ -53,9 +53,7 @@ REGISTRY_PATH = "analysis/cryptomap.py"
 
 # IV regimes that stay unique across process incarnations, satisfying
 # the persistence check without an incarnation binding component.
-PERSISTENT_IV_REGIMES = frozenset(
-    {"entropy-counter", "frame-epoch-seq", "per-key-version"}
-)
+PERSISTENT_IV_REGIMES = frozenset({"entropy-counter", "frame-epoch-seq"})
 
 # Binding components that tie a domain to one incarnation/epoch.
 INCARNATION_COMPONENTS = frozenset(
@@ -172,19 +170,6 @@ REGISTRY: Tuple[DomainSpec, ...] = (
     DomainSpec(
         "seal/mac", "sim/sealing.py", "sealing",
         "sealed-blob MAC key",
-        persists=True, iv_regime="none",
-    ),
-    # -- client-side encryption deployment ------------------------------
-    DomainSpec(
-        "cs/{namespace}/enc", "ext/clientside.py", "clientside",
-        "client-side namespace encryption key",
-        binding=("namespace",),
-        persists=True, iv_regime="per-key-version",
-    ),
-    DomainSpec(
-        "cs/{namespace}/mac", "ext/clientside.py", "clientside",
-        "client-side namespace MAC key",
-        binding=("namespace",),
         persists=True, iv_regime="none",
     ),
     # -- experiment fixtures (fixed demo roots, two endpoints each) ------

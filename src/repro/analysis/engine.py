@@ -19,7 +19,6 @@ Exit-code convention (used by ``python -m repro lint``):
 from __future__ import annotations
 
 import ast
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -132,9 +131,6 @@ class Report:
             ],
             "exit_code": self.exit_code(),
         }
-
-    def format_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def format_text(self) -> str:
         lines: List[str] = []

@@ -44,6 +44,7 @@ TRUSTED_MODULES: Tuple[str, ...] = (
 
 BOUNDARY_MODULES: Tuple[str, ...] = (
     "net/tcp.py",
+    "core/checkpoint.py",  # snapshot blobs to and from the host's disk
     "net/server.py",
     "net/client.py",
     "core/procpool.py",
@@ -61,6 +62,7 @@ BOUNDARY_MODULES: Tuple[str, ...] = (
 LOCK_MODULES: Tuple[str, ...] = (
     "core/procpool.py",
     "core/partition.py",
+    "core/checkpoint.py",
     "net/tcp.py",
 )
 

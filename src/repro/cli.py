@@ -216,8 +216,8 @@ def _cmd_serve(args) -> int:
     import os
 
     from repro import AttestationService, shield_opt
-    from repro.core import PartitionedShieldStore, PartitionHost
-    from repro.net import SnapshotDaemon, TCPShieldServer
+    from repro.core import PartitionedShieldStore, PartitionHost, SnapshotDaemon
+    from repro.net import TCPShieldServer
     from repro.sim import Machine
     from repro.sim.cycles import MB
 
@@ -340,7 +340,7 @@ def _cmd_serve(args) -> int:
             print(f"replayed {host.replayed} operation(s) "
                   "from the write-ahead log")
     if replicated:
-        from repro.ext import ReplicatedStore
+        from repro.ext.replication import ReplicatedStore
 
         store = ReplicatedStore(store, node_id=args.node_id or "node-0")
     service = AttestationService(args.attestation_secret.encode())

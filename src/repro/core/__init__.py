@@ -12,10 +12,13 @@ Public surface:
   :class:`~repro.core.persistence.SnapshotScheduler` — §4.4 persistence.
 * :class:`~repro.core.host.PartitionHost` — one partition's store +
   sealed WAL lifecycle (build, recover, checkpoint, restore).
+* :class:`~repro.core.checkpoint.SnapshotDaemon` — periodic checkpoint
+  files of a served store, with retention.
 """
 
 from repro.core.allocator import ExtraHeapAllocator, OcallAllocator, make_allocator
 from repro.core.cache import EnclaveCache
+from repro.core.checkpoint import SnapshotDaemon
 from repro.core.config import StoreConfig, shield_base, shield_opt
 from repro.core.entry import (
     HEADER_SIZE,
@@ -86,6 +89,7 @@ __all__ = [
     "process_mode_supported",
     "snapshot_counter",
     "ShieldStore",
+    "SnapshotDaemon",
     "SnapshotPolicy",
     "SnapshotScheduler",
     "Snapshotter",

@@ -36,7 +36,11 @@ Three halves:
 Every parse of untrusted snapshot bytes goes through :class:`_Reader`,
 which bounds-checks each read and rejects trailing bytes — malformed or
 truncated blobs surface as :class:`~repro.errors.SnapshotError`, never
-as a raw ``struct.error`` or silently-ignored garbage.
+as a raw ``struct.error`` or silently-ignored garbage.  Blobs leave and
+enter through the ``persistence.snapshot`` / ``persistence.restore``
+shieldfault points: ``tamper`` swaps in a corrupted blob (exercising
+the sealed header, section MACs and rollback checks downstream), and
+there is nothing to drop, hence ``faults.cross(...) or blob``.
 """
 
 from __future__ import annotations
@@ -58,18 +62,6 @@ from repro.sim.sealing import SealingService
 _MAGIC = b"SSSNAP1\0"
 _PMAGIC = b"SSPSNP1\0"
 
-
-def _fault_blob(point: str, blob: bytes) -> bytes:
-    """shieldfault hook for snapshot blobs entering/leaving persistence.
-
-    ``tamper`` rules substitute a corrupted blob (exercising the sealed
-    header, section MACs, and rollback checks downstream); ``error`` and
-    ``delay`` are handled inside :func:`repro.sim.faults.check`.
-    """
-    hit = faults.check(point, blob)
-    if hit is not None and hit.payload is not None:
-        return hit.payload
-    return blob
 
 MODE_NONE = "none"
 MODE_NAIVE = "naive"
@@ -270,12 +262,12 @@ class Snapshotter:
             + struct.pack("<Q", counter)
             + write_section(ctx, store, self.sealing, counter)
         )
-        return _fault_blob("persistence.snapshot", blob)
+        return faults.cross("persistence.snapshot", blob) or blob
 
     @staticmethod
     def _split(blob: bytes):
         """``(claimed counter, section)`` of a single-store blob."""
-        blob = _fault_blob("persistence.restore", blob)
+        blob = faults.cross("persistence.restore", blob) or blob
         reader = _Reader(blob)
         if reader.take(len(_MAGIC)) != _MAGIC:
             raise SnapshotError("snapshot has wrong magic")
@@ -321,7 +313,7 @@ class Snapshotter:
             store.enclave.context(store.thread_id), self.counter_name
         )
         blob = _MAGIC + struct.pack("<Q", counter) + host.snapshot(counter)
-        return _fault_blob("persistence.snapshot", blob)
+        return faults.cross("persistence.snapshot", blob) or blob
 
     def recover(self, blob: bytes, host, verify: bool = True) -> None:
         """Restore a hosted store: section + verified log-tail replay.
@@ -403,7 +395,8 @@ class PartitionSnapshotter:
         for section in sections:
             parts.append(struct.pack("<Q", len(section)))
             parts.append(section)
-        return _fault_blob("persistence.snapshot", b"".join(parts))
+        blob = b"".join(parts)
+        return faults.cross("persistence.snapshot", blob) or blob
 
     @staticmethod
     def _header(store, counter: int) -> bytes:
@@ -434,7 +427,7 @@ class PartitionSnapshotter:
         from its own section and replays its log tail.
         """
         ctx = store.enclave.context()
-        blob = _fault_blob("persistence.restore", blob)
+        blob = faults.cross("persistence.restore", blob) or blob
         reader = _Reader(blob)
         if reader.take(len(_PMAGIC)) != _PMAGIC:
             raise SnapshotError("partition snapshot has wrong magic")

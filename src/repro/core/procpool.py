@@ -389,14 +389,11 @@ class _PipePlane:
         self._child_conn = None
 
     def send(self, raw, on_crash, deadline=None, alive=None) -> None:
-        hit = faults.check("procpool.pipe.send", raw, on_crash=on_crash)
-        if hit is not None:
-            if hit.kind == "drop":
-                # The frame is lost in the kernel; the reply wait
-                # will time out and trigger worker recovery.
-                return
-            if hit.payload is not None:
-                raw = hit.payload
+        raw = faults.cross("procpool.pipe.send", raw, on_crash)
+        if raw is faults.DROPPED:
+            # The frame is lost in the kernel; the reply wait
+            # will time out and trigger worker recovery.
+            return
         self.conn.send_bytes(raw)
 
     def send_raw(self, raw) -> None:
@@ -408,12 +405,9 @@ class _PipePlane:
 
     def recv(self, on_crash, deadline=None, alive=None) -> bytes:
         raw = self.conn.recv_bytes()
-        hit = faults.check("procpool.pipe.recv", raw, on_crash=on_crash)
-        if hit is not None:
-            if hit.kind == "drop":
-                raise OSError("injected pipe frame drop")
-            if hit.payload is not None:
-                raw = hit.payload
+        raw = faults.cross("procpool.pipe.recv", raw, on_crash)
+        if raw is faults.DROPPED:
+            raise OSError("injected pipe frame drop")
         return raw
 
     def transport_stats(self) -> TransportStats:
@@ -465,14 +459,11 @@ class _ShmPlane:
         self._doorbell.on_crash = process.kill
 
     def send(self, raw, on_crash, deadline=None, alive=None) -> None:
-        hit = faults.check("shmring.write", raw, on_crash=on_crash)
-        if hit is not None:
-            if hit.kind == "drop":
-                # The frame is never written; the reply wait will time
-                # out and trigger worker recovery.
-                return
-            if hit.payload is not None:
-                raw = hit.payload
+        raw = faults.cross("shmring.write", raw, on_crash)
+        if raw is faults.DROPPED:
+            # The frame is never written; the reply wait will time
+            # out and trigger worker recovery.
+            return
         self.req.write(raw, deadline=deadline, alive=alive)
 
     def send_raw(self, raw) -> None:
@@ -483,12 +474,9 @@ class _ShmPlane:
 
     def recv(self, on_crash, deadline=None, alive=None) -> bytes:
         raw = self.rep.read(deadline=deadline, alive=alive)
-        hit = faults.check("shmring.read", raw, on_crash=on_crash)
-        if hit is not None:
-            if hit.kind == "drop":
-                raise OSError("injected ring frame drop")
-            if hit.payload is not None:
-                raw = hit.payload
+        raw = faults.cross("shmring.read", raw, on_crash)
+        if raw is faults.DROPPED:
+            raise OSError("injected ring frame drop")
         return raw
 
     def transport_stats(self) -> TransportStats:
@@ -742,8 +730,6 @@ class ProcessPartitionPool:
         request_timeout: Optional[float] = None,
         platform_secret: Optional[bytes] = None,
         data_plane: Optional[str] = None,
-        ring_slots: int = DEFAULT_NUM_SLOTS,
-        ring_slot_size: int = DEFAULT_SLOT_SIZE,
         wal_dir: Optional[str] = None,
         wal_sync_ms: float = 2.0,
     ):
@@ -768,8 +754,6 @@ class ProcessPartitionPool:
         # every incarnation: spin only with a core no pool process needs.
         self.usable_cpus = usable_cpus()
         self.ring_spin = spin_budget(self.usable_cpus, num_workers + 1)
-        self._ring_slots = ring_slots
-        self._ring_slot_size = ring_slot_size
         self._broken: Optional[str] = None
         self._closed = False
         self._config = config
@@ -827,7 +811,7 @@ class ProcessPartitionPool:
         nonce = _fresh_nonce()
         if self.data_plane == DATA_PLANE_SHM:
             plane = _ShmPlane(
-                self._mp_ctx, index, self._ring_slots, self._ring_slot_size,
+                self._mp_ctx, index, DEFAULT_NUM_SLOTS, DEFAULT_SLOT_SIZE,
                 self.ring_spin,
             )
         else:

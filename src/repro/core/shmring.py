@@ -284,9 +284,6 @@ class ShmRing:
             return self._local - self._peer_counter()
         return self._peer_counter() - self._local
 
-    def free_space(self) -> int:
-        return self.capacity - self.data_available()
-
     # -- blocking ------------------------------------------------------------
     def _wait(
         self,

@@ -47,7 +47,7 @@ class StoreStats:
     alloc_requests: int = 0
     snapshots: int = 0
     snapshot_stall_us: float = 0.0
-    snapshot_failures: int = 0      # SnapshotDaemon run_once exceptions
+    snapshot_failures: int = 0      # checkpoint.SnapshotDaemon.run_once exceptions
     temp_table_merges: int = 0
     # Sealed write-ahead log (repro.core.wal):
     wal_appends: int = 0            # frames sealed before apply

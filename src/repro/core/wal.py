@@ -236,14 +236,11 @@ class WriteAheadLog:
         """Seal one mutating request into the log (called before apply)."""
         frame = self._seal_frame(KIND_OP, encode_request(request))
         fh = self._ensure_open()
-        hit = faults.check(
+        frame = faults.cross(
             "wal.append", frame, on_crash=lambda: self._crash_append(frame)
         )
-        if hit is not None:
-            if hit.kind == "drop":
-                return  # host swallowed the write; recovery will show it
-            if hit.kind == "tamper" and hit.payload is not None:
-                frame = hit.payload
+        if frame is faults.DROPPED:
+            return  # host swallowed the write; recovery will show it
         fh.write(frame)
         self._seq += 1
         self._dirty = True
@@ -353,12 +350,9 @@ class WriteAheadLog:
                 return wal  # fresh incarnation: lazy-create on append
             with open(path, "rb") as fh:
                 data = fh.read()
-            hit = faults.check("wal.replay", data)
-            if hit is not None:
-                if hit.kind == "drop":
-                    return wal  # host hid the segment: treat as absent
-                if hit.kind == "tamper" and hit.payload is not None:
-                    data = hit.payload
+            data = faults.cross("wal.replay", data)
+            if data is faults.DROPPED:
+                return wal  # host hid the segment: treat as absent
             next_counter, good_offset, seq = wal._replay_segment(data, apply)
             if good_offset < len(data):
                 # Clean torn tail: give the file back its last complete

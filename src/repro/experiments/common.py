@@ -343,14 +343,3 @@ def _fmt(cell) -> str:
     if cell is None:
         return "-"
     return str(cell)
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geomean, used to average across workloads like the paper's bars."""
-    filtered = [v for v in values if v > 0]
-    if not filtered:
-        return 0.0
-    product = 1.0
-    for v in filtered:
-        product *= v
-    return product ** (1.0 / len(filtered))

@@ -1,57 +1,13 @@
-"""Extensions: the paper's §7 future work and §3.2/§8 design-space
-alternatives, implemented on the same substrate.
+"""Extensions beyond the paper's single-node store, on the same substrate.
 
-* :class:`~repro.ext.rangestore.RangeShieldStore` — ordered shielded
-  store with verified range queries over a skiplist index (§7);
-* :class:`~repro.ext.oplog.OperationLog` — fine-grained logged
-  persistence with batched monotonic-counter protection (§7);
-* :class:`~repro.ext.dynamic.DynamicShieldStore` — runtime thread-pool
-  resizing with live repartitioning (§5.3 future work);
-* :mod:`repro.ext.clientside` — the client-side-encryption alternative
-  §3.2 argues against, made concrete;
-* :class:`~repro.ext.rote.RoteCounterService` — ROTE-style distributed
-  rollback protection replacing slow SGX counters (refs [8, 31]);
-* :class:`~repro.ext.lsm.ShieldLSM` — a SPEICHER-style shielded LSM
-  store, the persistent design §8 contrasts with ShieldStore;
+Import the module you use; this package re-exports nothing, so loading
+one extension does not load its siblings.
+
 * :mod:`repro.ext.replication` — replicated multi-node groups with
   Lamport/LWW conflict resolution, hinted handoff, Merkle anti-entropy
-  and ONE/QUORUM consistency, over :mod:`repro.ext.ring` placement.
+  and ONE/QUORUM consistency (served by ``repro serve --peer``);
+* :mod:`repro.ext.cluster` — the same coordinator over
+  :mod:`repro.ext.ring` consistent-hash placement;
+* :mod:`repro.ext.rangestore` — ordered shielded store with verified
+  range queries over a :mod:`repro.ext.skiplist` index (§7).
 """
-
-from repro.ext.clientside import ClientKeyDirectory, ClientSideClient, PassiveStore
-from repro.ext.cluster import ShardNode, ShieldCluster
-from repro.ext.dynamic import DynamicShieldStore
-from repro.ext.expiry import ExpiringStore
-from repro.ext.lsm import BloomFilter, ShieldLSM
-from repro.ext.oplog import OperationLog, RecoveringStore
-from repro.ext.rangestore import RangeShieldStore
-from repro.ext.replication import (
-    ReplicaClient,
-    ReplicatedStore,
-    ReplicationGroup,
-)
-from repro.ext.ring import HashRing
-from repro.ext.rote import CounterReplica, RoteCounterService
-from repro.ext.skiplist import SkipList
-
-__all__ = [
-    "BloomFilter",
-    "ClientKeyDirectory",
-    "ClientSideClient",
-    "CounterReplica",
-    "HashRing",
-    "ShardNode",
-    "ShieldCluster",
-    "DynamicShieldStore",
-    "ExpiringStore",
-    "OperationLog",
-    "PassiveStore",
-    "RangeShieldStore",
-    "RecoveringStore",
-    "ReplicaClient",
-    "ReplicatedStore",
-    "ReplicationGroup",
-    "RoteCounterService",
-    "ShieldLSM",
-    "SkipList",
-]

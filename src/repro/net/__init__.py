@@ -29,7 +29,7 @@ from repro.net.server import (
     NetworkedServer,
     make_secure_channels,
 )
-from repro.net.tcp import SnapshotDaemon, TCPShieldClient, TCPShieldServer
+from repro.net.tcp import TCPShieldClient, TCPShieldServer
 
 __all__ = [
     "FRONTEND_DIRECT",
@@ -46,7 +46,6 @@ __all__ = [
     "Session",
     "SessionManager",
     "SimClient",
-    "SnapshotDaemon",
     "TCPShieldClient",
     "TCPShieldServer",
     "decode_request",

@@ -373,6 +373,8 @@ class SecureChannel:
         self.suite = suite
         self.role = role
         self._send_domain, self._recv_domain = self._DIRECTIONS[role]
+        self._seal_point = f"channel.{role}.seal"
+        self._open_point = f"channel.{role}.open"
         self._send_seq = 0
         self._recv_seq = 0
 
@@ -388,16 +390,14 @@ class SecureChannel:
         ciphertext = self.suite.encrypt(self._iv_for(seq, self._send_domain), plaintext)
         tag = self.suite.mac(header + ciphertext)
         sealed = header + ciphertext + tag
-        hit = faults.check(f"channel.{self.role}.seal", sealed)
-        if hit is not None and hit.payload is not None:
-            sealed = hit.payload  # scripted corruption of the sealed record
-        return sealed
+        # Scripted corruption of the sealed record; a codec has nothing
+        # to drop, so a drop hit proceeds.
+        return faults.cross(self._seal_point, sealed) or sealed
 
     def open(self, sealed: bytes) -> bytes:
         """Verify + decrypt one record; enforces sequence monotonicity."""
-        hit = faults.check(f"channel.{self.role}.open", sealed)
-        if hit is not None and hit.payload is not None:
-            sealed = hit.payload  # scripted corruption before authentication
+        # Scripted corruption before authentication.
+        sealed = faults.cross(self._open_point, sealed) or sealed
         if len(sealed) < 8 + MAC_SIZE:
             raise ProtocolError("sealed record too short")
         header, ciphertext, tag = (

@@ -180,10 +180,6 @@ class SessionManager:
     def __len__(self) -> int:
         return len(self._sessions)
 
-    def peer_sessions(self) -> int:
-        """Live sessions opened by replication peers (not clients)."""
-        return sum(1 for s in self._sessions.values() if s.kind == "peer")
-
     def session_info(self, session_id: int) -> Optional[Session]:
         """Read-only session record (None when absent)."""
         return self._sessions.get(session_id)

@@ -43,7 +43,7 @@ STATUS_BUSY** reply the resilient client treats as
 retryable-with-backoff.  Shed connections are promoted in arrival order
 as admitted ones leave.  Store execution goes through a reader-writer
 gate (``store_lock``): process-engine requests share it; in-process
-ones and the :class:`SnapshotDaemon`'s checkpoint cut take it
+ones and the :class:`~repro.core.checkpoint.SnapshotDaemon`'s cut take it
 exclusively, so during a cut the loop thread waits with the requests.
 
 Failure counters (tampered sessions dropped, idempotent replays,
@@ -104,6 +104,9 @@ from repro.sim.attestation import (
 )
 
 _LEN = struct.Struct("<I")
+# Threads of the server's request pool, for engines that take
+# concurrent callers: they wait on worker processes, they do not compute.
+EXECUTOR_THREADS = 8
 
 
 class _TransientServerError(StoreError):
@@ -126,12 +129,9 @@ def _send_frame(
     link=None,
 ) -> None:
     if point is not None:
-        hit = faults.check(point, payload, link=link)
-        if hit is not None:
-            if hit.kind == "drop":
-                return  # the frame vanishes on the wire
-            if hit.payload is not None:
-                payload = hit.payload
+        payload = faults.cross(point, payload, link=link)
+        if payload is faults.DROPPED:
+            return  # the frame vanishes on the wire
     sock.sendall(_LEN.pack(len(payload)) + payload)
 
 
@@ -163,15 +163,12 @@ def _recv_frame(
     body = bytes(buf[4:end])
     del buf[:end]
     if point is not None:
-        hit = faults.check(point, body, link=link)
-        if hit is not None:
-            if hit.kind == "drop":
-                # The frame never arrived.  Receivers treat that as a
-                # timeout (the sender will retry or give up), which is
-                # what a genuinely lost frame looks like.
-                raise socket.timeout(f"injected frame drop at {point}")
-            if hit.payload is not None:
-                body = hit.payload
+        body = faults.cross(point, body, link=link)
+        if body is faults.DROPPED:
+            # The frame never arrived.  Receivers treat that as a
+            # timeout (the sender will retry or give up), which is
+            # what a genuinely lost frame looks like.
+            raise socket.timeout(f"injected frame drop at {point}")
     return body
 
 
@@ -247,11 +244,12 @@ class _RWGate:
     """Reader-writer gate between request execution and checkpoints.
 
     Requests acquire the *shared* side (:meth:`shared`); the
-    :class:`SnapshotDaemon` uses the gate as a plain context manager,
-    which is the *exclusive* side — so a checkpoint is still a
-    consistent cut across every in-flight request, but requests no
-    longer serialize against each other.  Writer-preference: once a
-    checkpoint is waiting, new readers queue behind it.  Not reentrant.
+    :class:`~repro.core.checkpoint.SnapshotDaemon` uses the gate as a
+    plain context manager, which is the *exclusive* side — so a
+    checkpoint is still a consistent cut across every in-flight
+    request, but requests no longer serialize against each other.
+    Writer-preference: once a checkpoint is waiting, new readers queue
+    behind it.  Not reentrant.
     """
 
     def __init__(self):
@@ -343,7 +341,7 @@ class TCPShieldServer:
     in-process engines admit one caller at a time, so the loop executes
     their requests itself.  Process workers (``store.data_plane``) have
     per-handle locks, so their requests go to a pool of
-    ``executor_threads`` built on first use: one in flight per
+    ``EXECUTOR_THREADS`` built on first use: one in flight per
     connection (FIFO seal order), many connections in parallel.
 
     ``max_connections`` is backpressure, not a silent refusal: excess
@@ -351,10 +349,10 @@ class TCPShieldServer:
     answered with a **sealed STATUS_BUSY** until an admitted connection
     leaves and the oldest shed one is promoted.  ``request_deadline_s``
     bounds how long one request may stall on the wire (waiting for the
-    store never counts); ``idle_timeout_s`` (``None`` = unbounded)
-    bounds the wait *between* requests.  :meth:`close` drains: it stops
-    accepting, lets in-flight requests finish within
-    ``drain_timeout_s``, then severs stragglers and joins the loop.
+    store never counts); the wait *between* requests is unbounded.
+    :meth:`close` drains: it stops accepting, lets in-flight requests
+    finish within ``drain_timeout_s``, then severs stragglers and joins
+    the loop.
     """
 
     def __init__(
@@ -365,17 +363,13 @@ class TCPShieldServer:
         port: int = 0,
         max_connections: int = 64,
         request_deadline_s: Optional[float] = 30.0,
-        idle_timeout_s: Optional[float] = None,
         drain_timeout_s: float = 10.0,
-        executor_threads: int = 8,
     ):
         self.store = store
         self.attestation = attestation
         self.max_connections = max_connections
         self.request_deadline_s = request_deadline_s
-        self.idle_timeout_s = idle_timeout_s
         self.drain_timeout_s = drain_timeout_s
-        self.executor_threads = executor_threads
         # Reader-writer gate against snapshot checkpoints: requests take
         # the shared side, the SnapshotDaemon's `with server.store_lock:`
         # is the exclusive side — a checkpoint is a consistent cut,
@@ -418,7 +412,7 @@ class TCPShieldServer:
         self._stop = threading.Event()
         # Set by the CLI when a SnapshotDaemon checkpoints this server;
         # lets stats_snapshot() surface its failure counter.
-        self.snapshot_daemon: Optional["SnapshotDaemon"] = None
+        self.snapshot_daemon = None
         self._loop_thread = threading.Thread(
             target=self._loop, name="shieldstore-eventloop", daemon=True
         )
@@ -556,14 +550,12 @@ class TCPShieldServer:
                 # The store is still working; that is not a wire stall.
                 conn.last_progress = now
                 continue
-            limit = (
-                self.request_deadline_s if conn.busy else self.idle_timeout_s
-            )
-            if limit is None:
-                continue
+            limit = self.request_deadline_s
+            if limit is None or not conn.busy:
+                continue  # the wait between requests is unbounded
             if now - conn.last_progress > limit:
-                # Mid-frame stall past the deadline or idle expiry: drop
-                # the connection; the client reconnects and retries.
+                # Mid-frame stall past the deadline: drop the
+                # connection; the client reconnects and retries.
                 self._bump("deadline_drops")
                 self._drop(conn)
             else:
@@ -708,19 +700,16 @@ class TCPShieldServer:
             body = bytes(conn.inbuf[4 : 4 + length])
             del conn.inbuf[: 4 + length]
             try:
-                hit = faults.check("tcp.server.recv", body)
+                body = faults.cross("tcp.server.recv", body)
             except OSError:
                 self._drop(conn)
                 return
-            if hit is not None:
-                if hit.kind == "drop":
-                    # The frame never arrived: to the peer this is a
-                    # stalled request, so it costs the connection.
-                    self._bump("deadline_drops")
-                    self._drop(conn)
-                    return
-                if hit.payload is not None:
-                    body = hit.payload
+            if body is faults.DROPPED:
+                # The frame never arrived: to the peer this is a
+                # stalled request, so it costs the connection.
+                self._bump("deadline_drops")
+                self._drop(conn)
+                return
             if not self._handle_frame(conn, body):
                 return
 
@@ -768,7 +757,7 @@ class TCPShieldServer:
             return
         if self._executor is None:
             self._executor = ThreadPoolExecutor(
-                max(1, self.executor_threads), thread_name_prefix="shieldstore-exec"
+                EXECUTOR_THREADS, thread_name_prefix="shieldstore-exec"
             )
         conn.inflight = True
         conn_id = id(conn)
@@ -816,15 +805,12 @@ class TCPShieldServer:
     def _enqueue_frame(self, conn: _Conn, payload: bytes) -> None:
         """Queue one length-prefixed frame (the tcp.server.send point)."""
         try:
-            hit = faults.check("tcp.server.send", payload)
+            payload = faults.cross("tcp.server.send", payload)
         except OSError:
             self._drop(conn)
             return
-        if hit is not None:
-            if hit.kind == "drop":
-                return  # the frame vanishes on the wire
-            if hit.payload is not None:
-                payload = hit.payload
+        if payload is faults.DROPPED:
+            return  # the frame vanishes on the wire
         conn.outbuf += _LEN.pack(len(payload)) + payload
         # Opportunistic flush: most replies fit the socket buffer, so
         # skipping the selector round trip saves a syscall per request.
@@ -882,188 +868,6 @@ class TCPShieldServer:
             return execute_request(self.store, request)
 
 
-class SnapshotDaemon:
-    """Periodic §4.4 checkpoints of a served store to a directory.
-
-    ``take_snapshot`` is a zero-argument callable returning one snapshot
-    blob (single-store or multi-partition format — both carry their
-    monotonic counter at byte offset 8).  Every ``interval_s`` seconds
-    the daemon takes ``lock`` (the server's ``store_lock``), produces a
-    blob, and writes it atomically (temp file + ``os.replace``) as
-    ``snapshot-<counter>.bin``, so a crash mid-write never leaves a
-    truncated latest checkpoint.
-
-    Retention: after each successful write the oldest checkpoints are
-    deleted so at most ``keep`` ``snapshot-*.bin`` files remain.  Stale
-    ``snapshot-*.bin.tmp`` files (a crash between temp write and rename)
-    are swept at daemon start and on every prune.  Only snapshot blobs
-    are touched — the monotonic-counter state file lives in the same
-    directory and must survive every prune, because it is the rollback
-    defense for whatever snapshot remains.
-
-    ``on_checkpoint`` (optional) is called with the snapshot counter
-    after a checkpoint is durable — written, renamed and the directory
-    fsynced — which is the earliest moment write-ahead-log segments
-    below that counter may be retired.
-    """
-
-    def __init__(
-        self,
-        take_snapshot,
-        directory,
-        interval_s: float,
-        lock=None,
-        keep: int = 5,
-        on_checkpoint=None,
-    ):
-        self.take_snapshot = take_snapshot
-        self.directory = os.fspath(directory)
-        self.interval_s = interval_s
-        self.lock = lock if lock is not None else threading.RLock()
-        if keep < 1:
-            raise StoreError(f"snapshot retention must keep >= 1, got {keep}")
-        self.keep = keep
-        self.on_checkpoint = on_checkpoint
-        self.snapshots_written = 0
-        self.snapshots_pruned = 0
-        self.snapshot_failures = 0
-        self.last_path: Optional[str] = None
-        self.last_error: Optional[Exception] = None
-        self._stopev = threading.Event()
-        self._thread = threading.Thread(
-            target=self._loop, name="shieldstore-snapshot", daemon=True
-        )
-        os.makedirs(self.directory, exist_ok=True)
-        # A crash between temp write and rename leaves a .tmp the
-        # retention glob never matched; sweep leftovers up front.
-        self._sweep_tmp()
-
-    def start(self) -> None:
-        self._thread.start()
-
-    def stop(self) -> None:
-        """Stop the periodic loop (does not take a final snapshot)."""
-        self._stopev.set()
-        if self._thread.is_alive():
-            self._thread.join(timeout=30)
-
-    def _loop(self) -> None:
-        while not self._stopev.wait(self.interval_s):
-            try:
-                self.run_once()
-            except Exception as exc:  # keep checkpointing; surface + count
-                self.last_error = exc
-                self.snapshot_failures += 1
-
-    def run_once(self) -> str:
-        """Take one checkpoint now; returns the file path written."""
-        from repro.core.persistence import snapshot_counter
-        from repro.core.wal import fsync_directory
-
-        with self.lock:
-            blob = self.take_snapshot()
-        counter = snapshot_counter(blob)
-        path = os.path.join(self.directory, f"snapshot-{counter:012d}.bin")
-        tmp = path + ".tmp"
-        hit = faults.check(
-            "snapshot.write", blob, on_crash=lambda: self._crash_write(tmp, blob)
-        )
-        if hit is not None:
-            if hit.kind == "drop":
-                raise StoreError("injected checkpoint drop: nothing written")
-            if hit.payload is not None:
-                blob = hit.payload  # scripted on-disk corruption
-        with open(tmp, "wb") as fh:
-            fh.write(blob)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        # The rename is only durable once the directory entry is; fsync
-        # the directory so a power cut cannot resurrect the old name.
-        fsync_directory(self.directory)
-        self.snapshots_written += 1
-        self.last_path = path
-        self.last_error = None
-        if self.on_checkpoint is not None:
-            self.on_checkpoint(counter)
-        self._prune()
-        return path
-
-    @staticmethod
-    def _crash_write(tmp: str, blob: bytes) -> None:
-        """Scripted crash mid-write: leave a truncated temp file behind."""
-        with open(tmp, "wb") as fh:
-            fh.write(blob[: max(1, len(blob) // 2)])
-        raise OSError("injected crash during checkpoint write")
-
-    def _prune(self) -> None:
-        """Delete checkpoints beyond the ``keep`` newest (by counter)."""
-        import glob
-
-        paths = sorted(
-            glob.glob(os.path.join(self.directory, "snapshot-*.bin"))
-        )
-        for stale in paths[: -self.keep]:
-            try:
-                os.remove(stale)
-                self.snapshots_pruned += 1
-            except OSError:
-                pass  # already gone or busy; retry at the next prune
-        self._sweep_tmp()
-
-    def _sweep_tmp(self) -> None:
-        """Remove orphaned ``snapshot-*.bin.tmp`` files (crash debris).
-
-        ``run_once`` renames its temp file away before this runs, so
-        any ``.tmp`` seen here was abandoned by a crash mid-write; each
-        one actually removed counts as pruned.
-        """
-        import glob
-
-        for tmp in glob.glob(
-            os.path.join(self.directory, "snapshot-*.bin.tmp")
-        ):
-            try:
-                os.remove(tmp)
-                self.snapshots_pruned += 1
-            except OSError:
-                pass
-
-    @staticmethod
-    def latest_snapshot(directory) -> Optional[str]:
-        """Path of the newest checkpoint in ``directory`` (by counter).
-
-        File names embed the zero-padded monotonic counter, so the
-        lexicographically greatest name is the newest snapshot.
-        """
-        import glob
-
-        paths = sorted(
-            glob.glob(os.path.join(os.fspath(directory), "snapshot-*.bin"))
-        )
-        return paths[-1] if paths else None
-
-    @staticmethod
-    def load_latest(directory) -> Optional[Tuple[str, bytes]]:
-        """Read the newest checkpoint; ``(path, blob)`` or ``None``.
-
-        The read is a ``snapshot.read`` injection point, so restore-time
-        corruption and I/O failures are scriptable.
-        """
-        path = SnapshotDaemon.latest_snapshot(directory)
-        if path is None:
-            return None
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        hit = faults.check("snapshot.read", blob)
-        if hit is not None:
-            if hit.kind == "drop":
-                return None
-            if hit.payload is not None:
-                blob = hit.payload
-        return path, blob
-
-
 class TCPShieldClient(StoreVerbs):
     """Client that attests the server before trusting the session.
 
@@ -1092,7 +896,6 @@ class TCPShieldClient(StoreVerbs):
         max_retries: int = 4,
         backoff_base_s: float = 0.05,
         backoff_max_s: float = 2.0,
-        retry_seed: Optional[int] = None,
         local_name: Optional[str] = None,
         peer_name: Optional[str] = None,
     ):
@@ -1117,9 +920,7 @@ class TCPShieldClient(StoreVerbs):
         self.backoff_max_s = backoff_max_s
         self.stats = StoreStats()
         self.transport = TransportStats()
-        if retry_seed is None:
-            retry_seed = int.from_bytes(entropy[:8], "big")
-        self._rng = random.Random(retry_seed)
+        self._rng = random.Random(int.from_bytes(entropy[:8], "big"))
         self._sock: Optional[socket.socket] = None
         self._channel: Optional[SecureChannel] = None
         self._inbuf = bytearray()  # this session's received-not-yet-framed

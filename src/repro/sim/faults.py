@@ -34,7 +34,7 @@ point                     crossing
 ``shmring.write``         parent -> worker sealed shared-memory ring frame
 ``shmring.read``          worker -> parent sealed shared-memory ring frame
 ``shmring.doorbell``      ring readiness doorbell (drop = wake via poll only)
-``snapshot.write``        SnapshotDaemon writing one checkpoint file
+``snapshot.write``        SnapshotDaemon (core/checkpoint.py) writing one file
 ``snapshot.read``         reading a checkpoint file back from disk
 ``persistence.snapshot``  serializing a store into a snapshot blob
 ``persistence.restore``   restoring a store from a snapshot blob
@@ -70,7 +70,9 @@ Fault kinds
 
 ``drop`` and ``crash`` need site cooperation, so :func:`check` returns
 a :class:`Hit` describing them; ``delay``/``error``/``tamper`` need
-none beyond using the returned payload.
+none beyond using the returned payload.  Crossings that carry bytes
+call :func:`cross`, which is :func:`check` plus that unwrapping: it
+returns the bytes to go on with, or :data:`DROPPED`.
 
 Determinism
 -----------
@@ -505,6 +507,23 @@ def check(
         on_crash()
         return Hit("crash", point, payload)
     return Hit("drop", point, payload)
+
+
+DROPPED = None  # what cross() returns for a dropped crossing
+
+
+def cross(point: str, payload: bytes, on_crash=None, link=None) -> Optional[bytes]:
+    """:func:`check` for a crossing that carries bytes: returns the bytes
+    to go on with (``payload`` or its tampered copy) or :data:`DROPPED`,
+    which each site answers in its own way (skip the send, time out,
+    drop the connection); one with nothing to drop writes
+    ``cross(point, blob) or blob``."""
+    if _ACTIVE is None:
+        return payload
+    hit = check(point, payload, on_crash, link)
+    if hit is None:
+        return payload
+    return DROPPED if hit.kind == "drop" else hit.payload
 
 
 def fires(point: Optional[str] = None, kind: Optional[str] = None) -> int:

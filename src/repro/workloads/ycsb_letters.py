@@ -118,7 +118,7 @@ def run_scan_stream(store, stream: ScanStream, count: int) -> int:
     """Drive an ordered store with workload E; returns rows scanned.
 
     ``store`` must provide ``range(start, end)`` and ``set`` — i.e. a
-    :class:`~repro.ext.rangestore.RangeShieldStore` (or the LSM).
+    :class:`~repro.ext.rangestore.RangeShieldStore`.
     """
     rows = 0
     for op in stream.operations(count):

@@ -1,18 +1,17 @@
-"""Extensions: skiplist, verified range store, logged persistence."""
+"""Extensions: skiplist, verified range store."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ShieldStore, Snapshotter, shield_opt
 from repro.errors import (
     IntegrityError,
     KeyNotFoundError,
     ReplayError,
-    RollbackError,
 )
-from repro.ext import OperationLog, RangeShieldStore, RecoveringStore, SkipList
-from repro.sim import Attacker, MonotonicCounterService, SealingService
+from repro.ext.rangestore import RangeShieldStore
+from repro.ext.skiplist import SkipList
+from repro.sim import Attacker
 
 
 class TestSkipList:
@@ -118,102 +117,3 @@ class TestRangeStore:
         list(store.range(b"user:000", b"user:020"))
         assert store.machine.elapsed_us() > before
 
-
-class TestOperationLog:
-    def _fresh(self):
-        store = ShieldStore(shield_opt(num_buckets=32, num_mac_hashes=16))
-        counters = MonotonicCounterService()
-        log = OperationLog(store, counters, counter_batch=8)
-        return RecoveringStore(store, log), log, counters
-
-    def test_logged_mutations_replayable(self):
-        wrapped, log, counters = self._fresh()
-        wrapped.set(b"a", b"1")
-        wrapped.set(b"b", b"2")
-        wrapped.append(b"a", b"!")
-        wrapped.increment(b"n", 4)
-        wrapped.delete(b"b")
-        blob = log.dump()
-
-        target = ShieldStore(
-            shield_opt(num_buckets=32, num_mac_hashes=16),
-            master_secret=wrapped.store.keyring.master,
-        )
-        replayed = log.replay(target.enclave.context(), blob, target)
-        assert replayed == 5
-        assert target.get(b"a") == b"1!"
-        assert target.get(b"n") == b"4"
-        assert not target.contains(b"b")
-
-    def test_chain_tamper_detected(self):
-        wrapped, log, _ = self._fresh()
-        for i in range(5):
-            wrapped.set(f"k{i}".encode(), b"v")
-        blob = bytearray(log.dump())
-        blob[20] ^= 1
-        target = ShieldStore(
-            shield_opt(num_buckets=32, num_mac_hashes=16),
-            master_secret=wrapped.store.keyring.master,
-        )
-        with pytest.raises(IntegrityError):
-            log.replay(target.enclave.context(), bytes(blob), target)
-
-    def test_truncation_beyond_batch_detected(self):
-        wrapped, log, counters = self._fresh()
-        for i in range(20):  # 20 records, batch 8 -> counter = 2
-            wrapped.set(f"k{i}".encode(), b"v")
-        assert counters.read("shieldstore-log") == 2
-        # Keep only the first 8 records: below the 16-record watermark.
-        truncated = OperationLog(
-            wrapped.store, counters, counter_batch=8
-        )  # fresh chain state for re-verification
-        blob_full = log.dump()
-        # Reconstruct a truncated blob record by record.
-        offset = 8
-        records = []
-        import struct as _struct
-
-        rest = blob_full[offset:]
-        while rest:
-            (clen,) = _struct.unpack_from("<I", rest, 0)
-            # record layout: u32 clen | u64 epoch | ciphertext | mac
-            size = 4 + 8 + clen + 16
-            record, rest = rest[:size], rest[size:]
-            records.append(record)
-        short_blob = blob_full[:8] + b"".join(records[:8])
-        target = ShieldStore(
-            shield_opt(num_buckets=32, num_mac_hashes=16),
-            master_secret=wrapped.store.keyring.master,
-        )
-        with pytest.raises(RollbackError):
-            log.replay(target.enclave.context(), short_blob, target)
-
-    def test_counter_amortization(self):
-        wrapped, log, counters = self._fresh()
-        for i in range(64):
-            wrapped.set(f"k{i}".encode(), b"v")
-        # 64 mutations, batch 8: exactly 8 counter bumps, not 64.
-        assert log.counter_bumps == 8
-
-    def test_snapshot_plus_log_recovery(self):
-        """Full recovery pipeline: snapshot, more writes, crash, replay."""
-        store = ShieldStore(shield_opt(num_buckets=32, num_mac_hashes=16))
-        counters = MonotonicCounterService()
-        sealing = SealingService(b"platform-secret-9")
-        snapshotter = Snapshotter(sealing, counters)
-        for i in range(10):
-            store.set(f"base-{i}".encode(), b"v0")
-        snapshot_blob = snapshotter.snapshot_bytes(store.enclave.context(), store)
-        log = OperationLog(store, counters, counter_batch=4)
-        wrapped = RecoveringStore(store, log)
-        for i in range(6):
-            wrapped.set(f"post-{i}".encode(), b"v1")
-        log_blob = log.dump()
-
-        # "Crash": rebuild from snapshot + log.
-        recovered = ShieldStore(shield_opt(num_buckets=32, num_mac_hashes=16))
-        snapshotter.restore(recovered.enclave.context(), snapshot_blob, recovered)
-        log.replay(recovered.enclave.context(), log_blob, recovered)
-        assert len(recovered) == 16
-        assert recovered.get(b"base-3") == b"v0"
-        assert recovered.get(b"post-5") == b"v1"

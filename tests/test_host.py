@@ -200,7 +200,7 @@ class TestGroupCommitTail:
         router, for ``repro serve``'s single hosted store, and through
         the replication wrapper, whose own peer-draining ``flush`` must
         never run on the loop."""
-        from repro.ext import ReplicatedStore
+        from repro.ext.replication import ReplicatedStore
         from repro.net.sessions import AttestationService
         from repro.net.tcp import TCPShieldClient, TCPShieldServer
 

@@ -16,10 +16,15 @@ import time
 import pytest
 
 from repro.analysis import sanitizer
-from repro.core import PartitionedShieldStore, PartitionSnapshotter, shield_opt
+from repro.core import (
+    PartitionedShieldStore,
+    PartitionSnapshotter,
+    SnapshotDaemon,
+    shield_opt,
+)
 from repro.core.procpool import process_mode_supported
 from repro.errors import KeyNotFoundError, ProtocolError, StoreError
-from repro.net import SnapshotDaemon, TCPShieldClient, TCPShieldServer
+from repro.net import TCPShieldClient, TCPShieldServer
 from repro.net.tcp import _IdempotencyCache, _recv_frame, _send_frame
 from repro.sim import (
     AttestationService,
@@ -134,6 +139,43 @@ class TestTruncatedFrames:
 # ---------------------------------------------------------------------------
 # idempotency: cache unit behavior + end-to-end replay after a lost reply
 # ---------------------------------------------------------------------------
+class TestCrossingBlock:
+    """``faults.cross``: the one unwrapping of a ``check`` hit that every
+    byte-carrying site shares; the sites keep only their drop reaction."""
+
+    def test_no_plan_hands_back_the_same_bytes(self):
+        payload = b"frame"
+        assert faults.cross("tcp.client.send", payload) is payload
+
+    def test_tamper_substitutes_drop_is_dropped_crash_runs_callback(self):
+        payload, crashed = bytes(64), []
+        with faults.injected(FaultPlan([
+            FaultRule(point="tcp.client.send", kind="tamper", hits=[0]),
+            FaultRule(point="tcp.client.send", kind="drop", hits=[0]),
+            FaultRule(point="tcp.client.send", kind="crash", hits=[0]),
+        ], seed=3)):
+            mutated = faults.cross("tcp.client.send", payload)
+            assert mutated != payload and len(mutated) == len(payload)
+            assert faults.cross("tcp.client.send", payload) is faults.DROPPED
+            assert faults.cross(
+                "tcp.client.send", payload, on_crash=lambda: crashed.append(1)
+            ) is payload
+            assert faults.cross("tcp.client.send", payload) is payload
+        assert crashed == [1]
+
+    def test_a_codec_has_nothing_to_drop(self):
+        """A drop rule at a seal/open or snapshot-blob point proceeds
+        with the bytes intact, as it always has."""
+        from repro.crypto import make_suite
+        from repro.net import SecureChannel
+
+        suite = make_suite("fast-hashlib", b"e" * 16, b"m" * 16)
+        client, server = SecureChannel(suite, "client"), SecureChannel(suite, "server")
+        with faults.injected(FaultPlan([FaultRule(point="channel.*", kind="drop")])) as plan:
+            assert server.open(client.seal(b"ping")) == b"ping"
+            assert plan.fires(kind="drop") == 2
+
+
 class TestIdempotencyCache:
     def test_lookup_roundtrip(self):
         cache = _IdempotencyCache()

@@ -22,11 +22,11 @@ from repro.core import (
     MODE_SEQUENTIAL,
     PartitionSnapshotter,
     PartitionedShieldStore,
+    SnapshotDaemon,
     process_mode_supported,
     shield_opt,
 )
 from repro.errors import RollbackError, SnapshotError, WorkerError
-from repro.net import SnapshotDaemon
 from repro.sim import Machine, MonotonicCounterService
 
 SECRET = bytes(range(32))

@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import KeyNotFoundError
-from repro.ext import RangeShieldStore
+from repro.ext.rangestore import RangeShieldStore
 
 _KEYS = st.sampled_from([f"k{i:02d}".encode() for i in range(16)])
 _VALUES = st.binary(min_size=0, max_size=24)

@@ -8,6 +8,16 @@ from repro.experiments import ALL_EXPERIMENTS
 _ROOT = pathlib.Path(__file__).parent.parent
 
 
+def _run_in_fresh_interpreter(script: str) -> None:
+    """Run ``script`` where nothing of ``repro`` is imported yet."""
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    subprocess.run([sys.executable, "-c", script], check=True, env=env, timeout=60)
+
+
 class TestDeliverables:
     def test_every_figure_experiment_has_a_bench(self):
         bench_names = {p.name for p in (_ROOT / "benchmarks").glob("bench_*.py")}
@@ -106,19 +116,13 @@ class TestCodeHygiene:
         """``crypto/suite.py`` needs only the runtime sanitizer hook; the
         lint engine and its rule modules must not ride into every server
         and pool worker with it."""
-        import os
-        import subprocess
-        import sys
-
-        script = (
+        _run_in_fresh_interpreter(
             "import sys, repro.core, repro.net.tcp\n"
             "loaded = sorted(m for m in sys.modules if m.startswith('repro.analysis'))\n"
             "assert loaded == ['repro.analysis', 'repro.analysis.sanitizer'], loaded\n"
             "from repro.analysis import run_analysis, Finding, key_domain_table\n"
             "assert 'repro.analysis.engine' in sys.modules\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
-        subprocess.run([sys.executable, "-c", script], check=True, env=env, timeout=60)
 
 
 class TestOneReaderOfTheMachineSize:
@@ -223,6 +227,16 @@ class TestOneCopyOfEachMechanism:
         assert sites(r"\.rotate\(", skip=("wal.py",)) == ["host.py"]
         for call in (r"(?<!def )\bwrite_section\(", r"(?<!def )\bread_section\("):
             assert sites(call) == ["host.py", "persistence.py"], call
+
+    def test_fault_hits_are_unwrapped_in_one_place(self):
+        """Sites that carry bytes call ``faults.cross``; only it looks
+        inside a ``Hit`` for the payload to go on with."""
+        copies = sorted(
+            path.name
+            for path in (_ROOT / "src" / "repro").rglob("*.py")
+            if "hit.payload" in path.read_text()
+        )
+        assert copies == ["faults.py"]
 
 
 class TestOneVersionedDataPath:
@@ -344,3 +358,118 @@ class TestOneMacRepresentation:
             for suffix in ("_fast", "_slow", "_blob"):
                 if name.endswith(suffix):
                     assert name[: -len(suffix)] not in names, name
+
+
+class TestEveryModuleHasACaller:
+    """ROADMAP aim 2: a module under ``src/repro`` stays only if a
+    ``repro`` command or a benchmark script reaches it.  Reaching means
+    importing it by module path, or importing a name a package
+    ``__init__`` re-exports *from* it — an ``__init__`` listing a module
+    is not a caller of it.  Tests and examples are not callers either."""
+
+    # Modules nothing that runs reaches, each with why it is still here.
+    # CI prints this table on every PR page; an entry that gains a caller
+    # must leave it (the test fails on stale entries too).
+    KEPT_WITHOUT_A_CALLER = {
+        "repro.ext.cluster": (
+            "second placement (ring preference list) of the one versioned-"
+            "record coordinator; ROADMAP 3(d)"),
+        "repro.ext.ring": "consistent-hash placement used only by ext.cluster",
+        "repro.ext.rangestore": (
+            "Deferred list builds wire-level range verbs on it; reached from "
+            "tests and examples/range_queries.py only — next re-anchor decides"),
+        "repro.ext.skiplist": "ordered index used only by ext.rangestore",
+        "repro.workloads.ycsb_letters": (
+            "YCSB-E scan driver for ext.rangestore; goes or stays with it"),
+        "repro.workloads.trace": (
+            "trace record/replay reached from tests only — next re-anchor decides"),
+        "repro.net.client": (
+            "36-line SimClient over the cost-modeled server, used by "
+            "examples/secure_session_cache.py"),
+    }
+
+    @staticmethod
+    def _files():
+        src = _ROOT / "src"
+        return {
+            ".".join(path.relative_to(src).with_suffix("").parts)
+            .removesuffix(".__init__"): path
+            for path in (src / "repro").rglob("*.py")
+        }
+
+    @classmethod
+    def _reached(cls):
+        import ast
+
+        files = cls._files()
+
+        def defined_in(module, name):
+            """The module ``from module import name`` really loads code from."""
+            if f"{module}.{name}" in files:
+                return f"{module}.{name}"
+            path = files.get(module)
+            if path is not None and path.name == "__init__.py":
+                for node in ast.parse(path.read_text()).body:
+                    if isinstance(node, ast.ImportFrom):
+                        for alias in node.names:
+                            if (alias.asname or alias.name) == name:
+                                return defined_in(node.module, alias.name)
+            return module  # a plain module, or the package's own code
+
+        def uses(path):
+            found = set()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    found.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    found.update(
+                        defined_in(node.module, alias.name) for alias in node.names
+                    )
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    found.add(node.value)  # lazy tables name modules as strings
+            return found & set(files)
+
+        reached, frontier = set(), [files["repro.__main__"]]
+        frontier += sorted((_ROOT / "benchmarks").rglob("*.py"))
+        while frontier:
+            for module in uses(frontier.pop()) - reached:
+                reached.add(module)
+                frontier.append(files[module])
+        return reached
+
+    def test_every_module_is_reached_or_listed_with_a_reason(self):
+        modules = {
+            name for name, path in self._files().items()
+            if path.name not in ("__init__.py", "__main__.py")
+        }
+        uncalled = modules - self._reached()
+        kept = set(self.KEPT_WITHOUT_A_CALLER)
+        assert uncalled - kept == set(), "no command or benchmark reaches these"
+        assert kept - uncalled == set(), "these have a caller now: unlist them"
+
+    def test_one_extension_does_not_load_its_siblings(self):
+        """``repro serve --peer`` needs one class of ``repro.ext``; the
+        package ``__init__`` must not hand it the rest."""
+        _run_in_fresh_interpreter(
+            "import sys\n"
+            "from repro.ext.replication import ReplicatedStore\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('repro.ext.'))\n"
+            "assert loaded == ['repro.ext.replication'], loaded\n"
+        )
+
+    def test_deleted_designs_are_named_nowhere(self):
+        gone = re.compile(
+            "OperationLog|RecoveringStore|ShieldLSM|BloomFilter|ClientSideClient"
+            "|PassiveStore|ClientKeyDirectory|RoteCounterService|CounterReplica"
+            "|DynamicShieldStore|ExpiringStore|SealedFrame|SealedLog"
+        )
+        paths = [_ROOT / name for name in ("README.md", "DESIGN.md", "SECURITY.md")]
+        for top in ("src", "tests", "benchmarks", "examples", "docs"):
+            paths += [p for p in (_ROOT / top).rglob("*") if p.suffix in (".py", ".md")]
+        this_file = pathlib.Path(__file__).resolve()
+        named = [
+            str(path.relative_to(_ROOT))
+            for path in paths
+            if path.resolve() != this_file and gone.search(path.read_text())
+        ]
+        assert named == []

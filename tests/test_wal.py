@@ -19,6 +19,7 @@ from repro.core import (
     PartitionSnapshotter,
     PartitionedShieldStore,
     ShieldStore,
+    SnapshotDaemon,
     WriteAheadLog,
     apply_request,
     fsync_directory,
@@ -28,7 +29,7 @@ from repro.core import (
 from repro.core.procpool import process_mode_supported
 from repro.core.wal import segment_path
 from repro.errors import SnapshotError
-from repro.net import SnapshotDaemon, TCPShieldClient, TCPShieldServer
+from repro.net import TCPShieldClient, TCPShieldServer
 from repro.sim import (
     AttestationService,
     FaultPlan,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ext import RangeShieldStore, ShieldLSM
+from repro.ext.rangestore import RangeShieldStore
 from repro.workloads import SMALL
 from repro.workloads.ycsb_letters import (
     ScanOperation,
@@ -47,14 +47,6 @@ class TestWorkloadE:
         rows = run_scan_stream(store, stream, 40)
         assert rows > 0
         assert len(store) >= 60
-
-    def test_runs_on_lsm(self):
-        lsm = ShieldLSM(memtable_bytes=8 * 1024)
-        stream = ScanStream(SMALL, 60, seed=6, max_scan_length=10)
-        for op in stream.load_operations():
-            lsm.set(op.key, op.value)
-        rows = run_scan_stream(lsm, stream, 30)
-        assert rows > 0
 
     def test_hash_store_cannot_serve_e(self):
         """The paper's §7 limitation, as an API fact."""

@@ -18,6 +18,12 @@ any plumbing through the pool.  Each process appends
 :func:`global_check` merges every journal and re-asserts uniqueness over
 the whole tree.
 
+A *record-mode* encryption of the fast suite (one XOF stream per IV,
+see :mod:`repro.crypto.suite`) reports itself as the single point
+``(key, IV)`` — a one-block span whatever the record's length: a
+repeated IV overlaps itself and raises, adjacent IVs are independent
+streams and do not.
+
 Only *encryption* records spans — decryption legitimately revisits the
 same (key, IV) pair and consumes no fresh keystream.
 

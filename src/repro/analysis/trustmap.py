@@ -110,7 +110,7 @@ SECRET_ATTRS = frozenset(
 # means SecureChannel.open — only attribute calls count, so the builtin
 # ``open(path)`` (a plain name) is never matched.
 TAINT_SOURCE_METHODS = frozenset(
-    {"decrypt", "decrypt_many", "unseal", "open", "iter_items"}
+    {"decrypt", "decrypt_many", "decrypt_record", "unseal", "open", "iter_items"}
 )
 
 # Calls that turn plaintext into something safe to exfiltrate: ciphertext,
@@ -119,6 +119,7 @@ SANITIZER_METHODS = frozenset(
     {
         "encrypt",
         "encrypt_many",
+        "encrypt_record",
         "_encrypt_entry",  # returns (header, ciphertext, mac) — all safe
         "seal",
         "mac",

@@ -5,11 +5,28 @@ is pure Python; it is exactly what the paper's enclave does but costs tens
 of microseconds per entry, which would dominate a 100k-entry benchmark
 with *Python* overhead rather than *simulated* cycles.  This module
 provides a drop-in suite built on the C-speed primitives in the standard
-library:
+library.  It has two cipher modes, chosen by *what is encrypted*, never
+by an option:
 
-* stream cipher: CTR-style keystream where each 32-byte keystream block is
-  ``SHA-256(key || iv_ctr+i)`` — a PRF-based stream cipher with the same
-  IV/counter discipline as AES-CTR;
+* **entry mode** (:func:`prf_transform`, behind ``FastSuite.encrypt`` /
+  ``decrypt``): a CTR-style keystream where each 32-byte keystream block
+  is ``SHA-256(key || iv_ctr+i)`` — a PRF-based stream cipher with the
+  same IV/counter discipline as AES-CTR.  Everything that is stored,
+  persisted or pinned uses it — entry records, WAL frames, snapshot
+  sections, sealed blobs — and its bytes cannot change:
+  ``tests/test_exact_ledger.py`` pins every untrusted byte, and a
+  snapshot or log written by one build must open in the next.  It costs
+  one ``hashlib`` call per 32 bytes (≈ 0.7 µs each, most of it the
+  call, not the hash);
+* **record mode** (:func:`xof_transform`, behind
+  ``FastSuite.encrypt_record`` / ``decrypt_record``): the keystream of a
+  whole record is one ``SHAKE-256(key || iv)`` output of the record's
+  length — a prefix-keyed XOF, one ``hashlib`` call per record whatever
+  its size.  Only :class:`~repro.net.message.SecureChannel` uses it: a
+  session record lives as long as its session key, nothing pins or
+  persists it, and a 64-key batch crosses four such records of ~10 kB.
+  The IV must never repeat under a key (two IVs one apart give
+  independent streams, unlike CTR block spans);
 * MAC: HMAC-SHA-256 truncated to 16 bytes, matching the CMAC tag width.
 
 Both give real confidentiality/integrity for the tests (tampering is
@@ -66,6 +83,17 @@ def xor_bytes(data: bytes, stream: bytes) -> bytes:
 def prf_transform(key: bytes, iv_ctr: bytes, data: bytes) -> bytes:
     """Encrypt/decrypt ``data`` by XOR with the PRF keystream."""
     return xor_bytes(data, prf_keystream(key, iv_ctr, len(data)))
+
+
+def xof_transform(key: bytes, iv: bytes, data: bytes) -> bytes:
+    """Encrypt/decrypt one record by XOR with ``SHAKE-256(key || iv)``.
+
+    The record mode: one XOF call yields the whole keystream, so a
+    record costs what its bytes cost instead of one hash call per 32.
+    """
+    if len(iv) != IV_SIZE:
+        raise CryptoError(f"IV must be {IV_SIZE} bytes, got {len(iv)}")
+    return xor_bytes(data, hashlib.shake_256(key + iv).digest(len(data)))
 
 
 def prf_transform_many(key: bytes, items) -> list:

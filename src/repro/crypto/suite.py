@@ -5,6 +5,22 @@ sessions) talks to a :class:`CipherSuite` so the reference AES/CMAC suite
 and the fast hashlib suite are interchangeable.  The suite also exposes
 the *cost parameters* the simulator charges, so swapping backends never
 changes simulated performance.
+
+A suite encrypts in two modes, and a key is used in one of them for its
+whole life:
+
+* ``encrypt`` / ``decrypt`` (and the ``_many`` forms) — the **entry
+  mode**, CTR under a per-entry IV/counter (§4.2, Fig. 4).  The store,
+  the WAL, snapshots and sealing call it; its bytes are pinned
+  (``tests/test_exact_ledger.py``) and persisted, so it cannot change
+  for a host-speed reason.
+* ``encrypt_record`` / ``decrypt_record`` — the **record mode**, for an
+  ephemeral session record that dies with its session key.  Only
+  :class:`~repro.net.message.SecureChannel` calls it.  The base
+  implementation *is* the entry mode (so :class:`ReferenceSuite` stays
+  AES-CTR); :class:`FastSuite` overrides it with one XOF call per
+  record (:func:`repro.crypto.fast.xof_transform`).  The IV must never
+  repeat under the key.
 """
 
 from __future__ import annotations
@@ -53,6 +69,17 @@ class CipherSuite:
 
     def mac(self, message: bytes) -> bytes:
         raise NotImplementedError
+
+    def encrypt_record(self, iv: bytes, plaintext: bytes) -> bytes:
+        """Encrypt one session record under an IV never reused with the key.
+
+        The entry mode unless the suite has a cheaper whole-record cipher.
+        """
+        return self.encrypt(iv, plaintext)
+
+    def decrypt_record(self, iv: bytes, ciphertext: bytes) -> bytes:
+        """Inverse of :meth:`encrypt_record`."""
+        return self.decrypt(iv, ciphertext)
 
     def encrypt_many(self, items) -> list:
         """Encrypt a batch of ``(iv_ctr, plaintext)`` pairs in input order.
@@ -123,6 +150,16 @@ class FastSuite(CipherSuite):
 
     def decrypt_many(self, items) -> list:
         return _fast.prf_transform_many(self.enc_key, items)
+
+    def encrypt_record(self, iv: bytes, plaintext: bytes) -> bytes:
+        if _sanitizer.active:
+            # One XOF stream per IV: the record is the single point
+            # (key, iv) whatever its length — adjacent IVs do not overlap.
+            _sanitizer.record(self.enc_key, iv, 1, 1)
+        return _fast.xof_transform(self.enc_key, iv, plaintext)
+
+    def decrypt_record(self, iv: bytes, ciphertext: bytes) -> bytes:
+        return _fast.xof_transform(self.enc_key, iv, ciphertext)
 
     def mac(self, message: bytes) -> bytes:
         return self._mac(message)[:MAC_SIZE]

@@ -10,7 +10,13 @@ When the session is secure (§3.2), the record is wrapped as::
     seq(8) | ciphertext | mac(16)
 
 with the sequence number bound into the MAC, so replayed or reordered
-requests are rejected (:class:`~repro.errors.ProtocolError`).
+requests are rejected (:class:`~repro.errors.ProtocolError`).  The
+ciphertext is the suite's *record mode* (``encrypt_record`` /
+``decrypt_record``, see :mod:`repro.crypto.suite`): a session record is
+ephemeral — it dies with its session key and nothing pins or persists
+its bytes — so the fast suite encrypts it with one XOF call per record
+instead of the entry cipher's one hash call per 32 bytes.  Both ends of
+a channel must run the same build; there is no negotiation.
 """
 
 from __future__ import annotations
@@ -387,7 +393,9 @@ class SecureChannel:
         seq = self._send_seq
         self._send_seq += 1
         header = struct.pack("<Q", seq)
-        ciphertext = self.suite.encrypt(self._iv_for(seq, self._send_domain), plaintext)
+        ciphertext = self.suite.encrypt_record(
+            self._iv_for(seq, self._send_domain), plaintext
+        )
         tag = self.suite.mac(header + ciphertext)
         sealed = header + ciphertext + tag
         # Scripted corruption of the sealed record; a codec has nothing
@@ -414,4 +422,6 @@ class SecureChannel:
         if not self.suite.verify(header + ciphertext, tag):
             raise ProtocolError("record failed authentication")
         self._recv_seq += 1
-        return self.suite.decrypt(self._iv_for(seq, self._recv_domain), ciphertext)
+        return self.suite.decrypt_record(
+            self._iv_for(seq, self._recv_domain), ciphertext
+        )

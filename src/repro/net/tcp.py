@@ -56,11 +56,14 @@ traffic, busy sheds).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import random
 import selectors
 import socket
 import struct
+import sys
 import threading
 import time
 from collections import OrderedDict, deque
@@ -92,6 +95,7 @@ from repro.net.message import (
     encode_request,
     encode_response,
 )
+from repro.net.server import execute_request
 from repro.sim import faults
 from repro.sim.attestation import (
     AttestationService,
@@ -104,6 +108,7 @@ from repro.sim.attestation import (
 )
 
 _LEN = struct.Struct("<I")
+_DH_PUBLIC = 256  # a DH public value as it travels (DHKeyPair.public_bytes)
 # Threads of the server's request pool, for engines that take
 # concurrent callers: they wait on worker processes, they do not compute.
 EXECUTOR_THREADS = 8
@@ -516,13 +521,16 @@ class TCPShieldServer:
                         self._drain_wakeups()
                     else:
                         conn = key.data
-                        if mask & selectors.EVENT_READ:
-                            self._readable(conn)
-                        if (
-                            mask & selectors.EVENT_WRITE
-                            and conn.sock.fileno() != -1
-                        ):
-                            self._writable(conn)
+                        try:
+                            if mask & selectors.EVENT_READ:
+                                self._readable(conn)
+                            if (
+                                mask & selectors.EVENT_WRITE
+                                and conn.sock.fileno() != -1
+                            ):
+                                self._writable(conn)
+                        except Exception:
+                            self._contain(conn)
                 if self._executor is not None:
                     self._apply_completions()
                 if polled >= sweep_at:
@@ -531,6 +539,15 @@ class TCPShieldServer:
             for conn in list(self._conns.values()):
                 self._drop(conn)
             self._close_quietly(self._sock)
+
+    def _contain(self, conn: _Conn) -> None:
+        """A handler's unforeseen exception costs the connection that
+        raised it, not every other client: report it the way an uncaught
+        thread exception is, drop the connection, keep serving."""
+        threading.excepthook(
+            threading.ExceptHookArgs((*sys.exc_info(), self._loop_thread))
+        )
+        self._drop(conn)
 
     def _sweep_deadlines(self, now: float) -> float:
         """Drop expired connections; returns when to sweep next.
@@ -633,10 +650,10 @@ class TCPShieldServer:
         )
 
     def _finish_handshake(self, conn: _Conn, client_pub_raw: bytes) -> None:
-        import hashlib
-
         if conn.dh is None:
             raise ProtocolError("handshake reply before quote was sent")
+        if len(client_pub_raw) != _DH_PUBLIC:
+            raise ProtocolError("handshake reply is not a DH public value")
         suite = derive_session_suite(handshake_finish(conn.dh, client_pub_raw))
         conn.dh = None
         conn.client_id = hashlib.sha256(client_pub_raw).digest()
@@ -718,7 +735,11 @@ class TCPShieldServer:
         if conn.channel is None:
             try:
                 self._finish_handshake(conn, body)
-            except (ProtocolError, OSError, OverflowError, ValueError):
+            except (ReproError, OSError, OverflowError, ValueError):
+                # Not a usable DH public value (wrong length, or outside
+                # (1, p-1): AttestationError).  Nothing is keyed yet, so
+                # it costs this connection only.
+                self._bump("tamper_drops")
                 self._drop(conn)
                 return False
             return True
@@ -857,8 +878,6 @@ class TCPShieldServer:
         return out
 
     def _execute(self, request: Request) -> Response:
-        from repro.net.server import execute_request
-
         gate = (
             self.store_lock.shared()
             if self._parallel_requests
@@ -899,8 +918,6 @@ class TCPShieldClient(StoreVerbs):
         local_name: Optional[str] = None,
         peer_name: Optional[str] = None,
     ):
-        import random
-
         # Named link endpoints let shieldfault ``partition`` rules cut
         # exactly this edge of the replication graph.  Every inter-node
         # link has a client end, so naming the client side is enough.
@@ -962,7 +979,7 @@ class TCPShieldClient(StoreVerbs):
     def _handshake(self) -> SecureChannel:
         assert self._sock is not None
         frame = self._recv()
-        if frame is None or len(frame) < 32 + 32 + 32 + 256:
+        if frame is None or len(frame) < 32 + 32 + 32 + _DH_PUBLIC:
             raise ProtocolError("handshake frame truncated")
         # measurement | signature | report data | server DH public key
         quote = Quote(frame[:32], frame[64:96], frame[32:64])

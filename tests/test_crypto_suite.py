@@ -119,6 +119,69 @@ class TestFastBackend:
         assert ring.key_hint(b"k1") == hmac.new(ring.hint_key, b"k1", hashlib.sha256).digest()[0]
 
 
+class TestRecordMode:
+    """``encrypt_record`` / ``decrypt_record``: the session-record cipher.
+
+    The fast suite's is one SHAKE-256 call per record; the entry mode
+    (``encrypt`` / ``decrypt``) keeps the pinned SHA-256-CTR bytes.
+    """
+
+    @pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 4096, 65536])
+    def test_fast_record_keystream_known_answer(self, n):
+        import hashlib
+
+        iv = bytes(range(100, 116))
+        stream = hashlib.shake_256(_ENC + iv).digest(n)
+        assert FastSuite(_ENC, _MAC).encrypt_record(iv, bytes(n)) == stream
+        assert fast.xof_transform(_ENC, iv, bytes(n)) == stream
+
+    @pytest.mark.parametrize("n", [0, 1, 33, 10_000])
+    def test_roundtrip(self, suite, n):
+        plain = bytes(i * 7 & 0xFF for i in range(n))
+        ct = suite.encrypt_record(_IV, plain)
+        assert len(ct) == n
+        assert (ct != plain) or n == 0
+        assert suite.decrypt_record(_IV, ct) == plain
+
+    def test_reference_record_mode_is_its_entry_mode(self):
+        ref = ReferenceSuite(_ENC, _MAC)
+        plain = bytes(range(256)) * 3
+        assert ref.encrypt_record(_IV, plain) == ref.encrypt(_IV, plain)
+        assert ref.decrypt_record(_IV, plain) == ref.decrypt(_IV, plain)
+
+    def test_fast_entry_mode_is_still_sha256_ctr(self):
+        """The pinned cipher did not move: one SHA-256 block per 32-byte
+        chunk under a big-endian counter, not the record-mode XOF."""
+        import hashlib
+
+        n = 100
+        counter = int.from_bytes(_IV, "big")
+        stream = b"".join(
+            hashlib.sha256(_ENC + (counter + i).to_bytes(16, "big")).digest()
+            for i in range(4)
+        )[:n]
+        fs = FastSuite(_ENC, _MAC)
+        assert fs.encrypt(_IV, bytes(n)) == stream
+        assert fs.encrypt_many([(_IV, bytes(n))]) == [stream]
+        assert fs.encrypt_record(_IV, bytes(n)) != stream
+
+    def test_iv_matters(self, suite):
+        a = suite.encrypt_record(_IV, b"x" * 64)
+        b = suite.encrypt_record(bytes(15) + b"\x01", b"x" * 64)
+        assert a != b
+        # Fast record mode: adjacent IVs are independent streams, not
+        # one stream shifted by a block as in CTR.
+        if isinstance(suite, FastSuite):
+            assert a[32:] != b[:32]
+
+    @pytest.mark.parametrize("iv_len", [0, 4, 15, 17])
+    def test_wrong_length_iv_rejected(self, suite, iv_len):
+        with pytest.raises(CryptoError):
+            suite.encrypt_record(bytes(iv_len), b"payload")
+        with pytest.raises(CryptoError):
+            suite.decrypt_record(bytes(iv_len), b"payload")
+
+
 class TestKeyRing:
     def test_derivation_is_deterministic(self):
         a = KeyRing(b"m" * 32)

@@ -1,5 +1,6 @@
 """Real TCP deployment: attestation handshake, secure session, attacks."""
 
+import socket
 import struct
 import threading
 
@@ -17,6 +18,7 @@ from repro.net.message import (
     encode_request,
 )
 from repro.sim import AttestationService
+from repro.sim.attestation import _DH_PRIME
 
 
 @pytest.fixture
@@ -87,6 +89,82 @@ class TestAttestationGate:
                 server.store.enclave.measurement,
                 bytes(range(32)),
             )
+
+
+def raw_handshake_reply(server, *frames):
+    """Answer the quote frame with ``frames`` over a bare socket; returns
+    what the server sends back (b"" = it closed the connection)."""
+    with socket.create_connection(server.address, timeout=5.0) as sock:
+        quote = tcpmod._recv_frame(sock)
+        assert quote is not None and len(quote) == 32 + 32 + 32 + 256
+        sock.sendall(b"".join(struct.pack("<I", len(f)) + f for f in frames))
+        try:
+            return sock.recv(1)
+        except ConnectionResetError:
+            return b""
+
+
+class TestHandshakeReplyIsUntrusted:
+    """The frame answering the quote arrives before anything is keyed:
+    whatever it holds costs that connection, never the event loop."""
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            (0).to_bytes(256, "big"),
+            (1).to_bytes(256, "big"),
+            (_DH_PRIME - 1).to_bytes(256, "big"),
+            (2**2048 - 1).to_bytes(256, "big"),
+            b"",
+            b"\x05",
+            (2**64).to_bytes(255, "big"),
+            bytes(257),
+        ],
+        ids=["zero", "one", "p-1", "all-ones", "empty", "one-byte", "short", "long"],
+    )
+    def test_bad_dh_value_drops_the_connection_only(self, server, service, reply):
+        assert raw_handshake_reply(server, reply) == b""
+        assert server._loop_thread.is_alive()
+        assert server.stats_snapshot().tamper_drops == 1
+        client = connect(server, service, max_retries=0)
+        try:
+            client.set(b"k", b"v")
+            assert client.get(b"k") == b"v"
+        finally:
+            client.close()
+
+    def test_unexpected_handler_exception_is_contained_and_reported(
+        self, server, service, monkeypatch
+    ):
+        # Whatever a handler raises that nobody foresaw is reported like
+        # an uncaught thread exception and costs that connection alone.
+        reported = []
+        monkeypatch.setattr(threading, "excepthook", reported.append)
+        bystander = connect(server, service, bytes(range(32, 64)))
+        victim = connect(server, service, max_retries=1, backoff_base_s=0.01)
+        try:
+            bystander.set(b"k", b"v")
+            real_open = tcpmod.SecureChannel.open
+            armed = [True]
+
+            def exploding_open(channel, sealed):
+                if channel.role == "server" and armed[0]:
+                    armed[0] = False
+                    raise RuntimeError("handler bug")
+                return real_open(channel, sealed)
+
+            monkeypatch.setattr(tcpmod.SecureChannel, "open", exploding_open)
+            assert victim.get(b"k") == b"v"  # dropped, reconnected, served
+            assert victim.stats.net_reconnects == 1
+            assert bystander.get(b"k") == b"v"  # same session throughout
+            assert bystander.stats.net_reconnects == 0
+            assert server._loop_thread.is_alive()
+            assert len(reported) == 1
+            assert reported[0].exc_type is RuntimeError
+            assert reported[0].thread is server._loop_thread
+        finally:
+            victim.close()
+            bystander.close()
 
 
 class TestWireTamper:

@@ -152,6 +152,41 @@ class TestOneReaderOfTheMachineSize:
         assert not any("SPIN_CHECKS" in text for text in texts)
 
 
+class TestOneCipherModePerKey:
+    """A key is used in one cipher mode for its whole life: the record
+    mode is the channel's alone, so no stored, logged or sealed format
+    can drift onto a cipher nothing pins."""
+
+    @staticmethod
+    def _callers(*needles):
+        src = _ROOT / "src" / "repro"
+        return sorted(
+            str(path.relative_to(src))
+            for path in src.rglob("*.py")
+            if any(needle in path.read_text() for needle in needles)
+        )
+
+    def test_record_mode_is_called_only_by_the_channel(self):
+        assert self._callers("encrypt_record(", "decrypt_record(") == [
+            "crypto/suite.py", "net/message.py",
+        ]
+
+    def test_the_xof_is_reached_only_through_the_suite(self):
+        assert self._callers("xof_transform(") == [
+            "crypto/fast.py", "crypto/suite.py",
+        ]
+
+    def test_the_channel_has_one_cipher_call_each_way(self):
+        import inspect
+
+        from repro.net.message import SecureChannel
+
+        source = inspect.getsource(SecureChannel)
+        assert source.count(".encrypt_record(") == 1
+        assert source.count(".decrypt_record(") == 1
+        assert ".encrypt(" not in source and ".decrypt(" not in source
+
+
 class TestOneCopyOfEachMechanism:
     """Grep-able structure the partition-engine collapse relies on."""
 

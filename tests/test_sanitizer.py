@@ -130,6 +130,81 @@ class TestSuiteHooks:
         assert sanitizer.stats()["recorded"] == 1
 
 
+class TestRecordModeHooks:
+    """A record-mode encryption is the single point (key, iv): the fast
+    suite draws one XOF stream per IV, so adjacent IVs never overlap
+    however long the records, and only a repeated IV is reuse."""
+
+    def test_same_iv_twice_raises(self):
+        sanitizer.enable()
+        suite = FastSuite(KEY, KEY2)
+        suite.encrypt_record(_iv(7), b"x" * 40)
+        assert sanitizer.stats()["recorded"] == 1
+        with pytest.raises(NonceReuseError):
+            suite.encrypt_record(_iv(7), b"y")
+
+    def test_consecutive_ivs_with_long_payloads_are_clean(self):
+        sanitizer.enable()
+        suite = FastSuite(KEY, KEY2)
+        for block in range(8):
+            suite.encrypt_record(_iv(block), b"x" * 10_000)
+        assert sanitizer.stats()["recorded"] == 8
+
+    def test_reference_suite_records_its_ctr_span(self):
+        """Its record mode is AES-CTR, so block spans still apply."""
+        sanitizer.enable()
+        suite = ReferenceSuite(KEY, KEY2)
+        suite.encrypt_record(_iv(0), b"x" * 33)  # blocks [0, 3)
+        with pytest.raises(NonceReuseError):
+            suite.encrypt_record(_iv(2), b"y")
+
+    def test_decrypt_record_does_not_record(self):
+        sanitizer.enable()
+        suite = FastSuite(KEY, KEY2)
+        blob = suite.encrypt_record(_iv(0), b"x" * 16)
+        suite.decrypt_record(_iv(0), blob)
+        suite.decrypt_record(_iv(0), blob)
+        assert sanitizer.stats()["recorded"] == 1
+
+    def test_channel_stream_is_clean_and_replayed_seal_is_not(self):
+        from repro.net.message import SecureChannel
+
+        sanitizer.enable()
+        client = SecureChannel(FastSuite(KEY, KEY2), "client")
+        server = SecureChannel(FastSuite(KEY, KEY2), "server")
+        for _ in range(4):
+            assert server.open(client.seal(b"q" * 10_000)) == b"q" * 10_000
+            assert client.open(server.seal(b"r" * 10_000)) == b"r" * 10_000
+        assert sanitizer.stats()["recorded"] == 8
+        client._send_seq = 0  # a channel that restarted its counter
+        with pytest.raises(NonceReuseError):
+            client.seal(b"again")
+
+    @needs_processes
+    def test_shm_pool_round_trip_is_globally_clean(self, tmp_path):
+        """Both plane directions of a 2-worker shm pool seal multi-kB
+        batch frames in record mode; every process's journal merges."""
+        journal_dir = str(tmp_path / "journals")
+        sanitizer.enable(journal_dir)
+        store = PartitionedShieldStore(
+            shield_opt(num_buckets=256, num_mac_hashes=64),
+            num_partitions=2,
+            mode="processes",
+            data_plane="shm",
+            master_secret=MASTER,
+        )
+        try:
+            items = {b"key-%03d" % i: b"v" * 200 + b"%03d" % i for i in range(64)}
+            store.multi_set(items)
+            assert store.multi_get(list(items)) == items
+        finally:
+            store.close()
+        sanitizer.disable()
+        report = sanitizer.global_check(journal_dir)
+        assert report.processes >= 3  # parent + two workers
+        assert report.records > 0
+
+
 class TestStoreRegression:
     """The IV-allocator fixes, pinned: heavy mutation churn under the
     sanitizer must never reuse keystream."""

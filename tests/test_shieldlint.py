@@ -144,6 +144,35 @@ class TestTrustBoundaryRule:
         assert [f.rule for f in report.active] == ["trust-boundary"]
 
 
+    def test_decrypt_record_result_is_a_source(self, tmp_path):
+        """What SecureChannel.open hands on is plaintext: without
+        ``decrypt_record`` among the sources the pass loses it."""
+        _write(
+            tmp_path,
+            "net/tcp.py",
+            """
+            def relay(sock, suite, blob):
+                plain = suite.decrypt_record(b"iv", blob)
+                sock.sendall(plain)
+            """,
+        )
+        report = _lint(tmp_path)
+        assert [f.rule for f in report.active] == ["trust-boundary"]
+        assert "sendall" in report.active[0].message
+
+    def test_encrypt_record_result_is_clean(self, tmp_path):
+        _write(
+            tmp_path,
+            "net/tcp.py",
+            """
+            def reply(sock, suite, blob):
+                plain = suite.decrypt_record(b"iv", blob)
+                sock.sendall(suite.encrypt_record(b"iv2", plain))
+            """,
+        )
+        assert _lint(tmp_path).active == []
+
+
 class TestVerifyBeforeUseRule:
     def test_unverified_return_is_flagged(self, tmp_path):
         _write(

@@ -21,9 +21,10 @@ from repro.experiments.common import make_machine, scaled
 from repro.net import (
     FRONTEND_HOTCALLS,
     NetworkedServer,
-    SimClient,
+    Request,
     make_secure_channels,
 )
+from repro.net.message import encode_request
 from repro.sim import attested_handshake
 
 
@@ -35,33 +36,31 @@ def build_attested_server(num_buckets=8192):
         ias, store.enclave.context(), store.enclave, client_entropy=bytes(range(32))
     )
     client_channel, server_channel = make_secure_channels(client_suite, server_suite)
-    server = NetworkedServer(
+    return NetworkedServer(
         store,
         frontend=FRONTEND_HOTCALLS,
         server_channel=server_channel,
         client_channel=client_channel,
     )
-    return server, SimClient(server)
 
 
 def main() -> None:
-    server, client = build_attested_server()
+    server = build_attested_server()
 
     print("== session workflow over the attested channel ==")
-    client.set(b"session:7f3a", b"user=alice;roles=admin;csrf=x91k")
-    client.set(b"session:99c1", b"user=bob;roles=viewer;csrf=m3qa")
-    print("lookup 7f3a ->", client.get(b"session:7f3a"))
+    server.handle(Request("set", b"session:7f3a", b"user=alice;roles=admin;csrf=x91k"))
+    server.handle(Request("set", b"session:99c1", b"user=bob;roles=viewer;csrf=m3qa"))
+    print("lookup 7f3a ->", server.handle(Request("get", b"session:7f3a")).value)
 
     print("\n== server-side rate limiting ==")
     for _ in range(3):
-        count = client.increment(b"ratelimit:alice:/api/export")
+        reply = server.handle(Request("increment", b"ratelimit:alice:/api/export", b"1"))
+    count = int(reply.value)
     print("alice export calls this window:", count)
     if count > 2:
         print("-> 429 Too Many Requests (decided without exposing the counter)")
 
     print("\n== captured-request replay is rejected ==")
-    from repro.net.message import Request, encode_request
-
     # The attacker sniffs a legitimate (sealed) request off the wire...
     captured = server.client_channel.seal(
         encode_request(Request("increment", b"ratelimit:alice:/api/export", b"1"))

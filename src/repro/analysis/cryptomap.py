@@ -144,15 +144,6 @@ REGISTRY: Tuple[DomainSpec, ...] = (
     ),
     # -- per-session DH roots -------------------------------------------
     DomainSpec(
-        "sess/enc", "net/sessions.py", "client-session",
-        "client-session record encryption key (per-DH root)",
-        iv_regime="channel-seq",
-    ),
-    DomainSpec(
-        "sess/mac", "net/sessions.py", "client-session",
-        "client-session record MAC key (per-DH root)",
-    ),
-    DomainSpec(
         "session/enc", "sim/attestation.py", "attested-session",
         "attested-channel encryption key (per-DH root)",
         iv_regime="channel-seq",

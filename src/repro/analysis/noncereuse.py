@@ -50,7 +50,6 @@ NONCE_MODULES = (
     "crypto/suite.py",
     "crypto/fast.py",
     "net/message.py",
-    "net/sessions.py",
     "core/wal.py",
     "core/shmring.py",
     "core/store.py",

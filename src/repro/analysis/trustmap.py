@@ -46,7 +46,6 @@ BOUNDARY_MODULES: Tuple[str, ...] = (
     "net/tcp.py",
     "core/checkpoint.py",  # snapshot blobs to and from the host's disk
     "net/server.py",
-    "net/client.py",
     "core/procpool.py",
     "core/shmring.py",
     # Replication fan-out/anti-entropy: versioned records and set

@@ -214,13 +214,23 @@ def _cmd_restore(args) -> int:
 
 def _cmd_serve(args) -> int:
     import os
+    import signal
+    import time
 
     from repro import AttestationService, shield_opt
-    from repro.core import PartitionedShieldStore, PartitionHost, SnapshotDaemon
+    from repro.core import PartitionedShieldStore, SnapshotDaemon
+    from repro.errors import RollbackError, SnapshotError
     from repro.net import TCPShieldServer
-    from repro.sim import Machine
     from repro.sim.cycles import MB
 
+    if args.workers < 1:
+        print(f"--workers {args.workers}: need at least one partition",
+              file=sys.stderr)
+        return 2
+    if args.snapshot_keep < 1:
+        print(f"--snapshot-keep {args.snapshot_keep}: at least the newest "
+              "checkpoint must be kept", file=sys.stderr)
+        return 2
     config = shield_opt(
         num_buckets=8192,
         num_mac_hashes=4096,
@@ -248,46 +258,36 @@ def _cmd_serve(args) -> int:
               "bucket placement line up)", file=sys.stderr)
         return 2
 
-    host = None
-    if args.workers > 1:
-        # Shared-nothing partition engine: one worker process per
-        # partition, each with its own enclave sim (auto mode picks
-        # processes; falls back in-process on exotic platforms).
-        store = PartitionedShieldStore(
-            config,
-            num_partitions=args.workers,
-            data_plane=args.data_plane,
-            wal_dir=args.wal_dir,
-            wal_sync_ms=args.wal_sync_ms,
-        )
-        plane = getattr(store, "data_plane", None)
-        waits = store.transport_stats()
-        print(f"partition engine: {args.workers} workers, "
-              f"mode={store.mode}"
-              + (f", data-plane={plane}" if plane else "")
-              + (f", usable_cpus={waits.usable_cpus}: ring waits "
-                 + ("spin first" if waits.ring_spin_budget else "arm the doorbell at once")
-                 if plane == "shm" else ""))
-    else:
-        master = None
-        if args.replication_secret:
-            # Stretch the operator passphrase into a full-width master
-            # secret (every group member derives the same one).
-            import hashlib
+    master = None
+    if args.replication_secret:
+        # Stretch the operator passphrase into a full-width master
+        # secret (every group member derives the same one).
+        import hashlib
 
-            master = hashlib.sha256(
-                b"shieldstore/replication-group:"
-                + args.replication_secret.encode()
-            ).digest()
-        # Partition 0, hosted in this process: the host replays any
-        # log chain at build and again under a checkpoint restore.
-        host = PartitionHost(
-            config,
-            master_secret=master,
-            machine=Machine(seed=config.seed),
-            wal_dir=args.wal_dir,
-            wal_sync_ms=args.wal_sync_ms,
-        )
+        master = hashlib.sha256(
+            b"shieldstore/replication-group:"
+            + args.replication_secret.encode()
+        ).digest()
+    # One store shape whatever the worker count: auto mode hosts a lone
+    # partition in this process and gives each of several its own worker
+    # process (falling back in-process on exotic platforms).  Building
+    # it replays any log chain a predecessor left.
+    store = PartitionedShieldStore(
+        config,
+        master_secret=master,
+        num_partitions=args.workers,
+        data_plane=args.data_plane,
+        wal_dir=args.wal_dir,
+        wal_sync_ms=args.wal_sync_ms,
+    )
+    plane = store.data_plane
+    waits = store.transport_stats()
+    print(f"partition engine: {args.workers} partition(s), "
+          f"mode={store.mode}"
+          + (f", data-plane={plane}" if plane else "")
+          + (f", usable_cpus={waits.usable_cpus}: ring waits "
+             + ("spin first" if waits.ring_spin_budget else "arm the doorbell at once")
+             if plane == "shm" else ""))
     if args.wal_dir:
         print(f"write-ahead log: {args.wal_dir} "
               f"(group commit {args.wal_sync_ms:g} ms)")
@@ -301,57 +301,49 @@ def _cmd_serve(args) -> int:
         print(f"fault plan: {len(plan.rules)} rule(s), seed {plan.seed} "
               f"({args.fault_plan})")
 
-    take_snapshot = None
+    snapshotter = None
     if args.snapshot_dir:
-        from repro.core import PartitionSnapshotter, Snapshotter
+        from repro.core import PartitionSnapshotter
         from repro.sim import MonotonicCounterService
 
-        counters = MonotonicCounterService(
-            os.path.join(args.snapshot_dir, "counters.json")
+        snapshotter = PartitionSnapshotter.for_store(
+            store,
+            MonotonicCounterService(
+                os.path.join(args.snapshot_dir, "counters.json")
+            ),
         )
-        latest, blob = (
-            SnapshotDaemon.load_latest(args.snapshot_dir) or (None, None)
-        )
-        if host is None:
-            snapshotter = PartitionSnapshotter.for_store(store, counters)
-            if blob is not None:
+        latest = SnapshotDaemon.load_latest(args.snapshot_dir)
+        if latest is not None:
+            path, blob = latest
+            try:
+                # Section + authenticated log-tail replay per partition.
                 snapshotter.restore(blob, store)
-
-            def take_snapshot():
-                return snapshotter.snapshot_bytes(store)
-
-        else:
-            # Persistence always targets the hosted ShieldStore: under
-            # replication the versioned records are just opaque values,
-            # so checkpoints and WAL replay round-trip them unchanged.
-            snapshotter = Snapshotter(host.sealing, counters)
-            if blob is not None:
-                snapshotter.recover(blob, host)
-
-            def take_snapshot():
-                return snapshotter.checkpoint(host)
-
-        if latest:
-            restored = host.store if host is not None else store
-            print(f"restored {len(restored)} keys from {latest}")
-    if host is not None:
-        store = host.store  # built and recovered; served from here on
-        if host.replayed:
-            print(f"replayed {host.replayed} operation(s) "
-                  "from the write-ahead log")
+            except (SnapshotError, RollbackError) as exc:
+                print(f"restore rejected: {path}: {exc}", file=sys.stderr)
+                store.close()
+                return 1
+            print(f"restored {len(store)} keys from {path}")
+    replayed = store.stats().wal_replayed
+    if replayed:
+        print(f"replayed {replayed} operation(s) "
+              "from the write-ahead log")
+    served = store
     if replicated:
         from repro.ext.replication import ReplicatedStore
 
-        store = ReplicatedStore(store, node_id=args.node_id or "node-0")
+        # Wrapped only now: a start-up restore adopts a fresh partition
+        # store.  Persistence keeps targeting the partitioned store —
+        # versioned records are opaque values to checkpoints and the log.
+        served = ReplicatedStore(
+            store.partitions[0], node_id=args.node_id or "node-0"
+        )
     service = AttestationService(args.attestation_secret.encode())
-    if replicated:
-        for name, peer_host, peer_port in peers:
-            store.add_peer(
-                name, (peer_host, peer_port), service,
-                store.enclave.measurement,
-            )
+    for name, peer_host, peer_port in peers:
+        served.add_peer(
+            name, (peer_host, peer_port), service, store.enclave.measurement
+        )
     server = TCPShieldServer(
-        store,
+        served,
         service,
         host=args.host,
         port=args.port,
@@ -360,7 +352,7 @@ def _cmd_serve(args) -> int:
     )
 
     daemon = None
-    if take_snapshot is not None:
+    if snapshotter is not None:
         on_checkpoint = None
         if args.wal_dir:
             from repro.core import WriteAheadLog
@@ -371,7 +363,7 @@ def _cmd_serve(args) -> int:
                 WriteAheadLog.retire(wal_dir, counter)
 
         daemon = SnapshotDaemon(
-            take_snapshot,
+            lambda: snapshotter.snapshot_bytes(store),
             args.snapshot_dir,
             args.snapshot_interval,
             lock=server.store_lock,
@@ -383,38 +375,39 @@ def _cmd_serve(args) -> int:
         print(f"snapshots: every {args.snapshot_interval:g}s "
               f"-> {args.snapshot_dir}")
 
-    server.start()
-    if replicated:
-        store.start(anti_entropy_interval_s=args.anti_entropy_interval)
-        print(f"replication: node {store.node_id}, {len(peers)} peer(s), "
-              f"anti-entropy every {args.anti_entropy_interval:g}s")
-    bound_host, port = server.address
-    print(f"ShieldStore enclave serving on {bound_host}:{port}")
-    print(f"measurement: {store.enclave.measurement.hex()}")
-    print("press Ctrl-C to stop")
+    # SIGTERM (kill, systemd, docker stop) stops the way Ctrl-C does.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
-        import time
-
+        server.start()
+        if replicated:
+            served.start(anti_entropy_interval_s=args.anti_entropy_interval)
+            print(f"replication: node {served.node_id}, {len(peers)} peer(s), "
+                  f"anti-entropy every {args.anti_entropy_interval:g}s")
+        bound_host, port = server.address
+        print(f"ShieldStore enclave serving on {bound_host}:{port}")
+        print(f"measurement: {store.enclave.measurement.hex()}")
+        print("press Ctrl-C to stop")
         while True:
             time.sleep(1)
     except KeyboardInterrupt:
-        if daemon is not None:
-            daemon.stop()
-            try:
-                final = daemon.run_once()
-                print(f"final checkpoint: {final}")
-            except Exception as exc:
-                print(f"final checkpoint failed: {exc}")
-        server.close()
-        if hasattr(store, "close"):
-            store.close()
-        if host is not None:
-            host.close()
-        if plan is not None:
-            report = plan.snapshot()
-            print(f"faults injected: {report['total_fires']} "
-                  f"across {len(report['fires'])} point/kind pair(s)")
-        print("stopped")
+        pass
+    # Nothing may be acknowledged after the final checkpoint is cut, so
+    # the front end drains first and the store closes last.
+    server.close()
+    if replicated:
+        served.close()
+    if daemon is not None:
+        daemon.stop()
+        try:
+            print(f"final checkpoint: {daemon.run_once()}")
+        except Exception as exc:
+            print(f"final checkpoint failed: {exc}")
+    store.close()
+    if plan is not None:
+        report = plan.snapshot()
+        print(f"faults injected: {report['total_fires']} "
+              f"across {len(report['fires'])} point/kind pair(s)")
+    print("stopped")
     return 0
 
 

@@ -23,12 +23,12 @@ class SnapshotDaemon:
     """Periodic §4.4 checkpoints of a served store to a directory.
 
     ``take_snapshot`` is a zero-argument callable returning one snapshot
-    blob (single-store or multi-partition format — both carry their
-    monotonic counter at byte offset 8).  Every ``interval_s`` seconds
-    the daemon takes ``lock`` (the server's ``store_lock``), produces a
-    blob, and writes it atomically (temp file + ``os.replace``) as
-    ``snapshot-<counter>.bin``, so a crash mid-write never leaves a
-    truncated latest checkpoint.
+    blob (``repro serve`` passes ``PartitionSnapshotter.snapshot_bytes``;
+    the monotonic counter sits at byte offset 8).  Every ``interval_s``
+    seconds the daemon takes ``lock`` (the server's ``store_lock``),
+    produces a blob, and writes it atomically (temp file +
+    ``os.replace``) as ``snapshot-<counter>.bin``, so a crash mid-write
+    never leaves a truncated latest checkpoint.
 
     Retention: after each successful write the oldest checkpoints are
     deleted so at most ``keep`` ``snapshot-*.bin`` files remain.  Stale

@@ -4,12 +4,10 @@ A partition is a :class:`~repro.core.store.ShieldStore`, the sealed
 write-ahead log that makes its acknowledged writes durable
 (:mod:`repro.core.wal`) and the sealing service that wraps its §4.4
 snapshot sections.  :class:`PartitionHost` owns all three and is the
-only code that knows how they fit together; every engine goes through
+only code that knows how they fit together; both engines go through
 it — a process worker hosts its private partition
-(:func:`repro.core.procpool._worker_main`), the in-process engine hosts
-one per simulated thread (:mod:`repro.core.partition`), and
-``repro serve``'s single-store path hosts partition 0
-(:meth:`repro.core.persistence.Snapshotter.checkpoint`).
+(:func:`repro.core.procpool._worker_main`) and the in-process engine
+hosts one per simulated thread (:mod:`repro.core.partition`).
 """
 
 from __future__ import annotations

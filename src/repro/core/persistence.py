@@ -81,7 +81,7 @@ def default_platform_secret(master_secret: bytes) -> bytes:
 
 
 def snapshot_counter(blob: bytes) -> int:
-    """The monotonic counter a snapshot blob claims (both formats).
+    """The monotonic counter a snapshot blob claims (either magic).
 
     Reads only the plaintext header — callers use it to name checkpoint
     files; the authoritative (sealed) copy is checked at restore.
@@ -132,7 +132,7 @@ class _Reader:
 
 
 # ---------------------------------------------------------------------------
-# section format (shared by single-store and partitioned snapshots)
+# section format (shared by bare-store and partitioned snapshots)
 # ---------------------------------------------------------------------------
 def write_section(
     ctx: ExecContext, store: ShieldStore, sealing: SealingService, counter: int
@@ -239,10 +239,18 @@ def _verify_all_sets(ctx: ExecContext, store: ShieldStore) -> None:
 
 
 # ---------------------------------------------------------------------------
-# single-store snapshots
+# bare-store snapshots (not served; see the class docstring)
 # ---------------------------------------------------------------------------
 class Snapshotter:
-    """Writes and restores real snapshot blobs for one store."""
+    """The bare-store §4.4 snapshot: one section under its own magic.
+
+    No served path writes this format — ``repro serve`` checkpoints a
+    one-partition store through :class:`PartitionSnapshotter` like any
+    other.  It stays because ``tests/test_persistence.py`` and six more
+    test files pin the section codec (:func:`write_section` /
+    :func:`read_section`) through ``snapshot_bytes`` / ``restore``;
+    ROADMAP open item 3 names it the next candidate to go.
+    """
 
     def __init__(
         self,
@@ -264,16 +272,6 @@ class Snapshotter:
         )
         return faults.cross("persistence.snapshot", blob) or blob
 
-    @staticmethod
-    def _split(blob: bytes):
-        """``(claimed counter, section)`` of a single-store blob."""
-        blob = faults.cross("persistence.restore", blob) or blob
-        reader = _Reader(blob)
-        if reader.take(len(_MAGIC)) != _MAGIC:
-            raise SnapshotError("snapshot has wrong magic")
-        claimed_counter = reader.u64()
-        return claimed_counter, reader.take(len(blob) - reader.off)
-
     def restore(
         self,
         ctx: ExecContext,
@@ -288,45 +286,22 @@ class Snapshotter:
         """
         if len(store) != 0:
             raise SnapshotError("restore target store must be empty")
-        claimed_counter, section = self._split(blob)
+        blob = faults.cross("persistence.restore", blob) or blob
+        reader = _Reader(blob)
+        if reader.take(len(_MAGIC)) != _MAGIC:
+            raise SnapshotError("snapshot has wrong magic")
+        claimed_counter = reader.u64()
         read_section(
             ctx,
             store,
             self.sealing,
-            section,
+            reader.take(len(blob) - reader.off),
             claimed_counter,
             verify=verify,
             counters=self.counters,
             counter_name=self.counter_name,
         )
         return store
-
-    # -- hosted stores (store + sealed log; ``repro serve`` single-store) ----
-    def checkpoint(self, host) -> bytes:
-        """Snapshot a :class:`~repro.core.host.PartitionHost`'s store.
-
-        Same blob as :meth:`snapshot_bytes`, but the host seals the
-        section and rotates its log inside the capture.
-        """
-        store = host.store
-        counter = self.counters.increment(
-            store.enclave.context(store.thread_id), self.counter_name
-        )
-        blob = _MAGIC + struct.pack("<Q", counter) + host.snapshot(counter)
-        return faults.cross("persistence.snapshot", blob) or blob
-
-    def recover(self, blob: bytes, host, verify: bool = True) -> None:
-        """Restore a hosted store: section + verified log-tail replay.
-
-        The rollback defense runs before anything is read or replayed
-        (the section's sealed counter must equal the claimed one, so a
-        forged plaintext counter fails in :meth:`PartitionHost.stage`);
-        a bad blob, a stale counter or a tampered log leaves the host's
-        serving store and its log files untouched.
-        """
-        claimed_counter, section = self._split(blob)
-        self.counters.check_not_rolled_back(self.counter_name, claimed_counter)
-        host.adopt(host.stage(claimed_counter, section, verify))
 
 
 # ---------------------------------------------------------------------------

@@ -254,7 +254,7 @@ def _pipe_channel(
     holds fresh keys, so records recorded from the previous incarnation
     never authenticate and (key, IV) pairs are never reused across
     incarnations — the pipe-session analogue of the per-session DH
-    derivation the TCP wire gets from :mod:`repro.net.sessions`.
+    derivation the TCP wire gets from its §3.2 handshake.
     """
     secret = derive_key(
         master_secret, f"shieldstore/procpool/{index}/{nonce.hex()}", 32

@@ -1,10 +1,9 @@
 """Replicated ShieldStore group: Lamport/LWW replication + anti-entropy.
 
-The sharded cluster (:mod:`repro.ext.cluster`) scales *out* but keeps a
-single copy of every key — losing one node loses its keyspace.  This
-module makes "survives node loss" true: N :class:`TCPShieldServer`
-nodes run as a **replication group** in which every node holds a full
-copy and converges with its peers.
+One served node keeps a single copy of every key — losing the node
+loses its keyspace.  This module makes "survives node loss" true: N
+:class:`TCPShieldServer` nodes run as a **replication group** in which
+every node holds a full copy and converges with its peers.
 
 Design
 ------
@@ -44,12 +43,10 @@ Design
   ``_read`` (the key's winning record) and ``_commit`` (make a freshly
   minted record durable).  :class:`ReplicatedStore` implements them as
   a local read and a local write-then-enqueue under its mutex;
-  :class:`Coordinator` as quorum collect → LWW → read-repair and
-  replicate-to-all → count acks, over any endpoint that answers
-  ``replicate``/``vget`` (:class:`ReplicaClient` over attested
-  :class:`PeerLink` s, :class:`~repro.ext.cluster.ShieldCluster` over
-  in-process shards), at ``consistency={"one", "quorum"}``: one ack or
-  a majority per write, the first reachable reply or a majority per
+  :class:`ReplicaClient` as quorum collect → LWW → read-repair and
+  replicate-to-all → count acks over one attested :class:`PeerLink`
+  per replica, at ``consistency={"one", "quorum"}``: one ack or a
+  majority per write, the first reachable reply or a majority per
   read.  W + R > N, so a QUORUM read always observes an acked QUORUM
   write across any single node failure.  :func:`newer` is the only LWW
   comparison and :func:`need` the only quorum arithmetic; per-replica
@@ -67,7 +64,7 @@ import queue
 import struct
 import threading
 from collections import deque
-from typing import Any, Callable, ContextManager, Dict, Iterator, List
+from typing import Callable, ContextManager, Dict, Iterator, List
 from typing import Optional, Sequence, Tuple
 
 from repro.core.stats import StoreStats
@@ -798,104 +795,19 @@ class ReplicatedStore(VersionedVerbs):
             link.close()
 
 
-class Coordinator(VersionedVerbs):
-    """Client-side quorum coordinator: the hooks over a replica set.
-
-    Works over any endpoint that answers ``vget(key)`` (the raw record;
-    ``KeyNotFoundError`` for a never-seen key) and ``replicate(key,
-    record) -> (applied, clock)``, and raises
-    :class:`PeerUnavailableError` when it is down.  Subclasses supply
-    placement — :meth:`_endpoints` names the key's replica set — and
-    the coordinator mints ``(clock, origin)`` versions of its own.  A
-    write goes to the **whole** set and the consistency level is the
-    number of acks required (1, or a majority); a QUORUM read collects
-    the set's versioned replies, returns the LWW winner and
-    read-repairs stale replicas; a ONE read takes the first reachable
-    reply.  ``replicas=1`` is the same path with a one-endpoint set.
-    """
-
-    def __init__(self, name: str, consistency: str):
-        need(consistency, 1)  # validates the default level
-        self.consistency = consistency
-        self.name = name
-        self.origin = node_origin(name)
-        self.clock = LamportClock()
-        self.stats = StoreStats()
-
-    def _endpoints(self, key: bytes) -> Sequence:
-        raise NotImplementedError
-
-    def _plan(self, key: bytes, consistency: Level) -> Tuple[str, Sequence, int]:
-        """The level in force, the key's replica set, and its target."""
-        level = consistency if consistency is not None else self.consistency
-        endpoints = self._endpoints(key)
-        return level, endpoints, need(level, len(endpoints))
-
-    def _missed(self, what: str, got: int, width: int,
-                needed: int) -> StoreError:
-        self.stats.quorum_failures += 1
-        return StoreError(
-            f"{what} reached {got} of {width} replicas (needed {needed})"
-        )
-
-    def _read(self, key: bytes, consistency: Level) -> Optional[bytes]:
-        level, endpoints, needed = self._plan(key, consistency)
-        replies: List[Tuple[Any, Optional[bytes]]] = []
-        for endpoint in endpoints:
-            try:
-                replies.append((endpoint, endpoint.vget(key)))
-            except KeyNotFoundError:
-                replies.append((endpoint, None))  # alive, never saw the key
-            except PeerUnavailableError:
-                continue
-            if level == CONSISTENCY_ONE:
-                break  # the first reachable replica answers
-        if len(replies) < needed:
-            raise self._missed("read", len(replies), len(endpoints), needed)
-        if level == CONSISTENCY_QUORUM:
-            self.stats.quorum_reads += 1
-        winner: Optional[bytes] = None
-        for _endpoint, record in replies:
-            if record is not None and newer(record, winner):
-                winner = record
-        if winner is None:
-            return None
-        self.clock.witness(record_version(winner)[0])
-        # Read-repair: push the winner to stale or empty replicas.
-        for endpoint, record in replies:
-            if newer(winner, record):
-                try:
-                    endpoint.replicate(key, winner)
-                    self.stats.read_repairs += 1
-                except PeerUnavailableError:
-                    continue
-        return winner
-
-    def _commit(self, key: bytes, record: bytes, old: Optional[bytes],
-                consistency: Level) -> None:
-        """Push the record to every replica; count acks against the level."""
-        _level, endpoints, needed = self._plan(key, consistency)
-        acks = 0
-        for endpoint in endpoints:
-            try:
-                _applied, peer_clock = endpoint.replicate(key, record)
-            except PeerUnavailableError:
-                continue
-            self.clock.witness(peer_clock)
-            acks += 1
-        if acks < needed:
-            raise self._missed("write", acks, len(endpoints), needed)
-        self.stats.quorum_writes += 1
-
-
-class ReplicaClient(Coordinator):
+class ReplicaClient(VersionedVerbs):
     """Replica-aware client with ``consistency={"one", "quorum"}``.
 
-    The :class:`Coordinator` over one attested :class:`PeerLink` per
-    replica; every key's replica set is every link (full copies), and
-    records travel as ``OP_REPLICATE``/``OP_VGET`` frames.  Every
-    per-replica call runs through the TCP client's existing
-    retry/deadline/backoff machinery.
+    The hooks over one attested :class:`PeerLink` per replica; every
+    node holds a full copy, so every key's replica set is every link.
+    The client mints ``(clock, origin)`` versions of its own and records
+    travel as ``OP_REPLICATE``/``OP_VGET`` frames through the TCP
+    client's retry/deadline/backoff machinery.  A write goes to the
+    **whole** set and the consistency level is the number of acks
+    required (1, or a majority); a QUORUM read collects the set's
+    versioned replies, returns the LWW winner and read-repairs stale
+    replicas; a ONE read takes the first reachable reply.  A down
+    replica surfaces as :class:`PeerUnavailableError` and is skipped.
     """
 
     def __init__(
@@ -911,7 +823,12 @@ class ReplicaClient(Coordinator):
     ):
         if not replicas:
             raise StoreError("a replica client needs at least one replica")
-        super().__init__(name, consistency)
+        need(consistency, 1)  # validates the default level
+        self.consistency = consistency
+        self.name = name
+        self.origin = node_origin(name)
+        self.clock = LamportClock()
+        self.stats = StoreStats()
         self.links: List[PeerLink] = [
             PeerLink(
                 name, node_id, address, attestation, expected_measurement,
@@ -922,8 +839,66 @@ class ReplicaClient(Coordinator):
             for node_id, address in replicas
         ]
 
-    def _endpoints(self, key: bytes) -> Sequence[PeerLink]:
-        return self.links
+    def _plan(self, consistency: Level) -> Tuple[str, int]:
+        """The level in force and the replies (or acks) it demands."""
+        level = consistency if consistency is not None else self.consistency
+        return level, need(level, len(self.links))
+
+    def _missed(self, what: str, got: int, needed: int) -> StoreError:
+        self.stats.quorum_failures += 1
+        return StoreError(
+            f"{what} reached {got} of {len(self.links)} replicas "
+            f"(needed {needed})"
+        )
+
+    def _read(self, key: bytes, consistency: Level) -> Optional[bytes]:
+        level, needed = self._plan(consistency)
+        replies: List[Tuple[PeerLink, Optional[bytes]]] = []
+        for link in self.links:
+            try:
+                replies.append((link, link.vget(key)))
+            except KeyNotFoundError:
+                replies.append((link, None))  # alive, never saw the key
+            except PeerUnavailableError:
+                continue
+            if level == CONSISTENCY_ONE:
+                break  # the first reachable replica answers
+        if len(replies) < needed:
+            raise self._missed("read", len(replies), needed)
+        if level == CONSISTENCY_QUORUM:
+            self.stats.quorum_reads += 1
+        winner: Optional[bytes] = None
+        for _link, record in replies:
+            if record is not None and newer(record, winner):
+                winner = record
+        if winner is None:
+            return None
+        self.clock.witness(record_version(winner)[0])
+        # Read-repair: push the winner to stale or empty replicas.
+        for link, record in replies:
+            if newer(winner, record):
+                try:
+                    link.replicate(key, winner)
+                    self.stats.read_repairs += 1
+                except PeerUnavailableError:
+                    continue
+        return winner
+
+    def _commit(self, key: bytes, record: bytes, old: Optional[bytes],
+                consistency: Level) -> None:
+        """Push the record to every replica; count acks against the level."""
+        _level, needed = self._plan(consistency)
+        acks = 0
+        for link in self.links:
+            try:
+                _applied, peer_clock = link.replicate(key, record)
+            except PeerUnavailableError:
+                continue
+            self.clock.witness(peer_clock)
+            acks += 1
+        if acks < needed:
+            raise self._missed("write", acks, needed)
+        self.stats.quorum_writes += 1
 
     def close(self) -> None:
         for link in self.links:

@@ -1,13 +1,12 @@
 """Networked front-ends: wire protocol, secure sessions, servers.
 
 * :mod:`repro.net.message` — protocol codec + authenticated channels;
-* :mod:`repro.net.server` / :mod:`repro.net.client` — cost-modeled
-  front-end used by the Fig. 18 / Fig. 19 / Table 1 experiments;
+* :mod:`repro.net.server` — cost-modeled front-end used by the
+  Fig. 18 / Fig. 19 / Table 1 experiments;
 * :mod:`repro.net.tcp` — a real localhost TCP deployment with remote
   attestation, for examples and integration tests.
 """
 
-from repro.net.client import SimClient
 from repro.net.message import (
     Request,
     Response,
@@ -21,7 +20,6 @@ from repro.net.message import (
     encode_request,
     encode_response,
 )
-from repro.net.sessions import Session, SessionManager
 from repro.net.server import (
     FRONTEND_DIRECT,
     FRONTEND_HOTCALLS,
@@ -43,9 +41,6 @@ __all__ = [
     "STATUS_MISS",
     "STATUS_OK",
     "SecureChannel",
-    "Session",
-    "SessionManager",
-    "SimClient",
     "TCPShieldClient",
     "TCPShieldServer",
     "decode_request",

@@ -113,9 +113,8 @@ def derive_session_suite(shared: bytes, suite_name: str = "fast-hashlib") -> Cip
 
 
 # The §3.2 exchange, written once.  Every front end (the in-process
-# handshake below, net.sessions, the TCP server and client) runs these
-# three halves; what differs is only how the bytes travel and which
-# labels the session keys are derived under.
+# handshake below, the TCP server and client) runs these three halves;
+# what differs is only how the bytes travel.
 def handshake_offer(
     service: AttestationService, ctx: ExecContext, enclave: Enclave
 ) -> Tuple[DHKeyPair, Quote]:

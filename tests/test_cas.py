@@ -65,14 +65,20 @@ class TestCas:
 class TestCasOverWire:
     def test_sim_server(self):
         from repro.core import ShieldStore, shield_opt
-        from repro.net import FRONTEND_HOTCALLS, NetworkedServer, SimClient
+        from repro.net import FRONTEND_HOTCALLS, NetworkedServer, Request
+        from repro.net.message import encode_cas_value
 
         store = ShieldStore(shield_opt(num_buckets=16, num_mac_hashes=8))
-        client = SimClient(NetworkedServer(store, frontend=FRONTEND_HOTCALLS))
-        client.set(b"k", b"v1")
-        assert client.compare_and_swap(b"k", b"v1", b"v2") is True
-        assert client.compare_and_swap(b"k", b"v1", b"v3") is False
-        assert client.get(b"k") == b"v2"
+        server = NetworkedServer(store, frontend=FRONTEND_HOTCALLS)
+
+        def cas(expected, new):
+            request = Request("cas", b"k", encode_cas_value(expected, new))
+            return server.handle(request).value
+
+        server.handle(Request("set", b"k", b"v1"))
+        assert cas(b"v1", b"v2") == b"1"
+        assert cas(b"v1", b"v3") == b"0"
+        assert server.handle(Request("get", b"k")).value == b"v2"
 
     def test_tcp_server(self):
         from repro.core import ShieldStore, shield_opt

@@ -1,27 +1,24 @@
-"""One versioned data path: every coordinator agrees with a plain dict.
+"""One versioned data path: both implementers agree with a plain dict.
 
-The same op script runs through a sharded cluster (``replicas=1``, the
-quorum-of-one case), a replicated cluster (ring preference lists of 3)
-and a TCP replication group's client — all three the one
-:class:`~repro.ext.replication.Coordinator` over different endpoints —
-and through a bare :class:`~repro.ext.replication.ReplicatedStore`, the
-node-side implementer of the same verbs.  Results, ``len()`` and
-``contains`` must match a dict model after every step — with every
-replica up, and with one replica killed.
+The same op script runs through a TCP replication group's
+:class:`~repro.ext.replication.ReplicaClient` (quorum collect / fan-out
+over attested links) and through a bare
+:class:`~repro.ext.replication.ReplicatedStore`, the node-side
+implementer of the same verbs.  Results, ``len()`` and ``contains``
+must match a dict model after every step — with every replica up, and
+with one replica killed.
 """
 
 import pytest
 
 from repro.core import shield_opt
 from repro.errors import KeyNotFoundError, StoreError
-from repro.ext.cluster import ShieldCluster
 from repro.core.store import ShieldStore
 from repro.ext.replication import (
     CONSISTENCY_ONE,
     ReplicatedStore,
     ReplicationGroup,
 )
-from repro.sim import AttestationService
 
 SCRIPT = [
     ("set", b"a", b"1"),
@@ -113,31 +110,6 @@ def _config():
     return shield_opt(num_buckets=64, num_mac_hashes=32)
 
 
-class _ClusterLeg:
-    """A ShieldCluster plus the levers the script needs."""
-
-    def __init__(self, num_nodes, replicas):
-        self.system = ShieldCluster(
-            _config(), AttestationService(b"cluster-ias-secret"),
-            num_nodes=num_nodes, replicas=replicas,
-        )
-
-    def size(self):
-        return len(self.system)
-
-    def failures(self):
-        return self.system.stats.quorum_failures
-
-    def replica_ids(self, key):
-        return [n.node_id for n in self.system.preference_nodes(key)]
-
-    def kill(self, node_id):
-        self.system.kill_node(node_id)
-
-    def close(self):
-        pass
-
-
 class _GroupLeg:
     """A 3-node TCP replication group driven through its client."""
 
@@ -184,11 +156,9 @@ class _StoreLeg:
 
 LEGS = {
     "replicated-store": _StoreLeg,
-    "cluster-replicas-1": lambda: _ClusterLeg(num_nodes=3, replicas=1),
-    "cluster-replicas-3": lambda: _ClusterLeg(num_nodes=4, replicas=3),
     "group-client": _GroupLeg,
 }
-REPLICATED = ["cluster-replicas-3", "group-client"]
+REPLICATED = ["group-client"]
 
 
 @pytest.fixture

@@ -1,10 +1,10 @@
 """PartitionHost: one partition's build -> recover -> checkpoint -> restore.
 
-The host is the single copy of that policy (workers, the in-process
-engine and ``repro serve`` all call it), so its guarantees are pinned
-here directly: a failed restore never touches the serving store, the
-log tail is replayed under a restore, and a dirty log is fsynced once
-its group-commit window has passed even when no further append comes.
+The host is the single copy of that policy (workers and the in-process
+engine both call it), so its guarantees are pinned here directly: a
+failed restore never touches the serving store, the log tail is
+replayed under a restore, and a dirty log is fsynced once its
+group-commit window has passed even when no further append comes.
 """
 
 import os
@@ -16,7 +16,7 @@ from repro.core import (
     MODE_PROCESSES,
     PartitionedShieldStore,
     PartitionHost,
-    Snapshotter,
+    PartitionSnapshotter,
     process_mode_supported,
     shield_opt,
 )
@@ -33,6 +33,15 @@ def _host(wal_dir=None, sync_ms=0.0):
         master_secret=SECRET,
         wal_dir=None if wal_dir is None else str(wal_dir),
         wal_sync_ms=sync_ms,
+    )
+
+
+def _served_shape(wal_dir):
+    """The store ``repro serve --workers 1`` builds, at test size."""
+    return PartitionedShieldStore(
+        shield_opt(num_buckets=64, num_mac_hashes=16),
+        master_secret=SECRET, num_partitions=1,
+        wal_dir=str(wal_dir), wal_sync_ms=0.0,
     )
 
 
@@ -118,21 +127,24 @@ class TestFailedRestoreLeavesTheServingStoreUntouched:
         host.close()
 
     def test_rolled_back_blob_is_rejected_before_the_swap(self, tmp_path):
-        host = _host(tmp_path / "wal")
-        snapshotter = Snapshotter(host.sealing, MonotonicCounterService())
-        host.store.set(b"old", b"1")
-        stale = snapshotter.checkpoint(host)
-        host.store.set(b"new", b"2")
-        snapshotter.checkpoint(host)
+        store = _served_shape(tmp_path / "wal")
+        snapshotter = PartitionSnapshotter.for_store(
+            store, MonotonicCounterService()
+        )
+        store.set(b"old", b"1")
+        stale = snapshotter.snapshot_bytes(store)
+        store.set(b"new", b"2")
+        snapshotter.snapshot_bytes(store)
+        (host,) = store._engine.hosts
         serving = host.store
         staged = []
         host.stage = lambda *args: staged.append(args)
         with pytest.raises(RollbackError):
-            snapshotter.recover(stale, host)
+            snapshotter.restore(stale, store)
         assert staged == []  # rejected before the log directory is read
         assert host.store is serving
-        assert host.store.get(b"new") == b"2"
-        host.close()
+        assert store.get(b"new") == b"2"
+        store.close()
 
     def test_partial_staging_closes_the_logs_it_opened(self, tmp_path):
         """Partition 1's section is bad: partition 0's replacement was
@@ -161,16 +173,15 @@ class TestFailedRestoreLeavesTheServingStoreUntouched:
         store.close()
 
     def test_checkpoint_recover_roundtrip(self, tmp_path):
-        host = _host(tmp_path / "wal")
+        store = _served_shape(tmp_path / "wal")
         counters = MonotonicCounterService()
-        snapshotter = Snapshotter(host.sealing, counters)
-        host.store.set(b"a", b"1")
-        blob = snapshotter.checkpoint(host)
-        host.store.set(b"b", b"2")  # log tail only
-        host.close()
-        restarted = _host(tmp_path / "wal")
-        Snapshotter(restarted.sealing, counters).recover(blob, restarted)
-        assert dict(restarted.store.iter_items()) == {b"a": b"1", b"b": b"2"}
+        store.set(b"a", b"1")
+        blob = PartitionSnapshotter.for_store(store, counters).snapshot_bytes(store)
+        store.set(b"b", b"2")  # log tail only
+        store.close()
+        restarted = _served_shape(tmp_path / "wal")
+        PartitionSnapshotter.for_store(restarted, counters).restore(blob, restarted)
+        assert dict(restarted.iter_items()) == {b"a": b"1", b"b": b"2"}
         restarted.close()
 
 
@@ -197,9 +208,9 @@ class TestGroupCommitTail:
     def test_tcp_sweep_flushes_a_served_in_process_log(self, tmp_path, served):
         """Traffic stops after one burst; the event loop's sweep tick
         fsyncs the tail (no append, rotate or close does it) — for the
-        router, for ``repro serve``'s single hosted store, and through
-        the replication wrapper, whose own peer-draining ``flush`` must
-        never run on the loop."""
+        router, for a bare hosted store, and through the replication
+        wrapper, whose own peer-draining ``flush`` must never run on
+        the loop."""
         from repro.ext.replication import ReplicatedStore
         from repro.net.sessions import AttestationService
         from repro.net.tcp import TCPShieldClient, TCPShieldServer

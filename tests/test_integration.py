@@ -22,7 +22,7 @@ from repro.errors import (
 from repro.net import (
     FRONTEND_HOTCALLS,
     NetworkedServer,
-    SimClient,
+    Request,
     make_secure_channels,
 )
 from repro.sim import (
@@ -47,10 +47,9 @@ class TestFullPipeline:
         server = NetworkedServer(
             store, frontend=FRONTEND_HOTCALLS, server_channel=sch, client_channel=cch
         )
-        client = SimClient(server)
         for i in range(50):
-            client.set(f"k{i:02d}".encode(), f"v{i}".encode())
-        assert client.increment(b"visits") == 1
+            server.handle(Request("set", f"k{i:02d}".encode(), f"v{i}".encode()))
+        assert server.handle(Request("increment", b"visits", b"1")).value == b"1"
 
         snapshotter = Snapshotter(
             SealingService(b"platform-secret-x"), MonotonicCounterService()
@@ -110,13 +109,12 @@ class TestFullPipeline:
             shield_opt(num_buckets=256, num_mac_hashes=128), machine=machine
         )
         server = NetworkedServer(store, frontend=FRONTEND_HOTCALLS)
-        client = SimClient(server)
         for i in range(200):
-            client.set(f"key-{i:03d}".encode(), b"v")
+            server.handle(Request("set", f"key-{i:03d}".encode(), b"v"))
         busy_threads = sum(1 for t in machine.clock.threads if t.cycles > 0)
         assert busy_threads == 4
         for i in range(200):
-            assert client.get(f"key-{i:03d}".encode()) == b"v"
+            assert server.handle(Request("get", f"key-{i:03d}".encode())).value == b"v"
 
     def test_two_stores_one_machine_are_isolated(self):
         """Different enclaves on one host must not share secrets: blobs

@@ -4,8 +4,10 @@ import pytest
 
 from repro.core import ShieldStore, shield_opt
 from repro.crypto.suite import make_suite
-from repro.errors import KeyNotFoundError, ProtocolError
+from repro.errors import ProtocolError
 from repro.net import (
+    STATUS_MISS,
+    STATUS_OK,
     FRONTEND_DIRECT,
     FRONTEND_HOTCALLS,
     FRONTEND_OCALL,
@@ -13,7 +15,6 @@ from repro.net import (
     Request,
     Response,
     SecureChannel,
-    SimClient,
     decode_request,
     decode_response,
     encode_request,
@@ -113,29 +114,27 @@ class TestNetworkedServer:
 
     @pytest.mark.parametrize("frontend", [FRONTEND_OCALL, FRONTEND_HOTCALLS])
     def test_full_op_surface(self, frontend):
-        client = SimClient(self.make_server(frontend))
-        client.set(b"k", b"v")
-        assert client.get(b"k") == b"v"
-        assert client.append(b"k", b"!") == b"v!"
-        assert client.increment(b"n", 41) == 41
-        assert client.increment(b"n") == 42
-        client.delete(b"k")
-        with pytest.raises(KeyNotFoundError):
-            client.get(b"k")
+        handle = self.make_server(frontend).handle
+        assert handle(Request("set", b"k", b"v")).status == STATUS_OK
+        assert handle(Request("get", b"k")).value == b"v"
+        assert handle(Request("append", b"k", b"!")).value == b"v!"
+        assert handle(Request("increment", b"n", b"41")).value == b"41"
+        assert handle(Request("increment", b"n", b"1")).value == b"42"
+        assert handle(Request("delete", b"k")).status == STATUS_OK
+        assert handle(Request("get", b"k")).status == STATUS_MISS
 
     def test_direct_frontend_unsecured(self):
-        client = SimClient(self.make_server(FRONTEND_DIRECT, secured=False))
-        client.set(b"k", b"v")
-        assert client.get(b"k") == b"v"
+        handle = self.make_server(FRONTEND_DIRECT, secured=False).handle
+        assert handle(Request("set", b"k", b"v")).status == STATUS_OK
+        assert handle(Request("get", b"k")).value == b"v"
 
     def test_hotcalls_cheaper_than_ocalls(self):
         def cost(frontend):
             server = self.make_server(frontend)
-            client = SimClient(server)
-            client.set(b"k", b"v" * 64)
+            server.handle(Request("set", b"k", b"v" * 64))
             server.machine.reset_measurement()
             for _ in range(50):
-                client.get(b"k")
+                server.handle(Request("get", b"k"))
             return server.machine.elapsed_us()
 
         assert cost(FRONTEND_HOTCALLS) < cost(FRONTEND_OCALL)
@@ -143,11 +142,10 @@ class TestNetworkedServer:
     def test_secure_session_costs_more_than_plain(self):
         def cost(secured):
             server = self.make_server(FRONTEND_HOTCALLS, secured=secured)
-            client = SimClient(server)
-            client.set(b"k", b"v" * 64)
+            server.handle(Request("set", b"k", b"v" * 64))
             server.machine.reset_measurement()
             for _ in range(50):
-                client.get(b"k")
+                server.handle(Request("get", b"k"))
             return server.machine.elapsed_us()
 
         assert cost(True) > cost(False)

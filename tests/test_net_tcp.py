@@ -91,6 +91,24 @@ class TestAttestationGate:
             )
 
 
+    def test_quote_must_bind_the_offered_dh_key(self, service):
+        """A validly signed quote whose report data is not the hash of
+        the DH key on offer (a swapped key) keys no session."""
+
+        class UnboundQuotes(AttestationService):
+            def quote(self, ctx, enclave, report_data):
+                return super().quote(ctx, enclave, b"\x00" * 32)
+
+        store = ShieldStore(shield_opt(num_buckets=64, num_mac_hashes=32))
+        server = TCPShieldServer(store, UnboundQuotes(b"ias-secret-for-tests"))
+        server.start()
+        try:
+            with pytest.raises(AttestationError, match="bind"):
+                connect(server, service)
+        finally:
+            server.close()
+
+
 def raw_handshake_reply(server, *frames):
     """Answer the quote frame with ``frames`` over a bare socket; returns
     what the server sends back (b"" = it closed the connection)."""
@@ -212,6 +230,31 @@ class TestWireTamper:
                 assert client.get(b"k") == b"v"
         finally:
             client.close()
+
+
+    def test_cross_session_records_rejected(self, server, service):
+        """A record sealed on A's channel and written to B's socket
+        cannot be laundered through B's session: it costs B its
+        connection, and A's session never notices."""
+        a = connect(server, service, bytes(range(32)), max_retries=0)
+        b = connect(server, service, bytes(range(32, 64)), max_retries=0)
+        try:
+            a.set(b"k", b"from-a")
+            drops = server.stats_snapshot().tamper_drops
+            frame = a._channel.seal(
+                encode_envelope(None, encode_request(Request("get", b"k")))
+            )
+            a._channel._send_seq -= 1  # the record never went out on A's wire
+            b._sock.sendall(struct.pack("<I", len(frame)) + frame)
+            assert b._sock.recv(1) == b""  # dropped: EOF, no reply
+            assert server.stats_snapshot().tamper_drops == drops + 1
+            with pytest.raises(StoreError):
+                b.get(b"k")
+            assert a.get(b"k") == b"from-a"
+            assert a.stats.net_reconnects == 0
+        finally:
+            a.close()
+            b.close()
 
 
 class TestRunToCompletion:

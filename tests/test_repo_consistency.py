@@ -18,6 +18,17 @@ def _run_in_fresh_interpreter(script: str) -> None:
     subprocess.run([sys.executable, "-c", script], check=True, env=env, timeout=60)
 
 
+def _implementers(base: str):
+    """Names of the classes under ``src/repro`` that list ``base``."""
+    return sorted(
+        name
+        for path in (_ROOT / "src" / "repro").rglob("*.py")
+        for name in re.findall(
+            rf"^class (\w+)\([^)]*\b{base}\b", path.read_text(), re.M
+        )
+    )
+
+
 class TestDeliverables:
     def test_every_figure_experiment_has_a_bench(self):
         bench_names = {p.name for p in (_ROOT / "benchmarks").glob("bench_*.py")}
@@ -216,11 +227,11 @@ class TestOneCopyOfEachMechanism:
 
     def test_clients_define_no_verb_bodies_of_their_own(self):
         from repro.core.procpool import _PartitionProxy
-        from repro.net.client import SimClient
         from repro.net.message import StoreVerbs
         from repro.net.tcp import TCPShieldClient
 
-        for client in (TCPShieldClient, SimClient, _PartitionProxy):
+        assert _implementers("StoreVerbs") == ["TCPShieldClient", "_PartitionProxy"]
+        for client in (TCPShieldClient, _PartitionProxy):
             assert issubclass(client, StoreVerbs)
             assert "_call" in vars(client)
             for name in self._client_verbs():
@@ -262,6 +273,29 @@ class TestOneCopyOfEachMechanism:
         assert sites(r"\.rotate\(", skip=("wal.py",)) == ["host.py"]
         for call in (r"(?<!def )\bwrite_section\(", r"(?<!def )\bread_section\("):
             assert sites(call) == ["host.py", "persistence.py"], call
+        # The host is built by the two engines and by nothing else.
+        assert sites(r"(?<!class )\bPartitionHost\(") == ["partition.py", "procpool.py"]
+
+    def test_the_cli_serves_one_store_shape(self):
+        """``repro serve`` builds the partitioned store whatever the
+        worker count; the bare-store blob format is nobody's but
+        ``Snapshotter``'s (and ``snapshot_counter``, which names files)."""
+        import ast
+
+        cli = (_ROOT / "src" / "repro" / "cli.py").read_text()
+        assert "Snapshotter(" not in cli and "PartitionHost" not in cli
+        persistence = _ROOT / "src" / "repro" / "core" / "persistence.py"
+        holders = set()
+        for top in ast.parse(persistence.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id == "_MAGIC":
+                    holders.add(getattr(top, "name", "module level"))
+        assert holders == {"module level", "snapshot_counter", "Snapshotter"}
+        others = [
+            path.name for path in (_ROOT / "src" / "repro").rglob("*.py")
+            if path != persistence and "SSSNAP1" in path.read_text()
+        ]
+        assert others == []
 
     def test_fault_hits_are_unwrapped_in_one_place(self):
         """Sites that carry bytes call ``faults.cross``; only it looks
@@ -275,8 +309,8 @@ class TestOneCopyOfEachMechanism:
 
 
 class TestOneVersionedDataPath:
-    """The replication/cluster collapse: one set of LWW verbs, one
-    quorum path, ``replicas=1`` as quorum-of-one."""
+    """One set of LWW verbs with two implementers — a node's own copy
+    and the client's quorum path — and one comparison between them."""
 
     _EXT = _ROOT / "src" / "repro" / "ext"
 
@@ -333,9 +367,7 @@ class TestOneVersionedDataPath:
             ), lines
 
     def test_public_faces_define_hooks_not_verbs(self):
-        from repro.ext.cluster import ShieldCluster
         from repro.ext.replication import (
-            Coordinator,
             ReplicaClient,
             ReplicatedStore,
             VersionedVerbs,
@@ -346,10 +378,10 @@ class TestOneVersionedDataPath:
             "contains", "multi_get", "multi_set", "multi_delete",
         }
         assert verbs <= set(vars(VersionedVerbs))
-        for cls in (ReplicatedStore, Coordinator, ReplicaClient, ShieldCluster):
+        assert _implementers("VersionedVerbs") == ["ReplicaClient", "ReplicatedStore"]
+        for cls in (ReplicatedStore, ReplicaClient):
             assert issubclass(cls, VersionedVerbs)
             assert not verbs & set(vars(cls)), cls.__name__
-        for cls in (ReplicatedStore, Coordinator):
             assert {"_read", "_commit"} <= set(vars(cls)), cls.__name__
 
 
@@ -400,28 +432,8 @@ class TestEveryModuleHasACaller:
     ``repro`` command or a benchmark script reaches it.  Reaching means
     importing it by module path, or importing a name a package
     ``__init__`` re-exports *from* it — an ``__init__`` listing a module
-    is not a caller of it.  Tests and examples are not callers either."""
-
-    # Modules nothing that runs reaches, each with why it is still here.
-    # CI prints this table on every PR page; an entry that gains a caller
-    # must leave it (the test fails on stale entries too).
-    KEPT_WITHOUT_A_CALLER = {
-        "repro.ext.cluster": (
-            "second placement (ring preference list) of the one versioned-"
-            "record coordinator; ROADMAP 3(d)"),
-        "repro.ext.ring": "consistent-hash placement used only by ext.cluster",
-        "repro.ext.rangestore": (
-            "Deferred list builds wire-level range verbs on it; reached from "
-            "tests and examples/range_queries.py only — next re-anchor decides"),
-        "repro.ext.skiplist": "ordered index used only by ext.rangestore",
-        "repro.workloads.ycsb_letters": (
-            "YCSB-E scan driver for ext.rangestore; goes or stays with it"),
-        "repro.workloads.trace": (
-            "trace record/replay reached from tests only — next re-anchor decides"),
-        "repro.net.client": (
-            "36-line SimClient over the cost-modeled server, used by "
-            "examples/secure_session_cache.py"),
-    }
+    is not a caller of it.  Tests and examples are not callers either,
+    and there is no list of exceptions to join."""
 
     @staticmethod
     def _files():
@@ -472,15 +484,15 @@ class TestEveryModuleHasACaller:
                 frontier.append(files[module])
         return reached
 
-    def test_every_module_is_reached_or_listed_with_a_reason(self):
+    def test_every_module_is_reached(self):
         modules = {
             name for name, path in self._files().items()
             if path.name not in ("__init__.py", "__main__.py")
         }
-        uncalled = modules - self._reached()
-        kept = set(self.KEPT_WITHOUT_A_CALLER)
-        assert uncalled - kept == set(), "no command or benchmark reaches these"
-        assert kept - uncalled == set(), "these have a caller now: unlist them"
+        assert modules - self._reached() == set(), (
+            "no `repro` command and no benchmark reaches these: "
+            "give each a caller or delete it"
+        )
 
     def test_one_extension_does_not_load_its_siblings(self):
         """``repro serve --peer`` needs one class of ``repro.ext``; the
@@ -497,6 +509,8 @@ class TestEveryModuleHasACaller:
             "OperationLog|RecoveringStore|ShieldLSM|BloomFilter|ClientSideClient"
             "|PassiveStore|ClientKeyDirectory|RoteCounterService|CounterReplica"
             "|DynamicShieldStore|ExpiringStore|SealedFrame|SealedLog"
+            "|ShieldCluster|ShardNode|HashRing|RangeShieldStore|SkipList"
+            "|ScanStream|SimClient|SessionManager|record_trace|replay_trace"
         )
         paths = [_ROOT / name for name in ("README.md", "DESIGN.md", "SECURITY.md")]
         for top in ("src", "tests", "benchmarks", "examples", "docs"):

@@ -242,7 +242,7 @@ class TestNonceReuseRule:
     def test_counter_reset_without_rotation_is_flagged(self, tmp_path):
         _write(
             tmp_path,
-            "net/sessions.py",
+            "net/message.py",
             """
             class Channel:
                 def rewind(self):
@@ -256,7 +256,7 @@ class TestNonceReuseRule:
     def test_counter_reset_with_key_rotation_is_clean(self, tmp_path):
         _write(
             tmp_path,
-            "net/sessions.py",
+            "net/message.py",
             """
             class Channel:
                 def rekey(self, root):
@@ -269,7 +269,7 @@ class TestNonceReuseRule:
     def test_init_reset_is_construction_not_reuse(self, tmp_path):
         _write(
             tmp_path,
-            "net/sessions.py",
+            "net/message.py",
             """
             class Channel:
                 def __init__(self):

@@ -99,7 +99,7 @@ def _scenario_point(name, rules, partitions, pairs, ops, seed) -> dict:
         # Checkpoint before the storm: the kill scenario recovers from
         # here with nothing to lose.
         counters = MonotonicCounterService()
-        PartitionSnapshotter.for_store(store, counters).snapshot_bytes(store)
+        PartitionSnapshotter(counters).snapshot_bytes(store)
         plan = faults.install(FaultPlan(list(rules), seed=seed))
 
         rng = random.Random(seed)

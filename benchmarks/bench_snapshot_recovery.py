@@ -7,8 +7,9 @@ produced by :class:`~repro.core.persistence.PartitionSnapshotter`:
   several store sizes.  Entries are dumped already-encrypted (§4.4:
   no re-encryption at snapshot time), so the cost should scale with
   entry count, not value plaintext handling;
-* **restore cost** — wall time to rebuild a store from the blob,
-  including the MAC-bucket rebuild and full integrity audit;
+* **restore cost** — wall time to build a store from the blob
+  (:meth:`PartitionSnapshotter.open`: worker spawn in ``processes``
+  mode, MAC-bucket rebuild and set-hash verification included);
 * **recovery latency** — with the multiprocess engine, SIGKILL one
   partition worker and time the respawn-plus-restore path end to end
   (first failed request through the pool reporting ``recovered``);
@@ -54,28 +55,33 @@ from repro.util import usable_cpus
 SECRET = bytes(range(32))
 
 
-def _build(
-    mode: str, partitions: int, pairs: int, wal_dir=None
-) -> PartitionedShieldStore:
+def _shape(mode: str, partitions: int, pairs: int, wal_dir=None):
+    """``(config, store arguments)``: what a store of this size is built
+    with, fresh or opened from a checkpoint."""
     config = shield_opt(
         num_buckets=max(64 * partitions, pairs // 2),
         num_mac_hashes=16 * partitions,
     )
     if mode == MODE_PROCESSES:
-        return PartitionedShieldStore(
-            config,
+        return config, dict(
             master_secret=SECRET,
             num_partitions=partitions,
             mode=MODE_PROCESSES,
             wal_dir=wal_dir,
         )
-    return PartitionedShieldStore(
-        config,
+    return config, dict(
         machine=Machine(num_threads=partitions),
         master_secret=SECRET,
         mode=MODE_SEQUENTIAL,
         wal_dir=wal_dir,
     )
+
+
+def _build(
+    mode: str, partitions: int, pairs: int, wal_dir=None
+) -> PartitionedShieldStore:
+    config, args = _shape(mode, partitions, pairs, wal_dir)
+    return PartitionedShieldStore(config, **args)
 
 
 def _populate(store, pairs: int, batch: int = 512):
@@ -91,20 +97,20 @@ def _snapshot_point(mode: str, partitions: int, pairs: int) -> dict:
     store = _build(mode, partitions, pairs)
     try:
         counters = MonotonicCounterService()
-        snapshotter = PartitionSnapshotter.for_store(store, counters)
+        snapshotter = PartitionSnapshotter(counters)
         _populate(store, pairs)
 
         start = time.perf_counter()
         blob = snapshotter.snapshot_bytes(store)
         snap_wall = time.perf_counter() - start
 
-        target = _build(mode, partitions, pairs)
+        # Restore is construction: the store is born from the blob
+        # (worker spawn included, in ``processes`` mode).
+        config, args = _shape(mode, partitions, pairs)
+        start = time.perf_counter()
+        target = snapshotter.open(blob, config, **args)
+        restore_wall = time.perf_counter() - start
         try:
-            start = time.perf_counter()
-            PartitionSnapshotter.for_store(target, counters).restore(
-                blob, target
-            )
-            restore_wall = time.perf_counter() - start
             assert target.audit() == pairs
         finally:
             target.close()
@@ -126,7 +132,7 @@ def _recovery_point(partitions: int, pairs: int) -> dict:
     store = _build(MODE_PROCESSES, partitions, pairs)
     try:
         counters = MonotonicCounterService()
-        snapshotter = PartitionSnapshotter.for_store(store, counters)
+        snapshotter = PartitionSnapshotter(counters)
         _populate(store, pairs)
         snapshotter.snapshot_bytes(store)
 
@@ -169,7 +175,7 @@ def _rpo_point(partitions: int, pairs: int, tail: int, wal: bool) -> dict:
         )
         try:
             counters = MonotonicCounterService()
-            snapshotter = PartitionSnapshotter.for_store(store, counters)
+            snapshotter = PartitionSnapshotter(counters)
             start = time.perf_counter()
             _populate(store, pairs)
             populate_wall = time.perf_counter() - start

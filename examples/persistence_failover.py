@@ -4,10 +4,10 @@
 An order-processing store survives a host crash through the path
 ``repro serve --wal-dir --snapshot-dir`` runs: every mutation is sealed
 into the per-partition write-ahead log before it is applied, a
-checkpoint seals the partition and rotates the log, and recovery is the
-checkpoint's section plus an authenticated replay of the log tail.  A
-malicious host then flips one bit of the log — and later serves a
-*stale* checkpoint — and is caught both times.
+checkpoint seals the partition and rotates the log, and a restarting
+node is *born* from the checkpoint's section plus an authenticated
+replay of the log tail.  A malicious host then flips one bit of the
+log — and later serves a *stale* checkpoint — and is caught both times.
 """
 
 import os
@@ -26,11 +26,9 @@ from repro.sim import MonotonicCounterService
 CONFIG = shield_opt(num_buckets=256, num_mac_hashes=128)
 
 
-def open_store(wal_dir):
-    """One node start-up: a fresh enclave over whatever the disk holds."""
-    return PartitionedShieldStore(
-        CONFIG, mode="sequential", num_partitions=1, wal_dir=wal_dir
-    )
+def shape(wal_dir):
+    """What every incarnation of the node is built with."""
+    return dict(mode="sequential", num_partitions=1, wal_dir=wal_dir)
 
 
 def main() -> None:
@@ -41,8 +39,8 @@ def main() -> None:
 def run(wal_dir: str, tampered_dir: str) -> None:
     os.makedirs(wal_dir)
     counters = MonotonicCounterService()
-    store = open_store(wal_dir)
-    snapshotter = PartitionSnapshotter.for_store(store, counters)
+    store = PartitionedShieldStore(CONFIG, **shape(wal_dir))
+    snapshotter = PartitionSnapshotter(counters)
 
     print("== phase 1: live traffic, then a checkpoint ==")
     for i in range(50):
@@ -67,8 +65,8 @@ def run(wal_dir: str, tampered_dir: str) -> None:
     print("\n== phase 3: crash! restart on the same disk ==")
     shutil.copytree(wal_dir, tampered_dir)  # the host keeps a copy to play with
     del store  # no close(), no final checkpoint: the process just died
-    recovered = open_store(wal_dir)
-    snapshotter.restore(snapshot_v1, recovered)
+    # One node start-up: a fresh enclave built from what the disk holds.
+    recovered = snapshotter.open(snapshot_v1, CONFIG, **shape(wal_dir))
     print(f"restored {len(recovered)} keys "
           f"({recovered.stats().wal_replayed} log frames replayed)")
     print("order:0007 ->", recovered.get(b"order:0007"))
@@ -82,19 +80,16 @@ def run(wal_dir: str, tampered_dir: str) -> None:
         byte = fh.read(1)[0]
         fh.seek(30)
         fh.write(bytes([byte ^ 0x01]))
-    victim = open_store(tampered_dir)
     try:
-        snapshotter.restore(snapshot_v1, victim)
+        snapshotter.open(snapshot_v1, CONFIG, **shape(tampered_dir))
         print("-> TAMPERED LOG REPLAYED (bug!)")
     except SnapshotError as exc:
         print(f"-> tampered log refused: {exc}")
-    victim.close()
 
     print("\n== phase 5: the host serves a stale checkpoint ==")
     snapshotter.snapshot_bytes(recovered)  # counter -> 2
-    stale_target = open_store(None)
     try:
-        snapshotter.restore(snapshot_v1, stale_target)
+        snapshotter.open(snapshot_v1, CONFIG, **shape(None))  # ...and hides the log
         print("-> STALE CHECKPOINT ACCEPTED (bug!)")
     except RollbackError as exc:
         print(f"-> rollback detected: {exc}")

@@ -33,7 +33,6 @@ from repro.core import (
     ShieldStore,
     SnapshotPolicy,
     SnapshotScheduler,
-    Snapshotter,
     StoreConfig,
     shield_base,
     shield_opt,
@@ -77,7 +76,6 @@ __all__ = [
     "SnapshotError",
     "SnapshotPolicy",
     "SnapshotScheduler",
-    "Snapshotter",
     "StoreConfig",
     "StoreError",
     "UnsupportedConfigError",

@@ -192,7 +192,7 @@ ASCENDING_ITERABLES = ("self.workers",)
 # ProcessPartitionPool request/scatter paths), used for cross-module
 # edges such as the TCP server executing a request under store_lock.
 IMPLIED_WORKER_ACQUIRE = frozenset(
-    {"execute_request", "take_snapshot", "snapshot_all", "restore_all",
+    {"execute_request", "take_snapshot", "snapshot_all",
      # PartitionedShieldStore's batch seam into its engine (the pool's
      # fan_out scatters under every target worker's lock).
      "fan_out"}

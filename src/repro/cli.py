@@ -142,40 +142,51 @@ def _cmd_demo(_args) -> int:
     return 0
 
 
-def _snapshot_store(partitions: int):
+def _snapshot_config(partitions: int):
     """Deterministic store geometry shared by snapshot/restore runs.
 
     The machine RNG is seeded from the config, so a later invocation
-    with the same partition count derives the same master secret — and
-    therefore the same platform sealing secret — letting it unseal the
-    earlier snapshot exactly like a restarted deployment would.
+    derives the same master secret — and therefore the same platform
+    sealing secret — letting it unseal the earlier snapshot exactly
+    like a restarted deployment would.
     """
-    from repro.core import PartitionedShieldStore, shield_opt
+    from repro.core import shield_opt
 
-    config = shield_opt(
-        num_buckets=64 * partitions, num_mac_hashes=16 * partitions
-    )
-    return PartitionedShieldStore(config, num_partitions=partitions)
+    return shield_opt(num_buckets=64 * partitions, num_mac_hashes=16 * partitions)
 
 
-def _counter_service(args, blob_path: str):
+def _snapshotter(counter_file):
+    from repro.core import PartitionSnapshotter
     from repro.sim import MonotonicCounterService
 
-    path = args.counter_file or blob_path + ".counters.json"
-    return MonotonicCounterService(path)
+    return PartitionSnapshotter(MonotonicCounterService(counter_file))
+
+
+def _open_durable(snapshotter, source, config, stream, **store_args):
+    """The one call that turns durable state into a store.  A refusal —
+    malformed, tampered, unsealable, rolled back — is one ``restore
+    rejected`` line on ``stream`` and ``None``, never a traceback."""
+    from repro.core import open_store
+    from repro.errors import SealingError, SnapshotError
+
+    try:
+        return open_store(snapshotter, source, config, **store_args)
+    except (SnapshotError, SealingError) as exc:
+        print(f"restore rejected: {exc}", file=stream)
+        return None
 
 
 def _cmd_snapshot(args) -> int:
-    from repro.core import PartitionSnapshotter, snapshot_counter
+    from repro.core import PartitionedShieldStore, snapshot_counter
 
-    store = _snapshot_store(args.partitions)
+    store = PartitionedShieldStore(
+        _snapshot_config(args.partitions), num_partitions=args.partitions
+    )
     keys = [f"key-{i:05d}".encode() for i in range(args.pairs)]
     for start in range(0, len(keys), 256):
         chunk = keys[start : start + 256]
         store.multi_set([(key, b"value-" + key) for key in chunk])
-    snapshotter = PartitionSnapshotter.for_store(
-        store, _counter_service(args, args.out)
-    )
+    snapshotter = _snapshotter(args.counter_file or args.out + ".counters.json")
     blob = snapshotter.snapshot_bytes(store)
     with open(args.out, "wb") as fh:
         fh.write(blob)
@@ -188,27 +199,29 @@ def _cmd_snapshot(args) -> int:
 
 
 def _cmd_restore(args) -> int:
-    from repro.core import PartitionSnapshotter
-    from repro.errors import RollbackError, SnapshotError
+    from repro.errors import IntegrityError
 
-    with open(args.snapshot, "rb") as fh:
-        blob = fh.read()
-    store = _snapshot_store(args.partitions)
-    snapshotter = PartitionSnapshotter.for_store(
-        store, _counter_service(args, args.snapshot)
+    opened = _open_durable(
+        _snapshotter(args.counter_file or args.snapshot + ".counters.json"),
+        args.snapshot,
+        _snapshot_config(args.partitions),
+        sys.stdout,
+        num_partitions=args.partitions,
     )
-    try:
-        snapshotter.restore(blob, store)
-    except (SnapshotError, RollbackError) as exc:
-        print(f"restore rejected: {exc}")
-        store.close()
+    if opened is None:
         return 1
-    checked = store.audit()
-    print(f"restored {len(store)} keys into {store.num_threads} "
-          f"partition(s), mode={store.mode}")
-    print(f"integrity audit: {checked} entries verified, "
-          f"engine state {store.partition_state}")
-    store.close()
+    with opened[0] as store:
+        try:
+            # Entry bytes are authenticated on read (§4.4): only the
+            # audit re-MACs every record the blob carried.
+            checked = store.audit()
+        except IntegrityError as exc:
+            print(f"restore rejected: {args.snapshot}: integrity audit: {exc}")
+            return 1
+        print(f"restored {len(store)} keys into {store.num_threads} "
+              f"partition(s), mode={store.mode}")
+        print(f"integrity audit: {checked} entries verified, "
+              f"engine state {store.partition_state}")
     return 0
 
 
@@ -218,8 +231,7 @@ def _cmd_serve(args) -> int:
     import time
 
     from repro import AttestationService, shield_opt
-    from repro.core import PartitionedShieldStore, SnapshotDaemon
-    from repro.errors import RollbackError, SnapshotError
+    from repro.core import SnapshotDaemon
     from repro.net import TCPShieldServer
     from repro.sim.cycles import MB
 
@@ -268,18 +280,36 @@ def _cmd_serve(args) -> int:
             b"shieldstore/replication-group:"
             + args.replication_secret.encode()
         ).digest()
+    plan = None
+    if args.fault_plan:
+        from repro.sim import faults as faultsmod
+
+        plan = faultsmod.FaultPlan.from_file(args.fault_plan)
+        faultsmod.install(plan)
+        print(f"fault plan: {len(plan.rules)} rule(s), seed {plan.seed} "
+              f"({args.fault_plan})")
+
     # One store shape whatever the worker count: auto mode hosts a lone
     # partition in this process and gives each of several its own worker
     # process (falling back in-process on exotic platforms).  Building
-    # it replays any log chain a predecessor left.
-    store = PartitionedShieldStore(
+    # it is the whole recovery (checkpoint, log tails, verdict) or a refusal.
+    snapshotter = _snapshotter(
+        args.snapshot_dir and os.path.join(args.snapshot_dir, "counters.json")
+    )
+    opened = _open_durable(
+        snapshotter,
+        args.snapshot_dir,
         config,
+        sys.stderr,
         master_secret=master,
         num_partitions=args.workers,
         data_plane=args.data_plane,
         wal_dir=args.wal_dir,
         wal_sync_ms=args.wal_sync_ms,
     )
+    if opened is None:
+        return 1
+    store, restored_from, replayed = opened
     plane = store.data_plane
     waits = store.transport_stats()
     print(f"partition engine: {args.workers} partition(s), "
@@ -292,38 +322,8 @@ def _cmd_serve(args) -> int:
         print(f"write-ahead log: {args.wal_dir} "
               f"(group commit {args.wal_sync_ms:g} ms)")
 
-    plan = None
-    if args.fault_plan:
-        from repro.sim import faults as faultsmod
-
-        plan = faultsmod.FaultPlan.from_file(args.fault_plan)
-        faultsmod.install(plan)
-        print(f"fault plan: {len(plan.rules)} rule(s), seed {plan.seed} "
-              f"({args.fault_plan})")
-
-    snapshotter = None
-    if args.snapshot_dir:
-        from repro.core import PartitionSnapshotter
-        from repro.sim import MonotonicCounterService
-
-        snapshotter = PartitionSnapshotter.for_store(
-            store,
-            MonotonicCounterService(
-                os.path.join(args.snapshot_dir, "counters.json")
-            ),
-        )
-        latest = SnapshotDaemon.load_latest(args.snapshot_dir)
-        if latest is not None:
-            path, blob = latest
-            try:
-                # Section + authenticated log-tail replay per partition.
-                snapshotter.restore(blob, store)
-            except (SnapshotError, RollbackError) as exc:
-                print(f"restore rejected: {path}: {exc}", file=sys.stderr)
-                store.close()
-                return 1
-            print(f"restored {len(store)} keys from {path}")
-    replayed = store.stats().wal_replayed
+    if restored_from:
+        print(f"restored {len(store)} keys from {restored_from}")
     if replayed:
         print(f"replayed {replayed} operation(s) "
               "from the write-ahead log")
@@ -331,9 +331,8 @@ def _cmd_serve(args) -> int:
     if replicated:
         from repro.ext.replication import ReplicatedStore
 
-        # Wrapped only now: a start-up restore adopts a fresh partition
-        # store.  Persistence keeps targeting the partitioned store —
-        # versioned records are opaque values to checkpoints and the log.
+        # Persistence keeps targeting the partitioned store — versioned
+        # records are opaque values to checkpoints and the log.
         served = ReplicatedStore(
             store.partitions[0], node_id=args.node_id or "node-0"
         )
@@ -352,7 +351,7 @@ def _cmd_serve(args) -> int:
     )
 
     daemon = None
-    if snapshotter is not None:
+    if args.snapshot_dir:
         on_checkpoint = None
         if args.wal_dir:
             from repro.core import WriteAheadLog

@@ -8,17 +8,17 @@ Public surface:
 * :class:`~repro.core.config.StoreConfig` with the
   :func:`~repro.core.config.shield_base` / :func:`~repro.core.config.shield_opt`
   paper variants.
-* :class:`~repro.core.persistence.Snapshotter` /
+* :class:`~repro.core.persistence.PartitionSnapshotter` /
   :class:`~repro.core.persistence.SnapshotScheduler` — §4.4 persistence.
 * :class:`~repro.core.host.PartitionHost` — one partition's store +
-  sealed WAL lifecycle (build, recover, checkpoint, restore).
+  sealed WAL lifecycle (build, which is recovery; checkpoint).
 * :class:`~repro.core.checkpoint.SnapshotDaemon` — periodic checkpoint
-  files of a served store, with retention.
+  files of a served store; :func:`open_store` starts a node from one.
 """
 
 from repro.core.allocator import ExtraHeapAllocator, OcallAllocator, make_allocator
 from repro.core.cache import EnclaveCache
-from repro.core.checkpoint import SnapshotDaemon
+from repro.core.checkpoint import SnapshotDaemon, open_store
 from repro.core.config import StoreConfig, shield_base, shield_opt
 from repro.core.entry import (
     HEADER_SIZE,
@@ -48,7 +48,6 @@ from repro.core.persistence import (
     PartitionSnapshotter,
     SnapshotPolicy,
     SnapshotScheduler,
-    Snapshotter,
     default_platform_secret,
     snapshot_counter,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "SnapshotDaemon",
     "SnapshotPolicy",
     "SnapshotScheduler",
-    "Snapshotter",
     "StoreConfig",
     "StoreStats",
     "WriteAheadLog",
@@ -101,6 +99,7 @@ __all__ = [
     "fsync_directory",
     "mac_message",
     "make_allocator",
+    "open_store",
     "pack_header",
     "plan",
     "shield_base",

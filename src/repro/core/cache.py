@@ -100,7 +100,7 @@ class EnclaveLRU:
             self.bytes_used -= old[2]
 
     def clear(self) -> None:
-        """Flush everything (snapshot restore replaces the whole table)."""
+        """Flush everything."""
         self._entries.clear()
         self.bytes_used = 0
         self._cursor = 0

@@ -1,9 +1,10 @@
 """Checkpoint files of a served store (paper §4.4, the durable end).
 
-The snapshotters in :mod:`repro.core.persistence` produce a blob;
-:class:`SnapshotDaemon` gets it onto disk atomically, prunes old ones
-and reads the newest back at start-up.  ``repro serve --snapshot-dir``
-runs one beside the TCP server, cutting under its ``store_lock``.
+The snapshotter in :mod:`repro.core.persistence` produces a blob;
+:class:`SnapshotDaemon` gets it onto disk atomically and prunes old
+ones (``repro serve --snapshot-dir`` runs one beside the TCP server,
+cutting under its ``store_lock``), and :func:`open_store` is the other
+end: how a node starts from whatever the disk holds.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ import os
 import threading
 from typing import Optional, Tuple
 
-from repro.core.persistence import snapshot_counter
+from repro.core.persistence import PartitionSnapshotter, snapshot_counter
 from repro.core.wal import fsync_directory
-from repro.errors import StoreError
+from repro.errors import SealingError, SnapshotError, StoreError
 from repro.sim import faults
 
 
@@ -159,11 +160,14 @@ class SnapshotDaemon:
 
     @staticmethod
     def latest_snapshot(directory) -> Optional[str]:
-        """Path of the newest checkpoint in ``directory`` (by counter).
+        """Path of the newest checkpoint in ``directory`` (by counter);
+        a path that names a file is that checkpoint itself.
 
         File names embed the zero-padded monotonic counter, so the
         lexicographically greatest name is the newest snapshot.
         """
+        if os.path.isfile(directory):
+            return os.fspath(directory)
         paths = sorted(
             glob.glob(os.path.join(os.fspath(directory), "snapshot-*.bin"))
         )
@@ -185,3 +189,23 @@ class SnapshotDaemon:
         if blob is faults.DROPPED:
             return None
         return path, blob
+
+
+def open_store(snapshotter: PartitionSnapshotter, source, config, **store_args):
+    """Start a node from durable state: ``(store, path, replayed)``.
+
+    ``source`` is a checkpoint directory (its newest file is taken), one
+    checkpoint file, or ``None``; ``store_args`` go to the store.  The
+    one start-up there is (``repro serve``, ``repro restore``): newest
+    checkpoint, :meth:`PartitionSnapshotter.open`, the count of log
+    operations replayed.  A refusal is a :class:`SnapshotError` or
+    :class:`SealingError` (:class:`~repro.errors.RollbackError`
+    included) naming the file; hostile bytes raise nothing else.
+    """
+    latest = None if source is None else SnapshotDaemon.load_latest(source)
+    path, blob = latest or (None, None)
+    try:
+        store = snapshotter.open(blob, config, **store_args)
+    except (SnapshotError, SealingError) as exc:
+        raise type(exc)(f"{path or 'no checkpoint'}: {exc}") from exc
+    return store, path, store.stats().wal_replayed

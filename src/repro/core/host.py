@@ -1,4 +1,4 @@
-"""One partition's lifecycle: build -> recover -> checkpoint -> restore.
+"""One partition's lifecycle: build (which is recovery) -> checkpoint.
 
 A partition is a :class:`~repro.core.store.ShieldStore`, the sealed
 write-ahead log that makes its acknowledged writes durable
@@ -12,7 +12,7 @@ hosts one per simulated thread (:mod:`repro.core.partition`).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.core.config import StoreConfig
 from repro.core.persistence import (
@@ -22,6 +22,7 @@ from repro.core.persistence import (
 )
 from repro.core.store import ShieldStore
 from repro.core.wal import DEFAULT_SYNC_MS, WriteAheadLog, apply_request
+from repro.errors import IntegrityError, SnapshotError
 from repro.sim.enclave import Enclave, Machine
 from repro.sim.sealing import SealingService
 
@@ -29,9 +30,15 @@ from repro.sim.sealing import SealingService
 class PartitionHost:
     """A partition's store, sealed WAL and sealing service.
 
-    Building one *is* recovery: the fresh store replays whatever log
-    chain a previous incarnation left, then attaches the tail log so
-    every later mutation appends before it applies.
+    Building one *is* recovery, all of it: the fresh store loads the
+    section of ``checkpoint`` (``(counter, section)``; none starts
+    empty at counter 0), replays whatever log chain a previous
+    incarnation left from that counter on, then attaches the tail log
+    so every later mutation appends before it applies; a section or
+    frame that fails authentication raises out of the constructor.
+    ``reached`` is the snapshot counter recovery ended on — the
+    checkpoint's, advanced by every truncation record the chain
+    replayed — for the opener's freshness verdict.
 
     ``machine``/``enclave`` pin the partition onto a shared simulated
     host as thread ``index`` (the in-process engine); without them each
@@ -51,61 +58,54 @@ class PartitionHost:
         platform_secret: Optional[bytes] = None,
         wal_dir: Optional[str] = None,
         wal_sync_ms: float = DEFAULT_SYNC_MS,
+        checkpoint: Optional[Tuple[int, bytes]] = None,
     ):
-        self.config = config
         self.index = index
-        self.wal_dir = wal_dir
-        self.wal_sync_ms = wal_sync_ms
-        self._machine = machine
-        self._enclave = enclave
-        self._master_secret = master_secret
-        store = self._fresh_store()
-        self._master_secret = store.keyring.master
-        if platform_secret is None:
-            platform_secret = default_platform_secret(self._master_secret)
-        self.sealing = SealingService(platform_secret)
-        self.store = self._replay_log(store, 0)
-
-    def _fresh_store(self) -> ShieldStore:
-        machine, thread_id = self._machine, self.index
+        thread_id = index
         if machine is None:
             # A disjoint RNG stream per partition keeps the private
             # machines distinct while staying deterministic run to run.
-            machine = Machine(
-                num_threads=1, seed=self.config.seed + 7919 * (self.index + 1)
-            )
+            machine = Machine(num_threads=1, seed=config.seed + 7919 * (index + 1))
             thread_id = 0
-        return ShieldStore(
-            self.config,
+        store = ShieldStore(
+            config,
             machine=machine,
-            enclave=self._enclave,
+            enclave=enclave,
             thread_id=thread_id,
-            master_secret=self._master_secret,
+            master_secret=master_secret,
         )
+        if platform_secret is None:
+            platform_secret = default_platform_secret(store.keyring.master)
+        self.sealing = SealingService(platform_secret)
+        counter = 0
+        try:
+            if checkpoint is not None:
+                counter, section = checkpoint
+                read_section(
+                    store.enclave.context(thread_id), store, self.sealing, section, counter
+                )
+            if wal_dir is not None:
+                # Frames sealed after a checkpoint's rotation live in the
+                # chain starting at its counter; the log attaches only
+                # after the replay, so re-applied ops do not re-log.
+                store.wal = WriteAheadLog.recover(
+                    wal_dir,
+                    index,
+                    store.keyring.master,
+                    config.suite_name,
+                    counter,
+                    apply=lambda request: apply_request(store, request),
+                    stats=store.stats,
+                    sync_ms=wal_sync_ms,
+                )
+                counter = store.wal.counter
+        except IntegrityError as exc:
+            # A set hash the records do not match, or an authentic log
+            # replayed onto an entry that is not: one refusal for both.
+            raise SnapshotError(f"recovered state failed verification: {exc}") from exc
+        self.store = store
+        self.reached = counter
 
-    def _replay_log(self, store: ShieldStore, counter: int) -> ShieldStore:
-        """Replay the log chain from ``counter`` into ``store``, then
-        attach the tail log.  The log stays detached during replay, so
-        re-applied ops do not re-log themselves."""
-        if self.wal_dir is not None:
-            store.wal = WriteAheadLog.recover(
-                self.wal_dir,
-                self.index,
-                store.keyring.master,
-                store.config.suite_name,
-                counter,
-                apply=lambda request: apply_request(store, request),
-                stats=store.stats,
-                sync_ms=self.wal_sync_ms,
-            )
-        return store
-
-    @property
-    def replayed(self) -> int:
-        """Operations the serving store's log replayed when it was built."""
-        return self.store.wal.replayed if self.store.wal is not None else 0
-
-    # -- checkpoint ----------------------------------------------------------
     def snapshot(self, counter: int) -> bytes:
         """Seal + serialize the store as the section of snapshot
         ``counter``, rotating the log inside the capture."""
@@ -119,44 +119,8 @@ class PartitionHost:
             store.wal.rotate(counter)
         return section
 
-    # -- restore -------------------------------------------------------------
-    def stage(self, counter: int, section: bytes, verify: bool = True) -> ShieldStore:
-        """Build the replacement for snapshot ``counter``; swap nothing.
-
-        A malformed section or a log tail that fails authentication
-        raises here, so the serving store is untouched.
-        """
-        store = self._fresh_store()
-        read_section(
-            store.enclave.context(store.thread_id),
-            store,
-            self.sealing,
-            section,
-            counter,
-            verify=verify,
-        )
-        # Frames sealed after this checkpoint's rotation live in the
-        # segment chain starting at its counter.
-        return self._replay_log(store, counter)
-
-    def adopt(self, store: ShieldStore) -> None:
-        """Swap a :meth:`stage`-built store in as the serving one."""
-        self.close()
-        self.store = store
-
-    def restore(self, counter: int, section: bytes, verify: bool = True) -> int:
-        """:meth:`stage` then :meth:`adopt`; returns the ops replayed."""
-        self.adopt(self.stage(counter, section, verify))
-        return self.replayed
-
-    # -- durability ----------------------------------------------------------
-    @staticmethod
-    def release(store: ShieldStore) -> None:
-        """Sync and detach ``store``'s log (idempotent) — the serving
-        store on close, a staged one that will not be adopted."""
-        if store.wal is not None:
-            store.wal.close()
-            store.wal = None
-
     def close(self) -> None:
-        self.release(self.store)
+        """Sync and detach the log (idempotent)."""
+        if self.store.wal is not None:
+            self.store.wal.close()
+            self.store.wal = None

@@ -44,6 +44,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import StoreConfig
 from repro.core.host import PartitionHost
+from repro.core.persistence import default_platform_secret, read_blob
 from repro.core.procpool import ProcessPartitionPool, process_mode_supported
 from repro.core.stats import StoreStats, TransportStats
 from repro.core.store import DEFAULT_MEASUREMENT, ShieldStore
@@ -51,6 +52,7 @@ from repro.core.wal import DEFAULT_SYNC_MS
 from repro.crypto.keys import KeyRing
 from repro.errors import ReproError, StoreError
 from repro.sim.enclave import Enclave, Machine
+from repro.sim.sealing import SealingService
 
 MODE_AUTO = "auto"
 MODE_SEQUENTIAL = "sequential"
@@ -84,6 +86,7 @@ class _InProcessEngine:
     def __init__(self, hosts: List[PartitionHost], machine: Machine):
         self.hosts = hosts
         self.machine = machine
+        self.reached_counter = min(host.reached for host in hosts)
 
     def store_of(self, index: int) -> ShieldStore:
         return self.hosts[index].store
@@ -133,20 +136,6 @@ class _InProcessEngine:
     def snapshot_all(self, counter: int) -> Dict[int, bytes]:
         return {host.index: host.snapshot(counter) for host in self.hosts}
 
-    def restore_all(self, sections, counter: int, verify: bool = True) -> None:
-        """All-or-nothing: every partition's replacement is built (and
-        its log tail authenticated) before any is swapped in."""
-        staged: List[ShieldStore] = []
-        try:
-            for host, section in zip(self.hosts, sections):
-                staged.append(host.stage(counter, section, verify))
-        except BaseException:
-            for store in staged:
-                PartitionHost.release(store)
-            raise
-        for host, store in zip(self.hosts, staged):
-            host.adopt(store)
-
     def close(self) -> None:
         for host in self.hosts:
             host.close()
@@ -185,6 +174,13 @@ class PartitionedShieldStore:
     wal_sync_ms:
         Group-commit window in milliseconds: appends inside the window
         share one fsync.  ``0`` syncs every append.
+    checkpoint:
+        A :class:`~repro.core.persistence.PartitionSnapshotter` blob to
+        be born from: the geometry above must match its sealed header,
+        every partition is built from its section (then its log tail)
+        and the router hashes with the blob's master secret.  Go
+        through :meth:`PartitionSnapshotter.open`, which also judges
+        whether the result is *fresh* (``reached_counter``).
     """
 
     def __init__(
@@ -198,6 +194,7 @@ class PartitionedShieldStore:
         data_plane: Optional[str] = None,
         wal_dir: Optional[str] = None,
         wal_sync_ms: Optional[float] = None,
+        checkpoint: Optional[bytes] = None,
     ):
         self.config = config
         if wal_sync_ms is None:
@@ -221,16 +218,22 @@ class PartitionedShieldStore:
             master_secret = bytes(
                 self.machine.rng.getrandbits(8) for _ in range(32)
             )
+        if platform_secret is None:
+            platform_secret = default_platform_secret(master_secret)
+        # Seals snapshot headers (the hosts seal their sections to the
+        # same platform); a redeployment with the same secret unseals them.
+        self.sealing = SealingService(platform_secret)
+        counter, sections = 0, None
+        if checkpoint is not None:
+            # Keys were partitioned under the snapshot's keyed hash, so
+            # the store is built with the snapshot's master secret.
+            counter, master_secret, sections = read_blob(
+                self.enclave.context(), self.enclave, self.sealing,
+                checkpoint, self._num_partitions, config,
+            )
         # All partitions share the key ring (one enclave, one secret);
         # the router hashes with it before dispatching.
         self._keyring = KeyRing(master_secret)
-        if platform_secret is None:
-            from repro.core.persistence import default_platform_secret
-
-            platform_secret = default_platform_secret(master_secret)
-        # Seals multi-partition snapshot headers and worker sections; a
-        # redeployment with the same master secret can unseal them.
-        self.platform_secret = platform_secret
         per_buckets = max(1, config.num_buckets // self._num_partitions)
         per_hashes = max(
             1, min(config.num_mac_hashes // self._num_partitions, per_buckets)
@@ -259,6 +262,7 @@ class PartitionedShieldStore:
                 data_plane=data_plane,
                 wal_dir=wal_dir,
                 wal_sync_ms=wal_sync_ms,
+                checkpoint=None if sections is None else (counter, sections),
             )
         else:
             self._engine = _InProcessEngine(
@@ -272,11 +276,16 @@ class PartitionedShieldStore:
                         platform_secret=platform_secret,
                         wal_dir=wal_dir,
                         wal_sync_ms=wal_sync_ms,
+                        checkpoint=None if sections is None else (counter, sections[t]),
                     )
                     for t in range(self._num_partitions)
                 ],
                 self.machine,
             )
+
+        # The snapshot counter start-up recovery reached in *every*
+        # partition (0 for a store born empty, with no log).
+        self.reached_counter: int = self._engine.reached_counter
 
     @staticmethod
     def _resolve_mode(mode: str, machine_owned: bool, n: int) -> str:
@@ -341,16 +350,6 @@ class PartitionedShieldStore:
         worker crash, ``"broken"`` when unrecoverable, and ``"closed"``.
         """
         return self._engine.state
-
-    def _rekey(self, master_secret: bytes) -> None:
-        """Adopt a restored snapshot's master secret for routing.
-
-        Called by :class:`~repro.core.persistence.PartitionSnapshotter`
-        after all partitions loaded their sections: keys were
-        partitioned under the snapshot's keyed hash, so the router must
-        hash with the same secret.
-        """
-        self._keyring = KeyRing(master_secret)
 
     def partition_index_of(self, key: bytes) -> int:
         """Owning partition index (hash-disjoint, mode-independent)."""

@@ -1,29 +1,25 @@
 """Snapshot persistence (paper §4.4, Algorithm 1; evaluated in Fig. 19).
 
-Three halves:
+Two halves:
 
-* **Functional snapshots** — :class:`Snapshotter` writes a restorable
-  snapshot: the in-enclave metadata (master secret, MAC tree, count) is
-  *sealed* to the platform; the untrusted entry records are written
-  verbatim — they are already encrypted and integrity-protected, which
-  is the design's headline persistence advantage (no re-encryption).
-  A monotonic counter defends restores against rollback to an older
-  snapshot.  Restore rebuilds the chains and verifies every bucket-set
-  hash, so offline tampering with the snapshot file is detected.
-
-* **Partitioned snapshots** — :class:`PartitionSnapshotter` extends the
-  same format across every engine of
-  :class:`~repro.core.partition.PartitionedShieldStore`: one versioned
-  blob with a per-partition section each, a *shared* monotonic counter,
-  and the partition count plus routing geometry sealed into the header
-  so a restore into a mismatched store is rejected up front instead of
-  silently corrupting the keyspace.  Sections are produced and consumed
-  by each partition's :class:`~repro.core.host.PartitionHost` — in
-  ``processes`` mode *inside* the worker processes
-  (:data:`~repro.core.procpool.OP_SNAPSHOT` /
-  :data:`~repro.core.procpool.OP_RESTORE`), so no plaintext ever
-  crosses the pipe; the cached sections also power the pool's
-  worker-crash recovery.
+* **Functional snapshots** — :class:`PartitionSnapshotter` writes one
+  versioned blob for every partition of a
+  :class:`~repro.core.partition.PartitionedShieldStore` (a served store
+  of one partition included): per partition a *section* whose in-enclave
+  metadata (master secret, MAC tree, count) is *sealed* to the platform
+  and whose untrusted entry records are written verbatim — they are
+  already encrypted and integrity-protected, which is the design's
+  headline persistence advantage (no re-encryption) — under a *shared*
+  monotonic counter, with the partition count plus routing geometry
+  sealed into the header.  Sections are produced and consumed by each
+  partition's :class:`~repro.core.host.PartitionHost` — in
+  ``processes`` mode *inside* the workers
+  (:data:`~repro.core.procpool.OP_SNAPSHOT` out, a spawn argument in),
+  so no plaintext ever crosses the pipe; the cached sections also power
+  the pool's worker-crash recovery.  A blob is never loaded into a
+  store that already serves: :meth:`PartitionSnapshotter.open` *builds*
+  the store from it, then judges its freshness against the monotonic
+  counter, once, before anyone is handed the store.
 
 * **Performance model** — :class:`SnapshotScheduler` drives the paper's
   three Fig. 19 modes during a throughput run.  ``naive`` stalls all
@@ -47,19 +43,19 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
+from repro.core.config import StoreConfig
 from repro.core.entry import HEADER_SIZE, MAC_SIZE, unpack_header
 from repro.core.stats import StoreStats
 from repro.core.store import ShieldStore
 from repro.crypto.keys import derive_key
-from repro.errors import SnapshotError
+from repro.errors import RollbackError, SnapshotError
 from repro.sim import faults
 from repro.sim.counters import MonotonicCounterService
-from repro.sim.enclave import ExecContext
+from repro.sim.enclave import Enclave, ExecContext
 from repro.sim.sealing import SealingService
 
-_MAGIC = b"SSSNAP1\0"
 _PMAGIC = b"SSPSNP1\0"
 
 
@@ -81,12 +77,12 @@ def default_platform_secret(master_secret: bytes) -> bytes:
 
 
 def snapshot_counter(blob: bytes) -> int:
-    """The monotonic counter a snapshot blob claims (either magic).
+    """The monotonic counter a snapshot blob claims.
 
     Reads only the plaintext header — callers use it to name checkpoint
-    files; the authoritative (sealed) copy is checked at restore.
+    files; the authoritative (sealed) copy is checked when it is opened.
     """
-    if len(blob) < 16 or blob[:8] not in (_MAGIC, _PMAGIC):
+    if len(blob) < 16 or blob[:8] != _PMAGIC:
         raise SnapshotError("not a snapshot blob")
     return struct.unpack_from("<Q", blob, 8)[0]
 
@@ -132,7 +128,7 @@ class _Reader:
 
 
 # ---------------------------------------------------------------------------
-# section format (shared by bare-store and partitioned snapshots)
+# section format (one partition's part of a snapshot blob)
 # ---------------------------------------------------------------------------
 def write_section(
     ctx: ExecContext, store: ShieldStore, sealing: SealingService, counter: int
@@ -163,17 +159,15 @@ def read_section(
     sealing: SealingService,
     blob: bytes,
     expected_counter: int,
-    verify: bool = True,
-    counters: Optional[MonotonicCounterService] = None,
-    counter_name: Optional[str] = None,
 ) -> None:
     """Load one snapshot section into a freshly constructed ``store``.
 
-    Every read is bounds-checked and leftover bytes are rejected;
-    malformed input raises :class:`SnapshotError`.  The sealed counter
-    must equal ``expected_counter`` (the plaintext header's claim), and
-    when a ``counters`` service is given it additionally enforces the
-    rollback defense.
+    Every read is bounds-checked and leftover bytes are rejected, the
+    sealed counter must equal ``expected_counter`` (the blob header's
+    claim), and every bucket-set hash is checked against the unsealed
+    MAC tree: malformed input raises :class:`SnapshotError`, tampered
+    input :class:`~repro.errors.SealingError` (the sealed metadata) or
+    :class:`~repro.errors.IntegrityError` (the records).
     """
     reader = _Reader(blob, "snapshot section")
     sealed = reader.take(reader.u32())
@@ -183,8 +177,6 @@ def read_section(
     (sealed_counter,) = struct.unpack_from("<Q", meta, 0)
     if sealed_counter != expected_counter:
         raise SnapshotError("snapshot header counter does not match sealed value")
-    if counters is not None and counter_name is not None:
-        counters.check_not_rolled_back(counter_name, sealed_counter)
     store.load_metadata_blob(meta[8:])
 
     count = reader.u64()
@@ -227,86 +219,68 @@ def read_section(
                 store.buckets.write_mac_ptr(ctx, bucket, head)
             store.macbuckets.write_all(ctx, head, macs, False)
     reader.done()
-
-    if verify:
-        _verify_all_sets(ctx, store)
-
-
-def _verify_all_sets(ctx: ExecContext, store: ShieldStore) -> None:
-    """Check every bucket-set hash against the restored MAC tree."""
     for set_id in range(store.config.num_mac_hashes):
         store._verify_covering_set(ctx, set_id, audit=True)
 
 
 # ---------------------------------------------------------------------------
-# bare-store snapshots (not served; see the class docstring)
-# ---------------------------------------------------------------------------
-class Snapshotter:
-    """The bare-store §4.4 snapshot: one section under its own magic.
-
-    No served path writes this format — ``repro serve`` checkpoints a
-    one-partition store through :class:`PartitionSnapshotter` like any
-    other.  It stays because ``tests/test_persistence.py`` and six more
-    test files pin the section codec (:func:`write_section` /
-    :func:`read_section`) through ``snapshot_bytes`` / ``restore``;
-    ROADMAP open item 3 names it the next candidate to go.
-    """
-
-    def __init__(
-        self,
-        sealing: SealingService,
-        counters: MonotonicCounterService,
-        counter_name: str = "shieldstore",
-    ):
-        self.sealing = sealing
-        self.counters = counters
-        self.counter_name = counter_name
-
-    def snapshot_bytes(self, ctx: ExecContext, store: ShieldStore) -> bytes:
-        """Produce a snapshot blob; bumps the monotonic counter."""
-        counter = self.counters.increment(ctx, self.counter_name)
-        blob = (
-            _MAGIC
-            + struct.pack("<Q", counter)
-            + write_section(ctx, store, self.sealing, counter)
-        )
-        return faults.cross("persistence.snapshot", blob) or blob
-
-    def restore(
-        self,
-        ctx: ExecContext,
-        blob: bytes,
-        store: ShieldStore,
-        verify: bool = True,
-    ) -> ShieldStore:
-        """Load a snapshot into a freshly constructed, empty ``store``.
-
-        Raises :class:`SnapshotError` on format/tamper problems and
-        :class:`~repro.errors.RollbackError` on stale snapshots.
-        """
-        if len(store) != 0:
-            raise SnapshotError("restore target store must be empty")
-        blob = faults.cross("persistence.restore", blob) or blob
-        reader = _Reader(blob)
-        if reader.take(len(_MAGIC)) != _MAGIC:
-            raise SnapshotError("snapshot has wrong magic")
-        claimed_counter = reader.u64()
-        read_section(
-            ctx,
-            store,
-            self.sealing,
-            reader.take(len(blob) - reader.off),
-            claimed_counter,
-            verify=verify,
-            counters=self.counters,
-            counter_name=self.counter_name,
-        )
-        return store
-
-
-# ---------------------------------------------------------------------------
 # multi-partition snapshots
 # ---------------------------------------------------------------------------
+def read_blob(
+    ctx: ExecContext,
+    enclave: Enclave,
+    sealing: SealingService,
+    blob: bytes,
+    num_partitions: int,
+    config: StoreConfig,
+) -> Tuple[int, bytes, List[bytes]]:
+    """Split a snapshot blob for the store being built from it:
+    ``(counter, master_secret, sections)``.
+
+    The builder's geometry (partition count, bucket/hash counts, cipher
+    suite) must match the sealed header exactly and the plaintext
+    copies their sealed values, or :class:`SnapshotError` (an
+    unsealable header: :class:`~repro.errors.SealingError`).
+    """
+    reader = _Reader(blob)
+    if reader.take(len(_PMAGIC)) != _PMAGIC:
+        raise SnapshotError("partition snapshot has wrong magic")
+    claimed_counter = reader.u64()
+    claimed_parts = reader.u32()
+    sealed = reader.take(reader.u32())
+    header = _Reader(sealing.unseal(ctx, enclave, sealed), "snapshot header")
+    counter = header.u64()
+    sealed_parts = header.u32()
+    num_buckets = header.u32()
+    num_mac_hashes = header.u32()
+    suite = header.take(header.u8()).decode("ascii", "replace")
+    master = header.take(header.u16())
+    header.done()
+    if counter != claimed_counter or sealed_parts != claimed_parts:
+        raise SnapshotError(
+            "snapshot plaintext header does not match its sealed values"
+        )
+    if sealed_parts != num_partitions:
+        raise SnapshotError(
+            f"snapshot has {sealed_parts} partitions but the store "
+            f"has {num_partitions}; restore into matching geometry"
+        )
+    if (
+        num_buckets != config.num_buckets
+        or num_mac_hashes != config.num_mac_hashes
+        or suite != config.suite_name
+    ):
+        raise SnapshotError(
+            f"snapshot geometry ({num_buckets} buckets, "
+            f"{num_mac_hashes} hashes, {suite!r}) does not match the "
+            f"store ({config.num_buckets} buckets, "
+            f"{config.num_mac_hashes} hashes, {config.suite_name!r})"
+        )
+    sections = [reader.take(reader.u64()) for _ in range(sealed_parts)]
+    reader.done()
+    return counter, master, sections
+
+
 class PartitionSnapshotter:
     """One versioned snapshot blob for every partition of a store.
 
@@ -318,45 +292,26 @@ class PartitionSnapshotter:
 
     ``sealed_header`` seals ``counter || num_partitions || num_buckets
     || num_mac_hashes || suite || master_secret`` — the shared counter
-    plus the routing geometry, so a restore into a store with a
-    different partition count or table shape fails with
-    :class:`SnapshotError` before any partition is touched, and the
-    plaintext copies (used for file naming / quick inspection) cannot be
-    tampered into a mismatched restore.
-
-    Works with every engine of ``PartitionedShieldStore`` through the
-    same two calls (``snapshot_all``/``restore_all``): each partition's
-    host builds and consumes its own section — inline, or in its worker
-    over ``OP_SNAPSHOT``/``OP_RESTORE``, which also installs the
-    sections as the pool's crash-recovery checkpoint.
+    plus the routing geometry — to the store's platform, so a blob
+    cannot be opened into a different partition count or table shape
+    and the plaintext copies (used for file naming / quick inspection)
+    cannot be tampered into a mismatched store.  Works with every engine
+    of ``PartitionedShieldStore``: each partition's host builds its own
+    section (inline, or in its worker over ``OP_SNAPSHOT``) and is
+    *constructed* from it (:meth:`open`).
     """
 
-    def __init__(
-        self,
-        sealing: SealingService,
-        counters: MonotonicCounterService,
-        counter_name: str = "shieldstore-partitions",
-    ):
-        self.sealing = sealing
-        self.counters = counters
-        self.counter_name = counter_name
+    counter_name = "shieldstore-partitions"  # one counter, every partition
 
-    @classmethod
-    def for_store(
-        cls,
-        store,
-        counters: MonotonicCounterService,
-        counter_name: str = "shieldstore-partitions",
-    ) -> "PartitionSnapshotter":
-        """Snapshotter on the store's own platform sealing secret."""
-        return cls(SealingService(store.platform_secret), counters, counter_name)
+    def __init__(self, counters: MonotonicCounterService):
+        self.counters = counters
 
     # -- write --------------------------------------------------------------
     def snapshot_bytes(self, store) -> bytes:
         """Snapshot every partition under one shared counter bump."""
         ctx = store.enclave.context()
         counter = self.counters.increment(ctx, self.counter_name)
-        sealed = self.sealing.seal(ctx, store.enclave, self._header(store, counter))
+        sealed = store.sealing.seal(ctx, store.enclave, self._header(store, counter))
         # Every partition's host seals its own section (and rotates its
         # log inside the capture) — in a worker process or inline.
         by_index = store._engine.snapshot_all(counter)
@@ -392,60 +347,30 @@ class PartitionSnapshotter:
         )
 
     # -- read ---------------------------------------------------------------
-    def restore(self, blob: bytes, store, verify: bool = True):
-        """Restore a multi-partition snapshot into ``store``.
+    def open(self, blob: Optional[bytes], config: StoreConfig, **store_args):
+        """Build the store ``blob`` describes; the start-up of a node.
 
-        The target's geometry (partition count, bucket/hash counts,
-        cipher suite) must match the sealed header exactly; mismatches
-        raise :class:`SnapshotError` with nothing modified.  Partition
-        contents are replaced wholesale: each host rebuilds its store
-        from its own section and replays its log tail.
+        ``store_args`` are :class:`PartitionedShieldStore`'s own;
+        ``blob=None`` is a start with no checkpoint.  Each partition is
+        born from its section plus its authenticated log tail, and only
+        then is freshness judged, once: the counter the recovery
+        *reached* in every partition must not be behind the platform's,
+        or the store is closed and :class:`~repro.errors.RollbackError`
+        raised.  A refused blob is :class:`SnapshotError` or
+        :class:`~repro.errors.SealingError`.
         """
-        ctx = store.enclave.context()
-        blob = faults.cross("persistence.restore", blob) or blob
-        reader = _Reader(blob)
-        if reader.take(len(_PMAGIC)) != _PMAGIC:
-            raise SnapshotError("partition snapshot has wrong magic")
-        claimed_counter = reader.u64()
-        claimed_parts = reader.u32()
-        sealed = reader.take(reader.u32())
-        header = _Reader(
-            self.sealing.unseal(ctx, store.enclave, sealed), "snapshot header"
-        )
-        counter = header.u64()
-        num_partitions = header.u32()
-        num_buckets = header.u32()
-        num_mac_hashes = header.u32()
-        suite = header.take(header.u8()).decode("ascii", "replace")
-        master = header.take(header.u16())
-        header.done()
-        if counter != claimed_counter or num_partitions != claimed_parts:
-            raise SnapshotError(
-                "snapshot plaintext header does not match its sealed values"
-            )
-        self.counters.check_not_rolled_back(self.counter_name, counter)
-        if num_partitions != store.num_threads:
-            raise SnapshotError(
-                f"snapshot has {num_partitions} partitions but the store "
-                f"has {store.num_threads}; restore into matching geometry"
-            )
-        if (
-            num_buckets != store.config.num_buckets
-            or num_mac_hashes != store.config.num_mac_hashes
-            or suite != store.config.suite_name
-        ):
-            raise SnapshotError(
-                f"snapshot geometry ({num_buckets} buckets, "
-                f"{num_mac_hashes} hashes, {suite!r}) does not match the "
-                f"store ({store.config.num_buckets} buckets, "
-                f"{store.config.num_mac_hashes} hashes, "
-                f"{store.config.suite_name!r})"
-            )
-        sections = [reader.take(reader.u64()) for _ in range(num_partitions)]
-        reader.done()
+        from repro.core.partition import PartitionedShieldStore
 
-        store._engine.restore_all(sections, counter, verify=verify)
-        store._rekey(master)
+        if blob is not None:
+            blob = faults.cross("persistence.restore", blob) or blob
+        store = PartitionedShieldStore(config, checkpoint=blob, **store_args)
+        try:
+            self.counters.check_not_rolled_back(
+                self.counter_name, store.reached_counter
+            )
+        except RollbackError:
+            store.close()
+            raise
         return store
 
 

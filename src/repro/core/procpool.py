@@ -55,25 +55,28 @@ iteration) are parent-trusted and carry JSON or fixed-width integers.
 
 Pipes pair requests with replies positionally, so the parent holds a
 per-worker lock across each send/recv round-trip: concurrent parent
-threads (the TCP server runs one per connection) stay correctly paired
-instead of interleaving frames and reading each other's replies.
+threads (the TCP server's executor threads, the snapshot daemon) stay
+correctly paired instead of interleaving frames and reading each
+other's replies.
 
 Snapshots and crash recovery
 ----------------------------
 ``OP_SNAPSHOT`` has a worker seal + serialize its private store into a
 snapshot *section* (paper §4.4: sealed metadata, already-encrypted
 records verbatim) and ship the section — never plaintext — back over
-the pipe; ``OP_RESTORE`` rebuilds a worker's store from such a section.
-The pool caches the sections of the most recent snapshot, and that
-cache is the recovery checkpoint:
+the pipe.  A section only ever travels the other way as a *spawn
+argument*: a worker is born from it (plus its log tail) and reports
+the counter its recovery reached in its start-up handshake.  The pool
+caches the sections it was built from, then those of the most recent
+snapshot, and that cache is the recovery checkpoint:
 
 A :class:`~repro.errors.ReproError` raised inside a worker (integrity
 violation, crypto misuse...) is re-raised in the parent as the *same
 exception class*, with the partition index prepended to the message.  A
 worker that dies (crash, OOM-kill) or wedges past ``request_timeout``
 is detected by liveness polling — never a blocking pipe read — and the
-pool *recovers*: the dead process is respawned and restored from the
-cached snapshot section.  The interrupted call still raises
+pool *recovers*: the dead process is respawned on the cached snapshot
+section, exactly as at start-up.  The interrupted call still raises
 :class:`~repro.errors.WorkerError` (its mutations may be lost), but the
 pool keeps serving; ``state`` reports ``"recovered"`` and ``ops_lost``
 counts an upper bound of mutations issued since the snapshot.  With no
@@ -91,7 +94,7 @@ import struct
 import threading
 import time
 from contextlib import ExitStack
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import repro.errors as _errors
 from repro.core.config import StoreConfig
@@ -142,11 +145,10 @@ OP_ITER = 0x03      # -> encode_multi_items of all (key, value) pairs
 OP_AUDIT = 0x04     # -> u64 entries checked (full integrity audit)
 OP_LEN = 0x05       # -> u64 live entry count
 OP_ELAPSED = 0x06   # -> f64 simulated microseconds on the worker's machine
-OP_PING = 0x07      # -> empty OK (startup / liveness handshake)
+OP_PING = 0x07      # -> u64 counter the worker's recovery reached (handshake)
 OP_TAMPER = 0x08    # flip one bit of an entry's untrusted bytes (tests)
 OP_SHUTDOWN = 0x09  # -> empty OK, then the worker exits cleanly
 OP_SNAPSHOT = 0x0A  # u64 counter -> sealed snapshot section (§4.4)
-OP_RESTORE = 0x0B   # u64 counter | u8 verify | section -> u64 WAL ops replayed
 OP_TIMING = 0x0C    # -> JSON worker compute / CPU seconds + ring wait counts
 
 REPLY_OK = 0x80
@@ -157,8 +159,8 @@ _F64 = struct.Struct("<d")
 
 # Seconds between liveness checks while waiting on a worker reply.
 _POLL_INTERVAL = 0.1
-# Deadline for the respawn + restore round-trips of worker recovery
-# (independent of request_timeout, which may be sub-second).
+# Deadline for a (re)spawned worker's handshake: interpreter spawn,
+# section load, log replay (not request_timeout, which may be sub-second).
 _RECOVERY_TIMEOUT = 60.0
 
 
@@ -509,38 +511,48 @@ def _worker_main(
     platform_secret: Optional[bytes] = None,
     wal_dir: Optional[str] = None,
     wal_sync_ms: float = 2.0,
+    checkpoint: Optional[Tuple[int, bytes]] = None,
 ) -> None:
     """Entry point of one partition worker process.
 
     ``end`` is the worker-side data-plane endpoint (pipe connection or
     shared-memory ring pair).  Hosts a private partition
     (:class:`~repro.core.host.PartitionHost`: machine + enclave + store
-    + sealed log), then serves frames until shutdown or EOF.  Clean
+    + sealed log) born from ``checkpoint`` — at pool start-up and at a
+    respawn alike — then serves frames until shutdown or EOF; one that
+    cannot be built answers the handshake with the error and exits.  Clean
     :class:`ReproError` failures are reported and the loop continues —
     the store flushes its dirty sets before the exception escapes
     ``multi_set``/``multi_delete``, so the partition stays consistent
     and serviceable.
 
     ``platform_secret`` keys the host's sealing service
-    (``OP_SNAPSHOT``/``OP_RESTORE``); the parent derives it from the
+    (``OP_SNAPSHOT`` / ``checkpoint``); the parent derives it from the
     master secret by default, so every worker of one deployment (and a
     restarted deployment with the same secret) is the same "platform".
     """
     from repro.core.host import PartitionHost
     from repro.net.server import execute_request
 
-    host = PartitionHost(
-        config,
-        index,
-        master_secret,
-        platform_secret=platform_secret,
-        wal_dir=wal_dir,
-        wal_sync_ms=wal_sync_ms,
-    )
     channel = _pipe_channel(
         master_secret, index, channel_nonce, "server", config.suite_name
     )
     plane = end.open()
+    try:
+        host = PartitionHost(
+            config,
+            index,
+            master_secret,
+            platform_secret=platform_secret,
+            wal_dir=wal_dir,
+            wal_sync_ms=wal_sync_ms,
+            checkpoint=checkpoint,
+        )
+    except ReproError as exc:
+        channel.open(plane.recv_bytes())  # the handshake PING
+        plane.send_bytes(channel.seal(_encode_error(exc)))
+        plane.close()
+        return
     compute_s = cpu_s = 0.0  # OP_REQ wall clock (incl. time off the core) / CPU
     while True:
         # Group-commit tail: while the log is dirty, wait for the next
@@ -586,7 +598,7 @@ def _worker_main(
             elif opcode == OP_ELAPSED:
                 reply = bytes([REPLY_OK]) + _F64.pack(store.machine.elapsed_us())
             elif opcode == OP_PING:
-                reply = bytes([REPLY_OK])
+                reply = bytes([REPLY_OK]) + _U64.pack(host.reached)
             elif opcode == OP_TAMPER:
                 _tamper(store, bytes(payload))
                 reply = bytes([REPLY_OK])
@@ -594,13 +606,6 @@ def _worker_main(
                 reply = bytes([REPLY_OK]) + host.snapshot(
                     _U64.unpack_from(payload, 0)[0]
                 )
-            elif opcode == OP_RESTORE:
-                replayed = host.restore(
-                    _U64.unpack_from(payload, 0)[0],
-                    bytes(payload[9:]),
-                    verify=bool(payload[8]),
-                )
-                reply = bytes([REPLY_OK]) + _U64.pack(replayed)
             elif opcode == OP_SHUTDOWN:
                 plane.send_bytes(channel.seal(bytes([REPLY_OK])))
                 break
@@ -627,8 +632,8 @@ class _WorkerHandle:
 
     The plane pairs requests with replies purely by position, so the
     send/recv round-trip must be atomic per worker: ``lock`` serializes
-    concurrent parent threads (e.g. one per TCP connection) that would
-    otherwise interleave frames and read each other's replies.
+    concurrent parent threads (e.g. the TCP server's executor threads)
+    that would otherwise interleave frames and read each other's replies.
 
     ``ops_since_snapshot`` counts mutations issued to this worker since
     the pool last snapshotted it — the upper bound on what a crash of
@@ -716,9 +721,13 @@ class ProcessPartitionPool:
     reply; ``None`` waits forever (liveness is still polled, so a dead
     worker raises promptly either way).
 
-    A worker that dies mid-service is respawned and restored from the
-    most recent cached snapshot (see :meth:`snapshot_all`); the pool
-    stays usable and reports the incident through :attr:`state`,
+    ``checkpoint`` (``(counter, sections)``) is what the partitions are
+    born from — each worker gets its section as a spawn argument — and
+    the first recovery checkpoint; ``reached_counter`` is the lowest
+    counter any worker's start-up recovery reported.  A worker that
+    dies mid-service is respawned on the most recent cached snapshot
+    section (see :meth:`snapshot_all`); the pool stays usable and
+    reports the incident through :attr:`state`,
     :attr:`recoveries` and :attr:`ops_lost`.
     """
 
@@ -732,6 +741,7 @@ class ProcessPartitionPool:
         data_plane: Optional[str] = None,
         wal_dir: Optional[str] = None,
         wal_sync_ms: float = 2.0,
+        checkpoint: Optional[Tuple[int, Sequence[bytes]]] = None,
     ):
         if num_workers <= 0:
             raise StoreError("process pool needs at least one worker")
@@ -761,9 +771,13 @@ class ProcessPartitionPool:
         self._wal_dir = wal_dir
         self._wal_sync_ms = wal_sync_ms
         self._platform_secret = platform_secret  # None: the hosts derive it
-        # Recovery checkpoint: the sections of the latest snapshot.
+        # Recovery checkpoint: the sections of the latest snapshot (at
+        # first, the ones the pool is being built from).
         self._snapshot_sections: Dict[int, bytes] = {}
         self._snapshot_counter: Optional[int] = None
+        if checkpoint is not None:
+            self._snapshot_counter, sections = checkpoint
+            self._snapshot_sections = dict(enumerate(sections))
         self._degraded: set = set()   # respawned empty (no snapshot)
         self._recovered: set = set()  # respawned + restored
         self.recoveries = 0           # workers brought back after dying
@@ -778,26 +792,30 @@ class ProcessPartitionPool:
         self.workers: List[_WorkerHandle] = []
         try:
             for index in range(num_workers):
-                plane, process, channel = self._spawn(index)
+                plane, process, channel, _ = self._spawn(index)
                 self.workers.append(
                     _WorkerHandle(index, process, plane, channel)
                 )
-            # Handshake: every worker must come up and answer a PING.
-            # Spawning an interpreter takes far longer than a request
-            # round-trip, so the startup deadline is the recovery one,
-            # not ``request_timeout``.
-            for handle in self.workers:
-                with handle.lock:
-                    self._send(handle, OP_PING, b"", recover=False)
-                    self._recv(
-                        handle, recover=False, timeout=_RECOVERY_TIMEOUT
-                    )
+            # Every worker must come up, recover and say how far it got;
+            # one that could not build its partition says why instead.
+            self.reached_counter = min(
+                self._handshake(handle) for handle in self.workers
+            )
         except BaseException:
             self._terminate_all()
             raise
 
+    def _handshake(self, handle: "_WorkerHandle") -> int:
+        """PING a (re)spawned worker nobody else can reach yet: the
+        counter its recovery reached, or the error that kept it from
+        building its partition (raised)."""
+        self._send(handle, OP_PING, b"", recover=False)
+        reply = self._recv(handle, recover=False, timeout=_RECOVERY_TIMEOUT)
+        return _U64.unpack(reply)[0]
+
     def _spawn(self, index: int):
-        """Start one worker; returns (plane, process, channel).
+        """Start one worker on the cached section of its partition;
+        returns (plane, process, channel, that section's counter or None).
 
         Each (re)spawn draws a fresh public channel nonce — so a
         replacement worker's session never shares keys with its dead
@@ -809,6 +827,9 @@ class ProcessPartitionPool:
         if hit is not None and hit.kind == "drop":
             raise OSError(f"injected spawn failure for partition {index}")
         nonce = _fresh_nonce()
+        with self._health_lock:  # one atom: never new sections with an old counter
+            section = self._snapshot_sections.get(index)
+            counter = None if section is None else self._snapshot_counter
         if self.data_plane == DATA_PLANE_SHM:
             plane = _ShmPlane(
                 self._mp_ctx, index, DEFAULT_NUM_SLOTS, DEFAULT_SLOT_SIZE,
@@ -828,6 +849,7 @@ class ProcessPartitionPool:
                     self._platform_secret,
                     self._wal_dir,
                     self._wal_sync_ms,
+                    None if section is None else (counter, section),
                 ),
                 name=f"shieldstore-partition-{index}",
                 daemon=True,
@@ -840,7 +862,7 @@ class ProcessPartitionPool:
         channel = _pipe_channel(
             self._master_secret, index, nonce, "client", self._config.suite_name
         )
-        return plane, process, channel
+        return plane, process, channel, counter
 
     # -- health -------------------------------------------------------------
     @property
@@ -850,8 +872,8 @@ class ProcessPartitionPool:
         ``recovered``: every dead worker was restored from a snapshot
         (mutations since that snapshot are lost, nothing else).
         ``degraded``: at least one worker was respawned *empty* because
-        no snapshot existed.  A later :meth:`restore_all` or
-        :meth:`snapshot_all` checkpoint returns the pool to ``ok``.
+        no snapshot existed.  A later :meth:`snapshot_all` checkpoint
+        returns the pool to ``ok``.
         """
         if self._closed:
             return "closed"
@@ -883,8 +905,8 @@ class ProcessPartitionPool:
         """Handle a dead/wedged worker; returns the error to raise.
 
         With ``recover`` (the normal data path — the caller holds
-        ``handle.lock``) the worker is respawned and restored from the
-        cached snapshot section; the in-flight call still failed, so a
+        ``handle.lock``) the worker is respawned on the cached
+        snapshot section; the in-flight call still failed, so a
         :class:`WorkerError` describing the recovery is returned.  Only
         when recovery itself fails is the pool marked broken.
         """
@@ -898,7 +920,7 @@ class ProcessPartitionPool:
             return self._mark_broken(f"{why}; recovery failed: {exc}")
 
     def _recover_worker(self, handle: _WorkerHandle, why: str) -> WorkerError:
-        """Respawn ``handle``'s process and restore its snapshot section.
+        """Respawn ``handle``'s process on its cached snapshot section.
 
         Caller holds ``handle.lock``, so mutating the handle in place is
         safe: every other thread queues on the same lock and sees the
@@ -912,7 +934,8 @@ class ProcessPartitionPool:
             handle.process.terminate()
         handle.process.join(timeout=5)
         lost = handle.ops_since_snapshot
-        handle.plane, handle.process, handle.channel = self._spawn(handle.index)
+        # Born as at start-up: the cached section, then the log chain.
+        handle.plane, handle.process, handle.channel, counter = self._spawn(handle.index)
         handle.ops_since_snapshot = 0
         # With a write-ahead log every acknowledged mutation is on disk
         # and replayed during recovery, so nothing counts as lost.
@@ -921,28 +944,13 @@ class ProcessPartitionPool:
             self.recoveries += 1
             if not walled:
                 self.ops_lost += lost
-        # The replacement interpreter needs time to spawn and import;
-        # recovery uses its own generous deadline, not request_timeout.
-        self._send(handle, OP_PING, b"", recover=False)
-        self._recv(handle, recover=False, timeout=_RECOVERY_TIMEOUT)
-        # Read the checkpoint pair atomically: a concurrent
-        # snapshot_all must not hand us new sections with an old
-        # counter (or vice versa).
+        self._handshake(handle)
+        source = (
+            "no snapshot exists" if counter is None
+            else f"restored from snapshot counter {counter}"
+        )
         with self._health_lock:
-            section = self._snapshot_sections.get(handle.index)
-            counter = self._snapshot_counter
-        # The respawned worker's host already replayed its full log
-        # chain at startup; a cached section restores the checkpoint
-        # and replays only the tail on top of it.
-        if section is not None:
-            payload = _U64.pack(counter) + b"\x01" + section
-            self._send(handle, OP_RESTORE, payload, recover=False)
-            self._recv(handle, recover=False, timeout=_RECOVERY_TIMEOUT)
-            source = f"restored from snapshot counter {counter}"
-        else:
-            source = "no snapshot exists"
-        with self._health_lock:
-            if walled or section is not None:
+            if walled or counter is not None:
                 self._recovered.add(handle.index)
                 self._degraded.discard(handle.index)
             else:
@@ -952,7 +960,7 @@ class ProcessPartitionPool:
                 f"replayed its write-ahead log, {lost} acknowledged "
                 "mutation(s) recovered"
             )
-        elif section is not None:
+        elif counter is not None:
             outcome = f"up to {lost} mutation(s) since that snapshot were lost"
         else:
             outcome = (
@@ -1267,32 +1275,6 @@ class ProcessPartitionPool:
             on_success=lambda sections: self._install_checkpoint(
                 dict(sections), counter
             ),
-        )
-
-    def restore_all(
-        self, sections: Sequence[bytes], counter: int, verify: bool = True
-    ) -> None:
-        """Replace every worker's store from snapshot sections.
-
-        Also installs the sections as the recovery checkpoint and clears
-        any degraded/recovered markers — after a full restore the pool
-        is exactly the checkpointed state again.
-        """
-        if len(sections) != self.num_workers:
-            raise StoreError(
-                f"{len(sections)} snapshot sections for "
-                f"{self.num_workers} workers"
-            )
-        flag = b"\x01" if verify else b"\x00"
-        checkpoint = dict(enumerate(bytes(s) for s in sections))
-        self.scatter(
-            {
-                index: _U64.pack(counter) + flag + section
-                for index, section in checkpoint.items()
-            },
-            OP_RESTORE,
-            reset_counters=True,
-            on_success=lambda _: self._install_checkpoint(checkpoint, counter),
         )
 
     # -- aggregates ---------------------------------------------------------

@@ -1208,7 +1208,8 @@ class ShieldStore:
         )
 
     def load_metadata_blob(self, blob: bytes) -> None:
-        """Restore sealed metadata (inverse of :meth:`metadata_blob`)."""
+        """Load sealed metadata into a *fresh* store (inverse of
+        :meth:`metadata_blob`; the enclave caches are still cold)."""
         mlen = int.from_bytes(blob[:4], "little")
         master = blob[4 : 4 + mlen]
         off = 4 + mlen
@@ -1219,13 +1220,6 @@ class ShieldStore:
             self.config.suite_name, self.keyring.enc_key, self.keyring.mac_key
         )
         self.mactree.load(blob[off:])
-        # A restore / checkpoint install replaces the untrusted table
-        # wholesale: both enclave caches describe the old world and must
-        # flush (the MAC cache would otherwise be stale "ground truth").
-        if self.maccache is not None:
-            self.maccache.clear()
-        if self.cache is not None:
-            self.cache.clear()
 
     def untrusted_bytes_live(self) -> int:
         """Bytes of untrusted memory currently holding store data."""

@@ -338,7 +338,10 @@ class WriteAheadLog:
         ``apply`` receives each logged request in order (attach it to a
         store restored from the snapshot that ``counter`` names).  Torn
         final frames are truncated away; any complete-but-unauthentic
-        frame raises :class:`SnapshotError`.
+        frame raises :class:`SnapshotError`, and so does an orphaned
+        chain — a missing segment with a later one of this partition
+        present means the host removed the link that leads to it (or
+        handed recovery an older checkpoint than the log belongs to).
         """
         wal = cls(
             directory, partition, master, suite_name, counter,
@@ -347,6 +350,13 @@ class WriteAheadLog:
         while True:
             path = segment_path(directory, partition, wal.counter)
             if not os.path.exists(path):
+                mine = os.path.join(glob.escape(directory), f"wal-{partition:04d}-*.log")
+                if max(glob.glob(mine), default="") > path:
+                    # shieldlint: ignore[trust-boundary] -- a snapshot counter (the caller's, or an authenticated truncation record's), not client key/value plaintext
+                    raise SnapshotError(
+                        f"WAL chain of partition {partition} is orphaned: "
+                        f"segment {wal.counter} is missing but a later one exists"
+                    )
                 return wal  # fresh incarnation: lazy-create on append
             with open(path, "rb") as fh:
                 data = fh.read()

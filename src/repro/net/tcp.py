@@ -1,12 +1,12 @@
 """Real TCP transport for the ShieldStore wire protocol.
 
-This is a functional (not performance-modeled) networked deployment:
-a background thread serves length-prefixed protocol records over a
-localhost socket, with the full §3.2 session establishment — remote
-attestation of the server enclave, DH key exchange, then authenticated
-encryption on every record.  Used by the ``networked_cluster`` example
-and the integration tests; the performance experiments use the
-cost-modeled :class:`~repro.net.server.NetworkedServer` instead.
+This is the served system: a background event-loop thread serves
+length-prefixed protocol records over a socket, with the full §3.2
+session establishment — remote attestation of the server enclave, DH
+key exchange, then authenticated encryption on every record.  ``repro
+serve`` runs it, and all three served shieldbench workloads measure it
+(host wall clock); the paper-figure experiments (simulated cycles)
+use the cost-modeled :class:`~repro.net.server.NetworkedServer`.
 
 Resilience (shieldfault)
 ------------------------

@@ -53,18 +53,17 @@ class TestAudit:
             store.audit()
 
     def test_audit_after_restore(self):
-        from repro.core import Snapshotter
-        from repro.sim import MonotonicCounterService, SealingService
+        from repro.core import PartitionedShieldStore, PartitionSnapshotter
+        from repro.sim import MonotonicCounterService
 
-        source = ShieldStore(shield_opt(num_buckets=16, num_mac_hashes=8))
+        config = shield_opt(num_buckets=16, num_mac_hashes=8)
+        source = PartitionedShieldStore(config, num_partitions=1)
         for i in range(30):
             source.set(f"k{i}".encode(), b"v")
-        snapshotter = Snapshotter(
-            SealingService(b"platform-secret-z"), MonotonicCounterService()
+        snapshotter = PartitionSnapshotter(MonotonicCounterService())
+        target = snapshotter.open(
+            snapshotter.snapshot_bytes(source), config, num_partitions=1
         )
-        blob = snapshotter.snapshot_bytes(source.enclave.context(), source)
-        target = ShieldStore(shield_opt(num_buckets=16, num_mac_hashes=8))
-        snapshotter.restore(target.enclave.context(), blob, target, verify=False)
         assert target.audit() == 30
 
     def test_audit_charges_cycles(self, store):

@@ -45,18 +45,20 @@ def _config():
     return shield_opt(num_buckets=128, num_mac_hashes=32)
 
 
-def _build(mode, data_plane, wal_dir):
+def _build(mode, data_plane, wal_dir, open_with=None):
+    """A fresh store of ``mode``, or (``open_with=(snapshotter, blob)``)
+    the same shape opened from a checkpoint."""
+    shape = dict(master_secret=SECRET, wal_dir=wal_dir, wal_sync_ms=0)
     if mode == MODE_PROCESSES:
-        return PartitionedShieldStore(
-            _config(), master_secret=SECRET, num_partitions=PARTITIONS,
-            mode=MODE_PROCESSES, data_plane=data_plane,
-            wal_dir=wal_dir, wal_sync_ms=0,
+        shape.update(
+            num_partitions=PARTITIONS, mode=MODE_PROCESSES, data_plane=data_plane
         )
-    return PartitionedShieldStore(
-        _config(), machine=Machine(num_threads=PARTITIONS),
-        master_secret=SECRET, mode=MODE_SEQUENTIAL,
-        wal_dir=wal_dir, wal_sync_ms=0,
-    )
+    else:
+        shape.update(machine=Machine(num_threads=PARTITIONS), mode=MODE_SEQUENTIAL)
+    if open_with is not None:
+        snapshotter, blob = open_with
+        return snapshotter.open(blob, _config(), **shape)
+    return PartitionedShieldStore(_config(), **shape)
 
 
 def _drive(store, seed, rounds=4):
@@ -99,9 +101,7 @@ def _scenario(mode, data_plane, wal_dir):
     store = _build(mode, data_plane, wal_dir)
     try:
         _drive(store, seed=1)
-        snapshotter = PartitionSnapshotter.for_store(
-            store, MonotonicCounterService()
-        )
+        snapshotter = PartitionSnapshotter(MonotonicCounterService())
         blob = snapshotter.snapshot_bytes(store)
         _drive(store, seed=2, rounds=2)  # lives only in the log tail
         stages["before-crash"] = _observe(store)
@@ -115,8 +115,7 @@ def _scenario(mode, data_plane, wal_dir):
             assert store.stats().worker_ops_lost == 0
         else:
             store.close()
-            store = _build(mode, data_plane, wal_dir)
-            snapshotter.restore(blob, store)
+            store = _build(mode, data_plane, wal_dir, open_with=(snapshotter, blob))
         stages["recovered"] = _observe(store)
         _drive(store, seed=3, rounds=2)
         stages["after-more-ops"] = _observe(store)

@@ -239,39 +239,30 @@ class TestCheckHook:
 class TestPersistencePoints:
     """The persistence.snapshot / persistence.restore hooks end to end."""
 
-    def _store(self):
-        from repro.core import PartitionedShieldStore, shield_opt
+    _SHAPE = dict(num_partitions=2, mode="sequential")
 
-        return PartitionedShieldStore(
-            shield_opt(num_buckets=64, num_mac_hashes=16),
-            num_partitions=2,
-            mode="sequential",
-        )
+    def _config(self):
+        from repro.core import shield_opt
+
+        return shield_opt(num_buckets=64, num_mac_hashes=16)
 
     def test_tampered_snapshot_blob_is_rejected_on_restore(self):
-        from repro.core import PartitionSnapshotter
+        from repro.core import PartitionedShieldStore, PartitionSnapshotter
+        from repro.errors import SealingError, SnapshotError
         from repro.sim import MonotonicCounterService
 
-        store = self._store()
+        store = PartitionedShieldStore(self._config(), **self._SHAPE)
         store.multi_set([(f"k{i}".encode(), b"v") for i in range(20)])
-        counters = MonotonicCounterService()
-        snapshotter = PartitionSnapshotter.for_store(store, counters)
+        snapshotter = PartitionSnapshotter(MonotonicCounterService())
         blob = snapshotter.snapshot_bytes(store)
-        target = self._store()
         rule = FaultRule(
             point="persistence.restore", kind="tamper", flips=4, after=0
         )
-        with faults.injected(plan_of(rule, seed=3)):
-            with pytest.raises(Exception) as excinfo:
-                PartitionSnapshotter.for_store(target, counters).restore(
-                    blob, target
-                )
         # Whatever byte the tamper hit (magic, sealed header, section),
-        # the failure is a typed snapshot/integrity error, not silence.
-        from repro.errors import ReproError
-
-        assert isinstance(excinfo.value, ReproError)
-        # And without the fault plan the same blob restores fine.
-        clean = self._store()
-        PartitionSnapshotter.for_store(clean, counters).restore(blob, clean)
+        # the failure is one of the two refusals, not silence.
+        with faults.injected(plan_of(rule, seed=3)):
+            with pytest.raises((SnapshotError, SealingError)):
+                snapshotter.open(blob, self._config(), **self._SHAPE)
+        # And without the fault plan the same blob opens fine.
+        clean = snapshotter.open(blob, self._config(), **self._SHAPE)
         assert len(clean) == 20

@@ -1,10 +1,10 @@
-"""PartitionHost: one partition's build -> recover -> checkpoint -> restore.
+"""PartitionHost: one partition's build (which is recovery) -> checkpoint.
 
 The host is the single copy of that policy (workers and the in-process
 engine both call it), so its guarantees are pinned here directly: a
-failed restore never touches the serving store, the log tail is
-replayed under a restore, and a dirty log is fsynced once its
-group-commit window has passed even when no further append comes.
+partition is born from its section plus its log tail, a refused birth
+harms nothing, and a dirty log is fsynced once its group-commit window
+has passed even when no further append comes.
 """
 
 import os
@@ -21,27 +21,19 @@ from repro.core import (
     shield_opt,
 )
 from repro.core.wal import segment_path
-from repro.errors import ReproError, RollbackError, SnapshotError
+from repro.errors import SealingError, SnapshotError
 from repro.sim import MonotonicCounterService
 
 SECRET = bytes(range(32))
 
 
-def _host(wal_dir=None, sync_ms=0.0):
+def _host(wal_dir=None, sync_ms=0.0, checkpoint=None):
     return PartitionHost(
         shield_opt(num_buckets=64, num_mac_hashes=16),
         master_secret=SECRET,
         wal_dir=None if wal_dir is None else str(wal_dir),
         wal_sync_ms=sync_ms,
-    )
-
-
-def _served_shape(wal_dir):
-    """The store ``repro serve --workers 1`` builds, at test size."""
-    return PartitionedShieldStore(
-        shield_opt(num_buckets=64, num_mac_hashes=16),
-        master_secret=SECRET, num_partitions=1,
-        wal_dir=str(wal_dir), wal_sync_ms=0.0,
+        checkpoint=checkpoint,
     )
 
 
@@ -60,24 +52,27 @@ class TestLifecycle:
         first.store.increment(b"n", 4)
         first.close()
         second = _host(tmp_path)
-        assert second.replayed == 2
+        assert second.store.stats.wal_replayed == 2 and second.reached == 0
         assert second.store.get(b"a") == b"1"
         assert second.store.get(b"n") == b"4"
         second.close()
 
     def test_restore_is_section_plus_log_tail(self, tmp_path):
-        host = _host(tmp_path)
-        host.store.set(b"in-section", b"1")
-        section = host.snapshot(counter=1)
-        host.store.set(b"in-tail", b"2")
-        serving = host.store
-        assert host.restore(1, section) == 1  # one tail op replayed
-        assert host.store is not serving
+        first = _host(tmp_path)
+        first.store.set(b"in-section", b"1")
+        section = first.snapshot(counter=1)
+        first.store.set(b"in-tail", b"2")
+        first.snapshot(counter=2)  # a checkpoint whose file never landed
+        first.store.set(b"past-it", b"3")
+        first.close()
+        host = _host(tmp_path, checkpoint=(1, section))
+        assert host.store.stats.wal_replayed == 2  # the two tail ops
+        assert host.reached == 2  # ...and the truncation record between
         assert dict(host.store.iter_items()) == {
-            b"in-section": b"1", b"in-tail": b"2",
+            b"in-section": b"1", b"in-tail": b"2", b"past-it": b"3",
         }
-        # The restored store logs again (append-before-apply survives).
-        host.store.set(b"after", b"3")
+        # The reborn store logs again (append-before-apply survives).
+        host.store.set(b"after", b"4")
         assert host.store.stats.wal_appends == 1
         host.close()
 
@@ -91,13 +86,17 @@ class TestLifecycle:
 
 
 class TestFailedRestoreLeavesTheServingStoreUntouched:
+    """Nothing is restored *into* a serving store — a partition is born
+    from its section — so what is pinned is that a refused birth is a
+    typed error and harms nothing: the host that wrote the section keeps
+    serving and logging, and the same directory still yields everything."""
+
     @pytest.mark.parametrize("damage", ["truncated", "flipped", "wrong-counter"])
     def test_malformed_section(self, tmp_path, damage):
         host = _host(tmp_path)
         host.store.set(b"k", b"v")
-        section = host.snapshot(counter=1)
+        good = section = host.snapshot(counter=1)
         host.store.set(b"later", b"w")
-        serving, wal = host.store, host.store.wal
         counter = 1
         if damage == "truncated":
             section = section[: len(section) // 2]
@@ -105,12 +104,16 @@ class TestFailedRestoreLeavesTheServingStoreUntouched:
             section = section[:10] + bytes([section[10] ^ 1]) + section[11:]
         else:
             counter = 2
-        with pytest.raises(ReproError):
-            host.restore(counter, section)
-        assert host.store is serving and host.store.wal is wal
+        with pytest.raises((SnapshotError, SealingError)):
+            _host(tmp_path, checkpoint=(counter, section))
         assert dict(host.store.iter_items()) == {b"k": b"v", b"later": b"w"}
-        host.store.set(b"still-logging", b"x")  # the old log is still open
+        host.store.set(b"still-logging", b"x")  # the log is still its own
         host.close()
+        reborn = _host(tmp_path, checkpoint=(1, good))
+        assert dict(reborn.store.iter_items()) == {
+            b"k": b"v", b"later": b"w", b"still-logging": b"x",
+        }
+        reborn.close()
 
     def test_tampered_log_tail(self, tmp_path):
         host = _host(tmp_path)
@@ -119,68 +122,25 @@ class TestFailedRestoreLeavesTheServingStoreUntouched:
         host.store.set(b"tail-1", b"a")
         host.store.set(b"tail-2", b"b")
         _flip_byte(segment_path(str(tmp_path), 0, 1), 30)
-        serving = host.store
         with pytest.raises(SnapshotError, match="failed authentication"):
-            host.restore(1, section)
-        assert host.store is serving
+            _host(tmp_path, checkpoint=(1, section))
         assert len(host.store) == 3
         host.close()
 
-    def test_rolled_back_blob_is_rejected_before_the_swap(self, tmp_path):
-        store = _served_shape(tmp_path / "wal")
-        snapshotter = PartitionSnapshotter.for_store(
-            store, MonotonicCounterService()
-        )
-        store.set(b"old", b"1")
-        stale = snapshotter.snapshot_bytes(store)
-        store.set(b"new", b"2")
-        snapshotter.snapshot_bytes(store)
-        (host,) = store._engine.hosts
-        serving = host.store
-        staged = []
-        host.stage = lambda *args: staged.append(args)
-        with pytest.raises(RollbackError):
-            snapshotter.restore(stale, store)
-        assert staged == []  # rejected before the log directory is read
-        assert host.store is serving
-        assert store.get(b"new") == b"2"
-        store.close()
-
-    def test_partial_staging_closes_the_logs_it_opened(self, tmp_path):
-        """Partition 1's section is bad: partition 0's replacement was
-        already staged (log attached) and must be released, not leaked."""
-        store = PartitionedShieldStore(
-            shield_opt(num_buckets=64, num_mac_hashes=16),
-            master_secret=SECRET, mode="sequential", num_partitions=2,
-            wal_dir=str(tmp_path),
-        )
-        store.multi_set({b"k%d" % i: b"v" for i in range(8)})
-        engine = store._engine
-        sections = engine.snapshot_all(1)
-        serving = engine.stores()
-        staged = []
-        for host in engine.hosts:
-            def spy(*args, _stage=host.stage):
-                staged.append(_stage(*args))
-                return staged[-1]
-            host.stage = spy
-        with pytest.raises(ReproError):
-            engine.restore_all([sections[0], sections[1][:40]], 1)
-        assert len(staged) == 1 and staged[0].wal is None
-        assert engine.stores() == serving
-        assert all(s.wal is not None for s in serving)
-        assert len(store) == 8
-        store.close()
-
     def test_checkpoint_recover_roundtrip(self, tmp_path):
-        store = _served_shape(tmp_path / "wal")
-        counters = MonotonicCounterService()
+        """The store ``repro serve --workers 1`` builds, at test size."""
+        config = shield_opt(num_buckets=64, num_mac_hashes=16)
+        shape = dict(
+            master_secret=SECRET, num_partitions=1,
+            wal_dir=str(tmp_path / "wal"), wal_sync_ms=0.0,
+        )
+        store = PartitionedShieldStore(config, **shape)
+        snapshotter = PartitionSnapshotter(MonotonicCounterService())
         store.set(b"a", b"1")
-        blob = PartitionSnapshotter.for_store(store, counters).snapshot_bytes(store)
+        blob = snapshotter.snapshot_bytes(store)
         store.set(b"b", b"2")  # log tail only
         store.close()
-        restarted = _served_shape(tmp_path / "wal")
-        PartitionSnapshotter.for_store(restarted, counters).restore(blob, restarted)
+        restarted = snapshotter.open(blob, config, **shape)
         assert dict(restarted.iter_items()) == {b"a": b"1", b"b": b"2"}
         restarted.close()
 

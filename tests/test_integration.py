@@ -5,12 +5,13 @@ import pytest
 from repro.core import (
     MODE_OPTIMIZED,
     PartitionedShieldStore,
+    PartitionSnapshotter,
     ShieldStore,
     SnapshotPolicy,
     SnapshotScheduler,
-    Snapshotter,
     shield_opt,
 )
+from repro.core.persistence import read_section, write_section
 from repro.errors import (
     EnclaveMemoryError,
     IntegrityError,
@@ -39,7 +40,8 @@ class TestFullPipeline:
     def test_attest_serve_snapshot_restore(self):
         """The whole lifecycle on one machine: attest, serve traffic over
         the secure session, snapshot, crash, restore, keep serving."""
-        store = ShieldStore(shield_opt(num_buckets=64, num_mac_hashes=32))
+        config = shield_opt(num_buckets=64, num_mac_hashes=32)
+        store = PartitionedShieldStore(config, num_partitions=1)
         service = AttestationService(b"deployment-ias-secret")
         ctx = store.enclave.context()
         suites = attested_handshake(service, ctx, store.enclave, bytes(range(32)))
@@ -51,13 +53,10 @@ class TestFullPipeline:
             server.handle(Request("set", f"k{i:02d}".encode(), f"v{i}".encode()))
         assert server.handle(Request("increment", b"visits", b"1")).value == b"1"
 
-        snapshotter = Snapshotter(
-            SealingService(b"platform-secret-x"), MonotonicCounterService()
-        )
-        blob = snapshotter.snapshot_bytes(ctx, store)
+        snapshotter = PartitionSnapshotter(MonotonicCounterService())
+        blob = snapshotter.snapshot_bytes(store)
 
-        restored = ShieldStore(shield_opt(num_buckets=64, num_mac_hashes=32))
-        snapshotter.restore(restored.enclave.context(), blob, restored)
+        restored = snapshotter.open(blob, config, num_partitions=1)
         assert restored.get(b"k07") == b"v7"
         assert restored.get(b"visits") == b"1"
         restored.set(b"post-restore", b"works")
@@ -139,10 +138,8 @@ class TestFullPipeline:
         assert store_a.get(b"k") == b"a-data"
         assert store_b.get(b"k") == b"b-data"
 
-        snapshotter = Snapshotter(
-            SealingService(b"platform-secret-y"), MonotonicCounterService()
-        )
-        blob = snapshotter.snapshot_bytes(store_a.enclave.context(), store_a)
+        sealing = SealingService(b"platform-secret-y")
+        section = write_section(store_a.enclave.context(), store_a, sealing, 1)
         target = ShieldStore(
             shield_opt(num_buckets=16, num_mac_hashes=8),
             machine=machine,
@@ -151,4 +148,4 @@ class TestFullPipeline:
         from repro.errors import SealingError
 
         with pytest.raises(SealingError):
-            snapshotter.restore(target.enclave.context(), blob, target)
+            read_section(target.enclave.context(), target, sealing, section, 1)

@@ -17,8 +17,8 @@ import pytest
 from repro.core import (
     MacSetCache,
     PartitionedShieldStore,
+    PartitionSnapshotter,
     ShieldStore,
-    Snapshotter,
     shield_opt,
 )
 from repro.core.entry import HEADER_SIZE, MAC_SIZE, unpack_header
@@ -28,7 +28,6 @@ from repro.sim import (
     Enclave,
     Machine,
     MonotonicCounterService,
-    SealingService,
 )
 
 # A replay against a cache hit is caught by the cached-MAC comparison
@@ -295,20 +294,20 @@ class TestCoherence:
         assert store.multi_get(keys[:10]) == {k: None for k in keys[:10]}
 
     def test_snapshot_restore_flushes_cache(self):
-        sealing = SealingService(b"platform-secret-1")
-        snapshotter = Snapshotter(sealing, MonotonicCounterService())
-        source = cached_store(num_buckets=32, num_mac_hashes=16)
+        snapshotter = PartitionSnapshotter(MonotonicCounterService())
+        config = shield_opt(
+            num_buckets=32, num_mac_hashes=16, mac_cache_bytes=CACHE_KB
+        )
+        source = PartitionedShieldStore(config, num_partitions=1)
         for i in range(40):
             source.set(f"key-{i}".encode(), f"value-{i}".encode())
-        blob = snapshotter.snapshot_bytes(source.enclave.context(), source)
-        restored = cached_store(num_buckets=32, num_mac_hashes=16)
-        restored.set(b"pre-restore", b"x")
-        restored.delete(b"pre-restore")
-        assert len(restored.maccache) > 0  # holds soon-stale sets
-        snapshotter.restore(restored.enclave.context(), blob, restored)
-        # Restore replaced untrusted memory wholesale: both enclave
-        # caches must have been flushed, or hits would compare against
-        # pre-restore MACs.
+        assert len(source.partitions[0].maccache) > 0
+        opened = snapshotter.open(
+            snapshotter.snapshot_bytes(source), config, num_partitions=1
+        )
+        (restored,) = opened.partitions
+        # A store born from a section starts with cold enclave caches:
+        # loading and verifying it must not seed them from blob bytes.
         assert len(restored.maccache) == 0
         assert len(restored.cache) == 0 if restored.cache else True
         for i in range(40):

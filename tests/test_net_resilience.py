@@ -416,22 +416,15 @@ class TestServerLimits:
         # does: requests wait out the cut, none fails, no connection is
         # dropped, and the snapshot is a consistent prefix — restoring
         # it yields exactly what the writers had acked by some point.
-        from repro.core import ShieldStore, Snapshotter, default_platform_secret
-        from repro.sim import SealingService
-
-        def fresh_store():
-            return ShieldStore(shield_opt(num_buckets=64, num_mac_hashes=32))
-
-        store = fresh_store()
+        config = shield_opt(num_buckets=64, num_mac_hashes=32)
+        store = PartitionedShieldStore(config, num_partitions=1)
         server = TCPShieldServer(store, service)
         server.start()
-        counters = MonotonicCounterService(str(tmp_path / "counters.json"))
-        snapshotter = Snapshotter(
-            SealingService(default_platform_secret(store.keyring.master)),
-            counters,
+        snapshotter = PartitionSnapshotter(
+            MonotonicCounterService(str(tmp_path / "counters.json"))
         )
         daemon = SnapshotDaemon(
-            lambda: snapshotter.snapshot_bytes(store.enclave.context(), store),
+            lambda: snapshotter.snapshot_bytes(store),
             tmp_path,
             3600.0,
             lock=server.store_lock,
@@ -484,8 +477,7 @@ class TestServerLimits:
         # The last checkpoint restores to a prefix of each writer's run.
         with open(paths[-1], "rb") as fh:
             blob = fh.read()
-        restored = fresh_store()
-        snapshotter.restore(restored.enclave.context(), blob, restored)
+        restored = snapshotter.open(blob, config, num_partitions=1)
         total = 0
         for index in range(2):
             n = 0
@@ -505,17 +497,14 @@ class TestServerLimits:
 # ---------------------------------------------------------------------------
 class TestSnapshotRetention:
     def _daemon(self, tmp_path, keep):
-        from repro.core import ShieldStore, Snapshotter, default_platform_secret
-        from repro.sim import SealingService
-
-        store = ShieldStore(shield_opt(num_buckets=64, num_mac_hashes=32))
-        counters = MonotonicCounterService(
-            os.path.join(tmp_path, "counters.json")
+        store = PartitionedShieldStore(
+            shield_opt(num_buckets=64, num_mac_hashes=32), num_partitions=1
         )
-        sealing = SealingService(default_platform_secret(store.keyring.master))
-        snapshotter = Snapshotter(sealing, counters)
+        snapshotter = PartitionSnapshotter(
+            MonotonicCounterService(os.path.join(tmp_path, "counters.json"))
+        )
         daemon = SnapshotDaemon(
-            lambda: snapshotter.snapshot_bytes(store.enclave.context(), store),
+            lambda: snapshotter.snapshot_bytes(store),
             tmp_path,
             3600.0,
             keep=keep,
@@ -618,7 +607,7 @@ class TestChaosYCSB:
         server = TCPShieldServer(store, service, request_deadline_s=10.0)
         server.start()
         counters = MonotonicCounterService()
-        snapshotter = PartitionSnapshotter.for_store(store, counters)
+        snapshotter = PartitionSnapshotter(counters)
         daemon = SnapshotDaemon(
             lambda: snapshotter.snapshot_bytes(store),
             tmp_path,

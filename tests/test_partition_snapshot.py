@@ -2,9 +2,10 @@
 
 One :class:`~repro.core.persistence.PartitionSnapshotter` blob carries a
 section per partition under a shared monotonic counter, with the
-partition count and routing geometry sealed into the header.  These
-tests cover the roundtrips across execution engines, every rejection
-path (geometry mismatch, rollback, tampered/truncated bytes), the
+partition count and routing geometry sealed into the header, and is
+*opened* into a new store.  These tests cover the roundtrips across
+execution engines, the rejection paths (geometry mismatch, rollback,
+truncated bytes — ``test_durable_sweep.py`` enumerates every byte), the
 SIGKILL-a-worker recovery flow of the multiprocess pool, the checkpoint
 daemon, and the ``repro snapshot`` / ``repro restore`` CLI.
 """
@@ -46,21 +47,27 @@ def _config(partitions=PARTITIONS, **overrides):
     )
 
 
-def _build(mode, partitions=PARTITIONS, config=None):
+def _shape(mode, partitions=PARTITIONS, config=None):
+    """``(config, store arguments)`` of one engine — what a store is
+    built with, fresh or from a blob."""
     config = config or _config(partitions)
     if mode == MODE_PROCESSES:
-        return PartitionedShieldStore(
-            config,
-            master_secret=SECRET,
-            num_partitions=partitions,
-            mode=MODE_PROCESSES,
+        return config, dict(
+            master_secret=SECRET, num_partitions=partitions, mode=MODE_PROCESSES
         )
-    return PartitionedShieldStore(
-        config,
-        machine=Machine(num_threads=partitions),
-        master_secret=SECRET,
-        mode=mode,
+    return config, dict(
+        machine=Machine(num_threads=partitions), master_secret=SECRET, mode=mode
     )
+
+
+def _build(mode, partitions=PARTITIONS, config=None):
+    config, args = _shape(mode, partitions, config)
+    return PartitionedShieldStore(config, **args)
+
+
+def _open(blob, mode, counters=None, **shape):
+    config, args = _shape(mode, **shape)
+    return _snapshotter(counters).open(blob, config, **args)
 
 
 def _populate(store, count=100, prefix="key"):
@@ -69,10 +76,8 @@ def _populate(store, count=100, prefix="key"):
     return keys
 
 
-def _snapshotter(store, counters=None):
-    return PartitionSnapshotter.for_store(
-        store, counters or MonotonicCounterService()
-    )
+def _snapshotter(counters=None):
+    return PartitionSnapshotter(counters or MonotonicCounterService())
 
 
 class TestRoundtrip:
@@ -81,36 +86,24 @@ class TestRoundtrip:
         keys = _populate(store)
         store.delete(keys[3])
         counters = MonotonicCounterService()
-        blob = _snapshotter(store, counters).snapshot_bytes(store)
-        target = _build(MODE_SEQUENTIAL)
-        _snapshotter(target, counters).restore(blob, target)
+        blob = _snapshotter(counters).snapshot_bytes(store)
+        target = _open(blob, MODE_SEQUENTIAL, counters)
         assert sorted(target.iter_items()) == sorted(store.iter_items())
         assert len(target) == len(store)
         assert target.audit() == len(target)
-        # Restored store keeps serving — reads, writes, routing.
+        # The opened store keeps serving — reads, writes, routing.
         target.set(b"after-restore", b"works")
         assert target.get(b"after-restore") == b"works"
         assert target.get(keys[0]) == b"value-" + keys[0]
-
-    def test_restore_replaces_existing_content(self):
-        store = _build(MODE_SEQUENTIAL)
-        _populate(store, 40)
-        counters = MonotonicCounterService()
-        blob = _snapshotter(store, counters).snapshot_bytes(store)
-        target = _build(MODE_SEQUENTIAL)
-        _populate(target, 70, prefix="other")
-        _snapshotter(target, counters).restore(blob, target)
-        assert sorted(target.iter_items()) == sorted(store.iter_items())
 
     @needs_processes
     def test_roundtrip_processes(self):
         counters = MonotonicCounterService()
         with _build(MODE_PROCESSES) as store:
             keys = _populate(store)
-            blob = _snapshotter(store, counters).snapshot_bytes(store)
+            blob = _snapshotter(counters).snapshot_bytes(store)
             expected = sorted(store.iter_items())
-        with _build(MODE_PROCESSES) as target:
-            _snapshotter(target, counters).restore(blob, target)
+        with _open(blob, MODE_PROCESSES, counters) as target:
             assert sorted(target.iter_items()) == expected
             assert target.audit() == len(target) == len(keys)
             target.set(b"after-restore", b"works")
@@ -118,19 +111,17 @@ class TestRoundtrip:
 
     @needs_processes
     def test_cross_mode_restore(self):
-        """A snapshot taken by worker processes restores into in-process
+        """A snapshot taken by worker processes opens into in-process
         partitions and vice versa — same platform, same format."""
         counters = MonotonicCounterService()
         with _build(MODE_PROCESSES) as procs:
             _populate(procs, 60)
-            blob = _snapshotter(procs, counters).snapshot_bytes(procs)
+            blob = _snapshotter(counters).snapshot_bytes(procs)
             expected = sorted(procs.iter_items())
-        inproc = _build(MODE_SEQUENTIAL)
-        _snapshotter(inproc, counters).restore(blob, inproc)
+        inproc = _open(blob, MODE_SEQUENTIAL, counters)
         assert sorted(inproc.iter_items()) == expected
-        blob2 = _snapshotter(inproc, counters).snapshot_bytes(inproc)
-        with _build(MODE_PROCESSES) as target:
-            _snapshotter(target, counters).restore(blob2, target)
+        blob2 = _snapshotter(counters).snapshot_bytes(inproc)
+        with _open(blob2, MODE_PROCESSES, counters) as target:
             assert sorted(target.iter_items()) == expected
             assert target.audit() == len(target)
 
@@ -139,61 +130,55 @@ class TestRejections:
     def _blob(self, counters=None):
         store = _build(MODE_SEQUENTIAL)
         _populate(store, 30)
-        return _snapshotter(store, counters).snapshot_bytes(store)
+        return _snapshotter(counters).snapshot_bytes(store)
 
     def test_partition_count_mismatch_rejected(self):
-        blob = self._blob()
-        target = _build(MODE_SEQUENTIAL, partitions=3)
         with pytest.raises(SnapshotError, match="matching geometry"):
-            _snapshotter(target).restore(blob, target)
+            _open(self._blob(), MODE_SEQUENTIAL, partitions=3)
 
     def test_table_geometry_mismatch_rejected(self):
-        blob = self._blob()
-        target = _build(
-            MODE_SEQUENTIAL, config=_config(num_buckets=256, num_mac_hashes=32)
-        )
         with pytest.raises(SnapshotError, match="does not match the store"):
-            _snapshotter(target).restore(blob, target)
+            _open(
+                self._blob(), MODE_SEQUENTIAL,
+                config=_config(num_buckets=256, num_mac_hashes=32),
+            )
 
     def test_rollback_rejected(self):
         counters = MonotonicCounterService()
         store = _build(MODE_SEQUENTIAL)
         _populate(store, 20)
-        snapshotter = _snapshotter(store, counters)
+        snapshotter = _snapshotter(counters)
         old_blob = snapshotter.snapshot_bytes(store)
         store.set(b"newer", b"data")
         snapshotter.snapshot_bytes(store)  # bumps the shared counter
-        target = _build(MODE_SEQUENTIAL)
         with pytest.raises(RollbackError):
-            _snapshotter(target, counters).restore(old_blob, target)
-
-    def test_plaintext_header_tamper_rejected(self):
-        # The plaintext counter and partition count are convenience
-        # copies; flipping either must trip the sealed-header check.
-        for offset in (8, 16):
-            blob = bytearray(self._blob())
-            blob[offset] ^= 0x01
-            target = _build(MODE_SEQUENTIAL)
-            with pytest.raises(SnapshotError):
-                _snapshotter(target).restore(bytes(blob), target)
+            _open(old_blob, MODE_SEQUENTIAL, counters)
 
     def test_truncations_rejected(self):
         blob = self._blob()
         for cut in (0, 7, 8, 15, 16, 19, 20, 27, len(blob) // 2, len(blob) - 1):
-            target = _build(MODE_SEQUENTIAL)
             with pytest.raises(SnapshotError):
-                _snapshotter(target).restore(blob[:cut], target)
+                _open(blob[:cut], MODE_SEQUENTIAL)
 
     def test_trailing_bytes_rejected(self):
-        blob = self._blob()
-        target = _build(MODE_SEQUENTIAL)
         with pytest.raises(SnapshotError, match="trailing"):
-            _snapshotter(target).restore(blob + b"\x00", target)
+            _open(self._blob() + b"\x00", MODE_SEQUENTIAL)
 
     def test_wrong_magic_rejected(self):
-        target = _build(MODE_SEQUENTIAL)
         with pytest.raises(SnapshotError):
-            _snapshotter(target).restore(b"NOTPSNAP" + bytes(32), target)
+            _open(b"NOTPSNAP" + bytes(32), MODE_SEQUENTIAL)
+
+    @needs_processes
+    def test_refused_section_leaves_no_worker_behind(self):
+        """Partition 1's last record is damaged: its worker says so in
+        the start-up handshake, the pool raises that error (not "worker
+        died") and takes partition 0's healthy worker down with it."""
+        import multiprocessing
+
+        blob = self._blob()
+        with pytest.raises(SnapshotError, match="partition 1: .*failed verification"):
+            _open(blob[:-5] + bytes(5), MODE_PROCESSES)
+        assert multiprocessing.active_children() == []
 
 
 @needs_processes
@@ -203,8 +188,7 @@ class TestCrashRecovery:
         workload; the pool respawns it, restores the latest snapshot,
         keeps serving, and accounts for the lost window."""
         with _build(MODE_PROCESSES) as store:
-            counters = MonotonicCounterService()
-            snapshotter = _snapshotter(store, counters)
+            snapshotter = _snapshotter()
             keys = _populate(store, 120)
             snapshotter.snapshot_bytes(store)
             # Mutations after the checkpoint are the at-risk window.
@@ -232,22 +216,20 @@ class TestCrashRecovery:
             snapshotter.snapshot_bytes(store)
             assert store.partition_state == "ok"
 
-    def test_snapshot_restore_resets_degraded_state(self):
-        """restore_all brings a degraded pool (worker died with no
-        checkpoint) back to a fully known state."""
+    def test_worker_of_an_opened_pool_respawns_on_its_section(self):
+        """The sections a pool is born from are its first recovery
+        checkpoint: a worker killed before any new snapshot comes back
+        with what the blob held, through the spawn path of start-up."""
         counters = MonotonicCounterService()
         with _build(MODE_PROCESSES) as source:
-            _populate(source, 50)
-            blob = _snapshotter(source, counters).snapshot_bytes(source)
+            keys = _populate(source, 50)
+            blob = _snapshotter(counters).snapshot_bytes(source)
             expected = sorted(source.iter_items())
-        with _build(MODE_PROCESSES) as store:
-            _populate(store, 10, prefix="doomed")
+        with _open(blob, MODE_PROCESSES, counters) as store:
             os.kill(store._pool.workers[0].process.pid, signal.SIGKILL)
-            with pytest.raises(WorkerError, match="no snapshot"):
-                store.multi_get([f"doomed-{i:04d}".encode() for i in range(10)])
-            assert store.partition_state == "degraded"
-            _snapshotter(store, counters).restore(blob, store)
-            assert store.partition_state == "ok"
+            with pytest.raises(WorkerError, match="restored from snapshot counter 1"):
+                store.multi_get(keys)
+            assert store.partition_state == "recovered"
             assert sorted(store.iter_items()) == expected
             assert store.audit() == len(store)
 
@@ -256,7 +238,7 @@ class TestSnapshotDaemon:
     def test_periodic_checkpoints_and_latest(self, tmp_path):
         store = _build(MODE_SEQUENTIAL)
         counters = MonotonicCounterService()
-        snapshotter = _snapshotter(store, counters)
+        snapshotter = _snapshotter(counters)
         _populate(store, 30)
         daemon = SnapshotDaemon(
             lambda: snapshotter.snapshot_bytes(store), tmp_path, 3600.0
@@ -269,8 +251,7 @@ class TestSnapshotDaemon:
         assert first != second
         with open(second, "rb") as fh:
             blob = fh.read()
-        target = _build(MODE_SEQUENTIAL)
-        _snapshotter(target, counters).restore(blob, target)
+        target = _open(blob, MODE_SEQUENTIAL, counters)
         assert target.get(b"between-checkpoints") == b"v"
         assert len(target) == len(store)
 

@@ -6,10 +6,11 @@ from repro.core import (
     MODE_NAIVE,
     MODE_NONE,
     MODE_OPTIMIZED,
+    PartitionedShieldStore,
+    PartitionSnapshotter,
     ShieldStore,
     SnapshotPolicy,
     SnapshotScheduler,
-    Snapshotter,
     shield_opt,
 )
 from repro.errors import (
@@ -19,26 +20,35 @@ from repro.errors import (
     SealingError,
     SnapshotError,
 )
-from repro.sim import MonotonicCounterService, SealingService
+from repro.sim import MonotonicCounterService
+
+PLATFORM = b"platform-secret-1"
 
 
 @pytest.fixture
-def sealing():
-    return SealingService(b"platform-secret-1")
+def snapshotter():
+    return PartitionSnapshotter(MonotonicCounterService())
 
 
-@pytest.fixture
-def counters():
-    return MonotonicCounterService()
-
-
-@pytest.fixture
-def snapshotter(sealing, counters):
-    return Snapshotter(sealing, counters)
+def _config(**overrides):
+    return shield_opt(num_buckets=32, num_mac_hashes=16, **overrides)
 
 
 def fresh_store(**overrides):
-    return ShieldStore(shield_opt(num_buckets=32, num_mac_hashes=16, **overrides))
+    return ShieldStore(_config(**overrides))
+
+
+def served_store():
+    """One partition behind the router — the shape every snapshot has."""
+    return PartitionedShieldStore(
+        _config(), num_partitions=1, platform_secret=PLATFORM
+    )
+
+
+def reopen(snapshotter, blob, platform=PLATFORM):
+    return snapshotter.open(
+        blob, _config(), num_partitions=1, platform_secret=platform
+    )
 
 
 def populate(store, count=60):
@@ -48,85 +58,65 @@ def populate(store, count=60):
 
 class TestFunctionalSnapshots:
     def test_roundtrip(self, snapshotter):
-        store = fresh_store()
+        store = served_store()
         populate(store)
-        blob = snapshotter.snapshot_bytes(store.enclave.context(), store)
-        restored = fresh_store()
-        snapshotter.restore(restored.enclave.context(), blob, restored)
+        restored = reopen(snapshotter, snapshotter.snapshot_bytes(store))
         assert len(restored) == len(store)
         for i in range(60):
             key = f"key-{i}".encode()
             assert restored.get(key) == store.get(key)
 
     def test_restored_store_is_writable(self, snapshotter):
-        store = fresh_store()
+        store = served_store()
         populate(store, 20)
-        blob = snapshotter.snapshot_bytes(store.enclave.context(), store)
-        restored = fresh_store()
-        snapshotter.restore(restored.enclave.context(), blob, restored)
+        restored = reopen(snapshotter, snapshotter.snapshot_bytes(store))
         restored.set(b"new-key", b"new-value")
         restored.delete(b"key-3")
         assert restored.get(b"new-key") == b"new-value"
         assert not restored.contains(b"key-3")
 
     def test_snapshot_keeps_values_encrypted(self, snapshotter):
-        store = fresh_store()
+        store = served_store()
         store.set(b"secret-key-material", b"super-secret-value")
-        blob = snapshotter.snapshot_bytes(store.enclave.context(), store)
+        blob = snapshotter.snapshot_bytes(store)
         assert b"secret-key-material" not in blob
         assert b"super-secret-value" not in blob
 
-    def test_restore_requires_empty_store(self, snapshotter):
-        store = fresh_store()
-        populate(store, 5)
-        blob = snapshotter.snapshot_bytes(store.enclave.context(), store)
-        non_empty = fresh_store()
-        non_empty.set(b"x", b"y")
-        with pytest.raises(SnapshotError):
-            snapshotter.restore(non_empty.enclave.context(), blob, non_empty)
-
     def test_bad_magic_rejected(self, snapshotter):
-        store = fresh_store()
         with pytest.raises(SnapshotError):
-            snapshotter.restore(store.enclave.context(), b"NOTASNAP" + bytes(64), store)
+            reopen(snapshotter, b"NOTASNAP" + bytes(64))
 
     def test_rollback_detected(self, snapshotter):
-        store = fresh_store()
+        store = served_store()
         populate(store, 10)
-        ctx = store.enclave.context()
-        old_blob = snapshotter.snapshot_bytes(ctx, store)
+        old_blob = snapshotter.snapshot_bytes(store)
         store.set(b"newer", b"data")
-        snapshotter.snapshot_bytes(ctx, store)  # bumps the counter
-        target = fresh_store()
+        snapshotter.snapshot_bytes(store)  # bumps the counter
         with pytest.raises(RollbackError):
-            snapshotter.restore(target.enclave.context(), old_blob, target)
+            reopen(snapshotter, old_blob)
 
-    def test_sealed_metadata_bound_to_enclave(self, sealing, counters, snapshotter):
-        store = fresh_store()
+    def test_sealed_metadata_bound_to_enclave(self, snapshotter):
+        store = served_store()
         populate(store, 5)
-        blob = snapshotter.snapshot_bytes(store.enclave.context(), store)
+        blob = snapshotter.snapshot_bytes(store)
         # A different platform cannot unseal the metadata.
-        other = Snapshotter(SealingService(b"other-platform!!!"), counters)
-        target = fresh_store()
         with pytest.raises(SealingError):
-            other.restore(target.enclave.context(), blob, target)
+            reopen(snapshotter, blob, platform=b"other-platform!!!")
 
     def test_tampered_entry_mac_detected_at_restore(self, snapshotter):
-        store = fresh_store()
+        store = served_store()
         populate(store, 20)
-        blob = bytearray(snapshotter.snapshot_bytes(store.enclave.context(), store))
+        blob = bytearray(snapshotter.snapshot_bytes(store))
         blob[-3] ^= 0x10  # inside the last record's MAC
-        target = fresh_store()
         with pytest.raises((ReplayError, IntegrityError, SnapshotError)):
-            snapshotter.restore(target.enclave.context(), bytes(blob), target)
+            reopen(snapshotter, bytes(blob))
 
     def test_tampered_ciphertext_detected_at_get(self, snapshotter):
-        store = fresh_store()
+        store = served_store()
         populate(store, 20)
-        blob = bytearray(snapshotter.snapshot_bytes(store.enclave.context(), store))
+        blob = bytearray(snapshotter.snapshot_bytes(store))
         blob[-25] ^= 0x10  # inside the last record's ciphertext
-        target = fresh_store()
-        snapshotter.restore(target.enclave.context(), bytes(blob), target)
+        target = reopen(snapshotter, bytes(blob))
         detected = 0
         for i in range(20):
             try:
@@ -239,38 +229,33 @@ class TestMalformedSnapshots:
     """Untrusted snapshot bytes must fail cleanly (never struct.error)."""
 
     def _blob(self, snapshotter):
-        store = fresh_store()
+        store = served_store()
         populate(store, 12)
-        return snapshotter.snapshot_bytes(store.enclave.context(), store)
+        return snapshotter.snapshot_bytes(store)
 
     def test_every_truncation_raises_snapshot_error(self, snapshotter):
         blob = self._blob(snapshotter)
         for cut in range(0, len(blob), 13):
-            target = fresh_store()
             with pytest.raises(SnapshotError):
-                snapshotter.restore(target.enclave.context(), blob[:cut], target)
+                reopen(snapshotter, blob[:cut])
 
     def test_truncation_at_every_framing_boundary(self, snapshotter):
         blob = self._blob(snapshotter)
-        # magic | counter | sealed_len | (sealed) | count | first record
-        for cut in (0, 4, 8, 12, 16, 19, len(blob) - 1):
-            target = fresh_store()
+        # magic | counter | partitions | sealed_len | (sealed header)
+        #       | section_len | sealed_len | (sealed) | count | first record
+        for cut in (0, 4, 8, 12, 16, 19, 20, 23, len(blob) - 1):
             with pytest.raises(SnapshotError):
-                snapshotter.restore(target.enclave.context(), blob[:cut], target)
+                reopen(snapshotter, blob[:cut])
 
     def test_trailing_garbage_rejected(self, snapshotter):
         blob = self._blob(snapshotter)
         for extra in (b"\x00", b"junk-after-the-last-record"):
-            target = fresh_store()
             with pytest.raises(SnapshotError, match="trailing"):
-                snapshotter.restore(
-                    target.enclave.context(), blob + extra, target
-                )
+                reopen(snapshotter, blob + extra)
 
     def test_oversized_length_field_rejected(self, snapshotter):
         blob = bytearray(self._blob(snapshotter))
-        # Claim a sealed blob far larger than the file.
-        blob[16:20] = (2**31).to_bytes(4, "little")
-        target = fresh_store()
+        # Claim a sealed header far larger than the file.
+        blob[20:24] = (2**31).to_bytes(4, "little")
         with pytest.raises(SnapshotError):
-            snapshotter.restore(target.enclave.context(), bytes(blob), target)
+            reopen(snapshotter, bytes(blob))

@@ -256,46 +256,40 @@ class TestOneCopyOfEachMechanism:
         assert "_pool is not None" not in text
         assert "ThreadPoolExecutor" not in text
 
-    def test_lifecycle_call_sites(self):
-        """build -> recover -> checkpoint -> restore is written once."""
-        def sites(pattern, skip=()):
-            hits = []
-            for path in (_ROOT / "src" / "repro").rglob("*.py"):
-                if path.name in skip:
-                    continue
-                code = "\n".join(
-                    line.split("#")[0] for line in path.read_text().splitlines()
-                )
-                hits += [path.name] * len(re.findall(pattern, code))
-            return sorted(hits)
+    @staticmethod
+    def _sites(pattern, skip=()):
+        """File name per match of ``pattern`` in ``src/repro`` code
+        (comments dropped, docstrings not)."""
+        hits = []
+        for path in (_ROOT / "src" / "repro").rglob("*.py"):
+            if path.name in skip:
+                continue
+            code = "\n".join(
+                line.split("#")[0] for line in path.read_text().splitlines()
+            )
+            hits += [path.name] * len(re.findall(pattern, code))
+        return sorted(hits)
 
-        assert sites(r"WriteAheadLog\.recover\(") == ["host.py"]
+    def test_lifecycle_call_sites(self):
+        """build (which is recovery) -> checkpoint is written once, in
+        the host's constructor, and nothing restores into a live store."""
+        sites = self._sites
+        for call in (r"WriteAheadLog\.recover\(", r"(?<!def )\bread_section\("):
+            assert sites(call) == ["host.py"], call
+        assert sites(r"(?<!def )\bwrite_section\(") == ["host.py"]
         assert sites(r"\.rotate\(", skip=("wal.py",)) == ["host.py"]
-        for call in (r"(?<!def )\bwrite_section\(", r"(?<!def )\bread_section\("):
-            assert sites(call) == ["host.py", "persistence.py"], call
         # The host is built by the two engines and by nothing else.
         assert sites(r"(?<!class )\bPartitionHost\(") == ["partition.py", "procpool.py"]
+        gone = r"OP_RESTORE|restore_all|def (stage|adopt)\b|_rekey|SSSNAP1|class Snapshotter"
+        assert sites(gone) == []
 
     def test_the_cli_serves_one_store_shape(self):
-        """``repro serve`` builds the partitioned store whatever the
-        worker count; the bare-store blob format is nobody's but
-        ``Snapshotter``'s (and ``snapshot_counter``, which names files)."""
-        import ast
-
+        """``repro serve`` and ``repro restore`` turn durable state into
+        a store through one call, whatever the worker count."""
         cli = (_ROOT / "src" / "repro" / "cli.py").read_text()
-        assert "Snapshotter(" not in cli and "PartitionHost" not in cli
-        persistence = _ROOT / "src" / "repro" / "core" / "persistence.py"
-        holders = set()
-        for top in ast.parse(persistence.read_text()).body:
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name) and node.id == "_MAGIC":
-                    holders.add(getattr(top, "name", "module level"))
-        assert holders == {"module level", "snapshot_counter", "Snapshotter"}
-        others = [
-            path.name for path in (_ROOT / "src" / "repro").rglob("*.py")
-            if path != persistence and "SSSNAP1" in path.read_text()
-        ]
-        assert others == []
+        assert len(re.findall(r"\bopen_store\(", cli)) == 1
+        for other_way in ("PartitionHost", ".open(", "load_latest", "read_blob"):
+            assert other_way not in cli, other_way
 
     def test_fault_hits_are_unwrapped_in_one_place(self):
         """Sites that carry bytes call ``faults.cross``; only it looks

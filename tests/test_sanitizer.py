@@ -239,25 +239,17 @@ class TestStoreRegression:
         journal_dir = str(tmp_path / "journals")
         sanitizer.enable(journal_dir)
         counters = MonotonicCounterService()
-        store = PartitionedShieldStore(
-            shield_opt(num_buckets=64, num_mac_hashes=16),
-            num_partitions=2,
-            master_secret=MASTER,
-        )
-        snapshotter = PartitionSnapshotter.for_store(store, counters)
+        config = shield_opt(num_buckets=64, num_mac_hashes=16)
+        shape = dict(num_partitions=2, master_secret=MASTER)
+        store = PartitionedShieldStore(config, **shape)
+        snapshotter = PartitionSnapshotter(counters)
         for i in range(12):
             store.set(b"key-%d" % i, b"value-%d" % i)
         blob = snapshotter.snapshot_bytes(store)
         store.close()
-        # Restore into a fresh incarnation of the same master secret:
+        # Open a fresh incarnation of the same master secret:
         # re-encrypted entries and the next snapshot must use fresh IVs.
-        fresh = PartitionedShieldStore(
-            shield_opt(num_buckets=64, num_mac_hashes=16),
-            num_partitions=2,
-            master_secret=MASTER,
-        )
-        snapshotter = PartitionSnapshotter.for_store(fresh, counters)
-        snapshotter.restore(blob, fresh)
+        fresh = snapshotter.open(blob, config, **shape)
         for i in range(12):
             assert fresh.get(b"key-%d" % i) == b"value-%d" % i
         fresh.set(b"key-0", b"rewritten after restore")

@@ -1,11 +1,13 @@
 """``repro serve`` end to end: start, serve, stop on a signal, restart.
 
 The served process is a real subprocess, its port and measurement read
-off stdout.  Two promises are pinned here and nowhere else: a clean
+off stdout.  Three promises are pinned here and nowhere else: a clean
 stop (Ctrl-C or SIGTERM) loses no acknowledged write — the front end
-drains *before* the final checkpoint is cut — and every shape the
-command builds (one partition, worker processes, a replicated node)
-comes back from ``--snapshot-dir`` + ``--wal-dir`` with what it held.
+drains *before* the final checkpoint is cut — every shape the command
+builds (one partition, worker processes, a replicated node) comes back
+from ``--snapshot-dir`` + ``--wal-dir`` with what it held, and a
+start-up either recovers everything acknowledged or says ``restore
+rejected`` and serves nothing.
 """
 
 import json
@@ -24,15 +26,12 @@ from repro.cli import main
 from repro.core import (
     PartitionedShieldStore,
     PartitionSnapshotter,
-    ShieldStore,
-    Snapshotter,
-    default_platform_secret,
     process_mode_supported,
     shield_opt,
 )
 from repro.errors import StoreError
 from repro.net import TCPShieldClient
-from repro.sim import AttestationService, MonotonicCounterService, SealingService
+from repro.sim import AttestationService, MonotonicCounterService
 
 _REPO = Path(__file__).resolve().parents[1]
 _SERVICE = AttestationService(b"dev-attestation-secret")  # the CLI default
@@ -210,6 +209,49 @@ class TestEveryShapeRestarts:
             third.stop(sig)
 
 
+class TestCrashInsideACheckpoint:
+    """``snapshot_bytes`` bumps the platform counter and rotates the logs
+    before the file exists.  A process that dies in between restarts
+    from the older checkpoint (or none) plus the authenticated chain
+    across the truncation record — every acknowledged write, not
+    ``RollbackError`` on every start from then on."""
+
+    @pytest.mark.parametrize("durable_before", [0, 1], ids=["first", "later"])
+    def test_killed_between_counter_bump_and_rename(self, tmp_path, durable_before):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"rules": [
+            {"point": "snapshot.write", "kind": "crash", "hits": [durable_before]},
+        ]}))
+        snaps = tmp_path / "snaps"
+        args = ("--snapshot-dir", snaps, "--wal-dir", tmp_path / "wal")
+        served = Served(*args, "--snapshot-interval", "0.5", "--fault-plan", plan)
+        client = served.client()
+        acked = {}
+        # The half-written temp file is the crash site's last act: the
+        # counter is bumped and every log rotated once it exists.
+        torn = snaps / f"snapshot-{durable_before + 1:012d}.bin.tmp"
+        deadline = time.monotonic() + 30.0
+        while not torn.exists() or len(acked) % 8:
+            assert time.monotonic() < deadline
+            key = b"k%04d" % len(acked)
+            client.set(key, key[::-1])
+            acked[key] = key[::-1]
+        client.close()
+        served.proc.kill()
+        served.proc.communicate()
+        assert json.loads((snaps / "counters.json").read_text()) == {
+            "shieldstore-partitions": durable_before + 1
+        }
+
+        restarted = Served(*args)
+        try:
+            assert ("restored" in restarted.banner) == bool(durable_before)
+            assert re.search(r"replayed [1-9]\d* operation\(s\)", restarted.banner)
+            _holds(restarted, acked)
+        finally:
+            restarted.stop(signal.SIGTERM)
+
+
 class TestStartUpErrorsSayWhatTheyAre:
     @pytest.fixture(autouse=True)
     def no_listening_socket(self, monkeypatch):
@@ -221,25 +263,75 @@ class TestStartUpErrorsSayWhatTheyAre:
         monkeypatch.setattr("repro.net.TCPShieldServer", opened)
 
     def test_rejected_blob_is_a_message_not_a_traceback(self, tmp_path, capsys):
-        """A ``snapshot-*.bin`` in the bare-store format (what ``--workers
-        1`` wrote before every shape shared one) is refused by name."""
-        store = ShieldStore(shield_opt(num_buckets=8192, num_mac_hashes=4096))
-        store.set(b"k", b"v")
-        blob = Snapshotter(
-            SealingService(default_platform_secret(store.keyring.master)),
-            MonotonicCounterService(),
-        ).snapshot_bytes(store.enclave.context(), store)
-        (tmp_path / "snapshot-000000000001.bin").write_bytes(blob)
+        """A ``snapshot-*.bin`` that is not one (the bare-store format
+        ``--workers 1`` wrote up to ``e0dfd44``, say) is refused by name."""
+        (tmp_path / "snapshot-000000000001.bin").write_bytes(
+            b"SSSNAP1\0" + bytes(64)
+        )
         assert main(["serve", "--snapshot-dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("restore rejected: ") and "wrong magic" in err
+
+    def test_unsealable_header_is_refused_the_same_way(self, tmp_path, capsys):
+        """One flipped byte of the sealed header: ``SealingError``, which
+        both commands report like any other refusal."""
+        blob_path = tmp_path / "one.snap"
+        assert main(["snapshot", "--out", str(blob_path), "--pairs", "10",
+                     "--partitions", "1"]) == 0
+        honest = blob_path.read_bytes()
+
+        def flipped(offset):
+            return honest[:offset] + bytes([honest[offset] ^ 0x01]) + honest[offset + 1 :]
+
+        blob_path.write_bytes(flipped(40))
+        capsys.readouterr()
+        restore = ["restore", "--snapshot", str(blob_path), "--partitions", "1"]
+        assert main(restore) == 1
+        assert capsys.readouterr().out.startswith("restore rejected: ")
+        # ...and one of an entry's ciphertext, which only the audit reads.
+        blob_path.write_bytes(flipped(len(honest) - 25))
+        assert main(restore) == 1
+        assert "integrity audit" in capsys.readouterr().out
+        snaps = tmp_path / "snaps"
+        snaps.mkdir()
+        (snaps / "snapshot-000000000001.bin").write_bytes(flipped(40))
+        assert main(["serve", "--snapshot-dir", str(snaps)]) == 1
+        assert capsys.readouterr().err.startswith("restore rejected: ")
+
+    @pytest.mark.parametrize("log_kept", [True, False], ids=["log-kept", "log-gone"])
+    def test_rollback_to_empty_is_refused(self, tmp_path, capsys, log_kept):
+        """Twenty acknowledged sets, a clean stop, then the host deletes
+        the one checkpoint (and the log): the platform counter still
+        reads 1, so coming up empty is a rollback — exit 1, nothing
+        served, no ``snapshot-2`` laundering the empty store."""
+        snaps, wal = tmp_path / "snaps", tmp_path / "wal"
+        args = ("--snapshot-dir", snaps, "--wal-dir", wal)
+        first = Served(*args)
+        client = first.client()
+        client.multi_set({b"k%d" % i: b"v%d" % i for i in range(20)})
+        client.close()
+        status, out = first.stop(signal.SIGTERM)
+        checkpoint = re.search(r"final checkpoint: (\S+)", out).group(1)
+        assert status == 0 and checkpoint.endswith("snapshot-000000000001.bin")
+        os.remove(checkpoint)
+        if not log_kept:
+            for segment in wal.iterdir():
+                segment.unlink()
+        assert main(["serve", *map(str, args)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("restore rejected: no checkpoint: ")
+        assert ("orphaned" if log_kept else "rollback") in err
+        assert sorted(os.listdir(snaps)) == ["counters.json"]
+        assert json.loads((snaps / "counters.json").read_text()) == {
+            "shieldstore-partitions": 1
+        }
 
     def test_rolled_back_checkpoint_is_refused_the_same_way(self, tmp_path, capsys):
         store = PartitionedShieldStore(  # the CLI's geometry and seeded secret
             shield_opt(num_buckets=8192, num_mac_hashes=4096), num_partitions=1
         )
-        snapshotter = PartitionSnapshotter.for_store(
-            store, MonotonicCounterService(str(tmp_path / "counters.json"))
+        snapshotter = PartitionSnapshotter(
+            MonotonicCounterService(str(tmp_path / "counters.json"))
         )
         stale = snapshotter.snapshot_bytes(store)
         snapshotter.snapshot_bytes(store)  # the platform counter moves on

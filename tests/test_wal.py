@@ -23,12 +23,13 @@ from repro.core import (
     WriteAheadLog,
     apply_request,
     fsync_directory,
+    open_store,
     shield_opt,
     snapshot_counter,
 )
 from repro.core.procpool import process_mode_supported
 from repro.core.wal import segment_path
-from repro.errors import SnapshotError
+from repro.errors import RollbackError, SnapshotError
 from repro.net import TCPShieldClient, TCPShieldServer
 from repro.sim import (
     AttestationService,
@@ -95,6 +96,40 @@ def run_mixed_workload(store):
 
 def contents(store):
     return dict(store.iter_items())
+
+
+SERVED = dict(master_secret=MASTER, mode="sequential", num_partitions=2)
+
+
+def served_store(wal_dir):
+    return PartitionedShieldStore(
+        small_config(), wal_dir=wal_dir and str(wal_dir), wal_sync_ms=0.0, **SERVED
+    )
+
+
+def serve_daemon(store, snap_dir, wal_dir, retire=True):
+    """``repro serve``'s checkpoint wiring: a persisted platform counter
+    beside the checkpoints, segments retired once a checkpoint is durable."""
+    snapshotter = PartitionSnapshotter(
+        MonotonicCounterService(str(snap_dir / "counters.json"))
+    )
+    return SnapshotDaemon(
+        lambda: snapshotter.snapshot_bytes(store),
+        snap_dir,
+        3600.0,
+        on_checkpoint=(lambda c: WriteAheadLog.retire(str(wal_dir), c)) if retire else None,
+    )
+
+
+def restart(snap_dir, wal_dir):
+    """What the next process does on the same two directories."""
+    snapshotter = PartitionSnapshotter(
+        MonotonicCounterService(str(snap_dir / "counters.json"))
+    )
+    return open_store(
+        snapshotter, snap_dir, small_config(),
+        wal_dir=wal_dir and str(wal_dir), wal_sync_ms=0.0, **SERVED,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +344,107 @@ class TestRotationChain:
         assert replica.wal.counter == 7
 
 
+    def test_orphaned_chain_is_refused(self, tmp_path):
+        # A retired link with a later segment present: whoever opens
+        # there was handed an older checkpoint than the log belongs to.
+        store = build_store()
+        recover_into(tmp_path, store)
+        store.set(b"a", b"1")
+        store.wal.rotate(3)
+        store.wal.close()
+        WriteAheadLog.retire(str(tmp_path), 3)
+        with pytest.raises(SnapshotError, match="orphaned"):
+            recover_into(tmp_path, build_store())
+        with pytest.raises(SnapshotError, match="orphaned"):
+            recover_into(tmp_path, build_store(), counter=2)
+        assert recover_into(tmp_path, build_store(), counter=3).counter == 3
+        assert recover_into(tmp_path, build_store(), counter=4).counter == 4
+
+
+# ---------------------------------------------------------------------------
+# start-up freshness: platform counter vs checkpoint + log chain
+# ---------------------------------------------------------------------------
+class TestStartUpFreshness:
+    """One rule: start-up is fresh iff the counter its recovery reaches
+    in every partition is not behind the (persisted) platform counter."""
+
+    WRITES = {b"key-%02d" % i: b"value-%02d" % i for i in range(20)}
+
+    def _crash_in_checkpoint(self, daemon):
+        """The counter is bumped and the logs rotated; the process dies
+        before the blob is renamed into place."""
+        faults.install(FaultPlan(
+            [FaultRule(point="snapshot.write", kind="crash", hits=[0])], seed=1
+        ))
+        with pytest.raises(OSError, match="injected crash"):
+            daemon.run_once()
+        faults.uninstall()
+
+    @pytest.mark.parametrize("durable_before", [0, 1], ids=["first", "later"])
+    def test_crash_between_counter_bump_and_rename(self, tmp_path, durable_before):
+        snaps, wal = tmp_path / "snaps", tmp_path / "wal"
+        store = served_store(wal)
+        daemon = serve_daemon(store, snaps, wal)
+        for n, (key, value) in enumerate(sorted(self.WRITES.items())):
+            if n == 10 and durable_before:
+                daemon.run_once()
+            store.set(key, value)
+        self._crash_in_checkpoint(daemon)
+        store.set(b"after-the-rotation", b"kept")  # acknowledged before it died
+
+        restarted, path, replayed = restart(snaps, wal)
+        assert restarted.reached_counter == durable_before + 1
+        assert (path is None) == (not durable_before)
+        assert replayed == (11 if durable_before else 21)
+        assert contents(restarted) == {**self.WRITES, b"after-the-rotation": b"kept"}
+        # ...and the node checkpoints on from there.
+        serve_daemon(restarted, snaps, wal).run_once()
+        restarted.close()
+        assert restart(snaps, wal)[0].reached_counter == durable_before + 2
+
+    @pytest.mark.parametrize("log_kept", [True, False], ids=["log-kept", "log-gone"])
+    def test_rollback_to_empty_is_refused(self, tmp_path, log_kept):
+        snaps, wal = tmp_path / "snaps", tmp_path / "wal"
+        store = served_store(wal)
+        store.multi_set(self.WRITES)
+        os.remove(serve_daemon(store, snaps, wal).run_once())
+        store.close()
+        if not log_kept:
+            for name in os.listdir(wal):
+                os.remove(wal / name)
+        # No checkpoint, platform counter 1: an empty store is a rollback.
+        with pytest.raises(SnapshotError if log_kept else RollbackError) as refusal:
+            restart(snaps, wal)
+        assert "no checkpoint: " in str(refusal.value)
+        assert sorted(os.listdir(snaps)) == ["counters.json"]
+
+    @pytest.mark.parametrize("rolled_back", [(0, 1), (1,)], ids=["both", "one"])
+    def test_chain_that_stops_short_is_refused(self, tmp_path, rolled_back):
+        """The host rolls partitions back to just before checkpoint 2:
+        checkpoint 1 and their logs authenticate, but nothing leads to
+        2 — in every partition, or (what a worker dying inside
+        ``snapshot_all`` also leaves) in one of them."""
+        snaps, wal = tmp_path / "snaps", tmp_path / "wal"
+        store = served_store(wal)
+        daemon = serve_daemon(store, snaps, wal, retire=False)
+        daemon.run_once()
+        store.multi_set(self.WRITES)
+        before = {}
+        for partition in rolled_back:
+            with open(segment_path(str(wal), partition, 1), "rb") as fh:
+                before[partition] = fh.read()
+        os.remove(daemon.run_once())
+        store.close()
+        for partition, data in before.items():
+            os.remove(segment_path(str(wal), partition, 2))
+            with open(segment_path(str(wal), partition, 1), "wb") as fh:
+                fh.write(data)
+        with pytest.raises(
+            RollbackError, match="counter 1 is older than platform counter 2"
+        ):
+            restart(snaps, wal)
+
+
 # ---------------------------------------------------------------------------
 # shieldfault injection points
 # ---------------------------------------------------------------------------
@@ -363,15 +499,19 @@ class TestWalFaultPoints:
 # ---------------------------------------------------------------------------
 @needs_processes
 class TestCrashMatrix:
-    def _pool_store(self, tmp_path, **kw):
-        return PartitionedShieldStore(
-            shield_opt(num_buckets=256, num_mac_hashes=64),
+    _CONFIG = shield_opt(num_buckets=256, num_mac_hashes=64)
+
+    def _shape(self, tmp_path, **kw):
+        return dict(
             num_partitions=2,
             mode="processes",
             master_secret=MASTER,
             wal_dir=str(tmp_path / "wal"),
             **kw,
         )
+
+    def _pool_store(self, tmp_path, **kw):
+        return PartitionedShieldStore(self._CONFIG, **self._shape(tmp_path, **kw))
 
     def test_sigkill_between_append_and_fsync(self, tmp_path):
         # A huge commit window guarantees the kill lands before any
@@ -401,9 +541,7 @@ class TestCrashMatrix:
         # Kill right after a checkpoint rotated the logs: recovery must
         # replay the *new* segment on top of the restored section.
         store = self._pool_store(tmp_path)
-        snapshotter = PartitionSnapshotter.for_store(
-            store, MonotonicCounterService()
-        )
+        snapshotter = PartitionSnapshotter(MonotonicCounterService())
         store.set(b"pre", b"1")
         blob = snapshotter.snapshot_bytes(store)
         store.set(b"post", b"2")  # lives only in the rotated tail
@@ -420,12 +558,8 @@ class TestCrashMatrix:
         assert store._pool.ops_lost == 0
         store.close()
 
-        # Cold restart: snapshot restore + verified tail replay.
-        fresh = self._pool_store(tmp_path)
-        snapshotter = PartitionSnapshotter.for_store(
-            fresh, MonotonicCounterService()
-        )
-        snapshotter.restore(blob, fresh)
+        # Cold restart: born from the snapshot + verified tail replay.
+        fresh = snapshotter.open(blob, self._CONFIG, **self._shape(tmp_path))
         assert fresh.get(b"pre") == b"1"
         assert fresh.get(b"post") == b"2"
         assert fresh.stats().wal_replayed >= 1
@@ -498,17 +632,11 @@ class TestSnapshotDaemonDurability:
         assert isinstance(daemon.last_error, OSError)
 
     def test_on_checkpoint_fires_after_durable_write(self, tmp_path):
-        store = build_store()
-        from repro.core import Snapshotter, default_platform_secret
-        from repro.sim import SealingService
-
-        single = Snapshotter(
-            SealingService(default_platform_secret(MASTER)),
-            MonotonicCounterService(),
-        )
+        store = served_store(None)
+        snapshotter = PartitionSnapshotter(MonotonicCounterService())
         seen = []
         daemon = SnapshotDaemon(
-            lambda: single.snapshot_bytes(store.enclave.context(), store),
+            lambda: snapshotter.snapshot_bytes(store),
             tmp_path,
             3600.0,
             on_checkpoint=seen.append,
@@ -520,38 +648,18 @@ class TestSnapshotDaemonDurability:
     def test_on_checkpoint_retires_wal_segments(self, tmp_path):
         # The serve wiring: checkpoint durable -> retire older segments.
         wal_dir = tmp_path / "wal"
-        snap_dir = tmp_path / "snaps"
-        store = build_store()
-        recover_into(wal_dir, store)
-        single_counters = MonotonicCounterService()
-        from repro.core import Snapshotter, default_platform_secret
-        from repro.sim import SealingService
-
-        single = Snapshotter(
-            SealingService(default_platform_secret(MASTER)), single_counters
-        )
-
-        def take_snapshot():
-            blob = single.snapshot_bytes(store.enclave.context(), store)
-            store.wal.rotate(snapshot_counter(blob))
-            return blob
-
-        daemon = SnapshotDaemon(
-            take_snapshot,
-            snap_dir,
-            3600.0,
-            on_checkpoint=lambda c: WriteAheadLog.retire(str(wal_dir), c),
-        )
+        store = served_store(wal_dir)
+        daemon = serve_daemon(store, tmp_path / "snaps", wal_dir)
         store.set(b"a", b"1")
         daemon.run_once()
         store.set(b"b", b"2")
         daemon.run_once()
-        segments = sorted(os.listdir(wal_dir))
         # Only the newest checkpoint's segment chain survives.
-        assert segments == [
-            os.path.basename(segment_path(str(wal_dir), 0, store.wal.counter))
+        assert sorted(os.listdir(wal_dir)) == [
+            os.path.basename(segment_path(str(wal_dir), index, partition.wal.counter))
+            for index, partition in enumerate(store.partitions)
         ]
-        store.wal.close()
+        store.close()
 
     def test_fsync_directory_tolerates_missing_path(self, tmp_path):
         fsync_directory(str(tmp_path))  # real directory: must not raise
@@ -601,8 +709,7 @@ class TestChaosWALAcceptance:
         )
         server = TCPShieldServer(store, service, request_deadline_s=10.0)
         server.start()
-        counters = MonotonicCounterService()
-        snapshotter = PartitionSnapshotter.for_store(store, counters)
+        snapshotter = PartitionSnapshotter(MonotonicCounterService())
         daemon = SnapshotDaemon(
             lambda: snapshotter.snapshot_bytes(store),
             tmp_path / "snaps",

@@ -4,8 +4,8 @@ Extracts the lock-acquisition structure of the concurrent modules
 (:data:`repro.analysis.trustmap.LOCK_MODULES`) and enforces three
 things:
 
-1. **pinned acquisition order** — locks belong to *families*
-   (``store`` < ``worker`` < ``health`` < ``alloc``); acquiring a lock
+1. **pinned acquisition order** — locks belong to *families* (``store``
+   < ``worker`` < ``health`` < ``alloc`` < ``commit``); acquiring a lock
    whose family sorts before one already held is a finding, and the
    global edge graph is additionally checked for cycles;
 2. **ascending worker locks** — several ``worker`` locks may be held

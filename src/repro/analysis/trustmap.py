@@ -57,11 +57,13 @@ BOUNDARY_MODULES: Tuple[str, ...] = (
 # Modules whose lock discipline the lock-order pass analyzes.
 # ``core/host.py`` is absent on purpose: a PartitionHost takes no lock —
 # a worker drives it from one thread, and a served in-process engine is
-# only entered under the TCP server's exclusive ``store_lock``.
+# only entered under the TCP server's exclusive ``store_lock``.  Its log's
+# commit lock (committer fsync vs handle swap) is a leaf: last in the order.
 LOCK_MODULES: Tuple[str, ...] = (
     "core/procpool.py",
     "core/partition.py",
     "core/checkpoint.py",
+    "core/wal.py",
     "net/tcp.py",
 )
 
@@ -178,10 +180,11 @@ LOCK_FAMILY_PATTERNS: Tuple[Tuple[str, str], ...] = (
     ("store_lock", "store"),
     ("_health_lock", "health"),
     ("_alloc_lock", "alloc"),
+    ("_commit_lock", "commit"),
     (".lock", "worker"),  # handle.lock / self.workers[i].lock / w.lock
 )
 
-LOCK_ORDER: Tuple[str, ...] = ("store", "worker", "health", "alloc")
+LOCK_ORDER: Tuple[str, ...] = ("store", "worker", "health", "alloc", "commit")
 
 # Iterables over which acquiring one worker lock per element is known to
 # be ascending: ``self.workers`` is built in index order, and any name

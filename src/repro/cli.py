@@ -626,8 +626,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "crashes lose nothing")
     serve.add_argument("--wal-sync-ms", type=float, default=2.0,
                        help="group-commit window in milliseconds: fsync the "
-                            "log at most this often (0 = fsync every "
-                            "append; default 2)")
+                            "log in the background at most this often (0 = "
+                            "fsync every append on the request; default 2)")
     serve.add_argument("--max-connections", type=int, default=64,
                        help="concurrent session cap; excess accepts are "
                             "refused and counted (default 64)")

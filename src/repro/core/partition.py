@@ -173,7 +173,7 @@ class PartitionedShieldStore:
         of snapshot alone.  ``None`` (the default) disables the WAL.
     wal_sync_ms:
         Group-commit window in milliseconds: appends inside the window
-        share one fsync.  ``0`` syncs every append.
+        share one background fsync.  ``0`` syncs every append.
     checkpoint:
         A :class:`~repro.core.persistence.PartitionSnapshotter` blob to
         be born from: the geometry above must match its sealed header,
@@ -416,13 +416,6 @@ class PartitionedShieldStore:
     def close(self) -> None:
         """Release the engine: worker processes, attached logs (idempotent)."""
         self._engine.close()
-
-    def flush_logs(self) -> None:
-        """Group-commit tail: fsync in-process logs whose window passed
-        (a served store is ticked from the TCP loop's sweep).  Worker
-        processes flush their own, and ``partitions`` is empty there."""
-        for store in self.partitions:
-            store.flush_logs()
 
     def __enter__(self) -> "PartitionedShieldStore":
         return self

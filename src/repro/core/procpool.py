@@ -295,9 +295,6 @@ class _PipeWorkerEnd:
     def open(self) -> "_PipeWorkerEnd":
         return self
 
-    def poll(self, timeout: float) -> bool:
-        return self.conn.poll(timeout)
-
     def recv_bytes(self) -> bytes:
         return self.conn.recv_bytes()
 
@@ -346,9 +343,6 @@ class _ShmWorkerEnd:
         self.req.doorbell = doorbell
         self.rep.doorbell = doorbell
         return self
-
-    def poll(self, timeout: float) -> bool:
-        return self.req.poll(timeout)
 
     def recv_bytes(self) -> bytes:
         # Blocks on the doorbell; the parent dying surfaces as the
@@ -555,15 +549,7 @@ def _worker_main(
         return
     compute_s = cpu_s = 0.0  # OP_REQ wall clock (incl. time off the core) / CPU
     while True:
-        # Group-commit tail: while the log is dirty, wait for the next
-        # frame only until its window passes, then fsync it.
         try:
-            wait = host.store.flush_logs()
-        except OSError:
-            wait = None  # fsync failed; the next append or close retries
-        try:
-            if wait is not None and not plane.poll(wait):
-                continue
             frame = channel.open(plane.recv_bytes())
         except (EOFError, OSError, ProtocolError):
             # A frame that fails authentication means the parent-side

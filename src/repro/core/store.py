@@ -206,13 +206,6 @@ class ShieldStore:
         if self.wal is not None:
             self.wal.append(Request(op, key, value))
 
-    def flush_logs(self) -> Optional[float]:
-        """Group-commit tail (see :meth:`WriteAheadLog.flush`): seconds
-        until a still-dirty log falls due, ``None`` when clean or absent.
-        Whoever hosts the store calls this when idle — a worker's
-        receive loop, the TCP server's sweep."""
-        return self.wal.flush() if self.wal is not None else None
-
     # -- entry record I/O ---------------------------------------------------
     def _read_header(self, ctx: ExecContext, addr: int) -> EntryHeader:
         header = unpack_header(self._memory.read(ctx, addr, HEADER_SIZE))

@@ -61,11 +61,18 @@ never acknowledged.  Recovery therefore distinguishes:
 
 Group commit
 ------------
-``fsync`` is batched behind a small commit window (``sync_ms``): an
-append only syncs when the window has elapsed since the last sync, and
-the log's host calls :meth:`WriteAheadLog.flush` when idle so a
-burst's tail is synced once its window passes instead of waiting for
-the next append.
+``fsync`` is batched behind a small commit window (``sync_ms``) and kept
+off the request path: ``append`` writes its frame, marks the log dirty
+and wakes the log's *committer* — a daemon thread the first append
+starts — which waits out the window since the last completed sync, then
+fsyncs what has been written.  Nobody ticks the log: a lone append is on
+disk within ``sync_ms`` + one GIL switch interval (<= 5 ms, only when
+the appending thread never blocks) + one ``fsync``.  With ``sync_ms``
+<= 0 there is no committer: every append fsyncs on its caller.  A failed
+background ``fsync`` is neither silent nor fatal: the committer keeps
+the exception, the log stays dirty, and the next ``append`` / ``sync`` /
+``rotate`` / ``close`` raises it once on its caller (a refused write,
+never a silently non-durable ack) and wakes the committer to retry.
 Process crashes (SIGKILL) lose nothing that ``write()`` returned for —
 the page cache survives the process — so the window only bounds loss
 across *power* failure, which is the paper's §4.4 posture too.
@@ -76,6 +83,7 @@ from __future__ import annotations
 import glob
 import os
 import struct
+import threading
 import time
 from typing import Callable, Iterable, Optional
 
@@ -191,6 +199,12 @@ class WriteAheadLog:
         self._fh = None
         self._dirty = False
         self._last_sync = time.monotonic()
+        # Group commit: an fsync and a handle swap exclude each other here.
+        self._commit_lock = threading.Lock()
+        self._committer: Optional[threading.Thread] = None
+        self._wake = threading.Event()
+        self._stop = threading.Event()
+        self._failure: Optional[Exception] = None
         os.makedirs(directory, exist_ok=True)
 
     # -- sealing -------------------------------------------------------------
@@ -234,6 +248,7 @@ class WriteAheadLog:
 
     def append(self, request: Request) -> None:
         """Seal one mutating request into the log (called before apply)."""
+        self._raise_kept()
         frame = self._seal_frame(KIND_OP, encode_request(request))
         fh = self._ensure_open()
         frame = faults.cross(
@@ -248,8 +263,12 @@ class WriteAheadLog:
             self.stats.wal_appends += 1
         if self.sync_ms <= 0:
             self.sync()
-        elif time.monotonic() - self._last_sync >= self.sync_ms / 1000.0:
-            self.sync()
+            return
+        if self._committer is None:
+            name = f"wal-commit-{self.partition}"
+            self._committer = threading.Thread(target=self._commit_loop, name=name, daemon=True)
+            self._committer.start()
+        self._wake.set()
 
     def _crash_append(self, frame: bytes) -> None:
         """Injected crash mid-append: half a frame reaches the file."""
@@ -257,31 +276,46 @@ class WriteAheadLog:
         raise OSError("injected crash during WAL append")
 
     def sync(self) -> None:
-        """Group-commit fsync: flush everything appended so far."""
-        if self._fh is None or not self._dirty:
+        """fsync everything appended so far — the committer's one act;
+        ``rotate``, ``close`` and a ``sync_ms <= 0`` append call it too."""
+        self._raise_kept()
+        with self._commit_lock:
+            if self._fh is None or not self._dirty:
+                return
+            # Cleared first: a frame written while the disk works re-marks it.
+            self._dirty = False
+            try:
+                faults.check("wal.fsync")
+                os.fsync(self._fh.fileno())
+            except BaseException:
+                self._dirty = True
+                raise
             self._last_sync = time.monotonic()
-            return
-        faults.check("wal.fsync")
-        os.fsync(self._fh.fileno())
-        self._dirty = False
-        self._last_sync = time.monotonic()
-        if self.stats is not None:
-            self.stats.wal_fsyncs += 1
+            if self.stats is not None:
+                self.stats.wal_fsyncs += 1
 
-    def flush(self) -> Optional[float]:
-        """Group-commit tail: fsync a dirty log once its window has passed.
+    def _commit_loop(self) -> None:
+        """The committer: once woken, wait out the window since the last
+        completed sync, then fsync; ``close`` stops it mid-wait."""
+        window = self.sync_ms / 1000.0
+        while True:
+            self._wake.wait()
+            self._wake.clear()
+            if self._stop.wait(max(0.0, self._last_sync + window - time.monotonic())):
+                return
+            if self._failure is None:  # an unseen failure waits for a caller
+                try:
+                    self.sync()
+                except Exception as exc:
+                    self._failure = exc
 
-        ``append`` only syncs when *called*, so the log's host calls
-        this when idle.  Returns the seconds until a still-dirty log
-        falls due (``None`` when clean), which bounds the host's wait.
-        """
-        if not self._dirty:
-            return None
-        remaining = self.sync_ms / 1000.0 - (time.monotonic() - self._last_sync)
-        if remaining > 0:
-            return remaining
-        self.sync()
-        return None
+    def _raise_kept(self) -> None:
+        """Raise, once, a failure the committer kept; wake it to retry."""
+        failure = self._failure
+        if failure is not None:
+            self._failure = None
+            self._wake.set()
+            raise failure
 
     def rotate(self, new_counter: int) -> None:
         """Seal a truncation record and start a fresh segment.
@@ -296,13 +330,15 @@ class WriteAheadLog:
                 f"WAL rotation counter must advance "
                 f"({self.counter} -> {new_counter})"
             )
+        self._raise_kept()  # before the record is written, not after
         frame = self._seal_frame(KIND_TRUNCATE, _U64.pack(new_counter))
         fh = self._ensure_open()
         fh.write(frame)
         self._dirty = True
         self.sync()
-        fh.close()
-        self._fh = None
+        with self._commit_lock:  # never close a handle under an fsync
+            fh.close()
+            self._fh = None
         self.counter = new_counter
         self._suite = self._suite_for(new_counter)
         self._seq = 0
@@ -315,10 +351,20 @@ class WriteAheadLog:
             self.stats.wal_rotations += 1
 
     def close(self) -> None:
-        if self._fh is not None:
+        """Stop the committer, fsync what it left, close the handle —
+        the last two even when the fsync (or a kept failure) raises."""
+        committer, self._committer = self._committer, None
+        if committer is not None:
+            self._stop.set()
+            self._wake.set()
+            committer.join()
+            self._stop.clear()
+        try:
             self.sync()
-            self._fh.close()
-            self._fh = None
+        finally:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
 
     # -- recovery ------------------------------------------------------------
     @classmethod

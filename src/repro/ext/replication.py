@@ -511,12 +511,6 @@ class ReplicatedStore(VersionedVerbs):
     def config(self):
         return self.inner.config
 
-    def flush_logs(self) -> Optional[float]:
-        """The wrapped store's WAL group-commit tick — local and
-        bounded, unlike :meth:`flush`, which waits on peers."""
-        with self._mutex:
-            return self.inner.flush_logs()
-
     def stats(self) -> StoreStats:
         """Inner store counters merged with the replication counters."""
         with self._mutex:

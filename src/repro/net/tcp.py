@@ -384,14 +384,6 @@ class TCPShieldServer:
         # callers (per-handle locks): executor threads, shared gate.  The
         # in-process engines are not: the loop thread, exclusive gate.
         self._parallel_requests = getattr(store, "data_plane", None) is not None
-        # Group-commit tail of logs hosted in this process, ticked from
-        # the sweep (worker processes flush their own).  Looked up by
-        # its own name: a wrapper's unrelated ``flush`` (replication
-        # drains peer queues there) must never run on the loop.
-        self._flush_logs = (
-            None if self._parallel_requests
-            else getattr(store, "flush_logs", None)
-        )
         # Transport-level failure counters, merged with the store's own
         # counters by stats_snapshot(); guarded by _stats_mutex because
         # executor threads bump them too.
@@ -555,13 +547,6 @@ class TCPShieldServer:
         O(connections): run at the nearest deadline, not once per event.
         """
         sweep_at = now + 0.25  # the longest the loop sleeps
-        if self._flush_logs is not None:
-            # Exclusive gate: a checkpoint may be rotating the same log.
-            with self.store_lock:
-                try:
-                    self._flush_logs()
-                except (OSError, ReproError):
-                    pass  # fsync failed; the next append or close retries
         for conn in list(self._conns.values()):
             if conn.inflight:
                 # The store is still working; that is not a wire stall.

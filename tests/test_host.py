@@ -3,12 +3,16 @@
 The host is the single copy of that policy (workers and the in-process
 engine both call it), so its guarantees are pinned here directly: a
 partition is born from its section plus its log tail, a refused birth
-harms nothing, and a dirty log is fsynced once its group-commit window
-has passed even when no further append comes.
+harms nothing, and a dirty log is fsynced by its own committer thread
+once its group-commit window has passed — whoever hosts it, with no
+further call, and never on the thread that appended.
 """
 
 import os
+import sys
+import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -20,9 +24,11 @@ from repro.core import (
     process_mode_supported,
     shield_opt,
 )
-from repro.core.wal import segment_path
-from repro.errors import SealingError, SnapshotError
-from repro.sim import MonotonicCounterService
+from repro.core.stats import StoreStats
+from repro.core.wal import WriteAheadLog, segment_path
+from repro.errors import SealingError, SnapshotError, StoreError
+from repro.net.message import Request
+from repro.sim import MonotonicCounterService, faults
 
 SECRET = bytes(range(32))
 
@@ -145,123 +151,235 @@ class TestFailedRestoreLeavesTheServingStoreUntouched:
         restarted.close()
 
 
-class TestGroupCommitTail:
-    def test_lone_append_is_fsynced_once_its_window_passes(self, tmp_path):
-        host = _host(tmp_path, sync_ms=200.0)
-        host.store.set(b"warm", b"up")
-        synced = host.store.stats.wal_fsyncs
-        host.store.set(b"k", b"v")  # inside the window: left dirty
-        assert host.store.stats.wal_fsyncs == synced
-        wait = host.store.flush_logs()
-        assert wait is not None and 0 < wait <= 0.2
-        time.sleep(wait)
-        assert host.store.flush_logs() is None  # fell due: fsynced, now clean
-        assert host.store.stats.wal_fsyncs == synced + 1
-        assert host.store.flush_logs() is None  # clean log: nothing to do
-        assert host.store.stats.wal_fsyncs == synced + 1
-        host.close()
+def _log(directory, sync_ms):
+    return WriteAheadLog(
+        str(directory), 0, SECRET, "fast-hashlib", 0,
+        sync_ms=sync_ms, stats=StoreStats(),
+    )
 
-    def test_host_without_a_log_has_nothing_to_flush(self):
-        assert _host().store.flush_logs() is None
 
-    @pytest.mark.parametrize("served", ["partitioned", "hosted", "replicated"])
-    def test_tcp_sweep_flushes_a_served_in_process_log(self, tmp_path, served):
-        """Traffic stops after one burst; the event loop's sweep tick
-        fsyncs the tail (no append, rotate or close does it) — for the
-        router, for a bare hosted store, and through the replication
-        wrapper, whose own peer-draining ``flush`` must never run on
-        the loop."""
-        from repro.ext.replication import ReplicatedStore
-        from repro.net.sessions import AttestationService
-        from repro.net.tcp import TCPShieldClient, TCPShieldServer
+def _put(i):
+    return Request("set", b"k%d" % i, b"v")
 
-        peer_flushes = []
-        if served == "partitioned":
+
+def _until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.002)
+    return predicate()
+
+
+def _committers():
+    return [t for t in threading.enumerate() if t.name.startswith("wal-commit")]
+
+
+@contextmanager
+def _served(store):
+    """``store`` behind a TCPShieldServer; yields (server, client)."""
+    from repro.net.sessions import AttestationService
+    from repro.net.tcp import TCPShieldClient, TCPShieldServer
+
+    service = AttestationService(b"attestation-secret")
+    server = TCPShieldServer(store, service, port=0)
+    server.start()
+    client = TCPShieldClient(
+        server.address, service, store.enclave.measurement, b"e" * 32
+    )
+    try:
+        yield server, client
+    finally:
+        client.close()
+        server.close()
+
+
+@contextmanager
+def _hosted_log(shape, directory, sync_ms):
+    """One log under one of its hosts; yields (set one key, fsync count)."""
+    config = shield_opt(num_buckets=64, num_mac_hashes=16)
+    if shape == "bare":
+        wal = _log(directory, sync_ms)
+        try:
+            yield (lambda: wal.append(_put(0))), (lambda: wal.stats.wal_fsyncs)
+        finally:
+            wal.close()
+    elif shape.startswith("worker-"):
+        with PartitionedShieldStore(
+            config, master_secret=SECRET, num_partitions=1,
+            mode=MODE_PROCESSES, data_plane=shape[len("worker-"):],
+            wal_dir=str(directory), wal_sync_ms=sync_ms,
+        ) as store:
+            yield (lambda: store.set(b"k", b"v")), (lambda: store.stats().wal_fsyncs)
+    else:
+        if shape == "partitioned":
             owner = store = PartitionedShieldStore(
-                shield_opt(num_buckets=64, num_mac_hashes=16),
-                master_secret=SECRET, mode="sequential", num_partitions=1,
-                wal_dir=str(tmp_path), wal_sync_ms=300.0,
+                config, master_secret=SECRET, mode="sequential",
+                num_partitions=1, wal_dir=str(directory), wal_sync_ms=sync_ms,
             )
             logged = store.partitions[0]
         else:
-            owner = _host(tmp_path, sync_ms=300.0)
+            owner = _host(directory, sync_ms=sync_ms)
             store = logged = owner.store
-            if served == "replicated":
+            if shape == "replicated":
+                from repro.ext.replication import ReplicatedStore
+
                 store = ReplicatedStore(logged, node_id="node-0")
-                store.flush = lambda: peer_flushes.append(1)
-        service = AttestationService(b"attestation-secret")
-        server = TCPShieldServer(store, service, port=0)
-        server.start()
-        client = TCPShieldClient(
-            server.address, service, store.enclave.measurement, b"e" * 32
-        )
         try:
-            client.set(b"warm", b"up")
-            client.set(b"k", b"v")
-            stats = logged.stats
-            dirty = stats.wal_fsyncs
-            assert logged.wal._dirty
-            deadline = time.monotonic() + 5.0
-            while stats.wal_fsyncs == dirty and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert stats.wal_fsyncs == dirty + 1
-            assert not logged.wal._dirty
-            assert peer_flushes == []
+            with _served(store) as (_server, client):
+                yield (lambda: client.set(b"k", b"v")), (
+                    lambda: logged.stats.wal_fsyncs
+                )
         finally:
-            client.close()
-            server.close()
             owner.close()
 
-    def test_sweep_survives_a_failing_flush(self, tmp_path):
-        """An fsync that raises is retried by the next append or close;
-        it must not take the event-loop thread down with it."""
-        from repro.errors import StoreError
-        from repro.net.sessions import AttestationService
-        from repro.net.tcp import TCPShieldClient, TCPShieldServer
 
-        host = _host(tmp_path, sync_ms=50.0)
-        calls = []
+_needs_workers = pytest.mark.skipif(
+    not process_mode_supported(), reason="no worker processes"
+)
 
-        def failing_flush():
-            calls.append(1)
-            raise OSError("disk gone") if len(calls) % 2 else StoreError("injected")
 
-        host.store.flush_logs = failing_flush
-        service = AttestationService(b"attestation-secret")
-        server = TCPShieldServer(host.store, service, port=0)
-        server.start()
-        client = TCPShieldClient(
-            server.address, service, host.store.enclave.measurement, b"e" * 32
+class TestGroupCommitTail:
+    """The log commits itself (``core/wal.py``, "Group commit")."""
+
+    @pytest.mark.parametrize("shape", [
+        "bare", "partitioned", "hosted", "replicated",
+        pytest.param("worker-pipe", marks=_needs_workers),
+        pytest.param("worker-shm", marks=_needs_workers),
+    ])
+    def test_lone_append_is_fsynced_once_its_window_passes(self, tmp_path, shape):
+        """One append, then nothing: no second append, no rotate, no
+        close and no tick from the host — the committer alone fsyncs it
+        within the window plus slack."""
+        window = 0.05
+        with _hosted_log(shape, tmp_path, window * 1000.0) as (put, fsyncs):
+            put()
+            appended = time.monotonic()
+            assert _until(lambda: fsyncs() == 1)
+            assert time.monotonic() - appended < window + 0.25
+            time.sleep(2 * window)
+            assert fsyncs() == 1  # a clean log is left alone
+
+    @pytest.mark.parametrize("sync_ms", [1.0, 0.0])
+    def test_fsync_leaves_the_appending_thread(self, tmp_path, monkeypatch, sync_ms):
+        threads, real_fsync = [], os.fsync
+
+        def recording_fsync(fd):
+            threads.append(threading.get_ident())
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        wal = _log(tmp_path, sync_ms)
+        try:
+            for i in range(40):
+                wal.append(_put(i))
+                time.sleep(0.0005)
+            if sync_ms > 0:
+                assert _until(lambda: threads)
+                assert threading.get_ident() not in threads
+            else:
+                assert threads == [threading.get_ident()] * 40
+                assert wal.stats.wal_fsyncs == wal.stats.wal_appends == 40
+        finally:
+            wal.close()
+
+    def test_request_latency_does_not_contain_the_disk(self, tmp_path):
+        """Every fsync takes 30 ms; 100 sequential sets over TCP do not
+        (an fsync on the request path makes this take >= 0.7 s)."""
+        host = _host(tmp_path, sync_ms=1.0)
+        plan = faults.FaultPlan(
+            [faults.FaultRule("wal.fsync", "delay", delay_s=0.03)]
         )
         try:
-            deadline = time.monotonic() + 5.0
-            while len(calls) < 2 and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert len(calls) >= 2
-            client.set(b"k", b"v")  # the loop is still serving
-            assert client.get(b"k") == b"v"
+            with _served(host.store) as (_server, client), faults.injected(plan):
+                client.set(b"warm", b"up")
+                started = time.monotonic()
+                for i in range(100):
+                    client.set(b"k%d" % i, b"v")
+                elapsed = time.monotonic() - started
+            assert elapsed < 0.35
+            assert plan.fires("wal.fsync") >= 1
         finally:
-            client.close()
-            server.close()
             host.close()
+        assert _host(tmp_path).store.stats.wal_replayed == 101
 
-    @pytest.mark.skipif(
-        not process_mode_supported(), reason="no worker processes"
-    )
-    @pytest.mark.parametrize("data_plane", ["pipe", "shm"])
-    def test_worker_flushes_its_idle_log(self, tmp_path, data_plane):
-        """No second append and no further frame: the worker bounds its
-        receive by the window and fsyncs on its own."""
-        with PartitionedShieldStore(
-            shield_opt(num_buckets=64, num_mac_hashes=16),
-            master_secret=SECRET, num_partitions=1, mode=MODE_PROCESSES,
-            data_plane=data_plane, wal_dir=str(tmp_path), wal_sync_ms=400.0,
-        ) as store:
-            store.set(b"warm", b"up")
-            for i in range(4):  # a burst well inside one window
-                store.set(b"k%d" % i, b"v")
-            before = store.stats()
-            time.sleep(1.0)  # idle: nothing is sent to the worker
-            after = store.stats()
-            assert before.wal_appends == after.wal_appends == 5
-            assert after.wal_fsyncs == before.wal_fsyncs + 1
+    def test_rotation_never_closes_a_handle_under_the_committer(self, tmp_path):
+        wal = _log(tmp_path, 0.1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for i in range(200):
+                wal.append(_put(i))
+                wal.rotate(i + 1)
+            wal.close()
+        finally:
+            sys.setswitchinterval(interval)
+        assert _committers() == []
+        replayed = []
+        WriteAheadLog.recover(
+            str(tmp_path), 0, SECRET, "fast-hashlib", 0, apply=replayed.append
+        ).close()
+        assert replayed == [_put(i) for i in range(200)]
+
+    @pytest.mark.parametrize("rule, raised, refused", [
+        (dict(kind="error"), OSError, "append"),
+        (dict(kind="crash"), ConnectionResetError, "append"),
+        (dict(kind="error", error="StoreError"), StoreError, "append"),
+        (dict(kind="error"), OSError, "rotate"),
+    ], ids=["error", "crash", "not-an-oserror", "rotate"])
+    def test_failed_background_fsync_is_raised_once_then_retried(
+        self, tmp_path, rule, raised, refused
+    ):
+        """The committer keeps what it could not fsync and keeps running:
+        the next caller is refused with the failure — once, before it
+        writes anything — and its retry makes the acknowledged frame
+        durable."""
+        wal = _log(tmp_path, 1.0)
+        plan = faults.FaultPlan([faults.FaultRule("wal.fsync", hits=[0], **rule)])
+        try:
+            with faults.injected(plan):
+                wal.append(_put(0))
+                assert _until(lambda: wal._failure is not None)
+                assert wal.stats.wal_fsyncs == 0 and wal._dirty
+                with pytest.raises(raised, match="injected"):
+                    if refused == "append":
+                        wal.append(_put(1))
+                    else:
+                        wal.rotate(1)
+                assert _until(lambda: wal.stats.wal_fsyncs == 1)  # the retry
+                wal.append(_put(2))
+                assert _committers() and wal._failure is None
+        finally:
+            wal.close()
+        replayed = []
+        WriteAheadLog.recover(
+            str(tmp_path), 0, SECRET, "fast-hashlib", 0, apply=replayed.append
+        ).close()
+        assert replayed == [_put(0), _put(2)]
+
+    def test_close_raises_a_failing_fsync_and_still_closes(self, tmp_path):
+        wal = _log(tmp_path, 60_000.0)
+        plan = faults.FaultPlan([faults.FaultRule("wal.fsync", "error")])
+        with faults.injected(plan):
+            wal.append(_put(0))
+            with pytest.raises(OSError, match="injected"):
+                wal.close()
+        assert wal._fh is None and _committers() == []
+        wal.close()  # idempotent: nothing left to raise or close
+
+    def test_served_store_refuses_one_write_after_a_failed_fsync(self, tmp_path):
+        """The event loop outlives a failing disk: the write after the
+        failed fsync costs its connection (the client's one retry), and
+        the loop keeps serving."""
+        host = _host(tmp_path, sync_ms=1.0)
+        plan = faults.FaultPlan([faults.FaultRule("wal.fsync", "error", hits=[0])])
+        try:
+            with _served(host.store) as (server, client), faults.injected(plan):
+                client.set(b"a", b"1")  # acknowledged; its fsync then fails
+                assert _until(lambda: host.store.wal._failure is not None)
+                client.set(b"b", b"2")
+                assert client.stats.net_retries == 1
+                assert _until(lambda: host.store.stats.wal_fsyncs >= 1)
+                assert server._loop_thread.is_alive()
+                assert client.get(b"a") == b"1" and client.get(b"b") == b"2"
+        finally:
+            host.close()
+        assert _host(tmp_path).store.stats.wal_replayed == 2

@@ -33,12 +33,8 @@ class TestDeliverables:
     def test_every_figure_experiment_has_a_bench(self):
         bench_names = {p.name for p in (_ROOT / "benchmarks").glob("bench_*.py")}
         for name in ALL_EXPERIMENTS:
-            if name == "table1":
-                expected_prefix = "bench_table1"
-            else:
-                expected_prefix = f"bench_{name}"
             assert any(
-                b.startswith(expected_prefix) for b in bench_names
+                b.startswith(f"bench_{name}") for b in bench_names
             ), f"no benchmark regenerates {name}"
 
     def test_documents_exist(self):
@@ -51,9 +47,7 @@ class TestDeliverables:
         readme = (_ROOT / "README.md").read_text()
         for match in re.finditer(r"`(\w+\.py)`", readme):
             name = match.group(1)
-            if (_ROOT / "examples" / name).exists() or name in (
-                "setup.py",
-            ):
+            if (_ROOT / "examples" / name).exists() or name == "setup.py":
                 continue
             raise AssertionError(f"README references missing example {name}")
 
@@ -121,7 +115,6 @@ class TestCodeHygiene:
             if not text.startswith(('"""', "'''")):
                 undocumented.append(str(path))
         assert not undocumented, undocumented
-
 
     def test_serving_imports_leave_the_linter_out(self):
         """``crypto/suite.py`` needs only the runtime sanitizer hook; the
@@ -281,7 +274,14 @@ class TestOneCopyOfEachMechanism:
         # The host is built by the two engines and by nothing else.
         assert sites(r"(?<!class )\bPartitionHost\(") == ["partition.py", "procpool.py"]
         gone = r"OP_RESTORE|restore_all|def (stage|adopt)\b|_rekey|SSSNAP1|class Snapshotter"
-        assert sites(gone) == []
+        assert sites(gone + "|flush_logs") == []  # a log commits itself: no host tick
+        # ...so on the write path only ``sync`` reaches the disk.
+        wal, callers, inside = _ROOT / "src" / "repro" / "core" / "wal.py", [], None
+        for name, call in re.findall(r"^\s*def (\w+)|(os\.fsync\()", wal.read_text(), re.M):
+            inside = name or inside
+            if call:
+                callers.append(inside)
+        assert callers == ["fsync_directory", "sync", "recover"]
 
     def test_the_cli_serves_one_store_shape(self):
         """``repro serve`` and ``repro restore`` turn durable state into

@@ -48,13 +48,15 @@ def _gf_mul(a: int, b: int) -> int:
 
 
 def _build_sbox() -> Tuple[List[int], List[int]]:
-    # Multiplicative inverses via exhaustive search (runs once at import).
+    # Multiplicative inverses from the powers of the generator 3: if
+    # x = 3**i then 1/x = 3**(255 - i).  Runs at every import (each CLI
+    # call and spawned worker), so 255 multiplications, not 255 * 255.
     inv = [0] * 256
-    for x in range(1, 256):
-        for y in range(1, 256):
-            if _gf_mul(x, y) == 1:
-                inv[x] = y
-                break
+    antilog = [1] * 256
+    for i in range(1, 256):
+        antilog[i] = _gf_mul(antilog[i - 1], 3)
+    for i in range(255):
+        inv[antilog[i]] = antilog[255 - i]
     sbox = [0] * 256
     for x in range(256):
         b = inv[x]

@@ -27,7 +27,8 @@ class Attacker:
         self._memory = memory
 
     def read(self, addr: int, size: int) -> bytes:
-        """Dump untrusted bytes (refused — by hardware — for the enclave)."""
+        """Dump untrusted bytes.  The enclave refusal is this check, standing in
+        for the hardware: ``raw_read`` / ``raw_write`` underneath have none."""
         if self._memory.in_enclave_range(addr):
             raise EnclaveError(
                 "attacker cannot read enclave memory: EPC is encrypted and "

@@ -10,17 +10,25 @@ Two address ranges exist, mirroring Figure 4 of the paper:
 
 Allocations are bump-allocated and tracked so that arbitrary addresses
 (pointer chases, attacker pokes) resolve to the owning allocation via
-binary search.  Allocations may be *materialized* (a real ``bytearray``
-holds the contents — used for everything security-relevant) or
-*unmaterialized* (address space + cost accounting only — used by
-baselines whose contents don't matter, to keep big sweeps cheap).
+binary search.  Allocations may be *materialized* (real bytes hold the
+contents — used for everything security-relevant) or *unmaterialized*
+(address space + cost accounting only — used by baselines whose
+contents don't matter, to keep big sweeps cheap).  A materialized
+allocation of ``MAP_THRESHOLD`` bytes or more is an anonymous demand-zero
+mapping, so the host pays for the pages a heap chunk or table has had
+written, not for its reservation (§5.1's 16 MB chunks are ``sbrk``
+memory, billed the same way); a smaller one is a ``bytearray``, because a
+mapping is page-granular and the per-entry baselines allocate a few
+dozen bytes at a time.  Contents, addresses, errors and charged cycles
+cannot tell the two apart.
 """
 
 from __future__ import annotations
 
 import bisect
+import mmap
 import threading
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from repro.errors import EnclaveError, EnclaveMemoryError
 from repro.sim.cycles import CACHELINE, PAGE_SIZE, CostModel, CycleCounters
@@ -32,6 +40,9 @@ ENCLAVE_SPAN = 0x1000_0000_0000  # contiguous enclave virtual range (§7 check)
 ENCLAVE_END = ENCLAVE_BASE + ENCLAVE_SPAN
 UNTRUSTED_BASE = 0x7000_0000_0000
 _ALIGN = 16
+# Well above any per-entry allocation (a mapping costs whole pages and a
+# syscall), below every heap chunk and any table of a few thousand slots.
+MAP_THRESHOLD = 64 * 1024
 
 REGION_ENCLAVE = "enclave"
 REGION_UNTRUSTED = "untrusted"
@@ -42,7 +53,7 @@ class Allocation:
 
     __slots__ = ("base", "size", "end", "region", "data")
 
-    def __init__(self, base: int, size: int, region: str, data: Optional[bytearray]):
+    def __init__(self, base: int, size: int, region: str, data: Union[bytearray, mmap.mmap, None]):
         self.base = base
         self.size = size
         self.end = base + size
@@ -103,7 +114,14 @@ class SimMemory:
             base = self._next[region]
             aligned = (size + _ALIGN - 1) & ~(_ALIGN - 1)
             self._next[region] = base + aligned
-            data = bytearray(size) if materialize else None
+            if not materialize:
+                data = None
+            elif size >= MAP_THRESHOLD:
+                # ACCESS_COPY = a private mapping on every platform: a
+                # forked child gets a copy, as it does of a bytearray.
+                data = mmap.mmap(-1, size, access=mmap.ACCESS_COPY)
+            else:
+                data = bytearray(size)
             alloc = Allocation(base, size, region, data)
             self._allocs[base] = alloc
             bisect.insort(self._bases, base)
@@ -121,6 +139,8 @@ class SimMemory:
             if self._last is alloc or self._prev is alloc:
                 self._last = self._prev = _NO_ALLOCATION
             self.bytes_allocated[alloc.region] -= alloc.size
+        if isinstance(alloc.data, mmap.mmap):
+            alloc.data.close()
 
     def find(self, addr: int) -> Allocation:
         """Resolve any address to the allocation containing it."""
@@ -262,7 +282,9 @@ class SimMemory:
 
     # -- uncharged accesses (attacker, bootstrap, assertions) ---------------
     def raw_read(self, addr: int, size: int) -> bytes:
-        """Read without charging cycles; enclave region still refuses."""
+        """Read without charging cycles or checking privilege (sealing reads
+        the in-enclave MAC hashes this way); what refuses the adversary an
+        enclave address is :class:`~repro.sim.attacker.Attacker`."""
         alloc = self.find(addr)
         if addr + size > alloc.end:
             raise EnclaveMemoryError(

@@ -11,8 +11,8 @@ snapshot/WAL recovery runs).
 
 Enablement is inherited: :func:`enable` exports
 ``SHIELDSTORE_CRYPTO_SANITIZER=1`` (and the journal directory) into
-``os.environ``, which multiprocessing's spawn method copies into worker
-processes, so respawned partition workers instrument themselves without
+``os.environ``, which every partition worker inherits as its process
+environment, so respawned partition workers instrument themselves without
 any plumbing through the pool.  Each process appends
 ``keyid start blocks`` lines to its own journal file;
 :func:`global_check` merges every journal and re-asserts uniqueness over

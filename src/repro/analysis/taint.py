@@ -15,8 +15,8 @@ argument of an untrusted sink:
 * pipe/socket sends (``send_bytes``, ``sendall``, ``_send_frame``...);
 * writes into simulated memory (``mem.write`` / ``raw_write`` — the
   store's table lives in the untrusted region);
-* subscript stores into SharedMemory segments (``shm.buf[a:b] = x`` —
-  the ring buffers of the shm data plane are host-visible);
+* subscript stores into shared memory (``self.shm[a:b] = x`` — the
+  ring buffers of the shm data plane are host-visible);
 * host-visible output (``print``, ``logging``);
 * exception constructors — raised errors cross the worker pipe and can
   reach logs, so their messages must not embed plaintext.
@@ -221,7 +221,7 @@ class _FunctionTaint:
                     )
 
     def check_shm_store(self, targets: List[ast.expr], value: ast.expr) -> None:
-        """Flag tainted subscript stores into SharedMemory buffers."""
+        """Flag tainted subscript stores into shared-memory buffers."""
         for target in targets:
             label = _shm_store_label(target)
             if label is not None and self.is_tainted(value):

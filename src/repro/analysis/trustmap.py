@@ -143,10 +143,11 @@ SINK_METHODS = frozenset({"send_bytes", "sendall", "send", "raw_write"})
 # file or a socket — plenty of innocent ``write`` methods exist.
 WRITE_SINK_RECEIVER_HINT = ("mem", "stdout", "stderr", "sock", "conn", "fh", "file")
 
-# Subscript stores whose receiver looks like a SharedMemory segment are
-# sinks: the ring buffers live in host-visible shared memory, so only
-# sealed bytes may be stored there (``self.shm.buf[a:b] = plaintext`` is
-# an enclave leak even though no call is involved).
+# Subscript stores whose receiver looks like shared memory are sinks:
+# the ring buffers live in host-visible shared memory (core/shmring.py
+# stores through its mapping ``self.shm``), so only sealed bytes may be
+# stored there (``self.shm[a:b] = plaintext`` is an enclave leak even
+# though no call is involved).
 SHM_SINK_RECEIVER_HINT = ("shm", "shared_memory")
 
 # Plain-name calls that are sinks (host-visible output).

@@ -163,8 +163,8 @@ class PartitionedShieldStore:
         builds its own ``Machine`` with that many simulated threads).
     data_plane:
         Worker IPC transport for ``processes`` mode: ``"shm"``
-        (sealed shared-memory rings, the default where supported) or
-        ``"pipe"`` (the portable multiprocessing pipe).
+        (sealed memfd rings, the default where ``os.memfd_create``
+        exists) or ``"pipe"`` (the portable socketpair).
     wal_dir:
         Directory for per-partition sealed write-ahead logs
         (:mod:`repro.core.wal`).  When set, every mutating op appends a

@@ -14,7 +14,7 @@ Two halves:
   sealed into the header.  Sections are produced and consumed by each
   partition's :class:`~repro.core.host.PartitionHost` — in
   ``processes`` mode *inside* the workers
-  (:data:`~repro.core.procpool.OP_SNAPSHOT` out, a spawn argument in),
+  (:data:`~repro.core.procpool.OP_SNAPSHOT` out, the bootstrap frame in),
   so no plaintext ever crosses the pipe; the cached sections also power
   the pool's worker-crash recovery.  A blob is never loaded into a
   store that already serves: :meth:`PartitionSnapshotter.open` *builds*

@@ -31,9 +31,17 @@ Two planes carry those records (``data_plane=`` selects one):
   switchless/HotCalls idea applied to worker IPC: the hot path moves
   sealed bytes through shared memory with a single ``memoryview`` copy
   per side and, where the pool has a core to spare, no syscall at all.
-* ``"pipe"`` — the original ``multiprocessing`` pipe (two kernel
-  copies and a wakeup per direction); kept as the portable fallback
-  and selected automatically where shared memory is unavailable.
+* ``"pipe"`` — a socketpair ``Connection`` (two kernel copies and a
+  wakeup per direction); kept as the portable fallback and selected
+  automatically where ``memfd_create`` is unavailable.
+
+A worker is a plain child process: ``subprocess.Popen`` of this
+interpreter running :func:`_worker_boot`, which inherits the plane's
+descriptors (its end of the socketpair; on the shm plane also both
+rings' memfds) and reads its arguments as one bootstrap frame from the
+socketpair before it becomes the data pipe or doorbell.  No
+``multiprocessing`` start method is involved: the parent's ``__main__``
+is never re-imported, and no resource-tracker process is started.
 
 Every record is sealed (encrypted + MACed with per-direction sequence
 counters) under a per-*incarnation* session key both ends derive from
@@ -64,8 +72,8 @@ Snapshots and crash recovery
 ``OP_SNAPSHOT`` has a worker seal + serialize its private store into a
 snapshot *section* (paper §4.4: sealed metadata, already-encrypted
 records verbatim) and ship the section — never plaintext — back over
-the pipe.  A section only ever travels the other way as a *spawn
-argument*: a worker is born from it (plus its log tail) and reports
+the pipe.  A section only ever travels the other way in a worker's
+*bootstrap frame*: a worker is born from it (plus its log tail) and reports
 the counter its recovery reached in its start-up handshake.  The pool
 caches the sections it was built from, then those of the most recent
 snapshot, and that cache is the recovery checkpoint:
@@ -87,14 +95,15 @@ reports ``"degraded"``.  Only a failed recovery marks the pool broken.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import multiprocessing.connection
 import os
 import struct
+import subprocess
+import sys
 import threading
 import time
 from contextlib import ExitStack
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import repro.errors as _errors
 from repro.core.config import StoreConfig
@@ -165,19 +174,9 @@ _RECOVERY_TIMEOUT = 60.0
 
 
 def process_mode_supported() -> bool:
-    """Whether this platform can run the multiprocess engine.
-
-    Needs a working ``spawn`` start method (the only one that is safe
-    regardless of parent threads) and OS-level semaphore support, which
-    some sandboxed platforms lack.
-    """
-    try:
-        from multiprocessing import synchronize  # noqa: F401  (probe only)
-
-        multiprocessing.get_context("spawn")
-    except (ImportError, ValueError, OSError):
-        return False
-    return True
+    """Whether this platform can run the multiprocess engine: a worker
+    inherits its descriptors (``pass_fds``), which only POSIX offers."""
+    return os.name == "posix"
 
 
 def _encode_error(exc: BaseException) -> bytes:
@@ -249,7 +248,7 @@ def _pipe_channel(
     role, worker the ``server`` role, fixing disjoint IV domains).
 
     ``nonce`` is a public per-spawn freshness value the parent draws
-    anew for every (re)spawn and ships in the worker args.  Mixing it
+    anew for every (re)spawn and ships in the bootstrap frame.  Mixing it
     into the derivation makes each worker incarnation its own session:
     the host can kill a worker to force a respawn (and the sequence
     counters restart at zero with it), but the respawned channel pair
@@ -285,12 +284,11 @@ def default_data_plane() -> str:
 
 
 class _PipeWorkerEnd:
-    """Worker-side endpoint of the pipe plane (picklable spawn arg)."""
+    """Worker-side endpoint of the pipe plane (sent in the bootstrap
+    frame; :func:`_worker_boot` sets ``conn`` to the inherited pipe)."""
 
     kind = DATA_PLANE_PIPE
-
-    def __init__(self, conn):
-        self.conn = conn
+    conn: Any = None
 
     def open(self) -> "_PipeWorkerEnd":
         return self
@@ -312,20 +310,20 @@ class _PipeWorkerEnd:
 
 
 class _ShmWorkerEnd:
-    """Worker-side endpoint of the shm plane (picklable spawn arg).
+    """Worker-side endpoint of the shm plane (sent in the bootstrap frame).
 
-    Carries the ring names and geometry, the pool's wait policy
-    (``spin``) and the worker's doorbell ``Connection``; :meth:`open`
-    attaches the rings with the roles mirrored (the worker consumes
-    requests and produces replies).
+    Carries the inherited ring descriptors and geometry and the pool's
+    wait policy (``spin``); :func:`_worker_boot` sets ``conn`` to the
+    inherited doorbell.  :meth:`open` maps the rings with the roles
+    mirrored (the worker consumes requests and produces replies).
     """
 
     kind = DATA_PLANE_SHM
+    conn: Any = None
 
-    def __init__(self, req_name, rep_name, conn, num_slots, slot_size, spin):
-        self.req_name = req_name
-        self.rep_name = rep_name
-        self.conn = conn
+    def __init__(self, req_fd, rep_fd, num_slots, slot_size, spin):
+        self.req_fd = req_fd
+        self.rep_fd = rep_fd
         self.num_slots = num_slots
         self.slot_size = slot_size
         self.spin = spin
@@ -334,11 +332,13 @@ class _ShmWorkerEnd:
 
     def open(self) -> "_ShmWorkerEnd":
         self.req = ShmRing.attach(
-            self.req_name, "consumer", self.num_slots, self.slot_size, self.spin
+            self.req_fd, "consumer", self.num_slots, self.slot_size, self.spin
         )
         self.rep = ShmRing.attach(
-            self.rep_name, "producer", self.num_slots, self.slot_size, self.spin
+            self.rep_fd, "producer", self.num_slots, self.slot_size, self.spin
         )
+        os.close(self.req_fd)  # mapped: the descriptors have done their job
+        os.close(self.rep_fd)
         doorbell = Doorbell(self.conn)
         self.req.doorbell = doorbell
         self.rep.doorbell = doorbell
@@ -373,12 +373,16 @@ class _PipePlane:
 
     kind = DATA_PLANE_PIPE
 
-    def __init__(self, ctx, index: int):
+    def __init__(self, index: int):
         self.index = index
-        self.conn, self._child_conn = ctx.Pipe(duplex=True)
+        self.conn, self._child_conn = multiprocessing.connection.Pipe(duplex=True)
 
     def worker_end(self) -> _PipeWorkerEnd:
-        return _PipeWorkerEnd(self._child_conn)
+        return _PipeWorkerEnd()
+
+    def child_fds(self) -> Tuple[int, ...]:
+        """What the worker inherits: its socketpair end (bootstrap first)."""
+        return (self._child_conn.fileno(),)
 
     def finish_spawn(self, process) -> None:
         self._child_conn.close()  # parent keeps only its own end
@@ -420,32 +424,31 @@ class _ShmPlane:
     """Parent-side shared-memory ring plane (the switchless hot path).
 
     Owns both rings (request: parent produces; reply: parent consumes)
-    and the doorbell pipe.  Faults inject here — parent-side, where the
-    §2.3 host adversary sits — under the ``shmring.*`` points.
+    and the doorbell socketpair.  Faults inject here — parent-side, where
+    the §2.3 host adversary sits — under the ``shmring.*`` points.
     """
 
     kind = DATA_PLANE_SHM
 
-    def __init__(self, ctx, index: int, num_slots: int, slot_size: int, spin: int):
+    def __init__(self, index: int, num_slots: int, slot_size: int, spin: int):
         self.index = index
         self.num_slots = num_slots
         self.slot_size = slot_size
         self.req = ShmRing.create("producer", num_slots, slot_size, spin)
         self.rep = ShmRing.create("consumer", num_slots, slot_size, spin)
-        self.conn, self._child_conn = ctx.Pipe(duplex=True)
+        self.conn, self._child_conn = multiprocessing.connection.Pipe(duplex=True)
         self._doorbell = Doorbell(self.conn, fault_point="shmring.doorbell")
         self.req.doorbell = self._doorbell
         self.rep.doorbell = self._doorbell
 
     def worker_end(self) -> _ShmWorkerEnd:
         return _ShmWorkerEnd(
-            self.req.name,
-            self.rep.name,
-            self._child_conn,
-            self.num_slots,
-            self.slot_size,
-            self.req.spin,
+            self.req.fd, self.rep.fd, self.num_slots, self.slot_size, self.req.spin
         )
+
+    def child_fds(self) -> Tuple[int, ...]:
+        """What the worker inherits: the doorbell end, then both memfds."""
+        return (self._child_conn.fileno(), self.req.fd, self.rep.fd)
 
     def finish_spawn(self, process) -> None:
         self._child_conn.close()  # parent keeps only its own end
@@ -610,9 +613,49 @@ def _worker_main(
     plane.close()
 
 
+# The directory ``repro`` was imported from goes first on a worker's
+# path, so the worker imports the parent's package however it got there.
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+# What a worker runs after the interpreter and the parent's flags.
+_WORKER_PROGRAM = (
+    "import sys; sys.path.insert(0, sys.argv[1]); "
+    "from repro.core.procpool import _worker_boot; _worker_boot(int(sys.argv[2]))"
+)
+
+
+def _worker_boot(fd: int) -> None:
+    """Entry point of a worker child process (:data:`_WORKER_PROGRAM`).
+
+    ``fd`` is the worker's end of the plane's socketpair.  Its first
+    message is the bootstrap frame — the worker end plus the
+    :func:`_worker_main` arguments — after which the same connection is
+    the data pipe or the doorbell.  A parent that dies first leaves EOF.
+    """
+    conn = multiprocessing.connection.Connection(fd)
+    try:
+        end, args = conn.recv()
+    except EOFError:
+        return
+    end.conn = conn
+    _worker_main(end, *args)
+
+
 # ---------------------------------------------------------------------------
 # parent side
 # ---------------------------------------------------------------------------
+def _reap(process: subprocess.Popen, grace: float = 0.0) -> None:
+    """Collect a worker's exit status; one still running after
+    ``grace`` seconds is killed first."""
+    try:
+        process.wait(timeout=grace)
+    except subprocess.TimeoutExpired:
+        process.kill()
+        try:
+            process.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            pass  # unkillable for now (uninterruptible I/O): leave it
+
+
 class _WorkerHandle:
     """Parent-side view of one worker: its process, data plane and lock.
 
@@ -649,6 +692,9 @@ class _WorkerHandle:
         self.ops_since_snapshot = 0
         self.serialize_s = 0.0
         self.ipc_wait_s = 0.0
+
+    def alive(self) -> bool:
+        return self.process.poll() is None
 
     @property
     def conn(self):
@@ -708,7 +754,7 @@ class ProcessPartitionPool:
     worker raises promptly either way).
 
     ``checkpoint`` (``(counter, sections)``) is what the partitions are
-    born from — each worker gets its section as a spawn argument — and
+    born from — each worker gets its section in its bootstrap frame — and
     the first recovery checkpoint; ``reached_counter`` is the lowest
     counter any worker's start-up recovery reported.  A worker that
     dies mid-service is respawned on the most recent cached snapshot
@@ -740,9 +786,7 @@ class ProcessPartitionPool:
                 f"unknown data plane {data_plane!r}; known: {DATA_PLANES}"
             )
         if data_plane == DATA_PLANE_SHM and not shm_supported():
-            raise StoreError(
-                "data_plane='shm' needs multiprocessing.shared_memory"
-            )
+            raise StoreError("data_plane='shm' needs os.memfd_create")
         self.num_workers = num_workers
         self.request_timeout = request_timeout
         self.data_plane = data_plane
@@ -773,7 +817,6 @@ class ProcessPartitionPool:
         # worker locks concurrently.  Ordered strictly after any worker
         # lock (see shieldlint's lock-order pass).
         self._health_lock = threading.Lock()
-        self._mp_ctx = multiprocessing.get_context("spawn")
         self._proxies = [_PartitionProxy(self, i) for i in range(num_workers)]
         self.workers: List[_WorkerHandle] = []
         try:
@@ -818,33 +861,35 @@ class ProcessPartitionPool:
             counter = None if section is None else self._snapshot_counter
         if self.data_plane == DATA_PLANE_SHM:
             plane = _ShmPlane(
-                self._mp_ctx, index, DEFAULT_NUM_SLOTS, DEFAULT_SLOT_SIZE,
-                self.ring_spin,
+                index, DEFAULT_NUM_SLOTS, DEFAULT_SLOT_SIZE, self.ring_spin
             )
         else:
-            plane = _PipePlane(self._mp_ctx, index)
+            plane = _PipePlane(index)
+        fds = plane.child_fds()
         try:
-            process = self._mp_ctx.Process(
-                target=_worker_main,
-                args=(
-                    plane.worker_end(),
-                    index,
-                    self._config,
-                    self._master_secret,
-                    nonce,
-                    self._platform_secret,
-                    self._wal_dir,
-                    self._wal_sync_ms,
-                    None if section is None else (counter, section),
-                ),
-                name=f"shieldstore-partition-{index}",
-                daemon=True,
+            process = subprocess.Popen(
+                [
+                    sys.executable,
+                    # The parent's -O/-X/-W flags; private, but multiprocessing's own.
+                    *subprocess._args_from_interpreter_flags(),  # type: ignore[attr-defined]
+                    "-c", _WORKER_PROGRAM, _PACKAGE_ROOT, str(fds[0]),
+                ],
+                stdin=subprocess.DEVNULL,
+                pass_fds=fds,
             )
-            process.start()
         except BaseException:
             plane.close()
             raise
         plane.finish_spawn(process)
+        args = (
+            index, self._config, self._master_secret, nonce, self._platform_secret,
+            self._wal_dir, self._wal_sync_ms,
+            None if section is None else (counter, section),
+        )
+        try:
+            plane.conn.send((plane.worker_end(), args))  # the bootstrap frame
+        except OSError:
+            pass  # the worker is gone already: its handshake says so
         channel = _pipe_channel(
             self._master_secret, index, nonce, "client", self._config.suite_name
         )
@@ -916,9 +961,7 @@ class ProcessPartitionPool:
             handle.plane.close()
         except OSError:
             pass
-        if handle.process.is_alive():
-            handle.process.terminate()
-        handle.process.join(timeout=5)
+        _reap(handle.process)
         lost = handle.ops_since_snapshot
         # Born as at start-up: the cached section, then the log chain.
         handle.plane, handle.process, handle.channel, counter = self._spawn(handle.index)
@@ -976,7 +1019,7 @@ class ProcessPartitionPool:
                 sealed,
                 on_crash=handle.process.kill,
                 deadline=deadline,
-                alive=handle.process.is_alive,
+                alive=handle.alive,
             )
         except (BrokenPipeError, OSError) as exc:
             raise self._worker_failed(
@@ -1019,11 +1062,11 @@ class ProcessPartitionPool:
                     interval = min(interval, remaining)
                 if handle.plane.poll(interval):
                     break
-                if not handle.process.is_alive():
+                if not handle.alive():
                     raise self._worker_failed(
                         handle,
                         f"partition {handle.index}: worker process died "
-                        f"(exit code {handle.process.exitcode})",
+                        f"(exit code {handle.process.returncode})",
                         recover,
                     )
         finally:
@@ -1032,7 +1075,7 @@ class ProcessPartitionPool:
             raw = handle.plane.recv(
                 on_crash=handle.process.kill,
                 deadline=deadline,
-                alive=handle.process.is_alive,
+                alive=handle.alive,
             )
             frame = handle.channel.open(raw)
         except (EOFError, OSError) as exc:
@@ -1335,11 +1378,9 @@ class ProcessPartitionPool:
         self.request(index, OP_TAMPER, bytes(key))
 
     # -- lifecycle ----------------------------------------------------------
-    def _terminate_all(self) -> None:
+    def _terminate_all(self, grace: float = 0.0) -> None:
         for handle in self.workers:
-            if handle.process.is_alive():
-                handle.process.terminate()
-            handle.process.join(timeout=5)
+            _reap(handle.process, grace)
             handle.plane.close()
 
     def close(self) -> None:
@@ -1357,6 +1398,7 @@ class ProcessPartitionPool:
             if self._closed:
                 return
             self._closed = True
+            grace = 0.0
             if self._broken is None:
                 for handle in self.workers:
                     try:
@@ -1365,9 +1407,8 @@ class ProcessPartitionPool:
                         )
                     except (BrokenPipeError, OSError):
                         pass
-                for handle in self.workers:
-                    handle.process.join(timeout=5)
-        self._terminate_all()
+                grace = 5.0
+        self._terminate_all(grace)
 
     def __del__(self):
         try:

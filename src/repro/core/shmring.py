@@ -6,16 +6,19 @@ exit-less data-path design of Harnik et al.).  This module is that idea
 applied to our worker IPC: instead of round-tripping every batch frame
 through a ``multiprocessing`` pipe (two kernel copies plus a wakeup per
 direction), the parent and each worker share two fixed-size ring
-buffers in :mod:`multiprocessing.shared_memory` — one request ring
-(parent produces, worker consumes) and one reply ring (the reverse).
+buffers — one request ring (parent produces, worker consumes) and one
+reply ring (the reverse).  Each ring is an anonymous ``memfd``
+(``os.memfd_create`` + ``ftruncate``) mapped by both processes: the
+worker inherits the descriptor, so the ring has no name on any
+filesystem — nothing to unlink and nothing a killed process can leak.
 
 Only *sealed* records ride the rings.  Shared memory is host-visible,
 i.e. untrusted under the §2.3 threat model, exactly like the pipe it
 replaces: every frame written here is already encrypted + MACed by the
 per-incarnation :class:`~repro.net.message.SecureChannel` the pool
 derives in :mod:`repro.core.procpool`.  shieldlint's trust map treats
-any *unsealed* write into a ``SharedMemory`` buffer as a trust-boundary
-violation.
+any *unsealed* store into a ring's mapping (``self.shm[a:b] = x``) as a
+trust-boundary violation.
 
 Ring layout
 -----------
@@ -58,16 +61,13 @@ the doorbell's EOF doubles as peer-death detection for the worker.
 
 from __future__ import annotations
 
+import mmap
+import os
 import struct
 import time
 from typing import Callable, Optional
 
 from repro.errors import StoreError
-
-try:  # pragma: no cover - exercised by platform, not by branch
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - platform without shm support
-    _shared_memory = None
 
 __all__ = [
     "DEFAULT_NUM_SLOTS",
@@ -116,7 +116,7 @@ def spin_budget(usable: int, processes: int) -> int:
 
 def shm_supported() -> bool:
     """Whether this platform can host shared-memory rings."""
-    return _shared_memory is not None
+    return hasattr(os, "memfd_create")
 
 
 class RingTimeout(OSError):
@@ -187,23 +187,28 @@ class Doorbell:
 
 class ShmRing:
     """One direction of a worker's data plane (single producer, single
-    consumer) in one ``SharedMemory`` segment.
+    consumer) in one shared mapping of a ``memfd``.
 
     Exactly one process holds the ``producer`` role and one the
     ``consumer`` role; each caches its own counter locally (it is the
     only writer) and reads the peer's from the header.  The creating
-    side *owns* the segment and unlinks it on :meth:`close`.
+    side *owns* the descriptor (``fd``, handed to the worker at spawn)
+    and closes it on :meth:`close`; the memory goes with the last
+    mapping.
     """
 
     def __init__(
-        self, shm, num_slots: int, slot_size: int, role: str, owner: bool, spin: int
+        self, fd: int, num_slots: int, slot_size: int, role: str, owner: bool, spin: int
     ):
         if role not in ("producer", "consumer"):
             raise StoreError(f"unknown ring role {role!r}")
         if num_slots < 2 or slot_size < 16:
             raise StoreError("ring needs >= 2 slots of >= 16 bytes")
-        self.shm = shm
-        self._buf = shm.buf
+        self.fd = fd
+        # The ring's identity across processes: it has no filesystem name.
+        self.name = f"memfd:{os.fstat(fd).st_ino}"
+        self._map = mmap.mmap(fd, HEADER_SIZE + num_slots * slot_size)
+        self.shm = memoryview(self._map)
         self.num_slots = num_slots
         self.slot_size = slot_size
         self.capacity = num_slots * slot_size
@@ -213,7 +218,7 @@ class ShmRing:
         # Cache of the counter this side owns (head for the producer,
         # tail for the consumer) — re-read from the header at attach.
         own_off = _HEAD_OFF if role == "producer" else _TAIL_OFF
-        self._local = _U64.unpack_from(self._buf, own_off)[0]
+        self._local = _U64.unpack_from(self.shm, own_off)[0]
         self.doorbell: Optional[Doorbell] = None
         self._closed = False
         # -- occupancy / wait counters (parent aggregates them into
@@ -235,47 +240,40 @@ class ShmRing:
         spin: int = 0,
     ) -> "ShmRing":
         if not shm_supported():
-            raise StoreError("platform has no multiprocessing.shared_memory")
-        shm = _shared_memory.SharedMemory(
-            create=True, size=HEADER_SIZE + num_slots * slot_size
-        )
-        shm.buf[:HEADER_SIZE] = bytes(HEADER_SIZE)
-        return cls(shm, num_slots, slot_size, role, owner=True, spin=spin)
+            raise StoreError("platform has no os.memfd_create")
+        fd = os.memfd_create("shieldstore-ring")  # close-on-exec
+        try:
+            os.ftruncate(fd, HEADER_SIZE + num_slots * slot_size)  # zero-filled
+            return cls(fd, num_slots, slot_size, role, owner=True, spin=spin)
+        except BaseException:
+            os.close(fd)
+            raise
 
     @classmethod
     def attach(
-        cls, name: str, role: str, num_slots: int, slot_size: int, spin: int = 0
+        cls, fd: int, role: str, num_slots: int, slot_size: int, spin: int = 0
     ) -> "ShmRing":
-        if not shm_supported():
-            raise StoreError("platform has no multiprocessing.shared_memory")
-        # Spawned workers inherit the parent's resource tracker, whose
-        # registry is a set: the attach-side register is idempotent and
-        # cleanup stays owned by the creating side's unlink.
-        shm = _shared_memory.SharedMemory(name=name)
-        return cls(shm, num_slots, slot_size, role, owner=False, spin=spin)
-
-    @property
-    def name(self) -> str:
-        return self.shm.name
+        """Map the ring behind ``fd``; the descriptor stays the caller's."""
+        return cls(fd, num_slots, slot_size, role, owner=False, spin=spin)
 
     # -- header accessors ----------------------------------------------------
     def _peer_counter(self) -> int:
         """The counter the *other* side owns (tail for a producer)."""
         off = _TAIL_OFF if self.role == "producer" else _HEAD_OFF
-        return _U64.unpack_from(self._buf, off)[0]
+        return _U64.unpack_from(self.shm, off)[0]
 
     def _publish_counter(self, value: int) -> None:
         off = _HEAD_OFF if self.role == "producer" else _TAIL_OFF
-        _U64.pack_into(self._buf, off, value)
+        _U64.pack_into(self.shm, off, value)
         self._local = value
 
     def _peer_waiting(self) -> bool:
         off = _CWAIT_OFF if self.role == "producer" else _PWAIT_OFF
-        return self._buf[off] != 0
+        return self.shm[off] != 0
 
     def _set_waiting(self, flag: bool) -> None:
         off = _PWAIT_OFF if self.role == "producer" else _CWAIT_OFF
-        self._buf[off] = 1 if flag else 0
+        self.shm[off] = 1 if flag else 0
 
     # -- occupancy -----------------------------------------------------------
     def data_available(self) -> int:
@@ -339,18 +337,18 @@ class ShmRing:
         n = len(src)
         first = min(n, self.capacity - pos)
         base = HEADER_SIZE + pos
-        self._buf[base : base + first] = src[:first]
+        self.shm[base : base + first] = src[:first]
         if first < n:
-            self._buf[HEADER_SIZE : HEADER_SIZE + n - first] = src[first:]
+            self.shm[HEADER_SIZE : HEADER_SIZE + n - first] = src[first:]
 
     def _copy_out(self, counter: int, dest, dest_off: int, n: int) -> None:
         """Read ``n`` bytes at ``counter`` into ``dest[dest_off:]``."""
         pos = counter % self.capacity
         first = min(n, self.capacity - pos)
         base = HEADER_SIZE + pos
-        dest[dest_off : dest_off + first] = self._buf[base : base + first]
+        dest[dest_off : dest_off + first] = self.shm[base : base + first]
         if first < n:
-            dest[dest_off + first : dest_off + n] = self._buf[
+            dest[dest_off + first : dest_off + n] = self.shm[
                 HEADER_SIZE : HEADER_SIZE + n - first
             ]
 
@@ -532,20 +530,17 @@ class ShmRing:
         }
 
     def close(self) -> None:
-        """Release the mapping; the owning side also unlinks the segment."""
+        """Release the mapping; the owning side also closes the memfd."""
         if self._closed:
             return
         self._closed = True
-        self._buf = None
         try:
-            self.shm.close()
-        except (OSError, BufferError):
-            pass
+            self.shm.release()
+            self._map.close()
+        except BufferError:
+            pass  # a view still in use: the mapping goes with the object
         if self._owner:
-            try:
-                self.shm.unlink()
-            except (FileNotFoundError, OSError):
-                pass
+            os.close(self.fd)
 
     def __del__(self):
         try:

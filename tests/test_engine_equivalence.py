@@ -108,7 +108,7 @@ def _scenario(mode, data_plane, wal_dir):
         if mode == MODE_PROCESSES:
             for handle in store._pool.workers:
                 os.kill(handle.process.pid, signal.SIGKILL)
-                handle.process.join(timeout=10)
+                handle.process.wait(timeout=10)
             with pytest.raises(WorkerError, match="write-ahead log"):
                 store.audit()  # the interrupted call; the pool recovers
             assert store.partition_state == "recovered"

@@ -12,8 +12,15 @@ exception class, and dead workers surfacing as
 :class:`~repro.errors.WorkerError` instead of hangs.
 """
 
+import json
+import os
+import signal
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -224,7 +231,7 @@ class TestFailureSemantics:
         with _build(MODE_PROCESSES) as store:
             store.set(b"k", b"v")
             store._pool.workers[0].process.terminate()
-            store._pool.workers[0].process.join(timeout=5)
+            store._pool.workers[0].process.wait(timeout=5)
             with pytest.raises(WorkerError, match="respawned"):
                 store.multi_get([f"key-{i}".encode() for i in range(20)])
             assert store.partition_state == "degraded"
@@ -357,3 +364,140 @@ class TestModeResolution:
             with pytest.raises(StoreError):
                 store.partition_of(b"k")
             assert 0 <= store.partition_index_of(b"k") < PARTITIONS
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _python(script, tmp_path, env=None):
+    """Run ``script`` as a file with this interpreter; its stdout."""
+    path = tmp_path / "script.py"
+    path.write_text(textwrap.dedent(script))
+    if env is None:
+        env = dict(os.environ, PYTHONPATH=_SRC)
+    done = subprocess.run(
+        [sys.executable, str(path)], capture_output=True, text=True,
+        timeout=120, env=env, cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def _running(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in "ZX"
+    except FileNotFoundError:
+        return False
+
+
+@needs_processes
+class TestWorkersArePlainChildren:
+    """A worker is ``subprocess.Popen`` of this interpreter over
+    inherited descriptors: no ``multiprocessing`` start method, so no
+    resource-tracker process, no named shared memory and no re-import
+    of the caller's ``__main__``."""
+
+    def test_no_tracker_and_no_shm_names(self, tmp_path):
+        out = _python(
+            """
+            import json, os
+            import multiprocessing.resource_tracker as tracker
+            from repro.core import PartitionedShieldStore, shield_opt
+
+            def children():
+                return [
+                    child
+                    for task in os.listdir("/proc/self/task")
+                    for child in open(f"/proc/self/task/{task}/children").read().split()
+                ]
+
+            def main():
+                shm_before = set(os.listdir("/dev/shm"))
+                seen = {"live_shm": [], "trackers": []}
+                for plane in ("pipe", "shm"):
+                    store = PartitionedShieldStore(
+                        shield_opt(num_buckets=64, num_mac_hashes=16),
+                        mode="processes", num_partitions=2, data_plane=plane,
+                    )
+                    items = [(b"k%03d" % i, b"v%03d" % i) for i in range(64)]
+                    store.multi_set(items)
+                    assert store.multi_get([k for k, _ in items]) == dict(items)
+                    seen["live_shm"] += sorted(set(os.listdir("/dev/shm")) - shm_before)
+                    store.close()
+                seen["trackers"] = [
+                    pid for pid in children()
+                    if b"resource_tracker" in open(f"/proc/{pid}/cmdline", "rb").read()
+                ]
+                seen["tracker_pid"] = tracker._resource_tracker._pid
+                seen["new_shm"] = sorted(set(os.listdir("/dev/shm")) - shm_before)
+                print(json.dumps(seen))
+
+            if __name__ == "__main__":  # so a start method re-importing it works too
+                main()
+            """,
+            tmp_path,
+        )
+        assert json.loads(out) == {
+            "live_shm": [], "trackers": [], "tracker_pid": None, "new_shm": [],
+        }
+
+    @pytest.mark.parametrize("plane", ["pipe", "shm"])
+    def test_worker_exits_when_its_parent_is_killed(self, tmp_path, plane):
+        """No exit handler runs in a SIGKILLed parent: EOF on the
+        inherited descriptor is what ends its workers."""
+        script = f"""
+            import os, signal, sys
+            from repro.core.procpool import ProcessPartitionPool
+            from repro.core import shield_opt
+
+            if __name__ == "__main__":  # so a start method re-importing it works too
+                pool = ProcessPartitionPool(
+                    shield_opt(num_buckets=32, num_mac_hashes=8), 2, bytes(32),
+                    data_plane={plane!r},
+                )
+                print(*(handle.process.pid for handle in pool.workers), flush=True)
+                os.kill(os.getpid(), signal.SIGKILL)
+            """
+        path = tmp_path / "script.py"
+        path.write_text(textwrap.dedent(script))
+        done = subprocess.run(
+            [sys.executable, str(path)], capture_output=True, text=True,
+            timeout=120, env=dict(os.environ, PYTHONPATH=_SRC),
+        )
+        assert done.returncode == -signal.SIGKILL, done.stderr
+        workers = [int(pid) for pid in done.stdout.split()]
+        assert len(workers) == 2
+        deadline = time.monotonic() + 5.0
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, workers)), "a worker outlived its parent"
+
+    # Built at module level, with no ``if __name__ == "__main__"`` guard.
+    UNGUARDED = """
+        import sys
+        {path_line}
+        from repro.core import PartitionedShieldStore, shield_opt
+
+        store = PartitionedShieldStore(
+            shield_opt(num_buckets=64, num_mac_hashes=16),
+            mode="processes", num_partitions=2,
+        )
+        items = [(b"k%03d" % i, b"v%03d" % i) for i in range(64)]
+        store.multi_set(items)
+        assert store.multi_get([k for k, _ in items]) == dict(items)
+        assert store.mode == "processes"
+        store.close()
+        print("ok")
+        """
+
+    def test_no_main_guard_needed(self, tmp_path):
+        out = _python(self.UNGUARDED.format(path_line=""), tmp_path)
+        assert out == "ok\n"
+
+    def test_no_main_guard_with_path_set_at_run_time(self, tmp_path):
+        """``repro`` is importable only through a ``sys.path`` edit the
+        script makes itself: the workers still find the package."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        script = self.UNGUARDED.format(path_line=f"sys.path.insert(0, {_SRC!r})")
+        assert _python(script, tmp_path, env=env) == "ok\n"

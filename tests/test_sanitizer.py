@@ -281,7 +281,7 @@ class TestCrossProcess:
             expected[key] = value
         for handle in store._pool.workers:
             handle.process.kill()
-            handle.process.join()
+            handle.process.wait()
         recovered = {}
         for key in expected:
             try:

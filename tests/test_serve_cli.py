@@ -149,14 +149,47 @@ class TestCleanStopLosesNothing:
 
 
 def _worker_pids(pid):
-    """Partition workers of a served process (its ``spawn_main``
-    children; the multiprocessing resource tracker is not one)."""
+    """Partition workers of a served process: its children running the
+    pool's worker entry point."""
     with open(f"/proc/{pid}/task/{pid}/children") as fh:
         children = fh.read().split()
     return [
         int(child) for child in children
-        if b"spawn_main" in Path(f"/proc/{child}/cmdline").read_bytes()
+        if b"_worker_boot" in Path(f"/proc/{child}/cmdline").read_bytes()
     ]
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process (a zombie waiting for whoever
+    adopted it has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in "ZX"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not process_mode_supported(), reason="no worker processes")
+def test_killed_server_leaves_no_worker_and_no_shm_entry():
+    """A SIGKILLed server runs no exit handler: its workers see EOF on
+    their inherited descriptors and exit by themselves, and the rings,
+    having no name, leave nothing behind in /dev/shm."""
+    shm_before = set(os.listdir("/dev/shm"))
+    served = Served("--workers", "2")
+    workers = _worker_pids(served.proc.pid)
+    assert len(workers) == 2
+    client = served.client()
+    client.multi_set(_SEEDED)
+    client.close()
+    served.proc.kill()
+    served.proc.communicate()
+    deadline = time.monotonic() + 5.0
+    while time.monotonic() < deadline and (
+        any(map(_running, workers)) or set(os.listdir("/dev/shm")) - shm_before
+    ):
+        time.sleep(0.05)
+    assert not any(map(_running, workers)), "a worker outlived its server"
+    assert set(os.listdir("/dev/shm")) <= shm_before
 
 
 class TestEveryShapeRestarts:

@@ -8,6 +8,7 @@ does *not* flag the adjacent compliant code.
 """
 
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +130,29 @@ class TestTrustBoundaryRule:
             """,
         )
         assert _lint(tmp_path).active == []
+
+    def test_plaintext_planted_in_the_real_ring_write_is_flagged(self, tmp_path):
+        """The shm sink must match what ``core/shmring.py`` really
+        stores into, not a naming convention: the real module is clean,
+        and one ``channel.open`` result fed to its ring write is caught."""
+        import repro.core.shmring as shmring
+
+        source = Path(shmring.__file__).read_text()
+        clean = tmp_path / "clean"
+        _write(clean, "core/shmring.py", source)
+        assert _lint(clean).active == []
+        site = "        src = memoryview(data)\n"
+        assert source.count(site) == 1
+        planted = tmp_path / "planted"
+        _write(
+            planted,
+            "core/shmring.py",
+            source.replace(site, "        src = memoryview(channel.open(data))\n"),
+        )
+        report = _lint(planted)
+        assert report.active
+        assert {f.rule for f in report.active} == {"trust-boundary"}
+        assert all("shared memory" in f.message for f in report.active)
 
     def test_decrypt_result_is_a_source(self, tmp_path):
         _write(

@@ -32,16 +32,16 @@ from repro.net.message import STATUS_OK, Request
 from repro.sim.faults import FaultPlan, FaultRule, injected
 
 pytestmark = pytest.mark.skipif(
-    not shm_supported(), reason="platform has no multiprocessing.shared_memory"
+    not shm_supported(), reason="platform has no os.memfd_create"
 )
 
 SECRET = bytes(range(32))
 
 
 def _ring_pair(num_slots=4, slot_size=64):
-    """One segment, both roles — producer and consumer ends in-process."""
+    """One memfd, both roles — producer and consumer ends in-process."""
     prod = ShmRing.create("producer", num_slots, slot_size)
-    cons = ShmRing.attach(prod.name, "consumer", num_slots, slot_size)
+    cons = ShmRing.attach(prod.fd, "consumer", num_slots, slot_size)
     return prod, cons
 
 
@@ -188,7 +188,7 @@ class TestRingWaits:
             # A fresh attach picks the counters up from the header
             # instead of assuming an empty ring.
             cons2 = ShmRing.attach(
-                prod.name, "consumer", prod.num_slots, prod.slot_size
+                prod.fd, "consumer", prod.num_slots, prod.slot_size
             )
             try:
                 assert cons2.read() == b"second"
@@ -239,7 +239,7 @@ class TestShmPlanePool:
             assert response.value == marker_val
             plane = pool.workers[0].plane
             for ring in (plane.req, plane.rep):
-                residue = bytes(ring.shm.buf[HEADER_SIZE:])
+                residue = bytes(ring.shm[HEADER_SIZE:])
                 assert marker_key not in residue
                 assert marker_val not in residue
         finally:
@@ -290,8 +290,8 @@ class TestShmPlanePool:
             # the stream without replying.
             with handle.lock:
                 handle.plane.send_raw(tape[1])
-                handle.process.join(timeout=10)
-                assert not handle.process.is_alive()
+                handle.process.wait(timeout=10)
+                assert handle.process.poll() is not None
                 assert handle.plane.poll(0.2) is False, (
                     "stale-incarnation record must not be answered"
                 )
@@ -386,7 +386,7 @@ try:
 
     pool = store._pool
     pool.workers[0].process.kill()
-    pool.workers[0].process.join(timeout=10)
+    pool.workers[0].process.wait(timeout=10)
     try:
         store.multi_get(sorted(model))
         raise SystemExit("a killed worker went unnoticed")

@@ -282,8 +282,8 @@ class TestPerIncarnationPipeKeys:
             handle = pool.workers[0]
             with handle.lock:
                 handle.conn.send_bytes(tape[1])
-                handle.process.join(timeout=10)
-                assert not handle.process.is_alive()
+                handle.process.wait(timeout=10)
+                assert handle.process.poll() is not None
                 with pytest.raises(EOFError):
                     handle.conn.recv_bytes()
         finally:
@@ -305,8 +305,8 @@ class TestSealedShutdown:
                 )
                 ack = handle.channel.open(handle.conn.recv_bytes())
             assert ack == bytes([REPLY_OK])
-            handle.process.join(timeout=10)
-            assert handle.process.exitcode == 0
+            handle.process.wait(timeout=10)
+            assert handle.process.returncode == 0
         finally:
             pool.close()
 
@@ -320,7 +320,7 @@ class TestSealedShutdown:
         for handle in pool.workers:
             handle.conn = _SpyConn(handle.conn, frames)
         pool.close()
-        assert [p.exitcode for p in processes] == [0, 0]
+        assert [p.returncode for p in processes] == [0, 0]
         shutdown_frames = frames[-2:]
         assert len(shutdown_frames) == 2
         for frame in shutdown_frames:

@@ -524,7 +524,7 @@ class TestCrashMatrix:
             expected[key] = value
         for handle in store._pool.workers:
             handle.process.kill()
-            handle.process.join()
+            handle.process.wait()
         recovered = {}
         for key in expected:
             try:
@@ -547,7 +547,7 @@ class TestCrashMatrix:
         store.set(b"post", b"2")  # lives only in the rotated tail
         victim = store._pool.workers[0]
         victim.process.kill()
-        victim.process.join()
+        victim.process.wait()
         values = {}
         for key in (b"pre", b"post"):
             try:
@@ -578,7 +578,7 @@ class TestCrashMatrix:
         store.set(b"a", b"1")
         victim = store._pool.workers[store.partition_index_of(b"a")]
         victim.process.kill()
-        victim.process.join()
+        victim.process.wait()
         with pytest.raises(Exception):
             for _ in range(2):
                 store.get(b"a")

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Union
 from repro.errors import EnclaveError, EnclaveMemoryError
 from repro.sim.cycles import CACHELINE, PAGE_SIZE, CostModel, CycleCounters
 from repro.sim.epc import EPCDevice
-from repro.sim.llc import LLCache
+from repro.sim.llc import ABSENT, GROUP_MASK, GROUP_SHIFT, LLCache
 
 ENCLAVE_BASE = 0x2000_0000_0000
 ENCLAVE_SPAN = 0x1000_0000_0000  # contiguous enclave virtual range (§7 check)
@@ -168,17 +168,25 @@ class SimMemory:
             # reach DRAM, the MEE, or the EPC pager.
             llc = self.llc
             lines = llc.lines
+            stamps = llc.stamps
             clock = ctx.clock
             hits = misses = 0
             page = -1
             first_line = addr // CACHELINE
             last_line = (addr + (size if size > 0 else 1) - 1) // CACHELINE
             for line in range(first_line, last_line + 1):
-                if line in lines:
+                if lines is None:
+                    group = stamps.get(line >> GROUP_SHIFT, ABSENT)
+                    if group[line & GROUP_MASK]:
+                        llc.touches = group[line & GROUP_MASK] = llc.touches + 1
+                        hits += 1
+                        continue
+                elif line in lines:
                     lines.move_to_end(line)
                     hits += 1
                     continue
-                llc.access(line)  # the miss arm: evict the LRU tag, insert
+                llc.access(line)  # the miss arm: insert; when full, evict the LRU tag
+                lines = llc.lines  # the first eviction switches it to the OrderedDict
                 misses += 1
                 # Only lines that actually go to memory can fault; lines
                 # ascend, so each page is touched once, in address order.
@@ -218,15 +226,20 @@ class SimMemory:
                 f"read of {size} bytes at 0x{addr:x} overruns allocation {alloc!r}"
             )
         line = addr // CACHELINE
-        lines = self.llc.lines
+        llc = self.llc
+        lines = llc.lines
         if (
             ctx is not None
             and (end - 1) // CACHELINE <= line
-            and line in lines
+            and (line in lines if lines is not None
+                 else (group := llc.stamps.get(line >> GROUP_SHIFT, ABSENT))[line & GROUP_MASK])
             and (ctx.in_enclave or not ENCLAVE_BASE <= addr < ENCLAVE_END)
         ):
-            lines.move_to_end(line)
-            self.llc.hits += 1
+            if lines is None:
+                llc.touches = group[line & GROUP_MASK] = llc.touches + 1
+            else:
+                lines.move_to_end(line)
+            llc.hits += 1
             cycles = self.cost.cache_hit_cycles
             ctx.clock.cycles += cycles
             counters = self.counters
@@ -256,15 +269,20 @@ class SimMemory:
                 f"write of {size} bytes at 0x{addr:x} overruns allocation {alloc!r}"
             )
         line = addr // CACHELINE
-        lines = self.llc.lines
+        llc = self.llc
+        lines = llc.lines
         if (
             ctx is not None
             and (end - 1) // CACHELINE <= line
-            and line in lines
+            and (line in lines if lines is not None
+                 else (group := llc.stamps.get(line >> GROUP_SHIFT, ABSENT))[line & GROUP_MASK])
             and (ctx.in_enclave or not ENCLAVE_BASE <= addr < ENCLAVE_END)
         ):
-            lines.move_to_end(line)
-            self.llc.hits += 1
+            if lines is None:
+                llc.touches = group[line & GROUP_MASK] = llc.touches + 1
+            else:
+                lines.move_to_end(line)
+            llc.hits += 1
             cycles = self.cost.cache_hit_cycles
             ctx.clock.cycles += cycles
             counters = self.counters

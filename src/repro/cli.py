@@ -226,6 +226,7 @@ def _cmd_restore(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    import contextlib
     import os
     import signal
     import time
@@ -311,13 +312,9 @@ def _cmd_serve(args) -> int:
         return 1
     store, restored_from, replayed = opened
     plane = store.data_plane
-    waits = store.transport_stats()
     print(f"partition engine: {args.workers} partition(s), "
           f"mode={store.mode}"
-          + (f", data-plane={plane}" if plane else "")
-          + (f", usable_cpus={waits.usable_cpus}: ring waits "
-             + ("spin first" if waits.ring_spin_budget else "arm the doorbell at once")
-             if plane == "shm" else ""))
+          + (f", data-plane={plane}" if plane else ""))
     if args.wal_dir:
         print(f"write-ahead log: {args.wal_dir} "
               f"(group commit {args.wal_sync_ms:g} ms)")
@@ -361,8 +358,15 @@ def _cmd_serve(args) -> int:
                 # segments it supersedes be deleted.
                 WriteAheadLog.retire(wal_dir, counter)
 
+        def take_snapshot():
+            # Anti-entropy merges write the store under the replicated
+            # store's mutex alone: the cut holds it too, taken after
+            # store_lock as the loop thread takes them.
+            with served.mutex if replicated else contextlib.nullcontext():
+                return snapshotter.snapshot_bytes(store)
+
         daemon = SnapshotDaemon(
-            lambda: snapshotter.snapshot_bytes(store),
+            take_snapshot,
             args.snapshot_dir,
             args.snapshot_interval,
             lock=server.store_lock,
@@ -500,7 +504,7 @@ def _cmd_stats(args) -> int:
     # counter snapshot over the pipe and the parent merges them here.
     stats = store.stats()
     counters = stats.snapshot_dict()
-    if store.data_plane:  # ...and the plane's (on shm: the rings' wait decision)
+    if store.data_plane:  # ...and the plane's (on shm: the rings' doorbell traffic)
         counters.update(store.transport_stats().snapshot_dict())
     ops = stats.batch_ops or 1
     if args.format == "json":
@@ -608,8 +612,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "process-parallel partition engine)")
     serve.add_argument("--data-plane", choices=["pipe", "shm"], default=None,
                        help="worker crossing transport: 'shm' = sealed "
-                            "shared-memory rings (switchless, default where "
-                            "supported), 'pipe' = portable pipes")
+                            "shared-memory rings (default where supported), "
+                            "'pipe' = portable pipes")
     serve.add_argument("--snapshot-dir", default=None,
                        help="directory for periodic sealed checkpoints; "
                             "the newest one is restored on startup")

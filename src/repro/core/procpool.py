@@ -27,10 +27,8 @@ Two planes carry those records (``data_plane=`` selects one):
 
 * ``"shm"`` (default) — per-worker sealed shared-memory ring buffers
   (:mod:`repro.core.shmring`): one request ring + one reply ring, with
-  ``Connection``-based doorbells for readiness.  This is the paper's
-  switchless/HotCalls idea applied to worker IPC: the hot path moves
-  sealed bytes through shared memory with a single ``memoryview`` copy
-  per side and, where the pool has a core to spare, no syscall at all.
+  a ``Connection``-based doorbell for readiness.  Sealed bytes move
+  through shared memory with a single ``memoryview`` copy per side.
 * ``"pipe"`` — a socketpair ``Connection`` (two kernel copies and a
   wakeup per direction); kept as the portable fallback and selected
   automatically where ``memfd_create`` is unavailable.
@@ -114,7 +112,6 @@ from repro.core.shmring import (
     Doorbell,
     ShmRing,
     shm_supported,
-    spin_budget,
 )
 from repro.core.stats import StoreStats, TransportStats
 from repro.crypto.keys import derive_key
@@ -145,7 +142,6 @@ from repro.net.message import (
     encode_response,
 )
 from repro.sim import faults
-from repro.util import usable_cpus
 
 # -- frame opcodes ------------------------------------------------------------
 OP_REQ = 0x01       # execute one Request (single-key or mget/mset/mdelete)
@@ -312,31 +308,26 @@ class _PipeWorkerEnd:
 class _ShmWorkerEnd:
     """Worker-side endpoint of the shm plane (sent in the bootstrap frame).
 
-    Carries the inherited ring descriptors and geometry and the pool's
-    wait policy (``spin``); :func:`_worker_boot` sets ``conn`` to the
-    inherited doorbell.  :meth:`open` maps the rings with the roles
-    mirrored (the worker consumes requests and produces replies).
+    Carries the inherited ring descriptors and geometry;
+    :func:`_worker_boot` sets ``conn`` to the inherited doorbell.
+    :meth:`open` maps the rings with the roles mirrored (the worker
+    consumes requests and produces replies).
     """
 
     kind = DATA_PLANE_SHM
     conn: Any = None
 
-    def __init__(self, req_fd, rep_fd, num_slots, slot_size, spin):
+    def __init__(self, req_fd, rep_fd, num_slots, slot_size):
         self.req_fd = req_fd
         self.rep_fd = rep_fd
         self.num_slots = num_slots
         self.slot_size = slot_size
-        self.spin = spin
         self.req = None
         self.rep = None
 
     def open(self) -> "_ShmWorkerEnd":
-        self.req = ShmRing.attach(
-            self.req_fd, "consumer", self.num_slots, self.slot_size, self.spin
-        )
-        self.rep = ShmRing.attach(
-            self.rep_fd, "producer", self.num_slots, self.slot_size, self.spin
-        )
+        self.req = ShmRing.attach(self.req_fd, "consumer", self.num_slots, self.slot_size)
+        self.rep = ShmRing.attach(self.rep_fd, "producer", self.num_slots, self.slot_size)
         os.close(self.req_fd)  # mapped: the descriptors have done their job
         os.close(self.rep_fd)
         doorbell = Doorbell(self.conn)
@@ -354,8 +345,7 @@ class _ShmWorkerEnd:
         self.rep.write(raw)
 
     def wait_counts(self) -> dict:
-        req, rep = self.req.snapshot(), self.rep.snapshot()
-        return {n: req[n] + rep[n] for n in ("spin_yields", "doorbell_waits")}
+        return {"doorbell_waits": self.req.doorbell_waits + self.rep.doorbell_waits}
 
     def close(self) -> None:
         if self.req is not None:
@@ -421,7 +411,7 @@ class _PipePlane:
 
 
 class _ShmPlane:
-    """Parent-side shared-memory ring plane (the switchless hot path).
+    """Parent-side shared-memory ring plane (the default).
 
     Owns both rings (request: parent produces; reply: parent consumes)
     and the doorbell socketpair.  Faults inject here — parent-side, where
@@ -430,21 +420,19 @@ class _ShmPlane:
 
     kind = DATA_PLANE_SHM
 
-    def __init__(self, index: int, num_slots: int, slot_size: int, spin: int):
+    def __init__(self, index: int, num_slots: int, slot_size: int):
         self.index = index
         self.num_slots = num_slots
         self.slot_size = slot_size
-        self.req = ShmRing.create("producer", num_slots, slot_size, spin)
-        self.rep = ShmRing.create("consumer", num_slots, slot_size, spin)
+        self.req = ShmRing.create("producer", num_slots, slot_size)
+        self.rep = ShmRing.create("consumer", num_slots, slot_size)
         self.conn, self._child_conn = multiprocessing.connection.Pipe(duplex=True)
         self._doorbell = Doorbell(self.conn, fault_point="shmring.doorbell")
         self.req.doorbell = self._doorbell
         self.rep.doorbell = self._doorbell
 
     def worker_end(self) -> _ShmWorkerEnd:
-        return _ShmWorkerEnd(
-            self.req.fd, self.rep.fd, self.num_slots, self.slot_size, self.req.spin
-        )
+        return _ShmWorkerEnd(self.req.fd, self.rep.fd, self.num_slots, self.slot_size)
 
     def child_fds(self) -> Tuple[int, ...]:
         """What the worker inherits: the doorbell end, then both memfds."""
@@ -483,7 +471,6 @@ class _ShmPlane:
         stats.ring_frames = self.req.frames + self.rep.frames
         stats.ring_bytes = self.req.bytes_moved + self.rep.bytes_moved
         stats.ring_full_waits = self.req.full_waits + self.rep.full_waits
-        stats.ring_spin_yields = self.req.spin_yields + self.rep.spin_yields
         stats.ring_doorbell_waits = (
             self.req.doorbell_waits + self.rep.doorbell_waits
         )
@@ -790,10 +777,6 @@ class ProcessPartitionPool:
         self.num_workers = num_workers
         self.request_timeout = request_timeout
         self.data_plane = data_plane
-        # The shm plane's wait policy, decided once for every ring of
-        # every incarnation: spin only with a core no pool process needs.
-        self.usable_cpus = usable_cpus()
-        self.ring_spin = spin_budget(self.usable_cpus, num_workers + 1)
         self._broken: Optional[str] = None
         self._closed = False
         self._config = config
@@ -860,9 +843,7 @@ class ProcessPartitionPool:
             section = self._snapshot_sections.get(index)
             counter = None if section is None else self._snapshot_counter
         if self.data_plane == DATA_PLANE_SHM:
-            plane = _ShmPlane(
-                index, DEFAULT_NUM_SLOTS, DEFAULT_SLOT_SIZE, self.ring_spin
-            )
+            plane = _ShmPlane(index, DEFAULT_NUM_SLOTS, DEFAULT_SLOT_SIZE)
         else:
             plane = _PipePlane(index)
         fds = plane.child_fds()
@@ -1324,17 +1305,13 @@ class ProcessPartitionPool:
 
     def transport_stats(self) -> TransportStats:
         """Merged data-plane counters across every worker's plane; on
-        the shm plane also the worker ends' and the wait decision."""
+        the shm plane also the worker ends' doorbell waits."""
         merged = TransportStats()
         for handle in self.workers:
             with handle.lock:
                 merged = merged.merge(handle.plane.transport_stats())
         if self.data_plane == DATA_PLANE_SHM:
-            worker = self._worker_timings()
-            merged.worker_ring_spin_yields = worker["spin_yields"]
-            merged.worker_ring_doorbell_waits = worker["doorbell_waits"]
-            merged.usable_cpus = self.usable_cpus
-            merged.ring_spin_budget = self.ring_spin
+            merged.worker_ring_doorbell_waits = self._worker_timings()["doorbell_waits"]
         return merged
 
     def stage_timings(self) -> Dict[str, float]:

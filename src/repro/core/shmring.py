@@ -1,16 +1,13 @@
-"""Sealed shared-memory SPSC ring buffers: the switchless data plane.
+"""Sealed shared-memory SPSC ring buffers: the shm data plane.
 
-The paper's hot path never crosses the enclave boundary per request —
-HotCalls-style shared-memory handoffs replace OCALLs (§2.2, and the
-exit-less data-path design of Harnik et al.).  This module is that idea
-applied to our worker IPC: instead of round-tripping every batch frame
-through a ``multiprocessing`` pipe (two kernel copies plus a wakeup per
-direction), the parent and each worker share two fixed-size ring
-buffers — one request ring (parent produces, worker consumes) and one
-reply ring (the reverse).  Each ring is an anonymous ``memfd``
-(``os.memfd_create`` + ``ftruncate``) mapped by both processes: the
-worker inherits the descriptor, so the ring has no name on any
-filesystem — nothing to unlink and nothing a killed process can leak.
+Instead of round-tripping every batch frame through a pipe (two kernel
+copies plus a wakeup per direction), the parent and each worker share
+two fixed-size ring buffers — one request ring (parent produces, worker
+consumes) and one reply ring (the reverse).  Each ring is an anonymous
+``memfd`` (``os.memfd_create`` + ``ftruncate``) mapped by both
+processes: the worker inherits the descriptor, so the ring has no name
+on any filesystem — nothing to unlink and nothing a killed process can
+leak.
 
 Only *sealed* records ride the rings.  Shared memory is host-visible,
 i.e. untrusted under the §2.3 threat model, exactly like the pipe it
@@ -44,12 +41,9 @@ frame, so snapshot sections of any size cross without growing the ring.
 
 Readiness without futexes
 -------------------------
-Each side first spins its ring's ``spin`` cooperative ``sleep(0)``
-yields (:func:`spin_budget`: decided once by whoever builds the plane,
-zero unless the waiter has a core no pool process needs), then arms its
-*waiting flag* in the header and naps on the **doorbell** — one duplex
-``multiprocessing`` ``Connection`` pair per worker, shared by both
-rings.  A producer publishing into a ring
+A side that must wait arms its *waiting flag* in the header and naps on
+the **doorbell** — one duplex ``multiprocessing`` ``Connection`` pair
+per worker, shared by both rings.  A producer publishing into a ring
 whose consumer declared itself waiting sends one doorbell byte; the
 waiter re-checks the ring *after* arming the flag and before napping,
 so the publish-then-check / arm-then-check orders close the lost-wakeup
@@ -77,7 +71,6 @@ __all__ = [
     "RingTimeout",
     "ShmRing",
     "shm_supported",
-    "spin_budget",
 ]
 
 # 1024 slots x 1 KiB = 1 MiB per ring: a 256-op batch frame fits in a
@@ -98,20 +91,6 @@ _LEN = struct.Struct("<I")
 # memory-ordering guarantees for the waiting flags, so waits are always
 # bounded: a lost doorbell costs at most this much latency.
 POLL_INTERVAL = 0.02
-
-
-def spin_budget(usable: int, processes: int) -> int:
-    """Cooperative yields before arming the doorbell, for a plane whose
-    ``processes`` (workers + the parent) share ``usable`` CPUs.
-
-    A spin pays only when the waiter holds a core nobody else needs:
-    the peer runs concurrently and a short spin usually sees progress
-    with no doorbell syscall at all — the switchless fast path.  With
-    fewer CPUs than processes each ``sleep(0)`` is a scheduler round
-    trip onto a core a worker is computing on: the budget is zero and
-    waits arm the doorbell at once, at the pipe plane's poll/wake cost.
-    """
-    return 100 if usable >= processes else 0
 
 
 def shm_supported() -> bool:
@@ -142,7 +121,6 @@ class Doorbell:
         self.fault_point = fault_point
         self.on_crash: Optional[Callable[[], None]] = None
         self.rings = 0
-        self.waits = 0
 
     def ring(self) -> None:
         """Send one wakeup byte (best-effort: peer death is the alive
@@ -166,7 +144,6 @@ class Doorbell:
 
     def wait(self, timeout: float) -> None:
         """Nap until rung or ``timeout``; drains every pending byte."""
-        self.waits += 1
         try:
             if self.conn.poll(timeout):
                 while True:
@@ -197,9 +174,7 @@ class ShmRing:
     mapping.
     """
 
-    def __init__(
-        self, fd: int, num_slots: int, slot_size: int, role: str, owner: bool, spin: int
-    ):
+    def __init__(self, fd: int, num_slots: int, slot_size: int, role: str, owner: bool):
         if role not in ("producer", "consumer"):
             raise StoreError(f"unknown ring role {role!r}")
         if num_slots < 2 or slot_size < 16:
@@ -213,7 +188,6 @@ class ShmRing:
         self.slot_size = slot_size
         self.capacity = num_slots * slot_size
         self.role = role
-        self.spin = spin  # yields before arming the doorbell (spin_budget)
         self._owner = owner
         # Cache of the counter this side owns (head for the producer,
         # tail for the consumer) — re-read from the header at attach.
@@ -226,7 +200,6 @@ class ShmRing:
         self.frames = 0          # complete frames moved through this end
         self.bytes_moved = 0     # prefix + payload bytes (pad excluded)
         self.full_waits = 0      # producer found the ring full
-        self.spin_yields = 0     # sleep(0) yields taken before arming
         self.doorbell_waits = 0  # times this end armed its waiting flag
         self.max_occupancy = 0   # high-water mark of in-flight bytes
 
@@ -237,24 +210,21 @@ class ShmRing:
         role: str,
         num_slots: int = DEFAULT_NUM_SLOTS,
         slot_size: int = DEFAULT_SLOT_SIZE,
-        spin: int = 0,
     ) -> "ShmRing":
         if not shm_supported():
             raise StoreError("platform has no os.memfd_create")
         fd = os.memfd_create("shieldstore-ring")  # close-on-exec
         try:
             os.ftruncate(fd, HEADER_SIZE + num_slots * slot_size)  # zero-filled
-            return cls(fd, num_slots, slot_size, role, owner=True, spin=spin)
+            return cls(fd, num_slots, slot_size, role, owner=True)
         except BaseException:
             os.close(fd)
             raise
 
     @classmethod
-    def attach(
-        cls, fd: int, role: str, num_slots: int, slot_size: int, spin: int = 0
-    ) -> "ShmRing":
+    def attach(cls, fd: int, role: str, num_slots: int, slot_size: int) -> "ShmRing":
         """Map the ring behind ``fd``; the descriptor stays the caller's."""
-        return cls(fd, num_slots, slot_size, role, owner=False, spin=spin)
+        return cls(fd, num_slots, slot_size, role, owner=False)
 
     # -- header accessors ----------------------------------------------------
     def _peer_counter(self) -> int:
@@ -289,18 +259,13 @@ class ShmRing:
         deadline: Optional[float],
         alive: Optional[Callable[[], bool]],
     ) -> None:
-        """Block until ``ready()``; spin-yield first, then doorbell-nap.
+        """Block until ``ready()``: arm the flag, re-check, doorbell-nap.
 
         Raises :class:`RingTimeout` past ``deadline`` and
         :class:`RingPeerGone` when ``alive`` reports the peer dead (or
         the doorbell hits EOF).  Naps are bounded by ``POLL_INTERVAL``
         so a lost doorbell can only add latency.
         """
-        for _ in range(self.spin):
-            if ready():
-                return
-            self.spin_yields += 1
-            time.sleep(0)
         if ready():
             return
         self.doorbell_waits += 1
@@ -371,29 +336,17 @@ class ShmRing:
         frame,
         deadline: Optional[float] = None,
         alive: Optional[Callable[[], bool]] = None,
-        block: bool = True,
-    ) -> bool:
-        """Append one length-prefixed frame; ``True`` once fully written.
-
-        ``block=False`` is the *shed* path: a frame that does not fit in
-        the free space right now is refused up front (``False``) with
-        zero bytes written, so the caller can drop or retry without the
-        ring ever holding a half-frame.  Frames larger than the whole
-        ring always stream (they cannot be admitted atomically) and are
-        therefore refused when ``block=False``.
-        """
+    ) -> None:
+        """Append one length-prefixed frame, blocking while the ring is
+        full; a frame larger than the whole ring streams through."""
         if self.role != "producer":
             raise StoreError("read end cannot write")
         total = _LEN.size + len(frame)
         padded = self._padded(total)
         if padded > self.capacity:
-            if not block:
-                return False
             self._write_streaming(frame, total, padded, deadline, alive)
         else:
             if self.capacity - (self._local - self._peer_counter()) < padded:
-                if not block:
-                    return False
                 self.full_waits += 1
                 self._wait(
                     lambda: self.capacity
@@ -407,7 +360,6 @@ class ShmRing:
             self._advance(self._local + padded)
         self.frames += 1
         self.bytes_moved += total
-        return True
 
     def _write_streaming(
         self, frame, total: int, padded: int, deadline, alive
@@ -516,19 +468,6 @@ class ShmRing:
             done += take
 
     # -- lifecycle -----------------------------------------------------------
-    def snapshot(self) -> dict:
-        """Counter view for stats aggregation and debugging."""
-        return {
-            "role": self.role,
-            "frames": self.frames,
-            "bytes_moved": self.bytes_moved,
-            "full_waits": self.full_waits,
-            "spin_yields": self.spin_yields,
-            "doorbell_waits": self.doorbell_waits,
-            "max_occupancy": self.max_occupancy,
-            "capacity": self.capacity,
-        }
-
     def close(self) -> None:
         """Release the mapping; the owning side also closes the memfd."""
         if self._closed:

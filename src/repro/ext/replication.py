@@ -494,6 +494,11 @@ class ReplicatedStore(VersionedVerbs):
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
+    @property
+    def mutex(self):
+        """The lock every write to :attr:`inner` holds."""
+        return self._mutex
+
     # -- plumbing the dispatcher expects -------------------------------------
     @property
     def enclave(self):

@@ -9,11 +9,11 @@ The networked evaluation adds two costs on top of the standalone store:
 * **enclave crossings** — an enclave server must leave the enclave for
   every socket call.  The OCALL front-end pays two ~8,000-cycle
   crossings per request; the HotCalls front-end replaces them with two
-  ~620-cycle shared-memory handoffs (Weisse et al.).  The *real* (not
-  cost-modeled) analogue of that switchless handoff is the shm data
-  plane of :mod:`repro.core.shmring`: sealed shared-memory rings with
-  a spin-then-doorbell wait, used by the process partition engine
-  behind the event-loop TCP server in :mod:`repro.net.tcp`.
+  ~620-cycle shared-memory handoffs (Weisse et al.).  The process
+  partition engine behind the event-loop TCP server in
+  :mod:`repro.net.tcp` moves its frames through sealed shared-memory
+  rings (:mod:`repro.core.shmring`), but its waits are doorbell naps,
+  not a modeled HotCall.
 
 Plus, when the session is secure, request/response en/decryption under
 the attested session key (§3.2).

@@ -130,9 +130,8 @@ class TestCodeHygiene:
 
 
 class TestOneReaderOfTheMachineSize:
-    """The shm plane's wait policy is decided from the CPUs the process
-    may run on; nothing may quietly go back to the machine's size or to
-    an import-time constant."""
+    """CPU counts come from the CPUs the process may run on; nothing may
+    quietly go back to the machine's size."""
 
     @staticmethod
     def _files():
@@ -149,11 +148,6 @@ class TestOneReaderOfTheMachineSize:
         ]
         assert readers == ["src/repro/util.py"]
         assert (_ROOT / "src/repro/util.py").read_text().count("os.cpu_count(") == 1
-
-    def test_no_import_time_spin_constant(self):
-        texts = [path.read_text() for path in self._files()]
-        texts.append((_ROOT / "docs" / "INTERNALS.md").read_text())
-        assert not any("SPIN_CHECKS" in text for text in texts)
 
 
 class TestOneCipherModePerKey:

@@ -39,11 +39,12 @@ _SEEDED = {b"seed-%03d" % i: b"value-%03d" % i for i in range(40)}
 
 
 class Served:
-    """One ``repro serve --port 0`` child process."""
+    """One ``repro serve --port 0`` child process (``program`` replaces
+    ``-m repro``, e.g. ``-c`` and a script that wraps the CLI)."""
 
-    def __init__(self, *argv):
+    def __init__(self, *argv, program=("-m", "repro")):
         self.proc = subprocess.Popen(
-            [sys.executable, "-u", "-m", "repro", "serve", "--port", "0",
+            [sys.executable, "-u", *program, "serve", "--port", "0",
              *map(str, argv)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             env=dict(os.environ, PYTHONPATH=str(_REPO / "src")),
@@ -240,6 +241,53 @@ class TestEveryShapeRestarts:
             _holds(third, {**_SEEDED, **acked})
         finally:
             third.stop(sig)
+
+
+# ``repro serve`` with every section write wrapped: before the section is
+# written, a merge of a newer record (what anti-entropy applies) starts
+# on another thread, and the wrapper prints whether it landed meanwhile.
+_MERGE_DURING_CUT = """
+import sys, threading
+import repro.core.host as host
+import repro.ext.replication as replication
+from repro.cli import main
+
+nodes = []
+built = replication.ReplicatedStore.__init__
+def init(self, *args, **kwargs):
+    built(self, *args, **kwargs)
+    nodes.append(self)
+replication.ReplicatedStore.__init__ = init
+
+write_section = host.write_section
+def cut_open(*args, **kwargs):
+    merged = threading.Event()
+    record = replication.pack_record(0, 1 << 40, 7, b"merged")
+    def merge():
+        nodes[0].apply_remote(b"merged-key", record, "sync_keys_repaired")
+        merged.set()
+    threading.Thread(target=merge, daemon=True).start()
+    print(f"merged during the cut: {merged.wait(1.0)}", flush=True)
+    return write_section(*args, **kwargs)
+host.write_section = cut_open
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_replicated_checkpoint_excludes_anti_entropy_merges(tmp_path):
+    """The replicator merges into the store under the replicated store's
+    mutex, not under ``store_lock``: a checkpoint of a replicated node
+    must hold that mutex too, or a merge tears the section it cuts."""
+    served = Served(
+        "--node-id", "n0", "--snapshot-dir", tmp_path / "snaps",
+        program=("-c", _MERGE_DURING_CUT),
+    )
+    client = served.client()
+    client.multi_set(_SEEDED)
+    client.close()
+    status, out = served.stop(signal.SIGINT)
+    assert status == 0 and "final checkpoint: " in out
+    assert "merged during the cut: False" in out, out
 
 
 class TestCrashInsideACheckpoint:

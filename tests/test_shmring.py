@@ -17,7 +17,6 @@ import time
 import pytest
 
 import repro.core.procpool as procpool
-import repro.core.shmring as shmring
 from repro.core import process_mode_supported, shield_opt
 from repro.core.procpool import ProcessPartitionPool, _pipe_channel
 from repro.core.shmring import (
@@ -53,7 +52,7 @@ class TestRingFraming:
         try:
             frames = [bytes([i]) * (50 + i) for i in range(16)]
             for i, frame in enumerate(frames):
-                assert prod.write(frame, deadline=time.monotonic() + 5)
+                prod.write(frame, deadline=time.monotonic() + 5)
                 assert cons.read() == frame, f"frame {i} corrupted at wrap"
             # Counters are monotonic (not reset at the wrap point).
             assert prod._local == cons._local > prod.capacity
@@ -66,10 +65,10 @@ class TestRingFraming:
         # of the buffer: 3 slots consumed, then a 2-slot frame.
         prod, cons = _ring_pair(num_slots=4, slot_size=64)
         try:
-            assert prod.write(b"x" * 150)  # 3 slots
+            prod.write(b"x" * 150)  # 3 slots
             assert cons.read() == b"x" * 150
             straddler = bytes(range(256))[: 2 * 64 - 10]
-            assert prod.write(straddler)  # slots 3..0: wraps
+            prod.write(straddler)  # slots 3..0: wraps
             assert cons.read() == straddler
         finally:
             cons.close()
@@ -86,7 +85,7 @@ class TestRingFraming:
         reader = threading.Thread(target=consume)
         try:
             reader.start()
-            assert prod.write(big, deadline=time.monotonic() + 30)
+            prod.write(big, deadline=time.monotonic() + 30)
             reader.join(timeout=30)
             assert not reader.is_alive()
             assert out == [big]
@@ -102,7 +101,7 @@ class TestRingFullPolicy:
         prod, cons = _ring_pair(num_slots=4, slot_size=64)
         try:
             for i in range(4):
-                assert prod.write(bytes([i]) * 40)  # 1 slot each -> full
+                prod.write(bytes([i]) * 40)  # 1 slot each -> full
             started = threading.Event()
             done = threading.Event()
 
@@ -123,35 +122,6 @@ class TestRingFullPolicy:
             for i in range(1, 4):
                 assert cons.read() == bytes([i]) * 40
             assert cons.read() == b"\xAA" * 40
-        finally:
-            cons.close()
-            prod.close()
-
-    def test_full_ring_shed_refuses_with_zero_bytes_written(self):
-        prod, cons = _ring_pair(num_slots=4, slot_size=64)
-        try:
-            for i in range(4):
-                assert prod.write(bytes([i]) * 40)
-            head_before = prod._local
-            assert prod.write(b"\xBB" * 40, block=False) is False
-            assert prod._local == head_before, "shed write left bytes behind"
-            # Drain one slot and the same frame is admitted cleanly.
-            assert cons.read() == b"\x00" * 40
-            assert prod.write(b"\xBB" * 40, block=False) is True
-            for i in range(1, 4):
-                assert cons.read() == bytes([i]) * 40
-            assert cons.read() == b"\xBB" * 40
-        finally:
-            cons.close()
-            prod.close()
-
-    def test_shed_refuses_larger_than_ring_frames(self):
-        # A frame that can only stream cannot be admitted atomically,
-        # so the non-blocking path must refuse it outright.
-        prod, cons = _ring_pair(num_slots=4, slot_size=64)
-        try:
-            assert prod.write(b"\xCC" * 5000, block=False) is False
-            assert prod.data_available() == 0
         finally:
             cons.close()
             prod.close()
@@ -298,21 +268,15 @@ class TestShmPlanePool:
         finally:
             pool.close()
 
-    @pytest.mark.parametrize("budget", [0, 100])
-    def test_doorbell_drop_degrades_to_latency_only(self, monkeypatch, budget):
+    def test_doorbell_drop_degrades_to_latency_only(self):
         # Every parent->worker doorbell byte is dropped; the worker's
         # bounded naps must still observe ring progress, so requests
-        # keep completing — slower, never deadlocked.  At budget 0 (no
-        # spare core: one CPU for worker + parent) every wait depends
-        # on the doorbell; with two CPUs the same pool spins first.
-        monkeypatch.setattr(procpool, "usable_cpus", lambda: 2 if budget else 1)
+        # keep completing — slower, never deadlocked.
         plan = FaultPlan(
             [FaultRule(point="shmring.doorbell", kind="drop")], seed=7
         )
         pool = self._pool()
         try:
-            plane = pool.workers[0].plane
-            assert pool.ring_spin == plane.req.spin == plane.rep.spin == budget
             with injected(plan):
                 for i in range(3):
                     response = pool.execute(
@@ -328,79 +292,64 @@ class TestShmPlanePool:
             assert stats.ring_doorbell_rings == 0, (
                 "dropped doorbells must not be counted as sent"
             )
-            assert stats.ring_spin_budget == budget
-            if not budget:
-                assert stats.ring_spin_yields == 0
-                assert stats.worker_ring_spin_yields == 0
+            assert stats.ring_doorbell_waits > 0
         finally:
             pool.close()
-
-    def test_spin_budget_is_zero_on_single_core(self):
-        # The switchless spin only pays when the waiter has a core no
-        # pool process (workers + the parent) needs; a 1-CPU host goes
-        # straight to the doorbell whatever the pool's size.  (2, 2) is
-        # the measured spare-core case: one worker, two CPUs.
-        table = {
-            (1, 2): False, (1, 3): False, (2, 3): False,
-            (3, 3): True, (4, 3): True, (2, 2): True,
-        }
-        for (usable, processes), spins in table.items():
-            budget = shmring.spin_budget(usable, processes)
-            assert (budget > 0) is spins, (usable, processes, budget)
-        assert not hasattr(shmring, "SPIN_CHECKS")
 
     @pytest.mark.skipif(
         not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity"
     )
     def test_pool_pinned_after_import_never_spins(self):
-        # The decision is the pool's, taken when it is built — not an
-        # import-time guess: a process that imports repro on all its
-        # CPUs and *then* pins itself to one gets doorbell-only rings
-        # on both ends, and so does a worker respawned later.
+        # One wait path, whatever the CPUs: a pool built on every CPU
+        # this process may use and one built after pinning it to one
+        # both arm the doorbell at the parent and the worker ends — a
+        # respawned worker too — and report nothing about spinning.
         script = """
 import json, os
-import repro.core.shmring
 from repro.core import PartitionedShieldStore, shield_opt
 from repro.core.procpool import OP_TIMING
 from repro.errors import WorkerError
 
-os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-store = PartitionedShieldStore(
-    shield_opt(num_buckets=64, num_mac_hashes=16),
-    num_partitions=2, mode="processes", data_plane="shm",
-)
-try:
-    model = {}
-    for batch in range(20):
-        keys = [b"k%03d" % ((batch * 7 + i) % 50) for i in range(16)]
-        if batch % 2 == 0:
-            items = [(k, b"v%d-" % batch + k) for k in keys]
-            store.multi_set(items)
-            model.update(items)
-        else:
-            assert store.multi_get(keys) == {k: model.get(k) for k in keys}
-    stats = store.transport_stats()
-    assert stats.usable_cpus == 1 and stats.ring_spin_budget == 0, stats
-    assert stats.ring_spin_yields == 0 == stats.worker_ring_spin_yields, stats
-    assert stats.ring_doorbell_waits > 0  # a reply is never there yet
-
-    pool = store._pool
-    pool.workers[0].process.kill()
-    pool.workers[0].process.wait(timeout=10)
+def serve_and_respawn():
+    store = PartitionedShieldStore(
+        shield_opt(num_buckets=64, num_mac_hashes=16),
+        num_partitions=2, mode="processes", data_plane="shm",
+    )
     try:
-        store.multi_get(sorted(model))
-        raise SystemExit("a killed worker went unnoticed")
-    except WorkerError:
-        pass
-    for _ in range(3):
-        store.multi_set(sorted(model.items()))
-    assert pool.recoveries == 1
-    reborn = json.loads(pool.request(0, OP_TIMING).decode("ascii"))
-    assert reborn["spin_yields"] == 0 and reborn["compute_s"] > 0, reborn
-    stats = store.transport_stats()
-    assert stats.ring_spin_yields == 0 == stats.worker_ring_spin_yields, stats
-finally:
-    store.close()
+        model = {}
+        for batch in range(20):
+            keys = [b"k%03d" % ((batch * 7 + i) % 50) for i in range(16)]
+            if batch % 2 == 0:
+                items = [(k, b"v%d-" % batch + k) for k in keys]
+                store.multi_set(items)
+                model.update(items)
+            else:
+                assert store.multi_get(keys) == {k: model.get(k) for k in keys}
+        stats = store.transport_stats()
+        assert stats.ring_doorbell_waits > 0 < stats.worker_ring_doorbell_waits, stats
+        fields = stats.snapshot_dict()
+        assert not [f for f in fields if "spin" in f or "cpus" in f], fields
+
+        pool = store._pool
+        pool.workers[0].process.kill()
+        pool.workers[0].process.wait(timeout=10)
+        try:
+            store.multi_get(sorted(model))
+            raise SystemExit("a killed worker went unnoticed")
+        except WorkerError:
+            pass
+        for _ in range(3):
+            store.multi_set(sorted(model.items()))
+        assert pool.recoveries == 1
+        reborn = json.loads(pool.request(0, OP_TIMING).decode("ascii"))
+        assert sorted(reborn) == ["compute_s", "cpu_s", "doorbell_waits"], reborn
+        assert reborn["doorbell_waits"] > 0 and reborn["compute_s"] > 0, reborn
+    finally:
+        store.close()
+
+serve_and_respawn()
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+serve_and_respawn()
 """
         src = pathlib.Path(__file__).parent.parent / "src"
         subprocess.run(

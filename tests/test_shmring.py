@@ -268,10 +268,12 @@ class TestShmPlanePool:
         finally:
             pool.close()
 
-    def test_doorbell_drop_degrades_to_latency_only(self):
+    @pytest.mark.parametrize("value_len", [0, 100])
+    def test_doorbell_drop_degrades_to_latency_only(self, value_len):
         # Every parent->worker doorbell byte is dropped; the worker's
         # bounded naps must still observe ring progress, so requests
-        # keep completing — slower, never deadlocked.
+        # keep completing — slower, never deadlocked — for the
+        # shortest frames (empty values) and for longer ones alike.
         plan = FaultPlan(
             [FaultRule(point="shmring.doorbell", kind="drop")], seed=7
         )
@@ -279,10 +281,14 @@ class TestShmPlanePool:
         try:
             with injected(plan):
                 for i in range(3):
+                    value = bytes([0x61 + i]) * value_len
                     response = pool.execute(
-                        0, Request("set", b"k%d" % i, b"v%d" % i)
+                        0, Request("set", b"k%d" % i, value)
                     )
                     assert response.status == STATUS_OK
+                    response = pool.execute(0, Request("get", b"k%d" % i))
+                    assert response.status == STATUS_OK
+                    assert response.value == value
                 # Rings fire only when the peer is armed at publish time
                 # (timing-dependent), so force one attempt: the drop
                 # must swallow it without counting it as sent.

@@ -57,7 +57,7 @@ BOUNDARY_MODULES: Tuple[str, ...] = (
 # Modules whose lock discipline the lock-order pass analyzes.
 # ``core/host.py`` is absent on purpose: a PartitionHost takes no lock —
 # a worker drives it from one thread, and a served in-process engine is
-# only entered under the TCP server's exclusive ``store_lock``.  Its log's
+# only entered under the TCP server's ``store_lock``.  Its log's
 # commit lock (committer fsync vs handle swap) is a leaf: last in the order.
 LOCK_MODULES: Tuple[str, ...] = (
     "core/procpool.py",

@@ -60,10 +60,10 @@ construction in the parent.  Control-plane frames (stats, audit,
 iteration) are parent-trusted and carry JSON or fixed-width integers.
 
 Pipes pair requests with replies positionally, so the parent holds a
-per-worker lock across each send/recv round-trip: concurrent parent
-threads (the TCP server's executor threads, the snapshot daemon) stay
-correctly paired instead of interleaving frames and reading each
-other's replies.
+per-worker lock across each send/recv round-trip: the parent threads
+that reach a pool (the TCP server's loop thread, the snapshot daemon,
+any thread reading ``stats_snapshot()``) stay correctly paired instead
+of interleaving frames and reading each other's replies.
 
 Snapshots and crash recovery
 ----------------------------
@@ -648,8 +648,9 @@ class _WorkerHandle:
 
     The plane pairs requests with replies purely by position, so the
     send/recv round-trip must be atomic per worker: ``lock`` serializes
-    concurrent parent threads (e.g. the TCP server's executor threads)
-    that would otherwise interleave frames and read each other's replies.
+    the parent threads that reach the pool (the TCP server's loop
+    thread, the snapshot daemon, a ``stats_snapshot()`` reader), which
+    would otherwise interleave frames and read each other's replies.
 
     ``ops_since_snapshot`` counts mutations issued to this worker since
     the pool last snapshotted it — the upper bound on what a crash of

@@ -460,7 +460,7 @@ class ReplicatedStore(VersionedVerbs):
     :meth:`serve_sync` (``OP_SYNC``).
 
     Fan-out runs on a background replicator thread — never while the
-    request executor holds the server's store gate — so two nodes
+    loop thread holds ``store_lock`` — so two nodes
     mutating concurrently cannot deadlock waiting on each other's
     inbound ``OP_REPLICATE``.
     """
@@ -1019,10 +1019,10 @@ class ReplicationGroup:
 
     # -- chaos levers ----------------------------------------------------------
     def kill(self, node_id: str) -> GroupNode:
-        """SIGKILL stand-in: hard-stop the node's server, no drain."""
+        """SIGKILL stand-in: hard-stop the node's store and server."""
         node = self.nodes[node_id]
         node.store.close()
-        node.server.close(drain=False)
+        node.server.close()
         node.alive = False
         return node
 

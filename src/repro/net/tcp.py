@@ -28,23 +28,21 @@ Event-loop front end
 --------------------
 The server is a single :mod:`selectors` event loop over non-blocking
 sockets: per-connection input/output buffers, frame reassembly and
-session crypto run on the loop thread.  The in-process engines admit
-one caller at a time, so the loop also *executes* their requests, each
-run to completion and its reply sealed in the same turn — no hand-off.
-Engines that take concurrent callers (process workers,
-``store.data_plane``) keep a small thread pool, one request in flight
-per connection.  Either way replies leave in FIFO order under the
-channel's sequence numbers, and clients may pipeline — many sealed
-requests on the wire before the first reply lands.
+session crypto run on the loop thread, and so does every request:
+whatever the engine — in-process or process workers — the loop runs
+it to completion and seals its reply in the turn that opened it, with
+no hand-off.  Replies leave in FIFO order under the channel's sequence
+numbers, and clients may pipeline — many sealed requests on the wire
+before the first reply lands.
 
 Admission control is real load shedding, not a silent close:
 connections beyond ``max_connections`` are answered with a **sealed
 STATUS_BUSY** reply the resilient client treats as
 retryable-with-backoff.  Shed connections are promoted in arrival order
-as admitted ones leave.  Store execution goes through a reader-writer
-gate (``store_lock``): process-engine requests share it; in-process
-ones and the :class:`~repro.core.checkpoint.SnapshotDaemon`'s cut take it
-exclusively, so during a cut the loop thread waits with the requests.
+as admitted ones leave.  The loop executes each request under
+``store_lock``, the same lock the
+:class:`~repro.core.checkpoint.SnapshotDaemon`'s cut takes, so during a
+cut the loop thread waits with the requests.
 
 Failure counters (tampered sessions dropped, idempotent replays,
 rejected connections...) are kept in :class:`~repro.core.stats.StoreStats`
@@ -66,9 +64,8 @@ import struct
 import sys
 import threading
 import time
-from collections import OrderedDict, deque
-from concurrent.futures import ThreadPoolExecutor
-from typing import Deque, Dict, Optional, Tuple
+from collections import OrderedDict
+from typing import Dict, Optional
 
 from repro.core.stats import StoreStats, TransportStats
 from repro.errors import (
@@ -109,9 +106,6 @@ from repro.sim.attestation import (
 
 _LEN = struct.Struct("<I")
 _DH_PUBLIC = 256  # a DH public value as it travels (DHKeyPair.public_bytes)
-# Threads of the server's request pool, for engines that take
-# concurrent callers: they wait on worker processes, they do not compute.
-EXECUTOR_THREADS = 8
 
 
 class _TransientServerError(StoreError):
@@ -245,75 +239,12 @@ class _IdempotencyCache:
             return sum(len(tokens) for tokens in self._clients.values())
 
 
-class _RWGate:
-    """Reader-writer gate between request execution and checkpoints.
-
-    Requests acquire the *shared* side (:meth:`shared`); the
-    :class:`~repro.core.checkpoint.SnapshotDaemon` uses the gate as a
-    plain context manager, which is the *exclusive* side — so a
-    checkpoint is still a consistent cut across every in-flight
-    request, but requests no longer serialize against each other.
-    Writer-preference: once a checkpoint is waiting, new readers queue
-    behind it.  Not reentrant.
-    """
-
-    def __init__(self):
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writer = False
-        self._writers_waiting = 0
-
-    def acquire_shared(self) -> None:
-        with self._cond:
-            while self._writer or self._writers_waiting:
-                self._cond.wait()
-            self._readers += 1
-
-    def release_shared(self) -> None:
-        with self._cond:
-            self._readers -= 1
-            if self._readers == 0:
-                self._cond.notify_all()
-
-    def shared(self) -> "_SharedSide":
-        return _SharedSide(self)
-
-    # Context-manager protocol = exclusive (checkpoint) side.
-    def __enter__(self) -> "_RWGate":
-        with self._cond:
-            self._writers_waiting += 1
-            while self._writer or self._readers:
-                self._cond.wait()
-            self._writers_waiting -= 1
-            self._writer = True
-        return self
-
-    def __exit__(self, *exc) -> None:
-        with self._cond:
-            self._writer = False
-            self._cond.notify_all()
-
-
-class _SharedSide:
-    """Context manager for the reader side of a :class:`_RWGate`."""
-
-    def __init__(self, gate: _RWGate):
-        self._gate = gate
-
-    def __enter__(self) -> "_SharedSide":
-        self._gate.acquire_shared()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._gate.release_shared()
-
-
 class _Conn:
     """Per-connection state of the event loop."""
 
     __slots__ = (
         "sock", "order", "inbuf", "outbuf", "channel", "client_id",
-        "dh", "shed", "pending", "inflight", "last_progress", "mask",
+        "dh", "shed", "last_progress", "mask",
     )
 
     def __init__(self, sock: socket.socket, order: int):
@@ -323,41 +254,40 @@ class _Conn:
         self.outbuf = bytearray()
         self.channel: Optional[SecureChannel] = None
         self.client_id: Optional[bytes] = None
-        self.dh: Optional[DHKeyPair] = None  # pending handshake keypair
+        self.dh: Optional[DHKeyPair] = None  # until the handshake completes
         self.shed = False           # over the cap: answer sealed BUSY
-        self.pending: Deque[bytes] = deque()  # opened payloads, FIFO
-        self.inflight = False       # one executor task at a time
         self.last_progress = time.monotonic()
         self.mask = 0               # events registered with the selector
 
     @property
     def busy(self) -> bool:
-        """Whether the connection has work in motion (not idle)."""
-        return bool(
-            self.inbuf or self.outbuf or self.pending or self.inflight
-        )
+        """Whether the connection has work in motion (not idle).
+
+        An unfinished handshake counts: a peer that takes the quote
+        and never answers it would otherwise hold its slot forever.
+        """
+        return bool(self.channel is None or self.inbuf or self.outbuf)
 
 
 class TCPShieldServer:
     """Event-loop TCP server fronting one ShieldStore.
 
     One :mod:`selectors` loop owns every socket: non-blocking accepts,
-    per-connection buffers, frame reassembly and channel crypto.  The
-    in-process engines admit one caller at a time, so the loop executes
-    their requests itself.  Process workers (``store.data_plane``) have
-    per-handle locks, so their requests go to a pool of
-    ``EXECUTOR_THREADS`` built on first use: one in flight per
-    connection (FIFO seal order), many connections in parallel.
+    per-connection buffers, frame reassembly and channel crypto — and
+    request execution, for every engine: each request runs to completion
+    under ``store_lock`` in the turn that opened it, so a process-engine
+    request holds the loop for its whole worker round trip (a respawn
+    included), as an in-process one holds it for the store's work.
 
     ``max_connections`` is backpressure, not a silent refusal: excess
     connections still get the attested handshake, but every request is
     answered with a **sealed STATUS_BUSY** until an admitted connection
     leaves and the oldest shed one is promoted.  ``request_deadline_s``
-    bounds how long one request may stall on the wire (waiting for the
-    store never counts); the wait *between* requests is unbounded.
-    :meth:`close` drains: it stops accepting, lets in-flight requests
-    finish within ``drain_timeout_s``, then severs stragglers and joins
-    the loop.
+    bounds how long one request — or an unfinished handshake — may stall
+    on the wire (waiting for the store never counts); the wait *between*
+    requests is unbounded.  :meth:`close` stops accepting, lets the
+    loop finish its turn within ``drain_timeout_s``, then severs every
+    connection and joins the loop.
     """
 
     def __init__(
@@ -375,18 +305,13 @@ class TCPShieldServer:
         self.max_connections = max_connections
         self.request_deadline_s = request_deadline_s
         self.drain_timeout_s = drain_timeout_s
-        # Reader-writer gate against snapshot checkpoints: requests take
-        # the shared side, the SnapshotDaemon's `with server.store_lock:`
-        # is the exclusive side — a checkpoint is a consistent cut,
-        # never a half-applied batch.
-        self.store_lock = _RWGate()
-        # Process-worker engines are safe for concurrent parent-side
-        # callers (per-handle locks): executor threads, shared gate.  The
-        # in-process engines are not: the loop thread, exclusive gate.
-        self._parallel_requests = getattr(store, "data_plane", None) is not None
+        # Requests and snapshot checkpoints (the SnapshotDaemon's
+        # `with server.store_lock:`) exclude each other: a checkpoint is
+        # a consistent cut, never a half-applied batch.
+        self.store_lock = threading.Lock()
         # Transport-level failure counters, merged with the store's own
         # counters by stats_snapshot(); guarded by _stats_mutex because
-        # executor threads bump them too.
+        # other threads read them.
         self.net_stats = StoreStats()
         self.transport = TransportStats()
         self._stats_mutex = threading.Lock()
@@ -396,16 +321,13 @@ class TCPShieldServer:
         self.address = self._sock.getsockname()
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._sock, selectors.EVENT_READ, "accept")
-        # Self-pipe: close() and completions nudge the loop out of select().
+        # Self-pipe: close() nudges the loop out of select().
         self._wake_recv, self._wake_send = socket.socketpair()
         self._wake_recv.setblocking(False)
         self._wake_send.setblocking(False)
         self._selector.register(self._wake_recv, selectors.EVENT_READ, "wakeup")
         self._conns: Dict[int, _Conn] = {}
         self._accepted = 0
-        self._completions: Deque[Tuple[int, object]] = deque()
-        self._completions_mutex = threading.Lock()
-        self._executor: Optional[ThreadPoolExecutor] = None
         self._stop = threading.Event()
         # Set by the CLI when a SnapshotDaemon checkpoints this server;
         # lets stats_snapshot() surface its failure counter.
@@ -456,18 +378,12 @@ class TCPShieldServer:
     def live_connections(self) -> int:
         return len(self._conns)
 
-    def close(self, drain: bool = True) -> None:
-        """Stop accepting, drain in-flight requests, join the loop.
-
-        ``drain=False`` skips the grace period and severs connections
-        immediately.
-        """
+    def close(self) -> None:
+        """Stop accepting, let the loop finish its turn, join it."""
         self._stop.set()
         self._wakeup()
         if self._loop_thread.is_alive():
             self._loop_thread.join(timeout=self.drain_timeout_s)
-        if self._executor is not None:
-            self._executor.shutdown(wait=drain, cancel_futures=not drain)
         # The loop closed everything on its way out; sweep whatever is
         # left if it never started or got wedged.
         for conn in list(self._conns.values()):
@@ -492,7 +408,7 @@ class TCPShieldServer:
         try:
             self._wake_send.send(b"\x01")
         except (BlockingIOError, OSError):
-            pass  # wake buffer full means a wakeup is already pending
+            pass  # wake buffer full means a wakeup is already queued
 
     # -- the event loop -----------------------------------------------------
     def _loop(self) -> None:
@@ -523,8 +439,6 @@ class TCPShieldServer:
                                 self._writable(conn)
                         except Exception:
                             self._contain(conn)
-                if self._executor is not None:
-                    self._apply_completions()
                 if polled >= sweep_at:
                     sweep_at = self._sweep_deadlines(polled)
         finally:
@@ -548,10 +462,6 @@ class TCPShieldServer:
         """
         sweep_at = now + 0.25  # the longest the loop sleeps
         for conn in list(self._conns.values()):
-            if conn.inflight:
-                # The store is still working; that is not a wire stall.
-                conn.last_progress = now
-                continue
             limit = self.request_deadline_s
             if limit is None or not conn.busy:
                 continue  # the wait between requests is unbounded
@@ -739,8 +649,7 @@ class TCPShieldServer:
         if conn.shed:
             self._shed_reply(conn)
             return True
-        conn.pending.append(raw)
-        self._pump(conn)
+        self._reply(conn, self._dispatch, conn.client_id, raw)
         return id(conn) in self._conns
 
     def _shed_reply(self, conn: _Conn) -> None:
@@ -751,46 +660,6 @@ class TCPShieldServer:
         self._seal_and_send(conn, out)
 
     # -- request execution ---------------------------------------------------
-    def _pump(self, conn: _Conn) -> None:
-        """Run the next pending request (one at a time per connection)."""
-        if conn.inflight or not conn.pending:
-            return
-        raw = conn.pending.popleft()
-        if not self._parallel_requests:
-            # In-process engine: requests serialize on the exclusive
-            # gate whoever runs them, so run this one to completion here.
-            self._reply(conn, self._dispatch, conn.client_id, raw)
-            return
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                EXECUTOR_THREADS, thread_name_prefix="shieldstore-exec"
-            )
-        conn.inflight = True
-        conn_id = id(conn)
-        future = self._executor.submit(self._dispatch, conn.client_id, raw)
-        future.add_done_callback(lambda fut: self._complete(conn_id, fut))
-
-    def _complete(self, conn_id: int, future) -> None:
-        """Executor thread: queue the result for the loop to seal."""
-        with self._completions_mutex:
-            self._completions.append((conn_id, future))
-        self._wakeup()
-
-    def _apply_completions(self) -> None:
-        while True:
-            with self._completions_mutex:
-                if not self._completions:
-                    return
-                conn_id, future = self._completions.popleft()
-            conn = self._conns.get(conn_id)
-            if conn is None:
-                continue  # connection died while the store worked
-            conn.inflight = False
-            conn.last_progress = time.monotonic()
-            self._reply(conn, future.result)
-            if id(conn) in self._conns:
-                self._pump(conn)
-
     def _reply(self, conn: _Conn, outcome, *args) -> None:
         """Seal and send what ``outcome(*args)`` returns; drop if it raises."""
         try:
@@ -831,7 +700,7 @@ class TCPShieldServer:
         self._close_quietly(conn.sock)
         self._promote_shed()
 
-    # -- request dispatch (loop thread, or executor threads) -----------------
+    # -- request dispatch (loop thread) ---------------------------------------
     def _dispatch(self, client_id: bytes, raw: bytes) -> bytes:
         """Decode one opened payload and produce the encoded reply.
 
@@ -863,12 +732,7 @@ class TCPShieldServer:
         return out
 
     def _execute(self, request: Request) -> Response:
-        gate = (
-            self.store_lock.shared()
-            if self._parallel_requests
-            else self.store_lock
-        )
-        with gate:
+        with self.store_lock:
             return execute_request(self.store, request)
 
 

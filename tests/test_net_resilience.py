@@ -23,7 +23,12 @@ from repro.core import (
     shield_opt,
 )
 from repro.core.procpool import process_mode_supported
-from repro.errors import KeyNotFoundError, ProtocolError, StoreError
+from repro.errors import (
+    KeyNotFoundError,
+    ProtocolError,
+    StoreError,
+    WorkerError,
+)
 from repro.net import TCPShieldClient, TCPShieldServer
 from repro.net.tcp import _IdempotencyCache, _recv_frame, _send_frame
 from repro.sim import (
@@ -408,6 +413,121 @@ class TestServerLimits:
             a.close()
             b.close()
             server.close()
+
+    def test_silent_handshake_cannot_hold_a_slot(self, service):
+        # A peer that takes the quote and never answers it is stalled on
+        # the wire, not idle: the deadline drops it, so it cannot keep
+        # the only admitted slot from an honest client.
+        from repro.core import ShieldStore
+
+        store = ShieldStore(shield_opt(num_buckets=64, num_mac_hashes=32))
+        server = TCPShieldServer(
+            store, service, max_connections=1, request_deadline_s=0.3
+        )
+        server.start()
+        silent = socket.create_connection(server.address, timeout=5)
+        try:
+            assert _recv_frame(silent) is not None  # the quote, unanswered
+            time.sleep(1.0)
+            client = resilient_client(server, service)
+            try:
+                client.set(b"k", b"v")
+                assert client.get(b"k") == b"v"
+                assert client.transport.busy_retries == 0
+            finally:
+                client.close()
+            assert silent.recv(1) == b""  # dropped: EOF
+            assert server.stats_snapshot().deadline_drops == 1
+        finally:
+            silent.close()
+            server.close()
+
+    @needs_processes
+    def test_worker_respawn_blocks_the_loop_and_costs_no_connection(
+        self, service, monkeypatch
+    ):
+        # A process-engine request holds the loop for its whole worker
+        # round trip, a respawn included.  A's write meets a SIGKILLed
+        # worker: a degraded reply, which A's retry gets past.  B has
+        # half a frame on the wire before the respawn and sends the rest
+        # during it, with the deadline below the respawn time: B's bytes
+        # are the loop's backlog, not a wire stall, so B is answered.
+        from repro.net.message import Request, encode_envelope, encode_request
+
+        store = PartitionedShieldStore(
+            shield_opt(num_buckets=64, num_mac_hashes=32),
+            num_partitions=2,
+            mode="processes",
+        )
+        pool = store._pool
+        owner = {}
+        for i in range(64):
+            owner.setdefault(store.partition_index_of(b"k%d" % i), b"k%d" % i)
+        a_key, b_key = owner[0], owner[1]
+        respawning = threading.Event()
+        respawn_s = []
+        real_recover = pool._recover_worker
+
+        def timed_recover(handle, why):
+            respawning.set()
+            started = time.monotonic()
+            try:
+                time.sleep(0.4)  # a respawn restoring a large checkpoint
+                return real_recover(handle, why)
+            finally:
+                respawn_s.append(time.monotonic() - started)
+
+        def kill_worker(index):
+            process = pool.workers[index].process
+            process.kill()
+            process.wait(timeout=10)
+
+        monkeypatch.setattr(pool, "_recover_worker", timed_recover)
+        server = None
+        a = b = None
+        try:
+            # One respawn off the server, to size the deadline below it.
+            kill_worker(0)
+            with pytest.raises(WorkerError):
+                store.set(a_key, b"lost")
+            deadline = respawn_s[0] / 2
+            respawning.clear()
+            server = TCPShieldServer(store, service, request_deadline_s=deadline)
+            server.start()
+            a = resilient_client(server, service, request_deadline_s=10.0)
+            b = resilient_client(
+                server, service, entropy=bytes(range(32, 64)),
+                request_deadline_s=10.0,
+            )
+            b.set(b_key, b"vb")
+            frame = b._channel.seal(
+                encode_envelope(None, encode_request(Request("get", b_key)))
+            )
+            wire = struct.pack("<I", len(frame)) + frame
+            kill_worker(0)
+            b._sock.sendall(wire[:10])
+            writer = threading.Thread(target=lambda: a.set(a_key, b"va"))
+            writer.start()
+            assert respawning.wait(10)
+            b._sock.sendall(wire[10:])
+            reply = b._channel.open(b._recv())
+            writer.join(timeout=20)
+            assert not writer.is_alive()
+            assert reply.endswith(b"vb")
+            assert respawn_s[1] > deadline
+            assert a.stats.net_retries == 1  # the degraded reply, retried
+            assert a.get(a_key) == b"va"
+            assert b.stats.net_reconnects == 0
+            stats = server.stats_snapshot()
+            assert stats.degraded_replies == 1
+            assert stats.deadline_drops == 0
+        finally:
+            for client in (a, b):
+                if client is not None:
+                    client.close()
+            if server is not None:
+                server.close()
+            store.close()
 
     def test_checkpoint_while_clients_hammer_an_inline_server(
         self, service, tmp_path

@@ -258,7 +258,7 @@ class TestWireTamper:
 
 
 class TestRunToCompletion:
-    """Who executes a request: the loop (in-process) or the executor."""
+    """Every engine's requests run to completion on the loop thread."""
 
     def test_back_to_back_requests_answered_in_order(self, server, service):
         # N sealed requests land in one socket buffer before any reply
@@ -290,10 +290,10 @@ class TestRunToCompletion:
     def test_bad_payload_and_store_exception_drop_the_connection(
         self, server, service, monkeypatch
     ):
-        # The inline path maps failures exactly as the executor path
-        # does: an authenticated but malformed payload is tampering
-        # (counted, session dropped); a store exception drops the
-        # session uncounted.  Either way the loop keeps serving.
+        # The loop maps a request's failure to its connection alone: an
+        # authenticated but malformed payload is tampering (counted,
+        # session dropped); a store exception drops the session
+        # uncounted.  Either way the loop keeps serving.
         client = connect(server, service, max_retries=1, backoff_base_s=0.01)
         try:
             client.set(b"k", b"v")
@@ -321,70 +321,49 @@ class TestRunToCompletion:
     def test_in_process_engine_never_touches_an_executor(
         self, server, service, monkeypatch
     ):
-        submits = _spy_on_submits(monkeypatch)
+        threads = _spy_on_store_calls(monkeypatch, server.store)
         client = connect(server, service)
         try:
             client.set(b"k", b"v")
             assert client.get(b"k") == b"v"
         finally:
             client.close()
-        assert submits == []
-        assert server._executor is None
+        assert threads == [server._loop_thread] * 2
 
     @pytest.mark.skipif(
         not process_mode_supported(), reason="no multiprocess engine here"
     )
-    def test_process_engine_keeps_the_concurrent_executor(
+    def test_process_engine_runs_on_the_loop_thread(
         self, service, monkeypatch
     ):
-        submits = _spy_on_submits(monkeypatch)
         store = PartitionedShieldStore(
             shield_opt(num_buckets=64, num_mac_hashes=32),
             num_partitions=2,
             mode="processes",
         )
         srv = TCPShieldServer(store, service)
-        # Hold every request inside the store until two are in flight
-        # at once: only concurrent executor threads can get there.
-        both_inside = threading.Barrier(2, timeout=10)
-        real_get = store.get
-
-        def rendezvous_get(key):
-            both_inside.wait()
-            return real_get(key)
-
+        threads = _spy_on_store_calls(monkeypatch, store)
         srv.start()
-        a = connect(srv, service, bytes(range(32)))
-        b = connect(srv, service, bytes(range(32, 64)))
+        client = connect(srv, service)
         try:
-            a.set(b"k", b"v")
-            monkeypatch.setattr(store, "get", rendezvous_get)
-            results = []
-            threads = [
-                threading.Thread(target=lambda c=c: results.append(c.get(b"k")))
-                for c in (a, b)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=20)
-            assert results == [b"v", b"v"]
-            assert len(submits) >= 3
+            client.set(b"k", b"v")
+            assert client.get(b"k") == b"v"
         finally:
-            a.close()
-            b.close()
+            client.close()
             srv.close()
             store.close()
+        assert threads == [srv._loop_thread] * 2
 
 
-def _spy_on_submits(monkeypatch):
-    """Record every ``submit`` on an executor ``net.tcp`` creates."""
-    submits = []
+def _spy_on_store_calls(monkeypatch, store):
+    """Record the thread each ``store.set`` / ``store.get`` runs on."""
+    threads = []
+    for name in ("set", "get"):
+        real = getattr(store, name)
 
-    class SpyExecutor(tcpmod.ThreadPoolExecutor):
-        def submit(self, fn, *args, **kwargs):
-            submits.append(fn)
-            return super().submit(fn, *args, **kwargs)
+        def spy(*args, _real=real):
+            threads.append(threading.current_thread())
+            return _real(*args)
 
-    monkeypatch.setattr(tcpmod, "ThreadPoolExecutor", SpyExecutor)
-    return submits
+        monkeypatch.setattr(store, name, spy)
+    return threads

@@ -16,8 +16,8 @@ This package turns those invariants into executable AST checks:
   feeds a mutation of the authenticated structure;
 * :mod:`repro.analysis.lockorder` — lock-order pass (rule
   ``lock-order``): extracts the lock-acquisition graph of the
-  concurrent modules, pins the documented ascending-worker-lock order,
-  and flags unguarded mutation of shared pool state.
+  concurrent modules, pins the documented family order, flags a held
+  lock taken again, and flags unguarded mutation of shared pool state.
 
 The **shieldcrypt** rule family covers the key schedule and nonce
 discipline (§4.2's encryption is only as strong as its IVs):

@@ -1,19 +1,17 @@
 """Lock-order pass (rule ``lock-order``).
 
 Extracts the lock-acquisition structure of the concurrent modules
-(:data:`repro.analysis.trustmap.LOCK_MODULES`) and enforces three
+(:data:`repro.analysis.trustmap.LOCK_MODULES`) and enforces two
 things:
 
 1. **pinned acquisition order** — locks belong to *families* (``store``
-   < ``worker`` < ``health`` < ``alloc`` < ``commit``); acquiring a lock
-   whose family sorts before one already held is a finding, and the
-   global edge graph is additionally checked for cycles;
-2. **ascending worker locks** — several ``worker`` locks may be held
-   at once only when acquired through an ``ExitStack`` loop over a
-   provably ascending iterable (``sorted(...)`` or ``self.workers``);
-   any other same-family nesting cannot be statically ordered and is
-   flagged;
-3. **guarded shared state** — attributes listed in
+   < ``pool`` < ``alloc`` < ``commit``); acquiring a lock whose family
+   sorts before one already held is a finding, and the global edge
+   graph is additionally checked for cycles.  Acquiring a family that
+   is already held is a finding too: a ``threading.Lock`` never
+   re-enters, so this catches a public method calling another public
+   method while holding the lock;
+2. **guarded shared state** — attributes listed in
    :data:`repro.analysis.trustmap.GUARDED_ATTRS` may only be mutated
    while a lock of their family is held, on any path reachable from a
    public method (construction/teardown methods are exempt).
@@ -34,8 +32,9 @@ from repro.analysis.findings import Finding
 RULE = "lock-order"
 DOC_URL = "docs/INTERNALS.md#static-analysis-shieldlint"
 REMEDIATION = (
-    "Acquire worker locks in ascending index order only, and guard "
-    "shared pool state with the pool lock before mutating it."
+    "Take locks in the pinned family order, never re-take a held lock "
+    "(call the private body instead), and guard shared pool state with "
+    "the pool lock before mutating it."
 )
 
 _MUTATING_CONTAINER_METHODS = frozenset(
@@ -139,27 +138,11 @@ class _ClassAnalysis:
         if key in self._memo or depth > _MAX_CALL_DEPTH:
             return
         self._memo.add(key)
-        func = self.methods[name]
-        assigns = {
-            t.id: stmt.value
-            for stmt in ast.walk(func)
-            if isinstance(stmt, ast.Assign)
-            for t in stmt.targets
-            if isinstance(t, ast.Name)
-        }
-        self._walk_body(list(func.body), set(held), assigns, depth, in_loop=False)
+        self._walk_body(list(self.methods[name].body), set(held), depth)
 
-    def _walk_body(
-        self,
-        body: List[ast.stmt],
-        held: Set[str],
-        assigns: Dict[str, ast.AST],
-        depth: int,
-        in_loop: bool,
-        ascending_loop: bool = False,
-    ) -> None:
+    def _walk_body(self, body: List[ast.stmt], held: Set[str], depth: int) -> None:
         for stmt in body:
-            self._walk_stmt(stmt, held, assigns, depth, in_loop, ascending_loop)
+            self._walk_stmt(stmt, held, depth)
 
     def _shallow_exprs(self, stmt: ast.stmt) -> List[ast.AST]:
         """Expression parts of ``stmt`` that execute at *this* nesting
@@ -177,109 +160,48 @@ class _ClassAnalysis:
             return []
         return [stmt]
 
-    def _walk_stmt(
-        self,
-        stmt: ast.stmt,
-        held: Set[str],
-        assigns: Dict[str, ast.AST],
-        depth: int,
-        in_loop: bool,
-        ascending_loop: bool,
-    ) -> None:
-        shallow = self._shallow_exprs(stmt)
+    def _walk_stmt(self, stmt: ast.stmt, held: Set[str], depth: int) -> None:
         self._check_mutations(stmt, held)
-        for node in shallow:
-            self._check_calls(node, held, depth, in_loop, ascending_loop)
+        for node in self._shallow_exprs(stmt):
+            self._check_calls(node, held, depth)
         if isinstance(stmt, ast.With):
             inner = set(held)
             for item in stmt.items:
                 family = family_of(_unparse(item.context_expr))
                 if family is None:
                     continue
-                self._acquire(
-                    family, inner, stmt.lineno, via_stack=False,
-                    ascending_loop=False,
-                )
+                self._acquire(family, inner, stmt.lineno)
                 inner.add(family)
-            self._walk_body(
-                list(stmt.body), inner, assigns, depth, in_loop, ascending_loop
-            )
+            self._walk_body(list(stmt.body), inner, depth)
         elif isinstance(stmt, ast.If):
-            self._walk_body(list(stmt.body), set(held), assigns, depth, in_loop, ascending_loop)
-            self._walk_body(list(stmt.orelse), set(held), assigns, depth, in_loop, ascending_loop)
+            self._walk_body(list(stmt.body), set(held), depth)
+            self._walk_body(list(stmt.orelse), set(held), depth)
         elif isinstance(stmt, (ast.For, ast.While)):
-            ascending = ascending_loop
-            if isinstance(stmt, ast.For):
-                ascending = self._iterable_is_ascending(stmt.iter, assigns)
             # enter_context acquisitions persist past the loop body, so
             # walk with a shared held-set.
-            self._walk_body(
-                list(stmt.body), held, assigns, depth, in_loop=True,
-                ascending_loop=ascending,
-            )
-            self._walk_body(
-                list(stmt.orelse), held, assigns, depth, in_loop, ascending_loop
-            )
+            self._walk_body(list(stmt.body), held, depth)
+            self._walk_body(list(stmt.orelse), held, depth)
         elif isinstance(stmt, ast.Try):
             for sub in (
                 [list(stmt.body)]
                 + [list(h.body) for h in stmt.handlers]
                 + [list(stmt.orelse), list(stmt.finalbody)]
             ):
-                self._walk_body(sub, set(held), assigns, depth, in_loop, ascending_loop)
+                self._walk_body(sub, set(held), depth)
 
-    def _iterable_is_ascending(
-        self, iter_node: ast.AST, assigns: Dict[str, ast.AST]
-    ) -> bool:
-        text = _unparse(iter_node)
-        if text in trustmap.ASCENDING_ITERABLES:
-            return True
-        if (
-            isinstance(iter_node, ast.Call)
-            and isinstance(iter_node.func, ast.Name)
-            and iter_node.func.id in ("sorted", "range", "enumerate")
-        ):
-            return True
-        if isinstance(iter_node, ast.Name):
-            value = assigns.get(iter_node.id)
-            if (
-                isinstance(value, ast.Call)
-                and isinstance(value.func, ast.Name)
-                and value.func.id in ("sorted", "range")
-            ):
-                return True
-        return False
-
-    def _acquire(
-        self,
-        family: str,
-        held: Set[str],
-        line: int,
-        via_stack: bool,
-        ascending_loop: bool,
-    ) -> None:
+    def _acquire(self, family: str, held: Set[str], line: int) -> None:
         for holder in held:
             if holder == family:
-                if family == "worker" and via_stack and ascending_loop:
-                    continue  # proven ascending multi-acquisition
                 self._report(
                     line,
                     f"second `{family}` lock acquired while one is already "
-                    "held; multiple worker locks must come from an "
-                    "ExitStack loop over sorted(...) or self.workers "
-                    "(ascending partition index)",
+                    "held; a threading.Lock never re-enters (call the "
+                    "private body, not the public method)",
                 )
             else:
                 self._record_edge(holder, family, line)
 
-    def _check_calls(
-        self,
-        root: ast.AST,
-        held: Set[str],
-        depth: int,
-        in_loop: bool,
-        ascending_loop: bool,
-    ) -> None:
+    def _check_calls(self, root: ast.AST, held: Set[str], depth: int) -> None:
         for node in ast.walk(root):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 continue
@@ -294,17 +216,7 @@ class _ClassAnalysis:
             ):
                 family = family_of(_unparse(node.args[0]))
                 if family is not None:
-                    if family == "worker" and in_loop and not ascending_loop:
-                        self._report(
-                            node.lineno,
-                            "worker locks acquired in a loop whose iterable "
-                            "is not provably ascending; iterate "
-                            "sorted(...) or self.workers",
-                        )
-                    self._acquire(
-                        family, held, node.lineno, via_stack=True,
-                        ascending_loop=ascending_loop,
-                    )
+                    self._acquire(family, held, node.lineno)
                     held.add(family)
                 continue
             name = (
@@ -314,11 +226,10 @@ class _ClassAnalysis:
                 if isinstance(func, ast.Name)
                 else None
             )
-            if name in trustmap.IMPLIED_WORKER_ACQUIRE:
-                if held:
-                    for holder in held:
-                        if holder != "worker":
-                            self._record_edge(holder, "worker", node.lineno)
+            if name in trustmap.IMPLIED_POOL_ACQUIRE:
+                for holder in held:
+                    if holder != "pool":
+                        self._record_edge(holder, "pool", node.lineno)
                 continue
             # self.method(...) — propagate the held set into the callee.
             if (
@@ -327,24 +238,7 @@ class _ClassAnalysis:
                 and func.value.id == "self"
                 and name in self.methods
             ):
-                self._run_method_at(name, frozenset(held), depth + 1)
-
-    def _run_method_at(
-        self, name: str, held: FrozenSet[str], depth: int
-    ) -> None:
-        key = (name, held)
-        if key in self._memo or depth > _MAX_CALL_DEPTH:
-            return
-        self._memo.add(key)
-        func = self.methods[name]
-        assigns = {
-            t.id: stmt.value
-            for stmt in ast.walk(func)
-            if isinstance(stmt, ast.Assign)
-            for t in stmt.targets
-            if isinstance(t, ast.Name)
-        }
-        self._walk_body(list(func.body), set(held), assigns, depth, in_loop=False)
+                self._run_method(name, frozenset(held), depth + 1)
 
     # -- guarded shared-state mutations --------------------------------------
     def _check_mutations(self, stmt: ast.stmt, held: Set[str]) -> None:

@@ -174,31 +174,23 @@ MUTATOR_METHODS = frozenset({"_update_entry", "_insert_entry", "_remove_entry"})
 # Lock families, identified by the attribute path of the acquired object
 # (checked against the unparsed context-manager expression).  Order in
 # LOCK_ORDER is the pinned acquisition order: a lock may only be taken
-# while holding locks of strictly earlier families.  The ``worker``
-# family is *ordered*: several members may be held at once, but only in
-# ascending partition-index order.
+# while holding locks of strictly earlier families.
 LOCK_FAMILY_PATTERNS: Tuple[Tuple[str, str], ...] = (
     ("store_lock", "store"),
-    ("_health_lock", "health"),
+    ("_pool_lock", "pool"),
     ("_alloc_lock", "alloc"),
     ("_commit_lock", "commit"),
-    (".lock", "worker"),  # handle.lock / self.workers[i].lock / w.lock
 )
 
-LOCK_ORDER: Tuple[str, ...] = ("store", "worker", "health", "alloc", "commit")
+LOCK_ORDER: Tuple[str, ...] = ("store", "pool", "alloc", "commit")
 
-# Iterables over which acquiring one worker lock per element is known to
-# be ascending: ``self.workers`` is built in index order, and any name
-# assigned from ``sorted(...)`` qualifies (checked in the pass).
-ASCENDING_ITERABLES = ("self.workers",)
-
-# Calls that conceptually acquire the ``worker`` family (they fan into
-# ProcessPartitionPool request/scatter paths), used for cross-module
-# edges such as the TCP server executing a request under store_lock.
-IMPLIED_WORKER_ACQUIRE = frozenset(
+# Calls that conceptually acquire the ``pool`` family (they fan into
+# ProcessPartitionPool round trips), used for cross-module edges such
+# as the TCP server executing a request under store_lock.
+IMPLIED_POOL_ACQUIRE = frozenset(
     {"execute_request", "take_snapshot", "snapshot_all",
      # PartitionedShieldStore's batch seam into its engine (the pool's
-     # fan_out scatters under every target worker's lock).
+     # fan_out scatters under its pool lock).
      "fan_out"}
 )
 
@@ -207,16 +199,16 @@ IMPLIED_WORKER_ACQUIRE = frozenset(
 # mutation" half of the lock-order pass.
 GUARDED_ATTRS = {
     "ProcessPartitionPool": {
-        "recoveries": "health",
-        "ops_lost": "health",
-        "_degraded": "health",
-        "_recovered": "health",
-        "_snapshot_sections": "health",
-        "_snapshot_counter": "health",
-        "_closed": "worker",
-        "_broken": "health",
+        "recoveries": "pool",
+        "ops_lost": "pool",
+        "_degraded": "pool",
+        "_recovered": "pool",
+        "_snapshot_sections": "pool",
+        "_snapshot_counter": "pool",
+        "_closed": "pool",
+        "_broken": "pool",
     },
-    "_WorkerHandle": {"ops_since_snapshot": "worker"},
+    "_WorkerHandle": {"ops_since_snapshot": "pool"},
 }
 
 # Methods that run before the object is shared between threads (or tear

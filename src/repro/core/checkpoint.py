@@ -26,10 +26,10 @@ class SnapshotDaemon:
     ``take_snapshot`` is a zero-argument callable returning one snapshot
     blob (``repro serve`` passes ``PartitionSnapshotter.snapshot_bytes``;
     the monotonic counter sits at byte offset 8).  Every ``interval_s``
-    seconds the daemon takes ``lock`` (the server's ``store_lock``),
-    produces a blob, and writes it atomically (temp file +
-    ``os.replace``) as ``snapshot-<counter>.bin``, so a crash mid-write
-    never leaves a truncated latest checkpoint.
+    seconds the daemon takes ``lock`` (the server's ``store_lock``, kept
+    as :attr:`store_lock`), produces a blob, and writes it atomically
+    (temp file + ``os.replace``) as ``snapshot-<counter>.bin``, so a
+    crash mid-write never leaves a truncated latest checkpoint.
 
     Retention: after each successful write the oldest checkpoints are
     deleted so at most ``keep`` ``snapshot-*.bin`` files remain.  Stale
@@ -57,7 +57,7 @@ class SnapshotDaemon:
         self.take_snapshot = take_snapshot
         self.directory = os.fspath(directory)
         self.interval_s = interval_s
-        self.lock = lock if lock is not None else threading.RLock()
+        self.store_lock = lock if lock is not None else threading.RLock()
         if keep < 1:
             raise StoreError(f"snapshot retention must keep >= 1, got {keep}")
         self.keep = keep
@@ -95,7 +95,7 @@ class SnapshotDaemon:
 
     def run_once(self) -> str:
         """Take one checkpoint now; returns the file path written."""
-        with self.lock:
+        with self.store_lock:
             blob = self.take_snapshot()
         counter = snapshot_counter(blob)
         path = os.path.join(self.directory, f"snapshot-{counter:012d}.bin")

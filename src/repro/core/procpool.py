@@ -59,11 +59,12 @@ hostile or corrupted worker can at worst produce a malformed frame (a
 construction in the parent.  Control-plane frames (stats, audit,
 iteration) are parent-trusted and carry JSON or fixed-width integers.
 
-Pipes pair requests with replies positionally, so the parent holds a
-per-worker lock across each send/recv round-trip: the parent threads
-that reach a pool (the TCP server's loop thread, the snapshot daemon,
-any thread reading ``stats_snapshot()``) stay correctly paired instead
-of interleaving frames and reading each other's replies.
+Planes pair requests with replies positionally, so every public entry
+of the pool holds its one lock, ``_pool_lock``, across its whole round
+trip: the parent threads that reach a pool (the TCP server's loop
+thread, the snapshot daemon, any thread reading ``stats_snapshot()``)
+take turns instead of interleaving frames and reading each other's
+replies.  The same lock guards the pool's health and checkpoint state.
 
 Snapshots and crash recovery
 ----------------------------
@@ -79,15 +80,16 @@ snapshot, and that cache is the recovery checkpoint:
 A :class:`~repro.errors.ReproError` raised inside a worker (integrity
 violation, crypto misuse...) is re-raised in the parent as the *same
 exception class*, with the partition index prepended to the message.  A
-worker that dies (crash, OOM-kill) or wedges past ``request_timeout``
-is detected by liveness polling — never a blocking pipe read — and the
-pool *recovers*: the dead process is respawned on the cached snapshot
-section, exactly as at start-up.  The interrupted call still raises
-:class:`~repro.errors.WorkerError` (its mutations may be lost), but the
-pool keeps serving; ``state`` reports ``"recovered"`` and ``ops_lost``
-counts an upper bound of mutations issued since the snapshot.  With no
-snapshot to restore from the partition comes back *empty* and ``state``
-reports ``"degraded"``.  Only a failed recovery marks the pool broken.
+worker that dies (crash, OOM-kill) is detected by liveness polling —
+never a blocking pipe read — and one whose plane loses a frame by the
+failed crossing; either way the pool *recovers*: the worker is
+respawned on the cached snapshot section, exactly as at start-up.  The
+interrupted call still raises :class:`~repro.errors.WorkerError` (its
+mutations may be lost), but the pool keeps serving; ``state`` reports
+``"recovered"`` and ``ops_lost`` counts an upper bound of mutations
+issued since the snapshot.  With no snapshot to restore from the
+partition comes back *empty* and ``state`` reports ``"degraded"``.
+Only a failed recovery marks the pool broken.
 """
 
 from __future__ import annotations
@@ -100,8 +102,7 @@ import subprocess
 import sys
 import threading
 import time
-from contextlib import ExitStack
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import repro.errors as _errors
 from repro.core.config import StoreConfig
@@ -165,7 +166,7 @@ _F64 = struct.Struct("<d")
 # Seconds between liveness checks while waiting on a worker reply.
 _POLL_INTERVAL = 0.1
 # Deadline for a (re)spawned worker's handshake: interpreter spawn,
-# section load, log replay (not request_timeout, which may be sub-second).
+# section load, log replay.
 _RECOVERY_TIMEOUT = 60.0
 
 
@@ -378,12 +379,12 @@ class _PipePlane:
         self._child_conn.close()  # parent keeps only its own end
         self._child_conn = None
 
-    def send(self, raw, on_crash, deadline=None, alive=None) -> None:
+    def send(self, raw, on_crash, alive=None) -> None:
         raw = faults.cross("procpool.pipe.send", raw, on_crash)
         if raw is faults.DROPPED:
-            # The frame is lost in the kernel; the reply wait
-            # will time out and trigger worker recovery.
-            return
+            # The sealed frame is lost and the channel's send sequence
+            # has moved on: the stream is unusable, so recover.
+            raise OSError("injected pipe frame drop")
         self.conn.send_bytes(raw)
 
     def send_raw(self, raw) -> None:
@@ -445,13 +446,13 @@ class _ShmPlane:
         # other crossing crash.
         self._doorbell.on_crash = process.kill
 
-    def send(self, raw, on_crash, deadline=None, alive=None) -> None:
+    def send(self, raw, on_crash, alive=None) -> None:
         raw = faults.cross("shmring.write", raw, on_crash)
         if raw is faults.DROPPED:
-            # The frame is never written; the reply wait will time
-            # out and trigger worker recovery.
-            return
-        self.req.write(raw, deadline=deadline, alive=alive)
+            # The sealed frame is never written and the channel's send
+            # sequence has moved on: the stream is unusable, so recover.
+            raise OSError("injected ring frame drop")
+        self.req.write(raw, alive=alive)
 
     def send_raw(self, raw) -> None:
         self.req.write(raw)
@@ -644,30 +645,25 @@ def _reap(process: subprocess.Popen, grace: float = 0.0) -> None:
 
 
 class _WorkerHandle:
-    """Parent-side view of one worker: its process, data plane and lock.
+    """Parent-side view of one worker: its process, plane and channel.
 
-    The plane pairs requests with replies purely by position, so the
-    send/recv round-trip must be atomic per worker: ``lock`` serializes
-    the parent threads that reach the pool (the TCP server's loop
-    thread, the snapshot daemon, a ``stats_snapshot()`` reader), which
-    would otherwise interleave frames and read each other's replies.
+    Every field is touched only under the pool's ``_pool_lock``, which
+    keeps each send/recv round trip paired.
 
     ``ops_since_snapshot`` counts mutations issued to this worker since
     the pool last snapshotted it — the upper bound on what a crash of
-    this worker can lose.  It is read, updated and reset under ``lock``.
+    this worker can lose.
 
     ``channel`` is the parent end of the plane's session channel; its
-    sequence counters advance on every frame, so it is only touched
-    under ``lock`` (which already serializes the round-trips) and is
-    replaced together with ``plane`` when the worker is respawned.
+    sequence counters advance on every frame, and it is replaced
+    together with ``plane`` when the worker is respawned.
 
     ``serialize_s``/``ipc_wait_s`` accumulate this worker's parent-side
-    stage timings (sealing vs waiting on the plane); they are only
-    touched under ``lock``.
+    stage timings (sealing vs waiting on the plane).
     """
 
     __slots__ = (
-        "index", "process", "plane", "channel", "lock",
+        "index", "process", "plane", "channel",
         "ops_since_snapshot", "serialize_s", "ipc_wait_s",
     )
 
@@ -676,7 +672,6 @@ class _WorkerHandle:
         self.process = process
         self.plane = plane
         self.channel = channel
-        self.lock = threading.Lock()
         self.ops_since_snapshot = 0
         self.serialize_s = 0.0
         self.ipc_wait_s = 0.0
@@ -737,9 +732,9 @@ class ProcessPartitionPool:
     enclave thread pool is fixed at enclave creation) and verified with
     a PING handshake so misconfiguration fails fast, not on first use.
 
-    ``request_timeout`` bounds how long the parent waits for any single
-    reply; ``None`` waits forever (liveness is still polled, so a dead
-    worker raises promptly either way).
+    Every public entry holds ``_pool_lock`` across its whole round trip,
+    so callers take turns; liveness is polled while a reply is awaited,
+    so a dead worker raises promptly.
 
     ``checkpoint`` (``(counter, sections)``) is what the partitions are
     born from — each worker gets its section in its bootstrap frame — and
@@ -756,7 +751,6 @@ class ProcessPartitionPool:
         config: StoreConfig,
         num_workers: int,
         master_secret: bytes,
-        request_timeout: Optional[float] = None,
         platform_secret: Optional[bytes] = None,
         data_plane: Optional[str] = None,
         wal_dir: Optional[str] = None,
@@ -776,7 +770,6 @@ class ProcessPartitionPool:
         if data_plane == DATA_PLANE_SHM and not shm_supported():
             raise StoreError("data_plane='shm' needs os.memfd_create")
         self.num_workers = num_workers
-        self.request_timeout = request_timeout
         self.data_plane = data_plane
         self._broken: Optional[str] = None
         self._closed = False
@@ -796,11 +789,9 @@ class ProcessPartitionPool:
         self._recovered: set = set()  # respawned + restored
         self.recoveries = 0           # workers brought back after dying
         self.ops_lost = 0             # upper bound on mutations lost
-        # Guards the pool-wide health/checkpoint state above: those
-        # fields are reached from recovery paths that hold *different*
-        # worker locks concurrently.  Ordered strictly after any worker
-        # lock (see shieldlint's lock-order pass).
-        self._health_lock = threading.Lock()
+        # Held across every public round trip; also guards the
+        # health/checkpoint state above (shieldlint's lock-order pass).
+        self._pool_lock = threading.Lock()
         self._proxies = [_PartitionProxy(self, i) for i in range(num_workers)]
         self.workers: List[_WorkerHandle] = []
         try:
@@ -840,9 +831,8 @@ class ProcessPartitionPool:
         if hit is not None and hit.kind == "drop":
             raise OSError(f"injected spawn failure for partition {index}")
         nonce = _fresh_nonce()
-        with self._health_lock:  # one atom: never new sections with an old counter
-            section = self._snapshot_sections.get(index)
-            counter = None if section is None else self._snapshot_counter
+        section = self._snapshot_sections.get(index)
+        counter = None if section is None else self._snapshot_counter
         if self.data_plane == DATA_PLANE_SHM:
             plane = _ShmPlane(index, DEFAULT_NUM_SLOTS, DEFAULT_SLOT_SIZE)
         else:
@@ -907,35 +897,29 @@ class ProcessPartitionPool:
                 "(a partition is gone; rebuild the store)"
             )
 
-    def _mark_broken(self, why: str) -> WorkerError:
-        with self._health_lock:
-            self._broken = why
-        return WorkerError(why)
-
     def _worker_failed(
         self, handle: _WorkerHandle, why: str, recover: bool
     ) -> WorkerError:
-        """Handle a dead/wedged worker; returns the error to raise.
+        """Handle a dead or desynced worker; returns the error to raise.
 
         With ``recover`` (the normal data path — the caller holds
-        ``handle.lock``) the worker is respawned on the cached
+        ``_pool_lock``) the worker is respawned on the cached
         snapshot section; the in-flight call still failed, so a
         :class:`WorkerError` describing the recovery is returned.  Only
         when recovery itself fails is the pool marked broken.
         """
-        if not recover:
-            return WorkerError(why)
-        if self._closed or self._broken is not None:
+        if not recover or self._closed or self._broken is not None:
             return WorkerError(why)
         try:
             return self._recover_worker(handle, why)
         except Exception as exc:
-            return self._mark_broken(f"{why}; recovery failed: {exc}")
+            self._broken = f"{why}; recovery failed: {exc}"
+            return WorkerError(self._broken)
 
     def _recover_worker(self, handle: _WorkerHandle, why: str) -> WorkerError:
         """Respawn ``handle``'s process on its cached snapshot section.
 
-        Caller holds ``handle.lock``, so mutating the handle in place is
+        Caller holds ``_pool_lock``, so mutating the handle in place is
         safe: every other thread queues on the same lock and sees the
         replacement worker.
         """
@@ -951,21 +935,19 @@ class ProcessPartitionPool:
         # With a write-ahead log every acknowledged mutation is on disk
         # and replayed during recovery, so nothing counts as lost.
         walled = self._wal_dir is not None
-        with self._health_lock:
-            self.recoveries += 1
-            if not walled:
-                self.ops_lost += lost
+        self.recoveries += 1
+        if not walled:
+            self.ops_lost += lost
         self._handshake(handle)
         source = (
             "no snapshot exists" if counter is None
             else f"restored from snapshot counter {counter}"
         )
-        with self._health_lock:
-            if walled or counter is not None:
-                self._recovered.add(handle.index)
-                self._degraded.discard(handle.index)
-            else:
-                self._degraded.add(handle.index)
+        if walled or counter is not None:
+            self._recovered.add(handle.index)
+            self._degraded.discard(handle.index)
+        else:
+            self._degraded.add(handle.index)
         if walled:
             outcome = (
                 f"replayed its write-ahead log, {lost} acknowledged "
@@ -992,16 +974,8 @@ class ProcessPartitionPool:
             started = time.perf_counter()
             sealed = handle.channel.seal(bytes([opcode]) + payload)
             handle.serialize_s += time.perf_counter() - started
-            deadline = (
-                None
-                if self.request_timeout is None
-                else time.monotonic() + self.request_timeout
-            )
             handle.plane.send(
-                sealed,
-                on_crash=handle.process.kill,
-                deadline=deadline,
-                alive=handle.alive,
+                sealed, on_crash=handle.process.kill, alive=handle.alive
             )
         except (BrokenPipeError, OSError) as exc:
             raise self._worker_failed(
@@ -1015,18 +989,16 @@ class ProcessPartitionPool:
         self,
         handle: _WorkerHandle,
         recover: bool = True,
-        timeout: Optional[float] = -1.0,
+        timeout: Optional[float] = None,
     ) -> bytes:
         """Receive one reply, polling liveness instead of blocking.
 
-        Each ``poll()`` is clamped to the remaining timeout budget and
-        elapsed time is measured on a monotonic clock, so sub-interval
-        ``request_timeout`` values are honored instead of being rounded
-        up to the 0.1 s poll interval.  ``timeout`` of -1 means "use
-        ``self.request_timeout``"; ``None`` waits forever.
+        ``None`` waits as long as the worker lives (the data path); the
+        handshake passes ``_RECOVERY_TIMEOUT``.  Each ``poll()`` is
+        clamped to the remaining budget on a monotonic clock, so a
+        sub-interval ``timeout`` is honored instead of being rounded up
+        to the 0.1 s poll interval.
         """
-        if timeout == -1.0:
-            timeout = self.request_timeout
         deadline = None if timeout is None else time.monotonic() + timeout
         wait_started = time.perf_counter()
         try:
@@ -1100,14 +1072,14 @@ class ProcessPartitionPool:
         payload: bytes = b"",
         mutations: int = 0,
     ) -> bytes:
-        """Round-trip one frame to one worker (atomic per worker).
+        """Round-trip one frame to one worker under ``_pool_lock``.
 
         ``mutations`` is added to the worker's ``ops_since_snapshot``
-        while its lock is held, so the loss-bound accounting cannot race
+        under the same lock, so the loss-bound accounting cannot race
         with a concurrent snapshot reset.
         """
         handle = self.workers[index]
-        with handle.lock:
+        with self._pool_lock:
             self._check_usable()
             handle.ops_since_snapshot += mutations
             self._send(handle, opcode, payload)
@@ -1118,22 +1090,26 @@ class ProcessPartitionPool:
         payloads: Dict[int, bytes],
         opcode: int = OP_REQ,
         mutations: Optional[Dict[int, int]] = None,
-        reset_counters: bool = False,
-        on_success: Optional[Callable[[Dict[int, bytes]], None]] = None,
     ) -> Dict[int, bytes]:
         """Submit to many workers at once, then gather every reply.
 
         All frames are written before any reply is read — that is the
         parallelism: each worker crunches its slice while the others do
         the same.  Replies are collected in ascending partition order so
-        merge results are deterministic.
+        merge results are deterministic.  ``_pool_lock`` is held for the
+        whole scatter; ``mutations`` are per-target
+        ``ops_since_snapshot`` increments made under it.
+        """
+        with self._pool_lock:
+            return self._scatter(payloads, opcode, mutations)
 
-        Every target worker's lock is held for the whole scatter, in
-        ascending index order (``request`` takes a single lock, so all
-        acquisition orders agree and concurrent callers cannot
-        deadlock).  This keeps each pipe's request/reply pairing intact
-        under concurrent parent threads while still letting requests for
-        disjoint worker sets proceed in parallel.
+    def _scatter(
+        self,
+        payloads: Dict[int, bytes],
+        opcode: int,
+        mutations: Optional[Dict[int, int]] = None,
+    ) -> Dict[int, bytes]:
+        """The body of :meth:`scatter`; the caller holds ``_pool_lock``.
 
         Every successfully-sent frame's reply is drained even when one
         worker fails — leaving frames queued would desynchronize the
@@ -1141,58 +1117,37 @@ class ProcessPartitionPool:
         recovered in place, so the surviving replies stay paired.  The
         first :class:`WorkerError` (then the first other
         :class:`ReproError`) is raised after the drain.
-
-        ``mutations`` (per-target ``ops_since_snapshot`` increments) and
-        ``reset_counters`` (zero each target's counter after a fully
-        successful round) run inside the locked region, so the loss
-        bound stays consistent under concurrent snapshot/execute races.
-        ``on_success`` also runs inside the locked region, after every
-        reply succeeded and *before* the counters reset — checkpoint
-        installation uses it so {sections, counter, per-worker
-        counters} change as one atom: a worker failing right after the
-        scatter can never pair the old checkpoint with already-zeroed
-        counters (which would undercount ``ops_lost``).
         """
         targets = sorted(payloads)
-        with ExitStack() as stack:
+        self._check_usable()
+        if mutations:
             for index in targets:
-                stack.enter_context(self.workers[index].lock)
-            self._check_usable()
-            if mutations:
-                for index in targets:
-                    self.workers[index].ops_since_snapshot += mutations.get(
-                        index, 0
-                    )
-            sent: List[int] = []
-            worker_error: Optional[WorkerError] = None
-            first_error: Optional[ReproError] = None
-            for index in targets:
-                try:
-                    self._send(self.workers[index], opcode, payloads[index])
-                    sent.append(index)
-                except WorkerError as exc:
-                    if worker_error is None:
-                        worker_error = exc
-            results: Dict[int, bytes] = {}
-            for index in sent:
-                try:
-                    results[index] = self._recv(self.workers[index])
-                except WorkerError as exc:
-                    if worker_error is None:
-                        worker_error = exc
-                except ReproError as exc:
-                    if first_error is None:
-                        first_error = exc
-            if worker_error is not None:
-                raise worker_error
-            if first_error is not None:
-                raise first_error
-            if on_success is not None:
-                on_success(results)
-            if reset_counters:
-                for index in targets:
-                    self.workers[index].ops_since_snapshot = 0
-            return results
+                self.workers[index].ops_since_snapshot += mutations.get(index, 0)
+        sent: List[int] = []
+        worker_error: Optional[WorkerError] = None
+        first_error: Optional[ReproError] = None
+        for index in targets:
+            try:
+                self._send(self.workers[index], opcode, payloads[index])
+                sent.append(index)
+            except WorkerError as exc:
+                if worker_error is None:
+                    worker_error = exc
+        results: Dict[int, bytes] = {}
+        for index in sent:
+            try:
+                results[index] = self._recv(self.workers[index])
+            except WorkerError as exc:
+                if worker_error is None:
+                    worker_error = exc
+            except ReproError as exc:
+                if first_error is None:
+                    first_error = exc
+        if worker_error is not None:
+            raise worker_error
+        if first_error is not None:
+            raise first_error
+        return results
 
     def broadcast(self, opcode: int, payload: bytes = b"") -> List[bytes]:
         """Scatter the same frame to every worker; replies in index order."""
@@ -1255,14 +1210,13 @@ class ProcessPartitionPool:
     def _install_checkpoint(
         self, sections: Dict[int, bytes], counter: int
     ) -> None:
-        """Publish a new recovery checkpoint (runs via scatter's
-        ``on_success``, i.e. with every worker lock held, so no recovery
-        can read a half-installed {sections, counter} pair)."""
-        with self._health_lock:
-            self._snapshot_sections = sections
-            self._snapshot_counter = counter
-            self._degraded.clear()
-            self._recovered.clear()
+        """Publish a new recovery checkpoint (caller holds
+        ``_pool_lock``, so no recovery can read a half-installed
+        {sections, counter} pair)."""
+        self._snapshot_sections = sections
+        self._snapshot_counter = counter
+        self._degraded.clear()
+        self._recovered.clear()
 
     def snapshot_all(self, counter: int) -> Dict[int, bytes]:
         """Have every worker seal + serialize its store (paper §4.4).
@@ -1272,21 +1226,22 @@ class ProcessPartitionPool:
         recovered pool returns to ``ok`` because a fresh checkpoint now
         reflects whatever state the partitions actually hold.
 
-        The checkpoint is installed from inside the scatter's locked
-        region (just before the mutation counters reset), so recovery
-        of a worker that dies right after the snapshot reads the *new*
-        sections with the *new* (already-zeroed) counters — never the
-        old checkpoint against zeroed counters, which would undercount
-        the documented mutation-loss bound.
+        One hold of ``_pool_lock`` covers the scatter, the checkpoint
+        install and the per-worker counter reset, so {sections, counter,
+        per-worker counters} change as one atom: recovery of a worker
+        that dies right after the snapshot never pairs the old
+        checkpoint with zeroed counters, which would undercount the
+        documented mutation-loss bound.  A failed scatter changes none
+        of them.
         """
-        return self.scatter(
-            {w.index: _U64.pack(counter) for w in self.workers},
-            OP_SNAPSHOT,
-            reset_counters=True,
-            on_success=lambda sections: self._install_checkpoint(
-                dict(sections), counter
-            ),
-        )
+        with self._pool_lock:
+            sections = self._scatter(
+                {w.index: _U64.pack(counter) for w in self.workers}, OP_SNAPSHOT
+            )
+            self._install_checkpoint(dict(sections), counter)
+            for handle in self.workers:
+                handle.ops_since_snapshot = 0
+            return sections
 
     # -- aggregates ---------------------------------------------------------
     def gather_stats(self) -> List[StoreStats]:
@@ -1297,9 +1252,11 @@ class ProcessPartitionPool:
         ]
 
     def _worker_timings(self) -> dict:
-        """The workers' ``OP_TIMING`` replies, summed field by field."""
+        """The workers' ``OP_TIMING`` replies, summed field by field
+        (caller holds ``_pool_lock``)."""
         totals: dict = {}
-        for raw in self.broadcast(OP_TIMING):
+        replies = self._scatter({w.index: b"" for w in self.workers}, OP_TIMING)
+        for raw in replies.values():
             for name, value in json.loads(raw.decode("ascii")).items():
                 totals[name] = totals.get(name, 0) + value
         return totals
@@ -1308,11 +1265,11 @@ class ProcessPartitionPool:
         """Merged data-plane counters across every worker's plane; on
         the shm plane also the worker ends' doorbell waits."""
         merged = TransportStats()
-        for handle in self.workers:
-            with handle.lock:
+        with self._pool_lock:
+            for handle in self.workers:
                 merged = merged.merge(handle.plane.transport_stats())
-        if self.data_plane == DATA_PLANE_SHM:
-            merged.worker_ring_doorbell_waits = self._worker_timings()["doorbell_waits"]
+            if self.data_plane == DATA_PLANE_SHM:
+                merged.worker_ring_doorbell_waits = self._worker_timings()["doorbell_waits"]
         return merged
 
     def stage_timings(self) -> Dict[str, float]:
@@ -1327,11 +1284,11 @@ class ProcessPartitionPool:
         two tell a slow worker from a descheduled one.
         """
         timings = {"serialize_s": 0.0, "ipc_wait_s": 0.0}
-        for handle in self.workers:
-            with handle.lock:
+        with self._pool_lock:
+            for handle in self.workers:
                 timings["serialize_s"] += handle.serialize_s
                 timings["ipc_wait_s"] += handle.ipc_wait_s
-        worker = self._worker_timings()
+            worker = self._worker_timings()
         timings["worker_compute_s"] = worker["compute_s"]
         timings["worker_cpu_s"] = worker["cpu_s"]
         return timings
@@ -1364,15 +1321,12 @@ class ProcessPartitionPool:
     def close(self) -> None:
         """Shut every worker down (idempotent).
 
-        Takes every worker lock (ascending index order, same as
-        ``scatter``) before sending ``OP_SHUTDOWN``: a concurrent
-        connection thread mid round-trip finishes its send/recv pairing
+        Sends the sealed ``OP_SHUTDOWN`` frames under ``_pool_lock``: a
+        concurrent thread mid round trip finishes its send/recv pairing
         first, so it can never read a shutdown acknowledgement as its
         own reply.
         """
-        with ExitStack() as stack:
-            for handle in self.workers:
-                stack.enter_context(handle.lock)
+        with self._pool_lock:
             if self._closed:
                 return
             self._closed = True

@@ -331,12 +331,7 @@ class ShmRing:
             self.doorbell.ring()
 
     # -- producer side -------------------------------------------------------
-    def write(
-        self,
-        frame,
-        deadline: Optional[float] = None,
-        alive: Optional[Callable[[], bool]] = None,
-    ) -> None:
+    def write(self, frame, alive: Optional[Callable[[], bool]] = None) -> None:
         """Append one length-prefixed frame, blocking while the ring is
         full; a frame larger than the whole ring streams through."""
         if self.role != "producer":
@@ -344,7 +339,7 @@ class ShmRing:
         total = _LEN.size + len(frame)
         padded = self._padded(total)
         if padded > self.capacity:
-            self._write_streaming(frame, total, padded, deadline, alive)
+            self._write_streaming(frame, total, padded, alive)
         else:
             if self.capacity - (self._local - self._peer_counter()) < padded:
                 self.full_waits += 1
@@ -352,7 +347,7 @@ class ShmRing:
                     lambda: self.capacity
                     - (self._local - self._peer_counter())
                     >= padded,
-                    deadline,
+                    None,
                     alive,
                 )
             self._copy_in(self._local, _LEN.pack(len(frame)))
@@ -361,9 +356,7 @@ class ShmRing:
         self.frames += 1
         self.bytes_moved += total
 
-    def _write_streaming(
-        self, frame, total: int, padded: int, deadline, alive
-    ) -> None:
+    def _write_streaming(self, frame, total: int, padded: int, alive) -> None:
         """Stream a larger-than-ring frame through in chunks.
 
         Publishes each chunk as it lands so the consumer can release
@@ -380,7 +373,7 @@ class ShmRing:
                 self._wait(
                     lambda: self.capacity - (self._local - self._peer_counter())
                     > 0,
-                    deadline,
+                    None,
                     alive,
                 )
                 free = self.capacity - (self._local - self._peer_counter())

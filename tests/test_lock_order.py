@@ -1,15 +1,16 @@
-"""Runtime lock-order verification on the multiprocess partition pool.
+"""Runtime lock discipline of the multiprocess partition pool.
 
-shieldlint's lock-order pass pins the acquisition order statically
-(worker locks ascending by partition index, health lock only after
-worker locks).  This module checks the same invariant *dynamically*:
-every pool lock is wrapped in a recording proxy and a concurrent
-scatter/request/snapshot/close stress run must never observe
+shieldlint's lock-order pass checks statically that the pool's one lock,
+``_pool_lock``, is taken in the pinned family order and never re-taken
+by its holder.  This module checks the same discipline *dynamically*:
+the pool lock is wrapped in a recording proxy and the plane crossings
+(``_send`` / ``_recv`` / the shutdown ``send_raw``) in a spy, and a
+concurrent scatter/request/snapshot/stats stress run, then ``close()``,
+must never observe
 
-* a worker lock acquired while a worker lock of an equal or higher
-  partition index is already held by the same thread, or
-* a worker lock acquired while the health lock is held (health is
-  ordered strictly after the worker family).
+* a plane crossing by a thread that does not hold the pool lock, or
+* the holder of the pool lock acquiring it again (a ``threading.Lock``
+  never re-enters: that would deadlock).
 """
 
 import threading
@@ -28,70 +29,28 @@ needs_processes = pytest.mark.skipif(
 )
 
 
-class _LockTracker:
-    """Per-thread held-lock stacks plus a shared violation log."""
-
-    def __init__(self):
-        self._local = threading.local()
-        self.violations = []
-        self.acquisitions = 0
-        self._stats_lock = threading.Lock()
-
-    def held(self):
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
-    def on_acquire(self, family: str, index: int) -> None:
-        for held_family, held_index in self.held():
-            if held_family == "health":
-                self._record(
-                    f"{family}:{index} acquired while holding the health "
-                    "lock (health must come after every worker lock)"
-                )
-            elif (
-                held_family == "worker"
-                and family == "worker"
-                and held_index >= index
-            ):
-                self._record(
-                    f"worker:{index} acquired while already holding "
-                    f"worker:{held_index} (must be ascending)"
-                )
-        self.held().append((family, index))
-        with self._stats_lock:
-            self.acquisitions += 1
-
-    def on_release(self, family: str, index: int) -> None:
-        stack = self.held()
-        for pos in range(len(stack) - 1, -1, -1):
-            if stack[pos] == (family, index):
-                del stack[pos]
-                return
-
-    def _record(self, message: str) -> None:
-        with self._stats_lock:
-            self.violations.append(message)
-
-
 class _TrackingLock:
-    """Duck-types threading.Lock for ``with`` and ExitStack use."""
+    """Duck-types threading.Lock for ``with`` use; records its holder."""
 
-    def __init__(self, inner, family, index, tracker):
+    def __init__(self, inner):
         self._inner = inner
-        self._family = family
-        self._index = index
-        self._tracker = tracker
+        self.holder = None
+        self.acquisitions = 0
+        self.crossings = 0
+        self.violations = []
 
     def acquire(self, *args, **kwargs):
+        if self.holder == threading.get_ident():
+            self.violations.append("pool lock re-acquired by its holder")
+            raise RuntimeError("pool lock re-acquired by its holder")
         acquired = self._inner.acquire(*args, **kwargs)
         if acquired:
-            self._tracker.on_acquire(self._family, self._index)
+            self.holder = threading.get_ident()
+            self.acquisitions += 1
         return acquired
 
     def release(self):
-        self._tracker.on_release(self._family, self._index)
+        self.holder = None
         self._inner.release()
 
     def __enter__(self):
@@ -102,16 +61,26 @@ class _TrackingLock:
         self.release()
         return False
 
+    def spy(self, crossing):
+        """Wrap a plane crossing: it must run under the pool lock."""
 
-def _instrument(pool: ProcessPartitionPool) -> _LockTracker:
-    tracker = _LockTracker()
-    for handle in pool.workers:
-        handle.lock = _TrackingLock(
-            handle.lock, "worker", handle.index, tracker
-        )
-    pool._health_lock = _TrackingLock(
-        pool._health_lock, "health", -1, tracker
-    )
+        def checked(*args, **kwargs):
+            self.crossings += 1
+            if self.holder != threading.get_ident():
+                self.violations.append(
+                    f"{crossing.__name__} ran without holding the pool lock"
+                )
+            return crossing(*args, **kwargs)
+
+        return checked
+
+
+def _instrument(pool: ProcessPartitionPool) -> _TrackingLock:
+    tracker = pool._pool_lock = _TrackingLock(pool._pool_lock)
+    pool._send = tracker.spy(pool._send)
+    pool._recv = tracker.spy(pool._recv)
+    for handle in pool.workers:  # close()'s sealed shutdown frames
+        handle.plane.send_raw = tracker.spy(handle.plane.send_raw)
     return tracker
 
 
@@ -154,13 +123,17 @@ class TestRuntimeLockOrder:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=120)
+            pool.transport_stats()
+            pool.stage_timings()
         finally:
             pool.close()
 
         assert not errors, errors
         assert tracker.violations == [], "\n".join(tracker.violations)
-        # The stress must actually have exercised multi-lock paths.
-        assert tracker.acquisitions > 4 * 12
+        # The stress must actually have taken turns on the lock and
+        # crossed the planes under it.
+        assert tracker.acquisitions >= 4 * 12
+        assert tracker.crossings >= 2 * 4 * 12
 
     def test_close_acquires_every_worker_ascending(self):
         pool = ProcessPartitionPool(
@@ -171,4 +144,6 @@ class TestRuntimeLockOrder:
         tracker = _instrument(pool)
         pool.close()
         assert tracker.violations == [], "\n".join(tracker.violations)
-        assert tracker.acquisitions >= WORKERS
+        assert tracker.acquisitions == 1
+        assert tracker.crossings == WORKERS
+        assert tracker.holder is None

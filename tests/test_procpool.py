@@ -118,10 +118,10 @@ class TestModeEquivalence:
                 store.get(b"missing")
 
     def test_concurrent_clients_get_their_own_replies(self):
-        """Parallel parent threads (the TCP server runs one per
-        connection) must never interleave pipe frames and receive each
-        other's replies — per-worker locking keeps every send/recv
-        round-trip paired."""
+        """Parallel parent threads (a stats reader beside the loop
+        thread, the snapshot daemon) must never interleave plane frames
+        and receive each other's replies — the pool lock keeps every
+        send/recv round trip paired."""
         with _build(MODE_PROCESSES) as store:
             keys = [f"key-{i:03d}".encode() for i in range(60)]
             store.multi_set([(k, b"value-" + k) for k in keys])
@@ -270,29 +270,27 @@ class TestFailureSemantics:
 @needs_processes
 class TestTimeoutsAndShutdown:
     def test_sub_interval_timeout_is_honored(self):
-        """A request_timeout below the 0.1 s liveness poll interval must
+        """A reply timeout below the 0.1 s liveness poll interval must
         fire on schedule, not get rounded up to a whole poll."""
         from repro.core.procpool import ProcessPartitionPool
 
-        pool = ProcessPartitionPool(
-            _config(), 1, SECRET, request_timeout=0.03
-        )
+        pool = ProcessPartitionPool(_config(), 1, SECRET)
         try:
             handle = pool.workers[0]
-            with handle.lock:
+            with pool._pool_lock:
                 # Nothing was sent, so no reply ever arrives: _recv must
                 # give up after ~0.03 s.  The old code polled a full
                 # 0.1 s interval first, so it could never raise sooner.
                 start = time.monotonic()
                 with pytest.raises(WorkerError, match="no reply"):
-                    pool._recv(handle, recover=False)
+                    pool._recv(handle, recover=False, timeout=0.03)
                 elapsed = time.monotonic() - start
             assert elapsed < 0.09, elapsed
         finally:
             pool.close()
 
     def test_close_never_steals_inflight_replies(self):
-        """close() must take the worker locks before sending shutdown
+        """close() must take the pool lock before sending shutdown
         frames: a connection thread mid round-trip either completes its
         own send/recv pairing or observes the closed pool as a
         WorkerError — it never decodes a shutdown acknowledgement (or
@@ -324,6 +322,57 @@ class TestTimeoutsAndShutdown:
         for thread in threads:
             thread.join(timeout=30)
         assert not failures, failures
+
+
+@needs_processes
+class TestDroppedSend:
+    @pytest.mark.parametrize(
+        "plane, point",
+        [("shm", "shmring.write"), ("pipe", "procpool.pipe.send")],
+    )
+    def test_dropped_send_recovers_instead_of_hanging(self, plane, point):
+        """A sealed frame the host drops on its way to a worker is gone,
+        and the channel's send sequence has moved past it: the call must
+        fail over to recovery, never wait forever for a reply that
+        cannot come."""
+        from repro.core.shmring import shm_supported
+        from repro.sim.faults import FaultPlan, FaultRule, injected
+
+        if plane == "shm" and not shm_supported():
+            pytest.skip("platform has no os.memfd_create")
+        store = PartitionedShieldStore(
+            _config(),
+            master_secret=SECRET,
+            num_partitions=PARTITIONS,
+            mode=MODE_PROCESSES,
+            data_plane=plane,
+        )
+        plan = FaultPlan([FaultRule(point=point, kind="drop", hits=[0])])
+        outcome = []
+
+        def first_set():
+            try:
+                store.set(b"k", b"v")
+                outcome.append(None)
+            except WorkerError as exc:
+                outcome.append(exc)
+
+        caller = threading.Thread(target=first_set, daemon=True)
+        try:
+            with injected(plan):
+                caller.start()
+                caller.join(timeout=30)
+            assert not caller.is_alive(), "a dropped send hung the pool"
+            assert "broke on send" in str(outcome[0])
+            store.set(b"k", b"v")
+            assert store.get(b"k") == b"v"
+            assert store._pool.state == "degraded"
+        finally:
+            if caller.is_alive():  # still holding the pool lock: no close()
+                for handle in store._pool.workers:
+                    handle.process.kill()
+            else:
+                store.close()
 
 
 class TestModeResolution:

@@ -7,12 +7,14 @@ lock module...) and asserts the pass flags the seeded violation — and
 does *not* flag the adjacent compliant code.
 """
 
+import ast
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import AnalysisError, run_analysis
+import repro
+from repro.analysis import AnalysisError, lockorder, run_analysis
 from repro.cli import main
 
 
@@ -287,8 +289,8 @@ class TestLockOrderRule:
             """
             class ProcessPartitionPool:
                 def bad(self):
-                    with self._health_lock:
-                        with self.workers[0].lock:
+                    with self._pool_lock:
+                        with self.store_lock:
                             pass
             """,
         )
@@ -299,6 +301,8 @@ class TestLockOrderRule:
         )
 
     def test_ascending_exitstack_loop_is_clean(self, tmp_path):
+        """A lock entered through ``stack.enter_context`` counts as held
+        for the rest of the block."""
         _write(
             tmp_path,
             "core/procpool.py",
@@ -306,34 +310,13 @@ class TestLockOrderRule:
             from contextlib import ExitStack
 
             class ProcessPartitionPool:
-                def scatter(self, payloads):
-                    targets = sorted(payloads)
+                def poke(self):
                     with ExitStack() as stack:
-                        for index in targets:
-                            stack.enter_context(self.workers[index].lock)
+                        stack.enter_context(self._pool_lock)
+                        self.recoveries += 1
             """,
         )
         assert _lint(tmp_path).active == []
-
-    def test_unordered_loop_acquisition_is_flagged(self, tmp_path):
-        _write(
-            tmp_path,
-            "core/procpool.py",
-            """
-            from contextlib import ExitStack
-
-            class ProcessPartitionPool:
-                def scatter(self, payloads):
-                    with ExitStack() as stack:
-                        for index in payloads:
-                            stack.enter_context(self.workers[index].lock)
-            """,
-        )
-        report = _lint(tmp_path)
-        assert any(
-            f.rule == "lock-order" and "ascending" in f.message
-            for f in report.active
-        )
 
     def test_nested_worker_locks_are_flagged(self, tmp_path):
         _write(
@@ -341,15 +324,15 @@ class TestLockOrderRule:
             "core/procpool.py",
             """
             class ProcessPartitionPool:
-                def bad(self, a, b):
-                    with self.workers[a].lock:
-                        with self.workers[b].lock:
+                def bad(self):
+                    with self._pool_lock:
+                        with self._pool_lock:
                             pass
             """,
         )
         report = _lint(tmp_path)
         assert any(
-            f.rule == "lock-order" and "second" in f.message
+            f.rule == "lock-order" and "second `pool` lock" in f.message
             for f in report.active
         )
 
@@ -376,7 +359,7 @@ class TestLockOrderRule:
             """
             class ProcessPartitionPool:
                 def poke(self):
-                    with self._health_lock:
+                    with self._pool_lock:
                         self.recoveries += 1
             """,
         )
@@ -391,7 +374,7 @@ class TestLockOrderRule:
             """
             class ProcessPartitionPool:
                 def safe(self):
-                    with self._health_lock:
+                    with self._pool_lock:
                         self._bump()
 
                 def unsafe(self):
@@ -405,6 +388,19 @@ class TestLockOrderRule:
         assert (
             len([f for f in report.active if "recoveries" in f.message]) == 1
         )
+
+
+    def test_snapshot_daemon_cut_records_store_to_pool_edge(self):
+        """The daemon's cut lock is the server's ``store_lock``: taking
+        the snapshot under it is a ``store -> pool`` edge of the real
+        tree's lock graph."""
+        path = Path(repro.__file__).parent / "core" / "checkpoint.py"
+        edges, sites = set(), {}
+        findings = lockorder.run_module(
+            "core/checkpoint.py", ast.parse(path.read_text()), edges, sites
+        )
+        assert findings == []
+        assert ("store", "pool") in edges
 
 
 class TestSuppressions:

@@ -52,7 +52,7 @@ class TestRingFraming:
         try:
             frames = [bytes([i]) * (50 + i) for i in range(16)]
             for i, frame in enumerate(frames):
-                prod.write(frame, deadline=time.monotonic() + 5)
+                prod.write(frame)
                 assert cons.read() == frame, f"frame {i} corrupted at wrap"
             # Counters are monotonic (not reset at the wrap point).
             assert prod._local == cons._local > prod.capacity
@@ -85,7 +85,7 @@ class TestRingFraming:
         reader = threading.Thread(target=consume)
         try:
             reader.start()
-            prod.write(big, deadline=time.monotonic() + 30)
+            prod.write(big)
             reader.join(timeout=30)
             assert not reader.is_alive()
             assert out == [big]
@@ -107,7 +107,7 @@ class TestRingFullPolicy:
 
             def blocked_write():
                 started.set()
-                prod.write(b"\xAA" * 40, deadline=time.monotonic() + 30)
+                prod.write(b"\xAA" * 40)
                 done.set()
 
             writer = threading.Thread(target=blocked_write)
@@ -258,7 +258,7 @@ class TestShmPlanePool:
             # session expects next).  The stale nonce means a different
             # channel key: authentication fails and the worker drops
             # the stream without replying.
-            with handle.lock:
+            with pool._pool_lock:
                 handle.plane.send_raw(tape[1])
                 handle.process.wait(timeout=10)
                 assert handle.process.poll() is not None
@@ -310,8 +310,12 @@ class TestShmPlanePool:
         # this process may use and one built after pinning it to one
         # both arm the doorbell at the parent and the worker ends — a
         # respawned worker too — and report nothing about spinning.
+        # A wait is counted only when a worker finds its ring empty, so
+        # each request after the respawn first gives the reborn worker
+        # time to get back to its ring: on one CPU the parent could
+        # otherwise queue every request before it does.
         script = """
-import json, os
+import json, os, time
 from repro.core import PartitionedShieldStore, shield_opt
 from repro.core.procpool import OP_TIMING
 from repro.errors import WorkerError
@@ -345,8 +349,10 @@ def serve_and_respawn():
         except WorkerError:
             pass
         for _ in range(3):
+            time.sleep(0.05)
             store.multi_set(sorted(model.items()))
         assert pool.recoveries == 1
+        time.sleep(0.05)
         reborn = json.loads(pool.request(0, OP_TIMING).decode("ascii"))
         assert sorted(reborn) == ["compute_s", "cpu_s", "doorbell_waits"], reborn
         assert reborn["doorbell_waits"] > 0 and reborn["compute_s"] > 0, reborn

@@ -280,7 +280,7 @@ class TestPerIncarnationPipeKeys:
             # authenticate; with per-incarnation keys the worker must
             # drop the stream without replying.
             handle = pool.workers[0]
-            with handle.lock:
+            with pool._pool_lock:
                 handle.conn.send_bytes(tape[1])
                 handle.process.wait(timeout=10)
                 assert handle.process.poll() is not None
@@ -299,7 +299,7 @@ class TestSealedShutdown:
         )
         try:
             handle = pool.workers[0]
-            with handle.lock:
+            with pool._pool_lock:
                 handle.conn.send_bytes(
                     handle.channel.seal(bytes([OP_SHUTDOWN]))
                 )

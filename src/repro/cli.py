@@ -381,11 +381,12 @@ def _cmd_serve(args) -> int:
     # SIGTERM (kill, systemd, docker stop) stops the way Ctrl-C does.
     signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
-        server.start()
         if replicated:
+            # The replicator first: no served write waits on its queue.
             served.start(anti_entropy_interval_s=args.anti_entropy_interval)
             print(f"replication: node {served.node_id}, {len(peers)} peer(s), "
                   f"anti-entropy every {args.anti_entropy_interval:g}s")
+        server.start()
         bound_host, port = server.address
         print(f"ShieldStore enclave serving on {bound_host}:{port}")
         print(f"measurement: {store.enclave.measurement.hex()}")

@@ -27,8 +27,8 @@ Two planes carry those records (``data_plane=`` selects one):
 
 * ``"shm"`` (default) — per-worker sealed shared-memory ring buffers
   (:mod:`repro.core.shmring`): one request ring + one reply ring, with
-  a ``Connection``-based doorbell for readiness.  Sealed bytes move
-  through shared memory with a single ``memoryview`` copy per side.
+  a ``Connection``-based doorbell for readiness.  Every frame, of any
+  size, streams through the ring's one write path and one read path.
 * ``"pipe"`` — a socketpair ``Connection`` (two kernel copies and a
   wakeup per direction); kept as the portable fallback and selected
   automatically where ``memfd_create`` is unavailable.
@@ -80,16 +80,17 @@ snapshot, and that cache is the recovery checkpoint:
 A :class:`~repro.errors.ReproError` raised inside a worker (integrity
 violation, crypto misuse...) is re-raised in the parent as the *same
 exception class*, with the partition index prepended to the message.  A
-worker that dies (crash, OOM-kill) is detected by liveness polling —
-never a blocking pipe read — and one whose plane loses a frame by the
-failed crossing; either way the pool *recovers*: the worker is
-respawned on the cached snapshot section, exactly as at start-up.  The
-interrupted call still raises :class:`~repro.errors.WorkerError` (its
-mutations may be lost), but the pool keeps serving; ``state`` reports
-``"recovered"`` and ``ops_lost`` counts an upper bound of mutations
-issued since the snapshot.  With no snapshot to restore from the
-partition comes back *empty* and ``state`` reports ``"degraded"``.
-Only a failed recovery marks the pool broken.
+worker that dies (crash, OOM-kill) is the EOF of the socketpair end
+only it holds — the pipe's, or the doorbell's on the shm plane — and
+one whose plane loses a frame is the failed crossing; either way the
+pool *recovers*: the worker is respawned on the cached snapshot
+section, exactly as at start-up.  The interrupted call still raises
+:class:`~repro.errors.WorkerError` (its mutations may be lost), but the
+pool keeps serving; ``state`` reports ``"recovered"`` and ``ops_lost``
+counts an upper bound of mutations issued since the snapshot.  With no
+snapshot to restore from the partition comes back *empty* and
+``state`` reports ``"degraded"``.  Only a failed recovery marks the
+pool broken.
 """
 
 from __future__ import annotations
@@ -107,13 +108,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import repro.errors as _errors
 from repro.core.config import StoreConfig
 from repro.core.entry import TAMPER_PROBE_OFFSET
-from repro.core.shmring import (
-    DEFAULT_NUM_SLOTS,
-    DEFAULT_SLOT_SIZE,
-    Doorbell,
-    ShmRing,
-    shm_supported,
-)
+from repro.core.shmring import Doorbell, ShmRing, shm_supported
 from repro.core.stats import StoreStats, TransportStats
 from repro.crypto.keys import derive_key
 from repro.crypto.suite import make_suite
@@ -163,8 +158,6 @@ REPLY_ERR = 0xFF
 _U64 = struct.Struct("<Q")
 _F64 = struct.Struct("<d")
 
-# Seconds between liveness checks while waiting on a worker reply.
-_POLL_INTERVAL = 0.1
 # Deadline for a (re)spawned worker's handshake: interpreter spawn,
 # section load, log replay.
 _RECOVERY_TIMEOUT = 60.0
@@ -309,7 +302,7 @@ class _PipeWorkerEnd:
 class _ShmWorkerEnd:
     """Worker-side endpoint of the shm plane (sent in the bootstrap frame).
 
-    Carries the inherited ring descriptors and geometry;
+    Carries the inherited ring descriptors and capacity;
     :func:`_worker_boot` sets ``conn`` to the inherited doorbell.
     :meth:`open` maps the rings with the roles mirrored (the worker
     consumes requests and produces replies).
@@ -318,17 +311,16 @@ class _ShmWorkerEnd:
     kind = DATA_PLANE_SHM
     conn: Any = None
 
-    def __init__(self, req_fd, rep_fd, num_slots, slot_size):
+    def __init__(self, req_fd, rep_fd, capacity):
         self.req_fd = req_fd
         self.rep_fd = rep_fd
-        self.num_slots = num_slots
-        self.slot_size = slot_size
+        self.capacity = capacity
         self.req = None
         self.rep = None
 
     def open(self) -> "_ShmWorkerEnd":
-        self.req = ShmRing.attach(self.req_fd, "consumer", self.num_slots, self.slot_size)
-        self.rep = ShmRing.attach(self.rep_fd, "producer", self.num_slots, self.slot_size)
+        self.req = ShmRing.attach(self.req_fd, "consumer", self.capacity)
+        self.rep = ShmRing.attach(self.rep_fd, "producer", self.capacity)
         os.close(self.req_fd)  # mapped: the descriptors have done their job
         os.close(self.rep_fd)
         doorbell = Doorbell(self.conn)
@@ -364,8 +356,7 @@ class _PipePlane:
 
     kind = DATA_PLANE_PIPE
 
-    def __init__(self, index: int):
-        self.index = index
+    def __init__(self):
         self.conn, self._child_conn = multiprocessing.connection.Pipe(duplex=True)
 
     def worker_end(self) -> _PipeWorkerEnd:
@@ -379,7 +370,7 @@ class _PipePlane:
         self._child_conn.close()  # parent keeps only its own end
         self._child_conn = None
 
-    def send(self, raw, on_crash, alive=None) -> None:
+    def send(self, raw, on_crash) -> None:
         raw = faults.cross("procpool.pipe.send", raw, on_crash)
         if raw is faults.DROPPED:
             # The sealed frame is lost and the channel's send sequence
@@ -394,7 +385,7 @@ class _PipePlane:
     def poll(self, timeout: float) -> bool:
         return self.conn.poll(timeout)
 
-    def recv(self, on_crash, deadline=None, alive=None) -> bytes:
+    def recv(self, on_crash) -> bytes:
         raw = self.conn.recv_bytes()
         raw = faults.cross("procpool.pipe.recv", raw, on_crash)
         if raw is faults.DROPPED:
@@ -421,19 +412,16 @@ class _ShmPlane:
 
     kind = DATA_PLANE_SHM
 
-    def __init__(self, index: int, num_slots: int, slot_size: int):
-        self.index = index
-        self.num_slots = num_slots
-        self.slot_size = slot_size
-        self.req = ShmRing.create("producer", num_slots, slot_size)
-        self.rep = ShmRing.create("consumer", num_slots, slot_size)
+    def __init__(self):
+        self.req = ShmRing.create("producer")
+        self.rep = ShmRing.create("consumer")
         self.conn, self._child_conn = multiprocessing.connection.Pipe(duplex=True)
         self._doorbell = Doorbell(self.conn, fault_point="shmring.doorbell")
         self.req.doorbell = self._doorbell
         self.rep.doorbell = self._doorbell
 
     def worker_end(self) -> _ShmWorkerEnd:
-        return _ShmWorkerEnd(self.req.fd, self.rep.fd, self.num_slots, self.slot_size)
+        return _ShmWorkerEnd(self.req.fd, self.rep.fd, self.req.capacity)
 
     def child_fds(self) -> Tuple[int, ...]:
         """What the worker inherits: the doorbell end, then both memfds."""
@@ -446,13 +434,13 @@ class _ShmPlane:
         # other crossing crash.
         self._doorbell.on_crash = process.kill
 
-    def send(self, raw, on_crash, alive=None) -> None:
+    def send(self, raw, on_crash) -> None:
         raw = faults.cross("shmring.write", raw, on_crash)
         if raw is faults.DROPPED:
             # The sealed frame is never written and the channel's send
             # sequence has moved on: the stream is unusable, so recover.
             raise OSError("injected ring frame drop")
-        self.req.write(raw, alive=alive)
+        self.req.write(raw)
 
     def send_raw(self, raw) -> None:
         self.req.write(raw)
@@ -460,8 +448,8 @@ class _ShmPlane:
     def poll(self, timeout: float) -> bool:
         return self.rep.poll(timeout)
 
-    def recv(self, on_crash, deadline=None, alive=None) -> bytes:
-        raw = self.rep.read(deadline=deadline, alive=alive)
+    def recv(self, on_crash) -> bytes:
+        raw = self.rep.read()
         raw = faults.cross("shmring.read", raw, on_crash)
         if raw is faults.DROPPED:
             raise OSError("injected ring frame drop")
@@ -676,9 +664,6 @@ class _WorkerHandle:
         self.serialize_s = 0.0
         self.ipc_wait_s = 0.0
 
-    def alive(self) -> bool:
-        return self.process.poll() is None
-
     @property
     def conn(self):
         """The plane's parent-side ``Connection`` (the data pipe for
@@ -733,8 +718,8 @@ class ProcessPartitionPool:
     a PING handshake so misconfiguration fails fast, not on first use.
 
     Every public entry holds ``_pool_lock`` across its whole round trip,
-    so callers take turns; liveness is polled while a reply is awaited,
-    so a dead worker raises promptly.
+    so callers take turns; a reply is one blocking read of the plane,
+    whose EOF is a dead worker, so it raises promptly.
 
     ``checkpoint`` (``(counter, sections)``) is what the partitions are
     born from — each worker gets its section in its bootstrap frame — and
@@ -834,9 +819,9 @@ class ProcessPartitionPool:
         section = self._snapshot_sections.get(index)
         counter = None if section is None else self._snapshot_counter
         if self.data_plane == DATA_PLANE_SHM:
-            plane = _ShmPlane(index, DEFAULT_NUM_SLOTS, DEFAULT_SLOT_SIZE)
+            plane = _ShmPlane()
         else:
-            plane = _PipePlane(index)
+            plane = _PipePlane()
         fds = plane.child_fds()
         try:
             process = subprocess.Popen(
@@ -974,9 +959,7 @@ class ProcessPartitionPool:
             started = time.perf_counter()
             sealed = handle.channel.seal(bytes([opcode]) + payload)
             handle.serialize_s += time.perf_counter() - started
-            handle.plane.send(
-                sealed, on_crash=handle.process.kill, alive=handle.alive
-            )
+            handle.plane.send(sealed, on_crash=handle.process.kill)
         except (BrokenPipeError, OSError) as exc:
             raise self._worker_failed(
                 handle,
@@ -991,46 +974,29 @@ class ProcessPartitionPool:
         recover: bool = True,
         timeout: Optional[float] = None,
     ) -> bytes:
-        """Receive one reply, polling liveness instead of blocking.
+        """Receive one reply: one blocking read of the plane.
 
-        ``None`` waits as long as the worker lives (the data path); the
-        handshake passes ``_RECOVERY_TIMEOUT``.  Each ``poll()`` is
-        clamped to the remaining budget on a monotonic clock, so a
-        sub-interval ``timeout`` is honored instead of being rounded up
-        to the 0.1 s poll interval.
+        A worker that dies is the plane's EOF — ``EOFError`` or
+        ``OSError`` on the pipe, :class:`~repro.core.shmring.RingPeerGone`
+        from the doorbell — because it holds the only copy of its
+        socketpair end: ``finish_spawn`` closes the parent's, and
+        ``pass_fds`` forces ``close_fds``, so no other child inherits
+        it.  Only the handshake passes ``timeout``
+        (``_RECOVERY_TIMEOUT``): it first waits that long for the reply
+        to start, and a plane that gives up sooner saw the worker go.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        wait_started = time.perf_counter()
-        try:
-            while True:
-                interval = _POLL_INTERVAL
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise self._worker_failed(
-                            handle,
-                            f"partition {handle.index}: no reply within "
-                            f"{timeout:.3g}s",
-                            recover,
-                        )
-                    interval = min(interval, remaining)
-                if handle.plane.poll(interval):
-                    break
-                if not handle.alive():
-                    raise self._worker_failed(
-                        handle,
-                        f"partition {handle.index}: worker process died "
-                        f"(exit code {handle.process.returncode})",
-                        recover,
-                    )
-        finally:
-            handle.ipc_wait_s += time.perf_counter() - wait_started
-        try:
-            raw = handle.plane.recv(
-                on_crash=handle.process.kill,
-                deadline=deadline,
-                alive=handle.alive,
+        started = time.monotonic()
+        if timeout is not None and not handle.plane.poll(timeout):
+            why = f"no reply within {timeout:.3g}s"
+            if time.monotonic() - started < timeout:  # not the clock: EOF
+                _reap(handle.process, grace=5.0)
+                why = f"worker process died (exit code {handle.process.returncode})"
+            raise self._worker_failed(
+                handle, f"partition {handle.index}: {why}", recover
             )
+        try:
+            raw = handle.plane.recv(on_crash=handle.process.kill)
+            handle.ipc_wait_s += time.monotonic() - started
             frame = handle.channel.open(raw)
         except (EOFError, OSError) as exc:
             raise self._worker_failed(

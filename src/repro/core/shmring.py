@@ -23,21 +23,21 @@ Ring layout
 
     +---------------- header (64 bytes) ----------------+
     | head u64 | tail u64 | cwait u8 | pwait u8 | pad   |
-    +------------- data (num_slots * slot_size) --------+
-    | frame := len u32 | sealed record | pad to slot    |
-    | frame := ...                                      |
+    +----------------- data (capacity) -----------------+
+    | len u32 | sealed record | len u32 | sealed rec... |
     +---------------------------------------------------+
 
 ``head`` and ``tail`` are *monotonic* byte counters (physical offset =
-``counter % capacity``), each written by exactly one side: the producer
-advances ``head`` after copying a frame in, the consumer advances
-``tail`` after copying a frame out.  Frames start on slot boundaries
-(their footprint is padded up to a slot multiple) and the payload bytes
-are logically contiguous — a frame crossing the physical end of the
-ring is split into two ``memoryview`` copies.  A frame larger than the
-whole ring streams through it in chunks: the producer publishes bytes
-as slots free up and the consumer releases them as it assembles the
-frame, so snapshot sections of any size cross without growing the ring.
+``counter % capacity``), each written by exactly one side.  Every frame
+— a 20-byte reply or a multi-MiB snapshot section alike — is the byte
+stream ``len u32 | record``, packed back to back with no padding, and
+moves one way: the producer copies in whatever fits and advances
+``head``, the consumer copies out whatever is published and advances
+``tail``.  So a frame larger than the ring streams through it, and any
+byte of a frame, its length prefix included, may sit on either side of
+the physical end or of a publish.  The length prefix lies in
+host-writable memory, so the reader never allocates on its word: a
+frame grows only by the bytes actually published.
 
 Readiness without futexes
 -------------------------
@@ -49,8 +49,9 @@ waiter re-checks the ring *after* arming the flag and before napping,
 so the publish-then-check / arm-then-check orders close the lost-wakeup
 race.  Doorbell naps are always bounded by :data:`POLL_INTERVAL`, so a
 dropped doorbell (see the ``shmring.doorbell`` fault point) degrades to
-at most one poll interval of added latency — never a deadlock — and
-the doorbell's EOF doubles as peer-death detection for the worker.
+at most one poll interval of added latency — never a deadlock.  Each
+process holds the only copy of its doorbell end, so the doorbell's EOF
+is how a waiter learns its peer died (:class:`RingPeerGone`).
 """
 
 from __future__ import annotations
@@ -64,19 +65,16 @@ from typing import Callable, Optional
 from repro.errors import StoreError
 
 __all__ = [
-    "DEFAULT_NUM_SLOTS",
-    "DEFAULT_SLOT_SIZE",
+    "DEFAULT_CAPACITY",
     "Doorbell",
     "RingPeerGone",
-    "RingTimeout",
     "ShmRing",
     "shm_supported",
 ]
 
-# 1024 slots x 1 KiB = 1 MiB per ring: a 256-op batch frame fits in a
-# handful of slots, and snapshot sections stream through chunked.
-DEFAULT_NUM_SLOTS = 1024
-DEFAULT_SLOT_SIZE = 1024
+# 1 MiB per ring: a 256-op batch frame fits many times over, and
+# snapshot sections stream through.
+DEFAULT_CAPACITY = 1 << 20
 
 HEADER_SIZE = 64
 _HEAD_OFF = 0   # u64, producer-owned monotonic byte counter
@@ -96,10 +94,6 @@ POLL_INTERVAL = 0.02
 def shm_supported() -> bool:
     """Whether this platform can host shared-memory rings."""
     return hasattr(os, "memfd_create")
-
-
-class RingTimeout(OSError):
-    """A bounded ring wait expired before the peer made progress."""
 
 
 class RingPeerGone(OSError):
@@ -123,8 +117,8 @@ class Doorbell:
         self.rings = 0
 
     def ring(self) -> None:
-        """Send one wakeup byte (best-effort: peer death is the alive
-        callback's job, not the doorbell's)."""
+        """Send one wakeup byte (best-effort: a dead peer shows as EOF
+        in the waiting side's :meth:`wait`, not here)."""
         if self.fault_point is not None:
             from repro.sim import faults
 
@@ -174,19 +168,17 @@ class ShmRing:
     mapping.
     """
 
-    def __init__(self, fd: int, num_slots: int, slot_size: int, role: str, owner: bool):
+    def __init__(self, fd: int, capacity: int, role: str, owner: bool):
         if role not in ("producer", "consumer"):
             raise StoreError(f"unknown ring role {role!r}")
-        if num_slots < 2 or slot_size < 16:
-            raise StoreError("ring needs >= 2 slots of >= 16 bytes")
+        if capacity < 1:
+            raise StoreError("ring needs a data region of >= 1 byte")
         self.fd = fd
         # The ring's identity across processes: it has no filesystem name.
         self.name = f"memfd:{os.fstat(fd).st_ino}"
-        self._map = mmap.mmap(fd, HEADER_SIZE + num_slots * slot_size)
+        self._map = mmap.mmap(fd, HEADER_SIZE + capacity)
         self.shm = memoryview(self._map)
-        self.num_slots = num_slots
-        self.slot_size = slot_size
-        self.capacity = num_slots * slot_size
+        self.capacity = capacity
         self.role = role
         self._owner = owner
         # Cache of the counter this side owns (head for the producer,
@@ -198,33 +190,28 @@ class ShmRing:
         # -- occupancy / wait counters (parent aggregates them into
         #    TransportStats; see repro.core.stats) --
         self.frames = 0          # complete frames moved through this end
-        self.bytes_moved = 0     # prefix + payload bytes (pad excluded)
+        self.bytes_moved = 0     # prefix + payload bytes
         self.full_waits = 0      # producer found the ring full
         self.doorbell_waits = 0  # times this end armed its waiting flag
         self.max_occupancy = 0   # high-water mark of in-flight bytes
 
     # -- construction --------------------------------------------------------
     @classmethod
-    def create(
-        cls,
-        role: str,
-        num_slots: int = DEFAULT_NUM_SLOTS,
-        slot_size: int = DEFAULT_SLOT_SIZE,
-    ) -> "ShmRing":
+    def create(cls, role: str, capacity: int = DEFAULT_CAPACITY) -> "ShmRing":
         if not shm_supported():
             raise StoreError("platform has no os.memfd_create")
         fd = os.memfd_create("shieldstore-ring")  # close-on-exec
         try:
-            os.ftruncate(fd, HEADER_SIZE + num_slots * slot_size)  # zero-filled
-            return cls(fd, num_slots, slot_size, role, owner=True)
+            os.ftruncate(fd, HEADER_SIZE + capacity)  # zero-filled
+            return cls(fd, capacity, role, owner=True)
         except BaseException:
             os.close(fd)
             raise
 
     @classmethod
-    def attach(cls, fd: int, role: str, num_slots: int, slot_size: int) -> "ShmRing":
+    def attach(cls, fd: int, role: str, capacity: int) -> "ShmRing":
         """Map the ring behind ``fd``; the descriptor stays the caller's."""
-        return cls(fd, num_slots, slot_size, role, owner=False)
+        return cls(fd, capacity, role, owner=False)
 
     # -- header accessors ----------------------------------------------------
     def _peer_counter(self) -> int:
@@ -252,52 +239,53 @@ class ShmRing:
             return self._local - self._peer_counter()
         return self._peer_counter() - self._local
 
+    def _has_data(self) -> bool:
+        return self.data_available() > 0
+
+    def _has_room(self) -> bool:
+        return self.data_available() < self.capacity
+
     # -- blocking ------------------------------------------------------------
     def _wait(
-        self,
-        ready: Callable[[], bool],
-        deadline: Optional[float],
-        alive: Optional[Callable[[], bool]],
-    ) -> None:
+        self, ready: Callable[[], bool], deadline: Optional[float] = None
+    ) -> bool:
         """Block until ``ready()``: arm the flag, re-check, doorbell-nap.
 
-        Raises :class:`RingTimeout` past ``deadline`` and
-        :class:`RingPeerGone` when ``alive`` reports the peer dead (or
-        the doorbell hits EOF).  Naps are bounded by ``POLL_INTERVAL``
-        so a lost doorbell can only add latency.
+        Returns False once ``deadline`` (only :meth:`poll` passes one)
+        has passed.  Raises :class:`RingPeerGone` when the doorbell hits
+        EOF with the ring still not ready — what a dead peer published
+        before it went is still read.  Naps are bounded by
+        ``POLL_INTERVAL`` so a lost doorbell can only add latency.
         """
         if ready():
-            return
+            return True
         self.doorbell_waits += 1
         try:
             while True:
                 self._set_waiting(True)
                 if ready():
-                    return
+                    return True
                 nap = POLL_INTERVAL
                 if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise RingTimeout(
-                            f"ring {self.role} wait expired "
-                            f"(occupancy {self.data_available()}B)"
-                        )
-                    nap = min(nap, remaining)
-                if self.doorbell is not None:
-                    self.doorbell.wait(nap)
-                else:
+                    nap = min(nap, deadline - time.monotonic())
+                    if nap <= 0:
+                        return False
+                if self.doorbell is None:
                     time.sleep(nap)
-                if ready():
-                    return
-                if alive is not None and not alive():
-                    raise RingPeerGone("ring peer process died")
+                    continue
+                try:
+                    self.doorbell.wait(nap)
+                except RingPeerGone:
+                    if ready():
+                        return True
+                    raise
         finally:
             self._set_waiting(False)
 
     # -- byte movement -------------------------------------------------------
-    def _copy_in(self, counter: int, data) -> None:
-        """Write ``data`` at monotonic position ``counter`` (wrap-split)."""
-        pos = counter % self.capacity
+    def _copy_in(self, data) -> None:
+        """Write ``data`` at the producer's position (wrap-split)."""
+        pos = self._local % self.capacity
         src = memoryview(data)
         n = len(src)
         first = min(n, self.capacity - pos)
@@ -306,19 +294,14 @@ class ShmRing:
         if first < n:
             self.shm[HEADER_SIZE : HEADER_SIZE + n - first] = src[first:]
 
-    def _copy_out(self, counter: int, dest, dest_off: int, n: int) -> None:
-        """Read ``n`` bytes at ``counter`` into ``dest[dest_off:]``."""
-        pos = counter % self.capacity
+    def _copy_out(self, dest: bytearray, n: int) -> None:
+        """Append ``n`` bytes at the consumer's position to ``dest``."""
+        pos = self._local % self.capacity
         first = min(n, self.capacity - pos)
         base = HEADER_SIZE + pos
-        dest[dest_off : dest_off + first] = self.shm[base : base + first]
+        dest += self.shm[base : base + first]
         if first < n:
-            dest[dest_off + first : dest_off + n] = self.shm[
-                HEADER_SIZE : HEADER_SIZE + n - first
-            ]
-
-    def _padded(self, total: int) -> int:
-        return -(-total // self.slot_size) * self.slot_size
+            dest += self.shm[HEADER_SIZE : HEADER_SIZE + n - first]
 
     def _advance(self, new_counter: int) -> None:
         """Publish progress and ring the peer iff it armed its flag."""
@@ -331,134 +314,60 @@ class ShmRing:
             self.doorbell.ring()
 
     # -- producer side -------------------------------------------------------
-    def write(self, frame, alive: Optional[Callable[[], bool]] = None) -> None:
-        """Append one length-prefixed frame, blocking while the ring is
-        full; a frame larger than the whole ring streams through."""
+    def write(self, frame) -> None:
+        """Stream one ``len u32 | frame`` record in, publishing whatever
+        fits and blocking while the ring is full."""
         if self.role != "producer":
             raise StoreError("read end cannot write")
-        total = _LEN.size + len(frame)
-        padded = self._padded(total)
-        if padded > self.capacity:
-            self._write_streaming(frame, total, padded, alive)
-        else:
-            if self.capacity - (self._local - self._peer_counter()) < padded:
-                self.full_waits += 1
-                self._wait(
-                    lambda: self.capacity
-                    - (self._local - self._peer_counter())
-                    >= padded,
-                    None,
-                    alive,
-                )
-            self._copy_in(self._local, _LEN.pack(len(frame)))
-            self._copy_in(self._local + _LEN.size, frame)
-            self._advance(self._local + padded)
-        self.frames += 1
-        self.bytes_moved += total
-
-    def _write_streaming(self, frame, total: int, padded: int, alive) -> None:
-        """Stream a larger-than-ring frame through in chunks.
-
-        Publishes each chunk as it lands so the consumer can release
-        space behind it; only the payload region is copied (pad bytes
-        are published but never written).
-        """
-        prefix = _LEN.pack(len(frame))
-        payload = memoryview(frame)
-        sent = 0  # bytes of the padded stream already published
-        while sent < padded:
-            free = self.capacity - (self._local - self._peer_counter())
+        record = memoryview(_LEN.pack(len(frame)) + frame)
+        sent = 0
+        while sent < len(record):
+            # The peer's counter is host-writable: clamping to the
+            # capacity keeps a forged one from pushing a copy past the
+            # mapping.
+            free = min(self.capacity - self.data_available(), self.capacity)
             if free <= 0:
                 self.full_waits += 1
-                self._wait(
-                    lambda: self.capacity - (self._local - self._peer_counter())
-                    > 0,
-                    None,
-                    alive,
-                )
-                free = self.capacity - (self._local - self._peer_counter())
-            take = min(free, padded - sent)
-            offset = 0
-            if sent < _LEN.size:
-                n = min(sent + take, _LEN.size) - sent
-                self._copy_in(self._local + offset, prefix[sent : sent + n])
-                offset += n
-            pay_lo = max(sent, _LEN.size) - _LEN.size
-            pay_hi = min(sent + take, total) - _LEN.size
-            if pay_hi > pay_lo:
-                self._copy_in(self._local + offset, payload[pay_lo:pay_hi])
+                self._wait(self._has_room)
+                continue
+            take = min(free, len(record) - sent)
+            self._copy_in(record[sent : sent + take])
             self._advance(self._local + take)
             sent += take
+        self.frames += 1
+        self.bytes_moved += len(record)
 
     # -- consumer side -------------------------------------------------------
     def poll(self, timeout: float) -> bool:
-        """Whether a frame (or its first slots) is ready to read."""
+        """Whether frame bytes are ready to read within ``timeout``
+        (False, too, once the peer is gone with nothing published)."""
         if self.role != "consumer":
             raise StoreError("write end cannot poll for data")
-        if self.data_available() >= _LEN.size:
-            return True
-        if timeout <= 0:
-            return False
         try:
-            self._wait(
-                lambda: self.data_available() >= _LEN.size,
-                time.monotonic() + timeout,
-                None,
-            )
-        except (RingTimeout, RingPeerGone):
-            return self.data_available() >= _LEN.size
-        return True
+            return self._wait(self._has_data, time.monotonic() + timeout)
+        except RingPeerGone:
+            return False
 
-    def read(
-        self,
-        deadline: Optional[float] = None,
-        alive: Optional[Callable[[], bool]] = None,
-    ) -> bytes:
-        """Pop the next frame (blocking, deadline- and liveness-aware)."""
+    def read(self) -> bytes:
+        """Stream the next frame out, releasing bytes as they are copied
+        and blocking until the whole frame is published."""
         if self.role != "consumer":
             raise StoreError("write end cannot read")
-        if self.data_available() < _LEN.size:
-            self._wait(
-                lambda: self.data_available() >= _LEN.size, deadline, alive
-            )
-        scratch = bytearray(_LEN.size)
-        self._copy_out(self._local, scratch, 0, _LEN.size)
-        length = _LEN.unpack(bytes(scratch))[0]
-        total = _LEN.size + length
-        padded = self._padded(total)
-        out = bytearray(length)
-        if padded <= self.capacity:
-            if self.data_available() < padded:
-                self._wait(
-                    lambda: self.data_available() >= padded, deadline, alive
-                )
-            self._copy_out(self._local + _LEN.size, out, 0, length)
-            self._advance(self._local + padded)
-        else:
-            self._read_streaming(out, total, padded, deadline, alive)
-        self.frames += 1
-        self.bytes_moved += total
-        return bytes(out)
-
-    def _read_streaming(
-        self, out: bytearray, total: int, padded: int, deadline, alive
-    ) -> None:
-        done = 0  # bytes of the padded stream released back to the producer
-        while done < padded:
-            avail = self.data_available()
+        record = bytearray()
+        want = _LEN.size  # the prefix, then the prefix plus what it counts
+        while len(record) < want:
+            avail = min(self.data_available(), self.capacity)
             if avail <= 0:
-                self._wait(
-                    lambda: self.data_available() > 0, deadline, alive
-                )
-                avail = self.data_available()
-            take = min(avail, padded - done)
-            pay_lo = max(done, _LEN.size) - _LEN.size
-            pay_hi = min(done + take, total) - _LEN.size
-            if pay_hi > pay_lo:
-                src = self._local + (max(done, _LEN.size) - done)
-                self._copy_out(src, out, pay_lo, pay_hi - pay_lo)
+                self._wait(self._has_data)
+                continue
+            take = min(avail, want - len(record))
+            self._copy_out(record, take)
             self._advance(self._local + take)
-            done += take
+            if len(record) == _LEN.size:
+                want += _LEN.unpack(record)[0]
+        self.frames += 1
+        self.bytes_moved += want
+        return bytes(memoryview(record)[_LEN.size :])
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:

@@ -64,7 +64,7 @@ import queue
 import struct
 import threading
 from collections import deque
-from typing import Callable, ContextManager, Dict, Iterator, List
+from typing import Callable, ContextManager, Dict, List
 from typing import Optional, Sequence, Tuple
 
 from repro.core.stats import StoreStats
@@ -459,10 +459,12 @@ class ReplicatedStore(VersionedVerbs):
     the wire: :meth:`apply_remote` (``OP_REPLICATE``) and
     :meth:`serve_sync` (``OP_SYNC``).
 
-    Fan-out runs on a background replicator thread — never while the
-    loop thread holds ``store_lock`` — so two nodes
-    mutating concurrently cannot deadlock waiting on each other's
-    inbound ``OP_REPLICATE``.
+    Fan-out runs on the background replicator thread (:meth:`start`)
+    or inside an explicit :meth:`flush` — never on the writer's thread,
+    which on a served node is the loop thread holding ``store_lock`` —
+    so two nodes mutating concurrently cannot deadlock waiting on each
+    other's inbound ``OP_REPLICATE``.  Writes before :meth:`start` only
+    queue.
     """
 
     def __init__(
@@ -544,12 +546,8 @@ class ReplicatedStore(VersionedVerbs):
         if self.peers:
             self._queue.put((key, record))
 
-    @contextlib.contextmanager
-    def _atomic(self) -> Iterator[None]:
-        with self._mutex:
-            yield
-        if self._thread is None and self.peers:
-            self._drain_queue()  # synchronous mode: fan out off the mutex
+    def _atomic(self) -> ContextManager:
+        return self._mutex
 
     def _write_record(self, key: bytes, record: bytes,
                       old: Optional[bytes]) -> None:
@@ -935,11 +933,9 @@ class ReplicationGroup:
         num_nodes: int = 3,
         config=None,
         master_secret: bytes = b"\x5cshield-replication-group-seed\x5c",
-        attestation_secret: bytes = b"ias-secret-for-replication",
         anti_entropy_interval_s: Optional[float] = None,
         max_hints_per_peer: int = 4096,
         link_deadline_s: float = 2.0,
-        server_kwargs: Optional[dict] = None,
     ):
         from repro.core import shield_opt
         from repro.sim.attestation import AttestationService
@@ -950,11 +946,10 @@ class ReplicationGroup:
             num_buckets=64, num_mac_hashes=16
         )
         self.master_secret = master_secret
-        self.attestation = AttestationService(attestation_secret)
+        self.attestation = AttestationService(b"ias-secret-for-replication")
         self.anti_entropy_interval_s = anti_entropy_interval_s
         self.max_hints_per_peer = max_hints_per_peer
         self.link_deadline_s = link_deadline_s
-        self.server_kwargs = dict(server_kwargs or {})
         self.nodes: Dict[str, GroupNode] = {}
         self.measurement: Optional[bytes] = None
         for i in range(num_nodes):
@@ -972,7 +967,7 @@ class ReplicationGroup:
         store = ReplicatedStore(
             inner, node_id, max_hints_per_peer=self.max_hints_per_peer
         )
-        server = TCPShieldServer(store, self.attestation, **self.server_kwargs)
+        server = TCPShieldServer(store, self.attestation)
         server.start()
         node = GroupNode(node_id, store, server)
         self.nodes[node_id] = node

@@ -241,6 +241,25 @@ class TestFailureSemantics:
             stats = store.stats()
             assert stats.worker_recoveries == 1
 
+    @pytest.mark.parametrize("plane", ["pipe", "shm"])
+    def test_worker_dead_before_handshake_is_reported_gone(
+        self, plane, monkeypatch
+    ):
+        """A worker that exits before it answers its handshake is its
+        plane's EOF: pool construction fails fast naming the exit, not
+        after the handshake's whole timeout."""
+        import repro.core.procpool as procpool
+        from repro.core.shmring import shm_supported
+
+        if plane == "shm" and not shm_supported():
+            pytest.skip("platform has no os.memfd_create")
+        monkeypatch.setattr(procpool, "_WORKER_PROGRAM", "import sys; sys.exit(3)")
+        start = time.monotonic()
+        with pytest.raises(WorkerError) as caught:
+            procpool.ProcessPartitionPool(_config(), 1, SECRET, data_plane=plane)
+        assert time.monotonic() - start < 5
+        assert "no reply within" not in str(caught.value), caught.value
+
     def test_integrity_error_in_sequential_mode(self):
         """In-process fan-out annotates the original exception class."""
         store = _build(MODE_SEQUENTIAL)
@@ -270,8 +289,8 @@ class TestFailureSemantics:
 @needs_processes
 class TestTimeoutsAndShutdown:
     def test_sub_interval_timeout_is_honored(self):
-        """A reply timeout below the 0.1 s liveness poll interval must
-        fire on schedule, not get rounded up to a whole poll."""
+        """A handshake timeout below the rings' 0.02 s doorbell nap must
+        fire on schedule, not get rounded up to a whole nap."""
         from repro.core.procpool import ProcessPartitionPool
 
         pool = ProcessPartitionPool(_config(), 1, SECRET)
@@ -279,8 +298,7 @@ class TestTimeoutsAndShutdown:
             handle = pool.workers[0]
             with pool._pool_lock:
                 # Nothing was sent, so no reply ever arrives: _recv must
-                # give up after ~0.03 s.  The old code polled a full
-                # 0.1 s interval first, so it could never raise sooner.
+                # give up after ~0.03 s.
                 start = time.monotonic()
                 with pytest.raises(WorkerError, match="no reply"):
                     pool._recv(handle, recover=False, timeout=0.03)

@@ -8,6 +8,7 @@ MAC-verified state.
 """
 
 import random
+import threading
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.ext.replication import (
     RECORD_OVERHEAD,
     HintedHandoff,
     LamportClock,
+    ReplicatedStore,
     ReplicationGroup,
     is_tombstone,
     node_origin,
@@ -216,6 +218,40 @@ class TestGroupBasics:
         assert pair.nodes["node-1"].store.stats().replicated_in >= 5
         snap = store0.stats().snapshot_dict()
         assert "replicated_out" in snap and "sync_rounds" in snap
+
+
+class _StubLink:
+    """A peer link that records which thread replicates through it."""
+
+    alive = True
+
+    def __init__(self):
+        self.threads = []
+
+    def replicate(self, key, record):
+        self.threads.append(threading.current_thread().name)
+
+    def close(self):
+        pass
+
+
+class TestFanOutThread:
+    def test_writes_never_fan_out_on_the_writers_thread(self):
+        from repro.core import shield_opt
+        from repro.core.store import ShieldStore
+
+        store = ReplicatedStore(
+            ShieldStore(shield_opt(num_buckets=32, num_mac_hashes=8)), "n0"
+        )
+        link = store.peers["n1"] = _StubLink()
+        try:
+            store.set(b"k", b"v")  # no replicator yet: the write queues
+            assert link.threads == []
+            store.start()
+            store.flush()
+            assert link.threads == ["shieldstore-repl-n0"]
+        finally:
+            store.close()
 
 
 class TestQuorumClient:

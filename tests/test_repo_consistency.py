@@ -78,9 +78,10 @@ class TestCodeHygiene:
 
     def test_no_wall_clock_in_simulation(self):
         """Simulated time must come from cycle clocks, not time.time()."""
-        # Real I/O surfaces only: procpool.py polls OS pipes for worker
-        # liveness and shmring.py bounds real shared-memory waits, so
-        # their deadlines are wall-clock by nature; the shieldlint
+        # Real I/O surfaces only: procpool.py's stage timers and its
+        # handshake deadline time real worker round trips, and
+        # shmring.py bounds real shared-memory waits, so both are
+        # wall-clock by nature; the shieldlint
         # engine reports real analysis duration, not simulated time;
         # store.py's stage timers attribute reporting-only wall time to
         # walk/crypto/verify (StoreStats.WALL_CLOCK_FIELDS — excluded

@@ -7,14 +7,19 @@ plane through :class:`~repro.core.procpool.ProcessPartitionPool` with
 ``data_plane="shm"``.
 """
 
+import multiprocessing.connection
 import os
 import pathlib
+import struct
 import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.procpool as procpool
 from repro.core import process_mode_supported, shield_opt
@@ -22,7 +27,7 @@ from repro.core.procpool import ProcessPartitionPool, _pipe_channel
 from repro.core.shmring import (
     HEADER_SIZE,
     Doorbell,
-    RingTimeout,
+    RingPeerGone,
     ShmRing,
     shm_supported,
 )
@@ -37,18 +42,43 @@ pytestmark = pytest.mark.skipif(
 SECRET = bytes(range(32))
 
 
-def _ring_pair(num_slots=4, slot_size=64):
-    """One memfd, both roles — producer and consumer ends in-process."""
-    prod = ShmRing.create("producer", num_slots, slot_size)
-    cons = ShmRing.attach(prod.fd, "consumer", num_slots, slot_size)
+def _ring_pair(capacity=256):
+    """One memfd, both roles — producer and consumer ends in-process,
+    each with its end of a real doorbell socketpair."""
+    prod = ShmRing.create("producer", capacity)
+    cons = ShmRing.attach(prod.fd, "consumer", capacity)
+    prod_end, cons_end = multiprocessing.connection.Pipe(duplex=True)
+    prod.doorbell = Doorbell(prod_end)
+    cons.doorbell = Doorbell(cons_end)
     return prod, cons
 
 
+def _close(*rings):
+    for ring in rings:
+        ring.doorbell.close()
+        ring.close()
+
+
+def _in_thread(fn):
+    """Run ``fn`` on a daemon thread; returns (thread, outcome list)."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(fn())
+        except BaseException as exc:  # surfaced by the caller
+            outcome.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread, outcome
+
+
 class TestRingFraming:
-    def test_wrap_around_at_slot_boundaries(self):
-        # 4 x 64B ring: frames pad to whole slots, so the 5th frame's
-        # physical offset wraps past the end of the data region.
-        prod, cons = _ring_pair(num_slots=4, slot_size=64)
+    def test_wrap_around_keeps_counters_monotonic(self):
+        # 256-byte ring: frames pack back to back, so the 5th frame
+        # already wraps past the end of the data region.
+        prod, cons = _ring_pair()
         try:
             frames = [bytes([i]) * (50 + i) for i in range(16)]
             for i, frame in enumerate(frames):
@@ -57,57 +87,103 @@ class TestRingFraming:
             # Counters are monotonic (not reset at the wrap point).
             assert prod._local == cons._local > prod.capacity
         finally:
-            cons.close()
-            prod.close()
+            _close(cons, prod)
 
     def test_frame_split_across_physical_end(self):
         # Force a frame whose payload bytes physically straddle the end
-        # of the buffer: 3 slots consumed, then a 2-slot frame.
-        prod, cons = _ring_pair(num_slots=4, slot_size=64)
+        # of the buffer: 154 bytes consumed, then a 122-byte frame.
+        prod, cons = _ring_pair()
         try:
-            prod.write(b"x" * 150)  # 3 slots
+            prod.write(b"x" * 150)
             assert cons.read() == b"x" * 150
-            straddler = bytes(range(256))[: 2 * 64 - 10]
-            prod.write(straddler)  # slots 3..0: wraps
+            straddler = bytes(range(118))
+            prod.write(straddler)  # bytes 154..276: wraps at 256
             assert cons.read() == straddler
         finally:
-            cons.close()
-            prod.close()
+            _close(cons, prod)
 
     def test_larger_than_ring_frame_streams_through(self):
-        prod, cons = _ring_pair(num_slots=4, slot_size=64)
+        prod, cons = _ring_pair()
         big = bytes(i % 251 for i in range(5000))  # ~20x ring capacity
-        out = []
-
-        def consume():
-            out.append(cons.read(deadline=time.monotonic() + 30))
-
-        reader = threading.Thread(target=consume)
+        reader, out = _in_thread(cons.read)
         try:
-            reader.start()
             prod.write(big)
             reader.join(timeout=30)
             assert not reader.is_alive()
             assert out == [big]
             assert prod.frames == cons.frames == 1
         finally:
-            reader.join(timeout=1)
-            cons.close()
-            prod.close()
+            _close(cons, prod)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=3 * 61), max_size=12))
+    def test_any_frames_stream_through_an_odd_ring(self, lengths):
+        # A 61-byte ring is no multiple of the 4-byte prefix, so prefixes
+        # land split across the physical end and across two publishes.
+        prod, cons = _ring_pair(capacity=61)
+        frames = [bytes((n + i) % 256 for i in range(n)) for n in lengths]
+        reader, out = _in_thread(lambda: [cons.read() for _ in frames])
+        try:
+            for frame in frames:
+                prod.write(frame)
+            reader.join(timeout=30)
+            assert not reader.is_alive()
+            assert out == [frames]
+            moved = sum(4 + n for n in lengths)
+            assert prod.frames == cons.frames == len(frames)
+            assert prod.bytes_moved == cons.bytes_moved == moved
+        finally:
+            _close(cons, prod)
+
+
+class TestRingIsUntrusted:
+    def test_forged_length_prefix_does_not_allocate_ahead(self):
+        # The host can write any length prefix into the ring.  A reader
+        # blocked on a forged 256 MiB frame holds only what was
+        # published, and ends when the peer's doorbell end closes.
+        prod, cons = _ring_pair()
+        prod._copy_in(struct.pack("<I", 256 << 20))
+        prod._advance(prod._local + 4)
+        tracemalloc.start()
+        try:
+            reader, out = _in_thread(cons.read)
+            time.sleep(0.2)
+            assert reader.is_alive(), out
+            peak = tracemalloc.get_traced_memory()[1]
+            assert peak < 8 << 20, peak
+            prod.doorbell.close()
+            reader.join(timeout=10)
+            assert not reader.is_alive()
+            assert len(out) == 1 and isinstance(out[0], RingPeerGone), out
+        finally:
+            tracemalloc.stop()
+            _close(cons, prod)
+
+    def test_forged_consumer_counter_never_copies_past_the_mapping(self):
+        prod, cons = _ring_pair()
+        try:
+            # A tail forged far ahead of head claims the ring is emptier
+            # than empty: writes still stay inside the mapping.
+            cons._publish_counter(10 * cons.capacity)
+            prod.write(bytes(3 * prod.capacity))
+            assert prod.frames == 1
+        finally:
+            _close(cons, prod)
 
 
 class TestRingFullPolicy:
     def test_full_ring_blocks_until_consumer_drains(self):
-        prod, cons = _ring_pair(num_slots=4, slot_size=64)
+        prod, cons = _ring_pair()
         try:
             for i in range(4):
-                prod.write(bytes([i]) * 40)  # 1 slot each -> full
+                prod.write(bytes([i]) * 60)  # 4 x (4 + 60) B -> full
+            assert prod.data_available() == prod.capacity
             started = threading.Event()
             done = threading.Event()
 
             def blocked_write():
                 started.set()
-                prod.write(b"\xAA" * 40)
+                prod.write(b"\xAA" * 60)
                 done.set()
 
             writer = threading.Thread(target=blocked_write)
@@ -115,27 +191,26 @@ class TestRingFullPolicy:
             started.wait(timeout=5)
             time.sleep(0.05)
             assert not done.is_set(), "write admitted into a full ring"
-            assert cons.read() == b"\x00" * 40  # free one slot
+            assert cons.read() == b"\x00" * 60  # free one frame's bytes
             writer.join(timeout=30)
             assert done.is_set()
             assert prod.full_waits >= 1
             for i in range(1, 4):
-                assert cons.read() == bytes([i]) * 40
-            assert cons.read() == b"\xAA" * 40
+                assert cons.read() == bytes([i]) * 60
+            assert cons.read() == b"\xAA" * 60
         finally:
-            cons.close()
-            prod.close()
+            _close(cons, prod)
 
 
 class TestRingWaits:
-    def test_read_deadline_expires_as_ring_timeout(self):
+    def test_poll_timeout_expires_without_a_frame(self):
         prod, cons = _ring_pair()
         try:
-            with pytest.raises(RingTimeout):
-                cons.read(deadline=time.monotonic() + 0.05)
+            start = time.monotonic()
+            assert cons.poll(0.05) is False
+            assert 0.05 <= time.monotonic() - start < 5
         finally:
-            cons.close()
-            prod.close()
+            _close(cons, prod)
 
     def test_poll_reports_readiness_without_consuming(self):
         prod, cons = _ring_pair()
@@ -146,8 +221,7 @@ class TestRingWaits:
             assert cons.read() == b"ready"
             assert cons.poll(0) is False
         finally:
-            cons.close()
-            prod.close()
+            _close(cons, prod)
 
     def test_attach_resumes_mid_stream_counters(self):
         prod, cons = _ring_pair()
@@ -157,16 +231,13 @@ class TestRingWaits:
             prod.write(b"second")
             # A fresh attach picks the counters up from the header
             # instead of assuming an empty ring.
-            cons2 = ShmRing.attach(
-                prod.fd, "consumer", prod.num_slots, prod.slot_size
-            )
+            cons2 = ShmRing.attach(prod.fd, "consumer", prod.capacity)
             try:
                 assert cons2.read() == b"second"
             finally:
                 cons2.close()
         finally:
-            cons.close()
-            prod.close()
+            _close(cons, prod)
 
 
 @pytest.mark.skipif(

@@ -39,6 +39,16 @@ the physical end or of a publish.  The length prefix lies in
 host-writable memory, so the reader never allocates on its word: a
 frame grows only by the bytes actually published.
 
+Capacity
+--------
+A ring holds :data:`DEFAULT_CAPACITY` (64 KiB) of data.  It is sized to
+the frames the plane usually carries, not to the largest it could
+carry: a batch of a few hundred keys and its reply fit with room to
+spare, and anything larger streams through in publishes of up to the
+capacity.
+A ring therefore costs at most ``HEADER_SIZE + capacity`` resident
+bytes in each process that maps it, whatever crosses it.
+
 Readiness without futexes
 -------------------------
 A side that must wait arms its *waiting flag* in the header and naps on
@@ -72,9 +82,18 @@ __all__ = [
     "shm_supported",
 ]
 
-# 1 MiB per ring: a 256-op batch frame fits many times over, and
-# snapshot sections stream through.
-DEFAULT_CAPACITY = 1 << 20
+# 64 KiB per ring.  The data region's pages become resident in both
+# processes once the write position has swept them, so the capacity is
+# what a ring costs in RSS.  The largest frame the shieldbench workloads
+# send is 27,482 bytes (one worker's 128-pair slice of a 256-pair bulk
+# load), 2.4x under this; 64 KiB is also the Linux pipe buffer, so both
+# data planes start streaming at the same frame size.  Larger frames
+# (snapshot sections, OP_ITER replies, big client batches) stream
+# through and pay for it: a 1 MiB frame took 1.8x as long as through a
+# 1 MiB ring pinned to one CPU and 3.6x on two vCPUs, about 1.5 ms,
+# which is small next to the store work of the thousands of keys such
+# a frame carries.
+DEFAULT_CAPACITY = 64 << 10
 
 HEADER_SIZE = 64
 _HEAD_OFF = 0   # u64, producer-owned monotonic byte counter

@@ -234,11 +234,22 @@ class ShieldStore:
         self._memory.write(ctx, addr, pack_header(header) + enc_kv + mac)
 
     def _encrypt_entry(
-        self, ctx: ExecContext, key: bytes, value: bytes, iv_ctr: bytes, next_ptr: int
+        self,
+        ctx: ExecContext,
+        key: bytes,
+        value: bytes,
+        iv_ctr: bytes,
+        next_ptr: int,
+        hint: Optional[int],
     ) -> Tuple[EntryHeader, bytes, bytes]:
+        """Seal one entry.  ``hint`` is the key hint the lookup already
+        computed, or None when hints are off and the lookup made none
+        — the entry stores its real hint either way."""
+        if hint is None:
+            hint = self.keyring.key_hint(key)
         header = EntryHeader(
             next_ptr=next_ptr,
-            key_hint=self.keyring.key_hint(key),
+            key_hint=hint,
             key_size=len(key),
             val_size=len(value),
             iv_ctr=iv_ctr,
@@ -259,7 +270,9 @@ class ShieldStore:
     # reported).  ``chain_len`` is the full chain length on a miss (the
     # walk reached the end) and -1 on a hit.  ``macs`` is the chain's MAC
     # blob when the walk had to collect it (no MAC buckets), else ``None``.
-    def _walk(self, ctx: ExecContext, bucket: int, key: bytes, hint: int, use_hints: bool):
+    def _walk(
+        self, ctx: ExecContext, bucket: int, key: bytes, hint: Optional[int], use_hints: bool
+    ):
         """Walk one bucket chain looking for ``key`` (MAC-bucket
         configuration): candidates are decrypted inline, so the walk
         stops at the match — MAC buckets provide the MACs of the chain
@@ -301,7 +314,7 @@ class ShieldStore:
         return None, index, candidates, None
 
     def _walk_collecting(
-        self, ctx: ExecContext, bucket: int, key: bytes, hint: int, use_hints: bool
+        self, ctx: ExecContext, bucket: int, key: bytes, hint: Optional[int], use_hints: bool
     ):
         """Walk one bucket chain looking for ``key`` when the entries hold
         the only copy of their MACs: every entry is visited and its MAC
@@ -499,18 +512,19 @@ class ShieldStore:
         ctx: ExecContext,
         key: bytes,
         verified_sets: Optional[Dict[int, Dict[int, bytes]]] = None,
-    ) -> Tuple[int, int, Dict[int, bytes], Optional[FoundEntry]]:
+    ) -> Tuple[int, int, Dict[int, bytes], Optional[FoundEntry], Optional[int]]:
         """Every operation's read prologue: search the chain (hint-guided,
         with the §5.4 two-step fallback), obtain the authenticated
         covering-set MAC blobs, and authenticate what the walk concluded
         — the found entry included.  Returns ``(bucket, set_id,
-        by_bucket, found)``.
+        by_bucket, found, hint)``; ``hint`` is None when hints are off,
+        and an insert seals the entry with it.
         """
         config = self.config
         ctx.charge_keyed_hash()
         bucket = self.keyring.keyed_bucket_hash(key, config.num_buckets)
         use_hints = config.key_hint_enabled
-        hint = 0
+        hint = None
         if use_hints:
             ctx.charge_keyed_hash()
             hint = self.keyring.key_hint(key)
@@ -532,7 +546,7 @@ class ShieldStore:
         if found is not None:
             self._verify_found(ctx, found, blob)
         stats.stage_crypto_s += perf_counter() - started
-        return bucket, set_id, by_bucket, found
+        return bucket, set_id, by_bucket, found, hint
 
     def _verify_found(self, ctx: ExecContext, found: FoundEntry, blob: bytes) -> None:
         """Check the found entry's own MAC against the authenticated copy.
@@ -636,12 +650,12 @@ class ShieldStore:
         key, value = bytes(key), bytes(value)
         self._wal_append("set", key, value)
         self._charge_copy(ctx, len(key) + len(value), write=False)
-        bucket, set_id, by_bucket, found = self._lookup(ctx, key)
+        bucket, set_id, by_bucket, found, hint = self._lookup(ctx, key)
         if found is not None:
             self._update_entry(ctx, bucket, set_id, by_bucket, found, value)
             self.stats.updates += 1
         else:
-            self._insert_entry(ctx, bucket, set_id, by_bucket, key, value)
+            self._insert_entry(ctx, bucket, set_id, by_bucket, key, value, hint)
             self.stats.inserts += 1
         if self.cache is not None:
             self.cache.store(ctx, key, value)
@@ -653,7 +667,7 @@ class ShieldStore:
         self.stats.deletes += 1
         key = bytes(key)
         self._wal_append("delete", key)
-        bucket, set_id, by_bucket, found = self._lookup(ctx, key)
+        bucket, set_id, by_bucket, found, _hint = self._lookup(ctx, key)
         if found is None:
             self.stats.misses += 1
             # shieldlint: ignore[trust-boundary] -- structured miss signal: the key rides as the exception argument, every boundary catches it (execute_request maps it to STATUS_MISS) and only redacted text may enter transported messages
@@ -672,9 +686,9 @@ class ShieldStore:
         key, suffix = bytes(key), bytes(suffix)
         self._wal_append("append", key, suffix)
         self._charge_copy(ctx, len(key) + len(suffix), write=False)
-        bucket, set_id, by_bucket, found = self._lookup(ctx, key)
+        bucket, set_id, by_bucket, found, hint = self._lookup(ctx, key)
         if found is None:
-            self._insert_entry(ctx, bucket, set_id, by_bucket, key, suffix)
+            self._insert_entry(ctx, bucket, set_id, by_bucket, key, suffix, hint)
             self.stats.inserts += 1
             new_value = suffix
         else:
@@ -699,11 +713,11 @@ class ShieldStore:
         self.stats.increments += 1
         key = bytes(key)
         self._wal_append("increment", key, str(delta).encode())
-        bucket, set_id, by_bucket, found = self._lookup(ctx, key)
+        bucket, set_id, by_bucket, found, hint = self._lookup(ctx, key)
         if found is None:
             new_int = delta
             self._insert_entry(
-                ctx, bucket, set_id, by_bucket, key, str(new_int).encode()
+                ctx, bucket, set_id, by_bucket, key, str(new_int).encode(), hint
             )
             self.stats.inserts += 1
         else:
@@ -743,7 +757,7 @@ class ShieldStore:
         key, expected, new_value = bytes(key), bytes(expected), bytes(new_value)
         self._wal_append("cas", key, encode_cas_value(expected, new_value))
         self._charge_copy(ctx, len(key) + len(expected) + len(new_value), write=False)
-        bucket, set_id, by_bucket, found = self._lookup(ctx, key)
+        bucket, set_id, by_bucket, found, _hint = self._lookup(ctx, key)
         if found is None:
             self.stats.misses += 1
             # shieldlint: ignore[trust-boundary] -- structured miss signal: the key rides as the exception argument, every boundary catches it (execute_request maps it to STATUS_MISS) and only redacted text may enter transported messages
@@ -840,7 +854,7 @@ class ShieldStore:
                 self.stats.sets += 1
                 self.stats.batch_ops += 1
                 self._charge_copy(ctx, len(key) + len(value), write=False)
-                bucket, set_id, by_bucket, found = self._lookup(
+                bucket, set_id, by_bucket, found, hint = self._lookup(
                     ctx, key, verified_sets
                 )
                 if found is not None:
@@ -851,7 +865,7 @@ class ShieldStore:
                     self.stats.updates += 1
                 else:
                     self._insert_entry(
-                        ctx, bucket, set_id, by_bucket, key, value,
+                        ctx, bucket, set_id, by_bucket, key, value, hint,
                         update_set=False,
                     )
                     self.stats.inserts += 1
@@ -891,7 +905,7 @@ class ShieldStore:
                 ctx.charge(self.machine.cost.op_dispatch_cycles // 2)
                 self.stats.deletes += 1
                 self.stats.batch_ops += 1
-                bucket, set_id, by_bucket, found = self._lookup(
+                bucket, set_id, by_bucket, found, _hint = self._lookup(
                     ctx, key, verified_sets
                 )
                 if found is None:
@@ -972,10 +986,12 @@ class ShieldStore:
         # A fresh disjoint span, NOT increment_iv_ctr(old_iv): advancing
         # one block would overlap the old ciphertext's keystream span
         # for any record longer than one block (two-time pad).
-        next_ptr, _hint, key_size, val_size, _iv_ctr = found.header
+        # The found entry's hint is authenticated (its MAC covers it),
+        # so the rewrite keeps it instead of hashing the key again.
+        next_ptr, hint, key_size, val_size, _iv_ctr = found.header
         new_iv = self._alloc_iv(key_size + len(new_value))
         header, enc_kv, mac = self._encrypt_entry(
-            ctx, found.key, new_value, new_iv, next_ptr
+            ctx, found.key, new_value, new_iv, next_ptr, hint
         )
         if len(new_value) == val_size:
             # Same size: rewrite the record in place.
@@ -1009,12 +1025,15 @@ class ShieldStore:
         by_bucket: Dict[int, bytes],
         key: bytes,
         value: bytes,
+        hint: Optional[int],
         update_set: bool = True,
     ) -> None:
         iv_ctr = self._alloc_iv(len(key) + len(value))
         ctx.charge_rand(16)  # the per-entry IV cost real ShieldStore pays
         old_head = self.buckets.read_head(ctx, bucket, self.config.pointer_check)
-        header, enc_kv, mac = self._encrypt_entry(ctx, key, value, iv_ctr, old_head)
+        header, enc_kv, mac = self._encrypt_entry(
+            ctx, key, value, iv_ctr, old_head, hint
+        )
         addr = self.allocator.alloc(ctx, header.total_size)
         self._write_entry(ctx, addr, header, enc_kv, mac)
         self.buckets.write_head(ctx, bucket, addr)

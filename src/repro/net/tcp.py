@@ -106,6 +106,13 @@ from repro.sim.attestation import (
 
 _LEN = struct.Struct("<I")
 _DH_PUBLIC = 256  # a DH public value as it travels (DHKeyPair.public_bytes)
+# The only frame either side accepts before the peer is attested is its
+# handshake frame: the server's quote (measurement | signature | report
+# data | DH public value), the client's DH public value.  Anything
+# longer is dropped at its length prefix, before a byte is buffered.
+_QUOTE_FRAME = 32 + 32 + 32 + _DH_PUBLIC
+# Largest frame of an established session.
+_MAX_FRAME = 64 * 1024 * 1024
 
 
 class _TransientServerError(StoreError):
@@ -139,8 +146,9 @@ def _recv_frame(
     point: Optional[str] = None,
     link=None,
     buf: Optional[bytearray] = None,
+    limit: int = _MAX_FRAME,
 ) -> Optional[bytes]:
-    """Receive one length-prefixed frame.
+    """Receive one length-prefixed frame of at most ``limit`` bytes.
 
     Returns ``None`` on a clean EOF *before any byte of the frame*; a
     peer dying mid-frame raises :class:`ProtocolError` — a truncated
@@ -155,8 +163,8 @@ def _recv_frame(
     if not _fill(sock, buf, 4, exact):
         return None
     (length,) = _LEN.unpack_from(buf, 0)
-    if length > 64 * 1024 * 1024:
-        raise ProtocolError("frame too large")
+    if length > limit:
+        raise ProtocolError(f"frame too large ({length} > {limit} bytes)")
     end = 4 + length
     _fill(sock, buf, end, exact)
     body = bytes(buf[4:end])
@@ -604,8 +612,12 @@ class TCPShieldServer:
     def _parse_frames(self, conn: _Conn) -> None:
         while len(conn.inbuf) >= 4:
             (length,) = _LEN.unpack_from(conn.inbuf, 0)
-            if length > 64 * 1024 * 1024:
-                self._drop(conn)  # oversized frame: protocol violation
+            limit = _DH_PUBLIC if conn.channel is None else _MAX_FRAME
+            if length > limit:
+                # Oversized frame: protocol violation, refused before
+                # its body is buffered.
+                self._bump("tamper_drops")
+                self._drop(conn)
                 return
             if len(conn.inbuf) < 4 + length:
                 return  # partial frame: wait for more bytes
@@ -827,8 +839,8 @@ class TCPShieldClient(StoreVerbs):
 
     def _handshake(self) -> SecureChannel:
         assert self._sock is not None
-        frame = self._recv()
-        if frame is None or len(frame) < 32 + 32 + 32 + _DH_PUBLIC:
+        frame = self._recv(_QUOTE_FRAME)
+        if frame is None or len(frame) < _QUOTE_FRAME:
             raise ProtocolError("handshake frame truncated")
         # measurement | signature | report data | server DH public key
         quote = Quote(frame[:32], frame[64:96], frame[32:64])
@@ -841,8 +853,10 @@ class TCPShieldClient(StoreVerbs):
         )
         return SecureChannel(derive_session_suite(shared), "client")
 
-    def _recv(self) -> Optional[bytes]:
-        return _recv_frame(self._sock, "tcp.client.recv", self._link, self._inbuf)
+    def _recv(self, limit: int = _MAX_FRAME) -> Optional[bytes]:
+        return _recv_frame(
+            self._sock, "tcp.client.recv", self._link, self._inbuf, limit
+        )
 
     # -- retry machinery -----------------------------------------------------
     def _backoff(self, attempt: int) -> None:

@@ -185,6 +185,54 @@ class TestHandshakeReplyIsUntrusted:
             bystander.close()
 
 
+class TestPreHandshakeFrames:
+    """Before a peer is attested, the only frame it may send is its
+    handshake frame; a longer length prefix costs the connection before
+    a byte of the body is buffered."""
+
+    def test_oversized_prefix_before_handshake_drops_the_connection(
+        self, server
+    ):
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            assert tcpmod._recv_frame(sock) is not None  # the quote
+            try:
+                sock.sendall(struct.pack("<I", 60 << 20) + bytes(1 << 20))
+            except (BrokenPipeError, ConnectionResetError):
+                pass  # already dropped mid-filler
+            sock.settimeout(2.0)
+            try:
+                assert sock.recv(1) == b""
+            except ConnectionResetError:
+                pass
+        assert server._loop_thread.is_alive()
+        assert server.stats_snapshot().tamper_drops == 1
+
+    def test_client_refuses_an_oversized_quote_frame(self, service):
+        # A peer posing as the server announces a 60 MiB quote: the
+        # client gives up at the prefix instead of waiting to buffer it.
+        listener = socket.create_server(("127.0.0.1", 0))
+        accepted = []
+
+        def pose():
+            conn, _ = listener.accept()
+            accepted.append(conn)
+            conn.sendall(struct.pack("<I", 60 << 20) + bytes(1024))
+
+        poser = threading.Thread(target=pose, daemon=True)
+        poser.start()
+        try:
+            with pytest.raises(StoreError, match="frame too large"):
+                TCPShieldClient(
+                    listener.getsockname(), service, bytes(32),
+                    bytes(range(32)), connect_timeout_s=5.0, max_retries=0,
+                )
+        finally:
+            poser.join(timeout=5)
+            for conn in accepted:
+                conn.close()
+            listener.close()
+
+
 class TestWireTamper:
     def test_tampered_frame_drops_session_then_recovers(self, server, service):
         """A corrupted frame kills the session, not the deployment.

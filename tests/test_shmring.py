@@ -25,6 +25,7 @@ import repro.core.procpool as procpool
 from repro.core import process_mode_supported, shield_opt
 from repro.core.procpool import ProcessPartitionPool, _pipe_channel
 from repro.core.shmring import (
+    DEFAULT_CAPACITY,
     HEADER_SIZE,
     Doorbell,
     RingPeerGone,
@@ -32,7 +33,7 @@ from repro.core.shmring import (
     shm_supported,
 )
 from repro.errors import WorkerError
-from repro.net.message import STATUS_OK, Request
+from repro.net.message import STATUS_OK, Request, encode_multi_items
 from repro.sim.faults import FaultPlan, FaultRule, injected
 
 pytestmark = pytest.mark.skipif(
@@ -40,6 +41,19 @@ pytestmark = pytest.mark.skipif(
 )
 
 SECRET = bytes(range(32))
+
+
+def _rss_shmem_kib():
+    """This process's resident shared-memory pages, or None where
+    ``/proc/self/status`` does not report them."""
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("RssShmem:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return None
 
 
 def _ring_pair(capacity=256):
@@ -439,3 +453,61 @@ serve_and_respawn()
             [sys.executable, "-c", script], check=True, timeout=120,
             env=dict(os.environ, PYTHONPATH=str(src)),
         )
+
+    def test_frames_larger_than_the_ring_cross_both_ways(self):
+        # A batch, its reply and a checkpoint section, each larger than
+        # the ring, stream through it in publishes of up to its
+        # capacity: what comes out is the model.
+        pool = self._pool()
+        try:
+            model = {b"big-%03d" % i: bytes([i]) * 1024 for i in range(96)}
+            items = sorted(model.items())
+            assert len(encode_multi_items(items)) > DEFAULT_CAPACITY
+            pool.fan_out("multi_set", [(0, items)])
+            # The request found the ring empty (strict request/reply)
+            # and filled it: it crossed in more than one publish.  Its
+            # ring_full_waits depend on scheduling — one CPU can run the
+            # woken worker before the parent looks for room again.
+            stats = pool.transport_stats()
+            assert stats.ring_max_occupancy == DEFAULT_CAPACITY
+            rep = pool.workers[0].plane.rep
+            moved = rep.bytes_moved
+            assert pool.fan_out("multi_get", [(0, sorted(model))]) == [model]
+            assert rep.bytes_moved - moved > DEFAULT_CAPACITY
+            section = pool.snapshot_all(counter=1)[0]
+            assert len(section) > DEFAULT_CAPACITY
+            # The section round-trips: a worker reborn on it holds the model.
+            pool.workers[0].process.kill()
+            pool.workers[0].process.wait(timeout=10)
+            with pytest.raises(WorkerError):
+                pool.execute(0, Request("get", b"big-000"))
+            assert pool.state == "recovered"
+            assert pool.fan_out("multi_get", [(0, sorted(model))]) == [model]
+        finally:
+            pool.close()
+
+    @pytest.mark.skipif(
+        _rss_shmem_kib() is None, reason="/proc/self/status has no RssShmem"
+    )
+    def test_ring_memory_is_bounded_by_the_capacity(self):
+        # The write position sweeps the whole data region, so a ring
+        # costs its capacity in resident pages and no more.  The parent
+        # maps one worker's two rings: their pages, plus a page
+        # allowance for headers and rounding, are the budget.  It is
+        # written for 64 KiB rings, not from DEFAULT_CAPACITY, so a
+        # larger ring shows here as the memory it costs.
+        budget_kib = (2 * (HEADER_SIZE + (64 << 10)) + (64 << 10)) // 1024
+        before = _rss_shmem_kib()
+        pool = self._pool()
+        try:
+            value = bytes(4000)
+            for i in range(400):  # ~1.6 MiB of request frames
+                response = pool.execute(0, Request("set", b"k%d" % (i % 8), value))
+                assert response.status == STATUS_OK
+            assert pool.transport_stats().ring_bytes > 3 << 19  # 1.5 MiB
+            grown = _rss_shmem_kib() - before
+            assert grown <= budget_kib, (
+                f"rings hold {grown} KiB resident, budget {budget_kib} KiB"
+            )
+        finally:
+            pool.close()

@@ -1,8 +1,10 @@
 """Cost-model behaviour of the store: each §5 optimization must actually
 save simulated cycles in the regime the paper claims it helps."""
 
+import pytest
 
 from repro.core import ShieldStore, shield_opt
+from repro.crypto.keys import KeyRing
 from repro.sim import Machine
 from repro.sim.cycles import DEFAULT_COST_MODEL
 
@@ -102,3 +104,67 @@ class TestCostScaling:
         a, _ = _get_cost({}, pairs=50)
         b, _ = _get_cost({}, pairs=50)
         assert a == b
+
+
+class TestKeyHintComputedOnce:
+    """A write hashes its key hint once, in the lookup: an insert seals
+    the entry with the lookup's hint, an update keeps the found entry's
+    authenticated one."""
+
+    @pytest.fixture
+    def hint_calls(self, monkeypatch):
+        calls = []
+        real = KeyRing.key_hint
+
+        def counting(keyring, key):
+            calls.append(key)
+            return real(keyring, key)
+
+        monkeypatch.setattr(KeyRing, "key_hint", counting)
+        return calls
+
+    def test_one_hint_per_write(self, hint_calls):
+        store = ShieldStore(shield_opt(num_buckets=16, num_mac_hashes=8))
+        steps = [
+            (1, lambda: store.set(b"a", b"1")),            # insert
+            (1, lambda: store.set(b"a", b"2")),            # update
+            (1, lambda: store.get(b"a")),
+            (3, lambda: store.multi_set(
+                [(b"a", b"3"), (b"b", b"1"), (b"c", b"1")]
+            )),
+            (1, lambda: store.append(b"d", b"x")),         # insert
+            (1, lambda: store.append(b"d", b"y")),         # update
+            (1, lambda: store.increment(b"n", 2)),         # insert
+            (1, lambda: store.increment(b"n")),            # update
+            (1, lambda: store.compare_and_swap(b"a", b"3", b"4")),
+            (1, lambda: store.compare_and_swap(b"a", b"x", b"5")),
+        ]
+        for expected, step in steps:
+            del hint_calls[:]
+            step()
+            assert len(hint_calls) == expected, step
+
+    @pytest.mark.parametrize("hints", [True, False])
+    def test_every_entry_stores_its_keys_hint(self, hints):
+        store = ShieldStore(
+            shield_opt(num_buckets=4, num_mac_hashes=2, key_hint_enabled=hints)
+        )
+        model = {}
+        for i in range(24):
+            key = b"key-%d" % i
+            store.set(key, b"v")
+            model[key] = b"v"
+        for i in range(0, 24, 3):
+            key = b"key-%d" % i
+            store.set(key, b"longer value")
+            model[key] = store.append(key, b"!")
+        store.multi_set([(b"key-1", b"m"), (b"new", b"m")])
+        model.update({b"key-1": b"m", b"new": b"m"})
+        assert dict(store.iter_items()) == model
+        ctx = store._context(None)
+        searches = store.stats.full_searches
+        for key in model:
+            found = store._lookup(ctx, key)[3]
+            assert found.header[1] == store.keyring.key_hint(key)  # key_hint
+        # A hit never falls back to the §5.4 full search.
+        assert store.stats.full_searches == searches

@@ -29,8 +29,7 @@ Two halves:
   the parent serves; writes during the window go additionally to a
   temporary table and are merged back when the child finishes.
 
-Every parse of untrusted snapshot bytes goes through :class:`_Reader`,
-which bounds-checks each read and rejects trailing bytes — malformed or
+Snapshot bytes are read through :class:`~repro.reader.Reader` — malformed or
 truncated blobs surface as :class:`~repro.errors.SnapshotError`, never
 as a raw ``struct.error`` or silently-ignored garbage.  Blobs leave and
 enter through the ``persistence.snapshot`` / ``persistence.restore``
@@ -51,12 +50,15 @@ from repro.core.stats import StoreStats
 from repro.core.store import ShieldStore
 from repro.crypto.keys import derive_key
 from repro.errors import RollbackError, SnapshotError
+from repro.reader import Reader
 from repro.sim import faults
 from repro.sim.counters import MonotonicCounterService
 from repro.sim.enclave import Enclave, ExecContext
 from repro.sim.sealing import SealingService
 
 _PMAGIC = b"SSPSNP1\0"
+_ENTRY = struct.Struct("<II")  # a section record's bucket, length
+_GEOMETRY = struct.Struct("<QIII")  # counter, partitions, buckets, MAC hashes
 
 
 MODE_NONE = "none"
@@ -82,49 +84,10 @@ def snapshot_counter(blob: bytes) -> int:
     Reads only the plaintext header — callers use it to name checkpoint
     files; the authoritative (sealed) copy is checked when it is opened.
     """
-    if len(blob) < 16 or blob[:8] != _PMAGIC:
+    reader = Reader(blob, SnapshotError, "snapshot blob")
+    if reader.take(len(_PMAGIC)) != _PMAGIC:
         raise SnapshotError("not a snapshot blob")
-    return struct.unpack_from("<Q", blob, 8)[0]
-
-
-class _Reader:
-    """Bounds-checked cursor over an untrusted snapshot blob."""
-
-    __slots__ = ("blob", "off", "what")
-
-    def __init__(self, blob: bytes, what: str = "snapshot"):
-        self.blob = blob
-        self.off = 0
-        self.what = what
-
-    def take(self, count: int) -> bytes:
-        if count < 0 or self.off + count > len(self.blob):
-            raise SnapshotError(
-                f"{self.what} truncated: need {count} bytes at offset "
-                f"{self.off}, have {len(self.blob) - self.off}"
-            )
-        data = self.blob[self.off : self.off + count]
-        self.off += count
-        return data
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def done(self) -> None:
-        if self.off != len(self.blob):
-            raise SnapshotError(
-                f"{self.what} has {len(self.blob) - self.off} trailing "
-                "bytes after the last record"
-            )
+    return reader.u64()
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +109,7 @@ def write_section(
     records: List[bytes] = []
     count = 0
     for bucket, record in store.iter_raw_entries():
-        records.append(struct.pack("<II", bucket, len(record)) + record)
+        records.append(_ENTRY.pack(bucket, len(record)) + record)
         count += 1
     parts.append(struct.pack("<Q", count))
     parts.extend(records)
@@ -169,23 +132,19 @@ def read_section(
     input :class:`~repro.errors.SealingError` (the sealed metadata) or
     :class:`~repro.errors.IntegrityError` (the records).
     """
-    reader = _Reader(blob, "snapshot section")
+    reader = Reader(blob, SnapshotError, "snapshot section")
     sealed = reader.take(reader.u32())
-    meta = sealing.unseal(ctx, store.enclave, sealed)
-    if len(meta) < 8:
-        raise SnapshotError("sealed metadata too short for a counter")
-    (sealed_counter,) = struct.unpack_from("<Q", meta, 0)
-    if sealed_counter != expected_counter:
+    meta = Reader(sealing.unseal(ctx, store.enclave, sealed), SnapshotError, "sealed metadata")
+    if meta.u64() != expected_counter:
         raise SnapshotError("snapshot header counter does not match sealed value")
-    store.load_metadata_blob(meta[8:])
+    store.load_metadata_blob(meta.rest())
 
     count = reader.u64()
     # Rebuild chains bucket by bucket, preserving chain order.
     tails: Dict[int, int] = {}
     mem = store.machine.memory
     for _ in range(count):
-        bucket = reader.u32()
-        rec_len = reader.u32()
+        bucket, rec_len = reader.unpack(_ENTRY)
         record = reader.take(rec_len)
         if bucket >= store.config.num_buckets:
             raise SnapshotError(
@@ -218,7 +177,7 @@ def read_section(
                 head = store.macbuckets.alloc_node(ctx)
                 store.buckets.write_mac_ptr(ctx, bucket, head)
             store.macbuckets.write_all(ctx, head, macs, False)
-    reader.done()
+    reader.end()
     for set_id in range(store.config.num_mac_hashes):
         store._verify_covering_set(ctx, set_id, audit=True)
 
@@ -242,20 +201,17 @@ def read_blob(
     copies their sealed values, or :class:`SnapshotError` (an
     unsealable header: :class:`~repro.errors.SealingError`).
     """
-    reader = _Reader(blob)
+    reader = Reader(blob, SnapshotError, "snapshot")
     if reader.take(len(_PMAGIC)) != _PMAGIC:
         raise SnapshotError("partition snapshot has wrong magic")
     claimed_counter = reader.u64()
     claimed_parts = reader.u32()
     sealed = reader.take(reader.u32())
-    header = _Reader(sealing.unseal(ctx, enclave, sealed), "snapshot header")
-    counter = header.u64()
-    sealed_parts = header.u32()
-    num_buckets = header.u32()
-    num_mac_hashes = header.u32()
+    header = Reader(sealing.unseal(ctx, enclave, sealed), SnapshotError, "snapshot header")
+    counter, sealed_parts, num_buckets, num_mac_hashes = header.unpack(_GEOMETRY)
     suite = header.take(header.u8()).decode("ascii", "replace")
     master = header.take(header.u16())
-    header.done()
+    header.end()
     if counter != claimed_counter or sealed_parts != claimed_parts:
         raise SnapshotError(
             "snapshot plaintext header does not match its sealed values"
@@ -277,7 +233,7 @@ def read_blob(
             f"{config.num_mac_hashes} hashes, {config.suite_name!r})"
         )
     sections = [reader.take(reader.u64()) for _ in range(sealed_parts)]
-    reader.done()
+    reader.end()
     return counter, master, sections
 
 
@@ -333,8 +289,7 @@ class PartitionSnapshotter:
         suite = store.config.suite_name.encode("ascii")
         master = store._keyring.master
         return (
-            struct.pack(
-                "<QIII",
+            _GEOMETRY.pack(
                 counter,
                 store.num_threads,
                 store.config.num_buckets,

@@ -98,7 +98,6 @@ from __future__ import annotations
 import json
 import multiprocessing.connection
 import os
-import struct
 import subprocess
 import sys
 import threading
@@ -137,6 +136,7 @@ from repro.net.message import (
     encode_request,
     encode_response,
 )
+from repro.reader import BATCH_COUNT, F64, U64, Reader, whole
 from repro.sim import faults
 
 # -- frame opcodes ------------------------------------------------------------
@@ -154,9 +154,6 @@ OP_TIMING = 0x0C    # -> JSON worker compute / CPU seconds + ring wait counts
 
 REPLY_OK = 0x80
 REPLY_ERR = 0xFF
-
-_U64 = struct.Struct("<Q")
-_F64 = struct.Struct("<d")
 
 # Deadline for a (re)spawned worker's handshake: interpreter spawn,
 # section load, log replay.
@@ -176,9 +173,10 @@ def _encode_error(exc: BaseException) -> bytes:
 
 def _decode_error(frame: bytes, index: int) -> ReproError:
     """Rebuild a worker-side exception, annotated with its partition."""
-    name_len = frame[1]
-    name = frame[2 : 2 + name_len].decode("ascii", "replace")
-    message = frame[2 + name_len :].decode("utf-8", "replace")
+    reader = Reader(frame, ProtocolError, f"partition {index}: error reply")
+    reader.u8()  # REPLY_ERR
+    name = reader.take(reader.u8()).decode("ascii", "replace")
+    message = reader.rest().decode("utf-8", "replace")
     klass = getattr(_errors, name, None)
     if not (isinstance(klass, type) and issubclass(klass, ReproError)):
         klass = StoreError
@@ -192,9 +190,7 @@ def _mutation_count(request: Request) -> int:
     if request.op not in MUTATING_OPS:
         return 0
     if request.op in BATCH_OPS:
-        if len(request.value) >= 4:
-            return struct.unpack_from("<I", request.value, 0)[0]
-        return 0
+        return Reader(request.value, ProtocolError, "batch field").length(BATCH_COUNT)
     return 1
 
 
@@ -557,19 +553,19 @@ def _worker_main(
                     list(store.iter_items())
                 )
             elif opcode == OP_AUDIT:
-                reply = bytes([REPLY_OK]) + _U64.pack(store.audit())
+                reply = bytes([REPLY_OK]) + U64.pack(store.audit())
             elif opcode == OP_LEN:
-                reply = bytes([REPLY_OK]) + _U64.pack(len(store))
+                reply = bytes([REPLY_OK]) + U64.pack(len(store))
             elif opcode == OP_ELAPSED:
-                reply = bytes([REPLY_OK]) + _F64.pack(store.machine.elapsed_us())
+                reply = bytes([REPLY_OK]) + F64.pack(store.machine.elapsed_us())
             elif opcode == OP_PING:
-                reply = bytes([REPLY_OK]) + _U64.pack(host.reached)
+                reply = bytes([REPLY_OK]) + U64.pack(host.reached)
             elif opcode == OP_TAMPER:
                 _tamper(store, bytes(payload))
                 reply = bytes([REPLY_OK])
             elif opcode == OP_SNAPSHOT:
                 reply = bytes([REPLY_OK]) + host.snapshot(
-                    _U64.unpack_from(payload, 0)[0]
+                    whole(payload, U64, ProtocolError, "snapshot counter")
                 )
             elif opcode == OP_SHUTDOWN:
                 plane.send_bytes(channel.seal(bytes([REPLY_OK])))
@@ -800,7 +796,7 @@ class ProcessPartitionPool:
         building its partition (raised)."""
         self._send(handle, OP_PING, b"", recover=False)
         reply = self._recv(handle, recover=False, timeout=_RECOVERY_TIMEOUT)
-        return _U64.unpack(reply)[0]
+        return whole(reply, U64, ProtocolError, "recovery counter")
 
     def _spawn(self, index: int):
         """Start one worker on the cached section of its partition;
@@ -1014,19 +1010,14 @@ class ProcessPartitionPool:
                 f"authentication ({exc})",
                 recover,
             ) from exc
-        if not frame:
-            raise self._worker_failed(
-                handle, f"partition {handle.index}: empty reply frame", recover
-            )
-        if frame[0] == REPLY_ERR:
+        opcode = frame[0] if frame else None  # None: an empty frame
+        if opcode == REPLY_ERR:
             # shieldlint: ignore[trust-boundary] -- re-raises the worker's own error report parent-side; messages are redacted at their raise sites inside the trusted store
             raise _decode_error(frame, handle.index)
-        if frame[0] != REPLY_OK:
+        if opcode != REPLY_OK:
             # shieldlint: ignore[trust-boundary] -- one reply opcode byte from the authenticated frame header, not client key/value plaintext
             raise self._worker_failed(
-                handle,
-                f"partition {handle.index}: bad reply opcode {frame[0]:#x}",
-                recover,
+                handle, f"partition {handle.index}: bad reply opcode {opcode}", recover
             )
         return frame[1:]
 
@@ -1202,7 +1193,7 @@ class ProcessPartitionPool:
         """
         with self._pool_lock:
             sections = self._scatter(
-                {w.index: _U64.pack(counter) for w in self.workers}, OP_SNAPSHOT
+                {w.index: U64.pack(counter) for w in self.workers}, OP_SNAPSHOT
             )
             self._install_checkpoint(dict(sections), counter)
             for handle in self.workers:
@@ -1259,16 +1250,19 @@ class ProcessPartitionPool:
         timings["worker_cpu_s"] = worker["cpu_s"]
         return timings
 
+    def _broadcast_field(self, opcode: int, layout) -> list:
+        return [whole(raw, layout, ProtocolError, "reply") for raw in self.broadcast(opcode)]
+
     def total_len(self) -> int:
-        return sum(_U64.unpack(raw)[0] for raw in self.broadcast(OP_LEN))
+        return sum(self._broadcast_field(OP_LEN, U64))
 
     def audit_all(self) -> int:
         """Full-table audit on every worker; sum of entries checked."""
-        return sum(_U64.unpack(raw)[0] for raw in self.broadcast(OP_AUDIT))
+        return sum(self._broadcast_field(OP_AUDIT, U64))
 
     def elapsed_us(self) -> float:
         """Simulated wall time: the slowest worker's private clock."""
-        return max(_F64.unpack(raw)[0] for raw in self.broadcast(OP_ELAPSED))
+        return max(self._broadcast_field(OP_ELAPSED, F64))
 
     def iter_partition_items(self, index: int):
         """All (key, value) pairs of one partition, decrypted worker-side."""

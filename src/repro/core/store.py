@@ -53,13 +53,14 @@ from repro.core.mactree import MacTree
 from repro.core.stats import StoreStats
 from repro.crypto.keys import KeyRing
 from repro.crypto.suite import make_suite
-from repro.errors import IntegrityError, KeyNotFoundError, StoreError
+from repro.errors import IntegrityError, KeyNotFoundError, SnapshotError, StoreError
 from repro.net.message import (
     Request,
     encode_cas_value,
     encode_multi_items,
     encode_multi_keys,
 )
+from repro.reader import U32, U64, Reader
 from repro.sim.enclave import Enclave, ExecContext, Machine
 from repro.sim.memory import ENCLAVE_BASE, ENCLAVE_END
 
@@ -1211,27 +1212,20 @@ class ShieldStore:
     # ------------------------------------------------------------------
     def metadata_blob(self) -> bytes:
         """Serialize in-enclave metadata for sealing (§4.4)."""
-        tree = self.mactree.dump()
-        return (
-            len(self.keyring.master).to_bytes(4, "little")
-            + self.keyring.master
-            + self.count.to_bytes(8, "little")
-            + tree
-        )
+        master, tree = self.keyring.master, self.mactree.dump()
+        return U32.pack(len(master)) + master + U64.pack(self.count) + tree
 
     def load_metadata_blob(self, blob: bytes) -> None:
         """Load sealed metadata into a *fresh* store (inverse of
         :meth:`metadata_blob`; the enclave caches are still cold)."""
-        mlen = int.from_bytes(blob[:4], "little")
-        master = blob[4 : 4 + mlen]
-        off = 4 + mlen
-        self.count = int.from_bytes(blob[off : off + 8], "little")
-        off += 8
+        reader = Reader(blob, SnapshotError, "sealed metadata")
+        master = reader.take(reader.u32())
+        self.count = reader.u64()
         self.keyring = KeyRing(master)
         self.suite = make_suite(
             self.config.suite_name, self.keyring.enc_key, self.keyring.mac_key
         )
-        self.mactree.load(blob[off:])
+        self.mactree.load(reader.rest())
 
     def untrusted_bytes_live(self) -> int:
         """Bytes of untrusted memory currently holding store data."""

@@ -29,6 +29,9 @@ codec for the payload::
 
     u32 body_len | u64 seq | u8 kind | u64 epoch | ciphertext | mac(16)
 
+``body_len`` is bounded by :data:`repro.reader.WAL_BODY` on both
+sides: replay refuses a longer frame, so ``append`` refuses its op.
+
 The MAC binds ``(partition, counter, seq, kind, epoch, ciphertext)``
 and the sequence number is strictly sequential from 0 within a segment,
 so the host cannot replay, reorder, drop, or truncate-and-extend
@@ -89,13 +92,14 @@ from typing import Callable, Iterable, Optional
 
 from repro.crypto.keys import derive_key
 from repro.crypto.suite import MAC_SIZE, make_suite
-from repro.errors import SnapshotError
+from repro.errors import SnapshotError, StoreError
 from repro.net.message import (
     MUTATING_OPS,
     Request,
     decode_request,
     encode_request,
 )
+from repro.reader import U32, U64, WAL_BODY, Reader, whole
 from repro.sim import faults
 
 KIND_OP = 1
@@ -103,13 +107,9 @@ KIND_TRUNCATE = 2
 
 DEFAULT_SYNC_MS = 2.0
 
-_LEN = struct.Struct("<I")
 _SEQ_KIND_EPOCH = struct.Struct("<QBQ")
-_U64 = struct.Struct("<Q")
 _AD = struct.Struct("<IQQBQ")  # partition, counter, seq, kind, epoch
-_HEADER_SIZE = _SEQ_KIND_EPOCH.size
-_MIN_BODY = _HEADER_SIZE + MAC_SIZE
-_MAX_BODY = 1 << 26  # sanity bound against hostile length prefixes
+_MIN_BODY = _SEQ_KIND_EPOCH.size + MAC_SIZE
 
 
 def fsync_directory(path: str) -> None:
@@ -232,7 +232,7 @@ class WriteAheadLog:
             + ciphertext
         )
         body = _SEQ_KIND_EPOCH.pack(seq, kind, epoch) + ciphertext + tag
-        return _LEN.pack(len(body)) + body
+        return U32.pack(len(body)) + body
 
     # -- the write path ------------------------------------------------------
     def _ensure_open(self):
@@ -249,7 +249,10 @@ class WriteAheadLog:
     def append(self, request: Request) -> None:
         """Seal one mutating request into the log (called before apply)."""
         self._raise_kept()
-        frame = self._seal_frame(KIND_OP, encode_request(request))
+        payload = encode_request(request)
+        if _MIN_BODY + len(payload) > WAL_BODY:  # replay would refuse it
+            raise StoreError(f"{request.op} too large for the log ({len(payload)} bytes)")
+        frame = self._seal_frame(KIND_OP, payload)
         fh = self._ensure_open()
         frame = faults.cross(
             "wal.append", frame, on_crash=lambda: self._crash_append(frame)
@@ -331,7 +334,7 @@ class WriteAheadLog:
                 f"({self.counter} -> {new_counter})"
             )
         self._raise_kept()  # before the record is written, not after
-        frame = self._seal_frame(KIND_TRUNCATE, _U64.pack(new_counter))
+        frame = self._seal_frame(KIND_TRUNCATE, U64.pack(new_counter))
         fh = self._ensure_open()
         fh.write(frame)
         self._dirty = True
@@ -431,30 +434,22 @@ class WriteAheadLog:
 
         Returns ``(next_counter or None, last_good_offset, next_seq)``.
         """
-        offset, seq = 0, 0
-        next_counter = None
+        where = f"WAL segment {self.counter} of partition {self.partition}"
+        reader = Reader(data, SnapshotError, f"{where}: frame")
+        seq, next_counter = 0, None
         while True:
-            if offset + _LEN.size > len(data):
+            offset = reader.off
+            if reader.left() < U32.size:
                 return next_counter, offset, seq  # torn length prefix
-            (body_len,) = _LEN.unpack_from(data, offset)
-            if body_len < _MIN_BODY or body_len > _MAX_BODY:
-                raise SnapshotError(
-                    f"WAL segment {self.counter} of partition "
-                    f"{self.partition}: frame at offset {offset} has "
-                    f"implausible length {body_len} (host corruption)"
-                )
-            end = offset + _LEN.size + body_len
-            if end > len(data):
+            body_len = reader.length(WAL_BODY, _MIN_BODY)
+            if reader.left() < body_len:
                 return next_counter, offset, seq  # torn frame body
-            body = data[offset + _LEN.size : end]
-            frame_seq, kind, epoch = _SEQ_KIND_EPOCH.unpack_from(body, 0)
-            ciphertext = body[_HEADER_SIZE:-MAC_SIZE]
-            tag = body[-MAC_SIZE:]
+            frame_seq, kind, epoch = reader.unpack(_SEQ_KIND_EPOCH)
+            ciphertext = reader.take(body_len - _MIN_BODY)
+            tag = reader.take(MAC_SIZE)
             if next_counter is not None:
                 raise SnapshotError(
-                    f"WAL segment {self.counter} of partition "
-                    f"{self.partition} has frames after its truncation "
-                    "record (spliced log)"
+                    f"{where} has frames after its truncation record (spliced log)"
                 )
             if frame_seq != seq or not self._suite.verify(
                 _AD.pack(self.partition, self.counter, frame_seq, kind, epoch)
@@ -462,13 +457,12 @@ class WriteAheadLog:
                 tag,
             ):
                 raise SnapshotError(
-                    f"WAL segment {self.counter} of partition "
-                    f"{self.partition}: frame {seq} failed authentication "
+                    f"{where}: frame {seq} failed authentication "
                     "(tampered, reordered, or wrong incarnation)"
                 )
             payload = self._suite.decrypt(self._iv(frame_seq, epoch), ciphertext)
             if kind == KIND_TRUNCATE:
-                (candidate,) = _U64.unpack(payload)
+                candidate = whole(payload, U64, SnapshotError, "WAL truncation record")
                 if candidate <= self.counter:
                     # shieldlint: ignore[trust-boundary] -- an authenticated snapshot counter from the truncation record, not client key/value plaintext
                     raise SnapshotError(
@@ -485,7 +479,6 @@ class WriteAheadLog:
             else:
                 raise SnapshotError(f"unknown WAL frame kind {kind}")
             seq += 1
-            offset = end
 
     # -- housekeeping --------------------------------------------------------
     @staticmethod

@@ -75,6 +75,8 @@ from repro.errors import (
     ProtocolError,
     StoreError,
 )
+from repro.net.message import decode_multi_items, encode_multi_items
+from repro.reader import U32, Reader
 
 FLAG_TOMBSTONE = 0x01
 
@@ -106,10 +108,20 @@ def pack_record(flags: int, clock: int, origin: int, payload: bytes) -> bytes:
 
 def unpack_record(raw: bytes) -> Tuple[int, int, int, bytes]:
     """Parse ``(flags, clock, origin, payload)``; raises on short input."""
-    if len(raw) < RECORD_OVERHEAD:
-        raise ProtocolError("versioned record too short")
-    flags, clock, origin = _RECORD.unpack_from(raw, 0)
-    return flags, clock, origin, raw[RECORD_OVERHEAD:]
+    reader = Reader(raw, ProtocolError, "versioned record")
+    flags, clock, origin = reader.unpack(_RECORD)
+    return flags, clock, origin, reader.rest()
+
+
+def encode_sync_set(set_id: int, items) -> bytes:
+    """An OP_SYNC set payload: ``set_id u32 | encode_multi_items``."""
+    return U32.pack(set_id) + encode_multi_items(items)
+
+
+def decode_sync_set(value: bytes) -> Tuple[int, list]:
+    """Parse an OP_SYNC set payload into ``(set_id, items)``."""
+    reader = Reader(value, ProtocolError, "sync set payload")
+    return reader.u32(), decode_multi_items(reader.rest())
 
 
 def record_version(raw: bytes) -> Tuple[int, int]:
@@ -307,10 +319,8 @@ class PeerLink:
 
     def sync_set(self, set_id: int, items) -> list:
         """Push-pull one divergent set; returns the peer's merged items."""
-        from repro.net.message import decode_multi_items, encode_multi_items
-
-        payload = struct.pack("<I", set_id) + encode_multi_items(items)
-        return decode_multi_items(self.call("sync", SYNC_KIND_SET, payload))
+        reply = self.call("sync", SYNC_KIND_SET, encode_sync_set(set_id, items))
+        return decode_multi_items(reply)
 
     def close(self) -> None:
         with self._mutex:
@@ -631,14 +641,10 @@ class ReplicatedStore(VersionedVerbs):
         if subop == SYNC_KIND_DIGESTS:
             return self.set_digest_blob()
         if subop == SYNC_KIND_SET:
-            if len(value) < 4:
-                raise ProtocolError("sync set payload too short")
-            from repro.net.message import decode_multi_items, encode_multi_items
-
-            (set_id,) = struct.unpack_from("<I", value, 0)
+            set_id, pushed = decode_sync_set(value)
             if set_id >= self._num_sets:
                 raise ProtocolError(f"sync set id {set_id} out of range")
-            for key, record in decode_multi_items(value[4:]):
+            for key, record in pushed:
                 self.apply_remote(key, record, "sync_keys_repaired")
             with self._mutex:
                 items = list(self.inner.iter_set_items(set_id))

@@ -25,8 +25,9 @@ import struct
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.crypto.suite import CipherSuite
+from repro.crypto.suite import MAC_SIZE, CipherSuite
 from repro.errors import ProtocolError
+from repro.reader import BATCH_COUNT, U32, U64, Reader
 from repro.sim import faults
 
 OP_CODES = {
@@ -74,7 +75,8 @@ STATUS_ERROR = 2
 # shed from served), retryable with backoff, never cached.
 STATUS_BUSY = 3
 
-MAC_SIZE = 16
+_REQUEST = struct.Struct("<BII")
+_RESPONSE = struct.Struct("<BI")
 
 
 @dataclass
@@ -109,31 +111,27 @@ def encode_request(request: Request) -> bytes:
 
 def decode_request(raw: bytes) -> Request:
     """Parse a request record; raises :class:`ProtocolError` when bad."""
-    if len(raw) < 9:
-        raise ProtocolError("request record too short")
-    code, klen, vlen = struct.unpack_from("<BII", raw, 0)
+    reader = Reader(raw, ProtocolError, "request record")
+    code, klen, vlen = reader.unpack(_REQUEST)
     if code not in OP_NAMES:
         raise ProtocolError(f"unknown opcode {code}")
-    if len(raw) != 9 + klen + vlen:
-        raise ProtocolError("request length mismatch")
-    key = raw[9 : 9 + klen]
-    value = raw[9 + klen :]
+    key, value = reader.take(klen), reader.take(vlen)
+    reader.end()
     return Request(OP_NAMES[code], key, value)
 
 
 def encode_response(response: Response) -> bytes:
     """Serialize a response record (plaintext form)."""
-    return struct.pack("<BI", response.status, len(response.value)) + response.value
+    return _RESPONSE.pack(response.status, len(response.value)) + response.value
 
 
 def decode_response(raw: bytes) -> Response:
     """Parse a response record."""
-    if len(raw) < 5:
-        raise ProtocolError("response record too short")
-    status, vlen = struct.unpack_from("<BI", raw, 0)
-    if len(raw) != 5 + vlen:
-        raise ProtocolError("response length mismatch")
-    return Response(status, raw[5:])
+    reader = Reader(raw, ProtocolError, "response record")
+    status, vlen = reader.unpack(_RESPONSE)
+    value = reader.take(vlen)
+    reader.end()
+    return Response(status, value)
 
 
 # -- idempotency envelope -----------------------------------------------------
@@ -164,9 +162,8 @@ def decode_envelope(raw: bytes) -> Tuple[Optional[bytes], bytes]:
     """Split a sealed payload into (token or None, request record)."""
     if not raw or raw[0] != ENVELOPE_MAGIC:
         return None, raw
-    if len(raw) < 1 + TOKEN_SIZE + 9:
-        raise ProtocolError("enveloped request too short")
-    return raw[1 : 1 + TOKEN_SIZE], raw[1 + TOKEN_SIZE :]
+    reader = Reader(raw, ProtocolError, "enveloped request")
+    return reader.take(1 + TOKEN_SIZE)[1:], reader.rest()
 
 
 def encode_cas_value(expected: bytes, new_value: bytes) -> bytes:
@@ -176,12 +173,8 @@ def encode_cas_value(expected: bytes, new_value: bytes) -> bytes:
 
 def decode_cas_value(value: bytes):
     """Unpack a CAS value field; raises :class:`ProtocolError` when bad."""
-    if len(value) < 4:
-        raise ProtocolError("CAS value field too short")
-    (elen,) = struct.unpack_from("<I", value, 0)
-    if 4 + elen > len(value):
-        raise ProtocolError("CAS expected-length overruns the field")
-    return value[4 : 4 + elen], value[4 + elen :]
+    reader = Reader(value, ProtocolError, "CAS value field")
+    return reader.take(reader.u32()), reader.rest()
 
 
 # -- pipelined batch payloads (MGET / MSET / MDELETE) -------------------------
@@ -193,41 +186,26 @@ def decode_cas_value(value: bytes):
 #     items:  count(4) | ( key_len(4)  | val_len(4) | key | value )*
 #     values: count(4) | ( flag(1)     | val_len(4) | value )*      flag 0=hit
 #
-_MAX_BATCH = 1 << 20  # sanity bound against hostile count fields
-
-
-def _check_count(count: int) -> None:
-    if count > _MAX_BATCH:
-        raise ProtocolError(f"batch of {count} exceeds the protocol limit")
+_ITEM = struct.Struct("<II")
+_VALUE = struct.Struct("<BI")
+_HIT, _MISS = 0, 1
 
 
 def encode_multi_keys(keys) -> bytes:
     """Pack a key list into a batch request's value field."""
     keys = [bytes(key) for key in keys]
-    parts = [struct.pack("<I", len(keys))]
+    parts = [U32.pack(len(keys))]
     for key in keys:
-        parts.append(struct.pack("<I", len(key)) + key)
+        parts.append(U32.pack(len(key)) + key)
     return b"".join(parts)
 
 
 def decode_multi_keys(value: bytes) -> list:
     """Unpack a batch key list; raises :class:`ProtocolError` when bad."""
-    if len(value) < 4:
-        raise ProtocolError("batch key field too short")
-    (count,) = struct.unpack_from("<I", value, 0)
-    _check_count(count)
-    keys, offset = [], 4
-    for _ in range(count):
-        if offset + 4 > len(value):
-            raise ProtocolError("batch key record truncated")
-        (klen,) = struct.unpack_from("<I", value, offset)
-        offset += 4
-        if offset + klen > len(value):
-            raise ProtocolError("batch key overruns the field")
-        keys.append(value[offset : offset + klen])
-        offset += klen
-    if offset != len(value):
-        raise ProtocolError("batch key field has trailing bytes")
+    reader = Reader(value, ProtocolError, "batch key field")
+    take, unpack = reader.take, reader.unpack
+    keys = [take(unpack(U32)[0]) for _ in range(reader.length(BATCH_COUNT))]
+    reader.end()
     return keys
 
 
@@ -236,65 +214,54 @@ def encode_multi_items(items) -> bytes:
     if isinstance(items, dict):
         items = items.items()
     pairs = [(bytes(key), bytes(value)) for key, value in items]
-    parts = [struct.pack("<I", len(pairs))]
+    parts = [U32.pack(len(pairs))]
     for key, value in pairs:
-        parts.append(struct.pack("<II", len(key), len(value)) + key + value)
+        parts.append(_ITEM.pack(len(key), len(value)) + key + value)
     return b"".join(parts)
 
 
 def decode_multi_items(value: bytes) -> list:
     """Unpack MSET pairs; raises :class:`ProtocolError` when bad."""
-    if len(value) < 4:
-        raise ProtocolError("batch item field too short")
-    (count,) = struct.unpack_from("<I", value, 0)
-    _check_count(count)
-    items, offset = [], 4
-    for _ in range(count):
-        if offset + 8 > len(value):
-            raise ProtocolError("batch item record truncated")
-        klen, vlen = struct.unpack_from("<II", value, offset)
-        offset += 8
-        if offset + klen + vlen > len(value):
-            raise ProtocolError("batch item overruns the field")
-        items.append(
-            (value[offset : offset + klen], value[offset + klen : offset + klen + vlen])
-        )
-        offset += klen + vlen
-    if offset != len(value):
-        raise ProtocolError("batch item field has trailing bytes")
+    reader = Reader(value, ProtocolError, "batch item field")
+    take, unpack = reader.take, reader.unpack
+    items = []
+    for _ in range(reader.length(BATCH_COUNT)):
+        klen, vlen = unpack(_ITEM)
+        items.append((take(klen), take(vlen)))
+    reader.end()
     return items
 
 
 def encode_multi_values(values) -> bytes:
     """Pack per-key results (``None`` = miss) into a response value field."""
-    parts = [struct.pack("<I", len(values))]
+    parts = [U32.pack(len(values))]
     for value in values:
         if value is None:
-            parts.append(struct.pack("<BI", 1, 0))
+            parts.append(_VALUE.pack(_MISS, 0))
         else:
             value = bytes(value)
-            parts.append(struct.pack("<BI", 0, len(value)) + value)
+            parts.append(_VALUE.pack(_HIT, len(value)) + value)
     return b"".join(parts)
 
 
 def decode_multi_values(value: bytes) -> list:
-    """Unpack per-key results; misses come back as ``None``."""
-    if len(value) < 4:
-        raise ProtocolError("batch value field too short")
-    (count,) = struct.unpack_from("<I", value, 0)
-    _check_count(count)
-    values, offset = [], 4
-    for _ in range(count):
-        if offset + 5 > len(value):
-            raise ProtocolError("batch value record truncated")
-        flag, vlen = struct.unpack_from("<BI", value, offset)
-        offset += 5
-        if offset + vlen > len(value):
-            raise ProtocolError("batch value overruns the field")
-        values.append(None if flag else value[offset : offset + vlen])
-        offset += vlen
-    if offset != len(value):
-        raise ProtocolError("batch value field has trailing bytes")
+    """Unpack per-key results; misses come back as ``None``.
+
+    Only the two records the encoder writes parse: a hit (flag 0) and
+    an empty miss (flag 1, length 0).
+    """
+    reader = Reader(value, ProtocolError, "batch value field")
+    take, unpack = reader.take, reader.unpack
+    values = []
+    for _ in range(reader.length(BATCH_COUNT)):
+        flag, vlen = unpack(_VALUE)
+        if flag == _HIT:
+            values.append(take(vlen))
+        elif flag == _MISS and vlen == 0:
+            values.append(None)
+        else:
+            raise ProtocolError(f"batch value record has flag {flag}, length {vlen}")
+    reader.end()
     return values
 
 
@@ -406,20 +373,16 @@ class SecureChannel:
         """Verify + decrypt one record; enforces sequence monotonicity."""
         # Scripted corruption before authentication.
         sealed = faults.cross(self._open_point, sealed) or sealed
-        if len(sealed) < 8 + MAC_SIZE:
-            raise ProtocolError("sealed record too short")
-        header, ciphertext, tag = (
-            sealed[:8],
-            sealed[8:-MAC_SIZE],
-            sealed[-MAC_SIZE:],
-        )
-        (seq,) = struct.unpack("<Q", header)
+        reader = Reader(sealed, ProtocolError, "sealed record")
+        (seq,) = reader.unpack(U64)
+        ciphertext = reader.take(len(sealed) - U64.size - MAC_SIZE)
+        tag = reader.rest()
         if seq != self._recv_seq:
             raise ProtocolError(
                 f"sequence mismatch: expected {self._recv_seq}, got {seq} "
                 "(replayed or dropped record)"
             )
-        if not self.suite.verify(header + ciphertext, tag):
+        if not self.suite.verify(sealed[:-MAC_SIZE], tag):
             raise ProtocolError("record failed authentication")
         self._recv_seq += 1
         return self.suite.decrypt_record(

@@ -60,7 +60,6 @@ import os
 import random
 import selectors
 import socket
-import struct
 import sys
 import threading
 import time
@@ -93,6 +92,7 @@ from repro.net.message import (
     encode_response,
 )
 from repro.net.server import execute_request
+from repro.reader import DH_PUBLIC, QUOTE_FRAME, SESSION_FRAME, U32, Reader
 from repro.sim import faults
 from repro.sim.attestation import (
     AttestationService,
@@ -103,16 +103,6 @@ from repro.sim.attestation import (
     handshake_finish,
     handshake_offer,
 )
-
-_LEN = struct.Struct("<I")
-_DH_PUBLIC = 256  # a DH public value as it travels (DHKeyPair.public_bytes)
-# The only frame either side accepts before the peer is attested is its
-# handshake frame: the server's quote (measurement | signature | report
-# data | DH public value), the client's DH public value.  Anything
-# longer is dropped at its length prefix, before a byte is buffered.
-_QUOTE_FRAME = 32 + 32 + 32 + _DH_PUBLIC
-# Largest frame of an established session.
-_MAX_FRAME = 64 * 1024 * 1024
 
 
 class _TransientServerError(StoreError):
@@ -138,7 +128,7 @@ def _send_frame(
         payload = faults.cross(point, payload, link=link)
         if payload is faults.DROPPED:
             return  # the frame vanishes on the wire
-    sock.sendall(_LEN.pack(len(payload)) + payload)
+    sock.sendall(U32.pack(len(payload)) + payload)
 
 
 def _recv_frame(
@@ -146,7 +136,7 @@ def _recv_frame(
     point: Optional[str] = None,
     link=None,
     buf: Optional[bytearray] = None,
-    limit: int = _MAX_FRAME,
+    limit: int = SESSION_FRAME,
 ) -> Optional[bytes]:
     """Receive one length-prefixed frame of at most ``limit`` bytes.
 
@@ -162,10 +152,7 @@ def _recv_frame(
         buf = bytearray()
     if not _fill(sock, buf, 4, exact):
         return None
-    (length,) = _LEN.unpack_from(buf, 0)
-    if length > limit:
-        raise ProtocolError(f"frame too large ({length} > {limit} bytes)")
-    end = 4 + length
+    end = 4 + Reader(buf, ProtocolError, "frame").length(limit)
     _fill(sock, buf, end, exact)
     body = bytes(buf[4:end])
     del buf[:end]
@@ -555,7 +542,7 @@ class TCPShieldServer:
     def _finish_handshake(self, conn: _Conn, client_pub_raw: bytes) -> None:
         if conn.dh is None:
             raise ProtocolError("handshake reply before quote was sent")
-        if len(client_pub_raw) != _DH_PUBLIC:
+        if len(client_pub_raw) != DH_PUBLIC:
             raise ProtocolError("handshake reply is not a DH public value")
         suite = derive_session_suite(handshake_finish(conn.dh, client_pub_raw))
         conn.dh = None
@@ -611,11 +598,11 @@ class TCPShieldServer:
 
     def _parse_frames(self, conn: _Conn) -> None:
         while len(conn.inbuf) >= 4:
-            (length,) = _LEN.unpack_from(conn.inbuf, 0)
-            limit = _DH_PUBLIC if conn.channel is None else _MAX_FRAME
-            if length > limit:
-                # Oversized frame: protocol violation, refused before
-                # its body is buffered.
+            # Before the handshake the only legal frame is a DH value.
+            limit = DH_PUBLIC if conn.channel is None else SESSION_FRAME
+            try:
+                length = Reader(conn.inbuf, ProtocolError, "frame").length(limit)
+            except ProtocolError:
                 self._bump("tamper_drops")
                 self._drop(conn)
                 return
@@ -698,7 +685,7 @@ class TCPShieldServer:
             return
         if payload is faults.DROPPED:
             return  # the frame vanishes on the wire
-        conn.outbuf += _LEN.pack(len(payload)) + payload
+        conn.outbuf += U32.pack(len(payload)) + payload
         # Opportunistic flush: most replies fit the socket buffer, so
         # skipping the selector round trip saves a syscall per request.
         self._writable(conn)
@@ -839,13 +826,16 @@ class TCPShieldClient(StoreVerbs):
 
     def _handshake(self) -> SecureChannel:
         assert self._sock is not None
-        frame = self._recv(_QUOTE_FRAME)
-        if frame is None or len(frame) < _QUOTE_FRAME:
-            raise ProtocolError("handshake frame truncated")
-        # measurement | signature | report data | server DH public key
-        quote = Quote(frame[:32], frame[64:96], frame[32:64])
+        # Before it is attested the peer may send one quote frame:
+        # measurement | signature | report data | server DH public key.
+        frame = self._recv(QUOTE_FRAME) or b""  # b"": closed before it
+        reader = Reader(frame, ProtocolError, "handshake frame")
+        measurement, signature = reader.take(32), reader.take(32)
+        quote = Quote(measurement, reader.take(32), signature)
+        server_public = reader.take(DH_PUBLIC)
+        reader.end()
         client_public, shared = handshake_accept(
-            self.attestation, quote, frame[96:],
+            self.attestation, quote, server_public,
             self.expected_measurement, self.entropy,
         )
         _send_frame(
@@ -853,7 +843,7 @@ class TCPShieldClient(StoreVerbs):
         )
         return SecureChannel(derive_session_suite(shared), "client")
 
-    def _recv(self, limit: int = _MAX_FRAME) -> Optional[bytes]:
+    def _recv(self, limit: int = SESSION_FRAME) -> Optional[bytes]:
         return _recv_frame(
             self._sock, "tcp.client.recv", self._link, self._inbuf, limit
         )

@@ -16,6 +16,7 @@ import struct
 from repro.crypto.keys import derive_key
 from repro.crypto.suite import FastSuite
 from repro.errors import SealingError
+from repro.reader import Reader
 from repro.sim.enclave import Enclave, ExecContext
 
 _MAGIC = b"SGXSEAL1"
@@ -66,26 +67,19 @@ class SealingService:
 
     def unseal(self, ctx: ExecContext, enclave: Enclave, blob: bytes) -> bytes:
         """Recover sealed data; raises :class:`SealingError` on mismatch."""
-        min_len = len(_MAGIC) + _MEAS_SIZE + _IV_SIZE + _TAG_SIZE
-        if len(blob) < min_len:
-            raise SealingError("sealed blob too short")
-        if blob[: len(_MAGIC)] != _MAGIC:
+        reader = Reader(blob, SealingError, "sealed blob")
+        if reader.take(len(_MAGIC)) != _MAGIC:
             raise SealingError("sealed blob has wrong magic")
-        off = len(_MAGIC)
-        measurement = blob[off : off + _MEAS_SIZE]
-        off += _MEAS_SIZE
-        iv = blob[off : off + _IV_SIZE]
-        off += _IV_SIZE
-        ciphertext = blob[off:-_TAG_SIZE]
-        tag = blob[-_TAG_SIZE:]
+        measurement, iv = reader.take(_MEAS_SIZE), reader.take(_IV_SIZE)
+        ciphertext = reader.take(reader.left() - _TAG_SIZE)
+        tag = reader.rest()
         if measurement != enclave.measurement:
             raise SealingError(
                 "sealed blob was produced by a different enclave measurement"
             )
         suite = self._suite_for(measurement)
-        header = blob[: len(_MAGIC) + _MEAS_SIZE + _IV_SIZE]
-        ctx.charge_cmac(len(header) + len(ciphertext))
-        if not suite.verify(header + ciphertext, tag):
+        ctx.charge_cmac(len(blob) - _TAG_SIZE)
+        if not suite.verify(blob[:-_TAG_SIZE], tag):
             raise SealingError("sealed blob failed authentication")
         ctx.charge_aes(len(ciphertext))
         return suite.decrypt(iv, ciphertext)

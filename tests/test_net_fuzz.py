@@ -1,24 +1,42 @@
 """Adversarial input fuzzing of the wire protocol and secure channel."""
 
+import struct
+import tracemalloc
+
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ShieldStore, shield_opt
 from repro.crypto.suite import make_suite
 from repro.errors import ProtocolError
+from repro.ext.replication import (
+    decode_sync_set,
+    encode_sync_set,
+    pack_record,
+    unpack_record,
+)
 from repro.net import TCPShieldClient, TCPShieldServer
 from repro.net.message import (
     ENVELOPE_MAGIC,
     TOKEN_SIZE,
     Request,
     SecureChannel,
+    decode_cas_value,
     decode_envelope,
+    decode_multi_items,
+    decode_multi_keys,
+    decode_multi_values,
     decode_request,
     decode_response,
+    encode_cas_value,
     encode_envelope,
+    encode_multi_items,
+    encode_multi_keys,
+    encode_multi_values,
     encode_request,
 )
+from repro.reader import BATCH_COUNT
 from repro.sim import AttestationService
 from tests.test_net_tcp import raw_handshake_reply
 
@@ -143,6 +161,118 @@ class TestEnvelopeFuzz:
             return
         if record[:1] != bytes([ENVELOPE_MAGIC]):
             assert token is None and out == record
+
+
+_BYTES = st.binary(max_size=24)
+_ITEMS = st.lists(st.tuples(_BYTES, _BYTES), max_size=6)
+
+
+@st.composite
+def _damaged(draw, encoded):
+    """A valid encoding, then at most one hostile edit: a flipped byte,
+    a cut, extra bytes, or a u32 field overwritten with a drawn count."""
+    raw = bytearray(draw(encoded))
+    edit = draw(st.sampled_from(["none", "flip", "cut", "extend", "u32"]))
+    where = draw(st.integers(min_value=0, max_value=max(0, len(raw) - 1)))
+    if edit == "flip" and raw:
+        raw[where] ^= draw(st.integers(min_value=1, max_value=255))
+    elif edit == "cut":
+        del raw[where:]
+    elif edit == "extend":
+        raw += draw(st.binary(min_size=1, max_size=8))
+    elif edit == "u32" and len(raw) >= 4:
+        where = min(where, len(raw) - 4)
+        count = draw(st.sampled_from([0, 1, 2, BATCH_COUNT, BATCH_COUNT + 1, 2**32 - 1]))
+        raw[where : where + 4] = struct.pack("<I", count)
+    return bytes(raw)
+
+
+def _canonical(decode, encode, raw):
+    """``raw`` is refused with ProtocolError, or re-encodes to itself."""
+    try:
+        parsed = decode(raw)
+    except ProtocolError:
+        return
+    assert encode(*parsed) == raw
+
+
+class TestBatchFieldFuzz:
+    """The MGET / MSET / MDELETE value fields: a parse is canonical."""
+
+    @given(raw=_damaged(st.lists(_BYTES, max_size=8).map(encode_multi_keys)))
+    @_FUZZ_SETTINGS
+    def test_key_field(self, raw):
+        _canonical(lambda r: (decode_multi_keys(r),), encode_multi_keys, raw)
+
+    @given(raw=_damaged(_ITEMS.map(encode_multi_items)))
+    @_FUZZ_SETTINGS
+    def test_item_field(self, raw):
+        _canonical(lambda r: (decode_multi_items(r),), encode_multi_items, raw)
+
+    @given(
+        raw=_damaged(
+            st.lists(st.one_of(st.none(), _BYTES), max_size=8).map(encode_multi_values)
+        )
+    )
+    @example(raw=struct.pack("<IBI", 1, 2, 0))  # an unknown flag
+    @example(raw=struct.pack("<IBI", 1, 1, 3) + b"abc")  # a miss with bytes
+    @_FUZZ_SETTINGS
+    def test_value_field(self, raw):
+        _canonical(lambda r: (decode_multi_values(r),), encode_multi_values, raw)
+
+    @pytest.mark.parametrize(
+        "decode, entry",
+        [
+            (decode_multi_keys, struct.pack("<I", 0)),
+            (decode_multi_items, struct.pack("<II", 0, 0)),
+            (decode_multi_values, struct.pack("<BI", 1, 0)),
+        ],
+        ids=["keys", "items", "values"],
+    )
+    def test_a_claimed_count_costs_only_what_arrived(self, decode, entry):
+        """A count of 2**20 over 200 entries allocates for what arrived,
+        not for what the count claims; one more is refused outright."""
+        raw = struct.pack("<I", BATCH_COUNT) + entry * 200
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProtocolError, match="truncated"):
+                decode(raw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * len(raw)
+        with pytest.raises(ProtocolError, match="too large"):
+            decode(struct.pack("<I", BATCH_COUNT + 1) + entry)
+
+
+class TestRecordFieldFuzz:
+    """The CAS value field, the versioned record and the sync set payload."""
+
+    @given(raw=_damaged(st.tuples(_BYTES, _BYTES).map(lambda p: encode_cas_value(*p))))
+    @_FUZZ_SETTINGS
+    def test_cas_field(self, raw):
+        _canonical(decode_cas_value, encode_cas_value, raw)
+
+    @given(
+        raw=_damaged(
+            st.tuples(
+                st.integers(0, 255), st.integers(0, 2**64 - 1),
+                st.integers(0, 2**64 - 1), _BYTES,
+            ).map(lambda r: pack_record(*r))
+        )
+    )
+    @_FUZZ_SETTINGS
+    def test_versioned_record(self, raw):
+        _canonical(unpack_record, pack_record, raw)
+
+    @given(
+        raw=_damaged(
+            st.tuples(st.integers(0, 2**32 - 1), _ITEMS).map(lambda p: encode_sync_set(*p))
+        )
+    )
+    @_FUZZ_SETTINGS
+    def test_sync_set_payload(self, raw):
+        _canonical(decode_sync_set, encode_sync_set, raw)
 
 
 class TestChannelFuzz:

@@ -296,6 +296,27 @@ class TestOneCopyOfEachMechanism:
         )
         assert copies == ["faults.py"]
 
+    def test_untrusted_formats_read_only_through_the_reader(self):
+        """The serialized formats unpack no bytes of their own: their one
+        ``unpack(`` is ``Reader.unpack(LAYOUT)``, and every length or
+        count limit is one entry of ``repro/reader.py``'s table."""
+        src = _ROOT / "src" / "repro"
+        formats = ("net/message.py", "net/tcp.py", "core/wal.py",
+                   "core/persistence.py", "ext/replication.py", "core/procpool.py")
+        for name in formats:
+            code = "\n".join(
+                line.split("#")[0] for line in (src / name).read_text().splitlines()
+            )
+            assert "unpack_from(" not in code, name
+            for args in re.findall(r"\bunpack\(([^)]*)\)", code):
+                assert re.fullmatch(r"_?[A-Z][A-Z0-9_]*", args), (name, args)
+            assert not re.search(r"\b1 << \d\d\b|\* 1024 \* 1024\b", code), name
+        table = ("DH_PUBLIC", "QUOTE_FRAME", "SESSION_FRAME", "BATCH_COUNT", "WAL_BODY")
+        for limit in table:
+            assert self._sites(rf"(?m)^{limit} = ") == ["reader.py"], limit
+        gone = r"_Reader\b|_check_count|_MAX_BATCH|_MAX_BODY|_MAX_FRAME|_DH_PUBLIC|_QUOTE_FRAME"
+        assert self._sites(gone) == []
+
 
 class TestOneVersionedDataPath:
     """One set of LWW verbs with two implementers — a node's own copy

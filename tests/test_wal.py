@@ -28,8 +28,10 @@ from repro.core import (
     snapshot_counter,
 )
 from repro.core.procpool import process_mode_supported
+from repro.core import wal as wal_module
 from repro.core.wal import segment_path
-from repro.errors import RollbackError, SnapshotError
+from repro.errors import KeyNotFoundError, RollbackError, SnapshotError, StoreError
+from repro.net.message import Request
 from repro.net import TCPShieldClient, TCPShieldServer
 from repro.sim import (
     AttestationService,
@@ -271,6 +273,41 @@ class TestTamper:
         open(seg, "wb").write(bytes(data))
         with pytest.raises(SnapshotError, match="implausible length"):
             recover_into(tmp_path, build_store())
+
+
+class TestWriterBound:
+    """The log writes no frame its own replay would refuse."""
+
+    def test_an_op_replay_would_refuse_is_refused_before_it_is_logged(self, tmp_path):
+        # A bare set this close to the 64 MiB session-frame limit seals
+        # to a body just over the replay bound.
+        wal = recover_into(tmp_path, build_store())
+        wal.append(Request("set", b"a", b"1"))
+        with pytest.raises(StoreError, match="too large"):
+            wal.append(Request("set", b"k", bytes(2**26 - 34)))
+        wal.append(Request("set", b"b", b"2"))
+        wal.close()
+        replica = build_store()
+        recover_into(tmp_path, replica)
+        assert contents(replica) == {b"a": b"1", b"b": b"2"}
+
+    def test_writer_and_replay_share_the_bound(self, tmp_path, monkeypatch):
+        # 33 bytes of frame header + MAC, 10 of request header and key.
+        monkeypatch.setattr(wal_module, "WAL_BODY", 256)
+        store = build_store()
+        recover_into(tmp_path, store)
+        store.set(b"k", b"x" * 213)  # a body of exactly the bound
+        with pytest.raises(StoreError, match="too large"):
+            store.set(b"k", b"y" * 214)
+        with pytest.raises(StoreError, match="too large"):
+            store.set(b"n", b"y" * 214)
+        assert store.get(b"k") == b"x" * 213  # neither applied
+        with pytest.raises(KeyNotFoundError):
+            store.get(b"n")
+        store.wal.close()
+        replica = build_store()
+        recover_into(tmp_path, replica)
+        assert contents(replica) == {b"k": b"x" * 213}
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,17 @@ from typing import Optional, Tuple
 
 from repro.crypto.suite import MAC_SIZE, CipherSuite
 from repro.errors import ProtocolError
-from repro.reader import BATCH_COUNT, U32, U64, Reader
+from repro.reader import (
+    U32,
+    U64,
+    Reader,
+    optionals,
+    sealed_record,
+    string_pairs,
+    strings,
+    tagged,
+    tagged_pair,
+)
 from repro.sim import faults
 
 OP_CODES = {
@@ -74,6 +84,12 @@ STATUS_ERROR = 2
 # the request.  Sealed like every reply (a host observer cannot tell
 # shed from served), retryable with backoff, never cached.
 STATUS_BUSY = 3
+# Refused: the store answered the op with a deterministic StoreError (an
+# increment over a non-integer, a write too large for the log).  Sealed
+# like every reply; the value is the error's (already redacted) message.
+# Re-sending the op would be refused the same way, so it is not retried,
+# and like an error reply it is never cached.
+STATUS_REFUSED = 4
 
 _REQUEST = struct.Struct("<BII")
 _RESPONSE = struct.Struct("<BI")
@@ -102,22 +118,17 @@ def encode_request(request: Request) -> bytes:
         code = OP_CODES[request.op]
     except KeyError:
         raise ProtocolError(f"unknown operation {request.op!r}") from None
-    return (
-        struct.pack("<BII", code, len(request.key), len(request.value))
-        + request.key
-        + request.value
-    )
+    return _REQUEST.pack(code, len(request.key), len(request.value)) + request.key + request.value
 
 
-def decode_request(raw: bytes) -> Request:
-    """Parse a request record; raises :class:`ProtocolError` when bad."""
-    reader = Reader(raw, ProtocolError, "request record")
-    code, klen, vlen = reader.unpack(_REQUEST)
-    if code not in OP_NAMES:
+def decode_request(raw: bytes, offset: int = 0) -> Request:
+    """Parse the request record that fills ``raw`` from ``offset``;
+    raises :class:`ProtocolError` when bad."""
+    code, key, value = tagged_pair(raw, offset, _REQUEST, ProtocolError, "request record")
+    name = OP_NAMES.get(code)
+    if name is None:
         raise ProtocolError(f"unknown opcode {code}")
-    key, value = reader.take(klen), reader.take(vlen)
-    reader.end()
-    return Request(OP_NAMES[code], key, value)
+    return Request(name, key, value)
 
 
 def encode_response(response: Response) -> bytes:
@@ -127,11 +138,7 @@ def encode_response(response: Response) -> bytes:
 
 def decode_response(raw: bytes) -> Response:
     """Parse a response record."""
-    reader = Reader(raw, ProtocolError, "response record")
-    status, vlen = reader.unpack(_RESPONSE)
-    value = reader.take(vlen)
-    reader.end()
-    return Response(status, value)
+    return Response(*tagged(raw, 0, _RESPONSE, ProtocolError, "response record"))
 
 
 # -- idempotency envelope -----------------------------------------------------
@@ -147,6 +154,8 @@ def decode_response(raw: bytes) -> Response:
 # and legacy clients keep working.
 ENVELOPE_MAGIC = 0xE1
 TOKEN_SIZE = 16
+_MAGIC = bytes([ENVELOPE_MAGIC])
+_RECORD_AT = 1 + TOKEN_SIZE  # where an enveloped request record starts
 
 
 def encode_envelope(token: Optional[bytes], record: bytes) -> bytes:
@@ -163,7 +172,16 @@ def decode_envelope(raw: bytes) -> Tuple[Optional[bytes], bytes]:
     if not raw or raw[0] != ENVELOPE_MAGIC:
         return None, raw
     reader = Reader(raw, ProtocolError, "enveloped request")
-    return reader.take(1 + TOKEN_SIZE)[1:], reader.rest()
+    return reader.take(_RECORD_AT)[1:], reader.rest()
+
+
+def decode_enveloped_request(raw: bytes) -> Tuple[Optional[bytes], Request]:
+    """:func:`decode_envelope` then :func:`decode_request`, in one pass
+    over an opened payload: ``(token or None, request)``.  The server's
+    read of every request; the two steps stay for WAL replay and tests."""
+    if raw[:1] == _MAGIC:
+        return raw[1:_RECORD_AT], decode_request(raw, _RECORD_AT)
+    return None, decode_request(raw)
 
 
 def encode_cas_value(expected: bytes, new_value: bytes) -> bytes:
@@ -202,11 +220,7 @@ def encode_multi_keys(keys) -> bytes:
 
 def decode_multi_keys(value: bytes) -> list:
     """Unpack a batch key list; raises :class:`ProtocolError` when bad."""
-    reader = Reader(value, ProtocolError, "batch key field")
-    take, unpack = reader.take, reader.unpack
-    keys = [take(unpack(U32)[0]) for _ in range(reader.length(BATCH_COUNT))]
-    reader.end()
-    return keys
+    return strings(value, ProtocolError, "batch key field")
 
 
 def encode_multi_items(items) -> bytes:
@@ -222,14 +236,7 @@ def encode_multi_items(items) -> bytes:
 
 def decode_multi_items(value: bytes) -> list:
     """Unpack MSET pairs; raises :class:`ProtocolError` when bad."""
-    reader = Reader(value, ProtocolError, "batch item field")
-    take, unpack = reader.take, reader.unpack
-    items = []
-    for _ in range(reader.length(BATCH_COUNT)):
-        klen, vlen = unpack(_ITEM)
-        items.append((take(klen), take(vlen)))
-    reader.end()
-    return items
+    return string_pairs(value, _ITEM, ProtocolError, "batch item field")
 
 
 def encode_multi_values(values) -> bytes:
@@ -250,19 +257,7 @@ def decode_multi_values(value: bytes) -> list:
     Only the two records the encoder writes parse: a hit (flag 0) and
     an empty miss (flag 1, length 0).
     """
-    reader = Reader(value, ProtocolError, "batch value field")
-    take, unpack = reader.take, reader.unpack
-    values = []
-    for _ in range(reader.length(BATCH_COUNT)):
-        flag, vlen = unpack(_VALUE)
-        if flag == _HIT:
-            values.append(take(vlen))
-        elif flag == _MISS and vlen == 0:
-            values.append(None)
-        else:
-            raise ProtocolError(f"batch value record has flag {flag}, length {vlen}")
-    reader.end()
-    return values
+    return optionals(value, _VALUE, ProtocolError, "batch value field")
 
 
 def batch_result(op: str, keys, value: bytes):
@@ -329,6 +324,9 @@ class StoreVerbs:
         )
 
 
+_IV = struct.Struct("<QQ")  # a record's IV: sequence number | direction
+
+
 class SecureChannel:
     """One endpoint of an authenticated session.
 
@@ -351,20 +349,15 @@ class SecureChannel:
         self._send_seq = 0
         self._recv_seq = 0
 
-    @staticmethod
-    def _iv_for(seq: int, domain: int) -> bytes:
-        return struct.pack("<QQ", seq, domain)
-
     def seal(self, plaintext: bytes) -> bytes:
         """Encrypt + MAC one record under the next send sequence."""
         seq = self._send_seq
-        self._send_seq += 1
-        header = struct.pack("<Q", seq)
-        ciphertext = self.suite.encrypt_record(
-            self._iv_for(seq, self._send_domain), plaintext
+        self._send_seq = seq + 1
+        suite = self.suite
+        sealed = U64.pack(seq) + suite.encrypt_record(
+            _IV.pack(seq, self._send_domain), plaintext
         )
-        tag = self.suite.mac(header + ciphertext)
-        sealed = header + ciphertext + tag
+        sealed += suite.mac(sealed)
         # Scripted corruption of the sealed record; a codec has nothing
         # to drop, so a drop hit proceeds.
         return faults.cross(self._seal_point, sealed) or sealed
@@ -373,18 +366,14 @@ class SecureChannel:
         """Verify + decrypt one record; enforces sequence monotonicity."""
         # Scripted corruption before authentication.
         sealed = faults.cross(self._open_point, sealed) or sealed
-        reader = Reader(sealed, ProtocolError, "sealed record")
-        (seq,) = reader.unpack(U64)
-        ciphertext = reader.take(len(sealed) - U64.size - MAC_SIZE)
-        tag = reader.rest()
+        seq, ciphertext, tag = sealed_record(sealed, MAC_SIZE, ProtocolError)
         if seq != self._recv_seq:
             raise ProtocolError(
                 f"sequence mismatch: expected {self._recv_seq}, got {seq} "
                 "(replayed or dropped record)"
             )
-        if not self.suite.verify(sealed[:-MAC_SIZE], tag):
+        suite = self.suite
+        if not suite.verify(sealed[:-MAC_SIZE], tag):
             raise ProtocolError("record failed authentication")
-        self._recv_seq += 1
-        return self.suite.decrypt_record(
-            self._iv_for(seq, self._recv_domain), ciphertext
-        )
+        self._recv_seq = seq + 1
+        return suite.decrypt_record(_IV.pack(seq, self._recv_domain), ciphertext)

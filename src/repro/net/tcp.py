@@ -77,22 +77,23 @@ from repro.errors import (
 from repro.net.message import (
     MUTATING_OPS,
     STATUS_BUSY,
+    STATUS_ERROR,
     STATUS_MISS,
     STATUS_OK,
+    STATUS_REFUSED,
     TOKEN_SIZE,
     Request,
     Response,
     SecureChannel,
     StoreVerbs,
-    decode_envelope,
-    decode_request,
+    decode_enveloped_request,
     decode_response,
     encode_envelope,
     encode_request,
     encode_response,
 )
 from repro.net.server import execute_request
-from repro.reader import DH_PUBLIC, QUOTE_FRAME, SESSION_FRAME, U32, Reader
+from repro.reader import DH_PUBLIC, QUOTE_FRAME, SESSION_FRAME, U32, Reader, frame_length
 from repro.sim import faults
 from repro.sim.attestation import (
     AttestationService,
@@ -103,6 +104,9 @@ from repro.sim.attestation import (
     handshake_finish,
     handshake_offer,
 )
+
+
+_BUSY_REPLY = encode_response(Response(STATUS_BUSY))
 
 
 class _TransientServerError(StoreError):
@@ -150,10 +154,11 @@ def _recv_frame(
     exact = buf is None
     if exact:
         buf = bytearray()
-    if not _fill(sock, buf, 4, exact):
+    if len(buf) < 4 and not _fill(sock, buf, 4, exact):
         return None
-    end = 4 + Reader(buf, ProtocolError, "frame").length(limit)
-    _fill(sock, buf, end, exact)
+    end = 4 + frame_length(buf, limit, ProtocolError)
+    if len(buf) < end:  # the whole frame usually came with its prefix
+        _fill(sock, buf, end, exact)
     body = bytes(buf[4:end])
     del buf[:end]
     if point is not None:
@@ -171,10 +176,11 @@ def _fill(sock: socket.socket, buf: bytearray, need: int, exact: bool) -> bool:
 
     EOF with bytes already buffered means the peer died mid-record: a
     :class:`ProtocolError`, never mistaken for a graceful close.
-    ``exact`` forbids reading past ``need``.
+    ``exact`` forbids reading past ``need``.  Either way one ``recv``
+    asks for at most 64 KiB, so a claimed length costs what arrived.
     """
     while len(buf) < need:
-        chunk = sock.recv(need - len(buf) if exact else 65536)
+        chunk = sock.recv(min(need - len(buf), 65536) if exact else 65536)
         if not chunk:
             if buf:
                 raise ProtocolError(
@@ -597,19 +603,20 @@ class TCPShieldServer:
         self._register_events(conn)
 
     def _parse_frames(self, conn: _Conn) -> None:
-        while len(conn.inbuf) >= 4:
+        inbuf = conn.inbuf
+        while len(inbuf) >= 4:
             # Before the handshake the only legal frame is a DH value.
             limit = DH_PUBLIC if conn.channel is None else SESSION_FRAME
             try:
-                length = Reader(conn.inbuf, ProtocolError, "frame").length(limit)
+                end = 4 + frame_length(inbuf, limit, ProtocolError)
             except ProtocolError:
                 self._bump("tamper_drops")
                 self._drop(conn)
                 return
-            if len(conn.inbuf) < 4 + length:
+            if len(inbuf) < end:
                 return  # partial frame: wait for more bytes
-            body = bytes(conn.inbuf[4 : 4 + length])
-            del conn.inbuf[: 4 + length]
+            body = bytes(inbuf[4:end])
+            del inbuf[:end]
             try:
                 body = faults.cross("tcp.server.recv", body)
             except OSError:
@@ -625,8 +632,24 @@ class TCPShieldServer:
                 return
 
     def _handle_frame(self, conn: _Conn, body: bytes) -> bool:
-        """Process one complete inbound frame; False if conn dropped."""
-        if conn.channel is None:
+        """Answer one complete inbound frame; False if conn dropped.
+
+        After the handshake a frame is one request, opened, decoded,
+        executed, encoded, sealed and queued here in one pass.  A frame
+        that fails to open or decode is tampering: counted, and the
+        session dropped (a fresh handshake re-admits the client).
+        Tokened (mutating) requests are deduplicated: a token already in
+        the cache is answered with its cached reply and never
+        re-executed, so a retry after a lost reply applies exactly once.
+        A plain :class:`StoreError` from the store is a deterministic
+        refusal, answered with a sealed ``STATUS_REFUSED`` that carries
+        its (redacted) message; any other exception drops the
+        connection.  Error and refusal replies are *not* cached — a
+        retry of a transiently failed write must re-execute, not replay
+        the failure.
+        """
+        channel = conn.channel
+        if channel is None:
             try:
                 self._finish_handshake(conn, body)
             except (ReproError, OSError, OverflowError, ValueError):
@@ -638,43 +661,47 @@ class TCPShieldServer:
                 return False
             return True
         try:
-            raw = conn.channel.open(body)
+            raw = channel.open(body)
         except ProtocolError:
-            # Tampered traffic: drop the session.  A fresh handshake
-            # re-admits the client.
             self._bump("tamper_drops")
             self._drop(conn)
             return False
         if conn.shed:
-            self._shed_reply(conn)
-            return True
-        self._reply(conn, self._dispatch, conn.client_id, raw)
-        return id(conn) in self._conns
-
-    def _shed_reply(self, conn: _Conn) -> None:
-        """Answer with a sealed STATUS_BUSY instead of executing."""
-        with self._stats_mutex:
-            self.transport.busy_sheds += 1
-        out = encode_response(Response(STATUS_BUSY))
-        self._seal_and_send(conn, out)
-
-    # -- request execution ---------------------------------------------------
-    def _reply(self, conn: _Conn, outcome, *args) -> None:
-        """Seal and send what ``outcome(*args)`` returns; drop if it raises."""
+            # Over the cap: a sealed STATUS_BUSY instead of executing.
+            with self._stats_mutex:
+                self.transport.busy_sheds += 1
+            self._enqueue_frame(conn, channel.seal(_BUSY_REPLY))
+            return id(conn) in self._conns
         try:
-            out = outcome(*args)
+            token, request = decode_enveloped_request(raw)
+            out = None
+            if request.op == "stats":
+                out = self._stats_reply()
+            elif token is not None:
+                out = self._idempotency.lookup(conn.client_id, token)
+                if out is not None:
+                    self._bump("idempotent_replays")
+            if out is None:
+                try:
+                    with self.store_lock:
+                        response = execute_request(self.store, request)
+                except StoreError as exc:
+                    if type(exc) is not StoreError:
+                        raise  # a dead worker or a bad snapshot is no answer
+                    message = str(exc).encode("utf-8", "replace")
+                    response = Response(STATUS_REFUSED, message)
+                out = encode_response(response)
+                if response.status == STATUS_ERROR:
+                    self._bump("degraded_replies")
+                elif token is not None and response.status != STATUS_REFUSED:
+                    self._idempotency.store(conn.client_id, token, out)
         except Exception as exc:
             if isinstance(exc, ProtocolError):
                 self._bump("tamper_drops")  # authenticated, yet malformed
             self._drop(conn)
-            return
-        self._seal_and_send(conn, out)
-
-    def _seal_and_send(self, conn: _Conn, out: bytes) -> None:
-        if conn.channel is None:
-            self._drop(conn)
-            return
-        self._enqueue_frame(conn, conn.channel.seal(out))
+            return False
+        self._enqueue_frame(conn, channel.seal(out))
+        return id(conn) in self._conns
 
     def _enqueue_frame(self, conn: _Conn, payload: bytes) -> None:
         """Queue one length-prefixed frame (the tcp.server.send point)."""
@@ -699,40 +726,12 @@ class TCPShieldServer:
         self._close_quietly(conn.sock)
         self._promote_shed()
 
-    # -- request dispatch (loop thread) ---------------------------------------
-    def _dispatch(self, client_id: bytes, raw: bytes) -> bytes:
-        """Decode one opened payload and produce the encoded reply.
-
-        Tokened (mutating) requests are deduplicated: a token already
-        in the cache is answered with its cached reply and never
-        re-executed, so a retry after a lost reply applies exactly
-        once.  Error replies are *not* cached — a retry of a transiently
-        failed write must re-execute, not replay the failure.
-        """
-        token, record = decode_envelope(raw)
-        request = decode_request(record)
-        if request.op == "stats":
-            counters = self.stats_snapshot().snapshot_dict()
-            counters.update(self.transport_snapshot().snapshot_dict())
-            payload = json.dumps(counters, sort_keys=True).encode("ascii")
-            return encode_response(Response(STATUS_OK, payload))
-        if token is not None:
-            cached = self._idempotency.lookup(client_id, token)
-            if cached is not None:
-                self._bump("idempotent_replays")
-                return cached
-        response = self._execute(request)
-        if response.status not in (STATUS_OK, STATUS_MISS):
-            self._bump("degraded_replies")
-            return encode_response(response)
-        out = encode_response(response)
-        if token is not None:
-            self._idempotency.store(client_id, token, out)
-        return out
-
-    def _execute(self, request: Request) -> Response:
-        with self.store_lock:
-            return execute_request(self.store, request)
+    def _stats_reply(self) -> bytes:
+        """The ``stats`` op: merged counters as one JSON reply."""
+        counters = self.stats_snapshot().snapshot_dict()
+        counters.update(self.transport_snapshot().snapshot_dict())
+        payload = json.dumps(counters, sort_keys=True).encode("ascii")
+        return encode_response(Response(STATUS_OK, payload))
 
 
 class TCPShieldClient(StoreVerbs):
@@ -790,7 +789,7 @@ class TCPShieldClient(StoreVerbs):
         self._channel: Optional[SecureChannel] = None
         self._inbuf = bytearray()  # this session's received-not-yet-framed
         self._sessions = 0
-        self._retry_loop(lambda: None, "connect")
+        self._retry_loop("connect")
 
     # -- connection lifecycle -----------------------------------------------
     def _ensure_connected(self) -> None:
@@ -856,13 +855,17 @@ class TCPShieldClient(StoreVerbs):
         )
         time.sleep(base * (0.5 + 0.5 * self._rng.random()))
 
-    def _retry_loop(self, body, what: str):
-        """Run ``body`` with reconnect-and-retry on transport faults."""
+    def _retry_loop(self, what: str, payload: Optional[bytes] = None):
+        """Send one request payload (``None``: only connect) and return
+        its reply's value, with reconnect-and-retry on transport faults."""
         attempt = 0
         while True:
             try:
-                self._ensure_connected()
-                return body()
+                if self._channel is None:
+                    self._ensure_connected()
+                if payload is None:
+                    return None
+                return self._roundtrip(what, payload)
             except AttestationError:
                 # Never retried: a failed measurement check means the
                 # peer is not the enclave we were told to trust.
@@ -881,7 +884,7 @@ class TCPShieldClient(StoreVerbs):
                 elif isinstance(exc, _TransientServerError):
                     teardown, tail = True, "server kept reporting an error"
                 elif isinstance(exc, StoreError):
-                    raise  # the server's answer (a miss included), not a fault
+                    raise  # the server's answer (a miss or a refusal), not a fault
                 else:  # transport fault: timeout, reset, bad frame
                     teardown, tail = True, str(exc)
                     if isinstance(exc, socket.timeout):
@@ -900,33 +903,36 @@ class TCPShieldClient(StoreVerbs):
                 self._backoff(attempt)
 
     def _call(self, op: str, key: bytes, value: bytes = b"") -> bytes:
-        record = encode_request(Request(op, bytes(key), bytes(value)))
-        token = os.urandom(TOKEN_SIZE) if op in MUTATING_OPS else None
-        payload = encode_envelope(token, record)
-        return self._retry_loop(lambda: self._roundtrip(op, payload), op)
+        payload = encode_request(Request(op, bytes(key), bytes(value)))
+        if op in MUTATING_OPS:  # reads go bare: they are idempotent already
+            payload = encode_envelope(os.urandom(TOKEN_SIZE), payload)
+        return self._retry_loop(op, payload)
 
     def _roundtrip(self, op: str, payload: bytes) -> bytes:
-        assert self._sock is not None and self._channel is not None
-        _send_frame(
-            self._sock,
-            self._channel.seal(payload),
-            point="tcp.client.send",
-            link=self._link,
-        )
-        reply = self._recv()
+        sock, channel, link = self._sock, self._channel, self._link
+        assert sock is not None and channel is not None
+        _send_frame(sock, channel.seal(payload), "tcp.client.send", link)
+        reply = _recv_frame(sock, "tcp.client.recv", link, self._inbuf)
         if reply is None:
             raise ProtocolError("server closed the connection")
-        response = decode_response(self._channel.open(reply))
-        if response.status == STATUS_MISS:
+        response = decode_response(channel.open(reply))
+        status = response.status
+        if status == STATUS_OK:
+            return response.value
+        if status == STATUS_MISS:
             raise KeyNotFoundError(f"no such key (op {op})")
-        if response.status == STATUS_BUSY:
+        if status == STATUS_BUSY:
             raise _ServerBusyError(f"server shed {op} under load")
-        if response.status != STATUS_OK:
-            # Transient server-side degradation (e.g. a partition worker
-            # mid-recovery).  Retried with backoff; error replies are
-            # not cached server-side, so the retry re-executes.
-            raise _TransientServerError(f"server error for {op}")
-        return response.value
+        if status == STATUS_REFUSED:
+            # The store's deterministic answer: the same op would be
+            # refused again, so it is raised after this one attempt.
+            message = response.value.decode("utf-8", "replace")
+            # shieldlint: ignore[trust-boundary] -- the server's own StoreError text, redacted at its raise site inside the trusted store, not key/value plaintext
+            raise StoreError(f"server refused {op}: {message}")
+        # Transient server-side degradation (e.g. a partition worker
+        # mid-recovery).  Retried with backoff; error replies are not
+        # cached server-side, so the retry re-executes.
+        raise _TransientServerError(f"server error for {op}")
 
     # -- operations (get ... multi_delete come from StoreVerbs) ---------------
     def server_stats(self) -> dict:

@@ -1,5 +1,7 @@
 """Adversarial input fuzzing of the wire protocol and secure channel."""
 
+import math
+import socket
 import struct
 import tracemalloc
 
@@ -7,9 +9,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro import errors
+from repro.analysis import sanitizer
 from repro.core import ShieldStore, shield_opt
-from repro.crypto.suite import make_suite
-from repro.errors import ProtocolError
+from repro.core.procpool import _decode_error, _encode_error, _mutation_count
+from repro.crypto.suite import MAC_SIZE, make_suite
+from repro.errors import ProtocolError, ReproError, SealingError
 from repro.ext.replication import (
     decode_sync_set,
     encode_sync_set,
@@ -17,13 +22,23 @@ from repro.ext.replication import (
     unpack_record,
 )
 from repro.net import TCPShieldClient, TCPShieldServer
+from repro.net import tcp as tcpmod
 from repro.net.message import (
+    BATCH_OPS,
     ENVELOPE_MAGIC,
+    OP_CODES,
+    STATUS_BUSY,
+    STATUS_ERROR,
+    STATUS_MISS,
+    STATUS_OK,
+    STATUS_REFUSED,
     TOKEN_SIZE,
     Request,
+    Response,
     SecureChannel,
     decode_cas_value,
     decode_envelope,
+    decode_enveloped_request,
     decode_multi_items,
     decode_multi_keys,
     decode_multi_values,
@@ -35,9 +50,19 @@ from repro.net.message import (
     encode_multi_keys,
     encode_multi_values,
     encode_request,
+    encode_response,
 )
-from repro.reader import BATCH_COUNT
-from repro.sim import AttestationService
+from repro.reader import (
+    BATCH_COUNT,
+    F64,
+    SESSION_FRAME,
+    U32,
+    U64,
+    frame_length,
+    sealed_record,
+    whole,
+)
+from repro.sim import AttestationService, Enclave, Machine, SealingService
 from tests.test_net_tcp import raw_handshake_reply
 
 _FUZZ_SETTINGS = settings(
@@ -76,9 +101,23 @@ class TestCodecFuzz:
     @_FUZZ_SETTINGS
     def test_decode_response_never_crashes_unexpectedly(self, raw):
         try:
-            decode_response(raw)
+            response = decode_response(raw)
         except ProtocolError:
-            pass
+            return
+        assert encode_response(response) == raw
+
+    @given(
+        status=st.sampled_from(
+            [STATUS_OK, STATUS_MISS, STATUS_ERROR, STATUS_BUSY, STATUS_REFUSED]
+        ),
+        value=st.binary(max_size=128),
+    )
+    @_FUZZ_SETTINGS
+    def test_response_roundtrip_property(self, status, value):
+        """Every status the server sends — a refusal's message included —
+        crosses the codec unchanged."""
+        response = Response(status, value)
+        assert decode_response(encode_response(response)) == response
 
     @given(
         op=st.sampled_from(["get", "set", "append", "delete", "increment"]),
@@ -337,6 +376,221 @@ class TestChannelFuzz:
         with pytest.raises(ProtocolError):
             server.open(sealed[early])  # arrives before its predecessors
         assert server.open(sealed[0]) == payloads[0]  # the stream is intact
+
+
+class TestOnePassHelpers:
+    """The served path's one-pass reads: the stream prefix, the sealed
+    record split and the enveloped request."""
+
+    @given(
+        buf=st.binary(max_size=12),
+        limit=st.sampled_from([0, 255, 256, SESSION_FRAME, 2**32 - 1]),
+    )
+    @_FUZZ_SETTINGS
+    def test_frame_length(self, buf, limit):
+        try:
+            length = frame_length(buf, limit, ProtocolError)
+        except ProtocolError:
+            assert len(buf) < 4 or struct.unpack_from("<I", buf)[0] > limit
+            return
+        assert length <= limit and U32.pack(length) == buf[:4]
+
+    @given(raw=st.binary(max_size=64))
+    @_FUZZ_SETTINGS
+    def test_sealed_record_split(self, raw):
+        try:
+            seq, body, tag = sealed_record(raw, MAC_SIZE, ProtocolError)
+        except ProtocolError:
+            assert len(raw) < U64.size + MAC_SIZE
+            return
+        assert len(tag) == MAC_SIZE and U64.pack(seq) + body + tag == raw
+
+    @given(
+        raw=_damaged(
+            st.tuples(
+                st.one_of(st.none(), st.binary(min_size=TOKEN_SIZE, max_size=TOKEN_SIZE)),
+                st.sampled_from(sorted(OP_CODES)),
+                _BYTES,
+                _BYTES,
+            ).map(lambda r: encode_envelope(r[0], encode_request(Request(*r[1:]))))
+        )
+    )
+    @example(raw=b"")
+    @example(raw=bytes([ENVELOPE_MAGIC]) + bytes(TOKEN_SIZE))
+    @_FUZZ_SETTINGS
+    def test_enveloped_request(self, raw):
+        """One pass agrees with the two steps it replaces, and whatever
+        parses re-encodes to its input."""
+        try:
+            token, request = decode_enveloped_request(raw)
+        except ProtocolError:
+            with pytest.raises(ProtocolError):
+                two_steps = decode_envelope(raw)
+                decode_request(two_steps[1])
+            return
+        assert encode_envelope(token, encode_request(request)) == raw
+        got_token, record = decode_envelope(raw)
+        assert (got_token, decode_request(record)) == (token, request)
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "buffered"])
+    def test_a_claimed_session_frame_costs_only_what_arrived(self, exact):
+        """A 2**26 prefix over 4 KiB and EOF buffers the 4 KiB, never the
+        claimed body."""
+        a, b = socket.socketpair()
+        try:
+            a.sendall(U32.pack(SESSION_FRAME) + bytes(4096))
+            a.close()
+            tracemalloc.start()
+            try:
+                with pytest.raises(ProtocolError, match="truncated frame"):
+                    tcpmod._recv_frame(b, buf=None if exact else bytearray())
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        finally:
+            b.close()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            struct.pack("<BII", OP_CODES["set"], 2**26, 2**26) + bytes(64),
+            struct.pack("<BII", OP_CODES["get"], 2**32 - 1, 0),
+        ],
+        ids=["key-and-value", "key"],
+    )
+    def test_a_claimed_record_length_costs_only_what_arrived(self, raw):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProtocolError, match="truncated"):
+                decode_enveloped_request(raw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 1024
+
+    def test_pinned_seal_vectors(self):
+        """The wire bytes of a sealed record, pinned: the channel's
+        header, IV and MAC layout did not change."""
+        pinned = {
+            ("fast-hashlib", "client", 1): "01000000000000004f684b0a6eafe700ed24f9ef84b33ed54b"
+            "5e09487180c801d497595b15a6c6fd794c482bfa",
+            ("fast-hashlib", "server", 7): "0700000000000000f9dd3abcb3dd51b00ea00cccbef2f33dc3"
+            "20035350aca2509705471a358f9f291e51e54444",
+            ("aes-reference", "client", 1): "0100000000000000316e492bf94ad4ad9e1636eb65ce9fdb1b"
+            "c7a83bc545dd46f946fcb34ee8e1222e30da11e4",
+        }
+        for (suite_name, role, seq), hexed in pinned.items():
+            channel = SecureChannel(make_suite(suite_name, bytes(16), bytes(range(16))), role)
+            channel._send_seq = seq
+            sealed = channel.seal(b"pinned session record")
+            assert sealed.hex() == hexed
+            peer = "server" if role == "client" else "client"
+            receiver = SecureChannel(make_suite(suite_name, bytes(16), bytes(range(16))), peer)
+            receiver._recv_seq = seq
+            assert receiver.open(sealed) == b"pinned session record"
+
+
+_ERRORS = [
+    cls for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, ReproError)
+]
+
+
+class TestPoolReplyFuzz:
+    """The pool's reply frames, as the parent reads them."""
+
+    @given(
+        raw=_damaged(
+            st.tuples(st.sampled_from(_ERRORS), st.text(max_size=24)).map(
+                lambda p: _encode_error(p[0](p[1]))
+            )
+        ),
+        index=st.integers(0, 7),
+    )
+    @_FUZZ_SETTINGS
+    def test_error_reply(self, raw, index):
+        """An error reply rebuilds a ReproError, or is refused as a
+        ProtocolError; an undamaged one rebuilds the same class."""
+        try:
+            exc = _decode_error(raw, index)
+        except ProtocolError:
+            return
+        assert isinstance(exc, ReproError)
+        assert exc.args[0].startswith(f"partition {index}: ")
+        name = raw[2 : 2 + raw[1]].decode("ascii", "replace")
+        if isinstance(getattr(errors, name, None), type):
+            assert type(exc).__name__ == name
+
+    @given(
+        layout=st.sampled_from([U64, F64]),
+        raw=st.one_of(st.binary(max_size=12), st.binary(min_size=8, max_size=8)),
+    )
+    @_FUZZ_SETTINGS
+    def test_scalar_reply_and_snapshot_counter(self, layout, raw):
+        """The u64 / f64 replies and the OP_SNAPSHOT counter payload."""
+        try:
+            value = whole(raw, layout, ProtocolError, "reply")
+        except ProtocolError:
+            assert len(raw) != 8
+            return
+        if layout is F64 and math.isnan(value):
+            assert math.isnan(whole(layout.pack(value), layout, ProtocolError, "reply"))
+        else:
+            assert layout.pack(value) == raw
+
+    @given(
+        op=st.sampled_from(sorted(OP_CODES)),
+        raw=_damaged(
+            st.one_of(
+                st.lists(_BYTES, max_size=8).map(encode_multi_keys),
+                _ITEMS.map(encode_multi_items),
+            )
+        ),
+    )
+    @_FUZZ_SETTINGS
+    def test_mutation_count(self, op, raw):
+        request = Request(op, b"", raw)
+        try:
+            count = _mutation_count(request)
+        except ProtocolError:
+            assert op in BATCH_OPS
+            return
+        assert 0 <= count <= BATCH_COUNT
+        if op in BATCH_OPS and count:
+            assert count == struct.unpack_from("<I", raw)[0]
+
+
+class TestSealedBlobFuzz:
+    """``SealingService.unseal`` with the crypto sanitizer on: a blob is
+    the one it sealed, or a SealingError."""
+
+    @pytest.fixture(autouse=True)
+    def sanitized(self):
+        sanitizer.disable()
+        sanitizer.enable()
+        yield
+        sanitizer.disable()
+
+    @given(plain=st.binary(max_size=64), data=st.data())
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    )
+    def test_unseal(self, plain, data):
+        machine = Machine()
+        enclave = Enclave(machine, bytes(range(32)))
+        sealing = SealingService(b"platform-secret-0")
+        ctx = enclave.context()
+        blob = sealing.seal(ctx, enclave, plain)
+        raw = data.draw(_damaged(st.just(blob)))
+        try:
+            opened = sealing.unseal(ctx, enclave, raw)
+        except SealingError:
+            assert raw != blob
+            return
+        assert raw == blob and opened == plain
 
 
 class TestHandshakeFuzz:

@@ -48,6 +48,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from repro.core import (
     MODE_PROCESSES,
     PartitionedShieldStore,
+    StoreStats,
     process_mode_supported,
     shield_opt,
 )
@@ -147,9 +148,10 @@ def _measure(store, label: str, pairs: int, ops: int, batch: int, seed: int) -> 
         # Where the round trip went: parent-side sealing/codec, parent
         # blocked on the crossing, and the workers' own request clocks.
         result["stages"] = {k: round(v, 4) for k, v in sorted(stages.items())}
-    transport = store.transport_stats()
-    if transport.ring_frames:
-        result["transport"] = transport.snapshot_dict()
+    if stats.ring_frames:
+        result["transport"] = {
+            name: getattr(stats, name) for name in sorted(StoreStats.varying("plane"))
+        }
     store.close()
     return result
 

@@ -502,11 +502,9 @@ def _cmd_stats(args) -> int:
         store.multi_get(chunk)
     store.multi_delete(keys[: args.pairs // 4])
     # Cross-process aggregation: in processes mode each worker ships its
-    # counter snapshot over the pipe and the parent merges them here.
+    # whole record (ring and stage fields too) and the parent merges them.
     stats = store.stats()
     counters = stats.snapshot_dict()
-    if store.data_plane:  # ...and the plane's (on shm: the rings' doorbell traffic)
-        counters.update(store.transport_stats().snapshot_dict())
     ops = stats.batch_ops or 1
     if args.format == "json":
         _emit_json({

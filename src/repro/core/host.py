@@ -82,7 +82,8 @@ class PartitionHost:
             if checkpoint is not None:
                 counter, section = checkpoint
                 read_section(
-                    store.enclave.context(thread_id), store, self.sealing, section, counter
+                    store.enclave.context(thread_id), store, self.sealing, section,
+                    counter, index,
                 )
             if wal_dir is not None:
                 # Frames sealed after a checkpoint's rotation live in the
@@ -111,7 +112,8 @@ class PartitionHost:
         ``counter``, rotating the log inside the capture."""
         store = self.store
         section = write_section(
-            store.enclave.context(store.thread_id), store, self.sealing, counter
+            store.enclave.context(store.thread_id), store, self.sealing, counter,
+            self.index,
         )
         if store.wal is not None:
             # The truncation record brackets exactly what this section

@@ -33,7 +33,7 @@ from typing import List, Optional, Tuple
 
 from repro.core.entry import MAC_SIZE, mac_splice
 from repro.core.hashindex import enclave_pointer_error
-from repro.errors import StoreError
+from repro.errors import IntegrityError, StoreError
 from repro.sim.enclave import Enclave, ExecContext
 from repro.sim.memory import ENCLAVE_BASE, ENCLAVE_END
 
@@ -91,7 +91,7 @@ class MacBucketStore:
         addr, hops_left = head, self.nodes
         while addr:
             if hops_left <= 0:
-                raise StoreError("MAC bucket chain cycle (corrupted metadata)")
+                raise IntegrityError("MAC bucket chain cycle (corrupted metadata)")
             hops_left -= 1
             count, _pad, next_ptr = _NODE_HEADER.unpack(memory_read(ctx, addr, NODE_HEADER))
             if next_ptr and check and ENCLAVE_BASE <= next_ptr < ENCLAVE_END:

@@ -46,7 +46,7 @@ from repro.core.config import StoreConfig
 from repro.core.host import PartitionHost
 from repro.core.persistence import default_platform_secret, read_blob
 from repro.core.procpool import ProcessPartitionPool, process_mode_supported
-from repro.core.stats import StoreStats, TransportStats
+from repro.core.stats import StoreStats
 from repro.core.store import DEFAULT_MEASUREMENT, ShieldStore
 from repro.core.wal import DEFAULT_SYNC_MS
 from repro.crypto.keys import KeyRing
@@ -58,6 +58,8 @@ MODE_AUTO = "auto"
 MODE_SEQUENTIAL = "sequential"
 MODE_PROCESSES = "processes"
 _MODES = (MODE_SEQUENTIAL, MODE_PROCESSES)
+# The process pool's stage seconds (StoreStats fields).
+_POOL_STAGES = ("serialize_s", "ipc_wait_s", "worker_compute_s", "worker_cpu_s")
 
 
 def _annotate_partition_error(exc: ReproError, index: int) -> ReproError:
@@ -126,12 +128,6 @@ class _InProcessEngine:
 
     def elapsed_us(self) -> float:
         return self.machine.elapsed_us()
-
-    def transport_stats(self) -> TransportStats:
-        return TransportStats()
-
-    def stage_timings(self) -> None:
-        return None
 
     def snapshot_all(self, counter: int) -> Dict[int, bytes]:
         return {host.index: host.snapshot(counter) for host in self.hosts}
@@ -333,13 +329,13 @@ class PartitionedShieldStore:
         """Worker IPC transport (``shm``/``pipe``); ``None`` in-process."""
         return self._engine.data_plane
 
-    def transport_stats(self) -> TransportStats:
-        """Data-plane counters (empty object for the in-process engine)."""
-        return self._engine.transport_stats()
-
     def stage_timings(self) -> Optional[Dict[str, float]]:
-        """Serialize / IPC-wait / worker-compute seconds (pool mode only)."""
-        return self._engine.stage_timings()
+        """The pool's four stage seconds out of :meth:`stats`
+        (``None`` for the in-process engine, which has no pool)."""
+        if self._pool is None:
+            return None
+        stats = self.stats()
+        return {name: getattr(stats, name) for name in _POOL_STAGES}
 
     @property
     def partition_state(self) -> str:
@@ -478,16 +474,17 @@ class PartitionedShieldStore:
 
     # -- aggregates -----------------------------------------------------
     def per_partition_stats(self) -> List[StoreStats]:
-        """Operation counters of each partition, in partition order.
+        """The record of each partition, in partition order.
 
-        In ``processes`` mode the snapshots cross the process boundary
-        as dicts and are reconstituted here, so batch-amortization
-        counters survive intact.
+        In ``processes`` mode each is the worker's whole record (its
+        store counters, compute seconds and doorbell waits) with its
+        handle's ring counters and parent-side seconds added, crossed
+        as a dict and reconstituted here.
         """
         return self._engine.gather_stats()
 
     def stats(self) -> StoreStats:
-        """Merged operation stats across partitions.
+        """The partitions' records merged, each field by its rule.
 
         Engine-level recovery accounting (workers respawned after a
         crash, the upper bound of mutations lost) is folded in on top

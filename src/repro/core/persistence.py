@@ -56,8 +56,9 @@ from repro.sim.counters import MonotonicCounterService
 from repro.sim.enclave import Enclave, ExecContext
 from repro.sim.sealing import SealingService
 
-_PMAGIC = b"SSPSNP1\0"
+_PMAGIC = b"SSPSNP2\0"  # 2: a section's sealed metadata names its partition
 _ENTRY = struct.Struct("<II")  # a section record's bucket, length
+_SECTION = struct.Struct("<QI")  # a section's sealed counter, partition index
 _GEOMETRY = struct.Struct("<QIII")  # counter, partitions, buckets, MAC hashes
 
 
@@ -94,16 +95,22 @@ def snapshot_counter(blob: bytes) -> int:
 # section format (one partition's part of a snapshot blob)
 # ---------------------------------------------------------------------------
 def write_section(
-    ctx: ExecContext, store: ShieldStore, sealing: SealingService, counter: int
+    ctx: ExecContext,
+    store: ShieldStore,
+    sealing: SealingService,
+    counter: int,
+    partition: int,
 ) -> bytes:
-    """Serialize one store as a snapshot section.
+    """Serialize one store as partition ``partition``'s snapshot section.
 
-    ``sealed(counter || metadata) || count || records`` — the metadata
-    (master secret, MAC tree, live count) is sealed to the platform;
-    entry records are written verbatim because they are already
-    encrypted and MACed (§4.4's no-re-encryption property).
+    ``sealed(counter || partition || metadata) || count || records`` —
+    the metadata (master secret, MAC tree, live count) is sealed to the
+    platform together with the counter and the partition it belongs to,
+    since every partition seals to the same platform; entry records are
+    written verbatim because they are already encrypted and MACed
+    (§4.4's no-re-encryption property).
     """
-    meta = struct.pack("<Q", counter) + store.metadata_blob()
+    meta = _SECTION.pack(counter, partition) + store.metadata_blob()
     sealed = sealing.seal(ctx, store.enclave, meta)
     parts: List[bytes] = [struct.pack("<I", len(sealed)), sealed]
     records: List[bytes] = []
@@ -122,12 +129,16 @@ def read_section(
     sealing: SealingService,
     blob: bytes,
     expected_counter: int,
+    partition: int,
 ) -> None:
-    """Load one snapshot section into a freshly constructed ``store``.
+    """Load partition ``partition``'s snapshot section into a freshly
+    constructed ``store``.
 
     Every read is bounds-checked and leftover bytes are rejected, the
     sealed counter must equal ``expected_counter`` (the blob header's
-    claim), and every bucket-set hash is checked against the unsealed
+    claim), the sealed partition index must be ``partition`` (a section
+    moved to another partition's place is refused), and every
+    bucket-set hash is checked against the unsealed
     MAC tree: malformed input raises :class:`SnapshotError`, tampered
     input :class:`~repro.errors.SealingError` (the sealed metadata) or
     :class:`~repro.errors.IntegrityError` (the records).
@@ -135,8 +146,14 @@ def read_section(
     reader = Reader(blob, SnapshotError, "snapshot section")
     sealed = reader.take(reader.u32())
     meta = Reader(sealing.unseal(ctx, store.enclave, sealed), SnapshotError, "sealed metadata")
-    if meta.u64() != expected_counter:
+    counter, sealed_partition = meta.unpack(_SECTION)
+    if counter != expected_counter:
         raise SnapshotError("snapshot header counter does not match sealed value")
+    if sealed_partition != partition:
+        raise SnapshotError(
+            f"snapshot section of partition {sealed_partition} "
+            f"in the place of partition {partition}"
+        )
     store.load_metadata_blob(meta.rest())
 
     count = reader.u64()

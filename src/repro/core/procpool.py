@@ -108,7 +108,7 @@ import repro.errors as _errors
 from repro.core.config import StoreConfig
 from repro.core.entry import TAMPER_PROBE_OFFSET
 from repro.core.shmring import Doorbell, ShmRing, shm_supported
-from repro.core.stats import StoreStats, TransportStats
+from repro.core.stats import StoreStats
 from repro.crypto.keys import derive_key
 from repro.crypto.suite import make_suite
 from repro.errors import (
@@ -141,7 +141,7 @@ from repro.sim import faults
 
 # -- frame opcodes ------------------------------------------------------------
 OP_REQ = 0x01       # execute one Request (single-key or mget/mset/mdelete)
-OP_STATS = 0x02     # -> JSON snapshot of the worker's StoreStats
+OP_STATS = 0x02     # -> JSON of the worker's whole StoreStats record
 OP_ITER = 0x03      # -> encode_multi_items of all (key, value) pairs
 OP_AUDIT = 0x04     # -> u64 entries checked (full integrity audit)
 OP_LEN = 0x05       # -> u64 live entry count
@@ -150,7 +150,6 @@ OP_PING = 0x07      # -> u64 counter the worker's recovery reached (handshake)
 OP_TAMPER = 0x08    # flip one bit of an entry's untrusted bytes (tests)
 OP_SHUTDOWN = 0x09  # -> empty OK, then the worker exits cleanly
 OP_SNAPSHOT = 0x0A  # u64 counter -> sealed snapshot section (§4.4)
-OP_TIMING = 0x0C    # -> JSON worker compute / CPU seconds + ring wait counts
 
 REPLY_OK = 0x80
 REPLY_ERR = 0xFF
@@ -275,6 +274,7 @@ class _PipeWorkerEnd:
 
     kind = DATA_PLANE_PIPE
     conn: Any = None
+    doorbell_waits = 0  # a pipe has no doorbell
 
     def open(self) -> "_PipeWorkerEnd":
         return self
@@ -284,9 +284,6 @@ class _PipeWorkerEnd:
 
     def send_bytes(self, raw: bytes) -> None:
         self.conn.send_bytes(raw)
-
-    def wait_counts(self) -> dict:
-        return {}
 
     def close(self) -> None:
         try:
@@ -333,8 +330,9 @@ class _ShmWorkerEnd:
     def send_bytes(self, raw: bytes) -> None:
         self.rep.write(raw)
 
-    def wait_counts(self) -> dict:
-        return {"doorbell_waits": self.req.doorbell_waits + self.rep.doorbell_waits}
+    @property
+    def doorbell_waits(self) -> int:
+        return self.req.doorbell_waits + self.rep.doorbell_waits
 
     def close(self) -> None:
         if self.req is not None:
@@ -387,9 +385,6 @@ class _PipePlane:
         if raw is faults.DROPPED:
             raise OSError("injected pipe frame drop")
         return raw
-
-    def transport_stats(self) -> TransportStats:
-        return TransportStats()
 
     def close(self) -> None:
         try:
@@ -451,19 +446,17 @@ class _ShmPlane:
             raise OSError("injected ring frame drop")
         return raw
 
-    def transport_stats(self) -> TransportStats:
-        stats = TransportStats()
-        stats.ring_frames = self.req.frames + self.rep.frames
-        stats.ring_bytes = self.req.bytes_moved + self.rep.bytes_moved
-        stats.ring_full_waits = self.req.full_waits + self.rep.full_waits
-        stats.ring_doorbell_waits = (
-            self.req.doorbell_waits + self.rep.doorbell_waits
-        )
-        stats.ring_doorbell_rings = self._doorbell.rings
-        stats.ring_max_occupancy = max(
-            self.req.max_occupancy, self.rep.max_occupancy
-        )
-        return stats
+    def ring_counters(self) -> dict:
+        """This plane's :class:`StoreStats` ring fields."""
+        req, rep = self.req, self.rep
+        return {
+            "ring_frames": req.frames + rep.frames,
+            "ring_bytes": req.bytes_moved + rep.bytes_moved,
+            "ring_full_waits": req.full_waits + rep.full_waits,
+            "ring_doorbell_waits": req.doorbell_waits + rep.doorbell_waits,
+            "ring_doorbell_rings": self._doorbell.rings,
+            "ring_max_occupancy": max(req.max_occupancy, rep.max_occupancy),
+        }
 
     def close(self) -> None:
         self.req.close()
@@ -540,14 +533,14 @@ def _worker_main(
                 )
                 compute_s += time.perf_counter() - started
                 cpu_s += time.process_time() - cpu_started
-            elif opcode == OP_TIMING:
-                reply = bytes([REPLY_OK]) + json.dumps(
-                    {"compute_s": compute_s, "cpu_s": cpu_s, **plane.wait_counts()}
-                ).encode("ascii")
             elif opcode == OP_STATS:
-                reply = bytes([REPLY_OK]) + json.dumps(
-                    store.stats.snapshot_dict()
-                ).encode("ascii")
+                record = store.stats.snapshot_dict()
+                record.update(
+                    worker_compute_s=compute_s,
+                    worker_cpu_s=cpu_s,
+                    worker_ring_doorbell_waits=plane.doorbell_waits,
+                )
+                reply = bytes([REPLY_OK]) + json.dumps(record).encode("ascii")
             elif opcode == OP_ITER:
                 reply = bytes([REPLY_OK]) + encode_multi_items(
                     list(store.iter_items())
@@ -643,7 +636,8 @@ class _WorkerHandle:
     together with ``plane`` when the worker is respawned.
 
     ``serialize_s``/``ipc_wait_s`` accumulate this worker's parent-side
-    stage timings (sealing vs waiting on the plane).
+    stage seconds (sealing vs waiting on the plane); they join the
+    worker's record in :meth:`ProcessPartitionPool.gather_stats`.
     """
 
     __slots__ = (
@@ -1202,53 +1196,27 @@ class ProcessPartitionPool:
 
     # -- aggregates ---------------------------------------------------------
     def gather_stats(self) -> List[StoreStats]:
-        """Per-worker operation counters, reconstituted parent-side."""
-        return [
-            StoreStats.from_dict(json.loads(raw.decode("ascii")))
-            for raw in self.broadcast(OP_STATS)
-        ]
+        """Each worker's whole record, in partition order: one
+        ``OP_STATS`` broadcast.
 
-    def _worker_timings(self) -> dict:
-        """The workers' ``OP_TIMING`` replies, summed field by field
-        (caller holds ``_pool_lock``)."""
-        totals: dict = {}
-        replies = self._scatter({w.index: b"" for w in self.workers}, OP_TIMING)
-        for raw in replies.values():
-            for name, value in json.loads(raw.decode("ascii")).items():
-                totals[name] = totals.get(name, 0) + value
-        return totals
-
-    def transport_stats(self) -> TransportStats:
-        """Merged data-plane counters across every worker's plane; on
-        the shm plane also the worker ends' doorbell waits."""
-        merged = TransportStats()
-        with self._pool_lock:
-            for handle in self.workers:
-                merged = merged.merge(handle.plane.transport_stats())
-            if self.data_plane == DATA_PLANE_SHM:
-                merged.worker_ring_doorbell_waits = self._worker_timings()["doorbell_waits"]
-        return merged
-
-    def stage_timings(self) -> Dict[str, float]:
-        """Per-stage seconds: serialize / IPC wait / worker compute.
-
-        ``serialize_s`` and ``ipc_wait_s`` are parent-side (sealing and
-        blocked-on-plane time); ``worker_compute_s`` is fetched from
-        the workers' own ``OP_REQ`` clocks, so the three stages
-        attribute where a batch round-trip actually went.  That clock
-        is wall time and includes whatever the worker spent off the
-        core; ``worker_cpu_s`` is the CPU the same region got, so the
-        two tell a slow worker from a descheduled one.
+        A worker's reply carries its store counters, its ``OP_REQ``
+        wall and CPU seconds and its end's doorbell waits; its handle
+        adds what only the parent sees — the seconds spent sealing
+        frames and waiting on the plane and, on the shm plane, the
+        rings' counters — read before the broadcast's own frames.
         """
-        timings = {"serialize_s": 0.0, "ipc_wait_s": 0.0}
         with self._pool_lock:
+            parent = {}
             for handle in self.workers:
-                timings["serialize_s"] += handle.serialize_s
-                timings["ipc_wait_s"] += handle.ipc_wait_s
-            worker = self._worker_timings()
-        timings["worker_compute_s"] = worker["compute_s"]
-        timings["worker_cpu_s"] = worker["cpu_s"]
-        return timings
+                seen = {"serialize_s": handle.serialize_s, "ipc_wait_s": handle.ipc_wait_s}
+                if self.data_plane == DATA_PLANE_SHM:
+                    seen.update(handle.plane.ring_counters())
+                parent[handle.index] = seen
+            replies = self._scatter(dict.fromkeys(parent, b""), OP_STATS)
+        return [
+            StoreStats.from_dict({**json.loads(replies[index].decode("ascii")), **seen})
+            for index, seen in parent.items()
+        ]
 
     def _broadcast_field(self, opcode: int, layout) -> list:
         return [whole(raw, layout, ProtocolError, "reply") for raw in self.broadcast(opcode)]

@@ -206,8 +206,8 @@ class ShmRing:
         self._local = _U64.unpack_from(self.shm, own_off)[0]
         self.doorbell: Optional[Doorbell] = None
         self._closed = False
-        # -- occupancy / wait counters (parent aggregates them into
-        #    TransportStats; see repro.core.stats) --
+        # -- occupancy / wait counters (the ring fields of the
+        #    worker's StoreStats record; see repro.core.stats) --
         self.frames = 0          # complete frames moved through this end
         self.bytes_moved = 0     # prefix + payload bytes
         self.full_waits = 0      # producer found the ring full

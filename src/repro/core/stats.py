@@ -1,20 +1,37 @@
-"""Operation-level statistics a store accumulates.
+"""The one counter record of the system.
 
-These complement the machine-level :class:`~repro.sim.cycles.CycleCounters`
-(memory events, crypto calls) with store semantics: hits/misses, chain
-walk lengths, search-path decryptions (Fig. 9), allocator OCALLs
-(Fig. 6) and snapshot activity (Fig. 19).
+Every process keeps one :class:`StoreStats` — a store (or partition), a
+pool worker, the TCP server, a client.  It complements the machine-level
+:class:`~repro.sim.cycles.CycleCounters` with store semantics (hits,
+chain walks, search-path decryptions for Fig. 9, allocator OCALLs for
+Fig. 6, snapshots for Fig. 19) and with what the serving stack counts:
+the worker data plane's rings and stage seconds, event-loop admission.
+
+Each field declares once how two records combine (sum, or max for a
+gauge) and whether its value depends on more than the operations served
+(:meth:`StoreStats.varying`); ``merge``, ``from_dict`` and the engine
+equivalence tests read that declaration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar, FrozenSet
+import operator
+from dataclasses import dataclass, field, fields
+from typing import FrozenSet
+
+# What a field's value depends on besides the operations served:
+CLOCK = "clock"        # host time (wall clock or CPU seconds)
+PLANE = "plane"        # the worker data plane the engine runs on
+RECOVERY = "recovery"  # how the engine brings a dead partition back
+
+
+def _varies(reason: str, default=0, merge=operator.add):
+    return field(default=default, metadata={"varies": reason, "merge": merge})
 
 
 @dataclass
 class StoreStats:
-    """Counters for one store (or one partition of a partitioned store)."""
+    """Counters of one process's part of the system."""
 
     gets: int = 0
     sets: int = 0
@@ -40,9 +57,9 @@ class StoreStats:
     # simulated clocks): chain walk + candidate decryption, per-entry
     # MAC authentication, and covering-set gathering/verification (the
     # stage the MAC cache removes).
-    stage_walk_s: float = 0.0
-    stage_crypto_s: float = 0.0
-    stage_verify_s: float = 0.0
+    stage_walk_s: float = _varies(CLOCK, 0.0)
+    stage_crypto_s: float = _varies(CLOCK, 0.0)
+    stage_verify_s: float = _varies(CLOCK, 0.0)
     alloc_ocalls: int = 0
     alloc_requests: int = 0
     snapshots: int = 0
@@ -55,8 +72,8 @@ class StoreStats:
     wal_rotations: int = 0          # truncation record + fresh segment
     wal_replayed: int = 0           # logged ops re-applied during recovery
     wal_torn_truncated: int = 0     # clean torn tails truncated at replay
-    worker_recoveries: int = 0      # dead workers respawned + restored
-    worker_ops_lost: int = 0        # upper bound on mutations lost to crashes
+    worker_recoveries: int = _varies(RECOVERY)  # dead workers respawned + restored
+    worker_ops_lost: int = _varies(RECOVERY)    # upper bound on mutations lost to crashes
     # Transport resilience (TCP front-end + shieldfault plane):
     net_retries: int = 0            # client requests retried after a fault
     net_reconnects: int = 0         # sessions re-attested after a failure
@@ -67,12 +84,29 @@ class StoreStats:
     deadline_drops: int = 0         # connections dropped by the request deadline
     degraded_replies: int = 0       # STATUS_ERROR replies (serving degraded)
     faults_injected: int = 0        # shieldfault fires observed process-wide
+    # Event-loop admission (repro.net.tcp):
+    busy_sheds: int = 0             # sealed STATUS_BUSY replies shed
+    busy_retries: int = 0           # client retries after STATUS_BUSY
     # Batch amortization (multi_get / multi_set / multi_delete):
     batches: int = 0                    # batch calls served
     batch_ops: int = 0                  # operations carried by batches
     batch_sets_verified: int = 0        # set hashes verified inside batches
     batch_verifications_saved: int = 0  # ops that reused an already-verified set
     batch_set_updates_saved: int = 0    # set-hash recomputes avoided by dirty tracking
+    # Shared-memory ring plane (repro.core.shmring), filled parent-side
+    # per worker (the worker ends' doorbell waits come in its reply):
+    ring_frames: int = _varies(PLANE)           # sealed frames moved through rings
+    ring_bytes: int = _varies(PLANE)            # prefix + payload bytes moved
+    ring_full_waits: int = _varies(PLANE)       # producer found a ring full
+    ring_doorbell_waits: int = _varies(PLANE)   # parent-end waits that armed the doorbell
+    worker_ring_doorbell_waits: int = _varies(PLANE)  # the same, at the worker ends
+    ring_doorbell_rings: int = _varies(PLANE)   # doorbell bytes actually sent
+    ring_max_occupancy: int = _varies(PLANE, merge=max)  # gauge: in-flight high-water mark (bytes)
+    # Process pool stages (repro.core.procpool), host seconds per worker:
+    serialize_s: float = _varies(CLOCK, 0.0)       # parent sealing frames
+    ipc_wait_s: float = _varies(CLOCK, 0.0)        # parent blocked on the plane
+    worker_compute_s: float = _varies(CLOCK, 0.0)  # worker's OP_REQ wall clock
+    worker_cpu_s: float = _varies(CLOCK, 0.0)      # CPU the same region got
     # Replication group (repro.ext.replication):
     replicated_out: int = 0         # records fanned out to peers (acked)
     replicated_in: int = 0          # remote records LWW-applied locally
@@ -88,18 +122,12 @@ class StoreStats:
     quorum_writes: int = 0          # writes acked at the requested level
     quorum_failures: int = 0        # requests that missed their ack target
 
-    # Host wall-clock accumulators: meaningful to report and to sum
-    # across workers, but never reproducible run-to-run — equivalence
-    # tests comparing stats across engines must exclude these.
-    WALL_CLOCK_FIELDS: ClassVar[FrozenSet[str]] = frozenset(
-        {"stage_walk_s", "stage_crypto_s", "stage_verify_s"}
-    )
-
     def merge(self, other: "StoreStats") -> "StoreStats":
-        """Sum counters across partitions; returns a new object."""
+        """Combine two records field by field, each by its declared
+        rule; returns a new object."""
         result = StoreStats()
-        for name in vars(result):
-            setattr(result, name, getattr(self, name) + getattr(other, name))
+        for name, combine in _MERGE:
+            setattr(result, name, combine(getattr(self, name), getattr(other, name)))
         return result
 
     def snapshot_dict(self) -> dict:
@@ -108,22 +136,31 @@ class StoreStats:
 
     @classmethod
     def from_dict(cls, data: dict) -> "StoreStats":
-        """Rebuild a stats object from :meth:`snapshot_dict` output.
+        """Rebuild a record from :meth:`snapshot_dict` output.
 
-        This is how counters cross the process boundary: partition
-        worker processes ship their snapshot dict over the pipe and the
-        parent reconstitutes it here before merging.  Unknown keys are
-        ignored so a parent can read snapshots from slightly older or
+        This is how counters cross the process boundary: a pool worker
+        ships its record in its ``OP_STATS`` reply and the parent
+        reconstitutes it here before merging.  Keys that are not
+        declared fields are ignored (``operations`` included: it is a
+        property), so a parent can read records from slightly older or
         newer workers.
         """
         stats = cls()
-        fields = vars(stats)
         for name, value in data.items():
-            # vars(), not hasattr(): read-only properties such as
-            # ``operations`` answer hasattr but reject setattr.
-            if name in fields:
+            if name in _FIELDS:
                 setattr(stats, name, value)
         return stats
+
+    @classmethod
+    def varying(cls, *reasons: str) -> FrozenSet[str]:
+        """The fields whose value depends on one of ``reasons``
+        (``"clock"``, ``"plane"``, ``"recovery"``; any of them when none
+        is given) rather than on the operations alone — what a
+        comparison of two engines' records leaves out."""
+        wanted = set(reasons or (CLOCK, PLANE, RECOVERY))
+        return frozenset(
+            f.name for f in fields(cls) if f.metadata.get("varies") in wanted
+        )
 
     @property
     def operations(self) -> int:
@@ -131,48 +168,7 @@ class StoreStats:
         return self.gets + self.sets + self.deletes + self.appends + self.increments
 
 
-@dataclass
-class TransportStats:
-    """Data-plane counters: ring occupancy, doorbell traffic, shedding.
-
-    Deliberately separate from :class:`StoreStats`: these describe the
-    *transport* an engine happens to run on (shared-memory rings vs
-    pipes, event-loop admission), not store semantics — keeping them
-    out of the operation counters is what lets the mode-equivalence
-    tests demand identical :class:`StoreStats` across engines.
-    """
-
-    # Shared-memory ring plane (repro.core.shmring):
-    ring_frames: int = 0            # sealed frames moved through rings
-    ring_bytes: int = 0             # prefix + payload bytes moved
-    ring_full_waits: int = 0        # producer found a ring full
-    ring_doorbell_waits: int = 0    # parent-end waits that armed the doorbell
-    worker_ring_doorbell_waits: int = 0  # the same, at the worker ends
-    ring_doorbell_rings: int = 0    # doorbell bytes actually sent
-    ring_max_occupancy: int = 0     # gauge: in-flight high-water mark (bytes)
-    # Event-loop admission (repro.net.tcp):
-    busy_sheds: int = 0             # sealed STATUS_BUSY replies shed
-    busy_retries: int = 0           # client retries after STATUS_BUSY
-
-    # Gauges keep their max under merge instead of summing.
-    _GAUGES: ClassVar[FrozenSet[str]] = frozenset({"ring_max_occupancy"})
-
-    def merge(self, other: "TransportStats") -> "TransportStats":
-        """Combine counters across workers/planes; returns a new object."""
-        result = TransportStats()
-        for name in vars(result):
-            a, b = getattr(self, name), getattr(other, name)
-            setattr(result, name, max(a, b) if name in self._GAUGES else a + b)
-        return result
-
-    def snapshot_dict(self) -> dict:
-        return dict(vars(self))
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TransportStats":
-        stats = cls()
-        fields = vars(stats)
-        for name, value in data.items():
-            if name in fields:
-                setattr(stats, name, value)
-        return stats
+_MERGE = tuple(
+    (f.name, f.metadata.get("merge", operator.add)) for f in fields(StoreStats)
+)
+_FIELDS = frozenset(name for name, _ in _MERGE)

@@ -287,7 +287,7 @@ class ShieldStore:
         addr = self.buckets.read_head(ctx, bucket, check)
         while addr:
             if index >= _MAX_CHAIN:
-                raise StoreError("hash chain cycle detected (corrupted table)")
+                raise IntegrityError("hash chain cycle detected (corrupted table)")
             fields = unpack_header_fields(read(ctx, addr, HEADER_SIZE))
             next_ptr, key_hint, key_size, val_size, iv_ctr = fields
             if next_ptr and check and ENCLAVE_BASE <= next_ptr < ENCLAVE_END:
@@ -328,7 +328,7 @@ class ShieldStore:
         addr = self.buckets.read_head(ctx, bucket, self.config.pointer_check)
         while addr:
             if index >= _MAX_CHAIN:
-                raise StoreError("hash chain cycle detected (corrupted table)")
+                raise IntegrityError("hash chain cycle detected (corrupted table)")
             header = self._read_header(ctx, addr)
             self.stats.chain_steps += 1
             macs += self._read_entry_mac(ctx, addr, header)
@@ -411,7 +411,7 @@ class ShieldStore:
         steps = 0
         while addr:
             if steps >= _MAX_CHAIN:
-                raise StoreError("hash chain cycle detected (corrupted table)")
+                raise IntegrityError("hash chain cycle detected (corrupted table)")
             header = self._read_header(ctx, addr)
             macs += self._read_entry_mac(ctx, addr, header)
             addr = header.next_ptr
@@ -1103,7 +1103,7 @@ class ShieldStore:
             steps = 0
             while addr:
                 if steps >= _MAX_CHAIN:
-                    raise StoreError("hash chain cycle during snapshot walk")
+                    raise IntegrityError("hash chain cycle during snapshot walk")
                 header = unpack_header(mem.raw_read(addr, HEADER_SIZE))
                 record = mem.raw_read(addr, header.total_size)
                 yield bucket, record
@@ -1154,7 +1154,7 @@ class ShieldStore:
             steps = 0
             while addr:
                 if steps >= _MAX_CHAIN:
-                    raise StoreError("hash chain cycle during set walk")
+                    raise IntegrityError("hash chain cycle during set walk")
                 header = unpack_header(mem.raw_read(addr, HEADER_SIZE))
                 record = mem.raw_read(addr, header.total_size)
                 enc_kv = record[HEADER_SIZE : HEADER_SIZE + header.kv_size]

@@ -83,49 +83,23 @@ def _cas(store, request: Request) -> bytes:
     return b"1" if swapped else b"0"
 
 
-# Pipelined MGET/MSET/MDELETE: stores exposing the batched pipeline
-# (``multi_get`` and friends) get the amortized path; anything else —
-# baselines, plain dict-backed test doubles — falls back to per-key
-# single operations with the same wire semantics.
+# Pipelined MGET/MSET/MDELETE: every store that serves requests has the
+# batched pipeline (``multi_get`` and friends).
 def _mget(store, request: Request) -> bytes:
     keys = decode_multi_keys(request.value)
-    if hasattr(store, "multi_get"):
-        found = store.multi_get(keys)
-        values = [found[bytes(key)] for key in keys]
-    else:
-        values = []
-        for key in keys:
-            try:
-                values.append(store.get(key))
-            except KeyNotFoundError:
-                values.append(None)
-    return encode_multi_values(values)
+    found = store.multi_get(keys)
+    return encode_multi_values([found[bytes(key)] for key in keys])
 
 
 def _mset(store, request: Request) -> bytes:
-    items = decode_multi_items(request.value)
-    if hasattr(store, "multi_set"):
-        store.multi_set(items)
-    else:
-        for key, value in items:
-            store.set(key, value)
+    store.multi_set(decode_multi_items(request.value))
     return b""
 
 
 def _mdelete(store, request: Request) -> bytes:
     keys = decode_multi_keys(request.value)
-    if hasattr(store, "multi_delete"):
-        deleted = store.multi_delete(keys)
-        flags = [b"1" if deleted[bytes(key)] else None for key in keys]
-    else:
-        flags = []
-        for key in keys:
-            try:
-                store.delete(key)
-                flags.append(b"1")
-            except KeyNotFoundError:
-                flags.append(None)
-    return encode_multi_values(flags)
+    deleted = store.multi_delete(keys)
+    return encode_multi_values([b"1" if deleted[bytes(key)] else None for key in keys])
 
 
 #: wire op -> ``handler(store, request)`` returning the reply's value

@@ -44,12 +44,12 @@ as admitted ones leave.  The loop executes each request under
 :class:`~repro.core.checkpoint.SnapshotDaemon`'s cut takes, so during a
 cut the loop thread waits with the requests.
 
-Failure counters (tampered sessions dropped, idempotent replays,
-rejected connections...) are kept in :class:`~repro.core.stats.StoreStats`
-form and served over the wire by the ``stats`` protocol op
-(``repro stats --connect``), alongside the data-plane's
-:class:`~repro.core.stats.TransportStats` (ring occupancy, doorbell
-traffic, busy sheds).
+Failure and admission counters (tampered sessions dropped, idempotent
+replays, rejected connections, busy sheds...) are the server's own
+:class:`~repro.core.stats.StoreStats` record.  The ``stats`` protocol
+op (``repro stats --connect``) serves it merged with the store's
+record — in ``processes`` mode that one already holds every worker's
+ring traffic and stage seconds — as one flat JSON object.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ import time
 from collections import OrderedDict
 from typing import Dict, Optional
 
-from repro.core.stats import StoreStats, TransportStats
+from repro.core.stats import StoreStats
 from repro.errors import (
     AttestationError,
     KeyNotFoundError,
@@ -310,11 +310,10 @@ class TCPShieldServer:
         # `with server.store_lock:`) exclude each other: a checkpoint is
         # a consistent cut, never a half-applied batch.
         self.store_lock = threading.Lock()
-        # Transport-level failure counters, merged with the store's own
-        # counters by stats_snapshot(); guarded by _stats_mutex because
-        # other threads read them.
+        # Transport-level failure and admission counters, merged with
+        # the store's own counters by stats_snapshot(); guarded by
+        # _stats_mutex because other threads read them.
         self.net_stats = StoreStats()
-        self.transport = TransportStats()
         self._stats_mutex = threading.Lock()
         self._idempotency = _IdempotencyCache()
         self._sock = socket.create_server((host, port))
@@ -346,7 +345,8 @@ class TCPShieldServer:
             setattr(self.net_stats, name, getattr(self.net_stats, name) + amount)
 
     def stats_snapshot(self) -> StoreStats:
-        """Store counters merged with the transport's failure counters.
+        """Store counters merged with the transport's failure and
+        admission counters.
 
         Includes the shieldfault fire count of this process's active
         plan, so a chaos run can check observed faults against the
@@ -354,26 +354,17 @@ class TCPShieldServer:
         """
         stats = getattr(self.store, "stats", None)
         if callable(stats):
-            merged = stats()  # PartitionedShieldStore aggregates on demand
-        elif isinstance(stats, StoreStats):
-            merged = StoreStats().merge(stats)
-        else:
-            merged = StoreStats()
+            stats = stats()  # PartitionedShieldStore aggregates on demand
+        if not isinstance(stats, StoreStats):
+            stats = StoreStats()
         with self._stats_mutex:
-            merged = merged.merge(self.net_stats)
+            merged = stats.merge(self.net_stats)
         merged.faults_injected += faults.fires()
         if self.snapshot_daemon is not None:
             merged.snapshot_failures += self.snapshot_daemon.snapshot_failures
         return merged
 
-    def transport_snapshot(self) -> TransportStats:
-        """Admission counters merged with the store's data-plane stats."""
-        with self._stats_mutex:
-            merged = TransportStats().merge(self.transport)
-        plane = getattr(self.store, "transport_stats", None)
-        if callable(plane):
-            merged = merged.merge(plane())
-        return merged
+    transport_snapshot = stats_snapshot  # the benchmark's server child reads this name
 
     @property
     def live_connections(self) -> int:
@@ -668,8 +659,7 @@ class TCPShieldServer:
             return False
         if conn.shed:
             # Over the cap: a sealed STATUS_BUSY instead of executing.
-            with self._stats_mutex:
-                self.transport.busy_sheds += 1
+            self._bump("busy_sheds")
             self._enqueue_frame(conn, channel.seal(_BUSY_REPLY))
             return id(conn) in self._conns
         try:
@@ -727,9 +717,8 @@ class TCPShieldServer:
         self._promote_shed()
 
     def _stats_reply(self) -> bytes:
-        """The ``stats`` op: merged counters as one JSON reply."""
+        """The ``stats`` op: the merged record as one JSON reply."""
         counters = self.stats_snapshot().snapshot_dict()
-        counters.update(self.transport_snapshot().snapshot_dict())
         payload = json.dumps(counters, sort_keys=True).encode("ascii")
         return encode_response(Response(STATUS_OK, payload))
 
@@ -748,7 +737,7 @@ class TCPShieldClient(StoreVerbs):
     degraded peer, it is the adversary.
 
     ``stats`` (a :class:`~repro.core.stats.StoreStats`) counts retries,
-    reconnects and timeouts on the client side.
+    reconnects, timeouts and busy retries on the client side.
     """
 
     def __init__(
@@ -783,7 +772,6 @@ class TCPShieldClient(StoreVerbs):
         self.backoff_base_s = backoff_base_s
         self.backoff_max_s = backoff_max_s
         self.stats = StoreStats()
-        self.transport = TransportStats()
         self._rng = random.Random(int.from_bytes(entropy[:8], "big"))
         self._sock: Optional[socket.socket] = None
         self._channel: Optional[SecureChannel] = None
@@ -899,7 +887,7 @@ class TCPShieldClient(StoreVerbs):
                 if teardown:
                     self.stats.net_retries += 1
                 else:
-                    self.transport.busy_retries += 1
+                    self.stats.busy_retries += 1
                 self._backoff(attempt)
 
     def _call(self, op: str, key: bytes, value: bytes = b"") -> bytes:

@@ -1,7 +1,12 @@
 """CLI surface and ASCII chart rendering."""
 
+import json
+
+import pytest
 
 from repro.cli import main
+from repro.core.procpool import process_mode_supported
+from repro.core.shmring import shm_supported
 from repro.experiments.charts import bar_chart, line_chart, render_bars, render_sweep
 from repro.experiments.common import TableResult
 
@@ -72,3 +77,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Figure 3" in out
         assert "NoSGX" in out  # chart legend rendered
+
+    @pytest.mark.skipif(
+        not (process_mode_supported() and shm_supported()),
+        reason="no multiprocess engine or shm plane here",
+    )
+    def test_stats_of_two_shm_workers_reports_waits_and_stage_seconds(self, capsys):
+        # One record: the workers' doorbell waits and the pool's four
+        # stage seconds arrive in `counters` beside the store counters.
+        assert main(["stats", "--mode", "processes", "--threads", "2",
+                     "--pairs", "128", "--batch", "32", "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        counters = report["counters"]
+        assert report["workload"]["mode"] == "processes"
+        assert counters["batches"] > 0
+        for name in ("worker_ring_doorbell_waits", "serialize_s", "ipc_wait_s",
+                     "worker_compute_s", "worker_cpu_s"):
+            assert counters[name] > 0, name

@@ -175,11 +175,9 @@ def test_every_sibling_bucket_bit_of_the_checkpoint(durable):
         durable.start(blob=blob)
 
 
-@_known_open(
-    "a section's sealed metadata does not name its partition, so two sections of "
-    "one blob exchanged open, audit clean, and every key is an authenticated miss"
-)
 def test_sections_exchanged_between_partitions(durable):
+    """Every section seals the index of its partition, so two sections
+    of one blob exchanged are refused, not opened onto the wrong keys."""
     blob = durable.blob
     first = 24 + struct.unpack_from("<I", blob, 20)[0]  # past the sealed header
     second = first + 8 + struct.unpack_from("<Q", blob, first)[0]

@@ -139,7 +139,7 @@ class TestFullPipeline:
         assert store_b.get(b"k") == b"b-data"
 
         sealing = SealingService(b"platform-secret-y")
-        section = write_section(store_a.enclave.context(), store_a, sealing, 1)
+        section = write_section(store_a.enclave.context(), store_a, sealing, 1, 0)
         target = ShieldStore(
             shield_opt(num_buckets=16, num_mac_hashes=8),
             machine=machine,
@@ -148,4 +148,4 @@ class TestFullPipeline:
         from repro.errors import SealingError
 
         with pytest.raises(SealingError):
-            read_section(target.enclave.context(), target, sealing, section, 1)
+            read_section(target.enclave.context(), target, sealing, section, 1, 0)

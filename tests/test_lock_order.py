@@ -123,8 +123,7 @@ class TestRuntimeLockOrder:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=120)
-            pool.transport_stats()
-            pool.stage_timings()
+            pool.gather_stats()
         finally:
             pool.close()
 

@@ -285,13 +285,13 @@ class TestServerLimits:
             try:
                 with pytest.raises(StoreError, match="shedding"):
                     second.get(b"k")
-                assert second.transport.busy_retries >= 1
+                assert second.stats.busy_retries >= 1
                 # Shed was load-shedding, never a transport fault.
                 assert second.stats.net_retries == 0
             finally:
                 second.close()
             assert server.stats_snapshot().rejected_connections >= 1
-            assert server.transport_snapshot().busy_sheds >= 1
+            assert server.stats_snapshot().busy_sheds >= 1
             assert first.get(b"k") == b"v"  # cap never hurt the admitted one
         finally:
             first.close()
@@ -322,7 +322,7 @@ class TestServerLimits:
                 assert second.get(b"k") == b"v"
             finally:
                 releaser.cancel()
-            assert second.transport.busy_retries >= 1
+            assert second.stats.busy_retries >= 1
             assert second.stats.net_reconnects == 0, (
                 "promotion must reuse the shed session, not re-handshake"
             )
@@ -433,7 +433,7 @@ class TestServerLimits:
             try:
                 client.set(b"k", b"v")
                 assert client.get(b"k") == b"v"
-                assert client.transport.busy_retries == 0
+                assert client.stats.busy_retries == 0
             finally:
                 client.close()
             assert silent.recv(1) == b""  # dropped: EOF

@@ -19,7 +19,7 @@ from repro.net.message import (
     encode_envelope,
     encode_request,
 )
-from repro.sim import AttestationService
+from repro.sim import Attacker, AttestationService
 from repro.sim.attestation import _DH_PRIME
 
 
@@ -474,6 +474,108 @@ class TestRefusals:
             client.close()
             srv.close()
             store.close()
+
+    def test_corrupted_chain_is_no_refusal(self, service):
+        """A MAC-bucket node pointed at itself is tampering, not the
+        store's answer: the server drops the session, sends no
+        refusal, and serves the next session."""
+        store = ShieldStore(
+            shield_opt(num_buckets=8, num_mac_hashes=8, mac_bucket_capacity=2)
+        )
+        by_bucket = {}
+        for i in range(64):
+            key = b"key-%d" % i
+            by_bucket.setdefault(
+                store.keyring.keyed_bucket_hash(key, store.config.num_buckets), []
+            ).append(key)
+        bucket, keys = next(item for item in by_bucket.items() if len(item[1]) >= 3)
+        store.set(keys[0], b"one")
+        store.set(keys[1], b"two")  # fills the bucket's first node
+        (node,) = struct.unpack(
+            "<Q", store.machine.memory.raw_read(store.buckets.slot_addr(bucket) + 8, 8)
+        )
+        Attacker(store.machine.memory).write(node + 8, struct.pack("<Q", node))
+        other = next(k for b, ks in by_bucket.items() if b != bucket for k in ks)
+        store.set(other, b"fine")
+        srv = TCPShieldServer(store, service)
+        srv.start()
+        client = connect(srv, service, max_retries=0)
+        try:
+            with pytest.raises(StoreError) as info:
+                client.get(keys[2])
+            assert "refused" not in str(info.value)
+            assert "closed the connection" in str(info.value)
+            assert client.get(other) == b"fine"  # a new session is served
+            assert client.stats.net_reconnects == 1
+        finally:
+            client.close()
+            srv.close()
+
+
+# The ``stats`` verb's keys, pinned: every store, transport and admission
+# counter an operator or a dashboard may already read, and the pool's four
+# stage seconds.
+_STATS_KEYS = (
+    "alloc_ocalls", "alloc_requests", "appends", "batch_ops",
+    "batch_set_updates_saved", "batch_sets_verified", "batch_verifications_saved",
+    "batches", "busy_retries", "busy_sheds", "cache_hits", "cache_misses",
+    "chain_steps", "deadline_drops", "degraded_replies", "deletes",
+    "faults_injected", "full_searches", "gets", "hint_skips", "hints_delivered",
+    "hints_dropped", "hints_queued", "hits", "idempotent_replays", "increments",
+    "inserts", "integrity_checks", "mac_cache_evictions", "mac_cache_hits",
+    "mac_cache_misses", "misses", "net_reconnects", "net_retries", "net_timeouts",
+    "quorum_failures", "quorum_reads", "quorum_writes", "read_repairs",
+    "rejected_connections", "replicated_in", "replicated_out",
+    "replication_conflicts", "ring_bytes", "ring_doorbell_rings",
+    "ring_doorbell_waits", "ring_frames", "ring_full_waits", "ring_max_occupancy",
+    "search_decryptions", "sets", "snapshot_failures", "snapshot_stall_us",
+    "snapshots", "stage_crypto_s", "stage_verify_s", "stage_walk_s",
+    "sync_keys_repaired", "sync_rounds", "sync_sets_diverged", "tamper_drops",
+    "temp_table_merges", "updates", "wal_appends", "wal_fsyncs", "wal_replayed",
+    "wal_rotations", "wal_torn_truncated", "worker_ops_lost", "worker_recoveries",
+    "worker_ring_doorbell_waits",
+) + ("serialize_s", "ipc_wait_s", "worker_compute_s", "worker_cpu_s")
+
+
+@pytest.mark.skipif(not process_mode_supported(), reason="no multiprocess engine here")
+def test_stats_verb_is_one_record_on_every_engine(service):
+    """A seeded run served by two in-process partitions and by two shm
+    workers: the ``stats`` verb answers the same pinned keys, and the
+    same value for every field that only the operations determine."""
+    from repro.core import StoreStats
+
+    replies = {}
+    for mode, shape in (
+        ("sequential", {}),
+        ("processes", {"data_plane": "shm"}),
+    ):
+        store = PartitionedShieldStore(
+            shield_opt(num_buckets=64, num_mac_hashes=32),
+            master_secret=bytes(range(32)), num_partitions=2, mode=mode, **shape,
+        )
+        srv = TCPShieldServer(store, service)
+        srv.start()
+        client = connect(srv, service)
+        try:
+            keys = [b"key-%02d" % i for i in range(40)]
+            client.multi_set([(k, b"value-" + k) for k in keys])
+            assert client.multi_get(keys[::3])[keys[0]] == b"value-key-00"
+            client.set(b"n", b"1")
+            client.increment(b"n")
+            client.multi_delete(keys[:5] + [b"absent"])
+            replies[mode] = client.server_stats()
+        finally:
+            client.close()
+            srv.close()
+            store.close()
+    for reply in replies.values():
+        assert sorted(reply) == sorted(_STATS_KEYS)
+    pool = replies["processes"]
+    assert pool["ring_frames"] > 0 and pool["worker_compute_s"] > 0
+    assert replies["sequential"]["ring_frames"] == 0
+    assert replies["sequential"]["gets"] > 0
+    same = set(_STATS_KEYS) - StoreStats.varying()
+    assert {k: replies["sequential"][k] for k in same} == {k: pool[k] for k in same}
 
 
 # The Python calls one warm ``get`` of a 128 B value makes into the served

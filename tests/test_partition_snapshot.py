@@ -168,6 +168,13 @@ class TestRejections:
         with pytest.raises(SnapshotError):
             _open(b"NOTPSNAP" + bytes(32), MODE_SEQUENTIAL)
 
+    def test_blob_of_the_previous_format_rejected(self):
+        """Before sections named their partition the magic was
+        ``SSPSNP1``: such a blob is refused at its header."""
+        blob = self._blob()
+        with pytest.raises(SnapshotError, match="wrong magic"):
+            _open(b"SSPSNP1\0" + blob[8:], MODE_SEQUENTIAL)
+
     @needs_processes
     def test_refused_section_leaves_no_worker_behind(self):
         """Partition 1's last record is damaged: its worker says so in

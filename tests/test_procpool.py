@@ -13,6 +13,7 @@ exception class, and dead workers surfacing as
 """
 
 import json
+import operator
 import os
 import signal
 import subprocess
@@ -20,6 +21,7 @@ import sys
 import textwrap
 import threading
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -85,9 +87,9 @@ class TestModeEquivalence:
     def test_identical_stats_across_modes(self):
         """Operation counters agree between in-process and worker modes.
 
-        Wall-clock stage timers are excluded: they measure host time,
-        which legitimately differs per engine; every semantic counter
-        must still match exactly.
+        Host-time and data-plane fields are excluded: they legitimately
+        differ per engine; every semantic counter (and, with no crash,
+        the recovery counters) must still match exactly.
         """
         from repro.core import StoreStats
 
@@ -97,7 +99,7 @@ class TestModeEquivalence:
                 assert store.mode == mode
                 _run_workload(store)
                 snapshot = store.stats().snapshot_dict()
-                for field in StoreStats.WALL_CLOCK_FIELDS:
+                for field in StoreStats.varying("clock", "plane"):
                     timer = snapshot.pop(field)
                     assert timer >= 0
                 snapshots[mode] = snapshot
@@ -152,16 +154,30 @@ class TestModeEquivalence:
 
 @needs_processes
 class TestStatsAggregation:
-    def test_merged_stats_equal_sum_of_partitions(self):
+    def test_merged_stats_follow_each_fields_rule(self):
+        """``stats()`` is the partitions' records merged field by field:
+        a sum, or the max for the gauge ``ring_max_occupancy``."""
         with _build(MODE_PROCESSES) as store:
             _run_workload(store)
-            per_partition = store.per_partition_stats()
+            # The records stats() merged (a second gather would count
+            # the first one's frames and seconds).
+            gather, per_partition = store.per_partition_stats, []
+            store.per_partition_stats = lambda: per_partition.extend(gather()) or per_partition
+            merged = store.stats()
             assert len(per_partition) == PARTITIONS
-            merged = store.stats().snapshot_dict()
-            for name, value in merged.items():
-                assert value == sum(
-                    getattr(stats, name) for stats in per_partition
-                ), name
+        rules = {f.name: f.metadata.get("merge", operator.add) for f in fields(StoreStats)}
+        assert rules["ring_max_occupancy"] is max
+        assert {name for name, rule in rules.items() if rule is not operator.add} == {
+            "ring_max_occupancy"
+        }
+        # The plane's fields are filled per worker, then merged.
+        assert all(stats.ring_frames > 0 for stats in per_partition)
+        for name, rule in rules.items():
+            first, second = (getattr(stats, name) for stats in per_partition)
+            assert getattr(merged, name) == rule(first, second), name
+        assert merged.ring_max_occupancy < sum(
+            stats.ring_max_occupancy for stats in per_partition
+        )
 
     def test_batch_counters_survive_process_boundary(self):
         with _build(MODE_PROCESSES) as store:

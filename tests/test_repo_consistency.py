@@ -84,9 +84,9 @@ class TestCodeHygiene:
         # wall-clock by nature; the shieldlint
         # engine reports real analysis duration, not simulated time;
         # store.py's stage timers attribute reporting-only wall time to
-        # walk/crypto/verify (StoreStats.WALL_CLOCK_FIELDS — excluded
-        # from engine-equivalence comparisons, never fed back into any
-        # simulated clock); wal.py paces real fsync group commits
+        # walk/crypto/verify (StoreStats fields declared to vary with
+        # the clock — excluded from engine-equivalence comparisons,
+        # never fed back into any simulated clock); wal.py paces real fsync group commits
         # against the disk, not any simulated clock; faults.py heals
         # network partitions after real seconds by design (chaos plans
         # cut real TCP links for a scheduled wall-clock duration — the

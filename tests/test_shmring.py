@@ -274,7 +274,7 @@ class TestShmPlanePool:
             response = pool.execute(0, Request("get", b"ring-key"))
             assert response.status == STATUS_OK
             assert response.value == b"ring-value"
-            stats = pool.transport_stats()
+            (stats,) = pool.gather_stats()
             assert stats.ring_frames >= 4  # two requests + two replies
             assert stats.ring_bytes > 0
             assert stats.ring_max_occupancy > 0
@@ -379,7 +379,7 @@ class TestShmPlanePool:
                 # must swallow it without counting it as sent.
                 pool.workers[0].plane._doorbell.ring()
             assert plan.fires(point="shmring.doorbell") >= 1
-            stats = pool.transport_stats()
+            (stats,) = pool.gather_stats()
             assert stats.ring_doorbell_rings == 0, (
                 "dropped doorbells must not be counted as sent"
             )
@@ -400,9 +400,8 @@ class TestShmPlanePool:
         # time to get back to its ring: on one CPU the parent could
         # otherwise queue every request before it does.
         script = """
-import json, os, time
+import os, time
 from repro.core import PartitionedShieldStore, shield_opt
-from repro.core.procpool import OP_TIMING
 from repro.errors import WorkerError
 
 def serve_and_respawn():
@@ -420,7 +419,7 @@ def serve_and_respawn():
                 model.update(items)
             else:
                 assert store.multi_get(keys) == {k: model.get(k) for k in keys}
-        stats = store.transport_stats()
+        stats = store.stats()
         assert stats.ring_doorbell_waits > 0 < stats.worker_ring_doorbell_waits, stats
         fields = stats.snapshot_dict()
         assert not [f for f in fields if "spin" in f or "cpus" in f], fields
@@ -438,9 +437,8 @@ def serve_and_respawn():
             store.multi_set(sorted(model.items()))
         assert pool.recoveries == 1
         time.sleep(0.05)
-        reborn = json.loads(pool.request(0, OP_TIMING).decode("ascii"))
-        assert sorted(reborn) == ["compute_s", "cpu_s", "doorbell_waits"], reborn
-        assert reborn["doorbell_waits"] > 0 and reborn["compute_s"] > 0, reborn
+        reborn = pool.gather_stats()[0]
+        assert reborn.worker_ring_doorbell_waits > 0 < reborn.worker_compute_s, reborn
     finally:
         store.close()
 
@@ -468,7 +466,7 @@ serve_and_respawn()
             # and filled it: it crossed in more than one publish.  Its
             # ring_full_waits depend on scheduling — one CPU can run the
             # woken worker before the parent looks for room again.
-            stats = pool.transport_stats()
+            (stats,) = pool.gather_stats()
             assert stats.ring_max_occupancy == DEFAULT_CAPACITY
             rep = pool.workers[0].plane.rep
             moved = rep.bytes_moved
@@ -504,7 +502,7 @@ serve_and_respawn()
             for i in range(400):  # ~1.6 MiB of request frames
                 response = pool.execute(0, Request("set", b"k%d" % (i % 8), value))
                 assert response.status == STATUS_OK
-            assert pool.transport_stats().ring_bytes > 3 << 19  # 1.5 MiB
+            assert pool.gather_stats()[0].ring_bytes > 3 << 19  # 1.5 MiB
             grown = _rss_shmem_kib() - before
             assert grown <= budget_kib, (
                 f"rings hold {grown} KiB resident, budget {budget_kib} KiB"

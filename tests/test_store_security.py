@@ -273,7 +273,7 @@ class TestAvailabilityAttacks:
 
     def test_overflow_node_cycle_cannot_amplify(self):
         """A self-referencing node stops every traversal after at most as
-        many hops as there are live MAC nodes."""
+        many hops as there are live MAC nodes, as an integrity failure."""
         store = ShieldStore(
             shield_opt(num_buckets=8, num_mac_hashes=8, mac_bucket_capacity=2)
         )
@@ -288,7 +288,7 @@ class TestAvailabilityAttacks:
             lambda: store.delete(third),
         ):
             reads = counters.mem_reads
-            with pytest.raises(StoreError, match="cycle"):
+            with pytest.raises(IntegrityError, match="cycle"):
                 attempt()
             # Two reads per hop, plus the (two-pass) walk of a 2-entry chain.
             assert counters.mem_reads - reads <= 2 * store.macbuckets.nodes + 24

@@ -974,6 +974,8 @@ class ProcessPartitionPool:
         it.  Only the handshake passes ``timeout``
         (``_RECOVERY_TIMEOUT``): it first waits that long for the reply
         to start, and a plane that gives up sooner saw the worker go.
+        That wait is a (re)spawned worker's start and recovery, not IPC,
+        so only a request's receive counts toward ``ipc_wait_s``.
         """
         started = time.monotonic()
         if timeout is not None and not handle.plane.poll(timeout):
@@ -986,7 +988,8 @@ class ProcessPartitionPool:
             )
         try:
             raw = handle.plane.recv(on_crash=handle.process.kill)
-            handle.ipc_wait_s += time.monotonic() - started
+            if timeout is None:
+                handle.ipc_wait_s += time.monotonic() - started
             frame = handle.channel.open(raw)
         except (EOFError, OSError) as exc:
             raise self._worker_failed(

@@ -29,7 +29,7 @@ def _varies(reason: str, default=0, merge=operator.add):
     return field(default=default, metadata={"varies": reason, "merge": merge})
 
 
-@dataclass
+@dataclass(slots=True)
 class StoreStats:
     """Counters of one process's part of the system."""
 
@@ -132,7 +132,7 @@ class StoreStats:
 
     def snapshot_dict(self) -> dict:
         """Plain-dict view for reports."""
-        return dict(vars(self))
+        return {name: getattr(self, name) for name, _ in _MERGE}
 
     @classmethod
     def from_dict(cls, data: dict) -> "StoreStats":

@@ -146,7 +146,7 @@ class CostModel:
 DEFAULT_COST_MODEL = CostModel()
 
 
-@dataclass
+@dataclass(slots=True)
 class CycleCounters:
     """Aggregate event counters a simulation run accumulates.
 

@@ -14,9 +14,9 @@ first eviction sorts the resident lines by stamp into ``lines``, an
 stays until :meth:`LLCache.flush`; ``lines is None`` tells the two apart.
 
 :class:`~repro.sim.memory.SimMemory` applies the hit arm of
-:meth:`LLCache.access` in its own frame (one call per cacheline was the
-largest host cost of the simulator); misses, and everyone else, go
-through ``access``.
+:meth:`LLCache.access` in its own frame to an access of one or two lines
+(one call per cacheline was the largest host cost of the simulator);
+misses, and everyone else, go through ``access``.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ ABSENT = array("q", bytes(8 << GROUP_SHIFT))  # the group no line is in; never w
 
 class LLCache:
     """LRU tag store for the shared last-level cache."""
+
+    __slots__ = ("capacity_lines", "stamps", "lines", "touches", "resident", "hits", "misses")
 
     def __init__(self, cost: CostModel):
         self.capacity_lines = max(16, cost.llc_bytes // CACHELINE)

@@ -84,12 +84,13 @@ class SimMemory:
         self.llc = llc if llc is not None else LLCache(cost)
         self._allocs: Dict[int, Allocation] = {}
         self._bases: List[int] = []
-        # The two allocations the last reads/writes resolved to: a lookup
-        # alternates between the bucket table and a heap chunk, so the
-        # bisect in find() is the fallback, not the rule.  What find()
-        # resolves enters second and is promoted by its next hit, so one
-        # stray access (a set hash) does not displace the hot allocation.
-        self._last = self._prev = _NO_ALLOCATION
+        # The three allocations the last reads/writes resolved to, most
+        # recent first: a lookup moves between the bucket table, a heap
+        # chunk and the in-enclave MAC-hash array, so the bisect in find()
+        # is the fallback, not the rule.  What find() resolves enters
+        # third and moves up one place per hit, so one stray access does
+        # not displace a hot allocation.
+        self._last = self._prev = self._third = _NO_ALLOCATION
         self._next = {REGION_ENCLAVE: ENCLAVE_BASE, REGION_UNTRUSTED: UNTRUSTED_BASE}
         self.bytes_allocated = {REGION_ENCLAVE: 0, REGION_UNTRUSTED: 0}
         # The parallel partition router fans batches out to OS threads;
@@ -136,8 +137,8 @@ class SimMemory:
                 raise EnclaveMemoryError(f"free of unknown base 0x{base:x}")
             idx = bisect.bisect_left(self._bases, base)
             del self._bases[idx]
-            if self._last is alloc or self._prev is alloc:
-                self._last = self._prev = _NO_ALLOCATION
+            if alloc in (self._last, self._prev, self._third):
+                self._last = self._prev = self._third = _NO_ALLOCATION
             self.bytes_allocated[alloc.region] -= alloc.size
         if isinstance(alloc.data, mmap.mmap):
             alloc.data.close()
@@ -153,9 +154,10 @@ class SimMemory:
 
     # -- charged accesses ---------------------------------------------------
     # read() and write() resolve, bounds-check, LLC-filter and charge the
-    # common access (one cacheline, on-chip, legal privilege) in their own
-    # frame; _charge() is the general path.  Both charge the same cycles
-    # in the same order: tests/test_exact_ledger.py pins it to the cycle.
+    # common access (one or two cachelines, all on-chip, legal privilege)
+    # in their own frame; _charge() is the general path.  Both charge the
+    # same cycles in the same order: tests/test_exact_ledger.py pins it to
+    # the cycle.
     def _charge(self, ctx, addr: int, size: int, write: bool) -> None:
         in_epc = ENCLAVE_BASE <= addr < ENCLAVE_END
         if in_epc and (ctx is None or not ctx.in_enclave):
@@ -219,28 +221,46 @@ class SimMemory:
                 self._prev = self._last
                 self._last = alloc
             else:
-                alloc = self._prev = self.find(addr)
+                alloc = self._third
+                if alloc.base <= addr < alloc.end:
+                    self._third = self._prev
+                    self._prev = alloc
+                else:
+                    alloc = self._third = self.find(addr)
         end = addr + size
         if end > alloc.end:
             raise EnclaveMemoryError(
                 f"read of {size} bytes at 0x{addr:x} overruns allocation {alloc!r}"
             )
         line = addr // CACHELINE
+        last = (end - 1) // CACHELINE
         llc = self.llc
         lines = llc.lines
         if (
             ctx is not None
-            and (end - 1) // CACHELINE <= line
-            and (line in lines if lines is not None
-                 else (group := llc.stamps.get(line >> GROUP_SHIFT, ABSENT))[line & GROUP_MASK])
+            and (
+                (last == line
+                 or last == line + 1
+                 and (tail := llc.stamps.get(last >> GROUP_SHIFT, ABSENT))[last & GROUP_MASK])
+                and (group := llc.stamps.get(line >> GROUP_SHIFT, ABSENT))[line & GROUP_MASK]
+                if lines is None
+                else (last == line or last == line + 1 and last in lines) and line in lines
+            )
             and (ctx.in_enclave or not ENCLAVE_BASE <= addr < ENCLAVE_END)
         ):
             if lines is None:
                 llc.touches = group[line & GROUP_MASK] = llc.touches + 1
             else:
                 lines.move_to_end(line)
-            llc.hits += 1
             cycles = self.cost.cache_hit_cycles
+            if last != line:
+                if lines is None:
+                    llc.touches = tail[last & GROUP_MASK] = llc.touches + 1
+                else:
+                    lines.move_to_end(last)
+                llc.hits += 1
+                cycles += cycles  # one float addition for both hits, as in _charge
+            llc.hits += 1
             ctx.clock.cycles += cycles
             counters = self.counters
             counters.mem_cycles += cycles
@@ -261,7 +281,12 @@ class SimMemory:
                 self._prev = self._last
                 self._last = alloc
             else:
-                alloc = self._prev = self.find(addr)
+                alloc = self._third
+                if alloc.base <= addr < alloc.end:
+                    self._third = self._prev
+                    self._prev = alloc
+                else:
+                    alloc = self._third = self.find(addr)
         size = len(data)
         end = addr + size
         if end > alloc.end:
@@ -269,21 +294,34 @@ class SimMemory:
                 f"write of {size} bytes at 0x{addr:x} overruns allocation {alloc!r}"
             )
         line = addr // CACHELINE
+        last = (end - 1) // CACHELINE
         llc = self.llc
         lines = llc.lines
         if (
             ctx is not None
-            and (end - 1) // CACHELINE <= line
-            and (line in lines if lines is not None
-                 else (group := llc.stamps.get(line >> GROUP_SHIFT, ABSENT))[line & GROUP_MASK])
+            and (
+                (last == line
+                 or last == line + 1
+                 and (tail := llc.stamps.get(last >> GROUP_SHIFT, ABSENT))[last & GROUP_MASK])
+                and (group := llc.stamps.get(line >> GROUP_SHIFT, ABSENT))[line & GROUP_MASK]
+                if lines is None
+                else (last == line or last == line + 1 and last in lines) and line in lines
+            )
             and (ctx.in_enclave or not ENCLAVE_BASE <= addr < ENCLAVE_END)
         ):
             if lines is None:
                 llc.touches = group[line & GROUP_MASK] = llc.touches + 1
             else:
                 lines.move_to_end(line)
-            llc.hits += 1
             cycles = self.cost.cache_hit_cycles
+            if last != line:
+                if lines is None:
+                    llc.touches = tail[last & GROUP_MASK] = llc.touches + 1
+                else:
+                    lines.move_to_end(last)
+                llc.hits += 1
+                cycles += cycles  # one float addition for both hits, as in _charge
+            llc.hits += 1
             ctx.clock.cycles += cycles
             counters = self.counters
             counters.mem_cycles += cycles

@@ -202,6 +202,13 @@ class TestStatsAggregation:
             # clock by more than the two clocks' granularity.
             assert timings["worker_cpu_s"] <= timings["worker_compute_s"] + 0.05
 
+    def test_handshake_wait_is_not_ipc_wait(self):
+        """Waiting for a spawned worker's handshake reply is its
+        interpreter start and recovery: a pool that has served no
+        request has spent nothing waiting on the plane."""
+        with _build(MODE_PROCESSES) as store:
+            assert store.stage_timings()["ipc_wait_s"] == 0
+
     def test_from_dict_ignores_unknown_and_property_keys(self):
         """Snapshot dicts from newer workers may carry keys the parent
         does not know — including names that collide with read-only

@@ -2,6 +2,9 @@
 
 import mmap
 import os
+import sys
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -11,11 +14,14 @@ from repro.core import ShieldStore, shield_opt
 from repro.errors import EnclaveError, EnclaveMemoryError
 from repro.sim import Attacker, Enclave, Machine
 from repro.sim import memory as simmem
+from repro.sim.cycles import CACHELINE, PAGE_SIZE, CostModel
+from repro.sim.llc import GROUP_SHIFT
 from repro.sim.memory import (
     ENCLAVE_BASE,
     REGION_ENCLAVE,
     REGION_UNTRUSTED,
     UNTRUSTED_BASE,
+    SimMemory,
 )
 
 
@@ -159,7 +165,7 @@ class TestRawAccess:
 
     @pytest.mark.parametrize("region", [REGION_ENCLAVE, REGION_UNTRUSTED])
     def test_freed_base_refuses_every_access(self, machine, enclave, region):
-        """The _last / _prev shortcut must not outlive free()."""
+        """A remembered allocation must not outlive free()."""
         memory, ctx = machine.memory, enclave.context()
         for size in BOTH_BACKINGS:
             base = memory.alloc(size, region)
@@ -174,6 +180,120 @@ class TestRawAccess:
             ):
                 with pytest.raises(EnclaveMemoryError, match="not inside any allocation"):
                     access()
+
+
+    @pytest.mark.parametrize("victim", range(3))
+    def test_free_forgets_all_three_remembered(self, machine, enclave, victim):
+        """read()/write() remember three allocations (a lookup moves
+        between the bucket table, a heap chunk and the MAC-hash array);
+        freeing any one of them must not leave it reachable."""
+        memory, ctx = machine.memory, enclave.context()
+        bases = [memory.alloc(64), enclave.alloc(64), memory.alloc(1 << 20)]
+        for base in bases:
+            for _ in range(3):
+                memory.read(ctx, base, 8)
+        find, resolved = memory.find, []
+        memory.find = lambda addr: resolved.append(addr) or find(addr)
+        for base in bases:
+            memory.read(ctx, base, 8)
+        assert resolved == []  # all three were remembered
+        del memory.find
+        memory.free(bases[victim])
+        for access in (
+            lambda: memory.read(ctx, bases[victim], 8),
+            lambda: memory.write(ctx, bases[victim], b"new"),
+        ):
+            with pytest.raises(EnclaveMemoryError, match="not inside any allocation"):
+                access()
+
+
+# -- the in-frame hit branch against _charge ----------------------------------
+_LLC_LINES = 256
+
+
+def _all_hit_ledger(machine, through_touch):
+    """Warm two pages, then make one- and two-line accesses that all hit
+    the LLC (one straddles a 16-line stamp group): through read()/write(),
+    or as the same charges through touch(), which is _charge's path.
+    Returns everything the accesses leave in the ledger."""
+    enclave = Enclave(machine, bytes(32))
+    ctx, memory = enclave.context(), machine.memory
+    secret, plain = enclave.alloc(PAGE_SIZE), memory.alloc(PAGE_SIZE)
+
+    def line_start(base, index):
+        return (base // CACHELINE + index) * CACHELINE
+
+    group_end = ((secret // CACHELINE >> GROUP_SHIFT) + 1 << GROUP_SHIFT) * CACHELINE
+    accesses = [
+        (line_start(secret, 2) - 4, 8, False),
+        (group_end - 8, 16, True),
+        (line_start(plain, 3) - 1, 2, False),
+        (line_start(plain, 5) - 12, 24, True),
+        (line_start(secret, 7) + 8, 16, False),
+        (line_start(plain, 9), CACHELINE, True),
+    ]
+    for base in (secret, plain):
+        memory.read(ctx, base, PAGE_SIZE)
+    if not through_touch:
+        memory._charge = None  # every access below must stay in read()/write()'s frame
+    for addr, size, write in accesses * 2:
+        if through_touch:
+            memory.touch(ctx, addr, size, write)
+        elif write:
+            memory.write(ctx, addr, b"w" * size)
+        else:
+            memory.read(ctx, addr, size)
+    llc = memory.llc
+    return {
+        "counters": machine.counters.snapshot(),
+        "cycles": repr(machine.clock.elapsed_cycles()),
+        "llc": (llc.hits, llc.misses, llc.touches),
+        "stamps": {key: list(group) for key, group in llc.stamps.items()},
+        "lines": None if llc.lines is None else list(llc.lines),
+    }
+
+
+@pytest.mark.parametrize("evicted", [False, True], ids=["stamps", "ordered"])
+def test_in_frame_hits_charge_as_charge_does(evicted):
+    """One- and two-line all-hit accesses leave the counters, the
+    ``repr``-exact clock and the LLC's hits, misses and recency exactly
+    as ``_charge`` does, in both forms of the LLC."""
+    cost = replace(CostModel(), llc_bytes=_LLC_LINES * CACHELINE)
+    ledgers = []
+    for through_touch in (False, True):
+        machine = Machine(cost=cost)
+        if evicted:  # 2x capacity of cold lines: past the first eviction
+            filler = machine.memory.alloc(2 * _LLC_LINES * CACHELINE)
+            machine.memory.read(machine.context(0), filler, 2 * _LLC_LINES * CACHELINE)
+        ledgers.append(_all_hit_ledger(machine, through_touch))
+    assert (ledgers[0]["lines"] is not None) == evicted
+    assert ledgers[0] == ledgers[1]
+
+
+def test_warm_get_neither_bisects_nor_takes_the_general_path():
+    """A warm ``get`` of a 16-byte value touches the bucket table, a heap
+    chunk and the MAC-hash array, one or two lines at a time: every
+    allocation is remembered and every access is charged in frame."""
+    store = ShieldStore(shield_opt(num_buckets=1024, num_mac_hashes=512))
+    keys = [b"key-%05d" % index for index in range(256)]
+    for key in keys:
+        store.set(key, bytes(16))
+    for key in keys:
+        store.get(key)
+    watched = {SimMemory.find.__code__: "find", SimMemory._charge.__code__: "_charge"}
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            calls[watched[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        for key in keys:
+            store.get(key)
+    finally:
+        sys.setprofile(None)
+    assert calls == Counter()
 
 
 # -- the two backings against one model --------------------------------------

@@ -98,7 +98,7 @@ def _replicated_writes(num_nodes: int, ops: int, baseline: dict) -> dict:
 
 
 def _convergence(pairs: int) -> dict:
-    """Time anti-entropy refilling a replica restarted empty."""
+    """Time anti-entropy refilling a replica that missed ``pairs`` writes."""
     group = ReplicationGroup(num_nodes=3, config=_config())
     try:
         client = group.client("bench-sync")

@@ -162,20 +162,6 @@ def _snapshotter(counter_file):
     return PartitionSnapshotter(MonotonicCounterService(counter_file))
 
 
-def _open_durable(snapshotter, source, config, stream, **store_args):
-    """The one call that turns durable state into a store.  A refusal —
-    malformed, tampered, unsealable, rolled back — is one ``restore
-    rejected`` line on ``stream`` and ``None``, never a traceback."""
-    from repro.core import open_store
-    from repro.errors import SealingError, SnapshotError
-
-    try:
-        return open_store(snapshotter, source, config, **store_args)
-    except (SnapshotError, SealingError) as exc:
-        print(f"restore rejected: {exc}", file=stream)
-        return None
-
-
 def _cmd_snapshot(args) -> int:
     from repro.core import PartitionedShieldStore, snapshot_counter
 
@@ -199,18 +185,20 @@ def _cmd_snapshot(args) -> int:
 
 
 def _cmd_restore(args) -> int:
-    from repro.errors import IntegrityError
+    from repro.core import open_store
+    from repro.errors import IntegrityError, SealingError, SnapshotError
 
-    opened = _open_durable(
-        _snapshotter(args.counter_file or args.snapshot + ".counters.json"),
-        args.snapshot,
-        _snapshot_config(args.partitions),
-        sys.stdout,
-        num_partitions=args.partitions,
-    )
-    if opened is None:
+    try:
+        store = open_store(
+            _snapshotter(args.counter_file or args.snapshot + ".counters.json"),
+            args.snapshot,
+            _snapshot_config(args.partitions),
+            num_partitions=args.partitions,
+        )[0]
+    except (SnapshotError, SealingError) as exc:
+        print(f"restore rejected: {exc}")
         return 1
-    with opened[0] as store:
+    with store:
         try:
             # Entry bytes are authenticated on read (§4.4): only the
             # audit re-MACs every record the blob carried.
@@ -226,14 +214,13 @@ def _cmd_restore(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    import contextlib
-    import os
+    import hashlib
     import signal
     import time
 
     from repro import AttestationService, shield_opt
-    from repro.core import SnapshotDaemon
-    from repro.net import TCPShieldServer
+    from repro.errors import SealingError, SnapshotError
+    from repro.node import Node
     from repro.sim.cycles import MB
 
     if args.workers < 1:
@@ -244,12 +231,9 @@ def _cmd_serve(args) -> int:
         print(f"--snapshot-keep {args.snapshot_keep}: at least the newest "
               "checkpoint must be kept", file=sys.stderr)
         return 2
-    config = shield_opt(
-        num_buckets=8192,
-        num_mac_hashes=4096,
-        cache_bytes=int(args.cache_mb * MB),
-        mac_cache_bytes=int(args.mac_cache_mb * MB),
-    )
+    config = shield_opt(num_buckets=8192, num_mac_hashes=4096,
+                        cache_bytes=int(args.cache_mb * MB),
+                        mac_cache_bytes=int(args.mac_cache_mb * MB))
     peers = []
     for spec in args.peer or ():
         name, eq, addr = spec.partition("=")
@@ -275,12 +259,8 @@ def _cmd_serve(args) -> int:
     if args.replication_secret:
         # Stretch the operator passphrase into a full-width master
         # secret (every group member derives the same one).
-        import hashlib
-
-        master = hashlib.sha256(
-            b"shieldstore/replication-group:"
-            + args.replication_secret.encode()
-        ).digest()
+        secret = b"shieldstore/replication-group:" + args.replication_secret.encode()
+        master = hashlib.sha256(secret).digest()
     plan = None
     if args.fault_plan:
         from repro.sim import faults as faultsmod
@@ -294,100 +274,47 @@ def _cmd_serve(args) -> int:
     # partition in this process and gives each of several its own worker
     # process (falling back in-process on exotic platforms).  Building
     # it is the whole recovery (checkpoint, log tails, verdict) or a refusal.
-    snapshotter = _snapshotter(
-        args.snapshot_dir and os.path.join(args.snapshot_dir, "counters.json")
-    )
-    opened = _open_durable(
-        snapshotter,
-        args.snapshot_dir,
-        config,
-        sys.stderr,
-        master_secret=master,
-        num_partitions=args.workers,
-        data_plane=args.data_plane,
-        wal_dir=args.wal_dir,
-        wal_sync_ms=args.wal_sync_ms,
-    )
-    if opened is None:
+    service = AttestationService(args.attestation_secret.encode())
+    try:
+        node = Node(
+            config, service, args.snapshot_dir, args.wal_dir,
+            node_id=(args.node_id or "node-0") if replicated else None,
+            anti_entropy_interval_s=args.anti_entropy_interval,
+            snapshot_interval_s=args.snapshot_interval, snapshot_keep=args.snapshot_keep,
+            server_args=dict(
+                host=args.host, port=args.port, max_connections=args.max_connections,
+                request_deadline_s=args.request_deadline,
+            ),
+            master_secret=master, num_partitions=args.workers,
+            data_plane=args.data_plane, wal_sync_ms=args.wal_sync_ms,
+        )
+    except (SnapshotError, SealingError) as exc:
+        print(f"restore rejected: {exc}", file=sys.stderr)
         return 1
-    store, restored_from, replayed = opened
-    plane = store.data_plane
-    print(f"partition engine: {args.workers} partition(s), "
-          f"mode={store.mode}"
-          + (f", data-plane={plane}" if plane else ""))
+    store = node.durable
+    print(f"partition engine: {args.workers} partition(s), mode={store.mode}"
+          + (f", data-plane={store.data_plane}" if store.data_plane else ""))
     if args.wal_dir:
         print(f"write-ahead log: {args.wal_dir} "
               f"(group commit {args.wal_sync_ms:g} ms)")
-
-    if restored_from:
-        print(f"restored {len(store)} keys from {restored_from}")
-    if replayed:
-        print(f"replayed {replayed} operation(s) "
-              "from the write-ahead log")
-    served = store
-    if replicated:
-        from repro.ext.replication import ReplicatedStore
-
-        # Persistence keeps targeting the partitioned store — versioned
-        # records are opaque values to checkpoints and the log.
-        served = ReplicatedStore(
-            store.partitions[0], node_id=args.node_id or "node-0"
-        )
-    service = AttestationService(args.attestation_secret.encode())
+    if node.restored_from:
+        print(f"restored {len(store)} keys from {node.restored_from}")
+    if node.replayed:
+        print(f"replayed {node.replayed} operation(s) from the write-ahead log")
     for name, peer_host, peer_port in peers:
-        served.add_peer(
-            name, (peer_host, peer_port), service, store.enclave.measurement
-        )
-    server = TCPShieldServer(
-        served,
-        service,
-        host=args.host,
-        port=args.port,
-        max_connections=args.max_connections,
-        request_deadline_s=args.request_deadline,
-    )
-
-    daemon = None
-    if args.snapshot_dir:
-        on_checkpoint = None
-        if args.wal_dir:
-            from repro.core import WriteAheadLog
-
-            def on_checkpoint(counter, wal_dir=args.wal_dir):
-                # Only once the checkpoint is durable may the log
-                # segments it supersedes be deleted.
-                WriteAheadLog.retire(wal_dir, counter)
-
-        def take_snapshot():
-            # Anti-entropy merges write the store under the replicated
-            # store's mutex alone: the cut holds it too, taken after
-            # store_lock as the loop thread takes them.
-            with served.mutex if replicated else contextlib.nullcontext():
-                return snapshotter.snapshot_bytes(store)
-
-        daemon = SnapshotDaemon(
-            take_snapshot,
-            args.snapshot_dir,
-            args.snapshot_interval,
-            lock=server.store_lock,
-            keep=args.snapshot_keep,
-            on_checkpoint=on_checkpoint,
-        )
-        server.snapshot_daemon = daemon
-        daemon.start()
-        print(f"snapshots: every {args.snapshot_interval:g}s "
-              f"-> {args.snapshot_dir}")
+        node.store.add_peer(name, (peer_host, peer_port), service, store.enclave.measurement)
 
     # SIGTERM (kill, systemd, docker stop) stops the way Ctrl-C does.
     signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
+        node.start()
+        if node.daemon is not None:
+            print(f"snapshots: every {args.snapshot_interval:g}s "
+                  f"-> {args.snapshot_dir}")
         if replicated:
-            # The replicator first: no served write waits on its queue.
-            served.start(anti_entropy_interval_s=args.anti_entropy_interval)
-            print(f"replication: node {served.node_id}, {len(peers)} peer(s), "
+            print(f"replication: node {node.node_id}, {len(peers)} peer(s), "
                   f"anti-entropy every {args.anti_entropy_interval:g}s")
-        server.start()
-        bound_host, port = server.address
+        bound_host, port = node.address
         print(f"ShieldStore enclave serving on {bound_host}:{port}")
         print(f"measurement: {store.enclave.measurement.hex()}")
         print("press Ctrl-C to stop")
@@ -395,18 +322,13 @@ def _cmd_serve(args) -> int:
             time.sleep(1)
     except KeyboardInterrupt:
         pass
-    # Nothing may be acknowledged after the final checkpoint is cut, so
-    # the front end drains first and the store closes last.
-    server.close()
-    if replicated:
-        served.close()
-    if daemon is not None:
-        daemon.stop()
-        try:
-            print(f"final checkpoint: {daemon.run_once()}")
-        except Exception as exc:
-            print(f"final checkpoint failed: {exc}")
-    store.close()
+    try:
+        final = node.close()
+    except Exception as exc:
+        print(f"final checkpoint failed: {exc}")
+    else:
+        if final is not None:
+            print(f"final checkpoint: {final}")
     if plan is not None:
         report = plan.snapshot()
         print(f"faults injected: {report['total_fires']} "

@@ -61,10 +61,12 @@ import hashlib
 import hmac
 import os
 import queue
+import shutil
 import struct
+import tempfile
 import threading
 from collections import deque
-from typing import Callable, ContextManager, Dict, List
+from typing import TYPE_CHECKING, Callable, ContextManager, Dict, List
 from typing import Optional, Sequence, Tuple
 
 from repro.core.stats import StoreStats
@@ -77,6 +79,9 @@ from repro.errors import (
 )
 from repro.net.message import decode_multi_items, encode_multi_items
 from repro.reader import U32, Reader
+
+if TYPE_CHECKING:
+    from repro.node import Node
 
 FLAG_TOMBSTONE = 0x01
 
@@ -94,6 +99,9 @@ SYNC_KIND_DIGESTS = b"digests"
 SYNC_KIND_SET = b"set"
 
 DIGEST_SIZE = 16
+
+# Every member of a ReplicationGroup shares this master secret.
+_GROUP_SECRET = b"\x5cshield-replication-group-seed\x5c"
 
 
 class PeerUnavailableError(StoreError):
@@ -477,23 +485,25 @@ class ReplicatedStore(VersionedVerbs):
     queue.
     """
 
-    def __init__(
-        self,
-        store,
-        node_id: str,
-        max_hints_per_peer: int = 4096,
-    ):
+    def __init__(self, store, node_id: str):
         self.inner = store
         self.node_id = node_id
         self.origin = node_origin(node_id)
         self.clock = LamportClock()
         self.peers: Dict[str, PeerLink] = {}
-        self.handoff = HintedHandoff(max_hints_per_peer)
+        self.handoff = HintedHandoff()
         self.repl_stats = StoreStats()
         # One mutex guards the inner store, the clock and the digest
         # cache; network calls NEVER happen under it.
-        self._mutex = threading.RLock()
+        self.mutex = threading.RLock()
         self._tombstones = 0
+        # A store that already holds records (a node recovered from its
+        # disk): witness the largest clock and count the tombstones, so
+        # causally-later writes still carry larger clocks.
+        for _key, record in store.iter_items():
+            flags, clock, _origin, _payload = unpack_record(record)
+            self.clock.witness(clock)
+            self._tombstones += flags & FLAG_TOMBSTONE
         # shieldstore/repl-digest: MAC-only key for the logical per-set
         # anti-entropy digests (registered in analysis.cryptomap).
         self._digest_key = derive_key(
@@ -506,42 +516,25 @@ class ReplicatedStore(VersionedVerbs):
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
-    @property
-    def mutex(self):
-        """The lock every write to :attr:`inner` holds."""
-        return self._mutex
-
     # -- plumbing the dispatcher expects -------------------------------------
     @property
     def enclave(self):
         return self.inner.enclave
 
-    @property
-    def machine(self):
-        return self.inner.machine
-
-    @property
-    def keyring(self):
-        return self.inner.keyring
-
-    @property
-    def config(self):
-        return self.inner.config
-
     def stats(self) -> StoreStats:
         """Inner store counters merged with the replication counters."""
-        with self._mutex:
+        with self.mutex:
             merged = self.inner.stats.merge(self.repl_stats)
         merged.hints_dropped += self.handoff.dropped
         return merged
 
     def __len__(self) -> int:
-        with self._mutex:
+        with self.mutex:
             return self.inner.count - self._tombstones
 
     # -- the VersionedVerbs hooks: this node's own copy ------------------------
     def _read(self, key: bytes, consistency: Level = None) -> Optional[bytes]:
-        with self._mutex:
+        with self.mutex:
             try:
                 return self.inner.get(key)
             except KeyNotFoundError:
@@ -557,7 +550,7 @@ class ReplicatedStore(VersionedVerbs):
             self._queue.put((key, record))
 
     def _atomic(self) -> ContextManager:
-        return self._mutex
+        return self.mutex
 
     def _write_record(self, key: bytes, record: bytes,
                       old: Optional[bytes]) -> None:
@@ -569,7 +562,7 @@ class ReplicatedStore(VersionedVerbs):
         self._mark_dirty(key)
 
     def _mark_dirty(self, key: bytes) -> None:
-        bucket = self.keyring.keyed_bucket_hash(key, self.config.num_buckets)
+        bucket = self.inner.keyring.keyed_bucket_hash(key, self.inner.config.num_buckets)
         self._digest_cache.pop(self.inner.mactree.set_of(bucket), None)
 
     def _bump(self, name: str, amount: int = 1) -> None:
@@ -595,7 +588,7 @@ class ReplicatedStore(VersionedVerbs):
         """
         key = bytes(key)
         version = record_version(raw_record)  # validates the record too
-        with self._mutex:
+        with self.mutex:
             node_clock = self.clock.witness(version[0])
             old = self._read(key)
             applied = newer(raw_record, old)
@@ -623,7 +616,7 @@ class ReplicatedStore(VersionedVerbs):
 
     def set_digest_blob(self) -> bytes:
         """All per-set digests, concatenated in set order."""
-        with self._mutex:
+        with self.mutex:
             return b"".join(
                 self._set_digest_locked(s) for s in range(self._num_sets)
             )
@@ -646,7 +639,7 @@ class ReplicatedStore(VersionedVerbs):
                 raise ProtocolError(f"sync set id {set_id} out of range")
             for key, record in pushed:
                 self.apply_remote(key, record, "sync_keys_repaired")
-            with self._mutex:
+            with self.mutex:
                 items = list(self.inner.iter_set_items(set_id))
             return encode_multi_items(items)
         raise ProtocolError("unknown sync sub-operation")
@@ -673,7 +666,7 @@ class ReplicatedStore(VersionedVerbs):
         self._bump("sync_rounds")
         self._bump("sync_sets_diverged", len(diverged))
         for set_id in diverged:
-            with self._mutex:
+            with self.mutex:
                 items = list(self.inner.iter_set_items(set_id))
             for key, record in link.sync_set(set_id, items):
                 self.apply_remote(key, record, "sync_keys_repaired")
@@ -908,39 +901,26 @@ class ReplicaClient(VersionedVerbs):
             link.close()
 
 
-class GroupNode:
-    """One replication-group member: store, server, liveness flag."""
-
-    def __init__(self, node_id: str, store: ReplicatedStore, server):
-        self.node_id = node_id
-        self.store = store
-        self.server = server
-        self.alive = True
-
-    @property
-    def address(self):
-        return self.server.address
-
-
 class ReplicationGroup:
-    """N replicated ``TCPShieldServer`` nodes wired into a full mesh.
+    """N replicated :class:`~repro.node.Node` members in a full mesh.
 
     The harness the chaos tests and :mod:`benchmarks.bench_replication`
     drive: builds N nodes sharing the **group** master secret (aligned
-    keyed-bucket geometry, so logical set digests are comparable),
-    starts their servers, wires every pairwise peer link, and hands out
-    quorum clients.  :meth:`kill` is a SIGKILL stand-in (hard server
-    stop, no drain); :meth:`restart` brings the node back *empty* on a
-    fresh port — hinted handoff and anti-entropy must refill it.
+    keyed-bucket geometry, so logical set digests are comparable), each
+    durable over its own directory ``<tempdir>/<node_id>/`` (checkpoints,
+    counter file and log side by side), starts them, wires every
+    pairwise peer link, and hands out quorum clients.  :meth:`kill` is a
+    SIGKILL stand-in (hard stop, no final checkpoint); :meth:`restart`
+    opens the same directory again on a fresh port, so the member
+    recovers its checkpoint and log tail, and hinted handoff and
+    anti-entropy bring it the writes it missed while down.
     """
 
     def __init__(
         self,
         num_nodes: int = 3,
         config=None,
-        master_secret: bytes = b"\x5cshield-replication-group-seed\x5c",
         anti_entropy_interval_s: Optional[float] = None,
-        max_hints_per_peer: int = 4096,
         link_deadline_s: float = 2.0,
     ):
         from repro.core import shield_opt
@@ -951,51 +931,44 @@ class ReplicationGroup:
         self.config = config if config is not None else shield_opt(
             num_buckets=64, num_mac_hashes=16
         )
-        self.master_secret = master_secret
         self.attestation = AttestationService(b"ias-secret-for-replication")
         self.anti_entropy_interval_s = anti_entropy_interval_s
-        self.max_hints_per_peer = max_hints_per_peer
         self.link_deadline_s = link_deadline_s
-        self.nodes: Dict[str, GroupNode] = {}
-        self.measurement: Optional[bytes] = None
+        self.directory = tempfile.mkdtemp(prefix="shieldstore-group-")
+        self.nodes: Dict[str, Node] = {}
         for i in range(num_nodes):
             self._build_node(f"node-{i}")
-        self._wire_mesh()
+        self.measurement = self.nodes["node-0"].store.enclave.measurement
         for node in self.nodes.values():
-            node.store.start(anti_entropy_interval_s)
+            self._link(node)
+            node.start()
 
     # -- construction --------------------------------------------------------
-    def _build_node(self, node_id: str) -> GroupNode:
-        from repro.core.store import ShieldStore
-        from repro.net.tcp import TCPShieldServer
+    def _build_node(self, node_id: str) -> Node:
+        from repro.node import Node
 
-        inner = ShieldStore(self.config, master_secret=self.master_secret)
-        store = ReplicatedStore(
-            inner, node_id, max_hints_per_peer=self.max_hints_per_peer
+        directory = os.path.join(self.directory, node_id)  # checkpoints, counters, log
+        self.nodes[node_id] = Node(
+            self.config, self.attestation, directory, directory,
+            node_id=node_id, anti_entropy_interval_s=self.anti_entropy_interval_s,
+            master_secret=_GROUP_SECRET,
         )
-        server = TCPShieldServer(store, self.attestation)
-        server.start()
-        node = GroupNode(node_id, store, server)
-        self.nodes[node_id] = node
-        if self.measurement is None:
-            self.measurement = inner.enclave.measurement
-        return node
+        return self.nodes[node_id]
 
-    def _link_node(self, node: GroupNode, peer: GroupNode) -> None:
-        node.store.add_peer(
-            peer.node_id,
-            peer.address,
-            self.attestation,
-            self.measurement,
-            request_deadline_s=self.link_deadline_s,
-            connect_timeout_s=self.link_deadline_s,
-        )
-
-    def _wire_mesh(self) -> None:
-        for node in self.nodes.values():
-            for peer in self.nodes.values():
-                if peer is not node:
-                    self._link_node(node, peer)
+    def _link(self, node: Node) -> None:
+        """Link ``node`` to every other member, and theirs to it."""
+        for peer in self.nodes.values():
+            if peer is node:
+                continue
+            node.store.add_peer(
+                peer.node_id, peer.address, self.attestation, self.measurement,
+                request_deadline_s=self.link_deadline_s,
+                connect_timeout_s=self.link_deadline_s,
+            )
+            back = peer.store.peers.get(node.node_id)
+            if back is not None:  # linked earlier: point it at this port
+                back.set_address(node.address)
+                back.alive = True
 
     # -- clients -------------------------------------------------------------
     def client(
@@ -1006,7 +979,6 @@ class ReplicationGroup:
     ) -> ReplicaClient:
         """A replica-aware client over every node (dead ones included —
         the client's quorum logic is what tolerates them)."""
-        assert self.measurement is not None
         kwargs.setdefault("request_deadline_s", self.link_deadline_s)
         kwargs.setdefault("connect_timeout_s", self.link_deadline_s)
         return ReplicaClient(
@@ -1019,34 +991,23 @@ class ReplicationGroup:
         )
 
     # -- chaos levers ----------------------------------------------------------
-    def kill(self, node_id: str) -> GroupNode:
-        """SIGKILL stand-in: hard-stop the node's store and server."""
-        node = self.nodes[node_id]
-        node.store.close()
-        node.server.close()
-        node.alive = False
-        return node
+    def kill(self, node_id: str) -> None:
+        """SIGKILL stand-in: stop the member with no final checkpoint."""
+        self.nodes[node_id].close(checkpoint=False)
 
-    def restart(self, node_id: str) -> GroupNode:
-        """Bring a killed node back **empty** on a fresh port.
-
-        The revived replica holds nothing; peers' hinted handoff and
-        the anti-entropy exchange are what refill it.
-        """
+    def restart(self, node_id: str) -> Node:
+        """Bring a killed member back from its own directory on a fresh
+        port: its checkpoint and log tail are recovered before hints and
+        anti-entropy run."""
         if self.nodes[node_id].alive:
             raise StoreError(f"node {node_id!r} is still alive")
         node = self._build_node(node_id)
-        for peer in self.nodes.values():
-            if peer is node:
-                continue
-            self._link_node(node, peer)
-            peer.store.peers[node_id].set_address(node.address)
-            peer.store.peers[node_id].alive = True
-        node.store.start(self.anti_entropy_interval_s)
+        self._link(node)
+        node.start()
         return node
 
     # -- convergence -----------------------------------------------------------
-    def live_nodes(self) -> List[GroupNode]:
+    def live_nodes(self) -> List[Node]:
         return [n for n in self.nodes.values() if n.alive]
 
     def flush_all(self) -> None:
@@ -1074,3 +1035,4 @@ class ReplicationGroup:
     def close(self) -> None:
         for node in self.live_nodes():
             self.kill(node.node_id)
+        shutil.rmtree(self.directory, ignore_errors=True)

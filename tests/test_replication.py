@@ -7,18 +7,22 @@ post-heal anti-entropy converges every replica to byte-identical
 MAC-verified state.
 """
 
+import os
 import random
+import shutil
 import threading
+from pathlib import Path
 
 import pytest
 
-from repro.errors import KeyNotFoundError, ProtocolError, StoreError
+from repro.errors import KeyNotFoundError, ProtocolError, SnapshotError, StoreError
 from repro.ext.replication import (
     CONSISTENCY_ONE,
     FLAG_TOMBSTONE,
     RECORD_OVERHEAD,
     HintedHandoff,
     LamportClock,
+    ReplicaClient,
     ReplicatedStore,
     ReplicationGroup,
     is_tombstone,
@@ -27,6 +31,7 @@ from repro.ext.replication import (
     record_version,
     unpack_record,
 )
+from repro.net.tcp import TCPShieldClient
 from repro.sim import faults
 from repro.sim.faults import FaultPlan, FaultPlanError, FaultRule
 
@@ -315,6 +320,108 @@ class TestQuorumClient:
         for key, value in acked.items():
             assert revived.get(key) == value
         client.close()
+
+
+def _plain_client(group, node_id):
+    """A served client of one member, as an application reaches it."""
+    return TCPShieldClient(
+        group.nodes[node_id].address, group.attestation, group.measurement,
+        os.urandom(32),
+    )
+
+
+class TestDurableMembers:
+    """Every member is a durable node over its own directory: a kill
+    keeps its disk, and a restart recovers from it."""
+
+    def test_restarted_member_mints_later_clocks(self, trio):
+        """A store rewrapped after a restart witnesses its records'
+        largest clock and counts their tombstones: a write after the
+        restart beats every write before it, on every node."""
+        client = _plain_client(trio, "node-0")
+        for i in range(5):
+            client.set(b"k", b"old-%d" % i)
+        client.set(b"gone", b"v")
+        client.delete(b"gone")
+        client.close()
+        trio.sync_all()
+        trio.kill("node-0")
+        trio.restart("node-0")
+        client = _plain_client(trio, "node-0")
+        client.set(b"k", b"new")
+        client.close()
+        trio.sync_all()
+        assert trio.converged()
+        for node in trio.live_nodes():
+            assert node.store.get(b"k") == b"new"
+            assert len(node.store) == 1  # the tombstone is no live key
+
+    def test_restarted_member_holds_what_it_acked(self, trio):
+        client = trio.client("qc")
+        acked = {}
+        for i in range(20):
+            key, value = b"ak%02d" % i, b"av%02d" % i
+            client.set(key, value)
+            acked[key] = value
+        client.close()
+        trio.kill("node-2")
+        revived = trio.restart("node-2").store  # no sync: its own disk only
+        for key, value in acked.items():
+            assert revived.get(key) == value
+
+    def test_a_tampered_record_is_a_start_up_refusal(self, tmp_path):
+        """Rewrapping a recovered store reads each record, verified: a
+        flipped entry byte in the checkpoint refuses the start-up the way
+        a bad checkpoint does, rather than escaping as ``IntegrityError``."""
+        from repro.core import shield_opt
+        from repro.node import Node
+        from repro.sim import AttestationService
+
+        shape = (shield_opt(num_buckets=64, num_mac_hashes=16),
+                 AttestationService(b"test-attestation-secret"), str(tmp_path))
+        node = Node(*shape, node_id="n0", master_secret=bytes(32))
+        node.start()
+        node.store.set(b"k", b"v")
+        blob = bytearray(Path(node.close()).read_bytes())
+        blob[-25] ^= 0x01  # an entry's ciphertext, which open_store does not read
+        Path(node.daemon.last_path).write_bytes(blob)
+        Node(*shape, master_secret=bytes(32)).close(checkpoint=False)
+        with pytest.raises(SnapshotError, match="failed verification"):
+            Node(*shape, node_id="n0", master_secret=bytes(32))
+
+    def test_stale_copy_of_a_member_rejoins_as_a_full_member(self, trio, tmp_path):
+        """SECURITY.md, "One replica among several": a member put back
+        from an old copy of its whole directory (checkpoint, counter
+        file, log), as a re-provisioned machine whose platform counter
+        does not object would be, serves stale ``ONE`` reads of acked
+        writes until anti-entropy overwrites it.  This pins today's
+        behaviour; ROADMAP item 11 is where it changes."""
+        client = trio.client("qc")
+        keys = [b"sk%02d" % i for i in range(10)]
+        for key in keys:
+            client.set(key, b"before")
+        trio.nodes["node-2"].daemon.run_once()
+        member_dir, copy = os.path.join(trio.directory, "node-2"), tmp_path / "node-2"
+        shutil.copytree(member_dir, copy)
+        for key in keys:
+            client.set(key, b"after")  # QUORUM-acked
+        client.close()
+        trio.kill("node-2")
+        shutil.rmtree(member_dir)
+        shutil.copytree(copy, member_dir)
+        stale = trio.restart("node-2")
+        reader = ReplicaClient(
+            [("node-2", stale.address)], trio.attestation, trio.measurement,
+            consistency=CONSISTENCY_ONE, name="one-reader",
+        )
+        try:
+            assert [reader.get(key) for key in keys] == [b"before"] * len(keys)
+        finally:
+            reader.close()
+        trio.sync_all()
+        assert trio.converged()
+        for key in keys:
+            assert stale.store.get(key) == b"after"
 
 
 class TestConvergenceProperty:

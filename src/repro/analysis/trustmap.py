@@ -119,7 +119,6 @@ TAINT_SOURCE_METHODS = frozenset(
 SANITIZER_METHODS = frozenset(
     {
         "encrypt",
-        "encrypt_many",
         "encrypt_record",
         "_encrypt_entry",  # returns (header, ciphertext, mac) — all safe
         "seal",

@@ -52,7 +52,6 @@ class GrapheneMemcachedStore:
         self,
         machine: Optional[Machine] = None,
         num_buckets: int = 1 << 16,
-        materialize: bool = False,
         secure: bool = True,
     ):
         self.machine = machine if machine is not None else Machine()
@@ -72,11 +71,7 @@ class GrapheneMemcachedStore:
                 for t in range(self.machine.clock.num_threads)
             ]
         self.table = PlainHashTable(
-            self.machine,
-            num_buckets,
-            region,
-            enclave=self.enclave,
-            materialize=materialize,
+            self.machine, num_buckets, region, enclave=self.enclave
         )
         self._ops_since_maintainer = 0
 

@@ -24,12 +24,9 @@ class InsecureStore:
         self,
         machine: Optional[Machine] = None,
         num_buckets: int = 1 << 16,
-        materialize: bool = False,
     ):
         self.machine = machine if machine is not None else Machine()
-        self.table = PlainHashTable(
-            self.machine, num_buckets, REGION_UNTRUSTED, materialize=materialize
-        )
+        self.table = PlainHashTable(self.machine, num_buckets, REGION_UNTRUSTED)
         self._ctxs: List[ExecContext] = [
             self.machine.context(t, in_enclave=False)
             for t in range(self.machine.clock.num_threads)

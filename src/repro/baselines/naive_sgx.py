@@ -27,16 +27,11 @@ class NaiveSgxStore:
         self,
         machine: Optional[Machine] = None,
         num_buckets: int = 1 << 16,
-        materialize: bool = False,
     ):
         self.machine = machine if machine is not None else Machine()
         self.enclave = Enclave(self.machine, _MEASUREMENT, name="naive-kv")
         self.table = PlainHashTable(
-            self.machine,
-            num_buckets,
-            REGION_ENCLAVE,
-            enclave=self.enclave,
-            materialize=materialize,
+            self.machine, num_buckets, REGION_ENCLAVE, enclave=self.enclave
         )
         self._ctxs: List[ExecContext] = [
             self.enclave.context(t)

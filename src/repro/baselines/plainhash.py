@@ -21,15 +21,16 @@ Entry record layout (plaintext)::
 from __future__ import annotations
 
 import struct
-
-from repro.util import fnv1a
 from typing import Optional, Tuple
 
 from repro.errors import KeyNotFoundError, StoreError
 from repro.sim.enclave import Enclave, ExecContext, Machine
 from repro.sim.memory import REGION_ENCLAVE, REGION_UNTRUSTED
+from repro.util import fnv1a
 
-_HEADER = 16
+_ENTRY = struct.Struct("<QII")  # next_ptr, key_size, val_size
+_PTR = struct.Struct("<Q")
+_HEADER = _ENTRY.size
 _MAX_CHAIN = 1_000_000
 
 
@@ -42,22 +43,14 @@ class PlainHashTable:
         num_buckets: int,
         region: str,
         enclave: Optional[Enclave] = None,
-        materialize: bool = True,
     ):
         if region not in (REGION_ENCLAVE, REGION_UNTRUSTED):
             raise StoreError(f"unknown region {region!r}")
         self.machine = machine
         self.num_buckets = num_buckets
         self.region = region
-        self.materialize = materialize
         self._mem = machine.memory
-        self.table_base = self._mem.alloc(
-            num_buckets * 8, region, materialize=materialize
-        )
-        # When unmaterialized, chain state lives in this shadow dict
-        # (cost accounting is identical; only the bytes are virtual).
-        self._shadow: Optional[dict] = None if materialize else {}
-        self._shadow_heads: Optional[dict] = None if materialize else {}
+        self.table_base = self._mem.alloc(num_buckets * 8, region)
         self.count = 0
 
     def _hash(self, ctx: ExecContext, key: bytes) -> int:
@@ -67,42 +60,26 @@ class PlainHashTable:
     # -- raw chain helpers -------------------------------------------------
     def _read_head(self, ctx: ExecContext, bucket: int) -> int:
         addr = self.table_base + bucket * 8
-        raw = self._mem.read(ctx, addr, 8)
-        if self._shadow_heads is not None:
-            return self._shadow_heads.get(bucket, 0)
-        return struct.unpack("<Q", raw)[0]
+        return _PTR.unpack(self._mem.read(ctx, addr, 8))[0]
 
     def _write_head(self, ctx: ExecContext, bucket: int, ptr: int) -> None:
         addr = self.table_base + bucket * 8
-        self._mem.write(ctx, addr, struct.pack("<Q", ptr))
-        if self._shadow_heads is not None:
-            self._shadow_heads[bucket] = ptr
+        self._mem.write(ctx, addr, _PTR.pack(ptr))
 
     def _read_entry(self, ctx: ExecContext, addr: int) -> Tuple[int, bytes, bytes]:
-        header = self._mem.read(ctx, addr, _HEADER)
-        if self._shadow is not None:
-            next_ptr, key, value = self._shadow[addr]
-            self._mem.touch(ctx, addr + _HEADER, len(key) + len(value), write=False)
-            return next_ptr, key, value
-        next_ptr, ksize, vsize = struct.unpack("<QII", header)
+        next_ptr, ksize, vsize = _ENTRY.unpack(self._mem.read(ctx, addr, _HEADER))
         kv = self._mem.read(ctx, addr + _HEADER, ksize + vsize)
         return next_ptr, kv[:ksize], kv[ksize:]
 
     def _write_entry(
         self, ctx: ExecContext, addr: int, next_ptr: int, key: bytes, value: bytes
     ) -> None:
-        if self._shadow is not None:
-            self._mem.touch(
-                ctx, addr, _HEADER + len(key) + len(value), write=True
-            )
-            self._shadow[addr] = (next_ptr, key, value)
-            return
-        record = struct.pack("<QII", next_ptr, len(key), len(value)) + key + value
+        record = _ENTRY.pack(next_ptr, len(key), len(value)) + key + value
         self._mem.write(ctx, addr, record)
 
     def _alloc_entry(self, ctx: ExecContext, size: int) -> int:
         ctx.charge(self.machine.cost.malloc_cycles)
-        return self._mem.alloc(size, self.region, materialize=self.materialize)
+        return self._mem.alloc(size, self.region)
 
     # -- operations ---------------------------------------------------------
     def get(self, ctx: ExecContext, key: bytes) -> bytes:
@@ -139,10 +116,7 @@ class PlainHashTable:
                     )
                     self._write_entry(ctx, new_addr, next_ptr, key, value)
                     if prev:
-                        self._mem.write(ctx, prev, struct.pack("<Q", new_addr))
-                        if self._shadow is not None:
-                            n, k, v = self._shadow[prev]
-                            self._shadow[prev] = (new_addr, k, v)
+                        self._mem.write(ctx, prev, _PTR.pack(new_addr))
                     else:
                         self._write_head(ctx, bucket, new_addr)
                 return

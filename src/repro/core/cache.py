@@ -47,8 +47,9 @@ class EnclaveLRU:
         self._memory = enclave.machine.memory
         self.capacity_bytes = capacity_bytes
         # Address space the cached bytes notionally occupy; accesses into
-        # it drive the EPC model.  Contents are mirrored in _entries.
-        self.base = enclave.alloc(capacity_bytes, materialize=False)
+        # it drive the EPC model.  Contents live in _entries, so the
+        # allocation is only ever touched, never written.
+        self.base = enclave.alloc(capacity_bytes)
         self._entries: "OrderedDict[object, tuple]" = OrderedDict()
         self.bytes_used = 0
         self.evictions = 0

@@ -843,7 +843,7 @@ class ShieldStore:
         if isinstance(items, dict):
             items = items.items()
         pairs = [(bytes(key), bytes(value)) for key, value in items]
-        if pairs:
+        if pairs and self.wal is not None:
             self._wal_append("mset", b"", encode_multi_items(pairs))
         self.stats.batches += 1
         verified_sets: Dict[int, Dict[int, bytes]] = {}
@@ -894,7 +894,7 @@ class ShieldStore:
         """
         ctx = self._context(ctx)
         keys = [bytes(key) for key in keys]
-        if keys:
+        if keys and self.wal is not None:
             self._wal_append("mdelete", b"", encode_multi_keys(keys))
         self.stats.batches += 1
         results: Dict[bytes, bool] = {}

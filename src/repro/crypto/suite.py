@@ -81,14 +81,6 @@ class CipherSuite:
         """Inverse of :meth:`encrypt_record`."""
         return self.decrypt(iv, ciphertext)
 
-    def encrypt_many(self, items) -> list:
-        """Encrypt a batch of ``(iv_ctr, plaintext)`` pairs in input order.
-
-        Suites with a batchable keystream override this to amortize the
-        per-call overhead; the default simply loops.
-        """
-        return [self.encrypt(iv_ctr, plaintext) for iv_ctr, plaintext in items]
-
     def decrypt_many(self, items) -> list:
         """Decrypt a batch of ``(iv_ctr, ciphertext)`` pairs in input order."""
         return [self.decrypt(iv_ctr, ciphertext) for iv_ctr, ciphertext in items]
@@ -138,15 +130,6 @@ class FastSuite(CipherSuite):
 
     def decrypt(self, iv_ctr: bytes, ciphertext: bytes) -> bytes:
         return _fast.prf_transform(self.enc_key, iv_ctr, ciphertext)
-
-    def encrypt_many(self, items) -> list:
-        if _sanitizer.active:
-            items = list(items)
-            for iv_ctr, plaintext in items:
-                _sanitizer.record(
-                    self.enc_key, iv_ctr, len(plaintext), _fast.CHUNK_SIZE
-                )
-        return _fast.prf_transform_many(self.enc_key, items)
 
     def decrypt_many(self, items) -> list:
         return _fast.prf_transform_many(self.enc_key, items)

@@ -57,7 +57,7 @@ def _measure(
         Enclave(machine, _MEASUREMENT)
         ctx = machine.context(0, in_enclave=True)
         region = REGION_ENCLAVE
-    base = machine.memory.alloc(wss_bytes, region, materialize=False)
+    base = machine.memory.alloc(wss_bytes, region)
     pages = max(1, wss_bytes // PAGE_SIZE)
     rng = random.Random(seed + 7)
     # Warm-up: when the set fits the EPC, sweep every page so no cold

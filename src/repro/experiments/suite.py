@@ -1,7 +1,7 @@
 """Suite runner: preload once per (system, data, threads), sweep workloads.
 
 Figures 10, 11, 13 and 18 all measure the same grid — systems x data
-sizes x thread counts x Table 2 workloads — so this module materializes
+sizes x thread counts x Table 2 workloads — so this module builds
 each store once and replays every workload against it, resetting the
 measurement clocks in between (the paper preloads 10M pairs once per
 configuration too).

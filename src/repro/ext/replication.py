@@ -103,6 +103,11 @@ DIGEST_SIZE = 16
 # Every member of a ReplicationGroup shares this master secret.
 _GROUP_SECRET = b"\x5cshield-replication-group-seed\x5c"
 
+# Times a client re-mints a write that replicas refused: a refusal means
+# the replica holds a newer version of the key (a clock the client had
+# not seen) or this very record, redelivered after a lost reply.
+_REMINT_ROUNDS = 3
+
 
 class PeerUnavailableError(StoreError):
     """A replication peer could not be reached (marked dead, hinted)."""
@@ -800,7 +805,9 @@ class ReplicaClient(VersionedVerbs):
     travel as ``OP_REPLICATE``/``OP_VGET`` frames through the TCP
     client's retry/deadline/backoff machinery.  A write goes to the
     **whole** set and the consistency level is the number of acks
-    required (1, or a majority); a QUORUM read collects the set's
+    required (1, or a majority); an ack is a replica that applied the
+    record, and a replica that refused it gets the same change re-minted
+    above the clock it answered with; a QUORUM read collects the set's
     versioned replies, returns the LWW winner and read-repairs stale
     replicas; a ONE read takes the first reachable reply.  A down
     replica surfaces as :class:`PeerUnavailableError` and is skipped.
@@ -882,16 +889,31 @@ class ReplicaClient(VersionedVerbs):
 
     def _commit(self, key: bytes, record: bytes, old: Optional[bytes],
                 consistency: Level) -> None:
-        """Push the record to every replica; count acks against the level."""
+        """Push the record to every replica; count appliers against the level.
+
+        A refuser is pushed the same change again, minted above the clock
+        it answered with, at most ``_REMINT_ROUNDS`` times.
+        """
         _level, needed = self._plan(consistency)
-        acks = 0
-        for link in self.links:
-            try:
-                _applied, peer_clock = link.replicate(key, record)
-            except PeerUnavailableError:
-                continue
-            self.clock.witness(peer_clock)
-            acks += 1
+        acks, pending = 0, self.links
+        for attempt in range(1 + _REMINT_ROUNDS):
+            if attempt:
+                flags, _clock, _origin, payload = unpack_record(record)
+                record = self._mint(flags, payload)
+            refused = []
+            for link in pending:
+                try:
+                    applied, peer_clock = link.replicate(key, record)
+                except PeerUnavailableError:
+                    continue
+                self.clock.witness(peer_clock)
+                if applied:
+                    acks += 1
+                else:
+                    refused.append(link)
+            if not refused:
+                break
+            pending = refused
         if acks < needed:
             raise self._missed("write", acks, needed)
         self.stats.quorum_writes += 1

@@ -186,10 +186,10 @@ class Enclave:
         """
         return self.machine.context(thread_id, in_enclave=True)
 
-    def alloc(self, size: int, materialize: bool = True) -> int:
+    def alloc(self, size: int) -> int:
         """Allocate enclave (EPC-backed) memory."""
-        return self.machine.memory.alloc(size, REGION_ENCLAVE, materialize)
+        return self.machine.memory.alloc(size, REGION_ENCLAVE)
 
-    def alloc_untrusted(self, size: int, materialize: bool = True) -> int:
+    def alloc_untrusted(self, size: int) -> int:
         """Allocate untrusted memory (what the extra heap allocator hands out)."""
-        return self.machine.memory.alloc(size, REGION_UNTRUSTED, materialize)
+        return self.machine.memory.alloc(size, REGION_UNTRUSTED)

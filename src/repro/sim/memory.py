@@ -10,17 +10,15 @@ Two address ranges exist, mirroring Figure 4 of the paper:
 
 Allocations are bump-allocated and tracked so that arbitrary addresses
 (pointer chases, attacker pokes) resolve to the owning allocation via
-binary search.  Allocations may be *materialized* (real bytes hold the
-contents — used for everything security-relevant) or *unmaterialized*
-(address space + cost accounting only — used by baselines whose
-contents don't matter, to keep big sweeps cheap).  A materialized
-allocation of ``MAP_THRESHOLD`` bytes or more is an anonymous demand-zero
-mapping, so the host pays for the pages a heap chunk or table has had
-written, not for its reservation (§5.1's 16 MB chunks are ``sbrk``
-memory, billed the same way); a smaller one is a ``bytearray``, because a
-mapping is page-granular and the per-entry baselines allocate a few
-dozen bytes at a time.  Contents, addresses, errors and charged cycles
-cannot tell the two apart.
+binary search.  Every allocation holds its bytes.  One of
+``MAP_THRESHOLD`` bytes or more is an anonymous demand-zero mapping, so
+the host pays for the pages a heap chunk or table has had written, not
+for its reservation (§5.1's 16 MB chunks are ``sbrk`` memory, billed the
+same way), and a range that is only ever charged through :meth:`touch`
+(a cache's footprint, Figure 2's working set) costs no resident page; a
+smaller one is a ``bytearray``, because a mapping is page-granular and
+the per-entry baselines allocate a few dozen bytes at a time.  Contents,
+addresses, errors and charged cycles cannot tell the two apart.
 """
 
 from __future__ import annotations
@@ -49,11 +47,11 @@ REGION_UNTRUSTED = "untrusted"
 
 
 class Allocation:
-    """One live allocation: base address, size, region, optional bytes."""
+    """One live allocation: base address, size, region, its bytes."""
 
     __slots__ = ("base", "size", "end", "region", "data")
 
-    def __init__(self, base: int, size: int, region: str, data: Union[bytearray, mmap.mmap, None]):
+    def __init__(self, base: int, size: int, region: str, data: Union[bytearray, mmap.mmap]):
         self.base = base
         self.size = size
         self.end = base + size
@@ -61,11 +59,10 @@ class Allocation:
         self.data = data
 
     def __repr__(self) -> str:
-        kind = "materialized" if self.data is not None else "virtual"
-        return f"Allocation(base=0x{self.base:x}, size={self.size}, {self.region}, {kind})"
+        return f"Allocation(base=0x{self.base:x}, size={self.size}, {self.region})"
 
 
-_NO_ALLOCATION = Allocation(0, 0, REGION_UNTRUSTED, None)  # contains no address
+_NO_ALLOCATION = Allocation(0, 0, REGION_UNTRUSTED, bytearray())  # contains no address
 
 
 class SimMemory:
@@ -105,7 +102,7 @@ class SimMemory:
         return ENCLAVE_BASE <= addr < ENCLAVE_END
 
     # -- allocation ---------------------------------------------------------
-    def alloc(self, size: int, region: str = REGION_UNTRUSTED, materialize: bool = True) -> int:
+    def alloc(self, size: int, region: str = REGION_UNTRUSTED) -> int:
         """Reserve ``size`` bytes in ``region``; returns the base address."""
         if size <= 0:
             raise EnclaveMemoryError(f"allocation size must be positive, got {size}")
@@ -115,9 +112,7 @@ class SimMemory:
             base = self._next[region]
             aligned = (size + _ALIGN - 1) & ~(_ALIGN - 1)
             self._next[region] = base + aligned
-            if not materialize:
-                data = None
-            elif size >= MAP_THRESHOLD:
+            if size >= MAP_THRESHOLD:
                 # ACCESS_COPY = a private mapping on every platform: a
                 # forked child gets a copy, as it does of a bytearray.
                 data = mmap.mmap(-1, size, access=mmap.ACCESS_COPY)
@@ -267,8 +262,6 @@ class SimMemory:
             counters.mem_reads += 1
         else:
             self._charge(ctx, addr, size, False)
-        if alloc.data is None:
-            return bytes(size)
         off = addr - alloc.base
         return bytes(alloc.data[off : off + size])
 
@@ -328,12 +321,12 @@ class SimMemory:
             counters.mem_writes += 1
         else:
             self._charge(ctx, addr, size, True)
-        if alloc.data is not None:
-            off = addr - alloc.base
-            alloc.data[off : off + size] = data
+        off = addr - alloc.base
+        alloc.data[off : off + size] = data
 
     def touch(self, ctx, addr: int, size: int, write: bool) -> None:
-        """Charge for an access without moving any bytes (baselines)."""
+        """Charge for an access without moving any bytes (a cache's
+        footprint, a latency sweep's working set)."""
         self._charge(ctx, addr, size, write)
 
     # -- uncharged accesses (attacker, bootstrap, assertions) ---------------
@@ -346,8 +339,6 @@ class SimMemory:
             raise EnclaveMemoryError(
                 f"raw read of {size} bytes at 0x{addr:x} overruns {alloc!r}"
             )
-        if alloc.data is None:
-            return bytes(size)
         off = addr - alloc.base
         return bytes(alloc.data[off : off + size])
 
@@ -358,6 +349,5 @@ class SimMemory:
             raise EnclaveMemoryError(
                 f"raw write of {len(data)} bytes at 0x{addr:x} overruns {alloc!r}"
             )
-        if alloc.data is not None:
-            off = addr - alloc.base
-            alloc.data[off : off + len(data)] = data
+        off = addr - alloc.base
+        alloc.data[off : off + len(data)] = data

@@ -8,8 +8,8 @@ from repro.baselines import (
     InsecureStore,
     NaiveSgxStore,
 )
-from repro.errors import KeyNotFoundError, UnsupportedConfigError
-from repro.sim import Machine
+from repro.errors import EnclaveError, KeyNotFoundError, UnsupportedConfigError
+from repro.sim import Attacker, Machine
 from repro.sim.cycles import PAGE_SIZE
 
 
@@ -52,6 +52,55 @@ class TestSemantics:
             system.set(f"key-{i}".encode(), f"val-{i}".encode())
         for i in range(150):
             assert system.get(f"key-{i}".encode()) == f"val-{i}".encode()
+
+
+class TestThreatModelPlacement:
+    """Where §3.3's adversary finds a comparator's records: NoSGX keeps
+    them in plaintext in untrusted memory, the naive Baseline keeps the
+    whole table inside the enclave."""
+
+    KEY, VALUE = b"user:42", b"alice-secret"
+
+    def _untrusted_dump(self, attacker):
+        return b"".join(
+            attacker.read(base, size)
+            for base, size in attacker.untrusted_allocations()
+        )
+
+    def _new_allocations(self, machine, write):
+        before = set(machine.memory._allocs)
+        write()
+        return [a for base, a in machine.memory._allocs.items() if base not in before]
+
+    def test_insecure_store_is_plaintext_to_the_attacker(self):
+        machine = Machine()
+        store = InsecureStore(machine, num_buckets=256)
+        attacker = Attacker(machine.memory)
+        entries = self._new_allocations(
+            machine, lambda: store.set(self.KEY, self.VALUE)
+        )
+        assert [a.region for a in entries] == ["untrusted"]
+        dump = self._untrusted_dump(attacker)
+        assert self.KEY in dump and self.VALUE in dump
+        record = attacker.read(entries[0].base, entries[0].size)
+        assert record.endswith(self.KEY + self.VALUE)
+
+    def test_naive_sgx_store_is_refused_to_the_attacker(self):
+        machine = Machine()
+        store = NaiveSgxStore(machine, num_buckets=256)
+        attacker = Attacker(machine.memory)
+        entries = self._new_allocations(
+            machine, lambda: store.set(self.KEY, self.VALUE)
+        )
+        assert [a.region for a in entries] == ["enclave"]
+        for base, size in ((store.table.table_base, 8), (entries[0].base, 16)):
+            with pytest.raises(EnclaveError):
+                attacker.read(base, size)
+        # The bytes are there, behind the processor's refusal.
+        record = machine.memory.raw_read(entries[0].base, entries[0].size)
+        assert record.endswith(self.KEY + self.VALUE)
+        dump = self._untrusted_dump(attacker)
+        assert self.KEY not in dump and self.VALUE not in dump
 
 
 class TestCostRelationships:

@@ -4,7 +4,14 @@ equivalence lives in ``test_engine_equivalence.py``)."""
 
 import pytest
 
-from repro.core import PartitionedShieldStore, ShieldStore, shield_opt
+from repro.core import (
+    PartitionedShieldStore,
+    ShieldStore,
+    WriteAheadLog,
+    apply_request,
+    shield_opt,
+)
+from repro.core import store as store_module
 from repro.errors import IntegrityError, KeyNotFoundError, ReplayError
 from repro.sim import Attacker, Machine
 
@@ -83,6 +90,49 @@ class TestMultiDelete:
             else:
                 assert store.get(key) == value
         assert store.audit() == len(items) - len(doomed)
+
+
+class TestBatchLogPayload:
+    """A batch is encoded for the log only when a log is attached."""
+
+    MASTER = bytes(range(32))
+
+    @pytest.fixture
+    def encoded(self, monkeypatch):
+        calls = []
+        for name in ("encode_multi_items", "encode_multi_keys"):
+            real = getattr(store_module, name)
+
+            def spy(arg, real=real, name=name):
+                calls.append(name)
+                return real(arg)
+
+            monkeypatch.setattr(store_module, name, spy)
+        return calls
+
+    def _attach_log(self, store, directory):
+        store.wal = WriteAheadLog.recover(
+            str(directory), 0, self.MASTER, store.config.suite_name, 0,
+            apply=lambda req: apply_request(store, req), sync_ms=0.0,
+        )
+
+    def test_no_log_encodes_nothing(self, store, encoded):
+        store.multi_set({b"a": b"1", b"b": b"2"})
+        assert store.multi_delete([b"a"]) == {b"a": True}
+        assert encoded == []
+
+    def test_logged_batches_replay(self, tmp_path, encoded):
+        config = shield_opt(num_buckets=16, num_mac_hashes=4)
+        store = ShieldStore(config, master_secret=self.MASTER)
+        self._attach_log(store, tmp_path)
+        store.multi_set({b"a": b"1", b"b": b"2", b"c": b"3"})
+        store.multi_delete([b"b", b"absent"])
+        store.wal.close()
+        assert encoded == ["encode_multi_items", "encode_multi_keys"]
+        replayed = ShieldStore(config, master_secret=self.MASTER)
+        self._attach_log(replayed, tmp_path)
+        replayed.wal.close()
+        assert dict(replayed.iter_items()) == {b"a": b"1", b"c": b"3"}
 
 
 class TestAmortizationCounters:

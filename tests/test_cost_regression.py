@@ -23,14 +23,14 @@ class TestPrimitiveCosts:
     def test_untrusted_dram_touch(self):
         machine = Machine()
         ctx = machine.context(0)
-        base = machine.memory.alloc(4096, REGION_UNTRUSTED, materialize=False)
+        base = machine.memory.alloc(4096, REGION_UNTRUSTED)
         cost = cycles_of(lambda: machine.memory.touch(ctx, base, 8, False), machine)
         assert cost == pytest.approx(360, rel=0.01)  # one DRAM miss
 
     def test_llc_hit(self):
         machine = Machine()
         ctx = machine.context(0)
-        base = machine.memory.alloc(4096, REGION_UNTRUSTED, materialize=False)
+        base = machine.memory.alloc(4096, REGION_UNTRUSTED)
         machine.memory.touch(ctx, base, 8, False)
         cost = cycles_of(lambda: machine.memory.touch(ctx, base, 8, False), machine)
         assert cost == pytest.approx(14, rel=0.01)
@@ -39,7 +39,7 @@ class TestPrimitiveCosts:
         machine = Machine()
         enclave = Enclave(machine, bytes(32))
         ctx = enclave.context()
-        base = enclave.alloc(8192, materialize=False)
+        base = enclave.alloc(8192)
         cost = cycles_of(lambda: machine.memory.touch(ctx, base, 8, False), machine)
         # fault (206k) + MEE read of the line.
         assert 206_000 <= cost <= 209_000

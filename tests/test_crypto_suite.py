@@ -162,7 +162,6 @@ class TestRecordMode:
         )[:n]
         fs = FastSuite(_ENC, _MAC)
         assert fs.encrypt(_IV, bytes(n)) == stream
-        assert fs.encrypt_many([(_IV, bytes(n))]) == [stream]
         assert fs.encrypt_record(_IV, bytes(n)) != stream
 
     def test_iv_matters(self, suite):

@@ -122,7 +122,7 @@ def _memory_script():
     inside, outside = enclave.context(), machine.context(0)
     a = memory.alloc(100, REGION_UNTRUSTED)          # 100 -> 112 aligned: a gap
     b = memory.alloc(1000, REGION_UNTRUSTED)
-    virtual = memory.alloc(8192, REGION_UNTRUSTED, materialize=False)
+    touched = memory.alloc(8192, REGION_UNTRUSTED)   # charged, never written
     secret = enclave.alloc(8 * PAGE_SIZE)            # the EPC holds 6
 
     def state():
@@ -140,9 +140,9 @@ def _memory_script():
     assert memory.read(outside, b + 999, 1) == b"\0"     # last byte, exactly to the end
     memory.write(inside, b + 100, bytes(range(200)))
     assert memory.read(inside, b + 100, 200) == bytes(range(200))
-    memory.touch(outside, virtual + 100, 300, True)
-    memory.touch(outside, virtual + 100, 0, False)
-    assert memory.read(outside, virtual + 4000, 200) == bytes(200)
+    memory.touch(outside, touched + 100, 300, True)
+    memory.touch(outside, touched + 100, 0, False)
+    assert memory.read(outside, touched + 4000, 200) == bytes(200)
     assert memory.read(None, a, 4) == b"xxxx"        # no context: counted, not charged
     # One enclave access over a page boundary: both pages fault, in order.
     memory.write(inside, secret + PAGE_SIZE - 100, b"s" * 300)

@@ -305,6 +305,26 @@ class TestQuorumClient:
         assert client.get(b"k", consistency=CONSISTENCY_ONE) == b"v"
         client.close()
 
+    def test_fresh_client_write_over_a_later_clock_is_not_lost(self, trio):
+        """Every replica holds ``k`` at a later clock than a new
+        client's: its set is refused everywhere until it re-mints above
+        the clock the replicas answer with."""
+        writer = trio.nodes["node-0"].store
+        for i in range(5):
+            writer.set(b"k", b"old-%d" % i)
+        trio.flush_all()
+        trio.sync_all()
+        client = trio.client("fresh")
+        client.set(b"k", b"new")
+        assert client.stats.quorum_writes == 1
+        assert client.get(b"k") == b"new"
+        trio.flush_all()
+        trio.sync_all()
+        assert trio.converged()
+        for node in trio.live_nodes():
+            assert node.store.get(b"k") == b"new"
+        client.close()
+
     def test_restarted_node_refills_from_peers(self, trio):
         client = trio.client("qc")
         trio.kill("node-2")

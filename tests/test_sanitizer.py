@@ -113,14 +113,6 @@ class TestSuiteHooks:
         with pytest.raises(NonceReuseError):
             suite.encrypt(_iv(2), b"y")  # block 2 overlaps
 
-    def test_encrypt_many_records_each_item(self):
-        sanitizer.enable()
-        suite = FastSuite(KEY, KEY2)
-        suite.encrypt_many([(_iv(0), b"a" * 8), (_iv(10), b"b" * 8)])
-        assert sanitizer.stats()["recorded"] == 2
-        with pytest.raises(NonceReuseError):
-            suite.encrypt_many([(_iv(10), b"c" * 8)])
-
     def test_decrypt_does_not_record(self):
         sanitizer.enable()
         suite = FastSuite(KEY, KEY2)

@@ -47,7 +47,7 @@ class TestMachine:
 
     def test_reset_measurement_keeps_epc_warm(self, machine, enclave):
         ctx = enclave.context()
-        base = enclave.alloc(8192, materialize=False)
+        base = enclave.alloc(8192)
         machine.memory.touch(ctx, base, 8, write=False)
         assert machine.counters.epc_faults == 1
         machine.reset_measurement()

@@ -118,12 +118,6 @@ class TestChargedAccess:
         machine.memory.write(ctx, base, b"shared")
         assert machine.memory.read(ctx, base, 6) == b"shared"
 
-    def test_unmaterialized_reads_zeros(self, machine):
-        ctx = machine.context(0)
-        base = machine.memory.alloc(64, REGION_UNTRUSTED, materialize=False)
-        machine.memory.write(ctx, base, b"ignored")
-        assert machine.memory.read(ctx, base, 7) == bytes(7)
-
     def test_llc_makes_second_access_cheaper(self, machine):
         ctx = machine.context(0)
         base = machine.memory.alloc(64, REGION_UNTRUSTED)

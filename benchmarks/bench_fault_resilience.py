@@ -7,8 +7,9 @@ multiprocess partition engine) under four scenarios:
 * **baseline** — no faults: the cost floor of the resilient transport
   (deadlines + idempotency tokens active, nothing firing);
 * **drop5**    — ~5% of wire frames dropped each way;
-* **tamper1**  — ~1% of sealed records corrupted before authentication
-  (every tamper costs a session drop + re-attested reconnect);
+* **tamper1**  — ~1% of client -> server wire frames corrupted before
+  authentication (every tamper costs a session drop + re-attested
+  reconnect);
 * **kill**     — one partition worker SIGKILLed mid-run, recovered from
   the pool checkpoint while the client retries through it.
 
@@ -16,6 +17,8 @@ Every scenario asserts *zero client-visible errors* and a final store
 state that exactly matches the client's model (retried writes applied
 exactly once — the idempotency-token dedup at work), then reports wall
 time, throughput, and the retry/reconnect/tamper/recovery counters.
+A faulted scenario whose counter in ``FIRED_IF`` stayed 0 never met its
+fault, so surviving it proves nothing: the run exits 1.
 
 Results land in ``BENCH_fault_resilience.json`` (override with
 ``--out``).  Run ``python benchmarks/bench_fault_resilience.py`` for
@@ -59,13 +62,20 @@ SCENARIOS = {
     "tamper1": [
         # Deterministic ~1% schedule so every run actually measures the
         # tamper -> session-drop -> re-attest path.
-        FaultRule(point="channel.server.open", kind="tamper", every=100),
+        FaultRule(point="tcp.server.recv", kind="tamper", every=100),
     ],
     "kill": [
         # The checkpoint is taken before the plan installs, so hit 0 is
-        # the first data-plane pipe send of the measured run.
-        FaultRule(point="procpool.pipe.send", kind="crash", hits=[0]),
+        # the first worker frame of the measured run, on either plane.
+        FaultRule(point="procpool.send", kind="crash", hits=[0]),
     ],
+}
+
+# The counter each faulted scenario's fault must move at least once.
+FIRED_IF = {
+    "drop5": "client_retries",
+    "tamper1": "tamper_drops",
+    "kill": "worker_recoveries",
 }
 
 
@@ -218,7 +228,15 @@ def main(argv=None) -> int:
     for note in report["notes"]:
         print(f"note: {note}")
     print(f"wrote {out}")
-    return 0
+    unfired = [
+        f"{point['scenario']}: {FIRED_IF[point['scenario']]} is 0"
+        for point in report["scenarios"]
+        if point["scenario"] in FIRED_IF
+        and point[FIRED_IF[point["scenario"]]] < 1
+    ]
+    for line in unfired:
+        print(f"error: fault never fired — {line}", file=sys.stderr)
+    return 1 if unfired else 0
 
 
 if __name__ == "__main__":

@@ -119,6 +119,7 @@ class PlainHashTable:
                         self._mem.write(ctx, prev, _PTR.pack(new_addr))
                     else:
                         self._write_head(ctx, bucket, new_addr)
+                    self._mem.free(addr)
                 return
             prev = addr
             addr = next_ptr

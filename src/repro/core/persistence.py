@@ -31,11 +31,12 @@ Two halves:
 
 Snapshot bytes are read through :class:`~repro.reader.Reader` — malformed or
 truncated blobs surface as :class:`~repro.errors.SnapshotError`, never
-as a raw ``struct.error`` or silently-ignored garbage.  Blobs leave and
-enter through the ``persistence.snapshot`` / ``persistence.restore``
-shieldfault points: ``tamper`` swaps in a corrupted blob (exercising
-the sealed header, section MACs and rollback checks downstream), and
-there is nothing to drop, hence ``faults.cross(...) or blob``.
+as a raw ``struct.error`` or silently-ignored garbage.  This module
+only encodes and decodes blobs; the disk crossing a blob makes is the
+checkpoint daemon's, so a scripted fault reaches it at the
+``snapshot.write`` / ``snapshot.read`` shieldfault points
+(:mod:`repro.core.checkpoint`), where ``tamper`` exercises the sealed
+header, section MACs and rollback checks downstream.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from repro.core.store import ShieldStore
 from repro.crypto.keys import derive_key
 from repro.errors import RollbackError, SnapshotError
 from repro.reader import Reader
-from repro.sim import faults
 from repro.sim.counters import MonotonicCounterService
 from repro.sim.enclave import Enclave, ExecContext
 from repro.sim.sealing import SealingService
@@ -298,8 +298,7 @@ class PartitionSnapshotter:
         for section in sections:
             parts.append(struct.pack("<Q", len(section)))
             parts.append(section)
-        blob = b"".join(parts)
-        return faults.cross("persistence.snapshot", blob) or blob
+        return b"".join(parts)
 
     @staticmethod
     def _header(store, counter: int) -> bytes:
@@ -333,8 +332,6 @@ class PartitionSnapshotter:
         """
         from repro.core.partition import PartitionedShieldStore
 
-        if blob is not None:
-            blob = faults.cross("persistence.restore", blob) or blob
         store = PartitionedShieldStore(config, checkpoint=blob, **store_args)
         try:
             self.counters.check_not_rolled_back(

@@ -33,6 +33,12 @@ Two planes carry those records (``data_plane=`` selects one):
   wakeup per direction); kept as the portable fallback and selected
   automatically where ``memfd_create`` is unavailable.
 
+A plane is a plain transport (``send(raw)``, ``recv()``, ``poll``).
+The pool's ``_send`` / ``_recv`` cross the shieldfault points
+``procpool.send`` / ``procpool.recv``, whichever plane runs: a dropped
+frame is an ``OSError`` that respawns the worker, and a crash SIGKILLs
+it.
+
 A worker is a plain child process: ``subprocess.Popen`` of this
 interpreter running :func:`_worker_boot`, which inherits the plane's
 descriptors (its end of the socketpair; on the shm plane also both
@@ -364,27 +370,14 @@ class _PipePlane:
         self._child_conn.close()  # parent keeps only its own end
         self._child_conn = None
 
-    def send(self, raw, on_crash) -> None:
-        raw = faults.cross("procpool.pipe.send", raw, on_crash)
-        if raw is faults.DROPPED:
-            # The sealed frame is lost and the channel's send sequence
-            # has moved on: the stream is unusable, so recover.
-            raise OSError("injected pipe frame drop")
-        self.conn.send_bytes(raw)
-
-    def send_raw(self, raw) -> None:
-        """Fault-free send for the shutdown control path."""
+    def send(self, raw) -> None:
         self.conn.send_bytes(raw)
 
     def poll(self, timeout: float) -> bool:
         return self.conn.poll(timeout)
 
-    def recv(self, on_crash) -> bytes:
-        raw = self.conn.recv_bytes()
-        raw = faults.cross("procpool.pipe.recv", raw, on_crash)
-        if raw is faults.DROPPED:
-            raise OSError("injected pipe frame drop")
-        return raw
+    def recv(self) -> bytes:
+        return self.conn.recv_bytes()
 
     def close(self) -> None:
         try:
@@ -397,8 +390,9 @@ class _ShmPlane:
     """Parent-side shared-memory ring plane (the default).
 
     Owns both rings (request: parent produces; reply: parent consumes)
-    and the doorbell socketpair.  Faults inject here — parent-side, where
-    the §2.3 host adversary sits — under the ``shmring.*`` points.
+    and the doorbell socketpair.  Frames are faulted by the pool, at
+    ``procpool.send`` / ``procpool.recv``, like the pipe plane's; only
+    the doorbell has a point of its own, ``shmring.doorbell``.
     """
 
     kind = DATA_PLANE_SHM
@@ -425,26 +419,14 @@ class _ShmPlane:
         # other crossing crash.
         self._doorbell.on_crash = process.kill
 
-    def send(self, raw, on_crash) -> None:
-        raw = faults.cross("shmring.write", raw, on_crash)
-        if raw is faults.DROPPED:
-            # The sealed frame is never written and the channel's send
-            # sequence has moved on: the stream is unusable, so recover.
-            raise OSError("injected ring frame drop")
-        self.req.write(raw)
-
-    def send_raw(self, raw) -> None:
+    def send(self, raw) -> None:
         self.req.write(raw)
 
     def poll(self, timeout: float) -> bool:
         return self.rep.poll(timeout)
 
-    def recv(self, on_crash) -> bytes:
-        raw = self.rep.read()
-        raw = faults.cross("shmring.read", raw, on_crash)
-        if raw is faults.DROPPED:
-            raise OSError("injected ring frame drop")
-        return raw
+    def recv(self) -> bytes:
+        return self.rep.read()
 
     def ring_counters(self) -> dict:
         """This plane's :class:`StoreStats` ring fields."""
@@ -949,7 +931,13 @@ class ProcessPartitionPool:
             started = time.perf_counter()
             sealed = handle.channel.seal(bytes([opcode]) + payload)
             handle.serialize_s += time.perf_counter() - started
-            handle.plane.send(sealed, on_crash=handle.process.kill)
+            sealed = faults.cross("procpool.send", sealed, handle.process.kill)
+            if sealed is faults.DROPPED:
+                # The sealed frame is lost and the channel's send
+                # sequence has moved on: the stream is unusable, so
+                # recover.
+                raise OSError("injected frame drop")
+            handle.plane.send(sealed)
         except (BrokenPipeError, OSError) as exc:
             raise self._worker_failed(
                 handle,
@@ -987,9 +975,12 @@ class ProcessPartitionPool:
                 handle, f"partition {handle.index}: {why}", recover
             )
         try:
-            raw = handle.plane.recv(on_crash=handle.process.kill)
+            raw = handle.plane.recv()
             if timeout is None:
                 handle.ipc_wait_s += time.monotonic() - started
+            raw = faults.cross("procpool.recv", raw, handle.process.kill)
+            if raw is faults.DROPPED:
+                raise OSError("injected frame drop")
             frame = handle.channel.open(raw)
         except (EOFError, OSError) as exc:
             raise self._worker_failed(
@@ -1265,7 +1256,7 @@ class ProcessPartitionPool:
             if self._broken is None:
                 for handle in self.workers:
                     try:
-                        handle.plane.send_raw(
+                        handle.plane.send(
                             handle.channel.seal(bytes([OP_SHUTDOWN]))
                         )
                     except (BrokenPipeError, OSError):

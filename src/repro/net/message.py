@@ -38,7 +38,6 @@ from repro.reader import (
     tagged,
     tagged_pair,
 )
-from repro.sim import faults
 
 OP_CODES = {
     "get": 1,
@@ -344,8 +343,6 @@ class SecureChannel:
         self.suite = suite
         self.role = role
         self._send_domain, self._recv_domain = self._DIRECTIONS[role]
-        self._seal_point = f"channel.{role}.seal"
-        self._open_point = f"channel.{role}.open"
         self._send_seq = 0
         self._recv_seq = 0
 
@@ -357,15 +354,10 @@ class SecureChannel:
         sealed = U64.pack(seq) + suite.encrypt_record(
             _IV.pack(seq, self._send_domain), plaintext
         )
-        sealed += suite.mac(sealed)
-        # Scripted corruption of the sealed record; a codec has nothing
-        # to drop, so a drop hit proceeds.
-        return faults.cross(self._seal_point, sealed) or sealed
+        return sealed + suite.mac(sealed)
 
     def open(self, sealed: bytes) -> bytes:
         """Verify + decrypt one record; enforces sequence monotonicity."""
-        # Scripted corruption before authentication.
-        sealed = faults.cross(self._open_point, sealed) or sealed
         seq, ciphertext, tag = sealed_record(sealed, MAC_SIZE, ProtocolError)
         if seq != self._recv_seq:
             raise ProtocolError(

@@ -15,6 +15,11 @@ pay one attribute load.
 
 Injection points (the registry)
 -------------------------------
+One point per host crossing each way — the network, the worker IPC and
+the disk the §2.3 threat model hands the host.  Codecs (the session
+channel, the snapshot serializer) and the two worker data planes call
+no hook: their bytes are faulted at the one crossing they ride.
+
 ========================  ====================================================
 point                     crossing
 ========================  ====================================================
@@ -24,20 +29,12 @@ point                     crossing
 ``tcp.server.accept``     server accepting one connection
 ``tcp.server.send``       server -> client wire frame (replies)
 ``tcp.server.recv``       client -> server wire frame
-``channel.client.seal``   SecureChannel.seal on a ``client``-role channel
-``channel.client.open``   SecureChannel.open on a ``client``-role channel
-``channel.server.seal``   SecureChannel.seal on a ``server``-role channel
-``channel.server.open``   SecureChannel.open on a ``server``-role channel
 ``procpool.spawn``        parent spawning one partition worker process
-``procpool.pipe.send``    parent -> worker sealed pipe frame (pipe data plane)
-``procpool.pipe.recv``    worker -> parent sealed pipe frame (pipe data plane)
-``shmring.write``         parent -> worker sealed shared-memory ring frame
-``shmring.read``          worker -> parent sealed shared-memory ring frame
+``procpool.send``         parent -> worker sealed frame (either data plane)
+``procpool.recv``         worker -> parent sealed frame (either data plane)
 ``shmring.doorbell``      ring readiness doorbell (drop = wake via poll only)
 ``snapshot.write``        SnapshotDaemon (core/checkpoint.py) writing one file
 ``snapshot.read``         reading a checkpoint file back from disk
-``persistence.snapshot``  serializing a store into a snapshot blob
-``persistence.restore``   restoring a store from a snapshot blob
 ``wal.append``            sealing one frame into a write-ahead-log segment
 ``wal.fsync``             group-commit fsync of a write-ahead-log segment
 ``wal.replay``            reading one WAL segment back during recovery
@@ -80,8 +77,8 @@ Every rule owns a private ``random.Random`` seeded from the plan seed
 and the rule's index, and its own hit counter; with a fixed seed and a
 single-client drive the full fire sequence is reproducible run to run.
 The plan is per-process: spawned partition workers do not inherit it
-(their faults are injected from the parent side of the pipe, which is
-where the §2.3 adversary sits anyway).
+(their faults are injected from the parent side of the data plane,
+which is where the §2.3 adversary sits anyway).
 """
 
 from __future__ import annotations
@@ -105,20 +102,12 @@ INJECTION_POINTS = frozenset(
         "tcp.server.accept",
         "tcp.server.send",
         "tcp.server.recv",
-        "channel.client.seal",
-        "channel.client.open",
-        "channel.server.seal",
-        "channel.server.open",
         "procpool.spawn",
-        "procpool.pipe.send",
-        "procpool.pipe.recv",
-        "shmring.write",
-        "shmring.read",
+        "procpool.send",
+        "procpool.recv",
         "shmring.doorbell",
         "snapshot.write",
         "snapshot.read",
-        "persistence.snapshot",
-        "persistence.restore",
         "wal.append",
         "wal.fsync",
         "wal.replay",
@@ -128,8 +117,8 @@ INJECTION_POINTS = frozenset(
 FAULT_KINDS = ("drop", "delay", "tamper", "crash", "error", "partition")
 
 # Exception classes a rule's ``error`` field may name.  Transport-ish
-# classes for socket/pipe points, protocol/snapshot classes for codec
-# and persistence points.
+# classes for socket/pipe points; protocol/snapshot/store classes stand
+# for what the codec behind a crossing raises on bytes it refuses.
 ERROR_CLASSES = {
     "OSError": OSError,
     "ConnectionError": ConnectionResetError,

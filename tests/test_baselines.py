@@ -47,6 +47,22 @@ class TestSemantics:
         assert system.append(b"log", b"b") == b"ab"
         assert system.append(b"new", b"x") == b"x"
 
+    @pytest.mark.parametrize(
+        "build", ALL_BASELINES[:4],
+        ids=["insecure", "naive-sgx", "graphene", "graphene-nosgx"],
+    )
+    def test_resized_overwrite_frees_the_old_record(self, build):
+        """A value that changes size moves to a new record; the one it
+        replaces is freed, so appends leave one live record per key."""
+        machine = Machine(num_threads=2)
+        store = build(machine)
+        store.set(b"log", b"a")
+        live = len(machine.memory._allocs)
+        for _ in range(100):
+            store.append(b"log", b"b")
+        assert store.get(b"log") == b"a" + b"b" * 100
+        assert len(machine.memory._allocs) == live
+
     def test_many_keys(self, system):
         for i in range(150):
             system.set(f"key-{i}".encode(), f"val-{i}".encode())

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.aes import AES128, INV_SBOX, SBOX, expand_key
+from repro.crypto.aes import AES128, SBOX, expand_key
 from repro.errors import CryptoError
 
 
@@ -38,11 +38,6 @@ class TestVectors:
         ct = cipher.encrypt_block(bytes(16))
         assert ct.hex() == "6d251e6944b051e04eaa6fb4dbf78465"
 
-    def test_decrypt_vector(self):
-        cipher = AES128(bytes.fromhex("000102030405060708090a0b0c0d0e0f"))
-        pt = cipher.decrypt_block(bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a"))
-        assert pt.hex() == "00112233445566778899aabbccddeeff"
-
 
 class TestSboxConstruction:
     def test_sbox_known_entries(self):
@@ -53,10 +48,6 @@ class TestSboxConstruction:
 
     def test_sbox_is_permutation(self):
         assert sorted(SBOX) == list(range(256))
-
-    def test_inverse_sbox(self):
-        for x in range(256):
-            assert INV_SBOX[SBOX[x]] == x
 
 
 class TestKeySchedule:
@@ -81,16 +72,10 @@ class TestBlockInterface:
         with pytest.raises(CryptoError):
             cipher.encrypt_block(b"short")
         with pytest.raises(CryptoError):
-            cipher.decrypt_block(bytes(17))
+            cipher.encrypt_block(bytes(17))
 
 
 class TestProperties:
-    @given(key=st.binary(min_size=16, max_size=16), block=st.binary(min_size=16, max_size=16))
-    @settings(max_examples=50, deadline=None)
-    def test_roundtrip(self, key, block):
-        cipher = AES128(key)
-        assert cipher.decrypt_block(cipher.encrypt_block(block)) == block
-
     @given(key=st.binary(min_size=16, max_size=16), block=st.binary(min_size=16, max_size=16))
     @settings(max_examples=25, deadline=None)
     def test_encryption_changes_block(self, key, block):

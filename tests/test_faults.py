@@ -28,7 +28,7 @@ class TestPlanParsing:
                 "seed": 7,
                 "rules": [
                     {"point": "tcp.client.send", "kind": "drop", "hits": [0, 2]},
-                    {"point": "channel.server.open", "kind": "tamper",
+                    {"point": "tcp.server.recv", "kind": "tamper",
                      "probability": 0.25, "flips": 3},
                 ],
             }
@@ -41,6 +41,27 @@ class TestPlanParsing:
     def test_rejects_unknown_point(self):
         with pytest.raises(FaultPlanError, match="matches no registered"):
             plan_of(FaultRule(point="tcp.client.sendd", kind="drop"))
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            "channel.client.seal",
+            "channel.client.open",
+            "channel.server.seal",
+            "channel.server.open",
+            "procpool.pipe.send",
+            "procpool.pipe.recv",
+            "shmring.write",
+            "shmring.read",
+            "persistence.snapshot",
+            "persistence.restore",
+        ],
+    )
+    def test_rejects_points_merged_into_their_crossing(self, point):
+        """Codecs and data planes call no hook of their own: a rule
+        naming one is refused like any unknown point."""
+        with pytest.raises(FaultPlanError, match="matches no registered"):
+            plan_of(FaultRule(point=point, kind="tamper"))
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(FaultPlanError, match="unknown fault kind"):
@@ -75,6 +96,7 @@ class TestPlanParsing:
         assert plan.decide("tcp.server.send") is None
 
     def test_every_registered_point_is_a_valid_rule_target(self):
+        assert len(INJECTION_POINTS) == 15  # one per host crossing each way
         for point in INJECTION_POINTS:
             plan_of(FaultRule(point=point, kind="delay"))
 
@@ -237,7 +259,7 @@ class TestCheckHook:
 
 
 class TestPersistencePoints:
-    """The persistence.snapshot / persistence.restore hooks end to end."""
+    """A checkpoint's disk crossing, ``snapshot.read``, end to end."""
 
     _SHAPE = dict(num_partitions=2, mode="sequential")
 
@@ -246,23 +268,28 @@ class TestPersistencePoints:
 
         return shield_opt(num_buckets=64, num_mac_hashes=16)
 
-    def test_tampered_snapshot_blob_is_rejected_on_restore(self):
+    def test_tampered_snapshot_blob_is_rejected_on_restore(self, tmp_path):
         from repro.core import PartitionedShieldStore, PartitionSnapshotter
+        from repro.core.checkpoint import open_store
         from repro.errors import SealingError, SnapshotError
         from repro.sim import MonotonicCounterService
 
         store = PartitionedShieldStore(self._config(), **self._SHAPE)
         store.multi_set([(f"k{i}".encode(), b"v") for i in range(20)])
         snapshotter = PartitionSnapshotter(MonotonicCounterService())
-        blob = snapshotter.snapshot_bytes(store)
-        rule = FaultRule(
-            point="persistence.restore", kind="tamper", flips=4, after=0
-        )
+        path = tmp_path / "snapshot-000000000001.bin"
+        path.write_bytes(snapshotter.snapshot_bytes(store))
+        rule = FaultRule(point="snapshot.read", kind="tamper", flips=4)
         # Whatever byte the tamper hit (magic, sealed header, section),
-        # the failure is one of the two refusals, not silence.
-        with faults.injected(plan_of(rule, seed=3)):
-            with pytest.raises((SnapshotError, SealingError)):
-                snapshotter.open(blob, self._config(), **self._SHAPE)
-        # And without the fault plan the same blob opens fine.
-        clean = snapshotter.open(blob, self._config(), **self._SHAPE)
+        # the failure is one of the two refusals, naming the file, not
+        # silence.
+        with faults.injected(plan_of(rule, seed=3)) as plan:
+            with pytest.raises((SnapshotError, SealingError), match=path.name):
+                open_store(snapshotter, tmp_path, self._config(), **self._SHAPE)
+        assert plan.fires("snapshot.read", "tamper") == 1
+        # And without the fault plan the same file opens fine.
+        clean, opened, _ = open_store(
+            snapshotter, tmp_path, self._config(), **self._SHAPE
+        )
+        assert opened == str(path)
         assert len(clean) == 20

@@ -4,9 +4,9 @@ shieldlint's lock-order pass checks statically that the pool's one lock,
 ``_pool_lock``, is taken in the pinned family order and never re-taken
 by its holder.  This module checks the same discipline *dynamically*:
 the pool lock is wrapped in a recording proxy and the plane crossings
-(``_send`` / ``_recv`` / the shutdown ``send_raw``) in a spy, and a
-concurrent scatter/request/snapshot/stats stress run, then ``close()``,
-must never observe
+(``_send`` / ``_recv`` / the plane ``send`` that carries the shutdown
+frames) in a spy, and a concurrent scatter/request/snapshot/stats
+stress run, then ``close()``, must never observe
 
 * a plane crossing by a thread that does not hold the pool lock, or
 * the holder of the pool lock acquiring it again (a ``threading.Lock``
@@ -80,7 +80,7 @@ def _instrument(pool: ProcessPartitionPool) -> _TrackingLock:
     pool._send = tracker.spy(pool._send)
     pool._recv = tracker.spy(pool._recv)
     for handle in pool.workers:  # close()'s sealed shutdown frames
-        handle.plane.send_raw = tracker.spy(handle.plane.send_raw)
+        handle.plane.send = tracker.spy(handle.plane.send)
     return tracker
 
 

@@ -169,16 +169,16 @@ class TestCrossingBlock:
         assert crashed == [1]
 
     def test_a_codec_has_nothing_to_drop(self):
-        """A drop rule at a seal/open or snapshot-blob point proceeds
-        with the bytes intact, as it always has."""
+        """A codec is no crossing: with every point scripted to drop,
+        seal and open pass the bytes intact and nothing fires."""
         from repro.crypto import make_suite
         from repro.net import SecureChannel
 
         suite = make_suite("fast-hashlib", b"e" * 16, b"m" * 16)
         client, server = SecureChannel(suite, "client"), SecureChannel(suite, "server")
-        with faults.injected(FaultPlan([FaultRule(point="channel.*", kind="drop")])) as plan:
+        with faults.injected(FaultPlan([FaultRule(point="*", kind="drop")])) as plan:
             assert server.open(client.seal(b"ping")) == b"ping"
-            assert plan.fires(kind="drop") == 2
+            assert plan.fires() == 0
 
 
 class TestIdempotencyCache:
@@ -690,16 +690,16 @@ class TestChaosYCSB:
     def _chaos_plan(self, seed):
         return FaultPlan(
             [
-                # SIGKILL one partition worker: first data-plane ring
-                # write after the checkpoint (the checkpoint itself is 4
+                # SIGKILL one partition worker: first data-plane send
+                # after the checkpoint (the checkpoint itself is 4
                 # OP_SNAPSHOT sends, hence after=4).
-                FaultRule(point="shmring.write", kind="crash",
+                FaultRule(point="procpool.send", kind="crash",
                           after=4, hits=[0]),
                 # Stall one snapshot write.
                 FaultRule(point="snapshot.write", kind="delay",
                           delay_s=0.2, hits=[0]),
-                # Tamper ~1% of sealed records entering the server.
-                FaultRule(point="channel.server.open", kind="tamper",
+                # Tamper ~1% of wire frames entering the server.
+                FaultRule(point="tcp.server.recv", kind="tamper",
                           every=60),
                 # Drop ~5% of wire frames, plus one guaranteed early
                 # drop each way so the counters are nonzero under every
@@ -778,7 +778,7 @@ class TestChaosYCSB:
             assert live["worker_recoveries"] >= 1
             assert live["degraded_replies"] >= 1
             assert live["faults_injected"] >= 4
-            assert plan.fires("shmring.write", "crash") == 1
+            assert plan.fires("procpool.send", "crash") == 1
             assert plan.fires("snapshot.write", "delay") == 1
             assert plan.fires(kind="drop") >= 1
             assert plan.fires(kind="tamper") >= 1

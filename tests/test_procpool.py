@@ -365,30 +365,33 @@ class TestTimeoutsAndShutdown:
         assert not failures, failures
 
 
+def _plane_store(plane: str) -> PartitionedShieldStore:
+    from repro.core.shmring import shm_supported
+
+    if plane == "shm" and not shm_supported():
+        pytest.skip("platform has no os.memfd_create")
+    return PartitionedShieldStore(
+        _config(),
+        master_secret=SECRET,
+        num_partitions=PARTITIONS,
+        mode=MODE_PROCESSES,
+        data_plane=plane,
+    )
+
+
 @needs_processes
 class TestDroppedSend:
-    @pytest.mark.parametrize(
-        "plane, point",
-        [("shm", "shmring.write"), ("pipe", "procpool.pipe.send")],
-    )
-    def test_dropped_send_recovers_instead_of_hanging(self, plane, point):
+    @pytest.mark.parametrize("plane", ["shm", "pipe"])
+    def test_dropped_send_recovers_instead_of_hanging(self, plane):
         """A sealed frame the host drops on its way to a worker is gone,
         and the channel's send sequence has moved past it: the call must
         fail over to recovery, never wait forever for a reply that
-        cannot come."""
-        from repro.core.shmring import shm_supported
+        cannot come.  One point, ``procpool.send``, scripts it on
+        either plane."""
         from repro.sim.faults import FaultPlan, FaultRule, injected
 
-        if plane == "shm" and not shm_supported():
-            pytest.skip("platform has no os.memfd_create")
-        store = PartitionedShieldStore(
-            _config(),
-            master_secret=SECRET,
-            num_partitions=PARTITIONS,
-            mode=MODE_PROCESSES,
-            data_plane=plane,
-        )
-        plan = FaultPlan([FaultRule(point=point, kind="drop", hits=[0])])
+        store = _plane_store(plane)
+        plan = FaultPlan([FaultRule(point="procpool.send", kind="drop", hits=[0])])
         outcome = []
 
         def first_set():
@@ -405,6 +408,7 @@ class TestDroppedSend:
                 caller.join(timeout=30)
             assert not caller.is_alive(), "a dropped send hung the pool"
             assert "broke on send" in str(outcome[0])
+            assert plan.fires("procpool.send", "drop") == 1
             store.set(b"k", b"v")
             assert store.get(b"k") == b"v"
             assert store._pool.state == "degraded"
@@ -414,6 +418,34 @@ class TestDroppedSend:
                     handle.process.kill()
             else:
                 store.close()
+
+
+@needs_processes
+class TestCrashedRecv:
+    @pytest.mark.parametrize("plane", ["shm", "pipe"])
+    def test_crashed_recv_respawns_the_worker(self, plane):
+        """A ``procpool.recv`` crash kills the worker whose reply was
+        just read: that call still gets its reply, and the next round
+        trip to the partition finds the worker gone and respawns it."""
+        from repro.sim.faults import FaultPlan, FaultRule, injected
+
+        store = _plane_store(plane)
+        plan = FaultPlan([FaultRule(point="procpool.recv", kind="crash", hits=[0])])
+        try:
+            with injected(plan):
+                store.set(b"k", b"v")
+                victim = store._pool.workers[store.partition_index_of(b"k")]
+                old_pid = victim.process.pid
+                assert victim.process.wait(timeout=10) is not None
+                with pytest.raises(WorkerError, match="respawned"):
+                    store.get(b"k")
+            assert plan.fires("procpool.recv", "crash") == 1
+            assert victim.process.pid != old_pid
+            assert store.stats().worker_recoveries == 1
+            store.set(b"k", b"again")
+            assert store.get(b"k") == b"again"
+        finally:
+            store.close()
 
 
 class TestModeResolution:

@@ -148,7 +148,7 @@ class TestPartitionRules:
 
     def test_rejects_non_tcp_points(self):
         with pytest.raises(FaultPlanError, match="tcp"):
-            FaultPlan([FaultRule(point="persistence.*", kind="partition",
+            FaultPlan([FaultRule(point="wal.*", kind="partition",
                                  groups=[["a"], ["b"]])])
 
     def test_rejects_negative_heal(self):

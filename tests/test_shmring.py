@@ -344,7 +344,7 @@ class TestShmPlanePool:
             # channel key: authentication fails and the worker drops
             # the stream without replying.
             with pool._pool_lock:
-                handle.plane.send_raw(tape[1])
+                handle.plane.send(tape[1])
                 handle.process.wait(timeout=10)
                 assert handle.process.poll() is not None
                 assert handle.plane.poll(0.2) is False, (

@@ -716,11 +716,11 @@ class TestChaosWALAcceptance:
     def _chaos_plan(self, seed):
         return FaultPlan(
             [
-                FaultRule(point="shmring.write", kind="crash",
+                FaultRule(point="procpool.send", kind="crash",
                           after=4, hits=[0]),
                 FaultRule(point="snapshot.write", kind="delay",
                           delay_s=0.2, hits=[0]),
-                FaultRule(point="channel.server.open", kind="tamper",
+                FaultRule(point="tcp.server.recv", kind="tamper",
                           every=60),
                 FaultRule(point="tcp.client.recv", kind="drop", hits=[2]),
                 FaultRule(point="tcp.client.recv", kind="drop",
@@ -794,7 +794,7 @@ class TestChaosWALAcceptance:
 
             # The win over WAL-off chaos (test_net_resilience): a worker
             # died and was respawned, yet nothing acknowledged was lost.
-            assert plan.fires("shmring.write", "crash") == 1
+            assert plan.fires("procpool.send", "crash") == 1
             assert live["worker_recoveries"] >= 1
             assert live["worker_ops_lost"] == 0
             assert live["wal_appends"] >= 1

@@ -104,7 +104,8 @@ PLAINTEXT_PARAMS = frozenset(
 
 # Attribute accesses that denote in-enclave key material.
 SECRET_ATTRS = frozenset(
-    {"master", "enc_key", "mac_key", "index_key", "hint_key", "master_secret"}
+    {"master", "enc_key", "mac_key", "index_key", "hint_key", "master_secret",
+     "_master_secret"}
 )
 
 # Method names whose call results are plaintext (decrypt paths).  ``open``

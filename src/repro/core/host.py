@@ -43,9 +43,9 @@ class PartitionHost:
     ``machine``/``enclave`` pin the partition onto a shared simulated
     host as thread ``index`` (the in-process engine); without them each
     store gets a private single-thread machine (a worker process).
-    ``master_secret`` is drawn from the machine RNG when omitted,
-    ``platform_secret`` defaults to the deployment's derived sealing
-    secret, and ``wal_dir=None`` runs without a log.
+    ``master_secret`` is drawn from the machine RNG when omitted, the
+    sealing key is derived from it, and ``wal_dir=None`` runs without a
+    log.
     """
 
     def __init__(
@@ -55,7 +55,6 @@ class PartitionHost:
         master_secret: Optional[bytes] = None,
         machine: Optional[Machine] = None,
         enclave: Optional[Enclave] = None,
-        platform_secret: Optional[bytes] = None,
         wal_dir: Optional[str] = None,
         wal_sync_ms: float = DEFAULT_SYNC_MS,
         checkpoint: Optional[Tuple[int, bytes]] = None,
@@ -74,9 +73,7 @@ class PartitionHost:
             thread_id=thread_id,
             master_secret=master_secret,
         )
-        if platform_secret is None:
-            platform_secret = default_platform_secret(store.keyring.master)
-        self.sealing = SealingService(platform_secret)
+        self.sealing = SealingService(default_platform_secret(store.keyring.master))
         counter = 0
         try:
             if checkpoint is not None:

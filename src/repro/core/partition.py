@@ -186,7 +186,6 @@ class PartitionedShieldStore:
         master_secret: Optional[bytes] = None,
         mode: str = MODE_AUTO,
         num_partitions: Optional[int] = None,
-        platform_secret: Optional[bytes] = None,
         data_plane: Optional[str] = None,
         wal_dir: Optional[str] = None,
         wal_sync_ms: Optional[float] = None,
@@ -214,11 +213,9 @@ class PartitionedShieldStore:
             master_secret = bytes(
                 self.machine.rng.getrandbits(8) for _ in range(32)
             )
-        if platform_secret is None:
-            platform_secret = default_platform_secret(master_secret)
         # Seals snapshot headers (the hosts seal their sections to the
         # same platform); a redeployment with the same secret unseals them.
-        self.sealing = SealingService(platform_secret)
+        self.sealing = SealingService(default_platform_secret(master_secret))
         counter, sections = 0, None
         if checkpoint is not None:
             # Keys were partitioned under the snapshot's keyed hash, so
@@ -254,7 +251,6 @@ class PartitionedShieldStore:
                 part_config,
                 self._num_partitions,
                 master_secret,
-                platform_secret=platform_secret,
                 data_plane=data_plane,
                 wal_dir=wal_dir,
                 wal_sync_ms=wal_sync_ms,
@@ -269,7 +265,6 @@ class PartitionedShieldStore:
                         master_secret,
                         machine=self.machine,
                         enclave=self.enclave,
-                        platform_secret=platform_secret,
                         wal_dir=wal_dir,
                         wal_sync_ms=wal_sync_ms,
                         checkpoint=None if sections is None else (counter, sections[t]),

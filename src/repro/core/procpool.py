@@ -452,7 +452,6 @@ def _worker_main(
     config: StoreConfig,
     master_secret: bytes,
     channel_nonce: bytes,
-    platform_secret: Optional[bytes] = None,
     wal_dir: Optional[str] = None,
     wal_sync_ms: float = 2.0,
     checkpoint: Optional[Tuple[int, bytes]] = None,
@@ -469,11 +468,6 @@ def _worker_main(
     the store flushes its dirty sets before the exception escapes
     ``multi_set``/``multi_delete``, so the partition stays consistent
     and serviceable.
-
-    ``platform_secret`` keys the host's sealing service
-    (``OP_SNAPSHOT`` / ``checkpoint``); the parent derives it from the
-    master secret by default, so every worker of one deployment (and a
-    restarted deployment with the same secret) is the same "platform".
     """
     from repro.core.host import PartitionHost
     from repro.net.server import execute_request
@@ -487,7 +481,6 @@ def _worker_main(
             config,
             index,
             master_secret,
-            platform_secret=platform_secret,
             wal_dir=wal_dir,
             wal_sync_ms=wal_sync_ms,
             checkpoint=checkpoint,
@@ -708,7 +701,6 @@ class ProcessPartitionPool:
         config: StoreConfig,
         num_workers: int,
         master_secret: bytes,
-        platform_secret: Optional[bytes] = None,
         data_plane: Optional[str] = None,
         wal_dir: Optional[str] = None,
         wal_sync_ms: float = 2.0,
@@ -734,7 +726,6 @@ class ProcessPartitionPool:
         self._master_secret = master_secret
         self._wal_dir = wal_dir
         self._wal_sync_ms = wal_sync_ms
-        self._platform_secret = platform_secret  # None: the hosts derive it
         # Recovery checkpoint: the sections of the latest snapshot (at
         # first, the ones the pool is being built from).
         self._snapshot_sections: Dict[int, bytes] = {}
@@ -811,11 +802,12 @@ class ProcessPartitionPool:
             raise
         plane.finish_spawn(process)
         args = (
-            index, self._config, self._master_secret, nonce, self._platform_secret,
+            index, self._config, self._master_secret, nonce,
             self._wal_dir, self._wal_sync_ms,
             None if section is None else (counter, section),
         )
         try:
+            # shieldlint: ignore[trust-boundary] -- the clear bootstrap frame carries the master secret to a simulated enclave in an ordinary process; SECURITY.md, "Modelling shortcut: how a partition worker gets its secrets"
             plane.conn.send((plane.worker_end(), args))  # the bootstrap frame
         except OSError:
             pass  # the worker is gone already: its handshake says so

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import os
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -24,7 +25,6 @@ from repro.crypto.keys import derive_key
 from repro.crypto.suite import CipherSuite, make_suite
 from repro.errors import AttestationError
 from repro.sim.enclave import Enclave, ExecContext
-from repro.sim.sdk import sgx_read_rand
 
 # RFC 3526, 2048-bit MODP group 14.
 _DH_PRIME = int(
@@ -119,8 +119,11 @@ def handshake_offer(
     service: AttestationService, ctx: ExecContext, enclave: Enclave
 ) -> Tuple[DHKeyPair, Quote]:
     """Server, first half: a fresh DH key pair and a quote whose report
-    data is the hash of its public key."""
-    server_dh = DHKeyPair(sgx_read_rand(ctx, 32))
+    data is the hash of its public key.  The exponent is ``os.urandom``
+    output charged as one ``sgx_read_rand``, never the seeded machine RNG.
+    """
+    ctx.charge_rand(32)
+    server_dh = DHKeyPair(os.urandom(32))
     report_data = hashlib.sha256(server_dh.public_bytes).digest()
     return server_dh, service.quote(ctx, enclave, report_data)
 

@@ -1,4 +1,4 @@
-"""Every untrusted byte of the durable state, enumerated (ROADMAP 5(a)).
+"""Every untrusted byte of the durable state, enumerated (ROADMAP 1(c)).
 
 The host owns the checkpoint file and the log segments outright, so the
 sweep takes a store small enough to enumerate — eight pairs over two

@@ -22,7 +22,10 @@ from repro.errors import (
 )
 from repro.sim import MonotonicCounterService
 
-PLATFORM = b"platform-secret-1"
+# The platform sealing key derives from the master secret, so another
+# master secret is another platform.
+MASTER = bytes(range(32))
+OTHER_MASTER = bytes(range(1, 33))
 
 
 @pytest.fixture
@@ -41,13 +44,13 @@ def fresh_store(**overrides):
 def served_store():
     """One partition behind the router — the shape every snapshot has."""
     return PartitionedShieldStore(
-        _config(), num_partitions=1, platform_secret=PLATFORM
+        _config(), num_partitions=1, master_secret=MASTER
     )
 
 
-def reopen(snapshotter, blob, platform=PLATFORM):
+def reopen(snapshotter, blob, master=MASTER):
     return snapshotter.open(
-        blob, _config(), num_partitions=1, platform_secret=platform
+        blob, _config(), num_partitions=1, master_secret=master
     )
 
 
@@ -101,7 +104,7 @@ class TestFunctionalSnapshots:
         blob = snapshotter.snapshot_bytes(store)
         # A different platform cannot unseal the metadata.
         with pytest.raises(SealingError):
-            reopen(snapshotter, blob, platform=b"other-platform!!!")
+            reopen(snapshotter, blob, master=OTHER_MASTER)
 
     def test_tampered_entry_mac_detected_at_restore(self, snapshotter):
         store = served_store()

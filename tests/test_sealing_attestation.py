@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import PartitionedShieldStore, shield_opt
 from repro.errors import (
     AttestationError,
     EnclaveError,
@@ -18,6 +19,7 @@ from repro.sim import (
     SealingService,
     attested_handshake,
 )
+from repro.sim.attestation import handshake_offer
 
 
 @pytest.fixture
@@ -140,6 +142,32 @@ class TestAttestation:
     def test_dh_entropy_requirement(self):
         with pytest.raises(AttestationError):
             DHKeyPair(b"short")
+
+
+class TestServedHandshakeSecret:
+    """The server's DH half is fresh entropy, not the simulator's seed:
+    a peer that knows ``StoreConfig.seed`` (default 2019) must not be
+    able to recompute the exponent and read the session."""
+
+    def _first_offer(self, config, master_secret):
+        store = PartitionedShieldStore(config, master_secret=master_secret)
+        try:
+            service = AttestationService(b"ias-service-secret")
+            server_dh, _ = handshake_offer(
+                service, store.enclave.context(), store.enclave
+            )
+            return server_dh
+        finally:
+            store.close()
+
+    def test_dh_secret_is_not_drawn_from_the_seeded_rng(self):
+        config = shield_opt(num_buckets=32, num_mac_hashes=16)
+        first = self._first_offer(config, bytes(range(32)))
+        second = self._first_offer(config, bytes(range(1, 33)))
+        assert first.public_bytes != second.public_bytes
+        rng = Machine(seed=config.seed).rng
+        replayed = DHKeyPair(bytes(rng.getrandbits(8) for _ in range(32)))
+        assert first.private != replayed.private
 
 
 class TestAttacker:

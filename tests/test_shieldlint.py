@@ -529,6 +529,20 @@ class TestRealTreeGate:
         for finding in report.suppressed:
             assert finding.justification, finding.format()
 
+    def test_bootstrap_frame_suppression_is_used_not_stale(self):
+        """``_master_secret`` is key material, so the pool's clear
+        bootstrap send is a finding; its one suppression records the
+        modelling shortcut where the rule runs, and covers that send."""
+        report = run_analysis()
+        bootstrap = [
+            f for f in report.suppressed
+            if f.path == "core/procpool.py"
+            and "Modelling shortcut" in (f.justification or "")
+        ]
+        assert [f.rule for f in bootstrap] == ["trust-boundary"]
+        assert "plane.conn.send" in bootstrap[0].message
+        assert report.stale_suppressions == []
+
     def test_all_six_passes_complete_quickly(self):
         report = run_analysis()
         assert set(report.rules) == {

@@ -1,4 +1,4 @@
-"""Machine, execution contexts, boundary crossings, the SDK facade."""
+"""Machine, execution contexts, boundary crossings, the LLC model."""
 
 import random
 import tracemalloc
@@ -7,17 +7,10 @@ from dataclasses import replace
 
 import pytest
 
-from repro.crypto.suite import make_suite
 from repro.errors import EnclaveError
 from repro.sim import Enclave, Machine
 from repro.sim.cycles import CACHELINE, PAGE_SIZE, CostModel
 from repro.sim.llc import LLCache
-from repro.sim.sdk import (
-    sgx_aes_ctr_decrypt,
-    sgx_aes_ctr_encrypt,
-    sgx_read_rand,
-    sgx_rijndael128_cmac,
-)
 
 
 @pytest.fixture
@@ -28,11 +21,6 @@ def machine():
 @pytest.fixture
 def enclave(machine):
     return Enclave(machine, bytes(32))
-
-
-@pytest.fixture
-def suite():
-    return make_suite("fast-hashlib", bytes(16), bytes(range(16)))
 
 
 class TestMachine:
@@ -91,36 +79,6 @@ class TestCrossings:
     def test_enclave_measurement_size(self, machine):
         with pytest.raises(EnclaveError):
             Enclave(machine, b"too-short")
-
-
-class TestSdkFacade:
-    def test_sgx_read_rand_deterministic(self, machine, enclave):
-        ctx = enclave.context()
-        a = sgx_read_rand(ctx, 16)
-        machine2 = Machine(num_threads=2)
-        b = sgx_read_rand(Enclave(machine2, bytes(32)).context(), 16)
-        assert a == b  # same machine seed
-        assert len(a) == 16
-
-    def test_sdk_requires_enclave(self, machine, suite):
-        outside = machine.context(0, in_enclave=False)
-        with pytest.raises(EnclaveError):
-            sgx_read_rand(outside, 16)
-        with pytest.raises(EnclaveError):
-            sgx_aes_ctr_encrypt(outside, suite, bytes(16), b"data")
-
-    def test_encrypt_decrypt_roundtrip(self, machine, enclave, suite):
-        ctx = enclave.context()
-        ct = sgx_aes_ctr_encrypt(ctx, suite, bytes(16), b"hello enclave")
-        assert sgx_aes_ctr_decrypt(ctx, suite, bytes(16), ct) == b"hello enclave"
-        assert machine.counters.aes_calls == 2
-        assert machine.counters.decryptions == 1
-
-    def test_cmac_charges(self, machine, enclave, suite):
-        ctx = enclave.context()
-        tag = sgx_rijndael128_cmac(ctx, suite, b"message")
-        assert len(tag) == 16
-        assert machine.counters.cmac_calls == 1
 
 
 class ReferenceLRU:

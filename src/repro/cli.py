@@ -14,14 +14,10 @@ Commands:
   shieldfault schedule for chaos drills, and ``--node-id``/``--peer
   NAME=HOST:PORT``/``--replication-secret`` join the node to a
   replicated group with write fan-out and Merkle anti-entropy)
-* ``snapshot`` / ``restore``    — write / load a sealed multi-partition
-  snapshot blob (rollback-protected by a persisted monotonic counter)
-* ``stats``                     — run a seeded batched workload and print
-  the store's operation counters, including batch amortization
-  (``--format json`` for machine-readable output); with
-  ``--connect HOST:PORT --measurement HEX`` it instead attests a
-  running ``serve`` deployment and prints its live merged counters,
-  resilience counters included
+* ``stats --connect HOST:PORT --measurement HEX`` — attest a running
+  ``serve`` deployment and print its live merged counters, batch,
+  pool-stage and resilience counters included (``--format json`` for
+  machine-readable output)
 * ``lint``                      — shieldlint static analysis: enclave
   trust-boundary taint, verify-before-use, lock-order and the
   shieldcrypt key-domain / nonce-reuse / ct-compare rules over the
@@ -139,77 +135,6 @@ def _cmd_demo(_args) -> int:
     except (IntegrityError, ReplayError) as exc:
         print(f"tampering detected: {type(exc).__name__}")
     print(f"simulated time so far: {store.machine.elapsed_us():.1f} us")
-    return 0
-
-
-def _snapshot_config(partitions: int):
-    """Deterministic store geometry shared by snapshot/restore runs.
-
-    The machine RNG is seeded from the config, so a later invocation
-    derives the same master secret — and therefore the same platform
-    sealing secret — letting it unseal the earlier snapshot exactly
-    like a restarted deployment would.
-    """
-    from repro.core import shield_opt
-
-    return shield_opt(num_buckets=64 * partitions, num_mac_hashes=16 * partitions)
-
-
-def _snapshotter(counter_file):
-    from repro.core import PartitionSnapshotter
-    from repro.sim import MonotonicCounterService
-
-    return PartitionSnapshotter(MonotonicCounterService(counter_file))
-
-
-def _cmd_snapshot(args) -> int:
-    from repro.core import PartitionedShieldStore, snapshot_counter
-
-    store = PartitionedShieldStore(
-        _snapshot_config(args.partitions), num_partitions=args.partitions
-    )
-    keys = [f"key-{i:05d}".encode() for i in range(args.pairs)]
-    for start in range(0, len(keys), 256):
-        chunk = keys[start : start + 256]
-        store.multi_set([(key, b"value-" + key) for key in chunk])
-    snapshotter = _snapshotter(args.counter_file or args.out + ".counters.json")
-    blob = snapshotter.snapshot_bytes(store)
-    with open(args.out, "wb") as fh:
-        fh.write(blob)
-    print(f"snapshot: {args.pairs} pairs across {store.num_threads} "
-          f"partition(s), mode={store.mode}")
-    print(f"wrote {len(blob)} bytes to {args.out} "
-          f"(monotonic counter {snapshot_counter(blob)})")
-    store.close()
-    return 0
-
-
-def _cmd_restore(args) -> int:
-    from repro.core import open_store
-    from repro.errors import IntegrityError, SealingError, SnapshotError
-
-    try:
-        store = open_store(
-            _snapshotter(args.counter_file or args.snapshot + ".counters.json"),
-            args.snapshot,
-            _snapshot_config(args.partitions),
-            num_partitions=args.partitions,
-        )[0]
-    except (SnapshotError, SealingError) as exc:
-        print(f"restore rejected: {exc}")
-        return 1
-    with store:
-        try:
-            # Entry bytes are authenticated on read (§4.4): only the
-            # audit re-MACs every record the blob carried.
-            checked = store.audit()
-        except IntegrityError as exc:
-            print(f"restore rejected: {args.snapshot}: integrity audit: {exc}")
-            return 1
-        print(f"restored {len(store)} keys into {store.num_threads} "
-              f"partition(s), mode={store.mode}")
-        print(f"integrity audit: {checked} entries verified, "
-              f"engine state {store.partition_state}")
     return 0
 
 
@@ -370,10 +295,6 @@ def _cmd_stats_connect(args) -> int:
     if not host or not port.isdigit():
         print("--connect needs HOST:PORT", file=sys.stderr)
         return 2
-    if not args.measurement:
-        print("--connect requires --measurement HEX (printed by "
-              "`repro serve` at startup)", file=sys.stderr)
-        return 2
     service = AttestationService(args.attestation_secret.encode())
     client = TCPShieldClient(
         (host, int(port)),
@@ -391,83 +312,6 @@ def _cmd_stats_connect(args) -> int:
     print(f"live counters from {args.connect}:")
     for name, value in sorted(counters.items()):
         print(f"  {name:28s} {value}")
-    return 0
-
-
-def _cmd_stats(args) -> int:
-    from repro.core import PartitionedShieldStore, shield_opt
-    from repro.sim.enclave import Machine
-
-    if args.connect:
-        return _cmd_stats_connect(args)
-
-    from repro.sim.cycles import MB
-
-    config = shield_opt(
-        num_buckets=64 * args.threads,
-        num_mac_hashes=16 * args.threads,
-        cache_bytes=int(args.cache_mb * MB),
-        mac_cache_bytes=int(args.mac_cache_mb * MB),
-    )
-    # An injected machine pins the partitions in-process (auto included).
-    machine = None
-    if args.mode != "processes":
-        machine = Machine(num_threads=args.threads)
-    store = PartitionedShieldStore(
-        config, machine=machine, num_partitions=args.threads, mode=args.mode
-    )
-    keys = [f"key-{i:05d}".encode() for i in range(args.pairs)]
-    batch = max(1, args.batch)
-    for start in range(0, len(keys), batch):
-        chunk = keys[start : start + batch]
-        store.multi_set([(key, b"value-" + key) for key in chunk])
-        store.multi_get(chunk)
-    store.multi_delete(keys[: args.pairs // 4])
-    # Cross-process aggregation: in processes mode each worker ships its
-    # whole record (ring and stage fields too) and the parent merges them.
-    stats = store.stats()
-    counters = stats.snapshot_dict()
-    ops = stats.batch_ops or 1
-    if args.format == "json":
-        _emit_json({
-            "workload": {
-                "pairs": args.pairs,
-                "batch": batch,
-                "partitions": args.threads,
-                "mode": store.mode,
-                "state": store.partition_state,
-            },
-            "simulated_us": round(store.elapsed_us(), 1),
-            "counters": counters,
-            "batch_amortization": {
-                "avg_batch_size": round(
-                    stats.batch_ops / max(1, stats.batches), 1
-                ),
-                "set_verifications_per_batch_op": round(
-                    stats.batch_sets_verified / ops, 3
-                ),
-                "verifications_saved": stats.batch_verifications_saved,
-                "set_hash_updates_saved": stats.batch_set_updates_saved,
-            },
-        })
-        store.close()
-        return 0
-    print(f"workload: {args.pairs} pairs, batch={batch}, "
-          f"{args.threads} partition(s), mode={store.mode}, "
-          f"state={store.partition_state}")
-    print(f"simulated time: {store.elapsed_us():.1f} us")
-    print("operation counters:")
-    for name, value in counters.items():
-        print(f"  {name:28s} {value}")
-    print("batch amortization:")
-    print(f"  avg batch size               "
-          f"{stats.batch_ops / max(1, stats.batches):.1f}")
-    print(f"  set verifications / batch op "
-          f"{stats.batch_sets_verified / ops:.3f} "
-          f"(1.000 without batching)")
-    print(f"  verifications saved          {stats.batch_verifications_saved}")
-    print(f"  set-hash updates saved       {stats.batch_set_updates_saved}")
-    store.close()
     return 0
 
 
@@ -587,55 +431,19 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "entropy rounds against each peer (default 5)")
     serve.set_defaults(func=_cmd_serve)
 
-    snapshot = sub.add_parser(
-        "snapshot", help="write a sealed multi-partition snapshot blob"
-    )
-    snapshot.add_argument("--out", required=True, help="snapshot file to write")
-    snapshot.add_argument("--pairs", type=int, default=2000,
-                          help="seeded key-value pairs to load first")
-    snapshot.add_argument("--partitions", type=int, default=2)
-    snapshot.add_argument("--counter-file", default=None,
-                          help="monotonic-counter state (default: "
-                               "<out>.counters.json)")
-    snapshot.set_defaults(func=_cmd_snapshot)
-
-    restore = sub.add_parser(
-        "restore", help="restore a snapshot blob and verify integrity"
-    )
-    restore.add_argument("--snapshot", required=True, help="snapshot file to load")
-    restore.add_argument("--partitions", type=int, default=2,
-                         help="partition count of the target store "
-                              "(must match the snapshot)")
-    restore.add_argument("--counter-file", default=None,
-                         help="monotonic-counter state (default: "
-                              "<snapshot>.counters.json)")
-    restore.set_defaults(func=_cmd_restore)
-
     stats = sub.add_parser(
-        "stats", help="batched-workload operation counters (incl. amortization)"
+        "stats", help="attest a running `repro serve` and print its live counters"
     )
-    stats.add_argument("--pairs", type=int, default=2000)
-    stats.add_argument("--batch", type=int, default=256)
-    stats.add_argument("--threads", type=int, default=4)
-    stats.add_argument("--mode", default="auto",
-                       choices=["auto", "sequential", "processes"],
-                       help="partition execution engine (processes = one "
-                            "worker process per partition)")
-    stats.add_argument("--cache-mb", type=float, default=0.0,
-                       help="in-enclave value cache budget in MB (0 off)")
-    stats.add_argument("--mac-cache-mb", type=float, default=0.0,
-                       help="verified MAC-list cache budget in MB (0 off)")
     stats.add_argument("--format", default="text", choices=["text", "json"],
                        help="output format (json is stable and sorted)")
-    stats.add_argument("--connect", default=None, metavar="HOST:PORT",
-                       help="instead of a local workload, attest a running "
-                            "`repro serve` and print its live counters")
-    stats.add_argument("--measurement", default=None,
-                       help="expected enclave measurement (hex) for "
-                            "--connect; printed by `repro serve`")
+    stats.add_argument("--connect", required=True, metavar="HOST:PORT",
+                       help="address of the running `repro serve`")
+    stats.add_argument("--measurement", required=True, metavar="HEX",
+                       help="expected enclave measurement, printed by "
+                            "`repro serve` at startup")
     stats.add_argument("--attestation-secret", default="dev-attestation-secret",
-                       help="attestation service secret for --connect")
-    stats.set_defaults(func=_cmd_stats)
+                       help="attestation service secret")
+    stats.set_defaults(func=_cmd_stats_connect)
 
     lint = sub.add_parser(
         "lint",

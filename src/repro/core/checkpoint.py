@@ -160,14 +160,11 @@ class SnapshotDaemon:
 
     @staticmethod
     def latest_snapshot(directory) -> Optional[str]:
-        """Path of the newest checkpoint in ``directory`` (by counter);
-        a path that names a file is that checkpoint itself.
+        """Path of the newest checkpoint in ``directory`` (by counter).
 
         File names embed the zero-padded monotonic counter, so the
         lexicographically greatest name is the newest snapshot.
         """
-        if os.path.isfile(directory):
-            return os.fspath(directory)
         paths = sorted(
             glob.glob(os.path.join(os.fspath(directory), "snapshot-*.bin"))
         )
@@ -194,11 +191,11 @@ class SnapshotDaemon:
 def open_store(snapshotter: PartitionSnapshotter, source, config, **store_args):
     """Start a node from durable state: ``(store, path, replayed)``.
 
-    ``source`` is a checkpoint directory (its newest file is taken), one
-    checkpoint file, or ``None``; ``store_args`` go to the store.  The
-    one start-up there is (``repro serve``, ``repro restore``): newest
-    checkpoint, :meth:`PartitionSnapshotter.open`, the count of log
-    operations replayed.  A refusal is a :class:`SnapshotError` or
+    ``source`` is a checkpoint directory (its newest file is taken) or
+    ``None``; ``store_args`` go to the store.  The one start-up there is
+    (:class:`~repro.node.Node`: ``repro serve`` and every replication
+    group member): newest checkpoint, :meth:`PartitionSnapshotter.open`,
+    the count of log operations replayed.  A refusal is a :class:`SnapshotError` or
     :class:`SealingError` (:class:`~repro.errors.RollbackError`
     included) naming the file; hostile bytes raise nothing else.
     """

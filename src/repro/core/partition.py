@@ -90,10 +90,9 @@ class _InProcessEngine:
         self.machine = machine
         self.reached_counter = min(host.reached for host in hosts)
 
-    def store_of(self, index: int) -> ShieldStore:
+    def partition(self, index: int) -> ShieldStore:
+        """A ShieldStore *is* its partition's store API."""
         return self.hosts[index].store
-
-    partition = store_of  # a ShieldStore *is* its partition's store API
 
     def stores(self) -> List[ShieldStore]:
         return [host.store for host in self.hosts]
@@ -348,15 +347,6 @@ class PartitionedShieldStore:
             return 0  # every keyed hash maps to the only partition
         h = self._keyring.keyed_bucket_hash(bytes(key), 1 << 30)
         return h * self._num_partitions >> 30
-
-    def partition_of(self, key: bytes) -> ShieldStore:
-        """Route a key to its owning in-process partition store.
-
-        Only meaningful in-process; in ``processes`` mode the partition
-        lives in a worker and cannot be handed out
-        (:class:`~repro.errors.StoreError`).
-        """
-        return self._engine.store_of(self.partition_index_of(key))
 
     # -- single-key operations ----------------------------------------------
     def _owner(self, key: bytes):

@@ -1110,12 +1110,6 @@ class ProcessPartitionPool:
         """The store API of one partition, served by its worker."""
         return self._proxies[index]
 
-    def store_of(self, index: int):
-        raise StoreError(
-            "partition stores live in worker processes; "
-            "use partition_index_of() for routing"
-        )
-
     def stores(self) -> list:
         """No partition store is reachable in-process."""
         return []

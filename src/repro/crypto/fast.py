@@ -154,8 +154,3 @@ def prekeyed_hmac(key: bytes) -> Callable[[bytes], bytes]:
         return outer.digest()
 
     return digest
-
-
-def verify_hmac_tag(key: bytes, message: bytes, tag: bytes) -> bool:
-    """Constant-time verification of a truncated HMAC tag."""
-    return hmac.compare_digest(hmac_tag(key, message), tag)

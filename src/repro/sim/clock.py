@@ -93,10 +93,6 @@ class MachineClock:
         """Wall-clock of the machine: the slowest thread's clock."""
         return max(t.cycles for t in self.threads)
 
-    def total_cpu_cycles(self) -> float:
-        """Sum of per-thread work (for utilization accounting)."""
-        return sum(t.cycles for t in self.threads)
-
     def reset(self) -> None:
         """Zero every thread clock and the paging serializer."""
         for t in self.threads:

@@ -5,10 +5,13 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core import PartitionedShieldStore, shield_opt
 from repro.core.procpool import process_mode_supported
 from repro.core.shmring import shm_supported
 from repro.experiments.charts import bar_chart, line_chart, render_bars, render_sweep
 from repro.experiments.common import TableResult
+from repro.net.tcp import TCPShieldClient, TCPShieldServer
+from repro.sim import AttestationService
 
 
 class TestCharts:
@@ -83,14 +86,40 @@ class TestCli:
         reason="no multiprocess engine or shm plane here",
     )
     def test_stats_of_two_shm_workers_reports_waits_and_stage_seconds(self, capsys):
-        # One record: the workers' doorbell waits and the pool's four
-        # stage seconds arrive in `counters` beside the store counters.
-        assert main(["stats", "--mode", "processes", "--threads", "2",
-                     "--pairs", "128", "--batch", "32", "--format", "json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        counters = report["counters"]
-        assert report["workload"]["mode"] == "processes"
+        # One record over the wire: the workers' doorbell waits and the
+        # pool's four stage seconds arrive in `counters` beside the store
+        # counters of a served two-worker store.
+        service = AttestationService(b"dev-attestation-secret")  # the CLI default
+        store = PartitionedShieldStore(
+            shield_opt(num_buckets=128, num_mac_hashes=32),
+            num_partitions=2, mode="processes", data_plane="shm",
+        )
+        server = TCPShieldServer(store, service, port=0)
+        server.start()
+        try:
+            client = TCPShieldClient(
+                server.address, service, store.enclave.measurement, bytes(32)
+            )
+            keys = [b"key-%05d" % i for i in range(128)]
+            for start in range(0, len(keys), 32):
+                chunk = keys[start : start + 32]
+                client.multi_set([(key, b"value-" + key) for key in chunk])
+                client.multi_get(chunk)
+            client.close()
+            host, port = server.address
+            assert main(["stats", "--connect", f"{host}:{port}", "--measurement",
+                         store.enclave.measurement.hex(), "--format", "json"]) == 0
+        finally:
+            server.close()
+            store.close()
+        counters = json.loads(capsys.readouterr().out)["counters"]
         assert counters["batches"] > 0
         for name in ("worker_ring_doorbell_waits", "serialize_s", "ipc_wait_s",
                      "worker_compute_s", "worker_cpu_s"):
             assert counters[name] > 0, name
+
+    def test_stats_needs_a_running_server(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["stats"])
+        assert exited.value.code == 2
+        assert "--connect" in capsys.readouterr().err

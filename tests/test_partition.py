@@ -15,6 +15,11 @@ def store():
     )
 
 
+def owner(store, key):
+    """The in-process partition store that holds ``key``."""
+    return store.partitions[store.partition_index_of(key)]
+
+
 class TestPartitioning:
     def test_basic_operations(self, store):
         for i in range(200):
@@ -30,11 +35,11 @@ class TestPartitioning:
     def test_routing_is_stable(self, store):
         for i in range(50):
             key = f"key-{i}".encode()
-            assert store.partition_of(key) is store.partition_of(key)
+            assert owner(store, key) is owner(store, key)
 
     def test_keys_spread_across_partitions(self, store):
         owners = {
-            store.partition_of(f"key-{i}".encode()).thread_id for i in range(200)
+            owner(store, f"key-{i}".encode()).thread_id for i in range(200)
         }
         assert owners == {0, 1, 2, 3}
 
@@ -46,20 +51,20 @@ class TestPartitioning:
         # Each key is present in exactly its owner partition.
         for i in range(100):
             key = f"key-{i}".encode()
-            owner = store.partition_of(key)
+            holder = owner(store, key)
             for partition in store.partitions:
-                if partition is owner:
+                if partition is holder:
                     assert partition.contains(key)
                 else:
                     assert not partition.contains(key)
 
     def test_work_charged_to_owner_thread(self, store):
         key = b"single-key"
-        owner = store.partition_of(key).thread_id
+        thread_id = owner(store, key).thread_id
         store.machine.reset_measurement()
         store.set(key, b"value")
         for thread in store.machine.clock.threads:
-            if thread.thread_id == owner:
+            if thread.thread_id == thread_id:
                 assert thread.cycles > 0
             else:
                 assert thread.cycles == 0

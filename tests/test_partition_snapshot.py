@@ -6,14 +6,12 @@ partition count and routing geometry sealed into the header, and is
 *opened* into a new store.  These tests cover the roundtrips across
 execution engines, the rejection paths (geometry mismatch, rollback,
 truncated bytes — ``test_durable_sweep.py`` enumerates every byte), the
-SIGKILL-a-worker recovery flow of the multiprocess pool, the checkpoint
-daemon, and the ``repro snapshot`` / ``repro restore`` CLI.
+SIGKILL-a-worker recovery flow of the multiprocess pool and the
+checkpoint daemon.
 """
 
 import os
 import signal
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -271,42 +269,3 @@ class TestSnapshotDaemon:
     def test_empty_directory_has_no_latest(self, tmp_path):
         assert SnapshotDaemon.latest_snapshot(tmp_path) is None
 
-
-class TestSnapshotCLI:
-    def _run(self, *argv):
-        repo = Path(__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(repo / "src")
-        return subprocess.run(
-            [sys.executable, "-m", "repro", *argv],
-            capture_output=True,
-            text=True,
-            cwd=repo,
-            env=env,
-            timeout=300,
-        )
-
-    def test_snapshot_restore_roundtrip(self, tmp_path):
-        out = tmp_path / "cli.snap"
-        taken = self._run(
-            "snapshot", "--out", str(out), "--pairs", "150", "--partitions", "2"
-        )
-        assert taken.returncode == 0, taken.stderr
-        assert out.exists()
-        restored = self._run(
-            "restore", "--snapshot", str(out), "--partitions", "2"
-        )
-        assert restored.returncode == 0, restored.stderr
-        assert "restored 150 keys" in restored.stdout
-
-    def test_restore_into_wrong_partition_count_fails(self, tmp_path):
-        out = tmp_path / "cli.snap"
-        taken = self._run(
-            "snapshot", "--out", str(out), "--pairs", "60", "--partitions", "2"
-        )
-        assert taken.returncode == 0, taken.stderr
-        mismatched = self._run(
-            "restore", "--snapshot", str(out), "--partitions", "1"
-        )
-        assert mismatched.returncode == 1
-        assert "restore rejected" in mismatched.stdout

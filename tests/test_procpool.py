@@ -479,14 +479,6 @@ class TestModeResolution:
                 _config(), machine=Machine(num_threads=2), mode=MODE_PROCESSES
             )
 
-    def test_partition_of_unavailable_in_process_mode(self):
-        if not process_mode_supported():
-            pytest.skip("platform cannot run the multiprocess engine")
-        with _build(MODE_PROCESSES) as store:
-            with pytest.raises(StoreError):
-                store.partition_of(b"k")
-            assert 0 <= store.partition_index_of(b"k") < PARTITIONS
-
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 

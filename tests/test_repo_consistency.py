@@ -279,11 +279,13 @@ class TestOneCopyOfEachMechanism:
         assert callers == ["fsync_directory", "sync", "recover"]
 
     def test_the_cli_serves_one_store_shape(self):
-        """``repro serve`` and ``repro restore`` turn durable state into
-        a store through one call, whatever the worker count."""
+        """Every store a ``repro`` command serves or recovers is built by
+        :class:`~repro.node.Node`, the one program caller of
+        ``open_store``, whatever the worker count."""
         cli = (_ROOT / "src" / "repro" / "cli.py").read_text()
-        assert len(re.findall(r"\bopen_store\(", cli)) == 1
-        for other_way in ("PartitionHost", ".open(", "load_latest", "read_blob"):
+        assert self._sites(r"(?<!def )\bopen_store\(") == ["node.py"]
+        for other_way in ("PartitionHost", ".open(", "load_latest", "read_blob",
+                          "PartitionedShieldStore", "Snapshotter"):
             assert other_way not in cli, other_way
 
     def test_fault_hits_are_unwrapped_in_one_place(self):

@@ -111,9 +111,7 @@ class StoreStats:
     replicated_out: int = 0         # records fanned out to peers (acked)
     replicated_in: int = 0          # remote records LWW-applied locally
     replication_conflicts: int = 0  # stale records rejected by (clock, origin)
-    hints_queued: int = 0           # records hinted for a dead peer
-    hints_delivered: int = 0        # hints replayed after a peer revived
-    hints_dropped: int = 0          # oldest hints evicted at the queue cap
+    fanout_missed: int = 0          # fan-outs a peer missed (left to anti-entropy)
     sync_rounds: int = 0            # anti-entropy digest exchanges completed
     sync_sets_diverged: int = 0     # bucket sets whose logical digests differed
     sync_keys_repaired: int = 0     # records merged in during set exchanges

@@ -39,7 +39,6 @@ two suites agree functionally.
 from __future__ import annotations
 
 import hashlib
-import hmac
 from typing import Callable
 
 from repro.errors import CryptoError
@@ -119,11 +118,6 @@ def prf_transform_many(key: bytes, items) -> list:
         out.append(joined[offset : offset + length])
         offset += length
     return out
-
-
-def hmac_tag(key: bytes, message: bytes) -> bytes:
-    """HMAC-SHA-256 truncated to the CMAC tag width (16 bytes)."""
-    return hmac.new(key, message, hashlib.sha256).digest()[:MAC_SIZE]
 
 
 _IPAD = bytes(b ^ 0x36 for b in range(256))

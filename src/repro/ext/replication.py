@@ -20,12 +20,13 @@ Design
   newer than the local one, which makes replication idempotent and
   commutative — the properties the retry machinery and anti-entropy
   lean on.
-* **Write-through fan-out with hinted handoff.**  Local mutators bump
-  the node clock, apply locally, and enqueue the record for immediate
-  fan-out over attested peer links (``OP_REPLICATE`` frames inside the
-  existing :class:`~repro.net.message.SecureChannel` sessions).  A dead
-  peer's records are queued as *hints* and delivered when the peer
-  answers again.
+* **Write-through fan-out, repaired by anti-entropy.**  Local
+  mutators bump the node clock, apply locally, and enqueue the record
+  for immediate fan-out over attested peer links (``OP_REPLICATE``
+  frames inside the existing :class:`~repro.net.message.SecureChannel`
+  sessions).  A peer whose link is dead, or whose call fails, misses
+  the record; nothing is kept for it, and the next anti-entropy round
+  repairs it from durable state.
 * **Merkle anti-entropy.**  The per-bucket-set MAC hashes (§4.3) are a
   ready-made Merkle level, but the *raw* set hashes are not comparable
   across replicas: each store allocates its own entry IVs, so equal
@@ -65,7 +66,6 @@ import shutil
 import struct
 import tempfile
 import threading
-from collections import deque
 from typing import TYPE_CHECKING, Callable, ContextManager, Dict, List
 from typing import Optional, Sequence, Tuple
 
@@ -110,7 +110,7 @@ _REMINT_ROUNDS = 3
 
 
 class PeerUnavailableError(StoreError):
-    """A replication peer could not be reached (marked dead, hinted)."""
+    """A replication peer could not be reached (marked dead)."""
 
 
 # -- versioned records --------------------------------------------------------
@@ -191,44 +191,6 @@ class LamportClock:
             if remote > self._value:
                 self._value = remote
             return self._value
-
-    def peek(self) -> int:
-        with self._mutex:
-            return self._value
-
-
-class HintedHandoff:
-    """Bounded per-peer queues of records owed to dead peers."""
-
-    def __init__(self, max_hints_per_peer: int = 4096):
-        self.max_hints_per_peer = max_hints_per_peer
-        self._queues: Dict[str, deque] = {}
-        self._mutex = threading.Lock()
-        self.dropped = 0
-
-    def push(self, peer_id: str, key: bytes, record: bytes) -> None:
-        with self._mutex:
-            q = self._queues.setdefault(peer_id, deque())
-            if len(q) >= self.max_hints_per_peer:
-                q.popleft()  # oldest hint lost; anti-entropy still repairs
-                self.dropped += 1
-            q.append((key, record))
-
-    def pending(self, peer_id: str) -> int:
-        with self._mutex:
-            return len(self._queues.get(peer_id, ()))
-
-    def pop(self, peer_id: str) -> Optional[Tuple[bytes, bytes]]:
-        with self._mutex:
-            q = self._queues.get(peer_id)
-            if not q:
-                return None
-            return q.popleft()
-
-    def unpop(self, peer_id: str, item: Tuple[bytes, bytes]) -> None:
-        """Return a hint whose delivery failed to the queue head."""
-        with self._mutex:
-            self._queues.setdefault(peer_id, deque()).appendleft(item)
 
 
 class PeerLink:
@@ -496,7 +458,6 @@ class ReplicatedStore(VersionedVerbs):
         self.origin = node_origin(node_id)
         self.clock = LamportClock()
         self.peers: Dict[str, PeerLink] = {}
-        self.handoff = HintedHandoff()
         self.repl_stats = StoreStats()
         # One mutex guards the inner store, the clock and the digest
         # cache; network calls NEVER happen under it.
@@ -529,9 +490,7 @@ class ReplicatedStore(VersionedVerbs):
     def stats(self) -> StoreStats:
         """Inner store counters merged with the replication counters."""
         with self.mutex:
-            merged = self.inner.stats.merge(self.repl_stats)
-        merged.hints_dropped += self.handoff.dropped
-        return merged
+            return self.inner.stats.merge(self.repl_stats)
 
     def __len__(self) -> int:
         with self.mutex:
@@ -697,19 +656,19 @@ class ReplicatedStore(VersionedVerbs):
 
     # -- write-through fan-out -------------------------------------------------
     def _deliver(self, key: bytes, record: bytes) -> None:
-        """Write-through one record to every peer; hint the dead ones."""
-        for peer_id, link in self.peers.items():
-            if not link.alive and self.handoff.pending(peer_id):
-                # Already backed up: keep ordering, queue behind.
-                self.handoff.push(peer_id, key, record)
-                self._bump("hints_queued")
-                continue
-            try:
-                link.replicate(key, record)
-                self._bump("replicated_out")
-            except PeerUnavailableError:
-                self.handoff.push(peer_id, key, record)
-                self._bump("hints_queued")
+        """Write-through one record to every live peer.  A dead link is
+        not called (the replicator would pay a connect deadline per
+        record); a peer that misses the record is counted and left to
+        the next anti-entropy round."""
+        for link in self.peers.values():
+            if link.alive:
+                try:
+                    link.replicate(key, record)
+                    self._bump("replicated_out")
+                    continue
+                except PeerUnavailableError:
+                    pass
+            self._bump("fanout_missed")
 
     def _deliver_next(self, timeout_s: float) -> bool:
         """Fan out the next queued record; False if none came in time."""
@@ -727,20 +686,6 @@ class ReplicatedStore(VersionedVerbs):
         while self._deliver_next(0.0):
             pass
 
-    def _retry_hints(self) -> None:
-        """Deliver queued hints to peers that answer again."""
-        for peer_id, link in self.peers.items():
-            while self.handoff.pending(peer_id):
-                item = self.handoff.pop(peer_id)
-                if item is None:
-                    break
-                try:
-                    link.replicate(*item)
-                    self._bump("hints_delivered")
-                except PeerUnavailableError:
-                    self.handoff.unpop(peer_id, item)
-                    break
-
     def flush(self) -> None:
         """Block until every queued fan-out has been attempted."""
         if self._thread is None:
@@ -749,8 +694,8 @@ class ReplicatedStore(VersionedVerbs):
             self._queue.join()
 
     def sync_now(self) -> int:
-        """One hint-retry + anti-entropy round against every peer."""
-        self._retry_hints()
+        """One anti-entropy round against every peer.  It also probes
+        dead links: a peer that answers is marked alive again."""
         diverged = 0
         for link in self.peers.values():
             try:
@@ -934,8 +879,8 @@ class ReplicationGroup:
     pairwise peer link, and hands out quorum clients.  :meth:`kill` is a
     SIGKILL stand-in (hard stop, no final checkpoint); :meth:`restart`
     opens the same directory again on a fresh port, so the member
-    recovers its checkpoint and log tail, and hinted handoff and
-    anti-entropy bring it the writes it missed while down.
+    recovers its checkpoint and log tail, and anti-entropy brings it
+    the writes it missed while down.
     """
 
     def __init__(
@@ -1019,8 +964,8 @@ class ReplicationGroup:
 
     def restart(self, node_id: str) -> Node:
         """Bring a killed member back from its own directory on a fresh
-        port: its checkpoint and log tail are recovered before hints and
-        anti-entropy run."""
+        port: its checkpoint and log tail are recovered before
+        anti-entropy runs."""
         if self.nodes[node_id].alive:
             raise StoreError(f"node {node_id!r} is still alive")
         node = self._build_node(node_id)
@@ -1037,7 +982,7 @@ class ReplicationGroup:
             node.store.flush()
 
     def sync_all(self, rounds: int = 2) -> int:
-        """Drive hint delivery + anti-entropy until (usually) converged.
+        """Drive fan-out + anti-entropy until (usually) converged.
 
         Multiple rounds because one push-pull round propagates a record
         one hop; with a full mesh two rounds reach everyone.

@@ -136,7 +136,7 @@ class ExecContext:
         self.machine.counters.crossing_cycles += cost
 
     def hotcall(self) -> None:
-        """Charge a HotCalls switchless request handoff."""
+        """Charge one HotCalls switchless request (no enclave crossing)."""
         self.clock.charge(self.machine.cost.hotcall_cycles)
         self.machine.counters.hotcalls += 1
         self.machine.counters.crossing_cycles += self.machine.cost.hotcall_cycles

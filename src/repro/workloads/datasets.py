@@ -40,12 +40,6 @@ class DataSpec:
         reps = -(-self.val_size // len(seed))
         return (seed * reps)[: self.val_size]
 
-    def working_set_bytes(self, num_pairs: int) -> int:
-        """Approximate untrusted bytes the data set occupies."""
-        from repro.core.entry import entry_total_size
-
-        return num_pairs * entry_total_size(self.key_size, self.val_size)
-
 
 SMALL = DataSpec("small", 16, 16)
 MEDIUM = DataSpec("medium", 16, 128)

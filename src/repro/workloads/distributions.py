@@ -105,14 +105,6 @@ class LatestGenerator:
         self._zipf = ZipfianGenerator(item_count, theta, seed, scrambled=False)
         self.item_count = item_count
 
-    def set_count(self, item_count: int) -> None:
-        """Grow the population after inserts (recency window moves)."""
-        if item_count != self.item_count:
-            self._zipf = ZipfianGenerator(
-                item_count, self._zipf.theta, seed=0, scrambled=False
-            )
-            self.item_count = item_count
-
     def next(self) -> int:
         rank = self._zipf._next_rank()
         idx = self.item_count - 1 - min(rank, self.item_count - 1)

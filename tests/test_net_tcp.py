@@ -520,8 +520,8 @@ _STATS_KEYS = (
     "batch_set_updates_saved", "batch_sets_verified", "batch_verifications_saved",
     "batches", "busy_retries", "busy_sheds", "cache_hits", "cache_misses",
     "chain_steps", "deadline_drops", "degraded_replies", "deletes",
-    "faults_injected", "full_searches", "gets", "hint_skips", "hints_delivered",
-    "hints_dropped", "hints_queued", "hits", "idempotent_replays", "increments",
+    "fanout_missed", "faults_injected", "full_searches", "gets", "hint_skips",
+    "hits", "idempotent_replays", "increments",
     "inserts", "integrity_checks", "mac_cache_evictions", "mac_cache_hits",
     "mac_cache_misses", "misses", "net_reconnects", "net_retries", "net_timeouts",
     "quorum_failures", "quorum_reads", "quorum_writes", "read_repairs",

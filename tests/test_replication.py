@@ -20,8 +20,8 @@ from repro.ext.replication import (
     CONSISTENCY_ONE,
     FLAG_TOMBSTONE,
     RECORD_OVERHEAD,
-    HintedHandoff,
     LamportClock,
+    PeerUnavailableError,
     ReplicaClient,
     ReplicatedStore,
     ReplicationGroup,
@@ -97,44 +97,10 @@ class TestLamportClock:
 
     def test_witness_jumps_past_remote(self):
         clock = LamportClock()
-        clock.witness(41)
+        assert clock.witness(41) == 41
         assert clock.tick() == 42
-        clock.witness(10)  # stale remote never rewinds
+        assert clock.witness(10) == 42  # stale remote never rewinds
         assert clock.tick() == 43
-
-    def test_peek_does_not_advance(self):
-        clock = LamportClock()
-        clock.tick()
-        assert clock.peek() == 1
-        assert clock.peek() == 1
-
-
-class TestHintedHandoff:
-    def test_fifo_per_peer(self):
-        hints = HintedHandoff()
-        hints.push("p", b"k1", b"r1")
-        hints.push("p", b"k2", b"r2")
-        hints.push("q", b"k3", b"r3")
-        assert hints.pending("p") == 2
-        assert hints.pop("p") == (b"k1", b"r1")
-        assert hints.pop("p") == (b"k2", b"r2")
-        assert hints.pop("p") is None
-        assert hints.pending("q") == 1
-
-    def test_unpop_preserves_order(self):
-        hints = HintedHandoff()
-        hints.push("p", b"k1", b"r1")
-        hints.push("p", b"k2", b"r2")
-        first = hints.pop("p")
-        hints.unpop("p", first)
-        assert hints.pop("p") == (b"k1", b"r1")
-
-    def test_cap_drops_oldest(self):
-        hints = HintedHandoff(max_hints_per_peer=2)
-        for i in range(4):
-            hints.push("p", b"k%d" % i, b"r")
-        assert hints.dropped == 2
-        assert hints.pop("p") == (b"k2", b"r")
 
 
 class TestPartitionRules:
@@ -224,6 +190,24 @@ class TestGroupBasics:
         snap = store0.stats().snapshot_dict()
         assert "replicated_out" in snap and "sync_rounds" in snap
 
+    def test_served_writes_reach_a_restarted_peer(self, pair):
+        """Writes served while a peer is down reach it after its
+        restart: one anti-entropy pass repairs what fan-out missed."""
+        pair.kill("node-1")
+        client = _plain_client(pair, "node-0")
+        written = {b"dk%02d" % i: b"dv%02d" % i for i in range(24)}
+        try:
+            for key, value in written.items():
+                client.set(key, value)
+        finally:
+            client.close()
+        pair.restart("node-1")
+        pair.sync_all()
+        assert pair.converged()
+        revived = pair.nodes["node-1"].store
+        for key, value in written.items():
+            assert revived.get(key) == value
+
 
 class _StubLink:
     """A peer link that records which thread replicates through it."""
@@ -235,6 +219,23 @@ class _StubLink:
 
     def replicate(self, key, record):
         self.threads.append(threading.current_thread().name)
+
+    def close(self):
+        pass
+
+
+class _DeadLink:
+    """A peer link whose peer is gone: a call fails and marks it dead."""
+
+    alive = True
+
+    def __init__(self):
+        self.calls = 0
+
+    def replicate(self, key, record):
+        self.calls += 1
+        self.alive = False
+        raise PeerUnavailableError("peer n1 unreachable: stub")
 
     def close(self):
         pass
@@ -255,6 +256,23 @@ class TestFanOutThread:
             store.start()
             store.flush()
             assert link.threads == ["shieldstore-repl-n0"]
+        finally:
+            store.close()
+
+    def test_a_dead_link_is_not_called_and_misses_are_counted(self):
+        from repro.core import shield_opt
+        from repro.core.store import ShieldStore
+
+        store = ReplicatedStore(
+            ShieldStore(shield_opt(num_buckets=32, num_mac_hashes=8)), "n0"
+        )
+        link = store.peers["n1"] = _DeadLink()
+        try:
+            for i in range(5):
+                store.set(b"k%d" % i, b"v")
+            store.flush()
+            assert link.calls == 1
+            assert store.stats().fanout_missed == 5
         finally:
             store.close()
 

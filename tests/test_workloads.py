@@ -57,12 +57,6 @@ class TestDistributions:
         recent = sum(1 for d in draws if d >= 900)
         assert recent > 0.5 * len(draws)
 
-    def test_latest_window_moves(self):
-        gen = LatestGenerator(100, seed=6)
-        gen.set_count(200)
-        draws = [gen.next() for _ in range(500)]
-        assert max(draws) >= 150
-
     def test_factory(self):
         for name in ("uniform", "zipfian", "latest"):
             assert make_distribution(name, 10).next() in range(10)
@@ -159,6 +153,3 @@ class TestDataSpecs:
     def test_values_sized_and_versioned(self):
         assert len(LARGE.value_bytes(5)) == 512
         assert LARGE.value_bytes(5, 0) != LARGE.value_bytes(5, 1)
-
-    def test_working_set_estimate(self):
-        assert SMALL.working_set_bytes(1000) == 1000 * (49 + 32)
